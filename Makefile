@@ -2,7 +2,8 @@
 
 .PHONY: all build test bench perf route-bench lint analyze diff \
 	diff-bench serve serve-bench whatif whatif-bench inc inc-bench \
-	check telemetry-bench semantic-bench chaos smoke clean
+	check telemetry-bench semantic-bench chaos smoke perfbench-selftest \
+	clean
 
 all: build
 
@@ -103,6 +104,14 @@ inc:
 # extrapolation, full-fallback counters); writes BENCH_PR10.json.
 inc-bench:
 	dune exec bench/main.exe -- --inc-bench
+
+# Verdict-latency benchmark self-test: builds perfbench/ (release
+# profile, into .bench_build/) and runs every workload at small scale on
+# a seed it was not tuned on, checking each workload's metric names and
+# units against BENCHMARK.json, the verdict check, and that a
+# deliberately corrupted verdict is caught (exit non-zero otherwise).
+perfbench-selftest:
+	python3 perfbench/run.py --selftest
 
 # Open-loop load at the server: >=1200 mixed requests over 8 tenants,
 # byte-identity contract check against direct runs, per-class p50/p99,

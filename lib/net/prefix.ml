@@ -87,7 +87,9 @@ let of_string_exn s =
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-let hash t = Ip.hash t.ip lxor (t.len * 0x27d4eb2f)
+(* [Ip.hash] is a bare multiply, so every /24 would share its low eight
+   bits — the ones a power-of-two hashtable buckets on; mix once more. *)
+let hash t = Hashtbl.hash (Ip.hash t.ip lxor (t.len * 0x27d4eb2f))
 
 (** The default route for a family ([0.0.0.0/0] or [::/0]). *)
 let default fam = make (Ip.zero fam) 0
@@ -113,3 +115,10 @@ end
 
 module Set = Stdlib.Set.Make (Ord)
 module Map = Stdlib.Map.Make (Ord)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

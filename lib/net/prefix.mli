@@ -68,3 +68,7 @@ end
 module Set : Stdlib.Set.S with type elt = t
 
 module Map : Stdlib.Map.S with type key = t
+
+(** Hashtables on {!equal}/{!hash}: prefix-keyed sets and maps without
+    rendering a string per lookup. *)
+module Tbl : Stdlib.Hashtbl.S with type key = t

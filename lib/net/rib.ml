@@ -113,6 +113,14 @@ module Key = struct
             match Prefix.Map.find_opt r.Route.prefix ctx.pfx_ids with
             | None -> None
             | Some p -> Some ((((d * ctx.vrf_radix) + v) * ctx.pfx_radix) + p)))
+
+  (** The dense id of a universe prefix, in [0, pfx_radix); [None] for a
+      prefix outside the universe (it owns no keyed row). *)
+  let prefix_id (ctx : ctx) (p : Prefix.t) : int option =
+    Prefix.Map.find_opt p ctx.pfx_ids
+
+  (** The prefix id packed into a key: the lowest mixed-radix digit. *)
+  let prefix_of_key (ctx : ctx) (k : int) : int = k mod ctx.pfx_radix
 end
 
 (* ------------------------------------------------------------------ *)
@@ -232,33 +240,54 @@ module Arena = struct
         { keys = Array.sub keys 0 !k; rows = Array.sub rows 0 !k; overflow }
     end
 
-  (** Keep only the rows satisfying [p].  Both sides stay sorted, so the
-      result is a valid arena over the same key ctx — this is the
-      incremental engine's "drop the dirty region" step. *)
-  let filter (p : Route.t -> bool) (t : t) : t =
-    let n = Array.length t.rows in
-    let kept = ref 0 in
-    let mask = Array.make (max n 1) false in
+  (** Drop the rows on dirty prefixes — the incremental engine's "cut
+      out the dirty region" step.  [mask] has one byte per prefix id of
+      [ctx] (the ctx [t] was keyed with), non-zero for a dirty prefix;
+      keyed rows are tested by their key's prefix digit alone, so the
+      scan allocates nothing and never touches a clean row's record.
+      Overflow rows carry no key and are tested with [dirty].  [on_drop]
+      receives the device of every dropped row.  Both sides stay sorted,
+      so the result is a valid arena over the same ctx. *)
+  let drop_prefixes (ctx : Key.ctx) ~(mask : Bytes.t)
+      ~(dirty : Prefix.t -> bool) ~(on_drop : string -> unit) (t : t) : t =
+    let n = Array.length t.keys in
+    (* indices of the dropped keyed rows, descending *)
+    let dropped = ref [] and n_dropped = ref 0 in
     for i = 0 to n - 1 do
-      if p t.rows.(i) then begin
-        mask.(i) <- true;
-        incr kept
+      if Bytes.get mask (Key.prefix_of_key ctx t.keys.(i)) <> '\000'
+      then begin
+        on_drop t.rows.(i).Route.device;
+        dropped := i :: !dropped;
+        incr n_dropped
       end
     done;
-    let overflow = List.filter p t.overflow in
-    if !kept = n then { t with overflow }
-    else if !kept = 0 then { empty with overflow }
+    let overflow =
+      List.filter
+        (fun (r : Route.t) ->
+          let d = dirty r.Route.prefix in
+          if d then on_drop r.Route.device;
+          not d)
+        t.overflow
+    in
+    let kept = n - !n_dropped in
+    if !n_dropped = 0 then { t with overflow }
     else begin
-      let keys = Array.make !kept 0 in
-      let rows = Array.make !kept t.rows.(0) in
-      let k = ref 0 in
-      for i = 0 to n - 1 do
-        if mask.(i) then begin
-          keys.(!k) <- t.keys.(i);
-          rows.(!k) <- t.rows.(i);
-          incr k
-        end
-      done;
+      let keys = Array.make kept 0 in
+      let rows = Array.make kept t.rows.(0) in
+      (* copy the clean runs between dropped indices, last run first *)
+      let hi = ref n and dst = ref kept in
+      let copy_run lo =
+        let len = !hi - lo in
+        dst := !dst - len;
+        Array.blit t.keys lo keys !dst len;
+        Array.blit t.rows lo rows !dst len
+      in
+      List.iter
+        (fun i ->
+          copy_run (i + 1);
+          hi := i)
+        !dropped;
+      copy_run 0;
       { keys; rows; overflow }
     end
 

@@ -81,37 +81,43 @@ let aggregate_prefixes (model : Model.t) : Prefix.t list =
     model.Model.configs;
   List.sort_uniq Prefix.compare !acc
 
-(* Close a dirty set (hashtable keyed by [Prefix.to_string]) under
-   aggregate contribution over [universe]: a dirty component dirties its
-   aggregates (their attributes are computed from component rows), and a
-   dirty aggregate pulls in every candidate component (the restricted
-   run must see them to originate it correctly). *)
+(* Close a dirty prefix set under aggregate contribution over
+   [universe]: a dirty component dirties its aggregates (their
+   attributes are computed from component rows), and a dirty aggregate
+   pulls in every candidate component (the restricted run must see them
+   to originate it correctly). *)
 let close_under_aggregates ~(aggs : Prefix.t list)
-    ~(universe : Prefix.t list) (dirty : (string, unit) Hashtbl.t) : unit =
-  let mem p = Hashtbl.mem dirty (Prefix.to_string p) in
+    ~(universe : Prefix.t list) (dirty : unit Prefix.Tbl.t) : unit =
+  let mem p = Prefix.Tbl.mem dirty p in
   let add p =
-    let k = Prefix.to_string p in
-    if Hashtbl.mem dirty k then false
+    if mem p then false
     else begin
-      Hashtbl.add dirty k ();
+      Prefix.Tbl.replace dirty p ();
       true
     end
+  in
+  (* each aggregate with its candidate components, found once *)
+  let groups =
+    List.map
+      (fun ag ->
+        ( ag,
+          List.filter
+            (fun u -> (not (Prefix.equal u ag)) && Prefix.subsumes ag u)
+            universe ))
+      aggs
   in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
-      (fun ag ->
-        let component u = (not (Prefix.equal u ag)) && Prefix.subsumes ag u in
+      (fun (ag, components) ->
         if mem ag then
-          List.iter
-            (fun u -> if component u && add u then changed := true)
-            universe
-        else if List.exists (fun u -> component u && mem u) universe then begin
+          List.iter (fun u -> if add u then changed := true) components
+        else if List.exists mem components then begin
           ignore (add ag);
           changed := true
         end)
-      aggs
+      groups
   done
 
 (* ------------------------------------------------------------------ *)
@@ -136,9 +142,9 @@ let capture ?tm ~(model : Model.t) ~(input_routes : Route.t list)
           @ model_prefixes model)
       in
       let in_universe =
-        let tbl = Hashtbl.create (List.length universe * 2) in
-        List.iter (fun p -> Hashtbl.replace tbl (Prefix.to_string p) ()) universe;
-        fun p -> Hashtbl.mem tbl (Prefix.to_string p)
+        let tbl = Prefix.Tbl.create (List.length universe * 2) in
+        List.iter (fun p -> Prefix.Tbl.replace tbl p ()) universe;
+        Prefix.Tbl.mem tbl
       in
       let degraded =
         List.find_map
@@ -195,6 +201,7 @@ type sim = {
   s_reports : Cp.apply_report list;
   s_diff : Differential.diff;
   s_rib : Route.t list;
+  s_dirty : Prefix.t list;
   s_stats : stats;
   s_fibs : Traffic_sim.fib Lazy.t;
   s_ecx : Traffic_sim.ec_ctx Lazy.t;
@@ -250,6 +257,7 @@ let full_fallback tm (cx : ctx) (d : Differential.diff) (plan : Cp.t)
     s_reports = reports;
     s_diff = d;
     s_rib = rib;
+    s_dirty = [];
     s_stats =
       {
         st_class = d.Differential.df_class;
@@ -289,13 +297,13 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
             List.sort_uniq Prefix.compare
               (cx.cx_universe @ model_prefixes patched @ plan_prefixes)
           in
-          let dirty_tbl = Hashtbl.create 64 in
+          let dirty_tbl = Prefix.Tbl.create 64 in
           List.iter
             (fun p ->
               if
                 Differential.prefix_affected ~tm d
                   ~input_routes:cx.cx_input_routes p
-              then Hashtbl.replace dirty_tbl (Prefix.to_string p) ())
+              then Prefix.Tbl.replace dirty_tbl p ())
             universe;
           let aggs =
             List.sort_uniq Prefix.compare
@@ -306,11 +314,10 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
           | None -> ()
           | Some drop ->
               List.iter
-                (fun p ->
-                  if drop p then Hashtbl.remove dirty_tbl (Prefix.to_string p))
+                (fun p -> if drop p then Prefix.Tbl.remove dirty_tbl p)
                 universe);
-          let is_dirty p = Hashtbl.mem dirty_tbl (Prefix.to_string p) in
-          let n_dirty = Hashtbl.length dirty_tbl in
+          let is_dirty = Prefix.Tbl.mem dirty_tbl in
+          let n_dirty = Prefix.Tbl.length dirty_tbl in
           (* the restricted re-convergence: from-scratch fixpoint over
              only the dirty prefixes (base adj-RIB state for them is
              invalid by definition; clean prefixes never enter) *)
@@ -325,11 +332,24 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
                      ())
                     .Route_sim.rib)
           in
-          (* splice: clean base rows + delta rows + patched local tables *)
+          (* dirty devices: whose rows were dropped, whose rows the delta
+             produced, or whose local tables changed *)
+          let dirty_devs = Hashtbl.create 32 in
+          let mark dev = Hashtbl.replace dirty_devs dev () in
+          (* splice: cut the dirty region out of the base arena — one
+             byte test per base row on its key's prefix id, then work
+             proportional to the dropped rows — and merge in the delta
+             rows and the patched local tables *)
+          let mask = Bytes.make cx.cx_key.Rib.Key.pfx_radix '\000' in
+          Prefix.Tbl.iter
+            (fun p () ->
+              match Rib.Key.prefix_id cx.cx_key p with
+              | Some i -> Bytes.set mask i '\001'
+              | None -> ())
+            dirty_tbl;
           let clean =
-            Rib.Arena.filter
-              (fun (r : Route.t) -> not (is_dirty r.Route.prefix))
-              cx.cx_bgp
+            Rib.Arena.drop_prefixes cx.cx_key ~mask ~dirty:is_dirty
+              ~on_drop:mark cx.cx_bgp
           in
           let delta = Rib.Arena.of_routes cx.cx_key delta_rows in
           let locals = Rib.Arena.of_routes cx.cx_key (local_rows patched) in
@@ -337,21 +357,8 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
             Telemetry.with_span tm "inc.splice" (fun () ->
                 Rib.Arena.merge [ clean; delta; locals ])
           in
-          (* dirty devices: whose rows were dropped, whose rows the delta
-             produced, or whose local tables changed *)
-          let dirty_devs = Hashtbl.create 32 in
-          let mark_dirty_rows (r : Route.t) =
-            if is_dirty r.Route.prefix then
-              Hashtbl.replace dirty_devs r.Route.device ()
-          in
-          Array.iter mark_dirty_rows cx.cx_bgp.Rib.Arena.rows;
-          List.iter mark_dirty_rows cx.cx_bgp.Rib.Arena.overflow;
-          List.iter
-            (fun (r : Route.t) -> Hashtbl.replace dirty_devs r.Route.device ())
-            delta_rows;
-          List.iter
-            (fun dev -> Hashtbl.replace dirty_devs dev ())
-            (changed_local_devices cx.cx_model patched);
+          List.iter (fun (r : Route.t) -> mark r.Route.device) delta_rows;
+          List.iter mark (changed_local_devices cx.cx_model patched);
           let dirty_dev d = Hashtbl.mem dirty_devs d in
           let stats =
             {
@@ -391,6 +398,9 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
             s_reports = reports;
             s_diff = d;
             s_rib = rib;
+            s_dirty =
+              List.sort Prefix.compare
+                (Prefix.Tbl.fold (fun p () acc -> p :: acc) dirty_tbl []);
             s_stats = stats;
             s_fibs = fibs;
             s_ecx = ecx;
@@ -403,14 +413,12 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
 
 let scenario_only (cx : ctx) ~(prefixes : Prefix.t list) :
     Prefix.t -> bool =
-  let dirty = Hashtbl.create 16 in
-  List.iter
-    (fun p -> Hashtbl.replace dirty (Prefix.to_string p) ())
-    prefixes;
+  let dirty = Prefix.Tbl.create 16 in
+  List.iter (fun p -> Prefix.Tbl.replace dirty p ()) prefixes;
   close_under_aggregates
     ~aggs:(aggregate_prefixes cx.cx_model)
     ~universe:cx.cx_universe dirty;
-  fun p -> Hashtbl.mem dirty (Prefix.to_string p)
+  Prefix.Tbl.mem dirty
 
 (* ------------------------------------------------------------------ *)
 (* The byte-identity oracle                                            *)

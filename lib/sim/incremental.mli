@@ -13,11 +13,20 @@
     set (every universe prefix [Differential.prefix_affected] flags,
     closed under aggregate contribution in both directions) restricts
     the fixpoint via [Route_sim.run ~only], and the resulting rows are
-    {e spliced} into the cached arena — clean base rows are kept
-    ([Rib.Arena.filter]), dirty ones replaced by the delta rows, local
-    tables swapped for the patched model's.  FIB tries are rebuilt only
-    for dirty devices ([Traffic_sim.rebuild_fibs]); clean devices share
-    the base tries (sound because FIB leaves are order-canonical).
+    {e spliced} into the cached arena: the dirty set becomes a byte mask
+    over the {!Hoyan_net.Rib.Key} prefix ids, [Rib.Arena.drop_prefixes]
+    cuts the dirty rows out of the base arena by testing each packed
+    key's prefix digit against it (reporting the dropped rows' devices),
+    the delta rows take their place and the local tables are swapped for
+    the patched model's.  FIB tries are rebuilt only for dirty devices
+    ([Traffic_sim.rebuild_fibs]); clean devices share the base tries
+    (sound because FIB leaves are order-canonical).
+
+    Per-plan cost of a restricted plan: the dirty-set computation over
+    the prefix universe, the restricted fixpoint, one int test per base
+    row plus work proportional to the dirty rows for the cut, and then
+    the canonical list build of [Rib.Arena.merge] — the one remaining
+    O(|RIB|) step.
 
     Soundness contract: the spliced RIB is byte-identical (as a
     canonically sorted row list) to a full from-scratch simulation of
@@ -79,6 +88,8 @@ type sim = {
   s_reports : Cp.apply_report list;
   s_diff : Differential.diff;
   s_rib : Route.t list;
+  s_dirty : Prefix.t list;
+      (** the re-converged prefix set, sorted; [[]] on a full fallback *)
   s_stats : stats;
   s_fibs : Traffic_sim.fib Lazy.t;
   s_ecx : Traffic_sim.ec_ctx Lazy.t;

@@ -141,6 +141,51 @@ let prop_splice_eq_full =
       let ck = Incremental.selfcheck cx (plan_family g kind i) in
       ck.Incremental.ck_ok)
 
+(* --- dirty devices: no under- or over-marking ----------------------- *)
+
+(* The devices whose FIB tries a splice must rebuild: every device owning
+   a base or post-change BGP row on a re-converged prefix, plus every
+   device whose local table changed.  The traffic oracle catches a
+   missed device; this catches an extra one, which silently costs a
+   trie rebuild per plan. *)
+let reference_dirty_devices (cx : Incremental.ctx) (s : Incremental.sim) =
+  let base = Incremental.base_model cx and patched = s.Incremental.s_model in
+  let locals (m : Model.t) dev =
+    Option.value (Smap.find_opt dev m.Model.local_tables) ~default:[]
+  in
+  let all_locals (m : Model.t) =
+    Smap.fold (fun _ rs acc -> rs @ acc) m.Model.local_tables []
+  in
+  let dirty = Prefix.Set.of_list s.Incremental.s_dirty in
+  let on_dirty rows =
+    List.filter_map
+      (fun (r : Route.t) ->
+        if Prefix.Set.mem r.Route.prefix dirty then Some r.Route.device
+        else None)
+      rows
+  in
+  let changed_locals =
+    Smap.fold (fun dev _ acc -> dev :: acc) base.Model.local_tables []
+    @ Smap.fold (fun dev _ acc -> dev :: acc) patched.Model.local_tables []
+    |> List.filter (fun dev ->
+           not (List.equal Route.equal (locals base dev) (locals patched dev)))
+  in
+  List.sort_uniq String.compare
+    (on_dirty (Rib.Global.diff (Incremental.base_rib cx) (all_locals base))
+    @ on_dirty (Rib.Global.diff s.Incremental.s_rib (all_locals patched))
+    @ changed_locals)
+
+let prop_dirty_devices_exact =
+  let g = Lazy.force scenario in
+  let cx = Lazy.force ctx in
+  QCheck.Test.make ~name:"random plan family: dirty devices == reference"
+    ~count:25
+    (QCheck.make QCheck.Gen.(pair (int_bound 4) (int_bound 1000)))
+    (fun (kind, i) ->
+      let s = Incremental.simulate cx (plan_family g kind i) in
+      s.Incremental.s_stats.Incremental.st_dirty_devices
+      = List.length (reference_dirty_devices cx s))
+
 (* --- the oracle catches deliberate unsoundness ---------------------- *)
 
 let test_oracle_catches_pruned_dirty_set () =
@@ -364,6 +409,7 @@ let suite =
     Alcotest.test_case "selfcheck: topo plans fall back soundly" `Quick
       test_topo_plan_falls_back_soundly;
     qtest prop_splice_eq_full;
+    qtest prop_dirty_devices_exact;
     Alcotest.test_case "oracle catches a pruned dirty set" `Quick
       test_oracle_catches_pruned_dirty_set;
     Alcotest.test_case "verify_request: inc path agrees with full" `Quick

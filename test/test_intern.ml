@@ -1,9 +1,10 @@
 (* Properties of the PR6 performance representations: interned AS-path /
    community tables agree with the structural implementations, interned
    ids are deterministic for a fixed build order, packed route
-   attributes round-trip, and the packed-key arena merge produces
-   exactly [List.sort_uniq Route.compare] — with a complete universe and
-   through the overflow path of a partial one. *)
+   attributes round-trip, the packed-key arena merge produces exactly
+   [List.sort_uniq Route.compare], and dropping rows by prefix id equals
+   filtering the route list — each with a complete universe and through
+   the overflow path of a partial one. *)
 
 open Hoyan_net
 
@@ -224,6 +225,79 @@ let prop_arena_merge_partial_ctx =
       let reference = List.sort_uniq Route.compare rs in
       List.equal Route.equal merged reference)
 
+(* ------------------------------------------------------------------ *)
+(* Arena drop by prefix id = List.filter                               *)
+(* ------------------------------------------------------------------ *)
+
+let arena_equal (a : Rib.Arena.t) (b : Rib.Arena.t) =
+  a.Rib.Arena.keys = b.Rib.Arena.keys
+  && Array.length a.Rib.Arena.rows = Array.length b.Rib.Arena.rows
+  && Array.for_all2 Route.equal a.Rib.Arena.rows b.Rib.Arena.rows
+  && List.equal Route.equal a.Rib.Arena.overflow b.Rib.Arena.overflow
+
+(* Drop a seeded subset of the routes' prefixes (plus one prefix that may
+   lie outside the universe) and compare against the list reference:
+   same arena as keying the surviving routes, and [on_drop] sees the
+   device of exactly the dropped (deduplicated) rows. *)
+let drop_matches_filter ~(universe : Route.t list -> Route.t list)
+    (rs, seed) =
+  let ctx = Rib.Key.of_routes (universe rs) in
+  let prefixes =
+    List.sort_uniq Prefix.compare
+      (List.map (fun (r : Route.t) -> r.Route.prefix) rs)
+  in
+  let dirty_tbl = Prefix.Tbl.create 16 in
+  List.iteri
+    (fun i p -> if (i + seed) mod 3 = 0 then Prefix.Tbl.replace dirty_tbl p ())
+    prefixes;
+  Prefix.Tbl.replace dirty_tbl (Prefix.of_string_exn "192.0.2.0/24") ();
+  let dirty = Prefix.Tbl.mem dirty_tbl in
+  let mask = Bytes.make ctx.Rib.Key.pfx_radix '\000' in
+  Prefix.Tbl.iter
+    (fun p () ->
+      match Rib.Key.prefix_id ctx p with
+      | Some i -> Bytes.set mask i '\001'
+      | None -> ())
+    dirty_tbl;
+  let dropped = ref [] in
+  let got =
+    Rib.Arena.drop_prefixes ctx ~mask ~dirty
+      ~on_drop:(fun d -> dropped := d :: !dropped)
+      (Rib.Arena.of_routes ctx rs)
+  in
+  let is_dirty (r : Route.t) = dirty r.Route.prefix in
+  let expected =
+    Rib.Arena.of_routes ctx (List.filter (fun r -> not (is_dirty r)) rs)
+  in
+  let expected_devices =
+    List.sort_uniq Route.compare rs
+    |> List.filter is_dirty
+    |> List.map (fun (r : Route.t) -> r.Route.device)
+  in
+  arena_equal got expected
+  && List.equal String.equal
+       (List.sort String.compare !dropped)
+       (List.sort String.compare expected_devices)
+
+let arb_drop = QCheck.pair arb_routes QCheck.small_nat
+
+let prop_arena_drop_full_ctx =
+  QCheck.Test.make ~count:200
+    ~name:"arena drop by prefix id = List.filter (complete key universe)"
+    arb_drop
+    (drop_matches_filter ~universe:Fun.id)
+
+let prop_arena_drop_partial_ctx =
+  QCheck.Test.make ~count:200
+    ~name:"arena drop by prefix id = List.filter (partial universe, overflow path)"
+    arb_drop
+    (drop_matches_filter
+       ~universe:
+         (List.filter (fun (r : Route.t) ->
+              String.equal r.Route.vrf "global"
+              && (String.equal r.Route.device "d0"
+                 || String.equal r.Route.device "d1"))))
+
 let test_arena_empty () =
   Alcotest.(check int)
     "merge of nothing" 0
@@ -243,5 +317,7 @@ let suite =
     Alcotest.test_case "packed attrs saturate" `Quick test_attrs_saturate;
     qtest prop_arena_merge_full_ctx;
     qtest prop_arena_merge_partial_ctx;
+    qtest prop_arena_drop_full_ctx;
+    qtest prop_arena_drop_partial_ctx;
     Alcotest.test_case "arena edge cases" `Quick test_arena_empty;
   ]
