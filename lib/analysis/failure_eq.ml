@@ -712,18 +712,33 @@ let analyze ?tm ?(devices = false) ?(links = true) (t : t) ~(k : int)
               u_set u_list
             |> Sset.elements
           in
-          let fp_of fs =
-            fingerprint t ~u_set ~u_list ~t_arr (view_of t ~sources fs)
+          let fp_of v = fingerprint t ~u_set ~u_list ~t_arr v in
+          let base_fp = fp_of (view_of t ~sources []) in
+          (* The class decision, taken on the view of the class's first
+             member (its representative) when it opens the class — one
+             IGP view per scenario. *)
+          let decide digest v =
+            if String.equal digest base_fp then Carry_base
+            else
+              match fp with
+              | Reach_all (p, devs) -> (
+                  match cut_missing t v ~members:u_set p devs with
+                  | [] -> Simulate
+                  | ms ->
+                      Static_violation
+                        (Printf.sprintf "statically disconnected: missing on %s"
+                           (String.concat "," ms)))
+              | _ -> Simulate
           in
-          let base_fp = fp_of [] in
           (* Group scenarios by fingerprint, across sizes (tier 3's
              partial-order reduction falls out of cross-size classes). *)
           let by_fp = Hashtbl.create 256 in
-          let order = ref [] (* class ids in first-seen order *) in
+          let order = ref [] (* (digest, decision), newest class first *) in
           let class_of = Array.make total 0 in
           List.iteri
             (fun i fs ->
-              let digest = fp_of fs in
+              let v = view_of t ~sources fs in
+              let digest = fp_of v in
               match Hashtbl.find_opt by_fp digest with
               | Some (id, members) ->
                   class_of.(i) <- id;
@@ -732,33 +747,18 @@ let analyze ?tm ?(devices = false) ?(links = true) (t : t) ~(k : int)
                   let id = Hashtbl.length by_fp in
                   class_of.(i) <- id;
                   Hashtbl.replace by_fp digest (id, [ fs ]);
-                  order := (id, digest) :: !order)
+                  order := (digest, decide digest v) :: !order)
             scen;
           let classes =
             List.rev !order
-            |> List.map (fun (_, digest) ->
+            |> List.map (fun (digest, decision) ->
                    let _, members_rev = Hashtbl.find by_fp digest in
                    let members = List.rev members_rev in
-                   let rep = List.hd members in
-                   let decision =
-                     if String.equal digest base_fp then Carry_base
-                     else
-                       match fp with
-                       | Reach_all (p, devs) -> (
-                           match
-                             cut_missing t
-                               (view_of t ~sources rep)
-                               ~members:u_set p devs
-                           with
-                           | [] -> Simulate
-                           | ms ->
-                               Static_violation
-                                 (Printf.sprintf
-                                    "statically disconnected: missing on %s"
-                                    (String.concat "," ms)))
-                       | _ -> Simulate
-                   in
-                   { cl_rep = rep; cl_members = members; cl_decision = decision })
+                   {
+                     cl_rep = List.hd members;
+                     cl_members = members;
+                     cl_decision = decision;
+                   })
           in
           let count pred =
             List.fold_left

@@ -272,16 +272,26 @@ let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
              ~routes:(max 1 (int_of_float (float_of_int routes *. surviving))))
     |> Array.of_list
   in
+  let simulated = List.length chosen_ids in
+  let restricted = if Option.is_some only then simulated else 0 in
+  (* The representative loop under its own span, so a trace splits a
+     sweep into [whatif.analyze] and [whatif.simulate]. *)
   let rep_verdicts =
-    Parallel.map ?tm ~weights
-      (fun id ->
-        ( id,
-          simulate_scenario ?only model ~input_routes ~flows prop
-            classes.(id).Feq.cl_rep ))
-      chosen_ids
-  in
-  let restricted =
-    if Option.is_some only then List.length chosen_ids else 0
+    Telemetry.with_span
+      (match tm with Some t -> t | None -> Telemetry.get ())
+      ~args:
+        [
+          ("representatives", string_of_int simulated);
+          ("restricted", string_of_int restricted);
+        ]
+      "whatif.simulate"
+      (fun () ->
+        Parallel.map ?tm ~weights
+          (fun id ->
+            ( id,
+              simulate_scenario ?only model ~input_routes ~flows prop
+                classes.(id).Feq.cl_rep ))
+          chosen_ids)
   in
   (match tm with
   | Some t when restricted > 0 ->
@@ -292,7 +302,6 @@ let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
   (* Per-scenario verdicts in enumeration order; [None] = unchecked
      (dropped by sampling). *)
   let carried = ref 0 and replicated = ref 0 and static = ref 0 in
-  let simulated = List.length chosen_ids in
   let seen_rep = Hashtbl.create 64 in
   let scenario_verdicts =
     List.mapi

@@ -1,26 +1,19 @@
-(** IS-IS link-state routing: all-pairs shortest paths with ECMP.
-
-    Edge costs come from each device's per-interface [isis cost]
-    configuration (default 10).  The result is the IGP view that BGP uses
-    for next-hop resolution and the igp-cost tie-break step, and that
-    traffic simulation uses to expand hop-by-hop forwarding.
-
-    When the IS-IS TE extension (RFC 5305) is enabled on a device and an
-    interface carries [isis traffic-eng], the interface advertises a TE
-    metric; we model TE by allowing a distinct TE cost table used by SR
-    policy path computation.  (The paper notes IS-IS TE was unsupported
-    until 03/2023 and caused traffic-simulation inaccuracy — the diagnosis
-    experiments re-create that by disabling TE awareness.) *)
+(* IS-IS link-state routing: shortest paths with ECMP (interface and
+   invariants in isis.mli).  Devices are int indices in name order; the
+   kernel runs Dijkstra over per-node int adjacency arrays with a binary
+   heap of packed (dist, node) keys and keeps ECMP first hops as sorted
+   index lists, materialising names only at lookup. *)
 
 open Hoyan_net
 module Types = Hoyan_config.Types
 module Smap = Map.Make (String)
 
 type t = {
-  order : string array; (* device index <-> name *)
+  order : string array; (* device index <-> name; name-sorted *)
   index : int Smap.t;
   dist : int array array; (* dist.(src).(dst); max_int = unreachable *)
-  first_hops : string list array array; (* ECMP first hops src -> dst *)
+  first_hops : int list array array;
+      (* ECMP first hops src -> dst as ascending device indices *)
 }
 
 let default_cost = 10
@@ -54,9 +47,21 @@ let edge_cost ~(configs : Types.t Smap.t) ~(te : bool) (e : Topology.edge) =
           if ii.Types.ii_te && not te then fallback () else ii.Types.ii_cost
       | None -> fallback ())
 
-(* Shared Dijkstra setup: device index plus the weighted adjacency. *)
+(* The weighted graph Dijkstra runs on.  [adj_dst.(u)]/[adj_cost.(u)] are
+   u's out-edges in adjacency order (reverse [Topology.edges] order), the
+   order relaxations visit them in.  A heap key is [(dist lsl shift) lor
+   node]; [shift] bits hold any node index. *)
+type graph = {
+  names : string array;
+  index : int Smap.t;
+  adj_dst : int array array;
+  adj_cost : int array array;
+  shift : int;
+}
+
 let graph_of ~(te_aware : bool) (topo : Topology.t) (configs : Types.t Smap.t)
-    =
+    : graph =
+  (* [device_names] comes from a String map: index order is name order *)
   let names = Topology.device_names topo |> Array.of_list in
   let n = Array.length names in
   let index =
@@ -64,88 +69,136 @@ let graph_of ~(te_aware : bool) (topo : Topology.t) (configs : Types.t Smap.t)
     |> List.mapi (fun i name -> (name, i))
     |> List.to_seq |> Smap.of_seq
   in
-  (* adjacency with costs *)
+  let rec bits k = if 1 lsl k >= n then k else bits (k + 1) in
+  let shift = bits 0 in
+  (* Every distance Dijkstra labels is a simple path's length (a shorter
+     label through a cycle would need a negative cycle), so |dist| stays
+     within the sum of |cost| and a packed key cannot overflow. *)
+  let limit = max_int asr (shift + 1) in
+  let total = ref 0 in
   let adj = Array.make n [] in
   List.iter
     (fun (e : Topology.edge) ->
       match (Smap.find_opt e.Topology.src index, Smap.find_opt e.Topology.dst index) with
       | Some s, Some d ->
           let c = edge_cost ~configs ~te:te_aware e in
+          let a = abs c in
+          if a < 0 || a > limit - !total then
+            invalid_arg "Isis: link costs too large for shortest paths";
+          total := !total + a;
           adj.(s) <- (d, c) :: adj.(s)
       | _ -> ())
     (Topology.edges topo);
-  (names, index, adj)
+  {
+    names;
+    index;
+    adj_dst = Array.map (fun l -> Array.of_list (List.map fst l)) adj;
+    adj_cost = Array.map (fun l -> Array.of_list (List.map snd l)) adj;
+    shift;
+  }
 
-(* Single-source Dijkstra with ECMP first-hop tracking, filling row [src]
-   of [dist] / [first_hops]. *)
-let dijkstra_from names adj dist first_hops src =
-  let module Pq = Set.Make (struct
-    type t = int * int (* dist, node *)
+(* Binary min-heap of packed (dist, node) keys.  Keys are distinct (a
+   node is pushed only on a strict improvement of its label), so pops
+   come out in the lexicographic (dist, node) order. *)
+type heap = { mutable keys : int array; mutable size : int }
 
-    let compare = compare
-  end) in
-  let d = dist.(src) in
-  let fh = first_hops.(src) in
+let heap_push h key =
+  if h.size = Array.length h.keys then begin
+    let a = Array.make (2 * h.size + 1) 0 in
+    Array.blit h.keys 0 a 0 h.size;
+    h.keys <- a
+  end;
+  let a = h.keys in
+  let i = ref h.size in
+  h.size <- h.size + 1;
+  while !i > 0 && a.((!i - 1) / 2) > key do
+    a.(!i) <- a.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  a.(!i) <- key
+
+let heap_pop h =
+  let a = h.keys in
+  let top = a.(0) in
+  let n = h.size - 1 in
+  h.size <- n;
+  if n > 0 then begin
+    let key = a.(n) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let c = if l + 1 < n && a.(l + 1) < a.(l) then l + 1 else l in
+        if a.(c) < key then begin
+          a.(!i) <- a.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    a.(!i) <- key
+  end;
+  top
+
+(* Union of two ascending duplicate-free index lists. *)
+let rec merge a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+      if x < y then x :: merge a' b
+      else if y < x then y :: merge a b'
+      else x :: merge a' b'
+
+(* Single-source Dijkstra with ECMP first-hop tracking, filling the row
+   [d] / [fh] of [src]. *)
+let dijkstra_from g heap (d : int array) (fh : int list array) src =
+  let shift = g.shift in
+  let mask = (1 lsl shift) - 1 in
   d.(src) <- 0;
-  let pq = ref (Pq.singleton (0, src)) in
-  while not (Pq.is_empty !pq) do
-    let (du, u) = Pq.min_elt !pq in
-    pq := Pq.remove (du, u) !pq;
-    if du <= d.(u) then
-      List.iter
-        (fun (v, c) ->
-          let alt = du + c in
-          if alt < d.(v) then begin
-            d.(v) <- alt;
-            (* first hop: if u is the source, the first hop is v itself;
-               otherwise inherit u's first hops *)
-            fh.(v) <- (if u = src then [ names.(v) ] else fh.(u));
-            pq := Pq.add (alt, v) !pq
-          end
-          else if alt = d.(v) && alt < max_int then begin
-            let inherited = if u = src then [ names.(v) ] else fh.(u) in
-            let merged =
-              List.sort_uniq String.compare (inherited @ fh.(v))
-            in
-            fh.(v) <- merged
-          end)
-        adj.(u)
+  heap.size <- 0;
+  heap_push heap src;
+  while heap.size > 0 do
+    let key = heap_pop heap in
+    let du = key asr shift and u = key land mask in
+    if du <= d.(u) then begin
+      let dsts = g.adj_dst.(u) and costs = g.adj_cost.(u) in
+      for j = 0 to Array.length dsts - 1 do
+        let v = dsts.(j) in
+        let alt = du + costs.(j) in
+        if alt < d.(v) then begin
+          d.(v) <- alt;
+          (* first hop: if u is the source, the first hop is v itself;
+             otherwise inherit u's first hops *)
+          fh.(v) <- (if u = src then [ v ] else fh.(u));
+          heap_push heap ((alt lsl shift) lor v)
+        end
+        else if alt = d.(v) && alt < max_int then
+          fh.(v) <- merge (if u = src then [ v ] else fh.(u)) fh.(v)
+      done
+    end
   done
 
-(** Compute the IGP view.  [te_aware] controls whether IS-IS TE interface
-    costs are honoured (see the module doc). *)
-let compute ?(te_aware = true) (topo : Topology.t) (configs : Types.t Smap.t) :
-    t =
-  let names, index, adj = graph_of ~te_aware topo configs in
-  let n = Array.length names in
-  let dist = Array.make_matrix n n max_int in
-  let first_hops = Array.init n (fun _ -> Array.make n []) in
-  for src = 0 to n - 1 do
-    dijkstra_from names adj dist first_hops src
-  done;
-  { order = names; index; dist; first_hops }
-
-(** Like {!compute}, but runs Dijkstra only from [sources]; every other
-    device's row is left all-unreachable (and its first hops empty).
-    Lookups with a source outside [sources] therefore return [None]/[[]]
-    rather than failing.  Sources not in the topology are ignored.
-
-    This is the cheap per-scenario IGP view used by the static what-if
-    analysis (`Failure_eq`): fingerprinting a failure scenario only needs
-    the rows of the devices inside a property's blast region, so the
-    all-pairs cost of {!compute} would dominate the scenario sweep. *)
 let compute_rows ?(te_aware = true) (topo : Topology.t)
     (configs : Types.t Smap.t) ~(sources : string list) : t =
-  let names, index, adj = graph_of ~te_aware topo configs in
-  let n = Array.length names in
-  let dist = Array.make_matrix n n max_int in
-  let first_hops = Array.init n (fun _ -> Array.make n []) in
+  let g = graph_of ~te_aware topo configs in
+  let n = Array.length g.names in
+  (* rows outside [sources] share one read-only unreachable row *)
+  let dist = Array.make n (Array.make n max_int) in
+  let first_hops = Array.make n (Array.make n []) in
+  let heap = { keys = Array.make 64 0; size = 0 } in
   List.sort_uniq String.compare sources
   |> List.iter (fun src ->
-         match Smap.find_opt src index with
-         | Some s -> dijkstra_from names adj dist first_hops s
+         match Smap.find_opt src g.index with
+         | Some s ->
+             dist.(s) <- Array.make n max_int;
+             first_hops.(s) <- Array.make n [];
+             dijkstra_from g heap dist.(s) first_hops.(s) s
          | None -> ());
-  { order = names; index; dist; first_hops }
+  { order = g.names; index = g.index; dist; first_hops }
+
+let compute ?te_aware (topo : Topology.t) (configs : Types.t Smap.t) : t =
+  compute_rows ?te_aware topo configs ~sources:(Topology.device_names topo)
 
 let cost (t : t) ~src ~dst : int option =
   match (Smap.find_opt src t.index, Smap.find_opt dst t.index) with
@@ -154,26 +207,24 @@ let cost (t : t) ~src ~dst : int option =
       if c = max_int then None else Some c
   | _ -> None
 
-(** ECMP first hops (device names) on shortest paths from [src] to [dst]. *)
 let first_hops (t : t) ~src ~dst : string list =
   match (Smap.find_opt src t.index, Smap.find_opt dst t.index) with
-  | Some s, Some d -> t.first_hops.(s).(d)
+  | Some s, Some d -> List.map (Array.get t.order) t.first_hops.(s).(d)
   | _ -> []
 
 let reachable (t : t) ~src ~dst = Option.is_some (cost t ~src ~dst)
 
 let devices (t : t) = Array.to_list t.order
 
-(** One ECMP-respecting shortest path (lexicographically first hops), for
-    forwarding-graph displays. *)
 let some_path (t : t) ~src ~dst : string list option =
-  if not (reachable t ~src ~dst) then None
-  else
-    let rec walk cur acc =
-      if String.equal cur dst then Some (List.rev (dst :: acc))
-      else
-        match first_hops t ~src:cur ~dst with
-        | [] -> None
-        | hop :: _ -> walk hop (cur :: acc)
-    in
-    walk src []
+  match (Smap.find_opt src t.index, Smap.find_opt dst t.index) with
+  | Some s, Some d when t.dist.(s).(d) <> max_int ->
+      let rec walk cur acc =
+        if cur = d then Some (List.rev_map (Array.get t.order) (d :: acc))
+        else
+          match t.first_hops.(cur).(d) with
+          | [] -> None
+          | hop :: _ -> walk hop (cur :: acc)
+      in
+      walk s []
+  | _ -> None

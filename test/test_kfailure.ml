@@ -14,6 +14,10 @@ module Model = Hoyan_sim.Model
 module Route_sim = Hoyan_sim.Route_sim
 module Kfailure = Hoyan_core.Kfailure
 module Feq = Hoyan_analysis.Failure_eq
+module Semantic = Hoyan_analysis.Semantic
+module Lint = Hoyan_analysis.Lint
+module Telemetry = Hoyan_telemetry.Telemetry
+module Trace = Hoyan_telemetry.Trace
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
@@ -342,6 +346,234 @@ let test_sampling_reported () =
     full.Kfailure.kr_checked
 
 (* ------------------------------------------------------------------ *)
+(* Failure_eq plans vs brute-force scenario results                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Ring R0-R1-R2-R3-R0 with a tail R3-R4 and a separate island I0-I1;
+   the prefix enters at R0 and is monitored on R4.  Single ring failures
+   reroute, R3-R4 (and R0/R3/R4 down) statically disconnect R4, and the
+   island is outside the property's slice. *)
+let ring_tail_island () =
+  let b = B.create () in
+  List.iteri
+    (fun i name ->
+      B.add_device b ~name ~vendor:"vendorA" ~asn:(65000 + i)
+        ~router_id:(B.ip (Printf.sprintf "10.255.%d.1" i))
+        ())
+    [ "R0"; "R1"; "R2"; "R3"; "R4"; "I0"; "I1" ];
+  List.iteri
+    (fun idx (a, bb) ->
+      let a_addr, b_addr =
+        B.link b ~a ~b:bb ~subnet:(pfx (Printf.sprintf "10.0.%d.0/31" idx)) ()
+      in
+      B.bgp_session b ~a ~b:bb ~a_addr ~b_addr ())
+    [ ("R0", "R1"); ("R1", "R2"); ("R2", "R3"); ("R0", "R3"); ("R3", "R4");
+      ("I0", "I1") ];
+  b
+
+let decision_kind = function
+  | Feq.Carry_base -> "carry"
+  | Feq.Static_violation _ -> "static"
+  | Feq.Simulate -> "simulate"
+
+(* [analyze]'s plan must be a well-formed partition of the scenario
+   enumeration (representative = first member, classes in first-seen
+   order) whose decisions the brute-force results bear out: carried
+   members keep the base verdict, static members all violate, members
+   of a simulated class share one verdict, and the decision counts are
+   the pruned sweep's [kr_carried]/[kr_static]/[kr_simulated]. *)
+let plan_vs_brute ~msg ~devices ~k model ~input_routes prop =
+  let g =
+    Semantic.build
+      (Lint.make ~topo:model.Model.topo ~render:false model.Model.configs)
+  in
+  let an = Feq.create ~te_aware:model.Model.te_aware g ~input_routes in
+  let plan = Feq.analyze ~devices ~links:true an ~k prop.Kfailure.p_footprint in
+  let brute, pruned =
+    assert_sound ~msg ~devices ~k model ~input_routes prop
+  in
+  let scen = Array.of_list plan.Feq.pl_scenarios in
+  let classes = Array.of_list plan.Feq.pl_classes in
+  check tint (msg ^ "plan covers the brute universe") brute.Kfailure.kr_total
+    (Array.length scen);
+  let pos = Hashtbl.create 64 in
+  Array.iteri (fun i fs -> Hashtbl.replace pos fs i) scen;
+  let first_seen = ref (-1) in
+  Array.iteri
+    (fun id (c : Feq.cls) ->
+      let idx = List.map (Hashtbl.find pos) c.Feq.cl_members in
+      check tbool (msg ^ "members in enumeration order") true
+        (List.sort compare idx = idx);
+      check tbool (msg ^ "representative is the first member") true
+        (c.Feq.cl_rep = List.hd c.Feq.cl_members);
+      check tbool (msg ^ "classes in first-seen order") true
+        (List.hd idx > !first_seen);
+      first_seen := List.hd idx;
+      List.iter
+        (fun i -> check tint (msg ^ "class_of agrees") id plan.Feq.pl_class_of.(i))
+        idx)
+    classes;
+  check tint (msg ^ "every scenario in one class") (Array.length scen)
+    (Array.fold_left (fun n c -> n + List.length c.Feq.cl_members) 0 classes);
+  let verdict = Hashtbl.create 64 in
+  List.iter
+    (fun (s : Kfailure.scenario_result) ->
+      Hashtbl.replace verdict s.Kfailure.sr_failures s.Kfailure.sr_violation)
+    brute.Kfailure.kr_violations;
+  let brute_of fs = Option.join (Hashtbl.find_opt verdict fs) in
+  let base_holds =
+    prop.Kfailure.p_check ~model
+      ~rib:(Route_sim.run model ~input_routes ()).Route_sim.rib
+      ~traffic:(lazy (assert false))
+    = None
+  in
+  let members kind =
+    Array.fold_left
+      (fun n c ->
+        if decision_kind c.Feq.cl_decision = kind then
+          n + List.length c.Feq.cl_members
+        else n)
+      0 classes
+  in
+  Array.iter
+    (fun (c : Feq.cls) ->
+      let rep = brute_of c.Feq.cl_rep in
+      List.iter
+        (fun fs ->
+          let v = brute_of fs in
+          match c.Feq.cl_decision with
+          | Feq.Carry_base ->
+              check tbool (msg ^ "carried member keeps the base verdict")
+                base_holds (v = None)
+          | Feq.Static_violation _ ->
+              check tbool (msg ^ "static member violates under simulation")
+                true (v <> None)
+          | Feq.Simulate ->
+              check
+                Alcotest.(option string)
+                (msg ^ "simulated class shares one verdict") rep v)
+        c.Feq.cl_members)
+    classes;
+  check tint (msg ^ "carried = kr_carried") pruned.Kfailure.kr_carried
+    (members "carry");
+  check tint (msg ^ "static = kr_static") pruned.Kfailure.kr_static
+    (members "static");
+  check tint (msg ^ "simulated classes = kr_simulated")
+    pruned.Kfailure.kr_simulated plan.Feq.pl_to_simulate;
+  plan
+
+(* Each scenario's decision on the fixed topology, by failure name. *)
+let test_plan_decisions () =
+  let model = B.build (ring_tail_island ()) in
+  let prop =
+    Kfailure.prefix_survives ~prefix:(pfx the_prefix) ~devices:[ "R4" ]
+  in
+  let expect =
+    [
+      ("link I0-I1 down", "carry");
+      ("link R0-R1 down", "simulate");
+      ("link R1-R2 down", "simulate");
+      ("link R2-R3 down", "simulate");
+      ("link R0-R3 down", "simulate");
+      ("link R3-R4 down", "static");
+      ("device I0 down", "carry");
+      ("device I1 down", "carry");
+      ("device R0 down", "static");
+      ("device R1 down", "simulate");
+      ("device R2 down", "simulate");
+      ("device R3 down", "static");
+      ("device R4 down", "static");
+    ]
+  in
+  List.iter
+    (fun devices ->
+      let msg = Printf.sprintf "ring+tail devices=%b: " devices in
+      let plan =
+        plan_vs_brute ~msg ~devices ~k:1 model ~input_routes:(input_at "R0")
+          prop
+      in
+      let classes = Array.of_list plan.Feq.pl_classes in
+      let got =
+        List.mapi
+          (fun i fs ->
+            ( String.concat "+" (List.map Feq.failure_to_string fs),
+              decision_kind classes.(plan.Feq.pl_class_of.(i)).Feq.cl_decision ))
+          plan.Feq.pl_scenarios
+        |> List.sort compare
+      in
+      let want =
+        List.filter
+          (fun (name, _) -> devices || String.sub name 0 4 = "link")
+          expect
+        |> List.sort compare
+      in
+      check
+        Alcotest.(list (pair string string))
+        (msg ^ "per-scenario decisions") want got)
+    [ false; true ]
+
+(* The static verdicts of k=2 classes come from their representative's
+   own view: pairs that cut the ring both ways are static, the rest
+   reroute or carry. *)
+let test_plan_pairs () =
+  let model = B.build (ring_tail_island ()) in
+  let prop =
+    Kfailure.prefix_survives ~prefix:(pfx the_prefix) ~devices:[ "R4" ]
+  in
+  let plan =
+    plan_vs_brute ~msg:"ring+tail k=2: " ~devices:false ~k:2 model
+      ~input_routes:(input_at "R0") prop
+  in
+  check tbool "k=2 has static and simulated classes" true
+    (List.exists
+       (fun c -> decision_kind c.Feq.cl_decision = "static")
+       plan.Feq.pl_classes
+    && List.exists
+         (fun c -> decision_kind c.Feq.cl_decision = "simulate")
+         plan.Feq.pl_classes)
+
+(* [check] traces its static analysis and its representative loop as one
+   span each, the loop tagged with what it ran. *)
+let test_whatif_spans () =
+  let model = B.build (ring_tail_island ()) in
+  let prop =
+    Kfailure.prefix_survives ~prefix:(pfx the_prefix) ~devices:[ "R4" ]
+  in
+  let tm = Telemetry.create () in
+  let r =
+    Kfailure.check ~tm ~devices:true model ~input_routes:(input_at "R0")
+      ~flows:[] ~k:1 prop
+  in
+  let named n =
+    List.filter
+      (fun (e : Trace.event) -> e.Trace.te_name = n)
+      (Trace.events tm.Telemetry.trace)
+  in
+  check tint "one whatif.analyze span" 1 (List.length (named "whatif.analyze"));
+  (match named "whatif.simulate" with
+  | [ e ] ->
+      check
+        Alcotest.(option string)
+        "tagged with the representative count"
+        (Some (string_of_int r.Kfailure.kr_simulated))
+        (List.assoc_opt "representatives" e.Trace.te_args);
+      check
+        Alcotest.(option string)
+        "tagged with kr_restricted"
+        (Some (string_of_int r.Kfailure.kr_restricted))
+        (List.assoc_opt "restricted" e.Trace.te_args)
+  | evs ->
+      Alcotest.failf "expected one whatif.simulate span, got %d"
+        (List.length evs));
+  ignore
+    (Kfailure.check ~tm ~prune:false model ~input_routes:(input_at "R0")
+       ~flows:[] ~k:1 prop);
+  check tint "one whatif.simulate span per check" 2
+    (List.length (named "whatif.simulate"));
+  check tint "brute force runs no analysis" 1
+    (List.length (named "whatif.analyze"))
+
+(* ------------------------------------------------------------------ *)
 (* Randomized equivalence (qcheck) and the chaos matrix                *)
 (* ------------------------------------------------------------------ *)
 
@@ -413,6 +645,12 @@ let suite =
       test_cut_vs_simulation;
     Alcotest.test_case "sampling is explicit and reported" `Quick
       test_sampling_reported;
+    Alcotest.test_case "plan: decisions on the fixed topology" `Quick
+      test_plan_decisions;
+    Alcotest.test_case "plan: k=2 classes vs brute force" `Quick
+      test_plan_pairs;
+    Alcotest.test_case "trace: whatif.analyze + whatif.simulate spans" `Quick
+      test_whatif_spans;
     qtest prop_random_topologies_sound;
     Alcotest.test_case "chaos matrix: brute == pruned grid" `Quick
       test_chaos_matrix;

@@ -78,6 +78,192 @@ let test_isis_te_awareness () =
     (Some 10)
     (Isis.cost blind ~src:"A" ~dst:"B")
 
+(* ------------------------------------------------------------------ *)
+(* SPF oracle: Isis vs Floyd-Warshall                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A random builder topology: [n] devices named n0..n(n-1) (so name order
+   is not numeric order), links with costs from {1,2,3,10} (many ECMP
+   ties), parallel links, some TE-flagged interfaces, and no
+   connectivity guarantee.  Returns the builder and the links as
+   (a, b, cost, te). *)
+let random_spf_net rng =
+  let n = 2 + Random.State.int rng 11 in
+  let b = B.create () in
+  let name i = Printf.sprintf "n%d" i in
+  for i = 0 to n - 1 do
+    B.add_device b ~name:(name i) ~vendor:"vendorA" ~asn:65000
+      ~router_id:(B.ip (Printf.sprintf "10.255.%d.1" i))
+      ()
+  done;
+  let links = ref [] in
+  for k = 0 to Random.State.int rng (2 * n) do
+    let i = Random.State.int rng n and j = Random.State.int rng n in
+    let i, j =
+      (* a parallel copy of an earlier link now and then *)
+      match !links with
+      | (a, bb, _, _) :: _ when Random.State.int rng 5 = 0 -> (a, bb)
+      | _ -> (name i, name j)
+    in
+    if i <> j then begin
+      let cost = [| 1; 2; 3; 10 |].(Random.State.int rng 4) in
+      let te = Random.State.int rng 4 = 0 in
+      ignore
+        (B.link b ~a:i ~b:j
+           ~subnet:(pfx (Printf.sprintf "10.%d.%d.0/31" (k / 100) (k mod 100)))
+           ~cost ~te ());
+      links := (i, j, cost, te) :: !links
+    end
+  done;
+  (b, !links)
+
+(* Reference IGP view over [devs] and undirected [links]: Floyd-Warshall
+   distances; the first hops of (s, t) are the neighbours m with
+   c(s->m) + d(m, t) = d(s, t), sorted by name. *)
+let reference_spf ~te_aware devs links =
+  let devs = Array.of_list (List.sort String.compare devs) in
+  let n = Array.length devs in
+  let idx name =
+    let r = ref (-1) in
+    Array.iteri (fun i d -> if d = name then r := i) devs;
+    !r
+  in
+  let inf = max_int / 4 in
+  let d = Array.make_matrix n n inf in
+  for i = 0 to n - 1 do
+    d.(i).(i) <- 0
+  done;
+  let edges =
+    List.concat_map
+      (fun (a, b, cost, te) ->
+        let c = if te && not te_aware then 10 else cost in
+        [ (idx a, idx b, c); (idx b, idx a, c) ])
+      links
+  in
+  List.iter (fun (a, b, c) -> if c < d.(a).(b) then d.(a).(b) <- c) edges;
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if d.(i).(k) + d.(k).(j) < d.(i).(j) then
+          d.(i).(j) <- d.(i).(k) + d.(k).(j)
+      done
+    done
+  done;
+  let cost s t =
+    match (idx s, idx t) with
+    | -1, _ | _, -1 -> None
+    | i, j -> if d.(i).(j) >= inf then None else Some d.(i).(j)
+  in
+  let first_hops s t =
+    match (idx s, idx t) with
+    | -1, _ | _, -1 -> []
+    | i, j when i = j || d.(i).(j) >= inf -> []
+    | i, j ->
+        List.filter_map
+          (fun (a, m, c) ->
+            if a = i && c + d.(m).(j) = d.(i).(j) then Some devs.(m) else None)
+          edges
+        |> List.sort_uniq String.compare
+  in
+  (cost, first_hops)
+
+let prop_spf_oracle =
+  QCheck.Test.make ~name:"Isis == Floyd-Warshall reference (random topologies)"
+    ~count:150 (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let b, links = random_spf_net rng in
+      let names = Topology.device_names (B.topo b) in
+      (* the topology as built, after removing all links between one
+         pair, and after removing one device *)
+      let variants =
+        let victim = List.nth names (Random.State.int rng (List.length names)) in
+        let base = [ ("base", B.topo b, names, links) ] in
+        let cut =
+          match links with
+          | [] -> []
+          | (a, bb, _, _) :: _ ->
+              [
+                ( "remove_link",
+                  Topology.remove_link (B.topo b) ~a ~b:bb,
+                  names,
+                  List.filter
+                    (fun (x, y, _, _) ->
+                      not ((x = a && y = bb) || (x = bb && y = a)))
+                    links );
+              ]
+        in
+        base @ cut
+        @ [
+            ( "remove_device",
+              Topology.remove_device (B.topo b) victim,
+              List.filter (( <> ) victim) names,
+              List.filter (fun (x, y, _, _) -> x <> victim && y <> victim) links );
+          ]
+      in
+      let queried = "unknown" :: names in
+      List.iter
+        (fun (what, topo, devs, links) ->
+          List.iter
+            (fun te_aware ->
+              let ctx = Printf.sprintf "seed %d %s te_aware=%b" seed what te_aware in
+              let ref_cost, ref_fh = reference_spf ~te_aware devs links in
+              let all = Isis.compute ~te_aware topo (B.configs b) in
+              if Isis.devices all <> List.sort String.compare devs then
+                QCheck.Test.fail_reportf "%s: devices differ" ctx;
+              List.iter
+                (fun s ->
+                  List.iter
+                    (fun t ->
+                      let c = Isis.cost all ~src:s ~dst:t in
+                      let fh = Isis.first_hops all ~src:s ~dst:t in
+                      if c <> ref_cost s t then
+                        QCheck.Test.fail_reportf "%s: cost %s->%s" ctx s t;
+                      if fh <> ref_fh s t then
+                        QCheck.Test.fail_reportf "%s: first hops %s->%s [%s]" ctx
+                          s t (String.concat "," fh);
+                      if Isis.reachable all ~src:s ~dst:t <> (c <> None) then
+                        QCheck.Test.fail_reportf "%s: reachable %s->%s" ctx s t;
+                      (* some_path follows the name-smallest first hop *)
+                      let rec walk cur acc =
+                        if cur = t then Some (List.rev (t :: acc))
+                        else
+                          match ref_fh cur t with
+                          | [] -> None
+                          | h :: _ -> walk h (cur :: acc)
+                      in
+                      let want = if c = None then None else walk s [] in
+                      if Isis.some_path all ~src:s ~dst:t <> want then
+                        QCheck.Test.fail_reportf "%s: some_path %s->%s" ctx s t)
+                    queried)
+                queried;
+              (* restricted rows: the source rows of [compute], nothing
+                 elsewhere *)
+              let sources =
+                List.filter (fun _ -> Random.State.bool rng) queried
+              in
+              let rows = Isis.compute_rows ~te_aware topo (B.configs b) ~sources in
+              List.iter
+                (fun s ->
+                  List.iter
+                    (fun t ->
+                      let inside = List.mem s sources in
+                      let want_c =
+                        if inside then Isis.cost all ~src:s ~dst:t else None
+                      and want_fh =
+                        if inside then Isis.first_hops all ~src:s ~dst:t else []
+                      in
+                      if
+                        Isis.cost rows ~src:s ~dst:t <> want_c
+                        || Isis.first_hops rows ~src:s ~dst:t <> want_fh
+                      then
+                        QCheck.Test.fail_reportf "%s: compute_rows %s->%s" ctx s t)
+                    queried)
+                queried)
+            [ true; false ])
+        variants;
+      true)
+
 let line_with_pass () =
   let b = B.create () in
   B.add_device b ~name:"R1" ~vendor:"vendorA" ~asn:65001
@@ -224,6 +410,8 @@ let suite =
     ("SR tunnel along the IGP path", `Quick, test_sr_igp_path_tunnel);
     ("SR explicit segment list", `Quick, test_sr_explicit_segments);
     ("IS-IS TE awareness", `Quick, test_isis_te_awareness);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1789 |])
+      prop_spf_oracle;
     ("well-known communities (eBGP)", `Quick, test_well_known_communities);
     ("NO_EXPORT crosses iBGP", `Quick, test_no_export_crosses_ibgp);
     ("post-change validation", `Quick, test_postcheck);
