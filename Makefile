@@ -149,10 +149,11 @@ chaos:
 
 # Tier-1 smoke: build, tests, and a quick perf-harness pass so the
 # multicore pipeline and its identity assertions are exercised in CI.
+# Quick-scale numbers go to /tmp, never over the committed BENCH_PR6.json.
 smoke:
 	dune build
 	dune runtest
-	dune exec bench/main.exe -- --perf --quick
+	dune exec bench/main.exe -- --perf --quick --out /tmp/BENCH_PR6_quick.json
 
 clean:
 	dune clean

@@ -21,7 +21,7 @@
       region under the over-approximation) so a batch only simulates the
       affected remainder.
 
-    Soundness discipline (mirrors PR4): every rule {e over}-approximates
+    Soundness discipline (as in {!Semantic}): every rule {e over}-approximates
     the set of (device, prefix) pairs whose simulated state can change.
     A change at device [d] can only alter prefix [p]'s routes if [d]
     carries [p] in the base or the patched closure {e and} the change
@@ -522,70 +522,29 @@ let count_block_lines block =
   |> List.filter (fun l -> String.trim l <> "")
   |> List.length
 
-(** Build the differential: apply the plan's topology ops and command
-    blocks to the base input (mirroring
-    {!Hoyan_sim.Model.apply_change_plan}'s config-level semantics) and
-    diff base against patched per device. *)
+(** Build the differential: apply the plan to the base input
+    ({!Hoyan_config.Change_plan.apply}) and diff each patched block's
+    config against the config it was applied to. *)
 let diff ?tm (input : Lint.input) (plan : Cp.t) : diff =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
   Telemetry.with_span tm "differential.diff" (fun () ->
-      let topo' =
-        Option.map
-          (fun topo ->
-            List.fold_left
-              (fun topo op ->
-                match op with
-                | Cp.Add_device d -> Topology.add_device topo d
-                | Cp.Remove_device n -> Topology.remove_device topo n
-                | Cp.Add_link { la; la_if; lb; lb_if; l_bandwidth } ->
-                    Topology.add_link topo ~a:la ~a_if:la_if ~b:lb ~b_if:lb_if
-                      ~bandwidth:l_bandwidth
-                | Cp.Remove_link { ra; rb } ->
-                    Topology.remove_link topo ~a:ra ~b:rb)
-              topo plan.Cp.cp_topo_ops)
-          input.Lint.li_topo
-      in
-      let configs =
-        List.fold_left
-          (fun configs op ->
-            match op with
-            | Cp.Add_device d ->
-                if Smap.mem d.Topology.name configs then configs
-                else
-                  Smap.add d.Topology.name
-                    (Types.empty ~device:d.Topology.name
-                       ~vendor:d.Topology.vendor)
-                    configs
-            | Cp.Remove_device n -> Smap.remove n configs
-            | Cp.Add_link _ | Cp.Remove_link _ -> configs)
-          input.Lint.li_configs plan.Cp.cp_topo_ops
-      in
-      let patched, devices, reports =
-        List.fold_left
-          (fun (configs, devices, reports) (dev, block) ->
-            match Smap.find_opt dev configs with
-            | None ->
-                let report =
-                  Cp.report_failure ~device:dev
-                    (Printf.sprintf "unknown device %S" dev)
-                in
-                (configs, devices, report :: reports)
-            | Some cfg ->
-                let cfg', report = Cp.apply_commands cfg block in
-                let dd =
+      let ap = Cp.apply ?topo:input.Lint.li_topo input.Lint.li_configs plan in
+      let devices =
+        List.filter_map
+          (function
+            | Cp.Patched st ->
+                Some
                   {
-                    dd_device = dev;
-                    dd_base = cfg;
-                    dd_patched = cfg';
-                    dd_changes = diff_configs cfg cfg';
-                    dd_block_lines = count_block_lines block;
-                    dd_issues = report.Cp.ar_issues;
+                    dd_device = st.st_device;
+                    dd_base = st.st_before;
+                    dd_patched = st.st_after;
+                    dd_changes = diff_configs st.st_before st.st_after;
+                    dd_block_lines = count_block_lines st.st_block;
+                    dd_issues = st.st_report.Cp.ar_issues;
                   }
-                in
-                (Smap.add dev cfg' configs, dd :: devices, report :: reports))
-          (configs, [], []) plan.Cp.cp_commands
+            | Cp.Unknown_device _ -> None)
+          ap.Cp.ap_steps
       in
-      let devices = List.rev devices and reports = List.rev reports in
       let topo_dirty = plan.Cp.cp_topo_ops <> [] in
       let routes_dirty =
         plan.Cp.cp_new_routes <> [] || plan.Cp.cp_withdraw <> []
@@ -617,14 +576,14 @@ let diff ?tm (input : Lint.input) (plan : Cp.t) : diff =
           devices
       in
       let patched_input =
-        Lint.make ?topo:topo' ~render:false patched
+        Lint.make ?topo:ap.Cp.ap_topo ~render:false ap.Cp.ap_configs
       in
       {
         df_plan = plan;
         df_base_input = input;
         df_patched_input = patched_input;
         df_devices = devices;
-        df_reports = reports;
+        df_reports = List.map Cp.step_report ap.Cp.ap_steps;
         df_class = cls;
         df_topo_dirty = topo_dirty;
         df_touched = touched;
@@ -899,7 +858,7 @@ let dead_edit_checks (dd : device_diff) : D.t list =
    transit surface (>= 2 distinct ASes) on a permissive-VSB vendor. *)
 let transit_checks (dd : device_diff) : D.t list =
   let open_asns (cfg : Types.t) =
-    let vsb = Semantic.vsb_of cfg in
+    let vsb = Hoyan_config.Vsb.of_config cfg in
     if not vsb.Hoyan_config.Vsb.missing_policy_accepts then []
     else
       List.sort_uniq Int.compare

@@ -8,8 +8,11 @@
 
 open Hoyan_net
 module Types = Hoyan_config.Types
+module Cp = Hoyan_config.Change_plan
 module Vsb = Hoyan_config.Vsb
 module Isis = Hoyan_proto.Isis
+module Bgp = Hoyan_proto.Bgp
+module Sr = Hoyan_proto.Sr
 module Telemetry = Hoyan_telemetry.Telemetry
 module Smap = Map.Make (String)
 module Sset = Set.Make (String)
@@ -22,6 +25,10 @@ let failure_to_string = function
   | Device_down d -> Printf.sprintf "device %s down" d
 
 let compare_failure = compare
+
+let topo_op = function
+  | Link_down (a, b) -> Cp.Remove_link { ra = a; rb = b }
+  | Device_down d -> Cp.Remove_device d
 
 type footprint =
   | Reach_all of Prefix.t * string list
@@ -131,7 +138,8 @@ let region (t : t) (p : Prefix.t) : string list =
 
 (* The session edges out of [u], deterministically ordered, each tagged
    with whether it is a link-address peering (the neighbor address sits
-   on one of [u]'s connected subnets — [Model.sessions_of]'s rule). *)
+   on one of [u]'s connected subnets): the [direct] argument of
+   [Bgp.session_live]. *)
 let edges_of (t : t) (u : string) : (Semantic.session_edge * bool) list =
   match Hashtbl.find_opt t.an_edges u with
   | Some es -> es
@@ -140,13 +148,7 @@ let edges_of (t : t) (u : string) : (Semantic.session_edge * bool) list =
       let direct_peering (e : Semantic.session_edge) =
         match cfg with
         | None -> false
-        | Some c ->
-            List.exists
-              (fun (i : Types.iface_config) ->
-                match Types.iface_subnet i with
-                | Some subnet -> Prefix.mem e.Semantic.se_out.Types.nb_addr subnet
-                | None -> false)
-              c.Types.dc_ifaces
+        | Some c -> Types.on_connected_subnet c e.Semantic.se_out.Types.nb_addr
       in
       let es =
         Option.value (Hashtbl.find_opt t.an_graph.Semantic.g_out u) ~default:[]
@@ -192,10 +194,7 @@ let may_overwrite_aspath (t : t) (d : string) : bool =
 let adding_own_asn (t : t) (d : string) : bool =
   match Smap.find_opt d t.an_configs with
   | None -> true
-  | Some cfg -> (
-      match Vsb.of_vendor cfg.Types.dc_vendor with
-      | Some v -> v.Vsb.adding_own_asn
-      | None -> true)
+  | Some cfg -> (Vsb.of_config cfg).Vsb.adding_own_asn
 
 (* Devices that can influence the route state observed at [monitored]:
    the backward closure of [monitored] over session edges that are not
@@ -438,51 +437,24 @@ let view_of (t : t) ~(sources : string list) (fs : failure list) :
       Sset.empty fs
   in
   let sv_topo =
-    List.fold_left
-      (fun tp -> function
-        | Link_down (a, b) -> Topology.remove_link tp ~a ~b
-        | Device_down d -> Topology.remove_device tp d)
-      t.an_topo fs
+    List.fold_left (fun tp f -> Cp.apply_topo_op tp (topo_op f)) t.an_topo fs
   in
   let sv_igp =
     Isis.compute_rows ~te_aware:t.an_te sv_topo t.an_configs ~sources
   in
   { sv_removed; sv_topo; sv_igp }
 
-(* Session liveness under a scenario, mirroring [Model.sessions_of]: a
-   removed peer never forms a session; a link-address peering needs the
-   physical link; a loopback peering needs an IGP path. *)
-let session_up (v : scenario_view) (e : Semantic.session_edge)
-    ~(direct : bool) : bool =
-  (not (Sset.mem e.Semantic.se_dst v.sv_removed))
-  &&
-  if direct then
-    Option.is_some
-      (Topology.edge_between v.sv_topo e.Semantic.se_src e.Semantic.se_dst)
-  else Isis.reachable v.sv_igp ~src:e.Semantic.se_src ~dst:e.Semantic.se_dst
-
-(* Whether one SR policy of [u] resolves into a tunnel under the
-   scenario.  Mirrors [Sr.resolve]'s success condition exactly — the BGP
-   decision process only reads resolution success ([Sr.reaches]), never
-   the concrete path, so this is all the fingerprint needs. *)
+(* The simulator's SR-resolution rule on the scenario's failed network,
+   where a removed tail owns no address. *)
 let sr_resolves (t : t) (v : scenario_view) (u : string)
     (sp : Types.sr_policy) : bool =
-  match Hashtbl.find_opt t.an_graph.Semantic.g_owner sp.Types.sp_endpoint with
-  | None -> false
-  | Some tail when Sset.mem tail v.sv_removed -> false
-  | Some tail -> (
-      let reach a b = Isis.reachable v.sv_igp ~src:a ~dst:b in
-      match sp.Types.sp_segments with
-      | [] -> reach u tail
-      | ws -> (
-          let rec chain cur = function
-            | [] -> Some cur
-            | w :: rest -> if reach cur w then chain w rest else None
-          in
-          match chain u ws with
-          | None -> false
-          | Some last ->
-              String.equal last tail || (reach u tail && reach last tail)))
+  let endpoint_of a =
+    match Hashtbl.find_opt t.an_graph.Semantic.g_owner a with
+    | Some tail when not (Sset.mem tail v.sv_removed) -> Some tail
+    | _ -> None
+  in
+  Sr.resolves ~endpoint_of ~device:u sp
+    ~reachable:(fun a b -> Isis.reachable v.sv_igp ~src:a ~dst:b)
 
 (* The property-restricted impact signature of one scenario: for every
    device of the influence slice [u_list], its removal marker, its IGP
@@ -514,7 +486,11 @@ let fingerprint (t : t) ~(u_set : Sset.t) ~(u_list : string list)
         List.iter
           (fun (e, direct) ->
             if Sset.mem e.Semantic.se_dst u_set then
-              Buffer.add_char buf (if session_up v e ~direct then '1' else '0'))
+              Buffer.add_char buf
+                (if Bgp.session_live v.sv_topo v.sv_igp ~direct ~local:u
+                      ~peer:e.Semantic.se_dst
+                 then '1'
+                 else '0'))
           (edges_of t u);
         Buffer.add_char buf '|';
         (match Smap.find_opt u t.an_configs with
@@ -570,7 +546,8 @@ let cut_missing (t : t) (v : scenario_view) ~(members : Sset.t) (p : Prefix.t)
                 if
                   Sset.mem e.Semantic.se_dst reg
                   && (not (Sset.mem e.Semantic.se_dst v.sv_removed))
-                  && session_up v e ~direct
+                  && Bgp.session_live v.sv_topo v.sv_igp ~direct ~local:d
+                       ~peer:e.Semantic.se_dst
                 then Some e.Semantic.se_dst
                 else None)
               (edges_of t d)

@@ -39,9 +39,8 @@
     - the configs of the devices in [U] (failures never edit configs);
     - which devices of [U] are removed;
     - the up-state of each intra-slice BGP session (both endpoints in
-      [U]; a link-address peering is up iff the physical link survives,
-      a loopback peering iff an IGP path survives — mirroring
-      [Model.sessions_of]).  Sessions toward devices outside [U] only
+      [U]), decided by the simulator's own {!Hoyan_proto.Bgp.session_live}
+      on the failed topology.  Sessions toward devices outside [U] only
       feed state the property provably never observes;
     - each [U]-device's IGP cost row restricted to the candidate
       next-hop owners — the only addresses the BGP decision process
@@ -53,9 +52,9 @@
       Locally originated routes carry no next hop (constant cost 0);
       ownerless external addresses resolve through config-only rules —
       both constant under every scenario;
-    - whether each SR policy of a [U]-device resolves (the BGP decision
-      process reads only resolution success, via the "IGP cost for SR"
-      VSB);
+    - whether each SR policy of a [U]-device resolves
+      ({!Hoyan_proto.Sr.resolves}; the BGP decision process reads only
+      resolution success, via the "IGP cost for SR" VSB);
     - the injected input routes (failure-independent).
 
     Devices outside the forward closure can never carry [p] (the
@@ -106,6 +105,9 @@ type failure = Link_down of string * string | Device_down of string
 
 val failure_to_string : failure -> string
 val compare_failure : failure -> failure -> int
+
+(** The change-plan topology op that injects a failure. *)
+val topo_op : failure -> Hoyan_config.Change_plan.topo_op
 
 (** What a property can observe, as declared by its author.
 

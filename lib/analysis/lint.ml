@@ -76,23 +76,15 @@ let locate (input : input) (cfg : Types.t) (needles : string list) :
 (* Prefix-entry containment (shared by HOY007 / HOY008)                *)
 (* ------------------------------------------------------------------ *)
 
-(** The prefix-length interval an entry matches inside its prefix,
-    mirroring {!Types.prefix_entry_matches} exactly. *)
-let entry_range (e : Types.prefix_entry) : int * int =
-  let plen = Prefix.len e.Types.pe_prefix in
-  let bits = Prefix.bits e.Types.pe_prefix in
-  match (e.Types.pe_ge, e.Types.pe_le) with
-  | None, None -> (plen, plen)
-  | Some ge, None -> (ge, bits)
-  | None, Some le -> (plen, le)
-  | Some ge, Some le -> (ge, le)
-
-(** [entry_covers e e']: every prefix matched by [e'] is matched by [e]. *)
+(** [entry_covers e e']: every prefix matched by [e'] is matched by [e].
+    Exact for an [e'] that matches anything: its prefixes realise every
+    length of its {!Types.prefix_entry_range}, all inside its own
+    prefix. *)
 let entry_covers (e : Types.prefix_entry) (e' : Types.prefix_entry) : bool =
-  Prefix.family e.Types.pe_prefix = Prefix.family e'.Types.pe_prefix
-  && Prefix.subsumes e.Types.pe_prefix e'.Types.pe_prefix
+  Prefix.subsumes e.Types.pe_prefix e'.Types.pe_prefix
   &&
-  let lo, hi = entry_range e and lo', hi' = entry_range e' in
+  let lo, hi = Types.prefix_entry_range e
+  and lo', hi' = Types.prefix_entry_range e' in
   lo <= lo' && hi >= hi'
 
 (** Entries of [pl] that can never match because an earlier entry (any

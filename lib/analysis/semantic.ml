@@ -32,6 +32,8 @@
 open Hoyan_net
 module Types = Hoyan_config.Types
 module Vsb = Hoyan_config.Vsb
+module Policy = Hoyan_config.Policy
+module Bgp = Hoyan_proto.Bgp
 module Smap = Types.Smap
 module D = Diagnostics
 module Telemetry = Hoyan_telemetry.Telemetry
@@ -43,10 +45,11 @@ module Journal = Hoyan_telemetry.Journal
 
 (** A resolved, reciprocal BGP session edge: [se_src]'s stanza [se_out]
     points at an address owned by [se_dst], whose stanza [se_in] points
-    back at an address owned by [se_src].  Mirrors the simulator's
-    delivery rule (receiver-side stanza lookup), minus the per-VRF keying
-    and liveness conditions it may additionally apply — i.e. the edge set
-    is a superset of the sessions the simulator can deliver over. *)
+    back at an address owned by [se_src].  This is the simulator's
+    delivery rule (receiver-side stanza lookup) without the per-VRF
+    keying and {!Bgp.session_live} conditions it additionally applies —
+    i.e. the edge set is a superset of the sessions the simulator can
+    deliver over. *)
 type session_edge = {
   se_src : string;
   se_dst : string;
@@ -71,11 +74,6 @@ type t = {
   g_stats : stats;
 }
 
-let vsb_of (cfg : Types.t) : Vsb.t =
-  match Vsb.of_vendor cfg.Types.dc_vendor with
-  | Some v -> v
-  | None -> Vsb.vendor_a (* the simulator's fallback *)
-
 let asn_of (cfg : Types.t) = cfg.Types.dc_bgp.Types.bgp_asn
 
 (** Whether [dev] takes part in the simulated network (the simulator only
@@ -84,29 +82,6 @@ let in_topo (g : t) dev =
   match g.g_input.Lint.li_topo with
   | None -> true
   | Some topo -> Option.is_some (Topology.device topo dev)
-
-(** Address ownership, mirroring the model build exactly: configured
-    interface addresses first, then topology router ids (loopbacks) —
-    later entries win on collision. *)
-let owner_table (input : Lint.input) : (Ip.t, string) Hashtbl.t =
-  let tbl = Hashtbl.create 1024 in
-  Smap.iter
-    (fun dev (cfg : Types.t) ->
-      List.iter
-        (fun (i : Types.iface_config) ->
-          match i.Types.if_addr with
-          | Some a -> Hashtbl.replace tbl a dev
-          | None -> ())
-        cfg.Types.dc_ifaces)
-    input.Lint.li_configs;
-  (match input.Lint.li_topo with
-  | None -> ()
-  | Some topo ->
-      List.iter
-        (fun (d : Topology.device) ->
-          Hashtbl.replace tbl d.Topology.router_id d.Topology.name)
-        (Topology.devices topo));
-  tbl
 
 (** Stanzas of [cfg] whose neighbor address resolves to [dev]. *)
 let stanzas_towards owner (cfg : Types.t) dev =
@@ -308,7 +283,7 @@ let leak_check dev (cfg : Types.t) : D.t list =
         else None)
       (rt_edges cfg)
   in
-  let vsb = vsb_of cfg in
+  let vsb = Vsb.of_config cfg in
   let ebgp_transit =
     if not vsb.Vsb.missing_policy_accepts then []
     else
@@ -345,12 +320,12 @@ let leak_check dev (cfg : Types.t) : D.t list =
 type region = { rg_prefix : Prefix.t; rg_lo : int; rg_hi : int }
 
 let entry_region (e : Types.prefix_entry) : region =
-  let lo, hi = Lint.entry_range e in
+  let lo, hi = Types.prefix_entry_range e in
   { rg_prefix = e.Types.pe_prefix; rg_lo = lo; rg_hi = hi }
 
 let region_subsumed (inner : region) (outer : region) =
   Prefix.subsumes outer.rg_prefix inner.rg_prefix
-  && outer.rg_lo <= max inner.rg_lo (Prefix.len inner.rg_prefix)
+  && outer.rg_lo <= inner.rg_lo
   && inner.rg_hi <= outer.rg_hi
 
 let regions_overlap (a : region) (b : region) =
@@ -468,20 +443,14 @@ let matchable_regions (cfg : Types.t) fam (node : Types.policy_node) :
 (** Whether a match on this node definitely terminates the policy walk
     (explicit or VSB-implied deny, or a permit without continue). *)
 let node_terminates (vsb : Vsb.t) (node : Types.policy_node) =
-  let action =
-    match node.Types.pn_action with
-    | Some a -> a
-    | None ->
-        if vsb.Vsb.no_explicit_action_permits then Types.Permit else Types.Deny
-  in
-  action = Types.Deny || not node.Types.pn_goto_next
+  Policy.node_action vsb node = Types.Deny || not node.Types.pn_goto_next
 
 (** [HOY024]: a node is dead when the union of earlier definitely-matching
     terminating nodes covers every prefix it could match.  Reports only
     genuine union coverage — cases a single earlier node decides are the
     pairwise shadowing check's ([HOY007]) territory and are skipped. *)
 let dead_term_check dev (cfg : Types.t) : D.t list =
-  let vsb = vsb_of cfg in
+  let vsb = Vsb.of_config cfg in
   Smap.fold
     (fun pname (pol : Types.route_policy) acc ->
       let nodes = pol.Types.rp_nodes in
@@ -533,35 +502,26 @@ let dead_term_check dev (cfg : Types.t) : D.t list =
 (* iBGP propagation gaps (route-reflection automaton)                   *)
 (* ------------------------------------------------------------------ *)
 
-(** How a route arrived at the device it now sits on — the only state the
-    iBGP reflection rule inspects. *)
-type prop_state = Origin | From_ebgp | From_client | From_nonclient
+let state_rank : Bgp.arrival -> int = function
+  | Bgp.Origin -> 0
+  | Bgp.From_ebgp -> 1
+  | Bgp.From_client -> 2
+  | Bgp.From_nonclient -> 3
 
-let state_rank = function
-  | Origin -> 0
-  | From_ebgp -> 1
-  | From_client -> 2
-  | From_nonclient -> 3
-
-(** May a route in [state] at the edge's source be advertised over it?
-    Mirrors the simulator's export rule: only iBGP-learned routes are
-    subject to reflection, and those propagate when learned from a client
-    or when the receiver is a client. *)
-let may_send (g : t) (state : prop_state) (e : session_edge) =
+(** May a route that arrived at the edge's source in [state] be
+    advertised over it?  The simulator's {!Bgp.reflection_passes}. *)
+let may_send (g : t) (state : Bgp.arrival) (e : session_edge) =
   let src_cfg = Smap.find e.se_src g.g_input.Lint.li_configs in
-  let sender_ebgp = e.se_out.Types.nb_remote_asn <> asn_of src_cfg in
-  if sender_ebgp then true
-  else
-    match state with
-    | Origin | From_ebgp | From_client -> true
-    | From_nonclient -> e.se_out.Types.nb_rr_client
+  Bgp.reflection_passes
+    ~ebgp:(e.se_out.Types.nb_remote_asn <> asn_of src_cfg)
+    ~to_client:e.se_out.Types.nb_rr_client state
 
-let state_after (g : t) (e : session_edge) : prop_state =
+let state_after (g : t) (e : session_edge) : Bgp.arrival =
   let dst_cfg = Smap.find e.se_dst g.g_input.Lint.li_configs in
   let receiver_ebgp = e.se_in.Types.nb_remote_asn <> asn_of dst_cfg in
-  if receiver_ebgp then From_ebgp
-  else if e.se_in.Types.nb_rr_client then From_client
-  else From_nonclient
+  if receiver_ebgp then Bgp.From_ebgp
+  else if e.se_in.Types.nb_rr_client then Bgp.From_client
+  else Bgp.From_nonclient
 
 (** [HOY025]: within each AS with at least two configured speakers and at
     least one reciprocal iBGP edge, every member's routes must be able to
@@ -615,7 +575,7 @@ let ibgp_gap_check (g : t) : D.t list =
                   bfs (next @ rest)
                 end
           in
-          bfs [ (origin, Origin) ];
+          bfs [ (origin, Bgp.Origin) ];
           List.filter
             (fun m ->
               (not (String.equal m origin))
@@ -696,14 +656,7 @@ let static_check (g : t) dev (cfg : Types.t) : D.t list =
         match st.Types.st_nexthop with
         | None -> None
         | Some nh ->
-            let on_subnet =
-              List.exists
-                (fun (i : Types.iface_config) ->
-                  match Types.iface_subnet i with
-                  | Some s -> Prefix.mem nh s
-                  | None -> false)
-                cfg.Types.dc_ifaces
-            in
+            let on_subnet = Types.on_connected_subnet cfg nh in
             let via_other_static =
               List.exists
                 (fun (o : Types.static_route) ->
@@ -737,7 +690,9 @@ let static_check (g : t) dev (cfg : Types.t) : D.t list =
 let build ?tm (input : Lint.input) : t =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
   Telemetry.with_span tm "semantic.graph" (fun () ->
-      let owner = owner_table input in
+      let owner =
+        Types.address_owners ?topo:input.Lint.li_topo input.Lint.li_configs
+      in
       let edges, halves, session_diags = session_checks input owner in
       let isis_adj, isis_diags = isis_checks input in
       let out = Hashtbl.create 64 in
@@ -791,59 +746,37 @@ let check ?tm (g : t) : D.t list =
 
 type tri = TYes | TNo | TUnknown
 
-let clause_tri (cfg : Types.t) (vsb : Vsb.t) (c : Types.match_clause)
-    (p : Prefix.t) : tri =
-  match c with
-  | Types.Match_prefix_list name -> (
-      match Types.find_prefix_list cfg name with
-      | None -> if vsb.Vsb.undefined_filter_matches then TYes else TNo
-      | Some pl ->
-          if pl.Types.pl_family <> Prefix.family p then
-            if vsb.Vsb.ip_prefix_permits_other_family then TYes else TNo
-          else (
-            match Types.prefix_list_eval pl p with
-            | Some Types.Permit -> TYes
-            | Some Types.Deny | None -> TNo))
-  | Types.Match_family f -> if Prefix.family p = f then TYes else TNo
-  | _ -> TUnknown (* community / as-path / next-hop / tag / protocol *)
-
 let node_tri cfg vsb (node : Types.policy_node) p : tri =
   List.fold_left
     (fun acc c ->
-      match (acc, clause_tri cfg vsb c p) with
-      | TNo, _ | _, TNo -> TNo
-      | TUnknown, _ | _, TUnknown -> TUnknown
-      | TYes, TYes -> TYes)
+      match (acc, Policy.prefix_clause cfg vsb c p) with
+      | TNo, _ | _, Some false -> TNo
+      | TUnknown, _ | _, None -> TUnknown
+      | TYes, Some true -> TYes)
     TYes node.Types.pn_matches
 
-(** Can policy [name] of [cfg] pass a route for [p]?  Mirrors
-    [Policy.eval]'s walk exactly on the prefix-decidable fragment;
-    anything else yields [TUnknown].  Prefixes are never rewritten by
-    set clauses, so the symbolic prefix is walk-invariant. *)
+(** Can policy [name] of [cfg] pass a route for [p]?  [Policy.eval]'s
+    walk, three-valued: clauses come from {!Policy.prefix_clause}
+    ([TUnknown] for those the prefix does not decide), fallbacks and
+    node actions from {!Policy.fallback_permits} and
+    {!Policy.node_action}.  An undecided node explores both outcomes.
+    Prefixes are never rewritten by set clauses, so the symbolic prefix
+    is walk-invariant. *)
 let tri_eval (cfg : Types.t) (name : string option) ~(ebgp : bool)
     (p : Prefix.t) : tri =
-  let vsb = vsb_of cfg in
+  let vsb = Vsb.of_config cfg in
+  let fallback f = if Policy.fallback_permits vsb ~ebgp f then TYes else TNo in
   match name with
-  | None ->
-      if (not ebgp) || vsb.Vsb.missing_policy_accepts then TYes else TNo
+  | None -> fallback Policy.No_policy
   | Some n -> (
       match Types.find_policy cfg n with
-      | None -> if vsb.Vsb.undefined_policy_accepts then TYes else TNo
+      | None -> fallback Policy.Undefined_policy
       | Some pol ->
           let rec walk = function
-            | [] ->
-                if vsb.Vsb.default_policy_action_permit then TYes else TNo
+            | [] -> fallback Policy.No_node_matched
             | (node : Types.policy_node) :: rest -> (
                 let matched () =
-                  let action =
-                    match node.Types.pn_action with
-                    | Some a -> a
-                    | None ->
-                        if vsb.Vsb.no_explicit_action_permits then
-                          Types.Permit
-                        else Types.Deny
-                  in
-                  if action = Types.Deny then TNo
+                  if Policy.node_action vsb node = Types.Deny then TNo
                   else if node.Types.pn_goto_next then walk rest
                   else TYes
                 in
@@ -872,14 +805,7 @@ let exact_origins (g : t) ~(input_routes : Route.t list) (p : Prefix.t) :
       (fun dev (cfg : Types.t) acc ->
         let direct =
           List.exists
-            (fun (i : Types.iface_config) ->
-              match i.Types.if_addr with
-              | None -> false
-              | Some a ->
-                  let bits = Ip.family_bits (Ip.family a) in
-                  Prefix.equal (Prefix.make a i.Types.if_plen) p
-                  || (i.Types.if_plen < bits
-                     && Prefix.equal (Prefix.make a bits) p))
+            (fun i -> List.exists (Prefix.equal p) (Types.connected_prefixes i))
             cfg.Types.dc_ifaces
         in
         let static =
@@ -997,7 +923,7 @@ let closure ?tm ?exact (g : t) ~(input_routes : Route.t list) (p : Prefix.t) :
       in
       bfs
         (List.filter_map
-           (fun d -> if in_topo g d then Some (d, Origin) else None)
+           (fun d -> if in_topo g d then Some (d, Bgp.Origin) else None)
            seeds);
       members)
 

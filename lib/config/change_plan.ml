@@ -546,3 +546,78 @@ let apply_commands (cfg : Types.t) (block : string) : Types.t * apply_report =
       (List.map parse_issue parse_errors @ List.rev del_issues)
   in
   (cfg, { ar_device = cfg.Types.dc_device; ar_issues = issues })
+
+(* ------------------------------------------------------------------ *)
+(* Plan application                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** What one command block did: patched a device config, or named a
+    device the network does not have ("typos in the names of routers to
+    be changed ... would cause the change to be ineffective on some
+    routers", Table 6). *)
+type step =
+  | Patched of {
+      st_device : string;
+      st_block : string;
+      st_before : Types.t;
+      st_after : Types.t;
+      st_report : apply_report;
+    }
+  | Unknown_device of apply_report
+
+let step_report = function
+  | Patched { st_report; _ } -> st_report
+  | Unknown_device r -> r
+
+type applied = {
+  ap_topo : Topology.t option; (* [None] when no topology was given *)
+  ap_configs : Types.t Types.Smap.t;
+  ap_steps : step list; (* one per command block, in plan order *)
+}
+
+let apply_topo_op topo = function
+  | Add_device d -> Topology.add_device topo d
+  | Remove_device n -> Topology.remove_device topo n
+  | Add_link { la; la_if; lb; lb_if; l_bandwidth } ->
+      Topology.add_link topo ~a:la ~a_if:la_if ~b:lb ~b_if:lb_if
+        ~bandwidth:l_bandwidth
+  | Remove_link { ra; rb } -> Topology.remove_link topo ~a:ra ~b:rb
+
+(** Apply a plan to a network: topology ops first (a device added by the
+    plan gets an empty config, so a later block can configure a
+    brand-new router; a removed device loses its config), then each
+    command block in plan order, each against the config the earlier
+    blocks left. *)
+let apply ?topo (configs : Types.t Types.Smap.t) (plan : t) : applied =
+  let module Smap = Types.Smap in
+  let config_step configs = function
+    | Add_device d when not (Smap.mem d.Topology.name configs) ->
+        Smap.add d.Topology.name
+          (Types.empty ~device:d.Topology.name ~vendor:d.Topology.vendor)
+          configs
+    | Remove_device n -> Smap.remove n configs
+    | Add_device _ | Add_link _ | Remove_link _ -> configs
+  in
+  let configs = List.fold_left config_step configs plan.cp_topo_ops in
+  let configs, steps =
+    List.fold_left
+      (fun (configs, steps) (dev, block) ->
+        match Smap.find_opt dev configs with
+        | None ->
+            let msg = Printf.sprintf "unknown device %S" dev in
+            (configs, Unknown_device (report_failure ~device:dev msg) :: steps)
+        | Some cfg ->
+            let cfg', report = apply_commands cfg block in
+            ( Smap.add dev cfg' configs,
+              Patched
+                { st_device = dev; st_block = block; st_before = cfg;
+                  st_after = cfg'; st_report = report }
+              :: steps ))
+      (configs, []) plan.cp_commands
+  in
+  let apply_topo topo = List.fold_left apply_topo_op topo plan.cp_topo_ops in
+  {
+    ap_topo = Option.map apply_topo topo;
+    ap_configs = configs;
+    ap_steps = List.rev steps;
+  }

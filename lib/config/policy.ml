@@ -29,22 +29,38 @@ let permitted ?(overwrote = false) ?node r =
     here to reproduce the flawed-regex issue class. *)
 let default_regex pattern input = Hoyan_regex.Regex.matches_str pattern input
 
-let eval_match ?(regex = default_regex) (cfg : Types.t) (vsb : Vsb.t)
-    (clause : Types.match_clause) (r : Route.t) : bool =
+(* [Some b] as a shared constant, so the hot path allocates nothing *)
+let decided b = if b then Some true else Some false
+
+(** The clauses a route's prefix alone decides: [Some m] for a
+    prefix-list or family clause ([m]: does a route for [p] match it),
+    [None] for every other clause. *)
+let prefix_clause (cfg : Types.t) (vsb : Vsb.t) (clause : Types.match_clause)
+    (p : Prefix.t) : bool option =
   match clause with
   | Types.Match_prefix_list name -> (
       match Types.find_prefix_list cfg name with
-      | None -> vsb.Vsb.undefined_filter_matches
+      | None -> decided vsb.Vsb.undefined_filter_matches
       | Some pl ->
-          if pl.Types.pl_family <> Prefix.family r.Route.prefix then
+          if pl.Types.pl_family <> Prefix.family p then
             (* Figure 10(b): an [ip-prefix] list applied to an IPv6 route —
                this vendor checks only IPv4 prefixes and permits the other
                family wholesale. *)
-            vsb.Vsb.ip_prefix_permits_other_family
-          else (
-            match Types.prefix_list_eval pl r.Route.prefix with
-            | Some Types.Permit -> true
-            | Some Types.Deny | None -> false))
+            decided vsb.Vsb.ip_prefix_permits_other_family
+          else
+            match Types.prefix_list_eval pl p with
+            | Some Types.Permit -> Some true
+            | Some Types.Deny | None -> Some false)
+  | Types.Match_family f -> decided (Prefix.family p = f)
+  | _ -> None
+
+let eval_match ?(regex = default_regex) (cfg : Types.t) (vsb : Vsb.t)
+    (clause : Types.match_clause) (r : Route.t) : bool =
+  match clause with
+  | Types.Match_prefix_list _ | Types.Match_family _ -> (
+      match prefix_clause cfg vsb clause r.Route.prefix with
+      | Some m -> m
+      | None -> false)
   | Types.Match_community_list name -> (
       match Types.find_community_list cfg name with
       | None -> vsb.Vsb.undefined_filter_matches
@@ -71,7 +87,6 @@ let eval_match ?(regex = default_regex) (cfg : Types.t) (vsb : Vsb.t)
       | None -> false)
   | Types.Match_tag t -> r.Route.tag = t
   | Types.Match_protocol p -> r.Route.proto = p
-  | Types.Match_family f -> Prefix.family r.Route.prefix = f
 
 let apply_set (r : Route.t) (clause : Types.set_clause) :
     Route.t * bool (* overwrote AS path *) =
@@ -98,30 +113,45 @@ let apply_set (r : Route.t) (clause : Types.set_clause) :
   | Types.Set_aspath_overwrite asns ->
       ({ r with Route.as_path = As_path.of_asns asns }, true)
 
-(** Evaluate policy [name] of [cfg] on route [r].
+(** The walk-free outcomes of a policy evaluation, each decided by a VSB:
+    no policy attached ("missing route policy"; only eBGP sessions can
+    deny — iBGP and internal attachment points such as redistribution
+    and VRF leaking accept), a name the config does not define
+    ("undefined route policy"), and a route matching no node ("default
+    route policy"). *)
+type fallback = No_policy | Undefined_policy | No_node_matched
 
-    [name = None] means no policy is applied at that attachment point; on
-    an eBGP session ([ebgp = true], the default) the "missing route
-    policy" VSB decides — some vendors require an explicit policy on eBGP
-    sessions and drop everything otherwise — while iBGP and internal
-    attachment points (redistribution, VRF leaking) accept.  An undefined
-    name triggers the "undefined route policy" VSB.  A route matching no
-    node triggers the "default route policy" VSB, and a matched node
-    without an explicit action triggers "no explicit permit/deny". *)
+let fallback_permits (vsb : Vsb.t) ~ebgp = function
+  | No_policy -> (not ebgp) || vsb.Vsb.missing_policy_accepts
+  | Undefined_policy -> vsb.Vsb.undefined_policy_accepts
+  | No_node_matched -> vsb.Vsb.default_policy_action_permit
+
+(** The action of a matched node; one without an explicit permit/deny is
+    decided by the "no explicit permit/deny" VSB. *)
+let node_action (vsb : Vsb.t) (node : Types.policy_node) : Types.action =
+  match node.Types.pn_action with
+  | Some a -> a
+  | None ->
+      if vsb.Vsb.no_explicit_action_permits then Types.Permit else Types.Deny
+
+(** Evaluate policy [name] of [cfg] on route [r]: first-match over the
+    policy's nodes, with {!fallback_permits} deciding when no node can
+    ([ebgp] defaults to [true]) and {!node_action} deciding a matched
+    node's action. *)
 let eval ?(regex = default_regex) ?(ebgp = true) (cfg : Types.t) (vsb : Vsb.t)
     (name : string option) (r : Route.t) : verdict =
   match name with
   | None ->
-      if (not ebgp) || vsb.Vsb.missing_policy_accepts then permitted r
-      else denied r
+      if fallback_permits vsb ~ebgp No_policy then permitted r else denied r
   | Some name -> (
       match Types.find_policy cfg name with
       | None ->
-          if vsb.Vsb.undefined_policy_accepts then permitted r else denied r
+          if fallback_permits vsb ~ebgp Undefined_policy then permitted r
+          else denied r
       | Some policy ->
           let rec eval_nodes r overwrote = function
             | [] ->
-                if vsb.Vsb.default_policy_action_permit then
+                if fallback_permits vsb ~ebgp No_node_matched then
                   permitted ~overwrote r
                 else denied r
             | (node : Types.policy_node) :: rest ->
@@ -131,24 +161,17 @@ let eval ?(regex = default_regex) ?(ebgp = true) (cfg : Types.t) (vsb : Vsb.t)
                     node.Types.pn_matches
                 in
                 if not all_match then eval_nodes r overwrote rest
+                else if node_action vsb node = Types.Deny then denied r
                 else
-                  let action =
-                    match node.Types.pn_action with
-                    | Some a -> a
-                    | None ->
-                        if vsb.Vsb.no_explicit_action_permits then Types.Permit
-                        else Types.Deny
+                  let r', overwrote' =
+                    List.fold_left
+                      (fun (acc, ow) s ->
+                        let acc', ow' = apply_set acc s in
+                        (acc', ow || ow'))
+                      (r, overwrote) node.Types.pn_sets
                   in
-                  if action = Types.Deny then denied r
+                  if node.Types.pn_goto_next then eval_nodes r' overwrote' rest
                   else
-                    let r', overwrote' =
-                      List.fold_left
-                        (fun (acc, ow) s ->
-                          let acc', ow' = apply_set acc s in
-                          (acc', ow || ow'))
-                        (r, overwrote) node.Types.pn_sets
-                    in
-                    if node.Types.pn_goto_next then eval_nodes r' overwrote' rest
-                    else permitted ~overwrote:overwrote' ~node:node.Types.pn_seq r'
+                    permitted ~overwrote:overwrote' ~node:node.Types.pn_seq r'
           in
           eval_nodes r false policy.Types.rp_nodes)

@@ -29,18 +29,28 @@ type prefix_list = {
   pl_entries : prefix_entry list; (* ordered by sequence number *)
 }
 
-(** Does [p] match entry [e]?  Standard semantics: [p] must be contained in
-    [e.pe_prefix]; without ge/le the length must be exactly equal. *)
+(** The effective length range [(lo, hi)] of the prefixes entry [e]
+    matches inside [e.pe_prefix]: without ge/le exactly the prefix
+    length; [ge] alone up to the family width; [le] alone from the
+    prefix length.  Both bounds are clamped to what a prefix inside
+    [e.pe_prefix] can have, so [lo > hi] exactly when the entry matches
+    nothing. *)
+let prefix_entry_range (e : prefix_entry) : int * int =
+  let plen = Prefix.len e.pe_prefix and bits = Prefix.bits e.pe_prefix in
+  match (e.pe_ge, e.pe_le) with
+  | None, None -> (plen, plen)
+  | Some ge, None -> (max ge plen, bits)
+  | None, Some le -> (plen, min le bits)
+  | Some ge, Some le -> (max ge plen, min le bits)
+
+(** Does [p] match entry [e]?  [p] must be contained in [e.pe_prefix],
+    with its length in {!prefix_entry_range}. *)
 let prefix_entry_matches (e : prefix_entry) (p : Prefix.t) =
   Prefix.family p = Prefix.family e.pe_prefix
   && Prefix.subsumes e.pe_prefix p
   &&
-  let len = Prefix.len p in
-  match (e.pe_ge, e.pe_le) with
-  | None, None -> len = Prefix.len e.pe_prefix
-  | Some ge, None -> len >= ge
-  | None, Some le -> len >= Prefix.len e.pe_prefix && len <= le
-  | Some ge, Some le -> len >= ge && len <= le
+  let lo, hi = prefix_entry_range e and len = Prefix.len p in
+  lo <= len && len <= hi
 
 (** First-match evaluation of a prefix list; [None] when no entry matches. *)
 let prefix_list_eval (pl : prefix_list) (p : Prefix.t) : action option =
@@ -230,6 +240,17 @@ type iface_config = {
 let iface_subnet (i : iface_config) =
   Option.map (fun a -> Prefix.make a i.if_plen) i.if_addr
 
+(** The prefixes an interface address makes directly connected: its
+    subnet, plus the host /32 (or /128) when the subnet is wider — the
+    quirk behind two Table-5 VSBs. *)
+let connected_prefixes (i : iface_config) : Prefix.t list =
+  match i.if_addr with
+  | None -> []
+  | Some a ->
+      let bits = Ip.family_bits (Ip.family a) in
+      let subnet = Prefix.make a i.if_plen in
+      if i.if_plen >= bits then [ subnet ] else [ subnet; Prefix.make a bits ]
+
 (* ------------------------------------------------------------------ *)
 (* Whole-device configuration                                          *)
 (* ------------------------------------------------------------------ *)
@@ -280,6 +301,41 @@ let find_policy t name = Smap.find_opt name t.dc_policies
 let find_acl t name = Smap.find_opt name t.dc_acls
 
 let iface t name = List.find_opt (fun i -> String.equal i.if_name name) t.dc_ifaces
+
+(** The first interface whose connected subnet holds [addr]. *)
+let connected_iface t (addr : Ip.t) =
+  List.find_opt
+    (fun i ->
+      match iface_subnet i with
+      | Some subnet -> Prefix.mem addr subnet
+      | None -> false)
+    t.dc_ifaces
+
+(** Is [addr] on one of the config's connected subnets?  A BGP neighbor
+    there is a link-address peering; a next hop there resolves directly. *)
+let on_connected_subnet t addr = Option.is_some (connected_iface t addr)
+
+(** Address ownership: configured interface addresses first, then the
+    topology's router ids (loopbacks) — later entries win on collision. *)
+let address_owners ?topo (configs : t Smap.t) : (Ip.t, string) Hashtbl.t =
+  let tbl = Hashtbl.create 1024 in
+  Smap.iter
+    (fun dev cfg ->
+      List.iter
+        (fun i ->
+          match i.if_addr with
+          | Some a -> Hashtbl.replace tbl a dev
+          | None -> ())
+        cfg.dc_ifaces)
+    configs;
+  Option.iter
+    (fun topo ->
+      List.iter
+        (fun (d : Topology.device) ->
+          Hashtbl.replace tbl d.Topology.router_id d.Topology.name)
+        (Topology.devices topo))
+    topo;
+  tbl
 
 (** Count configuration "lines" (for workload statistics; each router on
     the paper's WAN has thousands of lines). *)

@@ -133,6 +133,11 @@ let of_vendor name =
   | Some p -> Some p
   | None -> List.find_opt (fun p -> String.equal p.vendor name) builtin_profiles
 
+(** The profile a device config runs under; vendors without a registered
+    profile fall back to vendor A. *)
+let of_config (cfg : Types.t) =
+  match of_vendor cfg.Types.dc_vendor with Some v -> v | None -> vendor_a
+
 let of_vendor_exn name =
   match of_vendor name with
   | Some p -> p

@@ -127,14 +127,8 @@ let candidate_failures ?(devices = true) ?(links = true) (model : Model.t) :
   Feq.candidates ~devices ~links model.Model.topo
 
 let apply_failures (model : Model.t) (fs : failure list) : Model.t =
-  let ops =
-    List.map
-      (function
-        | Link_down (a, b) -> Cp.Remove_link { ra = a; rb = b }
-        | Device_down d -> Cp.Remove_device d)
-      fs
-  in
-  fst (Model.apply_change_plan model (Cp.make "k-failure" ~topo_ops:ops))
+  let topo_ops = List.map Feq.topo_op fs in
+  fst (Model.apply_change_plan model (Cp.make "k-failure" ~topo_ops))
 
 (* Simulate one failure scenario and evaluate the property.  [only]
    restricts the fixpoint to the property footprint's prefix closure:

@@ -38,6 +38,28 @@ type session = {
   s_vrf : string;
 }
 
+(** Session liveness: does a configured peering from [local] to [peer]
+    come up on [topo] under the IGP view [igp]?  A link-address peering
+    ([direct]: the neighbor address sits on one of [local]'s connected
+    subnets, {!Types.on_connected_subnet}) needs the physical link; a
+    loopback peering needs an IGP path.  A removed peer has neither, so
+    it never forms a session. *)
+let session_live (topo : Topology.t) (igp : Isis.t) ~direct ~local ~peer =
+  if direct then Option.is_some (Topology.edge_between topo local peer)
+  else Isis.reachable igp ~src:local ~dst:peer
+
+(** How a route arrived at the device about to re-advertise it — all the
+    iBGP reflection rule reads. *)
+type arrival = Origin | From_ebgp | From_client | From_nonclient
+
+(** iBGP re-advertisement with route reflection (RFC 4456): a route
+    learned over iBGP from a non-client crosses another iBGP session only
+    towards a route-reflector client ([to_client]); eBGP sessions and
+    every other arrival pass. *)
+let reflection_passes ~ebgp ~to_client = function
+  | From_nonclient -> ebgp || to_client
+  | Origin | From_ebgp | From_client -> true
+
 type device_ctx = {
   d_name : string;
   d_asn : int;
@@ -370,6 +392,13 @@ let learned_from_client (ctx : device_ctx) (r : Route.t) =
         (fun s -> String.equal s.s_peer peer && s.s_rr_client)
         ctx.d_sessions
 
+let arrival (ctx : device_ctx) (r : Route.t) : arrival =
+  match r.Route.source with
+  | Route.Ibgp ->
+      if learned_from_client ctx r then From_client else From_nonclient
+  | Route.Ebgp -> From_ebgp
+  | Route.Local | Route.Redistributed -> Origin
+
 (** Compute what [ctx] advertises over session [s] for the selected routes
     of one (vrf, prefix). *)
 let export_routes (ctx : device_ctx) (s : session) (selected : Route.t list) :
@@ -405,10 +434,9 @@ let export_routes (ctx : device_ctx) (s : session) (selected : Route.t list) :
       else if suppressed ctx r then None
       else if is_host32_extra r && not ctx.d_vsb.Vsb.send_host32_to_peer then None
       else if
-        (* iBGP re-advertisement rules / route reflection *)
-        (not s.s_ebgp)
-        && r.Route.source = Route.Ibgp
-        && not (learned_from_client ctx r || s.s_rr_client)
+        not
+          (reflection_passes ~ebgp:s.s_ebgp ~to_client:s.s_rr_client
+             (arrival ctx r))
       then None
       else
         let verdict =

@@ -23,65 +23,64 @@ type tunnel = {
   tn_path : string list; (* full device path, head .. tail *)
 }
 
-(** Expand an explicit segment list (waypoint devices) into a full hop
-    path using IGP shortest paths between consecutive waypoints. *)
-let expand_segments (igp : Isis.t) ~(head : string) (waypoints : string list) :
-    string list option =
-  let rec go cur acc = function
-    | [] -> Some (List.rev acc)
-    | wp :: rest -> (
-        match Isis.some_path igp ~src:cur ~dst:wp with
-        | Some path -> (
-            match path with
-            | [] -> None
-            | _ :: hops -> go wp (List.rev_append hops acc) rest)
-        | None -> None)
-  in
-  go head [ head ] waypoints
+(** Does SR policy [sp] of [device] resolve into a tunnel?  Its endpoint
+    must belong to a device ([endpoint_of]; the tail), and the path must
+    exist: the IGP path to the tail, or each explicit waypoint reachable
+    from the previous one, with the tail reachable from both the head and
+    the last waypoint unless that waypoint is the tail.  [reachable a b]
+    is the IGP's reachability.  The BGP decision process reads only this
+    success ({!reaches}), never the path. *)
+let resolves ~(reachable : string -> string -> bool)
+    ~(endpoint_of : Ip.t -> string option) ~(device : string)
+    (sp : Types.sr_policy) : bool =
+  match endpoint_of sp.Types.sp_endpoint with
+  | None -> false
+  | Some tail -> (
+      let rec chain cur = function
+        | [] -> Some cur
+        | w :: rest -> if reachable cur w then chain w rest else None
+      in
+      match sp.Types.sp_segments with
+      | [] -> reachable device tail
+      | ws -> (
+          match chain device ws with
+          | None -> false
+          | Some last ->
+              String.equal last tail
+              || (reachable device tail && reachable last tail)))
 
-(** Resolve the SR policies of one device into tunnels.  [endpoint_of]
-    maps a loopback address to its device. *)
+(** Resolve the SR policies of one device into tunnels: one per policy
+    that {!resolves}, along the IGP's [some_path] hops through each
+    waypoint and on to the tail.  [endpoint_of] maps a loopback address
+    to its device. *)
 let resolve (igp : Isis.t) ~(device : string)
     ~(endpoint_of : Ip.t -> string option) (cfg : Types.t) : tunnel list =
+  let reachable src dst = Isis.reachable igp ~src ~dst in
+  (* the hops after [src] on the IGP path to [dst] (reachable) *)
+  let leg src dst = List.tl (Option.get (Isis.some_path igp ~src ~dst)) in
   List.filter_map
     (fun (sp : Types.sr_policy) ->
-      match endpoint_of sp.Types.sp_endpoint with
-      | None -> None
-      | Some tail ->
-          let path =
-            if sp.Types.sp_segments = [] then
-              Isis.some_path igp ~src:device ~dst:tail
-            else
-              match expand_segments igp ~head:device sp.Types.sp_segments with
-              | Some p ->
-                  (* the last waypoint must be (or reach) the tail *)
-                  if p <> [] && String.equal (List.nth p (List.length p - 1)) tail
-                  then Some p
-                  else (
-                    match Isis.some_path igp ~src:device ~dst:tail with
-                    | Some _ -> (
-                        (* append the tail leg *)
-                        match
-                          Isis.some_path igp
-                            ~src:(List.nth p (List.length p - 1))
-                            ~dst:tail
-                        with
-                        | Some (_ :: tail_hops) -> Some (p @ tail_hops)
-                        | _ -> None)
-                    | None -> None)
-              | None -> None
-          in
-          Option.map
-            (fun path ->
-              {
-                tn_head = device;
-                tn_endpoint = sp.Types.sp_endpoint;
-                tn_tail = tail;
-                tn_color = sp.Types.sp_color;
-                tn_preference = sp.Types.sp_preference;
-                tn_path = path;
-              })
-            path)
+      if not (resolves ~reachable ~endpoint_of ~device sp) then None
+      else
+        let tail = Option.get (endpoint_of sp.Types.sp_endpoint) in
+        let last, rev_path =
+          List.fold_left
+            (fun (cur, acc) w -> (w, List.rev_append (leg cur w) acc))
+            (device, [ device ]) sp.Types.sp_segments
+        in
+        let rev_path =
+          if String.equal last tail then rev_path
+          else List.rev_append (leg last tail) rev_path
+        in
+        Some
+          {
+            tn_head = device;
+            tn_endpoint = sp.Types.sp_endpoint;
+            tn_tail = tail;
+            tn_color = sp.Types.sp_color;
+            tn_preference = sp.Types.sp_preference;
+            tn_path = List.rev rev_path;
+          })
     cfg.Types.dc_sr_policies
 
 (** Does a tunnel of [tunnels] terminate at next-hop address [nh]? *)

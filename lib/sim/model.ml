@@ -32,42 +32,20 @@ let owner (t : t) (addr : Ip.t) : string option =
 
 let config (t : t) dev = Smap.find_opt dev t.configs
 
-let vsb_of (configs : Types.t Smap.t) dev =
-  match Smap.find_opt dev configs with
-  | Some cfg -> (
-      match Vsb.of_vendor cfg.Types.dc_vendor with
-      | Some v -> v
-      | None -> Vsb.vendor_a)
-  | None -> Vsb.vendor_a
-
 (* ------------------------------------------------------------------ *)
 (* Local tables: connected and static routes                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Direct (connected) routes of a device.  A non-host interface address
-    produces both the subnet route and an extra host /32 (or /128) route —
-    the quirk behind two Table-5 VSBs. *)
+(** Direct (connected) routes of a device: one per
+    {!Types.connected_prefixes} of each interface. *)
 let direct_routes (dev : string) (cfg : Types.t) : Route.t list =
   List.concat_map
     (fun (i : Types.iface_config) ->
-      match i.Types.if_addr with
-      | None -> []
-      | Some addr ->
-          let bits = Ip.family_bits (Ip.family addr) in
-          let subnet =
-            Route.make ~device:dev
-              ~prefix:(Prefix.make addr i.Types.if_plen)
-              ~proto:Route.Direct ~preference:0 ~out_iface:i.Types.if_name
-              ~source:Route.Local ()
-          in
-          if i.Types.if_plen >= bits then [ subnet ]
-          else
-            let host =
-              Route.make ~device:dev ~prefix:(Prefix.make addr bits)
-                ~proto:Route.Direct ~preference:0 ~out_iface:i.Types.if_name
-                ~source:Route.Local ()
-            in
-            [ subnet; host ])
+      List.map
+        (fun prefix ->
+          Route.make ~device:dev ~prefix ~proto:Route.Direct ~preference:0
+            ~out_iface:i.Types.if_name ~source:Route.Local ())
+        (Types.connected_prefixes i))
     cfg.Types.dc_ifaces
 
 let static_routes (dev : string) (cfg : Types.t) : Route.t list =
@@ -113,19 +91,9 @@ let isis_routes (igp : Isis.t) (topo : Topology.t) (dev : string)
     interface address sharing the peer's subnet, falling back to the
     router id (loopback peering). *)
 let local_addr_towards (cfg : Types.t) (router_id : Ip.t) (peer : Ip.t) : Ip.t =
-  let on_same_subnet =
-    List.find_opt
-      (fun (i : Types.iface_config) ->
-        match i.Types.if_addr with
-        | Some a ->
-            Ip.family a = Ip.family peer
-            && Prefix.mem peer (Prefix.make a i.Types.if_plen)
-        | None -> false)
-      cfg.Types.dc_ifaces
-  in
-  match on_same_subnet with
-  | Some i -> Option.value i.Types.if_addr ~default:router_id
-  | None -> router_id
+  match Types.connected_iface cfg peer with
+  | Some { Types.if_addr = Some a; _ } -> a
+  | _ -> router_id
 
 let sessions_of (topo : Topology.t) (igp : Isis.t)
     (owner_tbl : (Ip.t, string) Hashtbl.t) (dev : string) (cfg : Types.t) :
@@ -144,21 +112,9 @@ let sessions_of (topo : Topology.t) (igp : Isis.t)
       | Some peer_dev ->
           if String.equal peer_dev dev then None
           else if
-            (* a session is only up when the peer is reachable: a
-               link-address peering (the neighbor address sits on one of
-               our connected subnets) needs the physical link itself,
-               while a loopback peering needs an IGP path *)
-            (let direct_peering =
-               List.exists
-                 (fun (i : Types.iface_config) ->
-                   match Types.iface_subnet i with
-                   | Some subnet -> Prefix.mem nb.Types.nb_addr subnet
-                   | None -> false)
-                 cfg.Types.dc_ifaces
-             in
-             if direct_peering then
-               not (Option.is_some (Topology.edge_between topo dev peer_dev))
-             else not (Isis.reachable igp ~src:dev ~dst:peer_dev))
+            not
+              (Bgp.session_live topo igp ~local:dev ~peer:peer_dev
+                 ~direct:(Types.on_connected_subnet cfg nb.Types.nb_addr))
           then None
           else
             let ebgp = nb.Types.nb_remote_asn <> cfg.Types.dc_bgp.Types.bgp_asn in
@@ -190,21 +146,7 @@ let build ?(te_aware = true)
     ?(regex = fun p s -> Hoyan_regex.Regex.matches_str p s)
     (topo : Topology.t) (configs : Types.t Smap.t) : t =
   let igp = Isis.compute ~te_aware topo configs in
-  (* address ownership: interface addresses + router ids (loopbacks) *)
-  let owner_tbl = Hashtbl.create 1024 in
-  Smap.iter
-    (fun dev (cfg : Types.t) ->
-      List.iter
-        (fun (i : Types.iface_config) ->
-          match i.Types.if_addr with
-          | Some a -> Hashtbl.replace owner_tbl a dev
-          | None -> ())
-        cfg.Types.dc_ifaces)
-    configs;
-  List.iter
-    (fun (d : Topology.device) ->
-      Hashtbl.replace owner_tbl d.Topology.router_id d.Topology.name)
-    (Topology.devices topo);
+  let owner_tbl = Types.address_owners ~topo configs in
   (* local tables *)
   let local_tables =
     Smap.mapi
@@ -232,20 +174,11 @@ let build ?(te_aware = true)
               Option.value cfg.Types.dc_bgp.Types.bgp_router_id
                 ~default:(Ip.V4 0)
         in
-        let vsb = vsb_of configs dev in
+        let vsb = Vsb.of_config cfg in
         let dev_tunnels = Option.value (Smap.find_opt dev tunnels) ~default:[] in
         let statics = Option.value (Smap.find_opt dev local_tables) ~default:[] in
         let igp_cost (addr : Ip.t) : int option =
-          (* connected subnet? *)
-          let connected =
-            List.exists
-              (fun (i : Types.iface_config) ->
-                match Types.iface_subnet i with
-                | Some subnet -> Prefix.mem addr subnet
-                | None -> false)
-              cfg.Types.dc_ifaces
-          in
-          if connected then Some 0
+          if Types.on_connected_subnet cfg addr then Some 0
           else
             match Hashtbl.find_opt owner_tbl addr with
             | Some owner_dev ->
@@ -277,59 +210,17 @@ let build ?(te_aware = true)
   in
   { topo; configs; igp; owner_tbl; net; local_tables; tunnels; te_aware }
 
-(** Apply a change plan: topology ops plus per-device command blocks, then
-    recompile.  Returns the updated model and the per-device application
+(** Apply a change plan ({!Hoyan_config.Change_plan.apply}), then
+    recompile.  Returns the updated model and the per-block application
     reports (parse/delete errors are risk signals surfaced to the
     verification layer). *)
 let apply_change_plan ?(te_aware = true) ?regex (t : t)
     (cp : Hoyan_config.Change_plan.t) :
     t * Hoyan_config.Change_plan.apply_report list =
   let module Cp = Hoyan_config.Change_plan in
-  let topo =
-    List.fold_left
-      (fun topo op ->
-        match op with
-        | Cp.Add_device d -> Topology.add_device topo d
-        | Cp.Remove_device n -> Topology.remove_device topo n
-        | Cp.Add_link { la; la_if; lb; lb_if; l_bandwidth } ->
-            Topology.add_link topo ~a:la ~a_if:la_if ~b:lb ~b_if:lb_if
-              ~bandwidth:l_bandwidth
-        | Cp.Remove_link { ra; rb } -> Topology.remove_link topo ~a:ra ~b:rb)
-      t.topo cp.Cp.cp_topo_ops
-  in
-  (* devices added by the plan get an empty config before the command
-     blocks run, so a block can configure a brand-new router *)
-  let configs =
-    List.fold_left
-      (fun configs op ->
-        match op with
-        | Cp.Add_device d ->
-            if Smap.mem d.Topology.name configs then configs
-            else
-              Smap.add d.Topology.name
-                (Types.empty ~device:d.Topology.name ~vendor:d.Topology.vendor)
-                configs
-        | Cp.Remove_device n -> Smap.remove n configs
-        | Cp.Add_link _ | Cp.Remove_link _ -> configs)
-      t.configs cp.Cp.cp_topo_ops
-  in
-  let configs, reports =
-    List.fold_left
-      (fun (configs, reports) (dev, block) ->
-        match Smap.find_opt dev configs with
-        | None ->
-            (* "typos in the names of routers to be changed ... would cause
-               the change to be ineffective on some routers" (Table 6) *)
-            ( configs,
-              Cp.report_failure ~device:dev
-                (Printf.sprintf "unknown device %S" dev)
-              :: reports )
-        | Some cfg ->
-            let cfg', report = Cp.apply_commands cfg block in
-            (Smap.add dev cfg' configs, report :: reports))
-      (configs, []) cp.Cp.cp_commands
-  in
-  (build ~te_aware ?regex topo configs, List.rev reports)
+  let ap = Cp.apply ~topo:t.topo t.configs cp in
+  ( build ~te_aware ?regex (Option.get ap.Cp.ap_topo) ap.Cp.ap_configs,
+    List.map Cp.step_report ap.Cp.ap_steps )
 
 (** Total configuration line count across the model (Table-1 style
     statistics). *)

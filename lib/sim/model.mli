@@ -35,18 +35,13 @@ val owner : t -> Ip.t -> string option
 
 val config : t -> string -> Types.t option
 
-(** The vendor semantic profile of a device (defaults to vendor A for
-    unknown vendors). *)
-val vsb_of : Types.t Smap.t -> string -> Vsb.t
-
 (** Compile a model.
 
     [regex] injects the AS-path regex engine (the diagnosis experiments
     pass the flawed {!Hoyan_regex.Regex.Legacy.matches_str});
     [te_aware = false] reproduces the pre-2023 IS-IS-TE modelling gap.
 
-    Session viability: a link-address peering needs its physical link; a
-    loopback peering needs an IGP path. *)
+    Session viability is {!Bgp.session_live}. *)
 val build :
   ?te_aware:bool ->
   ?regex:(string -> string -> bool) ->
@@ -54,10 +49,11 @@ val build :
   Types.t Smap.t ->
   t
 
-(** Apply a change plan (topology ops, then per-device command blocks in
-    each device's own dialect) and recompile.  The per-device reports
-    carry parse and deletion errors — risk signals surfaced by the
-    verification layer (Table 6 "incorrect commands"). *)
+(** Apply a change plan ({!Hoyan_config.Change_plan.apply}: topology
+    ops, then per-device command blocks in each device's own dialect) and
+    recompile.  The per-block reports carry parse and deletion errors —
+    risk signals surfaced by the verification layer (Table 6 "incorrect
+    commands"). *)
 val apply_change_plan :
   ?te_aware:bool ->
   ?regex:(string -> string -> bool) ->

@@ -322,13 +322,7 @@ let rec walk wk (f : Flow.t) ~dev ~in_iface ~frac ~visited ~hops ~depth =
                              otherwise it is unroutable *)
                           let exits =
                             match cfg with
-                            | Some cfg ->
-                                List.exists
-                                  (fun (i : Types.iface_config) ->
-                                    match Types.iface_subnet i with
-                                    | Some subnet -> Prefix.mem nh subnet
-                                    | None -> false)
-                                  cfg.Types.dc_ifaces
+                            | Some cfg -> Types.on_connected_subnet cfg nh
                             | None -> false
                           in
                           if exits then record_path wk (dev :: hops) sub_frac

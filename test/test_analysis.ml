@@ -118,7 +118,54 @@ let test_entry_covers () =
     (entry 2 "192.168.0.0/16" None None);
   chk "families never mix" false
     (entry 1 "::/0" None (Some 128))
-    (entry 2 "10.1.0.0/16" None None)
+    (entry 2 "10.1.0.0/16" None None);
+  (* a ge below the prefix length is clamped to it: 10.1/16 ge 4 matches
+     10.1/16 .. /32, all inside 10/8 le 32 *)
+  chk "10/8 le 32 covers 10.1/16 ge 4" true
+    (entry 1 "10.0.0.0/8" None (Some 32))
+    (entry 2 "10.1.0.0/16" (Some 4) None);
+  chk "10/8 ge 16 covers 10.1/16 le 40" true
+    (entry 1 "10.0.0.0/8" (Some 16) None)
+    (entry 2 "10.1.0.0/16" None (Some 40))
+
+(* Brute force over every prefix under one /28: entries placed inside it
+   match only prefixes of the universe, so [entry_covers a b] must hold
+   exactly when each prefix [b] matches is matched by [a] — for a [b]
+   that matches something.  ge/le range over 0..34, in and out of range
+   of the entry's prefix length and the family width. *)
+let prop_entry_covers_exact =
+  let base = Prefix.of_string_exn "10.0.0.0/28" in
+  let universe =
+    List.concat_map
+      (fun len ->
+        List.init (1 lsl (len - 28)) (fun i ->
+            Prefix.make (Ip.V4 (0x0a000000 + (i lsl (32 - len)))) len))
+      [ 28; 29; 30; 31; 32 ]
+  in
+  assert (List.for_all (Prefix.subsumes base) universe);
+  let gen_entry =
+    QCheck.Gen.(
+      let bound = opt ~ratio:0.6 (int_bound 34) in
+      map3
+        (fun p ge le -> entry 1 (Prefix.to_string p) ge le)
+        (oneofl universe) bound bound)
+  in
+  let print_entry (e : Types.prefix_entry) =
+    Printf.sprintf "%s ge %s le %s"
+      (Prefix.to_string e.Types.pe_prefix)
+      (Option.fold ~none:"-" ~some:string_of_int e.Types.pe_ge)
+      (Option.fold ~none:"-" ~some:string_of_int e.Types.pe_le)
+  in
+  QCheck.Test.make ~name:"entry_covers is exact on a /28" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> print_entry a ^ " / " ^ print_entry b)
+       QCheck.Gen.(pair gen_entry gen_entry))
+    (fun (a, b) ->
+      let matched e = List.filter (Types.prefix_entry_matches e) universe in
+      let mb = matched b in
+      QCheck.assume (mb <> []);
+      let ma = matched a in
+      Lint.entry_covers a b = List.for_all (fun p -> List.mem p ma) mb)
 
 let test_shadowed_entries () =
   let pl =
@@ -257,6 +304,8 @@ let suite =
     Alcotest.test_case "config-level findings carry line numbers" `Quick
       test_injection_lines;
     Alcotest.test_case "prefix-entry containment" `Quick test_entry_covers;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1628 |])
+      prop_entry_covers_exact;
     Alcotest.test_case "shadowed prefix entries" `Quick test_shadowed_entries;
     Alcotest.test_case "RCL type/regex/reachability checks" `Quick
       test_rcl_checks;

@@ -432,9 +432,148 @@ let test_vr_diff_partitions () =
       | _ -> ())
     r.VR.vr_carried
 
+(* --- plan application: Differential and Model apply plans alike ---- *)
+
+(* Plans the other unit tests never build: two blocks on one device, a
+   block for a device the network lacks, and a device added by the plan
+   and then configured by a block. *)
+let application_plans (g : G.t) : Cp.t list =
+  let configs = (input_of g).Lint.li_configs in
+  let dev, dev_cfg =
+    List.find
+      (fun (_, (c : Types.t)) ->
+        c.Types.dc_vendor = "vendorA"
+        && c.Types.dc_bgp.Types.bgp_neighbors <> [])
+      (Smap.bindings configs)
+  in
+  let asn = dev_cfg.Types.dc_bgp.Types.bgp_asn in
+  let some_nb =
+    (List.hd dev_cfg.Types.dc_bgp.Types.bgp_neighbors).Types.nb_addr
+  in
+  let network p = Printf.sprintf "router bgp %d\n network %s\n" asn p in
+  let peer = fst (List.hd (List.rev (Smap.bindings configs))) in
+  let fresh =
+    {
+      Topology.name = "zz-new01";
+      vendor = "vendorA";
+      asn;
+      router_id = Ip.of_string_exn "10.254.0.1";
+      region = "r00";
+      role = Topology.Wan_core;
+    }
+  in
+  [
+    Cp.make "two-blocks"
+      ~commands:
+        [
+          (dev, network "198.51.100.0/24");
+          ( dev,
+            network "198.51.101.0/24"
+            ^ Printf.sprintf "no router bgp neighbor %s\n"
+                (Ip.to_string some_nb) );
+        ];
+    Cp.make "unknown-device"
+      ~commands:
+        [ ("no-such-router", network "198.51.100.0/24");
+          (dev, network "198.51.102.0/24") ];
+    Cp.make "add-device"
+      ~topo_ops:
+        [
+          Cp.Add_device fresh;
+          Cp.Add_link
+            { la = fresh.Topology.name; la_if = "Eth0"; lb = peer;
+              lb_if = "Eth99"; l_bandwidth = 10e9 };
+        ]
+      ~commands:
+        [
+          ( fresh.Topology.name,
+            Printf.sprintf
+              "interface Eth0\n ip address 10.254.1.1/31\n\
+               router bgp %d\n network 198.51.103.0/24\n"
+              asn );
+        ];
+  ]
+
+let test_plan_application () =
+  let g = Lazy.force small in
+  let input = input_of g in
+  List.iter
+    (fun (plan : Cp.t) ->
+      let name = plan.Cp.cp_name in
+      let d = Differential.diff input plan in
+      let m, reports = Model.apply_change_plan g.G.model plan in
+      let patched = d.Differential.df_patched_input in
+      check tbool (name ^ ": patched configs agree") true
+        (Smap.equal ( = ) patched.Lint.li_configs m.Model.configs);
+      let topo = Option.get patched.Lint.li_topo in
+      check
+        Alcotest.(list string)
+        (name ^ ": patched devices agree")
+        (Topology.device_names m.Model.topo)
+        (Topology.device_names topo);
+      check tbool (name ^ ": patched links agree") true
+        (Topology.edges topo = Topology.edges m.Model.topo);
+      check tbool (name ^ ": reports agree") true
+        (d.Differential.df_reports = reports);
+      check tint
+        (name ^ ": one report per block")
+        (List.length plan.Cp.cp_commands)
+        (List.length reports);
+      (* per device, the block diffs chain from the pre-block config to
+         the patched one *)
+      let by_dev = Hashtbl.create 8 in
+      List.iter
+        (fun (dd : Differential.device_diff) ->
+          let dev = dd.Differential.dd_device in
+          (match Hashtbl.find_opt by_dev dev with
+          | Some (prev : Types.t) ->
+              check tbool (name ^ ": block diffs compose on " ^ dev) true
+                (prev = dd.Differential.dd_base)
+          | None ->
+              check tbool (name ^ ": first block starts from the base") true
+                (match Smap.find_opt dev input.Lint.li_configs with
+                | Some base -> base = dd.Differential.dd_base
+                | None -> dd.Differential.dd_base.Types.dc_ifaces = []));
+          Hashtbl.replace by_dev dev dd.Differential.dd_patched)
+        d.Differential.df_devices;
+      Hashtbl.iter
+        (fun dev last ->
+          check tbool (name ^ ": last block yields the patched config") true
+            (Smap.find_opt dev m.Model.configs = Some last))
+        by_dev)
+    (application_plans g);
+  match application_plans g with
+  | [ two; unknown; added ] ->
+      let d = Differential.diff input two in
+      check tint "two blocks on one device: two device diffs" 2
+        (List.length d.Differential.df_devices);
+      let d = Differential.diff input unknown in
+      check tint "an unknown device gets no device diff" 1
+        (List.length d.Differential.df_devices);
+      check tbool "an unknown device is reported" true
+        (List.exists
+           (fun (r : Cp.apply_report) ->
+             r.Cp.ar_device = "no-such-router" && r.Cp.ar_issues <> [])
+           d.Differential.df_reports);
+      let d = Differential.diff input added in
+      check tbool "the added device's block applied cleanly" true
+        (List.for_all
+           (fun (r : Cp.apply_report) -> r.Cp.ar_issues = [])
+           d.Differential.df_reports);
+      check tbool "the added device is configured" true
+        (match
+           Smap.find_opt "zz-new01"
+             d.Differential.df_patched_input.Lint.li_configs
+         with
+        | Some cfg -> cfg.Types.dc_ifaces <> []
+        | None -> false)
+  | _ -> assert false
+
 let suite =
   [
     Alcotest.test_case "empty plan is a no-op" `Quick test_empty_plan;
+    Alcotest.test_case "plan application agrees with the model" `Quick
+      test_plan_application;
     qtest prop_empty_plan_carries_everything;
     qtest prop_restatement_is_noop;
     Alcotest.test_case "re-applying a block is idempotent" `Quick

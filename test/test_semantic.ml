@@ -9,6 +9,8 @@ open Hoyan_net
 module B = Hoyan_workload.Builder
 module G = Hoyan_workload.Generator
 module Types = Hoyan_config.Types
+module Policy = Hoyan_config.Policy
+module Vsb = Hoyan_config.Vsb
 module Cp = Hoyan_config.Change_plan
 module D = Hoyan_analysis.Diagnostics
 module Lint = Hoyan_analysis.Lint
@@ -331,6 +333,113 @@ let test_baseline_roundtrip () =
   check tint "suppressed-and-new exits on the new error" 2
     (D.exit_code (D.apply_baseline ~baseline:recorded (fresh :: ds)))
 
+(* --- the three-valued walk is sound against Policy.eval ------------- *)
+
+(* Random policies over a fixed filter set: prefix-list clauses (defined
+   in either family, or undefined) and family clauses decide on the
+   prefix; community and tag clauses never do.  Nodes may lack an action
+   or continue to the next node; the attached name may be absent or
+   undefined.  [tri_eval] must agree with [Policy.eval] whenever it gives
+   a definite answer, and must give one when every clause is
+   prefix-decidable. *)
+let prop_tri_eval_sound =
+  let open QCheck.Gen in
+  let pe seq action p ge le =
+    { Types.pe_seq = seq; pe_action = action; pe_prefix = pfx p; pe_ge = ge;
+      pe_le = le }
+  in
+  let pl name fam entries =
+    (name, { Types.pl_name = name; pl_family = fam; pl_entries = entries })
+  in
+  let prefix_lists =
+    Types.Smap.of_seq
+      (List.to_seq
+         [
+           pl "PL4A" Ip.Ipv4
+             [ pe 5 Types.Deny "10.0.1.0/24" None None;
+               pe 10 Types.Permit "10.0.0.0/16" None (Some 24) ];
+           pl "PL4B" Ip.Ipv4
+             [ pe 5 Types.Permit "192.168.0.0/16" (Some 24) None ];
+           pl "PL6" Ip.Ipv6
+             [ pe 5 Types.Permit "2001:db8::/32" None (Some 64) ];
+         ])
+  in
+  let comm = Community.make 65000 1 in
+  let community_lists =
+    Types.Smap.singleton "CL"
+      { Types.cl_name = "CL";
+        cl_entries = [ { Types.ce_seq = 5; ce_action = Types.Permit;
+                         ce_members = [ comm ] } ] }
+  in
+  let prefixes =
+    List.map pfx
+      [ "10.0.0.0/24"; "10.0.1.0/24"; "10.0.0.0/16"; "192.168.1.0/24";
+        "172.16.0.0/12"; "2001:db8::/48"; "2001:db8::/32"; "2001:db9::/32" ]
+  in
+  let decidable =
+    oneofl
+      [ Types.Match_prefix_list "PL4A"; Types.Match_prefix_list "PL4B";
+        Types.Match_prefix_list "PL6"; Types.Match_prefix_list "PLX";
+        Types.Match_family Ip.Ipv4; Types.Match_family Ip.Ipv6 ]
+  in
+  let undecidable =
+    oneofl
+      [ Types.Match_community_list "CL"; Types.Match_community_list "CLX";
+        Types.Match_tag 0; Types.Match_tag 7 ]
+  in
+  let gen_node ~only_decidable i =
+    let clause =
+      if only_decidable then decidable
+      else frequency [ (3, decidable); (2, undecidable) ]
+    in
+    map4
+      (fun action matches sets goto_next ->
+        { Types.pn_seq = 10 * (i + 1); pn_action = action;
+          pn_matches = matches; pn_sets = sets; pn_goto_next = goto_next })
+      (oneofl [ Some Types.Permit; Some Types.Deny; None ])
+      (list_size (int_bound 3) clause)
+      (oneofl [ []; [ Types.Set_tag 7 ]; [ Types.Set_local_pref 300 ] ])
+      (frequency [ (3, return false); (1, return true) ])
+  in
+  let gen_case =
+    bool >>= fun only_decidable ->
+    int_bound 4 >>= fun n ->
+    flatten_l (List.init n (gen_node ~only_decidable)) >>= fun nodes ->
+    oneofl [ "vendorA"; "vendorB" ] >>= fun vendor ->
+    oneofl [ Some "RP"; Some "UNDEF"; None ] >>= fun name ->
+    bool >>= fun ebgp ->
+    oneofl prefixes >>= fun p ->
+    bool >>= fun tagged ->
+    bool >>= fun with_comm ->
+    let cfg =
+      { (Types.empty ~device:"d" ~vendor) with
+        Types.dc_prefix_lists = prefix_lists;
+        dc_community_lists = community_lists;
+        dc_policies =
+          Types.Smap.singleton "RP" { Types.rp_name = "RP"; rp_nodes = nodes } }
+    in
+    let r =
+      Route.make ~device:"d" ~prefix:p ~tag:(if tagged then 7 else 0)
+        ~communities:
+          (Community.Set.of_list (if with_comm then [ comm ] else []))
+        ()
+    in
+    return (only_decidable, cfg, name, ebgp, r)
+  in
+  let print (_, (cfg : Types.t), name, ebgp, (r : Route.t)) =
+    Printf.sprintf "%s %s ebgp=%b %s nodes=%d" cfg.Types.dc_vendor
+      (Option.value name ~default:"-") ebgp (Route.to_string r)
+      (List.length (Types.Smap.find "RP" cfg.Types.dc_policies).Types.rp_nodes)
+  in
+  QCheck.Test.make ~name:"tri_eval is sound against Policy.eval" ~count:3000
+    (QCheck.make ~print gen_case)
+    (fun (only_decidable, cfg, name, ebgp, r) ->
+      let v = Policy.eval ~ebgp cfg (Vsb.of_config cfg) name r in
+      match Semantic.tri_eval cfg name ~ebgp r.Route.prefix with
+      | Semantic.TYes -> v.Policy.pv_action = Types.Permit
+      | Semantic.TNo -> v.Policy.pv_action = Types.Deny
+      | Semantic.TUnknown -> not only_decidable)
+
 let suite =
   [
     Alcotest.test_case "clean corpus: zero semantic findings" `Quick
@@ -344,6 +453,8 @@ let suite =
       test_sim_crosscheck;
     Alcotest.test_case "pre-checker wired into Verify_request" `Quick
       test_verify_request_skip;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 7741 |])
+      prop_tri_eval_sound;
     Alcotest.test_case "lint exit-code contract" `Quick test_exit_code;
     Alcotest.test_case "baseline suppression round-trip" `Quick
       test_baseline_roundtrip;
