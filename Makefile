@@ -90,13 +90,19 @@ whatif-bench:
 
 # Incremental-splice soundness gate: `hoyan verify --inc --selfcheck`
 # runs the dirty-region splice AND a full from-scratch patched run
-# in-process and asserts the RIB + traffic results are identical (exit
-# 1 on mismatch), then the incremental test suite replays the oracle
-# over a qcheck plan family including withdraw-only/no-op plans and a
-# deliberately pruned (unsound) dirty set (DESIGN.md §2.10).
+# in-process and asserts the RIB, FIB + traffic results are identical
+# (exit 1 on mismatch), first on a no-op plan, then on a static-route
+# plan whose FIB patch rebinds a BGP-learned slot (its intent holds, so
+# exit 0 also means the verdict passed); then the incremental test suite
+# replays the oracle over a qcheck plan family including
+# withdraw-only/no-op/static/more-specific plans and a deliberately
+# pruned (unsound) dirty set (DESIGN.md §2.10).
 inc:
 	dune build @all
 	dune exec bin/hoyan_cli.exe -- verify --inc --selfcheck
+	dune exec bin/hoyan_cli.exe -- verify --inc --selfcheck \
+	  --plan examples/static_route_plan.txt --device r00-bdr01 \
+	  --intent 'prefix != 100.0.29.0/24 => PRE = POST'
 	dune exec test/test_main.exe -- test incremental
 
 # 300-plan mixed batch against one captured converged base: spliced

@@ -328,9 +328,10 @@ let verify params seed plan_file devices intents distributed fail_prob
     | Some cx when selfcheck ->
         let ck = Incremental.selfcheck cx rq.Verify_request.rq_plan in
         Printf.printf
-          "selfcheck: rib %s, traffic %s (%d dirty prefix(es), %d delta \
-           row(s), %d reused%s)\n"
+          "selfcheck: rib %s, fib %s, traffic %s (%d dirty prefix(es), %d \
+           delta row(s), %d reused%s)\n"
           (if ck.Incremental.ck_rib_ok then "identical" else "MISMATCH")
+          (if ck.Incremental.ck_fib_ok then "identical" else "MISMATCH")
           (if ck.Incremental.ck_traffic_ok then "identical" else "MISMATCH")
           ck.Incremental.ck_stats.Incremental.st_dirty_prefixes
           ck.Incremental.ck_stats.Incremental.st_delta_rows
@@ -396,10 +397,10 @@ let verify_cmd =
   let selfcheck =
     Arg.(value & flag
          & info [ "selfcheck" ]
-             ~doc:"Run the splice oracle: the incrementally spliced RIB \
-                   and traffic must be byte-identical to a full \
-                   from-scratch run of the patched model.  Non-zero \
-                   exit on mismatch.")
+             ~doc:"Run the splice oracle: the incrementally spliced RIB, \
+                   the patched FIBs and the traffic must be identical to \
+                   a full from-scratch run of the patched model.  \
+                   Non-zero exit on mismatch.")
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Verify a change plan against RCL intents")

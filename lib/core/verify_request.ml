@@ -520,7 +520,7 @@ let report (r : result) : string =
          else
            Printf.sprintf
              "incremental: %d dirty prefix(es), %d delta row(s) spliced \
-              over %d reused, %d device FIB(s) rebuilt\n"
+              over %d reused, %d dirty device(s)\n"
              st.Incremental.st_dirty_prefixes st.Incremental.st_delta_rows
              st.Incremental.st_reused_rows st.Incremental.st_dirty_devices)
   | None -> ());

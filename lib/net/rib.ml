@@ -103,16 +103,21 @@ module Key = struct
       ~vrfs:(List.map (fun (r : Route.t) -> r.Route.vrf) rs)
       ~prefixes:(List.map (fun (r : Route.t) -> r.Route.prefix) rs)
 
-  let of_route (ctx : ctx) (r : Route.t) : int option =
-    match Hashtbl.find_opt ctx.dev_ids r.Route.device with
+  (** The packed key of a (device, vrf, prefix) slot; [None] when any
+      part is outside the universe. *)
+  let of_slot (ctx : ctx) ~device ~vrf ~prefix : int option =
+    match Hashtbl.find_opt ctx.dev_ids device with
     | None -> None
     | Some d -> (
-        match Hashtbl.find_opt ctx.vrf_ids r.Route.vrf with
+        match Hashtbl.find_opt ctx.vrf_ids vrf with
         | None -> None
         | Some v -> (
-            match Prefix.Map.find_opt r.Route.prefix ctx.pfx_ids with
+            match Prefix.Map.find_opt prefix ctx.pfx_ids with
             | None -> None
             | Some p -> Some ((((d * ctx.vrf_radix) + v) * ctx.pfx_radix) + p)))
+
+  let of_route (ctx : ctx) (r : Route.t) : int option =
+    of_slot ctx ~device:r.Route.device ~vrf:r.Route.vrf ~prefix:r.Route.prefix
 
   (** The dense id of a universe prefix, in [0, pfx_radix); [None] for a
       prefix outside the universe (it owns no keyed row). *)
@@ -290,6 +295,32 @@ module Arena = struct
       copy_run 0;
       { keys; rows; overflow }
     end
+
+  (** The rows of one (device, vrf, prefix) slot, [Route.compare]-sorted:
+      a binary search for the slot's key run when the slot is keyable in
+      [ctx] (the ctx [t] was keyed with), else a filter of the overflow
+      list, where every row of an unkeyable slot lives. *)
+  let slot_rows (ctx : Key.ctx) (t : t) ~device ~vrf ~prefix : Route.t list =
+    match Key.of_slot ctx ~device ~vrf ~prefix with
+    | None ->
+        List.filter
+          (fun (r : Route.t) ->
+            String.equal r.Route.device device
+            && String.equal r.Route.vrf vrf
+            && Prefix.equal r.Route.prefix prefix)
+          t.overflow
+    | Some k ->
+        let n = Array.length t.keys in
+        (* first index whose key is >= k *)
+        let lo = ref 0 and hi = ref n in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if t.keys.(mid) < k then lo := mid + 1 else hi := mid
+        done;
+        let rec collect i =
+          if i < n && t.keys.(i) = k then t.rows.(i) :: collect (i + 1) else []
+        in
+        collect !lo
 
   (** Pairwise-round merge of many arenas into one global RIB, in
       exactly the order [List.sort_uniq Route.compare] would produce

@@ -35,23 +35,27 @@ let add t prefix v =
     in
     { t with root = go t.root 0 }
 
-(** [update t prefix f] applies [f] to the current binding (or [None]). *)
+(** [update t prefix f] applies [f] to the current binding (or [None]).
+    Spine nodes left with no binding and no children are pruned, so a
+    trie whose last binding is removed {!is_empty}. *)
 let update t prefix f =
   if Prefix.family prefix <> t.family then invalid_arg "Trie.update: family"
   else
     let ip = Prefix.ip prefix and len = Prefix.len prefix in
+    let prune n =
+      if n.value = None && n.zero = None && n.one = None then None else Some n
+    in
     let rec go node depth =
-      if depth = len then { node with value = f node.value }
+      if depth = len then prune { node with value = f node.value }
       else if Ip.bit ip depth then
         let child = Option.value node.one ~default:empty_node in
-        { node with one = Some (go child (depth + 1)) }
+        prune { node with one = go child (depth + 1) }
       else
         let child = Option.value node.zero ~default:empty_node in
-        { node with zero = Some (go child (depth + 1)) }
+        prune { node with zero = go child (depth + 1) }
     in
-    { t with root = go t.root 0 }
+    { t with root = Option.value (go t.root 0) ~default:empty_node }
 
-(** Remove a binding (the trie is not pruned; fine for our usage). *)
 let remove t prefix = update t prefix (fun _ -> None)
 
 let find_exact t prefix =
@@ -235,6 +239,8 @@ module Dual = struct
   type nonrec 'a t = { v4 : 'a t; v6 : 'a t }
 
   let empty = { v4 = empty Ip.Ipv4; v6 = empty Ip.Ipv6 }
+
+  let is_empty t = is_empty t.v4 && is_empty t.v6
 
   let add t prefix v =
     match Prefix.family prefix with

@@ -15,7 +15,8 @@ val is_empty : 'a t -> bool
 val add : 'a t -> Prefix.t -> 'a -> 'a t
 
 (** [update t prefix f] rewrites the binding through [f] (receives
-    [None] when absent; returning [None] removes). *)
+    [None] when absent; returning [None] removes).  Removal prunes the
+    emptied spine, so {!is_empty} holds once the last binding is gone. *)
 val update : 'a t -> Prefix.t -> ('a option -> 'a option) -> 'a t
 
 val remove : 'a t -> Prefix.t -> 'a t
@@ -60,6 +61,8 @@ module Dual : sig
   type 'a t
 
   val empty : 'a t
+
+  val is_empty : 'a t -> bool
 
   val add : 'a t -> Prefix.t -> 'a -> 'a t
 

@@ -214,28 +214,89 @@ let compute_diff ?tm (cx : ctx) (plan : Cp.t) : Differential.diff =
     (Lint.make ~topo:m.Model.topo ~render:false m.Model.configs)
     plan
 
-(* Devices whose local tables differ between base and patched model:
-   their FIBs can change even without a BGP row change. *)
-let changed_local_devices (base : Model.t) (patched : Model.t) : string list =
-  let devs = ref [] in
+(* Devices whose local tables differ between base and patched model
+   (their FIBs can change even without a BGP row change), each with the
+   default-VRF prefixes of the rows in the symmetric difference — the
+   only slots on it the change can rebind. *)
+let changed_local_devices (base : Model.t) (patched : Model.t) :
+    (string * Prefix.t list) list =
   let keys m =
     Smap.fold (fun k _ acc -> k :: acc) m.Model.local_tables []
   in
-  List.iter
+  List.filter_map
     (fun dev ->
       let rows m =
         Option.value (Smap.find_opt dev m.Model.local_tables) ~default:[]
       in
-      if not (List.equal Route.equal (rows base) (rows patched)) then
-        devs := dev :: !devs)
-    (List.sort_uniq String.compare (keys base @ keys patched));
-  !devs
+      let b = rows base and p = rows patched in
+      if List.equal Route.equal b p then None
+      else
+        Some
+          ( dev,
+            Rib.Global.diff b p @ Rib.Global.diff p b
+            |> List.filter_map (fun (r : Route.t) ->
+                   if String.equal r.Route.vrf Route.default_vrf then
+                     Some r.Route.prefix
+                   else None)
+            |> List.sort_uniq Prefix.compare ))
+    (List.sort_uniq String.compare (keys base @ keys patched))
+
+(* The FIB-dirty slots of a splice with their post-change default-VRF
+   rows, gathered without scanning the spliced RIB.  A re-converged
+   prefix is dirty on every device (the base FIB devices and the
+   patched model's): its rows are the delta rows plus the patched local
+   rows.  A local-only slot ([local_slots], a device's local-table
+   symmetric difference off the dirty set) carries its clean base BGP
+   rows plus the patched local rows. *)
+let fib_slots (cx : ctx) (patched : Model.t) ~(dirty : unit Prefix.Tbl.t)
+    ~(delta_rows : Route.t list)
+    ~(local_slots : (string * Prefix.t * Route.t list) list) :
+    (string * Prefix.t * Route.t list) list =
+  let slots : (string * Prefix.t, Route.t list) Hashtbl.t =
+    Hashtbl.create 256
+  in
+  let local_devs = Hashtbl.create 16 in
+  List.iter
+    (fun (dev, p, rows) ->
+      Hashtbl.replace local_devs dev ();
+      Hashtbl.replace slots (dev, p) rows)
+    local_slots;
+  let devices =
+    Hashtbl.fold (fun dev _ acc -> dev :: acc) cx.cx_fibs []
+    @ Smap.fold (fun dev _ acc -> dev :: acc) patched.Model.configs []
+    |> List.sort_uniq String.compare
+  in
+  Prefix.Tbl.iter
+    (fun p () ->
+      List.iter (fun dev -> Hashtbl.replace slots (dev, p) []) devices)
+    dirty;
+  let add (r : Route.t) =
+    if String.equal r.Route.vrf Route.default_vrf then
+      let key = (r.Route.device, r.Route.prefix) in
+      match Hashtbl.find_opt slots key with
+      | Some rows -> Hashtbl.replace slots key (r :: rows)
+      | None -> ()
+  in
+  List.iter add delta_rows;
+  Smap.iter
+    (fun dev rows ->
+      if Hashtbl.mem local_devs dev then List.iter add rows
+      else
+        List.iter
+          (fun (r : Route.t) ->
+            if Prefix.Tbl.mem dirty r.Route.prefix then add r)
+          rows)
+    patched.Model.local_tables;
+  Hashtbl.fold
+    (fun (dev, p) rows acc ->
+      (dev, p, List.sort_uniq Route.compare rows) :: acc)
+    slots []
 
 let make_traffic tm (cx : ctx) (model : Model.t) rib fibs ecx =
   lazy
-    (Telemetry.with_span tm "inc.traffic" (fun () ->
-         Traffic_sim.run ~tm ~fibs:(Lazy.force fibs) ~ecx:(Lazy.force ecx)
-           model ~rib ~flows:cx.cx_flows ()))
+    (let fibs = Lazy.force fibs and ecx = Lazy.force ecx in
+     Telemetry.with_span tm "inc.traffic" (fun () ->
+         Traffic_sim.run ~tm ~fibs ~ecx model ~rib ~flows:cx.cx_flows ()))
 
 (* The full-run escape hatch: canonicalized so cached artifacts and the
    oracle compare the same representation either way. *)
@@ -250,7 +311,12 @@ let full_fallback tm (cx : ctx) (d : Differential.diff) (plan : Cp.t)
   in
   let rib = List.sort_uniq Route.compare full.Route_sim.rib in
   let fibs = lazy (Traffic_sim.build_fibs rib) in
-  let ecx = lazy (Traffic_sim.ec_ctx patched (Lazy.force fibs)) in
+  let ecx =
+    lazy
+      (let fibs = Lazy.force fibs in
+       Telemetry.with_span tm "inc.ec_ctx" (fun () ->
+           Traffic_sim.ec_ctx patched fibs))
+  in
   {
     s_plan = plan;
     s_model = patched;
@@ -358,8 +424,25 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
                 Rib.Arena.merge [ clean; delta; locals ])
           in
           List.iter (fun (r : Route.t) -> mark r.Route.device) delta_rows;
-          List.iter mark (changed_local_devices cx.cx_model patched);
-          let dirty_dev d = Hashtbl.mem dirty_devs d in
+          let local_changes = changed_local_devices cx.cx_model patched in
+          List.iter (fun (dev, _) -> mark dev) local_changes;
+          (* a local-only slot's base BGP rows, looked up now so the lazy
+             FIB patch does not keep the clean arena alive *)
+          let local_slots =
+            List.concat_map
+              (fun (dev, prefixes) ->
+                List.filter_map
+                  (fun p ->
+                    if is_dirty p then None
+                    else
+                      Some
+                        ( dev,
+                          p,
+                          Rib.Arena.slot_rows cx.cx_key clean ~device:dev
+                            ~vrf:Route.default_vrf ~prefix:p ))
+                  prefixes)
+              local_changes
+          in
           let stats =
             {
               st_class = d.Differential.df_class;
@@ -383,14 +466,32 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
                 ("reused_rows", Journal.I stats.st_reused_rows);
                 ("delta_rows", Journal.I stats.st_delta_rows);
               ];
-          let fibs =
+          let patch =
             lazy
-              (Telemetry.with_span tm "inc.rebuild_fibs" (fun () ->
-                   Traffic_sim.rebuild_fibs ~base:cx.cx_fibs ~dirty:dirty_dev
-                     rib))
+              (let sp = Telemetry.span tm "inc.patch_fibs" in
+               let fp =
+                 Traffic_sim.patch_fibs ~base:cx.cx_fibs ~base_ecx:cx.cx_ecx
+                   (fib_slots cx patched ~dirty:dirty_tbl ~delta_rows
+                      ~local_slots)
+               in
+               Telemetry.finish tm sp
+                 ~args:
+                   [
+                     ( "fib_dirty_prefixes",
+                       string_of_int fp.Traffic_sim.fp_prefixes );
+                     ( "patched_devices",
+                       string_of_int fp.Traffic_sim.fp_devices );
+                     ( "union_changed",
+                       string_of_int (List.length fp.Traffic_sim.fp_union) );
+                   ];
+               fp)
           in
+          let fibs = lazy (Lazy.force patch).Traffic_sim.fp_fibs in
           let ecx =
-            lazy (Traffic_sim.ec_ctx patched (Lazy.force fibs))
+            lazy
+              (let fp = Lazy.force patch in
+               Telemetry.with_span tm "inc.ec_ctx" (fun () ->
+                   Traffic_sim.patch_ec_ctx ~base:cx.cx_ecx patched fp))
           in
           {
             s_plan = plan;
@@ -427,11 +528,32 @@ let scenario_only (cx : ctx) ~(prefixes : Prefix.t list) :
 type check = {
   ck_ok : bool;
   ck_rib_ok : bool;
+  ck_fib_ok : bool;
   ck_traffic_ok : bool;
   ck_stats : stats;
   ck_missing : Route.t list;
   ck_extra : Route.t list;
 }
+
+(* Every device's bindings equal, leaf lists by [Route.equal]; an absent
+   trie and an empty one are the same FIB. *)
+let fibs_identical (a : Traffic_sim.fib) (b : Traffic_sim.fib) : bool =
+  let bindings fibs dev =
+    match Hashtbl.find_opt fibs dev with
+    | Some trie -> Trie.Dual.to_list trie
+    | None -> []
+  in
+  let devices =
+    Hashtbl.fold (fun dev _ acc -> dev :: acc) a []
+    @ Hashtbl.fold (fun dev _ acc -> dev :: acc) b []
+    |> List.sort_uniq String.compare
+  in
+  List.for_all
+    (fun dev ->
+      List.equal
+        (fun (p, l) (q, m) -> Prefix.equal p q && List.equal Route.equal l m)
+        (bindings a dev) (bindings b dev))
+    devices
 
 let traffic_identical (a : Traffic_sim.result) (b : Traffic_sim.result) :
     bool =
@@ -439,12 +561,17 @@ let traffic_identical (a : Traffic_sim.result) (b : Traffic_sim.result) :
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) r.Traffic_sim.link_load []
     |> List.sort compare
   in
+  let path_equal (p : Traffic_sim.path) (q : Traffic_sim.path) =
+    List.equal String.equal p.Traffic_sim.hops q.Traffic_sim.hops
+    && p.Traffic_sim.fraction = q.Traffic_sim.fraction
+  in
   loads a = loads b
   && List.length a.Traffic_sim.flow_results
      = List.length b.Traffic_sim.flow_results
   && List.for_all2
        (fun (x : Traffic_sim.flow_result) (y : Traffic_sim.flow_result) ->
          Flow.equal x.Traffic_sim.f_flow y.Traffic_sim.f_flow
+         && List.equal path_equal x.Traffic_sim.f_paths y.Traffic_sim.f_paths
          && x.Traffic_sim.f_delivered = y.Traffic_sim.f_delivered
          && x.Traffic_sim.f_dropped = y.Traffic_sim.f_dropped
          && x.Traffic_sim.f_looped = y.Traffic_sim.f_looped)
@@ -464,25 +591,35 @@ let selfcheck ?tm ?(traffic = true) ?prune_dirty (cx : ctx) (plan : Cp.t) :
   let rib_ok = List.equal Route.equal full sim.s_rib in
   let missing = if rib_ok then [] else Rib.Global.diff full sim.s_rib in
   let extra = if rib_ok then [] else Rib.Global.diff sim.s_rib full in
-  let traffic_ok =
-    if not traffic then true
+  let fib_ok, traffic_ok =
+    if not traffic then (true, true)
     else
-      let full_traffic =
-        Traffic_sim.run ~tm patched ~rib:full ~flows:cx.cx_flows ()
+      let fibs = Traffic_sim.build_fibs full in
+      let ecx = Traffic_sim.ec_ctx patched fibs in
+      let fib_ok =
+        fibs_identical fibs (Lazy.force sim.s_fibs)
+        && List.equal Prefix.equal
+             (Traffic_sim.union_prefixes ecx)
+             (Traffic_sim.union_prefixes (Lazy.force sim.s_ecx))
       in
-      traffic_identical full_traffic (Lazy.force sim.s_traffic)
+      let full_traffic =
+        Traffic_sim.run ~tm ~fibs ~ecx patched ~rib:full ~flows:cx.cx_flows ()
+      in
+      (fib_ok, traffic_identical full_traffic (Lazy.force sim.s_traffic))
   in
   if Telemetry.enabled tm then
     Telemetry.event tm "inc.selfcheck"
       [
         ("rib_ok", Journal.B rib_ok);
+        ("fib_ok", Journal.B fib_ok);
         ("traffic_ok", Journal.B traffic_ok);
         ("missing", Journal.I (List.length missing));
         ("extra", Journal.I (List.length extra));
       ];
   {
-    ck_ok = rib_ok && traffic_ok;
+    ck_ok = rib_ok && fib_ok && traffic_ok;
     ck_rib_ok = rib_ok;
+    ck_fib_ok = fib_ok;
     ck_traffic_ok = traffic_ok;
     ck_stats = sim.s_stats;
     ck_missing = missing;

@@ -18,9 +18,15 @@
     cuts the dirty rows out of the base arena by testing each packed
     key's prefix digit against it (reporting the dropped rows' devices),
     the delta rows take their place and the local tables are swapped for
-    the patched model's.  FIB tries are rebuilt only for dirty devices
-    ([Traffic_sim.rebuild_fibs]); clean devices share the base tries
-    (sound because FIB leaves are order-canonical).
+    the patched model's.  The FIBs are the base tries patched per
+    FIB-dirty (device, prefix) slot ([Traffic_sim.patch_fibs]): every
+    dirty prefix on every device, plus each slot in a device's
+    local-table symmetric difference.  A slot's post-change rows come
+    from the delta rows, the patched local tables and, for a local-only
+    slot, a binary search of the clean arena — never from a scan of the
+    spliced RIB.  The EC union trie is patched the same way
+    ([Traffic_sim.patch_ec_ctx]).  Untouched slots keep sharing the
+    base tries (sound because FIB leaves are order-canonical).
 
     Per-plan cost of a restricted plan: the dirty-set computation over
     the prefix universe, the restricted fixpoint, one int test per base
@@ -71,7 +77,9 @@ type stats = {
   st_full_fallback : bool;  (** the plan was too broad; a full run ran *)
   st_fallback_reason : string option;
   st_dirty_prefixes : int;  (** prefixes re-converged *)
-  st_dirty_devices : int;  (** devices whose FIB tries were rebuilt *)
+  st_dirty_devices : int;
+      (** devices owning a dropped or delta row, or whose local table
+          changed *)
   st_reused_rows : int;  (** base rows spliced through unchanged *)
   st_delta_rows : int;  (** rows produced by the restricted fixpoint *)
 }
@@ -124,6 +132,7 @@ val scenario_only : ctx -> prefixes:Prefix.t list -> (Prefix.t -> bool)
 type check = {
   ck_ok : bool;
   ck_rib_ok : bool;
+  ck_fib_ok : bool;  (** FIB tries and the EC union trie *)
   ck_traffic_ok : bool;
   ck_stats : stats;
   ck_missing : Route.t list;  (** rows the splice lost vs the full run *)
@@ -133,7 +142,10 @@ type check = {
 (** Run [simulate] and an independent full from-scratch patched
     simulation, and compare: canonical RIB row lists must be equal
     ([Route.compare]-identical row for row) and, unless [traffic:false],
-    link loads and per-flow delivered/dropped/looped fractions must be
+    the patched FIBs must bind what a from-scratch [build_fibs] over the
+    reference RIB binds on every device (an absent trie equals an empty
+    one), the EC union trie must have the same prefixes, and link loads,
+    per-flow paths and delivered/dropped/looped fractions must be
     float-identical. *)
 val selfcheck :
   ?tm:Hoyan_telemetry.Telemetry.t ->

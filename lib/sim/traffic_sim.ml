@@ -27,21 +27,41 @@ module Smap = Map.Make (String)
 
 type fib = (string, Route.t list Trie.Dual.t) Hashtbl.t
 
-(** Build per-device FIBs (default VRF) from a global RIB: per prefix the
-    lowest-preference protocol wins, and its Best/Ecmp routes are
-    installed.  Leaf route lists are [Route.compare]-sorted, so the trie
-    contents are a function of the RIB's row {e set} — never its list
-    order.  That canonicalization is what lets the incremental engine
-    share clean-device tries between a base build and a spliced rebuild
-    ({!rebuild_fibs}) with byte-identical traffic results.  [keep]
-    restricts the build to a device subset (the splice's dirty set). *)
-let build_fibs ?(keep = fun (_ : string) -> true) (rib : Route.t list) : fib =
+(** The install rule for one (device, prefix) slot: of the slot's
+    rows, the selected (Best/Ecmp) ones of the lowest admin preference,
+    [Route.compare]-sorted.  Protocol selection happens among the
+    selected routes only: BGP has already picked its best path(s), and
+    the admin preference then arbitrates between protocols.  [[]] means
+    nothing is installed. *)
+let install (rows : Route.t list) : Route.t list =
+  let selected =
+    List.filter
+      (fun (r : Route.t) ->
+        match r.Route.route_type with
+        | Route.Best | Route.Ecmp -> true
+        | Route.Backup -> false)
+      rows
+  in
+  let min_pref =
+    List.fold_left (fun m (r : Route.t) -> min m r.Route.preference)
+      max_int selected
+  in
+  List.filter (fun (r : Route.t) -> r.Route.preference = min_pref) selected
+  |> List.sort Route.compare
+
+(** Build per-device FIBs (default VRF) from a global RIB: each
+    (device, prefix) slot binds its {!install}ed routes.  Leaf route
+    lists are [Route.compare]-sorted, so the trie contents are a
+    function of the RIB's row {e set} — never its list order.  That
+    canonicalization is what lets the incremental engine patch a base
+    build slot by slot ({!patch_fibs}) with byte-identical traffic
+    results.  A device with nothing installed gets no trie. *)
+let build_fibs (rib : Route.t list) : fib =
   (* group per device, prefix *)
   let tbl : (string * Prefix.t, Route.t list) Hashtbl.t = Hashtbl.create 4096 in
   List.iter
     (fun (r : Route.t) ->
-      if String.equal r.Route.vrf Route.default_vrf && keep r.Route.device
-      then begin
+      if String.equal r.Route.vrf Route.default_vrf then begin
         let key = (r.Route.device, r.Route.prefix) in
         let existing = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
         Hashtbl.replace tbl key (r :: existing)
@@ -55,56 +75,23 @@ let build_fibs ?(keep = fun (_ : string) -> true) (rib : Route.t list) : fib =
   in
   Hashtbl.iter
     (fun (dev, prefix) routes ->
-      (* protocol selection happens among the *selected* (Best/Ecmp)
-         routes only: BGP has already picked its best path(s), and the
-         admin preference then arbitrates between protocols *)
-      let selected =
-        List.filter
-          (fun (r : Route.t) ->
-            match r.Route.route_type with
-            | Route.Best | Route.Ecmp -> true
-            | Route.Backup -> false)
-          routes
-      in
-      let min_pref =
-        List.fold_left (fun m (r : Route.t) -> min m r.Route.preference)
-          max_int selected
-      in
-      let installed =
-        List.filter
-          (fun (r : Route.t) -> r.Route.preference = min_pref)
-          selected
-        |> List.sort Route.compare
-      in
-      if installed <> [] then begin
-        let b =
-          match Hashtbl.find_opt builders dev with
-          | Some b -> b
-          | None ->
-              let b = Trie.Dual.Builder.create () in
-              Hashtbl.add builders dev b;
-              b
-        in
-        Trie.Dual.Builder.add b prefix installed
-      end)
+      match install routes with
+      | [] -> ()
+      | installed ->
+          let b =
+            match Hashtbl.find_opt builders dev with
+            | Some b -> b
+            | None ->
+                let b = Trie.Dual.Builder.create () in
+                Hashtbl.add builders dev b;
+                b
+          in
+          Trie.Dual.Builder.add b prefix installed)
     tbl;
   let fibs : fib = Hashtbl.create (Hashtbl.length builders) in
   Hashtbl.iter
     (fun dev b -> Hashtbl.replace fibs dev (Trie.Dual.Builder.build b))
     builders;
-  fibs
-
-(** Splice-rebuild: reuse the [base] tries of every clean device and
-    rebuild only the [dirty] ones from the (spliced) global RIB.  Because
-    {!build_fibs} leaves are order-canonical, a clean device's shared
-    trie is identical to what a from-scratch build over the spliced RIB
-    would produce. *)
-let rebuild_fibs ~(base : fib) ~(dirty : string -> bool)
-    (rib : Route.t list) : fib =
-  let fibs = build_fibs ~keep:dirty rib in
-  Hashtbl.iter
-    (fun dev trie -> if not (dirty dev) then Hashtbl.replace fibs dev trie)
-    base;
   fibs
 
 let fib_lookup (fibs : fib) dev (addr : Ip.t) :
@@ -420,13 +407,9 @@ type ec_ctx = {
   ecx_acl : (Types.t * Types.acl) array; (* config, resolved ingress ACL *)
 }
 
-let ec_ctx (model : Model.t) (fibs : fib) : ec_ctx =
-  let b = Trie.Dual.Builder.create () in
-  Hashtbl.iter
-    (fun _dev trie ->
-      ignore
-        (Trie.Dual.fold (fun p _ () -> Trie.Dual.Builder.add b p ()) trie ()))
-    fibs;
+(* The context over a given union trie; the ACL/PBR match contexts are
+   resolved from [model]'s configs. *)
+let ec_ctx_of_union (model : Model.t) (union : unit Trie.Dual.t) : ec_ctx =
   let pbr = ref [] and acl = ref [] in
   Smap.iter
     (fun dev cfg ->
@@ -447,10 +430,100 @@ let ec_ctx (model : Model.t) (fibs : fib) : ec_ctx =
         cfg.Types.dc_ifaces)
     model.Model.configs;
   {
-    ecx_union = Trie.Dual.Builder.build b;
+    ecx_union = union;
     ecx_pbr = Array.of_list (List.rev !pbr);
     ecx_acl = Array.of_list (List.rev !acl);
   }
+
+let ec_ctx (model : Model.t) (fibs : fib) : ec_ctx =
+  let b = Trie.Dual.Builder.create () in
+  Hashtbl.iter
+    (fun _dev trie ->
+      ignore
+        (Trie.Dual.fold (fun p _ () -> Trie.Dual.Builder.add b p ()) trie ()))
+    fibs;
+  ec_ctx_of_union model (Trie.Dual.Builder.build b)
+
+let union_prefixes (ecx : ec_ctx) : Prefix.t list =
+  List.map fst (Trie.Dual.to_list ecx.ecx_union)
+
+(* ------------------------------------------------------------------ *)
+(* Patching a base build                                               *)
+(* ------------------------------------------------------------------ *)
+
+type fib_patch = {
+  fp_fibs : fib;
+  fp_prefixes : int;
+  fp_devices : int;
+  fp_union : (Prefix.t * bool) list;
+}
+
+(** Patch [base] slot by slot: each [(device, prefix, rows)] slot's
+    binding becomes [install rows] ([[]] removes it), through
+    [Trie.Dual.update] on a copy of the table — clean slots and clean
+    devices keep sharing the base tries.  A device whose trie empties is
+    dropped (a from-scratch build never creates an empty trie); a device
+    that gains its first route gets a new one.  Then every prefix whose
+    binding changed somewhere is re-tested for union membership: it is
+    in the union exactly when some device's trie binds it ([find_exact]
+    over the devices), and the flips against [base_ecx]'s union are
+    recorded for {!patch_ec_ctx}.  Cost: slots × trie depth plus changed
+    prefixes × devices; nothing scales with the RIB. *)
+let patch_fibs ~(base : fib) ~(base_ecx : ec_ctx)
+    (slots : (string * Prefix.t * Route.t list) list) : fib_patch =
+  let fibs = Hashtbl.copy base in
+  let prefixes = Prefix.Tbl.create 16 in
+  let devices = Hashtbl.create 16 and changed = Prefix.Tbl.create 16 in
+  List.iter
+    (fun (dev, p, rows) ->
+      Prefix.Tbl.replace prefixes p ();
+      let installed = install rows in
+      let trie =
+        Option.value (Hashtbl.find_opt fibs dev) ~default:Trie.Dual.empty
+      in
+      let old = Option.value (Trie.Dual.find_exact trie p) ~default:[] in
+      if not (List.equal Route.equal old installed) then begin
+        Hashtbl.replace devices dev ();
+        Prefix.Tbl.replace changed p ();
+        let trie =
+          Trie.Dual.update trie p (fun _ ->
+              match installed with [] -> None | l -> Some l)
+        in
+        if Trie.Dual.is_empty trie then Hashtbl.remove fibs dev
+        else Hashtbl.replace fibs dev trie
+      end)
+    slots;
+  let bound p =
+    Hashtbl.fold
+      (fun _ trie b -> b || Option.is_some (Trie.Dual.find_exact trie p))
+      fibs false
+  in
+  let union =
+    Prefix.Tbl.fold
+      (fun p () acc ->
+        let now = bound p in
+        if now = Option.is_some (Trie.Dual.find_exact base_ecx.ecx_union p)
+        then acc
+        else (p, now) :: acc)
+      changed []
+  in
+  {
+    fp_fibs = fibs;
+    fp_prefixes = Prefix.Tbl.length prefixes;
+    fp_devices = Hashtbl.length devices;
+    fp_union = union;
+  }
+
+(** The EC context over a patched FIB set: [base]'s union trie with the
+    patch's membership flips applied, and the ACL/PBR contexts resolved
+    from the (patched) [model]. *)
+let patch_ec_ctx ~(base : ec_ctx) (model : Model.t) (fp : fib_patch) : ec_ctx
+    =
+  ec_ctx_of_union model
+    (List.fold_left
+       (fun u (p, bound) ->
+         if bound then Trie.Dual.add u p () else Trie.Dual.remove u p)
+       base.ecx_union fp.fp_union)
 
 let eval_char (a : Types.acl) (f : Flow.t) =
   match

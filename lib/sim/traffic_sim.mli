@@ -14,18 +14,16 @@ open Hoyan_net
 (** Per-device FIBs (default VRF), as longest-prefix-match tries. *)
 type fib = (string, Route.t list Trie.Dual.t) Hashtbl.t
 
-(** Build FIBs from a global RIB: per prefix, the selected (Best/Ecmp)
-    routes of the lowest-admin-preference protocol are installed.  Leaf
-    lists are [Route.compare]-sorted (trie contents depend on the row
-    set, not list order).  [keep] restricts the build to a device
-    subset. *)
-val build_fibs : ?keep:(string -> bool) -> Route.t list -> fib
+(** The install rule for one (device, prefix) slot's rows: the selected
+    (Best/Ecmp) routes of the lowest-admin-preference protocol,
+    [Route.compare]-sorted; [[]] when nothing is installed.  The one
+    definition {!build_fibs} and {!patch_fibs} share. *)
+val install : Route.t list -> Route.t list
 
-(** Reuse [base]'s tries for clean devices; rebuild only [dirty] devices
-    from the given (spliced) global RIB.  Identical to a from-scratch
-    [build_fibs] when every changed device is marked dirty — the
-    incremental engine's FIB path. *)
-val rebuild_fibs : base:fib -> dirty:(string -> bool) -> Route.t list -> fib
+(** Build FIBs from a global RIB: every default-VRF slot binds its
+    {!install}ed routes (trie contents depend on the row set, not list
+    order); a device with nothing installed gets no trie. *)
+val build_fibs : Route.t list -> fib
 
 val fib_lookup : fib -> string -> Ip.t -> (Prefix.t * Route.t list) option
 
@@ -55,6 +53,37 @@ val flow_ec_key : Model.t -> fib -> Flow.t -> string
 type ec_ctx
 
 val ec_ctx : Model.t -> fib -> ec_ctx
+
+(** The union trie's prefixes, in trie order. *)
+val union_prefixes : ec_ctx -> Prefix.t list
+
+(** A base FIB set patched slot by slot. *)
+type fib_patch = {
+  fp_fibs : fib;
+  fp_prefixes : int;  (** distinct prefixes among the patched slots *)
+  fp_devices : int;  (** devices whose trie changed *)
+  fp_union : (Prefix.t * bool) list;
+      (** union-membership flips against the base EC context: the prefix,
+          and whether some device binds it after the patch *)
+}
+
+(** [patch_fibs ~base ~base_ecx slots] rebinds each [(device, prefix,
+    rows)] slot of a copy of [base] to [install rows] with
+    [Trie.Dual.update] ([[]] removes the binding; a device whose trie
+    empties is dropped, a device gaining its first route gets a trie),
+    and records which changed prefixes enter or leave the union of
+    [base_ecx].  Equal to a from-scratch [build_fibs] over the
+    post-change RIB when [base] was built from the pre-change RIB and
+    [slots] covers, with its post-change default-VRF rows, every slot
+    whose rows changed.  Cost: slots × trie depth. *)
+val patch_fibs :
+  base:fib -> base_ecx:ec_ctx -> (string * Prefix.t * Route.t list) list ->
+  fib_patch
+
+(** [base]'s union trie with the patch's flips applied, and the ACL/PBR
+    contexts resolved from the given (patched) model: equal to [ec_ctx]
+    over the patched FIBs. *)
+val patch_ec_ctx : base:ec_ctx -> Model.t -> fib_patch -> ec_ctx
 
 (** O(address-bits) EC key; partitions at least as finely as
     {!flow_ec_key} (flows it merges are merged by the reference key). *)

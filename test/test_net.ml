@@ -168,7 +168,15 @@ let test_trie_dual () =
     (Trie.Dual.longest_match t (Ip.of_string_exn "2001:db8::1") <> None);
   check tbool "v6 miss" true
     (Trie.Dual.longest_match t (Ip.of_string_exn "2001:db9::1") = None);
-  check tint "cardinal both" 2 (Trie.Dual.cardinal t)
+  check tint "cardinal both" 2 (Trie.Dual.cardinal t);
+  (* removal prunes: once the last binding goes, the trie is empty *)
+  let t = Trie.Dual.remove t (Prefix.of_string_exn "10.0.0.0/8") in
+  check tbool "one family left" false (Trie.Dual.is_empty t);
+  check tbool "removing an absent prefix changes nothing" true
+    (Trie.Dual.to_list (Trie.Dual.remove t (Prefix.of_string_exn "10.0.0.0/24"))
+    = Trie.Dual.to_list t);
+  let t = Trie.Dual.remove t (Prefix.of_string_exn "2001:db8::/32") in
+  check tbool "empty after the last removal" true (Trie.Dual.is_empty t)
 
 (* --- Community / AS path ------------------------------------------------ *)
 
