@@ -8,6 +8,7 @@ module Route_sim = Hoyan_sim.Route_sim
 module Traffic_sim = Hoyan_sim.Traffic_sim
 module Framework = Hoyan_dist.Framework
 module Schedule = Hoyan_dist.Schedule
+module Kfailure = Hoyan_core.Kfailure
 
 let route_ecs () =
   header "Ablation: route-input equivalence classes (§3.1)";
@@ -19,10 +20,9 @@ let route_ecs () =
     time (fun () ->
         Route_sim.run ~use_ecs:false g.G.model ~input_routes:g.G.input_routes ())
   in
-  row "input routes: %d; simulated with ECs: %d (%.2fx compression)"
+  row "input routes: %d; simulated with ECs: %.0f (%.2fx compression)"
     with_ec.Route_sim.input_count
-    (List.length (g.G.input_routes) * 0 + with_ec.Route_sim.input_count
-     / max 1 (int_of_float with_ec.Route_sim.compression))
+    (float_of_int with_ec.Route_sim.input_count /. with_ec.Route_sim.compression)
     with_ec.Route_sim.compression;
   row "route simulation: with ECs %s, without %s (%.1fx faster)"
     (seconds t_ec) (seconds t_plain) (t_plain /. t_ec);
@@ -79,28 +79,21 @@ let subtask_counts () =
       row "%-10d %-12s %10.2fs" n (seconds mk) (quantile 0.99 times))
     [ 10; 25; 50; 100; 200 ]
 
-
-
 let kfailure () =
   header "Fault-tolerance checking (§6.2): k-failure sweep";
-  let module Kfailure = Hoyan_core.Kfailure in
   let g = Lazy.force small in
   (* does the default route survive any single link failure? *)
   let prop =
     Kfailure.prefix_survives
       ~prefix:(Hoyan_net.Prefix.of_string_exn "0.0.0.0/0")
-      ~devices:
-        (Hoyan_net.Topology.device_names
-           g.Hoyan_workload.Generator.model.Hoyan_sim.Model.topo)
+      ~devices:(Hoyan_net.Topology.device_names g.G.model.Hoyan_sim.Model.topo)
   in
   List.iter
     (fun k ->
       let res, dt =
         time (fun () ->
-            Kfailure.check ~max_scenarios:60
-              g.Hoyan_workload.Generator.model
-              ~input_routes:g.Hoyan_workload.Generator.input_routes ~flows:[]
-              ~k prop)
+            Kfailure.check ~max_scenarios:60 g.G.model
+              ~input_routes:g.G.input_routes ~flows:[] ~k prop)
       in
       row "k=%d: %d scenarios checked, %d violation(s) found (%s)" k
         res.Kfailure.kr_scenarios

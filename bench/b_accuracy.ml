@@ -364,8 +364,3 @@ let table5 () =
          else "NO"))
     (Vsb_test.run_all ());
   row "all 16 dimensions are behaviourally observable under differential testing"
-
-let all () =
-  figure9 ();
-  table4 ();
-  table5 ()

@@ -623,8 +623,3 @@ let table6 () =
     corpus;
   row "detection rate: %d/%d risky changes flagged before rollout"
     !all_detected total
-
-let all () =
-  table2 ();
-  table3 ();
-  table6 ()

@@ -5,15 +5,15 @@ module G = Hoyan_workload.Generator
 let quick = ref false
 
 (* Workloads are generated once and shared across sections. *)
-let wan_params () = if !quick then { G.wan with G.g_prefixes = 800 } else G.wan
+let wan =
+  lazy (G.generate (if !quick then { G.wan with G.g_prefixes = 800 } else G.wan))
 
-let wan_dcn_params () =
-  if !quick then
-    { G.wan_dcn with G.g_dcs_per_region = 40; g_prefixes = 1000 }
-  else G.wan_dcn
-
-let wan = lazy (G.generate (wan_params ()))
-let wan_dcn = lazy (G.generate (wan_dcn_params ()))
+let wan_dcn =
+  lazy
+    (G.generate
+       (if !quick then
+          { G.wan_dcn with G.g_dcs_per_region = 40; g_prefixes = 1000 }
+        else G.wan_dcn))
 let small = lazy (G.generate G.small)
 
 let header title =

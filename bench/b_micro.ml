@@ -5,7 +5,6 @@
 open Bechamel
 open Hoyan_net
 module G = Hoyan_workload.Generator
-module B = Hoyan_workload.Builder
 module Types = Hoyan_config.Types
 module Policy = Hoyan_config.Policy
 module Vsb = Hoyan_config.Vsb

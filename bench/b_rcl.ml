@@ -167,7 +167,3 @@ let figure8 () =
   row
     "(paper: >80%% verified within 1 minute on the production WAN; our RIBs \
      are ~1/10 scale)"
-
-let all () =
-  figure6_7 ();
-  figure8 ()

@@ -10,13 +10,9 @@
 
 open B_common
 module G = Hoyan_workload.Generator
-module Route_sim = Hoyan_sim.Route_sim
 module Centralized = Hoyan_sim.Centralized
 module Framework = Hoyan_dist.Framework
-module Schedule = Hoyan_dist.Schedule
 module Split = Hoyan_dist.Split
-module Db = Hoyan_dist.Db
-module Costmodel = Hoyan_dist.Costmodel
 module Flow = Hoyan_net.Flow
 
 let server_counts = [ 1; 2; 4; 6; 8; 10 ]
@@ -43,12 +39,11 @@ let table1 () =
 let figure1 () =
   header "Figure 1: the original centralized simulation";
   let g = Lazy.force wan in
-  (* memory cap calibrated so the WAN fits comfortably and WAN+DCN does
-     not (the paper's server had 791 GB against a production-scale state;
-     we scale both down together) *)
-  (* calibrated so the WAN fits comfortably while WAN+DCN completes only
-     a fraction before exhausting memory, with the tail cut off by the
-     run deadline (mirroring the paper's 30% / 40% / 30% split) *)
+  (* memory cap calibrated so the WAN fits comfortably while WAN+DCN
+     completes only a fraction before exhausting memory, with the tail
+     cut off by the run deadline (mirroring the paper's 30% / 40% / 30%
+     split; the paper's server had 791 GB against a production-scale
+     state, we scale both down together) *)
   let mem_cap = 420 * 1024 * 1024 in
   sub "WAN: centralized simulation time vs fraction of prefixes";
   row "%-22s %-10s %-12s %-8s" "prefixes" "time" "peak-mem" "status";
@@ -180,11 +175,3 @@ let figure5d () =
   row "mean loaded fraction: ordering %.2f vs random %.2f" (avg ordered)
     (avg random);
   row "(paper: >80%% of ordered subtasks load <= 1/3 of RIB files; random loads all)"
-
-let all () =
-  table1 ();
-  figure1 ();
-  figure5a ();
-  figure5b ();
-  figure5c ();
-  figure5d ()

@@ -8,37 +8,11 @@
      dune exec bench/main.exe -- --quick ...   # smaller workloads
      dune exec bench/main.exe -- --micro       # bechamel micro-benchmarks
      dune exec bench/main.exe -- --ablate      # design-choice ablations
-     dune exec bench/main.exe -- --lint        # static-analysis gate cost
-     dune exec bench/main.exe -- --perf --out BENCH_PR6.json
-                                               # multicore perf harness;
-                                               # one JSON per PR
-     dune exec bench/main.exe -- --route-bench # quick route-phase gate:
-                                               # sequential-vs-parallel
-                                               # identity assertion
-     dune exec bench/main.exe -- --telemetry   # telemetry noop/live cost
-                                               # (writes BENCH_PR3.json)
-     dune exec bench/main.exe -- --semantic    # semantic pass + intent
-                                               # pre-checker vs simulation
-                                               # (writes BENCH_PR4.json)
-     dune exec bench/main.exe -- --chaos       # monitor-loop overhead +
-                                               # fault-matrix recovery
-                                               # (writes BENCH_PR5.json)
-     dune exec bench/main.exe -- --diff-bench  # differential change-impact
-                                               # pass vs full patched
-                                               # simulation
-                                               # (writes BENCH_PR7.json)
-     dune exec bench/main.exe -- --serve-bench # multi-tenant request server
-                                               # open-loop load + contract
-                                               # check
-                                               # (writes BENCH_PR8.json)
-     dune exec bench/main.exe -- --whatif-bench# exhaustive k-failure sweep:
-                                               # blast-radius pruning vs
-                                               # brute force
-                                               # (writes BENCH_PR9.json)
-     dune exec bench/main.exe -- --inc-bench   # incremental delta splice
-                                               # vs full re-simulation on
-                                               # a 300-plan mixed batch
-                                               # (writes BENCH_PR10.json) *)
+
+   The verdict-latency benchmark lives in perfbench/; the correctness
+   gates (parallel/sequential identity, chaos recovery, the server's
+   byte-identity contract, the telemetry noop guard) run in the test
+   suite. *)
 
 let sections : (string * string * (unit -> unit)) list =
   [
@@ -58,81 +32,41 @@ let sections : (string * string * (unit -> unit)) list =
     ("table6", "change-risk corpus", B_changes.table6);
   ]
 
-(* "--out FILE" takes a value; pull the pair out of argv before the
-   prefix-based flag/section partition would misroute FILE. *)
-let rec extract_out acc = function
-  | "--out" :: file :: rest -> (Some file, List.rev_append acc rest)
-  | a :: rest -> extract_out (a :: acc) rest
-  | [] -> (None, List.rev acc)
+(* "fig5a" is shorthand for "figure5a" *)
+let canonical arg =
+  let n = String.length arg in
+  if n > 3 && String.sub arg 0 3 = "fig"
+     && not (String.starts_with ~prefix:"figure" arg)
+  then "figure" ^ String.sub arg 3 (n - 3)
+  else arg
+
+let flags = [ "--quick"; "--micro"; "--ablate" ]
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let out, args = extract_out [] args in
-  Option.iter
-    (fun f ->
-      B_perf.output_file := f;
-      B_telemetry.output_file := f;
-      B_semantic.output_file := f;
-      B_chaos.output_file := f;
-      B_diff.output_file := f;
-      B_serve.output_file := f;
-      B_whatif.output_file := f;
-      B_inc.output_file := f)
-    out;
-  let flags, wanted = List.partition (fun a -> String.length a > 2 && String.sub a 0 2 = "--") args in
-  if List.mem "--quick" flags then B_common.quick := true;
+  let raw = List.tl (Array.to_list Sys.argv) in
+  let args = List.map canonical raw in
+  let names = List.map (fun (name, _, _) -> name) sections in
+  let known a = List.mem (canonical a) (flags @ names) in
+  (match List.filter (fun a -> not (known a)) raw with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown argument(s): %s\nflags: %s\nsections: %s\n"
+        (String.concat " " unknown) (String.concat " " flags)
+        (String.concat " " names);
+      exit 2);
+  let has flag = List.mem flag args in
+  if has "--quick" then B_common.quick := true;
   let t0 = Unix.gettimeofday () in
-  if List.mem "--micro" flags then B_micro.run ()
-  else if List.mem "--ablate" flags then B_ablate.all ()
-  else if List.mem "--lint" flags then B_lint.run ()
-  else if List.mem "--perf" flags then B_perf.perf ()
-  else if List.mem "--route-bench" flags then B_perf.route_bench ()
-  else if List.mem "--telemetry" flags then B_telemetry.run ()
-  else if List.mem "--semantic" flags then B_semantic.run ()
-  else if List.mem "--chaos" flags then B_chaos.run ()
-  else if List.mem "--diff-bench" flags then B_diff.run ()
-  else if List.mem "--serve-bench" flags then B_serve.run ()
-  else if List.mem "--whatif-bench" flags then B_whatif.run ()
-  else if List.mem "--inc-bench" flags then B_inc.run ()
+  if has "--micro" then B_micro.run ()
+  else if has "--ablate" then B_ablate.all ()
   else begin
-    (* "fig5a" etc. are accepted as shorthand for "figure5a"; the alias
-       only applies to names actually prefixed with "figure" (a bare
-       "fig" argument used to silently select table1 via String.sub) *)
-    let fig_alias name =
-      let pfx = "figure" in
-      let lp = String.length pfx in
-      if String.length name > lp && String.equal (String.sub name 0 lp) pfx
-      then Some ("fig" ^ String.sub name lp (String.length name - lp))
-      else None
-    in
-    let selected =
-      if wanted = [] then sections
-      else
-        List.filter
-          (fun (name, _, _) ->
-            List.exists
-              (fun w ->
-                String.equal w name
-                ||
-                match fig_alias name with
-                | Some alias -> String.equal alias w
-                | None -> false)
-              wanted)
-          sections
-    in
-    let selected =
-      if selected = [] && wanted <> [] then begin
-        Printf.printf "unknown section(s): %s\navailable: %s\n"
-          (String.concat " " wanted)
-          (String.concat " " (List.map (fun (n, _, _) -> n) sections));
-        []
-      end
-      else selected
-    in
+    let wanted = List.filter (fun a -> List.mem a names) args in
     List.iter
       (fun (name, desc, run) ->
-        Printf.printf "\n################ %s — %s\n%!" name desc;
-        run ())
-      selected
+        if wanted = [] || List.mem name wanted then begin
+          Printf.printf "\n################ %s — %s\n%!" name desc;
+          run ()
+        end)
+      sections
   end;
   Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)

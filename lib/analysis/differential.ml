@@ -724,8 +724,6 @@ type impact = {
   im_all_prefixes : bool;
   im_devices : string list; (* sorted *)
   im_prefixes : unit Trie.Dual.t;
-  im_ec_signatures : string list;
-      (* per dirty prefix: "prefix -> {closure members}" *)
 }
 
 let impact ?tm (d : diff) ~(input_routes : Route.t list) : impact =
@@ -754,20 +752,17 @@ let impact ?tm (d : diff) ~(input_routes : Route.t list) : impact =
           Hashtbl.replace devices ra ();
           Hashtbl.replace devices rb ())
     d.df_plan.Cp.cp_topo_ops;
-  let signatures =
-    List.map
+  (* every device in a dirty prefix's propagation closure *)
+  if dirty <> [] then begin
+    let pg = Lazy.force d.df_patched_graph in
+    let proutes = patched_routes d.df_plan input_routes in
+    List.iter
       (fun p ->
-        let pg = Lazy.force d.df_patched_graph in
-        let proutes = patched_routes d.df_plan input_routes in
-        let cl = Semantic.closure ?tm pg ~input_routes:proutes p in
-        let members =
-          List.sort String.compare (Hashtbl.fold (fun k () l -> k :: l) cl [])
-        in
-        List.iter (fun dev -> Hashtbl.replace devices dev ()) members;
-        Printf.sprintf "%s -> {%s}" (Prefix.to_string p)
-          (String.concat "," members))
+        Hashtbl.iter
+          (fun dev () -> Hashtbl.replace devices dev ())
+          (Semantic.closure ?tm pg ~input_routes:proutes p))
       dirty
-  in
+  end;
   {
     im_class = d.df_class;
     im_all_prefixes = d.df_topo_dirty;
@@ -777,7 +772,6 @@ let impact ?tm (d : diff) ~(input_routes : Route.t list) : impact =
       List.fold_left
         (fun t p -> Trie.Dual.add t p ())
         Trie.Dual.empty dirty;
-    im_ec_signatures = List.sort String.compare signatures;
   }
 
 (* ------------------------------------------------------------------ *)

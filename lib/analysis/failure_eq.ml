@@ -771,11 +771,3 @@ let analyze ?tm ?(devices = false) ?(links = true) (t : t) ~(k : int)
             pl_to_simulate = to_simulate;
             pl_opaque = false;
           })
-
-let describe (p : plan) : string =
-  Printf.sprintf
-    "%d scenario(s) in %d class(es): %d carried, %d static, %d replicated, \
-     %d to simulate%s"
-    p.pl_total (List.length p.pl_classes) p.pl_carried p.pl_static
-    p.pl_replicated p.pl_to_simulate
-    (if p.pl_opaque then " (opaque property: no pruning)" else "")

@@ -190,6 +190,3 @@ val analyze :
   k:int ->
   footprint ->
   plan
-
-(** One-line plan summary for CLIs and logs. *)
-val describe : plan -> string

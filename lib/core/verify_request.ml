@@ -202,16 +202,10 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
             Model.apply_change_plan base.Preprocess.b_model rq.rq_plan)
   in
   let warnings = plan_warnings reports in
-  (* 2. route simulation on the updated model; reclaimed prefixes are
-     removed from the inputs, announced ones added *)
+  (* 2. the updated model's route inputs: reclaimed prefixes removed,
+     announced ones added (one rule, shared with the incremental path) *)
   let input_routes =
-    match rq.rq_plan.Cp.cp_withdraw with
-    | [] -> base.Preprocess.b_input_routes
-    | withdrawn ->
-        List.filter
-          (fun (r : Route.t) ->
-            not (List.exists (Prefix.equal r.Route.prefix) withdrawn))
-          base.Preprocess.b_input_routes
+    Differential.patched_routes rq.rq_plan base.Preprocess.b_input_routes
   in
   (* 2a. differential pre-check: diff base against patched and carry
      over every intent the change provably cannot affect — reachability
@@ -298,7 +292,6 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
               (Lint.make ~topo:updated_model.Model.topo ~render:false
                  updated_model.Model.configs)
           in
-          let sim_inputs = input_routes @ rq.rq_plan.Cp.cp_new_routes in
           (* batch the reachability intents (per-prefix closures are
              shared); anything the pre-checker has no theory for goes
              straight to the simulator *)
@@ -319,7 +312,7 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
               active_intents
           in
           let verdicts =
-            Semantic.precheck_batch ~tm g ~input_routes:sim_inputs
+            Semantic.precheck_batch ~tm g ~input_routes
               (List.filter_map snd tagged)
           in
           let rec zip tagged verdicts =
@@ -369,13 +362,12 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
      simulates: whatever the pre-checker left open stays open, and the
      verdict covers only the statically decided part *)
   let static_only = stop_after = `Static in
-  (* 3. route simulation on the updated model; reclaimed prefixes were
-     removed from the inputs above, announced ones are added here.  With
-     an incremental context ([?inc]) or a cached spliced artifact
-     ([?inc_sim]), the Direct path re-converges only the plan's dirty
-     region and splices into the converged base RIB instead of running
-     the fixpoint from scratch (broad plans honestly fall back inside
-     [Incremental.simulate] — see [vr_inc]). *)
+  (* 3. route simulation on the updated model over the patched inputs
+     bound above.  With an incremental context ([?inc]) or a cached
+     spliced artifact ([?inc_sim]), the Direct path re-converges only
+     the plan's dirty region and splices into the converged base RIB
+     instead of running the fixpoint from scratch (broad plans honestly
+     fall back inside [Incremental.simulate] — see [vr_inc]). *)
   let inc_used : Incremental.sim option ref = ref None in
   let updated_rib, dist_coverage =
     if sim_skipped || static_only then ([], None)
@@ -394,15 +386,13 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
                   inc_used := Some s;
                   (s.Incremental.s_rib, None)
               | None, None ->
-                  ( (Route_sim.run ~tm updated_model ~input_routes
-                       ~new_routes:rq.rq_plan.Cp.cp_new_routes ())
+                  ( (Route_sim.run ~tm updated_model ~input_routes ())
                       .Route_sim.rib,
                     None ))
           | Distributed { servers = _; subtasks } ->
               let fw = Framework.create ~tm ?chaos updated_model in
               let phase =
-                Framework.run_route_phase ~subtasks fw
-                  ~input_routes:(input_routes @ rq.rq_plan.Cp.cp_new_routes)
+                Framework.run_route_phase ~subtasks fw ~input_routes
               in
               let cov =
                 {

@@ -218,7 +218,7 @@ let route_key_ctx (model : Hoyan_sim.Model.t)
 (** Run the route subtasks of a split in parallel and return the merged
     global RIB (plus local tables).  Equivalent to
     {!Framework.run_route_phase} but with real concurrency; used by the
-    distributed-vs-centralized equivalence tests and the parallel bench.
+    distributed-vs-centralized equivalence tests.
 
     Each worker fills a compact {!Rib.Arena} (sorted inside the worker
     domain) and the coordinator merges arenas with a sorted merge, so

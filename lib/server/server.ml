@@ -6,7 +6,7 @@
    Costmodel, refined by measured times) and the configured policy with
    the submission sequence as tie-break, and the verdict bodies only on
    the request content — so identical request streams produce identical
-   response streams, which is what lets the bench assert byte-identity
+   response streams, which is what lets the tests assert byte-identity
    against direct execution. *)
 
 module Cp = Hoyan_config.Change_plan

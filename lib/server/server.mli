@@ -101,7 +101,7 @@ val drain : t -> response list
 (** The single execution path: run one request against a snapshot
     through {!Hoyan_core.Verify_request.run} with the class's flags,
     bypassing queue, cache and budgets.  The server's executed
-    responses are byte-identical to this — the serve bench and
+    responses are byte-identical to this — the server test suite and
     [--selfcheck] assert it (the incremental engine's splice contract
     is exactly what makes the identity hold when the server passes
     [?inc]/[?inc_sim]).

@@ -26,11 +26,6 @@ type result = {
 let expand_rows (rows : Route.t list) (member : Prefix.t) : Route.t list =
   List.map (fun (r : Route.t) -> { r with Route.prefix = member }) rows
 
-(** Run the route simulation.
-
-    [use_ecs=false] disables EC compression (ablation).  [new_routes] are
-    additional input routes from the change plan (e.g. a new prefix
-    announcement); they are simulated alongside the pre-computed inputs. *)
 let ev_result (tm : Telemetry.t) (r : result) =
   if Telemetry.enabled tm then begin
     Telemetry.count tm "hoyan_route_fixpoint_rounds_total"
@@ -48,20 +43,19 @@ let ev_result (tm : Telemetry.t) (r : result) =
       ]
   end
 
+(** Run the route simulation.  [use_ecs=false] disables EC compression
+    (ablation). *)
 let run ?tm ?(use_ecs = true) ?(include_locals = true) ?(originate = true)
-    ?only (model : Model.t) ~(input_routes : Route.t list) ?(new_routes = [])
-    () : result =
+    ?only (model : Model.t) ~(input_routes : Route.t list) () : result =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
   let keep =
     match only with None -> fun (_ : Prefix.t) -> true | Some f -> f
   in
   let all_inputs =
     match only with
-    | None -> input_routes @ new_routes
+    | None -> input_routes
     | Some _ ->
-        List.filter
-          (fun (r : Route.t) -> keep r.Route.prefix)
-          (input_routes @ new_routes)
+        List.filter (fun (r : Route.t) -> keep r.Route.prefix) input_routes
   in
   let input_count = List.length all_inputs in
   let local_rows () =

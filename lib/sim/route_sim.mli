@@ -23,8 +23,6 @@ type result = {
       shared base RIB file instead).
     - [originate=false] also skips network statements and redistribution
       (again for subtask workers).
-    - [new_routes] are additional inputs from the change plan, e.g. a new
-      prefix announcement.
     - [only] restricts the whole simulation to a prefix set: inputs,
       origination (networks / redistribution / aggregates) and the
       local-table rows of the result are filtered by it, and the BGP
@@ -42,6 +40,5 @@ val run :
   ?only:(Prefix.t -> bool) ->
   Model.t ->
   input_routes:Route.t list ->
-  ?new_routes:Route.t list ->
   unit ->
   result

@@ -4,7 +4,8 @@
     ({!Metrics}) and event journal ({!Journal}) — behind one [enabled]
     flag.  Every helper here checks that flag first, so with the default
     {!noop} handle the whole layer costs a single branch per
-    instrumentation site (measured in the `--telemetry` bench section).
+    instrumentation site, allocation-free (asserted by the telemetry
+    test suite).
 
     Instrumented code reads the process-global handle ({!get}, an
     atomic, default {!noop}) unless an explicit handle is passed; the

@@ -1,7 +1,7 @@
 (** The telemetry handle threaded through the simulation pipeline: a
     tracer, a metrics registry and an event journal behind one [enabled]
     flag.  With the default {!noop} handle every helper is a single
-    branch (overhead measured in the `--telemetry` bench section).
+    branch that allocates nothing (asserted by the telemetry test suite).
 
     Hot call sites that would otherwise allocate an argument list should
     guard on {!enabled} before calling {!event}/{!count}. *)

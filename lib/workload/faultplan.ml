@@ -4,8 +4,8 @@
     decisions it drives are pure functions of (seed, site, key,
     sequence), so a plan replays identically across runs and machines —
     a failure found under chaos can always be reproduced by name and
-    seed.  Used by the CLI's [--chaos MODE] flag, the fault-injection
-    test matrix and the chaos bench. *)
+    seed.  Used by the CLI's [--chaos MODE] flag and the fault-injection
+    test matrix. *)
 
 module Chaos = Hoyan_dist.Chaos
 
@@ -57,5 +57,5 @@ let plan ?(seed = 42) ~prob (mode : mode) : Chaos.t =
         Chaos.make ~seed ~crash_prob:p ~storage_loss_prob:p
           ~mq_drop_prob:(p /. 2.) ~mq_dup_prob:(p /. 2.) ~stall_prob:p ()
 
-(** The fault probabilities the test matrix and the chaos bench sweep. *)
+(** The fault probabilities the test matrix sweeps. *)
 let matrix_probs = [ 0.0; 0.2; 0.5 ]

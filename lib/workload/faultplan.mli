@@ -1,6 +1,6 @@
 (** Named chaos plans for fault-injection runs: seeded, deterministic
     {!Hoyan_dist.Chaos} configurations used by the CLI's [--chaos MODE]
-    flag, the fault-injection test matrix and the chaos bench. *)
+    flag and the fault-injection test matrix. *)
 
 (** The failure modes the matrix sweeps. *)
 type mode =
@@ -18,6 +18,5 @@ val all_modes : mode list
     [prob = 0.] yields {!Hoyan_dist.Chaos.none}. *)
 val plan : ?seed:int -> prob:float -> mode -> Hoyan_dist.Chaos.t
 
-(** The fault probabilities the test matrix and the chaos bench sweep:
-    [0.0; 0.2; 0.5]. *)
+(** The fault probabilities the test matrix sweeps: [0.0; 0.2; 0.5]. *)
 val matrix_probs : float list

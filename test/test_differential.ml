@@ -212,8 +212,9 @@ let assert_sound (g : G.t) (plan : Cp.t) =
       g.G.input_routes
   in
   let patched_rib =
-    (Route_sim.run patched_model ~input_routes:surviving
-       ~new_routes:plan.Cp.cp_new_routes ())
+    (Route_sim.run patched_model
+       ~input_routes:(surviving @ plan.Cp.cp_new_routes)
+       ())
       .Route_sim.rib
   in
   let b = rib_presence base_rib and p = rib_presence patched_rib in

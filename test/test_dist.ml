@@ -246,17 +246,48 @@ let prop_lpt_sweep_monotone =
       in
       m_more <= m_few +. 1e-9)
 
+(* The route-phase identity contract at every tested domain count: each
+   parallel RIB is multiset-equal to the sequential [Route_sim.run], and
+   the parallel RIBs are the same row list, element for element, across
+   domain counts (the packed-key arena merge is deterministic, so any
+   divergence is a scheduler or merge bug).  Runs on the small scenario
+   and on a reduced wan (800 prefixes, ~86k RIB rows). *)
 let test_parallel_executor () =
-  let g = Lazy.force scenario in
-  let direct =
-    (Route_sim.run g.G.model ~input_routes:g.G.input_routes ()).Route_sim.rib
+  let domain_counts =
+    List.sort_uniq compare [ 1; 2; 4; Domain.recommended_domain_count () ]
   in
-  let parallel =
-    Parallel.route_phase_rib ~domains:4 ~subtasks:6 g.G.model
-      ~input_routes:g.G.input_routes
+  let identity name (g : G.t) ~subtasks =
+    let direct =
+      (Route_sim.run g.G.model ~input_routes:g.G.input_routes ()).Route_sim.rib
+    in
+    let runs =
+      List.map
+        (fun domains ->
+          let rib =
+            Parallel.route_phase_rib ~domains ~subtasks g.G.model
+              ~input_routes:g.G.input_routes
+          in
+          check tbool
+            (Printf.sprintf "%s: %d domain(s) multiset-equal to sequential"
+               name domains)
+            true
+            (Rib.Global.equal direct rib);
+          (domains, rib))
+        domain_counts
+    in
+    let one = List.assoc 1 runs in
+    List.iter
+      (fun (d, rib) ->
+        check tbool
+          (Printf.sprintf "%s: %d domain(s) byte-identical to 1" name d)
+          true
+          (List.equal Route.equal one rib))
+      runs
   in
-  check tbool "parallel domains produce the same RIB" true
-    (Rib.Global.equal direct parallel)
+  identity "small" (Lazy.force scenario) ~subtasks:6;
+  identity "wan/800"
+    (G.generate { G.wan with G.g_prefixes = 800 })
+    ~subtasks:32
 
 let test_parallel_map () =
   let xs = List.init 100 Fun.id in
@@ -424,8 +455,9 @@ let baseline =
      in
      (rp, tp))
 
-(* the fault-injection matrix: fail_prob in {0, 0.2, 0.5} x
-   {storage loss, mq drop/dup, worker stalls}.  The outcome contract
+(* the fault-injection matrix: fail_prob in {0, 0.2, 0.5} x every
+   Faultplan mode (worker crashes, storage loss, mq drop/dup, worker
+   stalls, and all of them mixed).  The outcome contract
    under any cell: the phase either completes with results identical to
    the failure-free run, or reports the exact set of permanently-failed
    subtasks — never a silently smaller merge. *)
@@ -468,7 +500,7 @@ let test_fault_matrix () =
                 (base_loads = sorted_tbl tp.Framework.tp_link_load)
           end)
         Faultplan.matrix_probs)
-    [ Faultplan.Storage_loss; Faultplan.Mq_faults; Faultplan.Stalls ]
+    Faultplan.all_modes
 
 (* satellite regression: a result object that keeps vanishing must
    surface in the phase outcome, not silently shrink the merge *)

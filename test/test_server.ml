@@ -266,6 +266,109 @@ let test_server_matches_direct () =
         body r.Server.rs_body)
     [ Request.Lint; Request.Precheck; Request.Simulate; Request.Diff ]
 
+(* The byte-identity contract under load: a mixed multi-tenant stream
+   with cache reuse and LRU eviction.  The pool is 4 classes x every
+   border x 1-2 local-preference values x 2 of 3 intent sets, so the
+   same plan and class also recur with different intents.  The stream
+   draws from it with a hot quarter, so a cache smaller than the pool
+   both hits and evicts.  Every served body must equal
+   [Server.run_direct]'s body. *)
+let test_mixed_stream_matches_direct () =
+  let g = Lazy.force small in
+  let block dev pref =
+    match Model.config g.G.model dev with
+    | Some c when not (String.equal c.Types.dc_vendor "vendorA") ->
+        Printf.sprintf
+          "route-policy ISP_IN permit node 10\n apply community 64512:100 \
+           additive\n apply local-preference %d\n"
+          pref
+    | _ -> pref_block pref
+  in
+  let intents dev = function
+    | 0 -> [ Intents.Route_change "PRE = POST" ]
+    | 1 ->
+        [
+          Intents.Route_change
+            (Printf.sprintf
+               "forall device in {%s} : PRE |> count() = POST |> count()" dev);
+        ]
+    | _ -> []
+  in
+  let classes =
+    [ Request.Lint; Request.Precheck; Request.Simulate; Request.Diff ]
+  in
+  let pool =
+    List.mapi (fun bi dev -> (bi, dev)) g.G.borders
+    |> List.concat_map (fun (bi, dev) ->
+           List.concat_map
+             (fun pref ->
+               List.concat
+                 (List.mapi
+                    (fun ci cls ->
+                      List.map
+                        (fun v ->
+                          let id =
+                            Printf.sprintf "p-%s-%d-%s-%d" dev pref
+                              (Request.class_to_string cls)
+                              v
+                          in
+                          Request.make
+                            ~plan:
+                              (Cp.make id ~commands:[ (dev, block dev pref) ])
+                            ~intents:(intents dev v) ~id cls)
+                        [ (ci + bi) mod 3; (ci + bi + 1) mod 3 ])
+                    classes))
+             (if bi mod 2 = 0 then [ 210; 240 ] else [ 230 ]))
+    |> Array.of_list
+  in
+  let n = Array.length pool in
+  let srv =
+    Server.create
+      ~config:{ Server.default_config with Server.c_cache_capacity = n / 2 }
+      ()
+  in
+  let snap = Server.register_snapshot srv (Lazy.force base) in
+  let rng = Random.State.make [| 8 |] in
+  let n_requests = 300 in
+  let responses = ref [] in
+  for k = 0 to n_requests - 1 do
+    let hot = Random.State.bool rng in
+    let p = pool.(Random.State.int rng (if hot then max 1 (n / 4) else n)) in
+    submit_ok srv
+      {
+        p with
+        Request.r_id = Printf.sprintf "%s#%d" p.Request.r_id k;
+        r_tenant = Printf.sprintf "tenant-%d" (k mod 8);
+      };
+    if k mod 32 = 31 then
+      responses := List.rev_append (Server.drain srv) !responses
+  done;
+  let responses = List.rev_append (Server.drain srv) !responses in
+  check tint "every request answered" n_requests (List.length responses);
+  let direct = Hashtbl.create n in
+  Array.iter
+    (fun (p : Request.t) ->
+      Hashtbl.replace direct p.Request.r_id (Server.run_direct snap p))
+    pool;
+  List.iter
+    (fun (r : Server.response) ->
+      let pool_id = List.hd (String.split_on_char '#' r.Server.rs_id) in
+      let st, body = Hashtbl.find direct pool_id in
+      check tbool
+        (Printf.sprintf "%s (cached=%b): status matches direct" r.Server.rs_id
+           r.Server.rs_cached)
+        true
+        (st = r.Server.rs_status);
+      check tstr
+        (Printf.sprintf "%s (cached=%b): body byte-identical to direct"
+           r.Server.rs_id r.Server.rs_cached)
+        body r.Server.rs_body)
+    responses;
+  let st = Server.stats srv in
+  check tbool "the stream hit the cache" true (st.Server.st_cache_hits > 0);
+  check tbool "the stream evicted from the cache" true
+    (st.Server.st_cache_evictions > 0)
+
 let test_duplicate_hits_cache () =
   let srv = Server.create () in
   ignore (Server.register_snapshot srv (Lazy.force base));
@@ -431,6 +534,8 @@ let suite =
       test_snapshot_identity;
     Alcotest.test_case "server: responses byte-identical to direct" `Quick
       test_server_matches_direct;
+    Alcotest.test_case "server: mixed stream with eviction = direct" `Slow
+      test_mixed_stream_matches_direct;
     Alcotest.test_case "server: duplicate served from cache" `Quick
       test_duplicate_hits_cache;
     Alcotest.test_case "server: no-cache bypass" `Quick test_no_cache_bypass;

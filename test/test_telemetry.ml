@@ -257,6 +257,28 @@ let test_noop_records_nothing () =
   check tint "with_span still runs f" 7
     (Telemetry.with_span tm "x" (fun () -> 7))
 
+(* The noop guard's cost, deterministically: every helper on the noop
+   handle is one branch and allocates nothing, so 10^5 rounds of
+   count / span + finish / observe / gauge leave the minor heap
+   untouched.  (A wall-clock bound would flake on a shared machine.) *)
+let test_noop_allocates_nothing () =
+  let tm = Telemetry.noop in
+  let round () =
+    Telemetry.count tm "noop_alloc" 1;
+    let sp = Telemetry.span tm "noop_alloc" in
+    Telemetry.finish tm sp;
+    Telemetry.observe tm "noop_alloc" 1.;
+    Telemetry.gauge tm "noop_alloc" 1.
+  in
+  round ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    round ()
+  done;
+  let after = Gc.minor_words () in
+  check (Alcotest.float 0.) "minor words allocated by 10^5 noop rounds" 0.
+    (after -. before)
+
 (* ------------------------------------------------------------------ *)
 (* Instrumented pipeline                                               *)
 (* ------------------------------------------------------------------ *)
@@ -413,6 +435,7 @@ let suite =
     ("trace domain-shard merge", `Quick, test_trace_domain_merge);
     ("journal ordering + jsonl", `Quick, test_journal);
     ("noop records nothing", `Quick, test_noop_records_nothing);
+    ("noop helpers allocate nothing", `Quick, test_noop_allocates_nothing);
     ("pipeline determinism", `Slow, test_pipeline_determinism);
     ("pipeline metrics coverage", `Slow, test_pipeline_metrics_coverage);
     ("retry telemetry", `Slow, test_retry_telemetry);
