@@ -103,8 +103,8 @@ check:
 # Fault-tolerance gate: the dist test suite — the fault matrix over
 # every Faultplan mode (completed phases identical to the failure-free
 # run, incomplete ones list their failed subtasks), named-victim
-# regressions, chaos determinism, and the parallel route phase's
-# sequential/cross-domain-count identity (DESIGN.md §2.5, §2.6).
+# regressions, chaos determinism, and the framework route phase's
+# direct/cross-subtask-count identity (DESIGN.md §2.5, §2.6).
 chaos:
 	dune exec test/test_main.exe -- test dist
 

@@ -71,8 +71,8 @@ type case = {
   c_expect_ok : bool; (* the change is correct: verification passes *)
 }
 
-let run_rq ?mode base name plan intents =
-  Verify_request.run ?mode base
+let run_rq base name plan intents =
+  Verify_request.run base
     { Verify_request.rq_name = name; rq_plan = plan; rq_intents = intents }
 
 let cases () : case list =

@@ -11,6 +11,8 @@
                      [--diff]          # carry unaffected intents over
                      [--inc]           # dirty-region splice simulation
                      [--selfcheck]     # splice == from-scratch oracle
+                     [--distributed [--fail-prob P] [--chaos MODE]
+                      [--degrade]]     # not with --inc
      hoyan lint      [--plan FILE --device NAME]... [--intent SPEC]...
                      [--json] [--inject CLASS|all] [--deep]
                      [--max-warnings N] [--baseline FILE]
@@ -275,6 +277,15 @@ let verify params seed plan_file devices intents distributed fail_prob
   | Error msg ->
       prerr_endline msg;
       2
+  | Ok _ when inc && distributed ->
+      prerr_endline
+        "--inc splices in-process; it cannot be combined with --distributed";
+      2
+  | Ok _
+    when (not distributed)
+         && (fail_prob <> 0. || chaos_mode <> None || degrade) ->
+      prerr_endline "--fail-prob, --chaos and --degrade require --distributed";
+      2
   | Ok chaos ->
   let g = gen params seed in
   let base =
@@ -307,12 +318,6 @@ let verify params seed plan_file devices intents distributed fail_prob
       rq_intents;
     }
   in
-  let mode =
-    match distributed with
-    | None -> Verify_request.Direct
-    | Some servers -> Verify_request.Distributed { servers; subtasks = 100 }
-  in
-  let on_partial = if degrade then `Degrade else `Refuse in
   (* --inc / --selfcheck both need a captured converged-base context *)
   let ictx =
     if inc || selfcheck then
@@ -342,10 +347,19 @@ let verify params seed plan_file devices intents distributed fail_prob
         ck.Incremental.ck_ok
     | _ -> true
   in
-  let inc_ctx = if inc then ictx else None in
-  let res =
-    Verify_request.run ~mode ~chaos ~on_partial ~diff ?inc:inc_ctx base rq
+  let exec =
+    match ictx with
+    | Some cx when inc -> Verify_request.Splice cx
+    | _ when distributed ->
+        Verify_request.Distributed
+          {
+            subtasks = 100;
+            chaos;
+            on_partial = (if degrade then `Degrade else `Refuse);
+          }
+    | _ -> Verify_request.From_scratch
   in
+  let res = Verify_request.run ~exec ~diff base rq in
   print_string (Verify_request.report res);
   if res.Verify_request.vr_ok && selfcheck_ok then 0 else 1
 
@@ -366,9 +380,11 @@ let verify_cmd =
                    'PRE = POST'.")
   in
   let distributed =
-    Arg.(value & opt (some int) None
-         & info [ "distributed" ] ~docv:"SERVERS"
-             ~doc:"Verify through the distributed framework.")
+    Arg.(value & flag
+         & info [ "distributed" ]
+             ~doc:"Verify through the distributed framework (100 route \
+                   subtasks); the only mode --fail-prob, --chaos and \
+                   --degrade apply to.")
   in
   let degrade =
     Arg.(value & flag
@@ -391,8 +407,8 @@ let verify_cmd =
          & info [ "inc" ]
              ~doc:"Incremental simulation: re-converge only the plan's \
                    dirty region and splice into the cached converged \
-                   base (direct mode; broad plans fall back to a full \
-                   run, reported).")
+                   base (not with --distributed; broad plans fall back \
+                   to a full run, reported).")
   in
   let selfcheck =
     Arg.(value & flag

@@ -75,9 +75,18 @@ let () =
      object store, workers), as §3.2 describes. *)
   let res_dist =
     Verify_request.run
-      ~mode:(Verify_request.Distributed { servers = 4; subtasks = 16 })
+      ~exec:
+        (Verify_request.Distributed
+           {
+             subtasks = 16;
+             chaos = Hoyan_dist.Chaos.none;
+             on_partial = `Refuse;
+           })
       base request
   in
-  Printf.printf "\ndistributed run agrees: %b\n"
-    (Rib.Global.equal res.Verify_request.vr_updated_rib
-       res_dist.Verify_request.vr_updated_rib)
+  let agrees =
+    Rib.Global.equal res.Verify_request.vr_updated_rib
+      res_dist.Verify_request.vr_updated_rib
+  in
+  Printf.printf "\ndistributed run agrees: %b\n" agrees;
+  if not agrees then exit 1

@@ -64,7 +64,7 @@ type result = {
           results; [vr_ok] is never [true] when this is set *)
   vr_inc : Incremental.stats option;
       (** incremental-simulation accounting when the request ran through
-          an [?inc] context or a cached [?inc_sim] artifact *)
+          a [Splice] or [Artifact] executor *)
   vr_updated_model : Model.t;
   vr_base_rib : Route.t list;
   vr_updated_rib : Route.t list;
@@ -89,10 +89,18 @@ type lint_gate =
   | Lint_fail (* any error-severity diagnostic fails the request
                  before the first fixpoint runs *)
 
-type sim_mode =
-  | Direct (* in-process simulation *)
-  | Distributed of { servers : int; subtasks : int }
-      (* through the distributed framework (master/MQ/workers) *)
+(** How the route phase of a request is executed. *)
+type executor =
+  | From_scratch (* Route_sim.run on the patched model: the reference *)
+  | Splice of Incremental.ctx
+      (* dirty-region re-convergence; fallbacks counted in vr_inc *)
+  | Artifact of Incremental.sim
+      (* an already-spliced sim for this plan (the server's table) *)
+  | Distributed of {
+      subtasks : int;
+      chaos : Hoyan_dist.Chaos.t;
+      on_partial : [ `Refuse | `Degrade ];
+    }
 
 let plan_warnings (reports : Cp.apply_report list) : string list =
   List.concat_map
@@ -117,9 +125,8 @@ let lint_specs (intents : Intents.t list) : (string * string) list =
     ([verify.lint_gate] / [verify.model_update] / [verify.route_sim] /
     [verify.traffic_sim] / [verify.intents]); the static-analysis gate
     additionally journals its outcome as a [lint.gate] event. *)
-let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
-    ?(diff = false) ?chaos ?(on_partial = `Refuse) ?(stop_after = `Full)
-    ?inc ?inc_sim (base : Preprocess.base) (rq : request) : result =
+let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
+    ?(stop_after = `Full) (base : Preprocess.base) (rq : request) : result =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
   let rq_sp =
     Telemetry.span tm ~args:[ ("request", rq.rq_name) ] "verify.request"
@@ -194,10 +201,9 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
   (* 1. incremental model update (a cached incremental artifact already
      carries the patched model and its apply reports) *)
   let updated_model, reports =
-    match inc_sim with
-    | Some (s : Incremental.sim) ->
-        (s.Incremental.s_model, s.Incremental.s_reports)
-    | None ->
+    match exec with
+    | Artifact s -> (s.Incremental.s_model, s.Incremental.s_reports)
+    | From_scratch | Splice _ | Distributed _ ->
         Telemetry.with_span tm "verify.model_update" (fun () ->
             Model.apply_change_plan base.Preprocess.b_model rq.rq_plan)
   in
@@ -217,11 +223,15 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
     if not diff then None
     else
       Telemetry.with_span tm "verify.diff" (fun () ->
-          let bm = base.Preprocess.b_model in
-          Some
-            (Differential.diff ~tm
-               (Lint.make ~topo:bm.Model.topo ~render:false bm.Model.configs)
-               rq.rq_plan))
+          match exec with
+          | Artifact s -> Some s.Incremental.s_diff
+          | From_scratch | Splice _ | Distributed _ ->
+              let bm = base.Preprocess.b_model in
+              Some
+                (Differential.diff ~tm
+                   (Lint.make ~topo:bm.Model.topo ~render:false
+                      bm.Model.configs)
+                   rq.rq_plan))
   in
   let carried, active_intents =
     match diff_info with
@@ -284,7 +294,7 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
      become violations with a static witness, and when nothing is left
      for the simulator the fixpoints below are skipped entirely *)
   let precheck_results =
-    if (not precheck) || active_intents = [] then []
+    if active_intents = [] then []
     else
       Telemetry.with_span tm "verify.precheck" (fun () ->
           let g =
@@ -354,43 +364,32 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
         ("refuted", Journal.I (List.length static_violations));
       ]
   end;
-  let sim_skipped =
-    (precheck && active_intents <> [] && sim_intents = [])
-    || (diff && rq.rq_intents <> [] && active_intents = [])
-  in
+  (* every intent was carried over or decided statically *)
+  let sim_skipped = rq.rq_intents <> [] && sim_intents = [] in
   (* a [`Static]-bounded request (the server's precheck class) never
      simulates: whatever the pre-checker left open stays open, and the
      verdict covers only the statically decided part *)
   let static_only = stop_after = `Static in
   (* 3. route simulation on the updated model over the patched inputs
-     bound above.  With an incremental context ([?inc]) or a cached
-     spliced artifact ([?inc_sim]), the Direct path re-converges only
-     the plan's dirty region and splices into the converged base RIB
-     instead of running the fixpoint from scratch (broad plans honestly
-     fall back inside [Incremental.simulate] — see [vr_inc]). *)
-  let inc_used : Incremental.sim option ref = ref None in
-  let updated_rib, dist_coverage =
-    if sim_skipped || static_only then ([], None)
+     bound above, by the request's executor.  [Splice] and [Artifact]
+     re-converge only the plan's dirty region and splice into the
+     converged base RIB instead of running the fixpoint from scratch
+     (broad plans honestly fall back inside [Incremental.simulate] —
+     see [vr_inc]). *)
+  let spliced, updated_rib, dist_coverage =
+    if sim_skipped || static_only then (None, [], None)
     else
       Telemetry.with_span tm "verify.route_sim" (fun () ->
-          match mode with
-          | Direct -> (
-              match (inc_sim, inc) with
-              | Some (s : Incremental.sim), _ ->
-                  inc_used := Some s;
-                  (s.Incremental.s_rib, None)
-              | None, Some ictx ->
-                  let s =
-                    Incremental.simulate ~tm ?d:diff_info ictx rq.rq_plan
-                  in
-                  inc_used := Some s;
-                  (s.Incremental.s_rib, None)
-              | None, None ->
-                  ( (Route_sim.run ~tm updated_model ~input_routes ())
-                      .Route_sim.rib,
-                    None ))
-          | Distributed { servers = _; subtasks } ->
-              let fw = Framework.create ~tm ?chaos updated_model in
+          match exec with
+          | Artifact s -> (Some s, s.Incremental.s_rib, None)
+          | Splice ictx ->
+              let s = Incremental.simulate ~tm ?d:diff_info ictx rq.rq_plan in
+              (Some s, s.Incremental.s_rib, None)
+          | From_scratch ->
+              let r = Route_sim.run ~tm updated_model ~input_routes () in
+              (None, r.Route_sim.rib, None)
+          | Distributed { subtasks; chaos; _ } ->
+              let fw = Framework.create ~tm ~chaos updated_model in
               let phase =
                 Framework.run_route_phase ~subtasks fw ~input_routes
               in
@@ -407,7 +406,7 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
                       phase.Framework.rp_failed;
                 }
               in
-              (phase.Framework.rp_rib, Some cov))
+              (None, phase.Framework.rp_rib, Some cov))
   in
   let partial =
     match dist_coverage with
@@ -419,7 +418,7 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
      way the forcing cost lands in [vr_traffic_seconds], not
      [vr_sim_seconds]. *)
   let updated_traffic =
-    match !inc_used with
+    match spliced with
     | Some s -> timed_traffic (fun () -> Lazy.force s.Incremental.s_traffic)
     | None ->
         timed_traffic (fun () ->
@@ -437,7 +436,12 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
      reachability violation — or masks one).  The default refuses to
      verify; the graceful-degradation mode verifies anyway but the result
      is flagged [vr_partial] and can never be [vr_ok]. *)
-  let refuse_partial = partial && on_partial = `Refuse in
+  let refuse_partial =
+    partial
+    && match exec with
+       | Distributed { on_partial = `Refuse; _ } -> true
+       | _ -> false
+  in
   let sim_violations =
     if sim_intents = [] || refuse_partial || static_only then []
     else
@@ -476,7 +480,7 @@ let run ?tm ?(mode = Direct) ?(lint = Lint_warn) ?(precheck = true)
     vr_coverage = dist_coverage;
     vr_partial = partial;
     vr_inc = Option.map (fun (s : Incremental.sim) -> s.Incremental.s_stats)
-        !inc_used;
+        spliced;
     vr_updated_model = updated_model;
     vr_base_rib = base_rib;
     vr_updated_rib = updated_rib;

@@ -53,7 +53,7 @@ type result = {
           results; [vr_ok] is never [true] when this is set *)
   vr_inc : Hoyan_sim.Incremental.stats option;
       (** set when the request was simulated through the incremental
-          splice engine ([?inc] / [?inc_sim]): per-plan dirty-region and
+          splice engine ([Splice] / [Artifact]): per-plan dirty-region and
           fallback accounting *)
   vr_updated_model : Hoyan_sim.Model.t;
   vr_base_rib : Route.t list;
@@ -71,10 +71,35 @@ type result = {
 (** [vr_sim_seconds] plus the traffic-forcing time accumulated so far. *)
 val total_seconds : result -> float
 
-type sim_mode =
-  | Direct  (** in-process simulation *)
-  | Distributed of { servers : int; subtasks : int }
-      (** through the distributed framework (master/MQ/workers) *)
+(** How the route phase of a request is executed.  Every executor
+    yields the same verdicts as [From_scratch]; they differ in cost and
+    in what the result reports about the run. *)
+type executor =
+  | From_scratch
+      (** [Route_sim.run] on the patched model: the reference *)
+  | Splice of Hoyan_sim.Incremental.ctx
+      (** re-converge only the plan's dirty region and splice into the
+          context's cached base RIB/FIBs ([vr_inc] reports the
+          accounting; broad plans fall back to a full run inside the
+          engine) *)
+  | Artifact of Hoyan_sim.Incremental.sim
+      (** reuse an already-spliced artifact for this exact plan (the
+          verification server's table): model application, the
+          differential pass and route simulation are all taken from it *)
+  | Distributed of {
+      subtasks : int;
+      chaos : Hoyan_dist.Chaos.t;
+      on_partial : [ `Refuse | `Degrade ];
+    }
+      (** through the distributed framework (master/MQ/workers) split
+          into [subtasks], with [chaos] injecting faults; the route
+          phase's outcome contract is surfaced as [vr_coverage].  When
+          subtasks failed permanently the result is partial, and
+          [on_partial] picks the policy: [`Refuse] withholds intent
+          verdicts over the incomplete RIB (no simulated violations are
+          reported, and [vr_ok = false]); [`Degrade] verifies anyway but
+          flags the result [vr_partial] — a partial result is never
+          [vr_ok]. *)
 
 (** How the static-analysis gate in front of the pipeline behaves:
     skip it, record diagnostics without blocking (the default), or fail
@@ -92,12 +117,13 @@ type lint_gate = Lint_off | Lint_warn | Lint_fail
     (new prefix announcement).  [tm] (default: the process-global
     telemetry handle) receives per-phase spans and gate events.
 
-    [precheck] (default [true]) runs the static intent pre-checker
-    ({!Hoyan_analysis.Semantic}) on the updated model before simulating:
-    statically refuted intents become violations with a static witness,
-    and when every intent of a non-empty request is proved or refuted the
-    route/traffic fixpoints are skipped entirely
-    ([vr_sim_skipped = true]).
+    [exec] (default {!From_scratch}) picks how routes are simulated.
+
+    The static intent pre-checker ({!Hoyan_analysis.Semantic}) runs on
+    the updated model before simulating: statically refuted intents
+    become violations with a static witness, and when every intent of a
+    non-empty request is proved or refuted the route/traffic fixpoints
+    are skipped entirely ([vr_sim_skipped = true]).
 
     [diff] (default [false]) additionally runs the differential
     change-impact pass ({!Hoyan_analysis.Differential}) against the base
@@ -118,41 +144,19 @@ type lint_gate = Lint_off | Lint_warn | Lint_fail
     [Needs_simulation] stay open and the verdict covers only the
     statically decided part; [`Full] (the default) is the whole pipeline.
 
-    In [Distributed] mode, [chaos] injects faults into the framework and
-    the route phase's outcome contract is surfaced as [vr_coverage].
-    When subtasks failed permanently the result is partial; [on_partial]
-    picks the policy: [`Refuse] (the default) withholds intent verdicts
-    over the incomplete RIB (no simulated violations are reported, and
-    [vr_ok = false]); [`Degrade] verifies anyway but flags the result
-    [vr_partial] — a partial result is never [vr_ok].
-
     A partial base ([Preprocess.prepare ~partial:true], i.e. the
     converged base state itself came from a run with failed subtasks)
     refuses differential verdict carry-over entirely: carrying a verdict
     proven against an incomplete base RIB would launder missing routes
     into proven facts.  The refusal is counted
     ([hoyan_verify_carryover_refused_total]) and every intent is
-    re-verified.
-
-    [inc] supplies a captured converged-base context
-    ({!Hoyan_sim.Incremental.ctx}): in [Direct] mode the route fixpoint
-    then re-converges only the plan's dirty region and splices into the
-    cached base RIB/FIBs ([vr_inc] reports the accounting; broad plans
-    fall back to a full run inside the engine).  [inc_sim] goes one step
-    further and reuses an already-spliced artifact for this exact plan
-    (the verification server's cache) — model application and route
-    simulation are both skipped in favor of the artifact. *)
+    re-verified. *)
 val run :
   ?tm:Hoyan_telemetry.Telemetry.t ->
-  ?mode:sim_mode ->
+  ?exec:executor ->
   ?lint:lint_gate ->
-  ?precheck:bool ->
   ?diff:bool ->
-  ?chaos:Hoyan_dist.Chaos.t ->
-  ?on_partial:[ `Refuse | `Degrade ] ->
   ?stop_after:[ `Gate | `Static | `Full ] ->
-  ?inc:Hoyan_sim.Incremental.ctx ->
-  ?inc_sim:Hoyan_sim.Incremental.sim ->
   Preprocess.base ->
   request ->
   result

@@ -26,8 +26,7 @@
     with their compute time measured and their I/O accounted; the
     multi-server end-to-end time is then obtained by replaying the
     measured durations through {!Schedule} (see DESIGN.md §2 for why this
-    substitution preserves the paper's scalability behaviour).  A real
-    multicore execution path is provided by {!Parallel}.
+    substitution preserves the paper's scalability behaviour).
 
     Every phase is instrumented through {!Hoyan_telemetry.Telemetry}:
     spans around the master's split/upload/monitor and each worker step,
@@ -577,6 +576,55 @@ let network_prefixes (model : Model.t) : (Prefix.t, unit) Hashtbl.t =
     model.Model.configs;
   tbl
 
+(** The (device, vrf, prefix) universe a route phase can produce rows
+    over: topology devices, every vrf named by a config or a route, and
+    the input/local/network/aggregate prefixes.  The master builds it
+    once per collect; routes outside the universe (none in practice)
+    fall back to {!Rib.Arena}'s structural overflow path. *)
+let route_key_ctx (model : Model.t) ~(input_routes : Route.t list) :
+    Rib.Key.ctx =
+  let module Types = Hoyan_config.Types in
+  let locals =
+    Smap.fold (fun _ rs acc -> List.rev_append rs acc) model.Model.local_tables
+      []
+  in
+  let devices = ref [] and vrfs = ref [ "global"; "default" ] in
+  let prefixes = ref [] in
+  List.iter
+    (fun (d : Topology.device) -> devices := d.Topology.name :: !devices)
+    (Topology.devices model.Model.topo);
+  let add_route (r : Route.t) =
+    devices := r.Route.device :: !devices;
+    vrfs := r.Route.vrf :: !vrfs;
+    prefixes := r.Route.prefix :: !prefixes
+  in
+  List.iter add_route input_routes;
+  List.iter add_route locals;
+  Smap.iter
+    (fun _ (cfg : Types.t) ->
+      let bgp = cfg.Types.dc_bgp in
+      List.iter
+        (fun (nb : Types.neighbor) -> vrfs := nb.Types.nb_vrf :: !vrfs)
+        bgp.Types.bgp_neighbors;
+      List.iter
+        (fun (p, v) ->
+          prefixes := p :: !prefixes;
+          vrfs := v :: !vrfs)
+        bgp.Types.bgp_networks;
+      List.iter
+        (fun (a : Types.aggregate) ->
+          prefixes := a.Types.ag_prefix :: !prefixes;
+          vrfs := a.Types.ag_vrf :: !vrfs)
+        bgp.Types.bgp_aggregates;
+      List.iter
+        (fun (v : Types.vrf_def) -> vrfs := v.Types.vd_name :: !vrfs)
+        bgp.Types.bgp_vrfs;
+      List.iter
+        (fun (s : Types.static_route) -> vrfs := s.Types.st_vrf :: !vrfs)
+        cfg.Types.dc_statics)
+    model.Model.configs;
+  Rib.Key.make ~devices:!devices ~vrfs:!vrfs ~prefixes:!prefixes
+
 let base_rib_key = "route-base.rib"
 
 (** One worker step: consume a message and run the subtask.  Returns false
@@ -686,7 +734,7 @@ let run_route_phase ?(strategy = Split.Ordered) ?(subtasks = 100)
   let rib =
     (* packed-key arenas: sort each chunk by its int sort key, then a
        sorted merge — same output as sort_uniq over the concatenation *)
-    let ctx = Parallel.route_key_ctx t.model ~input_routes in
+    let ctx = route_key_ctx t.model ~input_routes in
     Rib.Arena.merge
       (List.map (Rib.Arena.of_routes ctx) (base_rows :: rib_chunks))
   in

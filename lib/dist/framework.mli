@@ -15,8 +15,7 @@
 
     Subtasks execute on the calling thread with their compute time
     measured; multi-server end-to-end times come from replaying the
-    measured durations through {!Schedule} (see DESIGN.md §2).  A genuine
-    multicore path lives in {!Parallel}. *)
+    measured durations through {!Schedule} (see DESIGN.md §2). *)
 
 open Hoyan_net
 

@@ -53,14 +53,14 @@ type rib = t
 
     A {!ctx} maps the (device, vrf, prefix) universe of a phase to dense
     small ids {e assigned in sorted order}, so the mixed-radix packed key
-    orders exactly like the leading fields of {!Route.compare}.  Workers
-    sort their RIB chunks by [(key, Route.compare)] — almost every
-    comparison resolves on one int — and the coordinator's k-way merge
-    inherits the same order, so the merged output is byte-identical to
+    orders exactly like the leading fields of {!Route.compare}.  RIB
+    chunks are sorted by [(key, Route.compare)] — almost every
+    comparison resolves on one int — and the k-way merge inherits the
+    same order, so the merged output is byte-identical to
     [List.sort_uniq Route.compare] over the concatenation.
 
-    The ctx is built by the coordinator before worker domains spawn and
-    is read-only afterwards.  Routes whose device, vrf or prefix is
+    The ctx is built once per phase (the framework's master-collect,
+    the incremental engine's capture) and is read-only afterwards.  Routes whose device, vrf or prefix is
     outside the universe simply get no key ({!Key.of_route} returns
     [None]); {!Arena} keeps them on a structurally-sorted overflow side
     channel, so an incomplete universe degrades performance, never
@@ -132,10 +132,10 @@ end
 (* Compact RIB arenas                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** A worker-filled compact RIB: routes in two parallel flat arrays
+(** A compact RIB: routes in two parallel flat arrays
     (packed int sort key, route), sorted by [(key, Route.compare)] and
     deduplicated.  Replaces per-subtask [Route.t list] accumulation —
-    the coordinator merges arenas with a pairwise sorted merge instead
+    the master merges arenas with a pairwise sorted merge instead
     of [List.concat |> List.sort_uniq Route.compare], and the inner
     comparisons are int compares on the key arrays. *)
 module Arena = struct
@@ -152,8 +152,7 @@ module Arena = struct
   let row_compare (ka, (ra : Route.t)) (kb, rb) =
     if ka <> kb then compare ka kb else Route.compare ra rb
 
-  (** Fill an arena from a worker's RIB chunk: key, sort, dedup.  Runs
-      inside the worker domain, so the sort happens in parallel. *)
+  (** Fill an arena from a RIB chunk: key, sort, dedup. *)
   let of_routes (ctx : Key.ctx) (rs : Route.t list) : t =
     let keyed = ref [] and over = ref [] and nk = ref 0 in
     List.iter

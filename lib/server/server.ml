@@ -278,7 +278,8 @@ let run_whatif ?(tm = Telemetry.noop) ?inc (snap : Snapshot.t)
    pipeline seconds, traffic-forcing seconds) so [execute_one] can
    attribute the server.request span honestly instead of lumping the
    lazy traffic cost into the route-simulation time. *)
-let run_direct_timed ?(tm = Telemetry.noop) ?inc ?inc_sim (snap : Snapshot.t)
+let run_direct_timed ?(tm = Telemetry.noop)
+    ?(exec = Verify_request.From_scratch) (snap : Snapshot.t)
     (rq : Request.t) : status * string * float * float =
   let base = snap.Snapshot.sn_base in
   let vrq =
@@ -288,35 +289,33 @@ let run_direct_timed ?(tm = Telemetry.noop) ?inc ?inc_sim (snap : Snapshot.t)
       rq_intents = rq.Request.r_intents;
     }
   in
+  let verify ~lint ~diff ~stop_after =
+    let res = Verify_request.run ~tm ~exec ~lint ~diff ~stop_after base vrq in
+    ( (if res.Verify_request.vr_ok then Ok else Fail),
+      verdict_body res,
+      res.Verify_request.vr_sim_seconds,
+      !(res.Verify_request.vr_traffic_seconds) )
+  in
   try
     match rq.Request.r_class with
     | Request.Whatif ->
+        let inc =
+          match exec with Verify_request.Splice cx -> Some cx | _ -> None
+        in
         let st, body = run_whatif ~tm ?inc snap rq in
         (st, body, 0., 0.)
-    | _ ->
-        let res =
-          match rq.Request.r_class with
-          | Request.Lint ->
-              Verify_request.run ~tm ~lint:Verify_request.Lint_fail
-                ~precheck:false ~stop_after:`Gate base vrq
-          | Request.Precheck ->
-              Verify_request.run ~tm ~lint:Verify_request.Lint_off
-                ~stop_after:`Static base vrq
-          | Request.Diff ->
-              Verify_request.run ~tm ~diff:true ?inc ?inc_sim base vrq
-          | Request.Simulate ->
-              Verify_request.run ~tm ?inc ?inc_sim base vrq
-          | Request.Whatif -> assert false
-        in
-        ( (if res.Verify_request.vr_ok then Ok else Fail),
-          verdict_body res,
-          res.Verify_request.vr_sim_seconds,
-          !(res.Verify_request.vr_traffic_seconds) )
+    | Request.Lint ->
+        verify ~lint:Verify_request.Lint_fail ~diff:false ~stop_after:`Gate
+    | Request.Precheck ->
+        verify ~lint:Verify_request.Lint_off ~diff:false ~stop_after:`Static
+    | Request.Diff ->
+        verify ~lint:Verify_request.Lint_warn ~diff:true ~stop_after:`Full
+    | Request.Simulate ->
+        verify ~lint:Verify_request.Lint_warn ~diff:false ~stop_after:`Full
   with e -> (Error (Printexc.to_string e), "", 0., 0.)
 
-let run_direct ?tm ?inc ?inc_sim (snap : Snapshot.t) (rq : Request.t) :
-    status * string =
-  let st, body, _, _ = run_direct_timed ?tm ?inc ?inc_sim snap rq in
+let run_direct (snap : Snapshot.t) (rq : Request.t) : status * string =
+  let st, body, _, _ = run_direct_timed snap rq in
   (st, body)
 
 (* ------------------------------------------------------------------ *)
@@ -436,15 +435,15 @@ let submit t (rq : Request.t) : (unit, response) result =
 (* The drain loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* For the simulating classes, provision the incremental machinery:
-   capture the snapshot's converged-base context once, then look the
-   plan's spliced artifact up by (snapshot digest, plan digest) —
-   computing and caching it on a miss, so a repeated plan (any tenant,
-   any intent set) never re-runs even the dirty-region fixpoint. *)
-let inc_for t (snap : Snapshot.t) (rq : Request.t) :
-    Incremental.ctx option * Incremental.sim option =
+(* The executor a request runs under.  For the simulating classes,
+   provision the incremental machinery: capture the snapshot's
+   converged-base context once, then look the plan's spliced artifact up
+   by (snapshot digest, plan digest) — computing and caching it on a
+   miss, so a repeated plan (any tenant, any intent set) never re-runs
+   even the dirty-region fixpoint. *)
+let inc_for t (snap : Snapshot.t) (rq : Request.t) : Verify_request.executor =
   match rq.Request.r_class with
-  | Request.Lint | Request.Precheck -> (None, None)
+  | Request.Lint | Request.Precheck -> Verify_request.From_scratch
   | Request.Simulate | Request.Diff | Request.Whatif -> (
       let ctx =
         match Hashtbl.find_opt t.inc_ctxs snap.Snapshot.sn_digest with
@@ -464,7 +463,7 @@ let inc_for t (snap : Snapshot.t) (rq : Request.t) :
       | Request.Whatif ->
           (* the sweep reuses the base context per scenario; there is no
              change plan to splice, hence no artifact *)
-          (Some ctx, None)
+          Verify_request.Splice ctx
       | _ ->
           let key =
             snap.Snapshot.sn_digest ^ "/"
@@ -484,7 +483,7 @@ let inc_for t (snap : Snapshot.t) (rq : Request.t) :
                 Hashtbl.replace t.inc_sims key s;
                 s
           in
-          (Some ctx, Some sim))
+          Verify_request.Artifact sim)
 
 let execute_one t (p : pending) : response =
   let rq = p.p_rq in
@@ -505,8 +504,7 @@ let execute_one t (p : pending) : response =
   let t0 = Unix.gettimeofday () in
   let queue_s = t0 -. p.p_submit_t in
   let run () =
-    let inc, inc_sim = inc_for t p.p_snap rq in
-    run_direct_timed ~tm:t.tm ?inc ?inc_sim p.p_snap rq
+    run_direct_timed ~tm:t.tm ~exec:(inc_for t p.p_snap rq) p.p_snap rq
   in
   let status, body, cached, sim_s, traffic_s =
     if rq.Request.r_no_cache then

@@ -102,18 +102,13 @@ val drain : t -> response list
     through {!Hoyan_core.Verify_request.run} with the class's flags,
     bypassing queue, cache and budgets.  The server's executed
     responses are byte-identical to this — the server test suite and
-    [--selfcheck] assert it (the incremental engine's splice contract
-    is exactly what makes the identity hold when the server passes
-    [?inc]/[?inc_sim]).
-
-    [inc] supplies the snapshot's captured incremental context and
-    [inc_sim] an already-spliced artifact for the request's plan; the
-    drain loop provisions both automatically for the simulating
-    classes and caches artifacts by (snapshot digest, plan digest). *)
+    [--selfcheck] assert it.  The drain loop runs the simulating
+    classes under the incremental executors instead (the snapshot's
+    captured context for whatif, an already-spliced artifact cached by
+    (snapshot digest, plan digest) for simulate and diff); the
+    incremental engine's splice contract is exactly what makes the
+    identity hold. *)
 val run_direct :
-  ?tm:Hoyan_telemetry.Telemetry.t ->
-  ?inc:Hoyan_sim.Incremental.ctx ->
-  ?inc_sim:Hoyan_sim.Incremental.sim ->
   Snapshot.t ->
   Request.t ->
   status * string

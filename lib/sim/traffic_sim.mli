@@ -108,8 +108,8 @@ type result = {
 (** Simulate all flows against a global RIB.  [use_ecs=false] walks every
     record individually (ablation; loads must agree).  [fibs] and [ecx]
     supply a prebuilt FIB set and EC-keying context (then [rib] is
-    ignored) — used by the domain-parallel traffic phase to build both
-    once and share them read-only across workers. *)
+    ignored) — the incremental engine's spliced or base tries, built
+    once and shared read-only across plans and failure scenarios. *)
 val run :
   ?tm:Hoyan_telemetry.Telemetry.t ->
   ?use_ecs:bool ->

@@ -1,6 +1,6 @@
 (* Tests for the distributed simulation framework: splitters, the ordering
    heuristic, master/worker execution, failure retry, the schedule replay,
-   and the real-parallel executor. *)
+   and the domain-parallel map. *)
 
 open Hoyan_net
 module G = Hoyan_workload.Generator
@@ -77,17 +77,72 @@ let test_split_flows () =
   in
   check tbool "ordered ranges disjoint" true (non_overlapping ranges)
 
+(* The master-collect identity contract at every tested subtask count:
+   each framework route-phase RIB is multiset-equal to the sequential
+   [Route_sim.run], its BGP rows lead in canonical [Route.compare] order
+   (what the packed-key arena merge promises), and the runs are the same
+   row list, element for element, across subtask counts.  Runs on the
+   small scenario and on a reduced wan (800 prefixes, ~86k RIB rows);
+   on small the centralized baseline must agree too. *)
 let test_distributed_equals_direct () =
+  let identity name (g : G.t) subtask_counts =
+    let direct =
+      (Route_sim.run g.G.model ~input_routes:g.G.input_routes ()).Route_sim.rib
+    in
+    let canonical =
+      List.sort_uniq Route.compare
+        (Route_sim.run ~include_locals:false g.G.model
+           ~input_routes:g.G.input_routes ())
+          .Route_sim.rib
+    in
+    let n = List.length canonical in
+    let runs =
+      List.map
+        (fun subtasks ->
+          let fw = Framework.create g.G.model in
+          let rib =
+            (Framework.run_route_phase ~subtasks fw
+               ~input_routes:g.G.input_routes)
+              .Framework.rp_rib
+          in
+          check tbool
+            (Printf.sprintf "%s: %d subtask(s) multiset-equal to direct" name
+               subtasks)
+            true
+            (Rib.Global.equal direct rib);
+          check tbool
+            (Printf.sprintf "%s: %d subtask(s) merge in canonical order" name
+               subtasks)
+            true
+            (List.equal Route.equal canonical
+               (List.filteri (fun i _ -> i < n) rib));
+          (subtasks, rib))
+        subtask_counts
+    in
+    let first, one = List.hd runs in
+    List.iter
+      (fun (n, rib) ->
+        check tbool
+          (Printf.sprintf "%s: %d subtask(s) byte-identical to %d" name n first)
+          true
+          (List.equal Route.equal one rib))
+      runs;
+    direct
+  in
   let g = Lazy.force scenario in
-  let direct =
-    (Route_sim.run g.G.model ~input_routes:g.G.input_routes ()).Route_sim.rib
+  let direct = identity "small" g [ 1; 7; 32 ] in
+  let wan800 = G.generate { G.wan with G.g_prefixes = 800 } in
+  ignore (identity "wan/800" wan800 [ 1; 32 ]);
+  let cent =
+    Hoyan_sim.Centralized.run ~mem_cap_bytes:max_int g.G.model
+      ~input_routes:g.G.input_routes ()
   in
-  let fw = Framework.create g.G.model in
-  let phase =
-    Framework.run_route_phase ~subtasks:7 fw ~input_routes:g.G.input_routes
-  in
-  check tbool "distributed RIB equals direct RIB" true
-    (Rib.Global.equal direct phase.Framework.rp_rib)
+  (* every centralized chunk repeats the locally originated rows, so the
+     baseline agrees as a set *)
+  let norm = List.sort_uniq Route.compare in
+  check tbool "small: centralized rows = direct rows (deduplicated)" true
+    (List.equal Route.equal (norm direct)
+       (norm cent.Hoyan_sim.Centralized.c_rib))
 
 let test_traffic_phase_and_dependencies () =
   let g = Lazy.force scenario in
@@ -246,49 +301,6 @@ let prop_lpt_sweep_monotone =
       in
       m_more <= m_few +. 1e-9)
 
-(* The route-phase identity contract at every tested domain count: each
-   parallel RIB is multiset-equal to the sequential [Route_sim.run], and
-   the parallel RIBs are the same row list, element for element, across
-   domain counts (the packed-key arena merge is deterministic, so any
-   divergence is a scheduler or merge bug).  Runs on the small scenario
-   and on a reduced wan (800 prefixes, ~86k RIB rows). *)
-let test_parallel_executor () =
-  let domain_counts =
-    List.sort_uniq compare [ 1; 2; 4; Domain.recommended_domain_count () ]
-  in
-  let identity name (g : G.t) ~subtasks =
-    let direct =
-      (Route_sim.run g.G.model ~input_routes:g.G.input_routes ()).Route_sim.rib
-    in
-    let runs =
-      List.map
-        (fun domains ->
-          let rib =
-            Parallel.route_phase_rib ~domains ~subtasks g.G.model
-              ~input_routes:g.G.input_routes
-          in
-          check tbool
-            (Printf.sprintf "%s: %d domain(s) multiset-equal to sequential"
-               name domains)
-            true
-            (Rib.Global.equal direct rib);
-          (domains, rib))
-        domain_counts
-    in
-    let one = List.assoc 1 runs in
-    List.iter
-      (fun (d, rib) ->
-        check tbool
-          (Printf.sprintf "%s: %d domain(s) byte-identical to 1" name d)
-          true
-          (List.equal Route.equal one rib))
-      runs
-  in
-  identity "small" (Lazy.force scenario) ~subtasks:6;
-  identity "wan/800"
-    (G.generate { G.wan with G.g_prefixes = 800 })
-    ~subtasks:32
-
 let test_parallel_map () =
   let xs = List.init 100 Fun.id in
   let ys = Parallel.map ~domains:4 (fun x -> x * x) xs in
@@ -330,62 +342,6 @@ let test_parallel_map_exception () =
   match Parallel.map ~domains:1 (fun _ -> raise Not_found) [ 1; 2 ] with
   | _ -> Alcotest.fail "expected Not_found to propagate"
   | exception Not_found -> ()
-
-let sorted_loads (r : Traffic_sim.result) =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) r.Traffic_sim.link_load []
-  |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-
-(* The end-to-end parallel pipeline reproduces the centralized runner's
-   output: route-phase RIB rows bit-for-bit, traffic-phase results
-   bit-for-bit across domain counts and per-flow identical to the
-   sequential single-table run. *)
-let test_parallel_pipeline_equals_centralized () =
-  let g = Lazy.force scenario in
-  let cent =
-    Hoyan_sim.Centralized.run ~mem_cap_bytes:max_int g.G.model
-      ~input_routes:g.G.input_routes ()
-  in
-  let norm rs = List.sort_uniq Route.compare rs in
-  let par_rib =
-    Parallel.route_phase_rib ~domains:4 ~subtasks:6 g.G.model
-      ~input_routes:g.G.input_routes
-  in
-  check tbool "route phase rows = centralized rows (bit-for-bit)" true
-    (List.equal Route.equal
-       (norm cent.Hoyan_sim.Centralized.c_rib)
-       (norm par_rib));
-  let rib = par_rib in
-  let seq = Traffic_sim.run g.G.model ~rib ~flows:g.G.flows () in
-  let par1 =
-    Parallel.traffic_phase ~domains:1 ~subtasks:8 g.G.model ~rib
-      ~flows:g.G.flows ()
-  in
-  let par4 =
-    Parallel.traffic_phase ~domains:4 ~subtasks:8 g.G.model ~rib
-      ~flows:g.G.flows ()
-  in
-  (* the domain count changes nothing: deterministic shard merge *)
-  check tbool "traffic domains=1 = domains=4 (bit-for-bit)" true
-    (par1.Traffic_sim.flow_results = par4.Traffic_sim.flow_results
-    && sorted_loads par1 = sorted_loads par4);
-  (* per-flow results equal the sequential single-table run exactly
-     (walks are per-flow deterministic); link loads agree within float
-     re-association tolerance *)
-  let by_flow rs = List.sort Stdlib.compare rs in
-  check tbool "per-flow results = sequential (bit-for-bit)" true
-    (by_flow par4.Traffic_sim.flow_results
-    = by_flow seq.Traffic_sim.flow_results);
-  let la = sorted_loads par4 and lb = sorted_loads seq in
-  check tint "same loaded edges" (List.length lb) (List.length la);
-  List.iter2
-    (fun (ka, va) (kb, vb) ->
-      check tbool "same edge" true (ka = kb);
-      check tbool "load agrees" true
-        (Float.abs (va -. vb) <= 1e-6 *. Float.max 1.0 (Float.abs vb)))
-    la lb;
-  (* population accounting is preserved by the merge *)
-  check tint "flow population preserved" seq.Traffic_sim.flow_count
-    par4.Traffic_sim.flow_count
 
 (* property: the ordering heuristic's dependency test is sound — if a
    traffic subtask's range does not overlap a route subtask's range, no
@@ -687,9 +643,11 @@ let test_verify_partial_refusal () =
       rq_intents = [ Intents.Route_change "PRE = POST" ];
     }
   in
-  let mode = Verify_request.Distributed { servers = 4; subtasks = 10 } in
+  let dist ?(chaos = Chaos.none) on_partial =
+    Verify_request.Distributed { subtasks = 10; chaos; on_partial }
+  in
   let chaos = Chaos.make ~lose_always:[ "route-001.rib" ] () in
-  let res = Verify_request.run ~mode ~chaos base rq in
+  let res = Verify_request.run ~exec:(dist ~chaos `Refuse) base rq in
   check tbool "partial flagged" true res.Verify_request.vr_partial;
   check tbool "partial is never ok" false res.Verify_request.vr_ok;
   (match res.Verify_request.vr_coverage with
@@ -704,11 +662,11 @@ let test_verify_partial_refusal () =
   check tint "no simulated violations under refusal" 0
     (List.length res.Verify_request.vr_violations);
   (* graceful degradation verifies anyway, but stays flagged and failed *)
-  let res2 = Verify_request.run ~mode ~chaos ~on_partial:`Degrade base rq in
+  let res2 = Verify_request.run ~exec:(dist ~chaos `Degrade) base rq in
   check tbool "degrade: still partial, still not ok" true
     (res2.Verify_request.vr_partial && not res2.Verify_request.vr_ok);
   (* and a chaos-free distributed run is complete and passes *)
-  let res3 = Verify_request.run ~mode base rq in
+  let res3 = Verify_request.run ~exec:(dist `Refuse) base rq in
   check tbool "no chaos: complete" false res3.Verify_request.vr_partial;
   (match res3.Verify_request.vr_coverage with
   | Some c ->
@@ -738,13 +696,9 @@ let suite =
     ("schedule makespan", `Quick, test_schedule_makespan);
     ("schedule LPT vs FIFO", `Quick, test_schedule_lpt);
     ("schedule edge cases", `Quick, test_schedule_edge_cases);
-    ("parallel executor equivalence", `Slow, test_parallel_executor);
     ("parallel map", `Quick, test_parallel_map);
     ("parallel map sizes + domains=1", `Quick, test_parallel_map_sizes);
     ("parallel map exception propagation", `Quick, test_parallel_map_exception);
-    ( "parallel pipeline = centralized (route + traffic)",
-      `Slow,
-      test_parallel_pipeline_equals_centralized );
     qtest prop_dependency_soundness;
     qtest prop_lpt_sweep_monotone;
   ]

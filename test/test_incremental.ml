@@ -415,7 +415,7 @@ let test_verify_request_inc_agrees () =
     }
   in
   let full = Verify_request.run b rq in
-  let inc = Verify_request.run ~inc:cx b rq in
+  let inc = Verify_request.run ~exec:(Verify_request.Splice cx) b rq in
   check tbool "same verdict" full.Verify_request.vr_ok
     inc.Verify_request.vr_ok;
   check tbool "same updated RIB" true

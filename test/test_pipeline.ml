@@ -13,6 +13,7 @@ module Kfailure = Hoyan_core.Kfailure
 module Audit = Hoyan_core.Audit
 module Route_sim = Hoyan_sim.Route_sim
 module Traffic_sim = Hoyan_sim.Traffic_sim
+module Incremental = Hoyan_sim.Incremental
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
@@ -168,16 +169,136 @@ let test_distributed_mode_agrees () =
       rq_intents = [ Intents.Route_change "PRE = POST" ];
     }
   in
-  let direct = Verify_request.run ~mode:Verify_request.Direct b rq in
+  let direct = Verify_request.run b rq in
   let dist =
     Verify_request.run
-      ~mode:(Verify_request.Distributed { servers = 4; subtasks = 9 })
+      ~exec:
+        (Verify_request.Distributed
+           { subtasks = 9; chaos = Hoyan_dist.Chaos.none; on_partial = `Refuse })
       b rq
   in
   check tbool "distributed mode passes too" true dist.Verify_request.vr_ok;
   check tbool "same rib either way" true
     (Rib.Global.equal direct.Verify_request.vr_updated_rib
        dist.Verify_request.vr_updated_rib)
+
+(* --- one oracle for every executor ------------------------------------------ *)
+
+(* Every executor must reproduce the from-scratch reference on a short
+   plan family, with and without the differential pass: same verdict,
+   violations, carried intents, plan class, plan warnings and updated
+   RIB.  A new executor gets the check by joining [executors]. *)
+let test_executor_oracle () =
+  let b = Lazy.force base in
+  let g = Lazy.force scenario in
+  let model = b.Preprocess.b_model in
+  let cx =
+    Incremental.capture ~model ~input_routes:b.Preprocess.b_input_routes
+      ~flows:b.Preprocess.b_flows ~rib:(Lazy.force b.Preprocess.b_rib) ()
+  in
+  let border = List.hd g.G.borders in
+  let announced = pfx "203.0.113.0/24" in
+  let withdrawn = (List.hd g.G.input_routes).Route.prefix in
+  let rr =
+    Topology.devices model.Hoyan_sim.Model.topo
+    |> List.find (fun (d : Topology.device) -> d.Topology.role = Topology.Rr)
+  in
+  let rr_out_node_20 =
+    match Hoyan_sim.Model.config model rr.Topology.name with
+    | Some { Types.dc_vendor = "vendorA"; _ } -> "no route-map RR_OUT 20\n"
+    | _ -> "undo route-policy RR_OUT node 20\n"
+  in
+  let link =
+    match Topology.edges model.Hoyan_sim.Model.topo with
+    | e :: _ -> Cp.Remove_link { ra = e.Topology.src; rb = e.Topology.dst }
+    | [] -> Alcotest.fail "scenario has no links"
+  in
+  let plans =
+    [
+      Cp.make "no-op";
+      Cp.make "static-route"
+        ~commands:[ ("r00-bdr01", Example_plans.static_route) ];
+      Cp.make "announce"
+        ~new_routes:
+          [
+            Route.make ~device:border ~prefix:announced
+              ~as_path:(As_path.of_asns [ 7018 ]) ~source:Route.Ebgp ();
+          ];
+      Cp.make "withdraw" ~withdraw:[ withdrawn ];
+      Cp.make "policy" ~commands:[ (rr.Topology.name, rr_out_node_20) ];
+      Cp.make "topology" ~topo_ops:[ link ];
+    ]
+  in
+  let reach p expect =
+    Intents.Route_reach
+      { rr_prefix = p; rr_devices = [ border ]; rr_expect = expect }
+  in
+  (* all hold on the no-op plan; each other plan breaks some *)
+  let intents =
+    [
+      Intents.Route_change "PRE = POST";
+      reach announced false;
+      reach withdrawn true;
+    ]
+  in
+  let executors plan =
+    [
+      ("splice", Verify_request.Splice cx);
+      ("artifact", Verify_request.Artifact (Incremental.simulate cx plan));
+      ( "distributed",
+        Verify_request.Distributed
+          {
+            subtasks = 9;
+            chaos = Hoyan_dist.Chaos.none;
+            on_partial = `Refuse;
+          } );
+    ]
+  in
+  let violations (r : Verify_request.result) =
+    List.sort compare
+      (List.map Intents.violation_to_string r.Verify_request.vr_violations)
+  in
+  let carried (r : Verify_request.result) =
+    List.map Intents.to_string r.Verify_request.vr_carried
+  in
+  let strings = Alcotest.(list string) in
+  List.iter
+    (fun plan ->
+      let rq =
+        {
+          Verify_request.rq_name = plan.Cp.cp_name;
+          rq_plan = plan;
+          rq_intents = intents;
+        }
+      in
+      let execs = executors plan in
+      List.iter
+        (fun diff ->
+          let reference = Verify_request.run ~diff b rq in
+          List.iter
+            (fun (name, exec) ->
+              let r = Verify_request.run ~exec ~diff b rq in
+              let what field =
+                Printf.sprintf "%s, %s, diff=%b: %s" plan.Cp.cp_name name diff
+                  field
+              in
+              check tbool (what "ok") reference.Verify_request.vr_ok
+                r.Verify_request.vr_ok;
+              check strings (what "violations") (violations reference)
+                (violations r);
+              check strings (what "carried") (carried reference) (carried r);
+              check tbool (what "diff class") true
+                (reference.Verify_request.vr_diff_class
+                = r.Verify_request.vr_diff_class);
+              check strings (what "plan warnings")
+                reference.Verify_request.vr_plan_warnings
+                r.Verify_request.vr_plan_warnings;
+              check tbool (what "updated rib") true
+                (Rib.Global.equal reference.Verify_request.vr_updated_rib
+                   r.Verify_request.vr_updated_rib))
+            execs)
+        [ false; true ])
+    plans
 
 (* --- traffic intents -------------------------------------------------------- *)
 
@@ -277,6 +398,7 @@ let suite =
     ("change verification pass/fail", `Slow, test_change_verification_pass_and_fail);
     ("new prefix announcement", `Slow, test_new_prefix_announcement);
     ("distributed mode agrees", `Slow, test_distributed_mode_agrees);
+    ("every executor matches from-scratch", `Slow, test_executor_oracle);
     ("traffic load intents", `Slow, test_load_intent);
     ("k-failure checking", `Quick, test_kfailure);
     ("daily audits", `Slow, test_audits);

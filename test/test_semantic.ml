@@ -273,17 +273,25 @@ let test_verify_request_skip () =
     (String.equal (List.hd r.VR.vr_violations).Intents.v_intent
        (Intents.to_string refuted));
   check tbool "request fails" false r.VR.vr_ok;
-  (* cross-check: with the pre-checker off, the full simulation reaches
-     the same verdict on both intents *)
-  let r_sim = VR.run ~precheck:false base rq in
-  check tbool "precheck off: simulation runs" false r_sim.VR.vr_sim_skipped;
-  check tbool "precheck off: no verdicts recorded" true
-    (r_sim.VR.vr_precheck = []);
+  (* cross-check: simulating the base model (the plan is a no-op) and
+     checking each intent against it reaches the same verdicts *)
+  let module P = Hoyan_core.Preprocess in
+  let rib =
+    (Route_sim.run g.G.model ~input_routes:base.P.b_input_routes ())
+      .Route_sim.rib
+  in
+  let traffic = base.P.b_traffic in
+  let sim_violations =
+    List.concat_map
+      (fun intent ->
+        Intents.verify intent ~model:g.G.model ~base_rib:rib ~updated_rib:rib
+          ~base_traffic:traffic ~updated_traffic:traffic)
+      rq.VR.rq_intents
+  in
   check tint "simulation also finds exactly one violation" 1
-    (List.length r_sim.VR.vr_violations);
+    (List.length sim_violations);
   check tbool "simulation violates the same intent" true
-    (String.equal
-       (List.hd r_sim.VR.vr_violations).Intents.v_intent
+    (String.equal (List.hd sim_violations).Intents.v_intent
        (Intents.to_string refuted));
   (* a mixed request must still simulate the unresolved intent *)
   let needs_sim =

@@ -503,7 +503,7 @@ let test_stop_after () =
       rq_intents = [ Intents.Route_change "PRE = POST" ];
     }
   in
-  let gate = VR.run ~lint:VR.Lint_fail ~precheck:false ~stop_after:`Gate b vrq in
+  let gate = VR.run ~lint:VR.Lint_fail ~stop_after:`Gate b vrq in
   check tbool "`Gate never prechecks" true (gate.VR.vr_precheck = []);
   check tbool "`Gate never simulates" true (gate.VR.vr_updated_rib = []);
   let st = VR.run ~lint:VR.Lint_off ~stop_after:`Static b vrq in
