@@ -96,7 +96,7 @@ let kfailure () =
               ~input_routes:g.G.input_routes ~flows:[] ~k prop)
       in
       row "k=%d: %d scenarios checked, %d violation(s) found (%s)" k
-        res.Kfailure.kr_scenarios
+        res.Kfailure.kr_checked
         (List.length res.Kfailure.kr_violations)
         (seconds dt);
       List.iteri

@@ -22,8 +22,6 @@ type location = {
   loc_line : int option; (* 1-based, in the rendered config / command block *)
 }
 
-let no_loc = { loc_device = None; loc_object = None; loc_line = None }
-
 type t = {
   d_code : string;
   d_severity : severity;

@@ -395,9 +395,10 @@ let vrf_rt_checks (input : input) : D.t list =
 (* Change-plan checks (HOY012 / HOY013 / HOY014)                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Dry-run the plan against the corpus.  Returns the plan diagnostics
-    plus the post-plan configs, so the configuration checks run on what
-    the network would look like {e after} the change. *)
+(** Apply the plan to the corpus ({!Cp.apply}, the one plan semantics
+    the simulator also uses).  Returns the plan diagnostics plus the
+    post-plan configs, so the configuration checks run on what the
+    network would look like {e after} the change. *)
 let plan_checks (input : input) (plan : Cp.t) : D.t list * Types.t Smap.t =
   let diags = ref [] in
   let add d = diags := d :: !diags in
@@ -458,38 +459,35 @@ let plan_checks (input : input) (plan : Cp.t) : D.t list * Types.t Smap.t =
                        "topology op removes non-existent link %s -- %s" ra rb))
               input.li_topo)
     plan.Cp.cp_topo_ops;
-  (* command blocks: unknown devices, then a dry-run apply per device *)
-  let merged =
-    List.fold_left
-      (fun configs (dev, block) ->
-        match Smap.find_opt dev configs with
-        | None ->
-            if not (known dev) then
-              add
-                (D.make ~code:"HOY012" ~device:dev ~obj
-                   "command block targets unknown device %s" dev);
-            configs
-        | Some cfg ->
-            let cfg', report = Cp.apply_commands cfg block in
-            List.iter
-              (fun (i : Cp.line_issue) ->
-                match i.Cp.ci_kind with
-                | Cp.Parse ->
-                    add
-                      (D.make ~code:"HOY014" ~device:dev
-                         ~obj:(if i.Cp.ci_text = "" then obj else i.Cp.ci_text)
-                         ~line:i.Cp.ci_lnum "command does not parse: %s"
-                         i.Cp.ci_msg)
-                | Cp.Delete ->
-                    add
-                      (D.make ~code:"HOY013" ~device:dev ~obj:i.Cp.ci_text
-                         ~line:i.Cp.ci_lnum "deletion does not apply: %s"
-                         i.Cp.ci_msg))
-              report.Cp.ar_issues;
-            Smap.add dev cfg' configs)
-      input.li_configs plan.Cp.cp_commands
-  in
-  (List.rev !diags, merged)
+  (* command blocks, through the plan's own application: a device the
+     plan adds is configured from empty, a removed one is gone *)
+  let applied = Cp.apply input.li_configs plan in
+  List.iter
+    (function
+      | Cp.Unknown_device r ->
+          let dev = r.Cp.ar_device in
+          if not (known dev) then
+            add
+              (D.make ~code:"HOY012" ~device:dev ~obj
+                 "command block targets unknown device %s" dev)
+      | Cp.Patched { st_device = dev; st_report; _ } ->
+          List.iter
+            (fun (i : Cp.line_issue) ->
+              match i.Cp.ci_kind with
+              | Cp.Parse ->
+                  add
+                    (D.make ~code:"HOY014" ~device:dev
+                       ~obj:(if i.Cp.ci_text = "" then obj else i.Cp.ci_text)
+                       ~line:i.Cp.ci_lnum "command does not parse: %s"
+                       i.Cp.ci_msg)
+              | Cp.Delete ->
+                  add
+                    (D.make ~code:"HOY013" ~device:dev ~obj:i.Cp.ci_text
+                       ~line:i.Cp.ci_lnum "deletion does not apply: %s"
+                       i.Cp.ci_msg))
+            st_report.Cp.ar_issues)
+    applied.Cp.ap_steps;
+  (List.rev !diags, applied.Cp.ap_configs)
 
 (* ------------------------------------------------------------------ *)
 (* RCL specification checks (HOY015..HOY018)                           *)

@@ -118,13 +118,8 @@ type result = {
           footprint is prefix-enumerable; [Opaque] always simulates in
           full) *)
   kr_sampled : bool;  (** an explicit [max_scenarios] cap dropped classes *)
-  kr_scenarios : int;  (** = [kr_checked]; kept for existing callers *)
   kr_violations : scenario_result list;
 }
-
-let candidate_failures ?(devices = true) ?(links = true) (model : Model.t) :
-    failure list =
-  Feq.candidates ~devices ~links model.Model.topo
 
 let apply_failures (model : Model.t) (fs : failure list) : Model.t =
   let topo_ops = List.map Feq.topo_op fs in
@@ -337,6 +332,5 @@ let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
     kr_simulated = simulated;
     kr_restricted = restricted;
     kr_sampled = sampled;
-    kr_scenarios = checked;
     kr_violations = violations;
   }

@@ -63,8 +63,8 @@ type result = {
       (** the simulated state is missing permanently-failed subtasks'
           results; [vr_ok] is never [true] when this is set *)
   vr_inc : Incremental.stats option;
-      (** incremental-simulation accounting when the request ran through
-          a [Splice] or [Artifact] executor *)
+      (** incremental-simulation accounting when the request was spliced
+          by a [Splice] executor *)
   vr_updated_model : Model.t;
   vr_base_rib : Route.t list;
   vr_updated_rib : Route.t list;
@@ -94,8 +94,6 @@ type executor =
   | From_scratch (* Route_sim.run on the patched model: the reference *)
   | Splice of Incremental.ctx
       (* dirty-region re-convergence; fallbacks counted in vr_inc *)
-  | Artifact of Incremental.sim
-      (* an already-spliced sim for this plan (the server's table) *)
   | Distributed of {
       subtasks : int;
       chaos : Hoyan_dist.Chaos.t;
@@ -198,14 +196,10 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
     }
   end
   else begin
-  (* 1. incremental model update (a cached incremental artifact already
-     carries the patched model and its apply reports) *)
+  (* 1. incremental model update *)
   let updated_model, reports =
-    match exec with
-    | Artifact s -> (s.Incremental.s_model, s.Incremental.s_reports)
-    | From_scratch | Splice _ | Distributed _ ->
-        Telemetry.with_span tm "verify.model_update" (fun () ->
-            Model.apply_change_plan base.Preprocess.b_model rq.rq_plan)
+    Telemetry.with_span tm "verify.model_update" (fun () ->
+        Model.apply_change_plan base.Preprocess.b_model rq.rq_plan)
   in
   let warnings = plan_warnings reports in
   (* 2. the updated model's route inputs: reclaimed prefixes removed,
@@ -223,15 +217,11 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
     if not diff then None
     else
       Telemetry.with_span tm "verify.diff" (fun () ->
-          match exec with
-          | Artifact s -> Some s.Incremental.s_diff
-          | From_scratch | Splice _ | Distributed _ ->
-              let bm = base.Preprocess.b_model in
-              Some
-                (Differential.diff ~tm
-                   (Lint.make ~topo:bm.Model.topo ~render:false
-                      bm.Model.configs)
-                   rq.rq_plan))
+          let bm = base.Preprocess.b_model in
+          Some
+            (Differential.diff ~tm
+               (Lint.make ~topo:bm.Model.topo ~render:false bm.Model.configs)
+               rq.rq_plan))
   in
   let carried, active_intents =
     match diff_info with
@@ -371,9 +361,9 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
      verdict covers only the statically decided part *)
   let static_only = stop_after = `Static in
   (* 3. route simulation on the updated model over the patched inputs
-     bound above, by the request's executor.  [Splice] and [Artifact]
-     re-converge only the plan's dirty region and splice into the
-     converged base RIB instead of running the fixpoint from scratch
+     bound above, by the request's executor.  [Splice] re-converges
+     only the plan's dirty region and splices into the converged base
+     RIB instead of running the fixpoint from scratch
      (broad plans honestly fall back inside [Incremental.simulate] —
      see [vr_inc]). *)
   let spliced, updated_rib, dist_coverage =
@@ -381,7 +371,6 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
     else
       Telemetry.with_span tm "verify.route_sim" (fun () ->
           match exec with
-          | Artifact s -> (Some s, s.Incremental.s_rib, None)
           | Splice ictx ->
               let s = Incremental.simulate ~tm ?d:diff_info ictx rq.rq_plan in
               (Some s, s.Incremental.s_rib, None)
@@ -414,7 +403,7 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
     | None -> false
   in
   (* 4. traffic simulation (lazy: only if an intent needs it).  The
-     incremental path reuses the spliced-FIB traffic artifact; either
+     splice path forces its lazy traffic over the patched FIBs; either
      way the forcing cost lands in [vr_traffic_seconds], not
      [vr_sim_seconds]. *)
   let updated_traffic =

@@ -52,9 +52,8 @@ type result = {
       (** the simulated state is missing permanently-failed subtasks'
           results; [vr_ok] is never [true] when this is set *)
   vr_inc : Hoyan_sim.Incremental.stats option;
-      (** set when the request was simulated through the incremental
-          splice engine ([Splice] / [Artifact]): per-plan dirty-region and
-          fallback accounting *)
+      (** set when the request was spliced by a [Splice] executor:
+          per-plan dirty-region and fallback accounting *)
   vr_updated_model : Hoyan_sim.Model.t;
   vr_base_rib : Route.t list;
   vr_updated_rib : Route.t list;
@@ -81,11 +80,9 @@ type executor =
       (** re-converge only the plan's dirty region and splice into the
           context's cached base RIB/FIBs ([vr_inc] reports the
           accounting; broad plans fall back to a full run inside the
-          engine) *)
-  | Artifact of Hoyan_sim.Incremental.sim
-      (** reuse an already-spliced artifact for this exact plan (the
-          verification server's table): model application, the
-          differential pass and route simulation are all taken from it *)
+          engine).  Like every executor it runs only in the route-sim
+          step, so a request whose intents all carry over or resolve
+          statically never splices. *)
   | Distributed of {
       subtasks : int;
       chaos : Hoyan_dist.Chaos.t;

@@ -1,49 +1,9 @@
 (** RIBs: collections of routes.
 
-    {!t} is the RIB of a single device+VRF (routes grouped per prefix);
-    {!Global} is the paper's {e global RIB abstraction} (§4.1): every route
-    of every device gathered in one table, which is what RCL intents are
-    evaluated against and what the route-simulation subtasks emit. *)
-
-type t = Route.t list Prefix.Map.t
-
-let empty : t = Prefix.Map.empty
-
-let add (rib : t) (r : Route.t) : t =
-  Prefix.Map.update r.Route.prefix
-    (function None -> Some [ r ] | Some rs -> Some (r :: rs))
-    rib
-
-let set (rib : t) prefix routes : t =
-  if routes = [] then Prefix.Map.remove prefix rib
-  else Prefix.Map.add prefix routes rib
-
-let find (rib : t) prefix =
-  Option.value (Prefix.Map.find_opt prefix rib) ~default:[]
-
-let remove (rib : t) prefix : t = Prefix.Map.remove prefix rib
-
-let fold f (rib : t) init =
-  Prefix.Map.fold (fun p rs acc -> f p rs acc) rib init
-
-let routes (rib : t) =
-  Prefix.Map.fold (fun _ rs acc -> List.rev_append rs acc) rib []
-
-let cardinal (rib : t) =
-  Prefix.Map.fold (fun _ rs n -> n + List.length rs) rib 0
-
-let prefixes (rib : t) = Prefix.Map.bindings rib |> List.map fst
-
-(** Best routes only (route_type = Best or Ecmp, which are the ones
-    installed in the FIB). *)
-let installed (rib : t) prefix =
-  find rib prefix
-  |> List.filter (fun r ->
-         match r.Route.route_type with
-         | Route.Best | Route.Ecmp -> true
-         | Route.Backup -> false)
-
-type rib = t
+    {!Global} is the paper's {e global RIB abstraction} (§4.1): every
+    route of every device gathered in one table, which is what RCL
+    intents are evaluated against and what the route-simulation subtasks
+    emit.  {!Key} and {!Arena} are its compact sorted form. *)
 
 (* ------------------------------------------------------------------ *)
 (* Packed sort keys for compact RIB rows                               *)
@@ -341,14 +301,6 @@ end
 module Global = struct
   type t = Route.t list
 
-  let empty : t = []
-  let of_routes (rs : Route.t list) : t = rs
-  let to_routes (t : t) : Route.t list = t
-  let cardinal = List.length
-  let union (a : t) (b : t) : t = a @ b
-
-  let filter p (t : t) : t = List.filter p t
-
   (** Multiset equality of two global RIBs (order independent), as required
       by the RCL intent [PRE = POST]. *)
   let equal (a : t) (b : t) =
@@ -380,28 +332,4 @@ module Global = struct
 
   let devices (t : t) =
     List.map (fun r -> r.Route.device) t |> List.sort_uniq String.compare
-
-  let group_by_device (t : t) =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun r ->
-        let key = r.Route.device in
-        let existing = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
-        Hashtbl.replace tbl key (r :: existing))
-      t;
-    Hashtbl.fold (fun k v acc -> (k, List.rev v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  (** Rebuild the per-device/VRF RIB table from a global RIB. *)
-  let to_ribs (t : t) =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun r ->
-        let key = (r.Route.device, r.Route.vrf) in
-        let rib : rib =
-          Option.value (Hashtbl.find_opt tbl key) ~default:Prefix.Map.empty
-        in
-        Hashtbl.replace tbl key (add rib r))
-      t;
-    tbl
 end

@@ -9,14 +9,11 @@
    response streams, which is what lets the tests assert byte-identity
    against direct execution. *)
 
-module Cp = Hoyan_config.Change_plan
-module Types = Hoyan_config.Types
 module Preprocess = Hoyan_core.Preprocess
 module Verify_request = Hoyan_core.Verify_request
 module Intents = Hoyan_core.Intents
 module Kfailure = Hoyan_core.Kfailure
 module Model = Hoyan_sim.Model
-module Incremental = Hoyan_sim.Incremental
 module Db = Hoyan_dist.Db
 module Schedule = Hoyan_dist.Schedule
 module Costmodel = Hoyan_dist.Costmodel
@@ -98,13 +95,6 @@ type t = {
   cache : (status * string) Cache.t;
   db : Db.t;
   snaps : (string, Snapshot.t) Hashtbl.t;
-  (* incremental-simulation state, both lazily populated on the first
-     simulating request: one converged-base context per snapshot, and
-     spliced artifacts keyed "<snapshot digest>/<plan digest>" so
-     requests from different tenants that carry the same plan against
-     the same snapshot share one dirty-region fixpoint *)
-  inc_ctxs : (string, Incremental.ctx) Hashtbl.t;
-  inc_sims : (string, Incremental.sim) Hashtbl.t;
   mutable snap_order : string list;  (* registration order, reversed *)
   mutable default_snap : string option;
   mutable queue : pending list;  (* reversed submission order *)
@@ -134,8 +124,6 @@ let create ?tm ?(config = default_config) () =
     cache = Cache.create ~capacity:config.c_cache_capacity;
     db = Db.create ();
     snaps = Hashtbl.create 4;
-    inc_ctxs = Hashtbl.create 4;
-    inc_sims = Hashtbl.create 64;
     snap_order = [];
     default_snap = None;
     queue = [];
@@ -435,55 +423,15 @@ let submit t (rq : Request.t) : (unit, response) result =
 (* The drain loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The executor a request runs under.  For the simulating classes,
-   provision the incremental machinery: capture the snapshot's
-   converged-base context once, then look the plan's spliced artifact up
-   by (snapshot digest, plan digest) — computing and caching it on a
-   miss, so a repeated plan (any tenant, any intent set) never re-runs
-   even the dirty-region fixpoint. *)
-let inc_for t (snap : Snapshot.t) (rq : Request.t) : Verify_request.executor =
+(* The executor a request runs under: the simulating classes splice
+   against the snapshot's captured base context, forced by the first
+   such request.  Nothing is kept per plan; a simulate or diff request
+   whose intents all carry over or resolve statically never splices. *)
+let inc_for (snap : Snapshot.t) (rq : Request.t) : Verify_request.executor =
   match rq.Request.r_class with
   | Request.Lint | Request.Precheck -> Verify_request.From_scratch
-  | Request.Simulate | Request.Diff | Request.Whatif -> (
-      let ctx =
-        match Hashtbl.find_opt t.inc_ctxs snap.Snapshot.sn_digest with
-        | Some c -> c
-        | None ->
-            let base = snap.Snapshot.sn_base in
-            let c =
-              Incremental.capture ~tm:t.tm ~model:base.Preprocess.b_model
-                ~input_routes:base.Preprocess.b_input_routes
-                ~flows:base.Preprocess.b_flows
-                ~rib:(Lazy.force base.Preprocess.b_rib) ()
-            in
-            Hashtbl.replace t.inc_ctxs snap.Snapshot.sn_digest c;
-            c
-      in
-      match rq.Request.r_class with
-      | Request.Whatif ->
-          (* the sweep reuses the base context per scenario; there is no
-             change plan to splice, hence no artifact *)
-          Verify_request.Splice ctx
-      | _ ->
-          let key =
-            snap.Snapshot.sn_digest ^ "/"
-            ^ Request.plan_digest
-                ~configs:
-                  snap.Snapshot.sn_base.Preprocess.b_model.Model.configs
-                rq.Request.r_plan
-          in
-          let sim =
-            match Hashtbl.find_opt t.inc_sims key with
-            | Some s ->
-                Telemetry.count t.tm "hoyan_server_inc_artifact_hit_total" 1;
-                s
-            | None ->
-                Telemetry.count t.tm "hoyan_server_inc_artifact_miss_total" 1;
-                let s = Incremental.simulate ~tm:t.tm ctx rq.Request.r_plan in
-                Hashtbl.replace t.inc_sims key s;
-                s
-          in
-          Verify_request.Artifact sim)
+  | Request.Simulate | Request.Diff | Request.Whatif ->
+      Verify_request.Splice (Lazy.force snap.Snapshot.sn_inc)
 
 let execute_one t (p : pending) : response =
   let rq = p.p_rq in
@@ -504,7 +452,7 @@ let execute_one t (p : pending) : response =
   let t0 = Unix.gettimeofday () in
   let queue_s = t0 -. p.p_submit_t in
   let run () =
-    run_direct_timed ~tm:t.tm ~exec:(inc_for t p.p_snap rq) p.p_snap rq
+    run_direct_timed ~tm:t.tm ~exec:(inc_for p.p_snap rq) p.p_snap rq
   in
   let status, body, cached, sim_s, traffic_s =
     if rq.Request.r_no_cache then

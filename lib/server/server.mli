@@ -103,11 +103,11 @@ val drain : t -> response list
     bypassing queue, cache and budgets.  The server's executed
     responses are byte-identical to this — the server test suite and
     [--selfcheck] assert it.  The drain loop runs the simulating
-    classes under the incremental executors instead (the snapshot's
-    captured context for whatif, an already-spliced artifact cached by
-    (snapshot digest, plan digest) for simulate and diff); the
-    incremental engine's splice contract is exactly what makes the
-    identity hold. *)
+    classes under {!Hoyan_core.Verify_request.Splice} instead, over the
+    snapshot's captured context ({!Snapshot.sn_inc}); the pipeline
+    splices only when some intent is left after carry-over and the
+    pre-check, and the server keeps nothing per plan.  The incremental
+    engine's splice contract is exactly what makes the identity hold. *)
 val run_direct :
   Snapshot.t ->
   Request.t ->

@@ -12,6 +12,7 @@ module Model = Hoyan_sim.Model
 module Types = Hoyan_config.Types
 module Printer = Hoyan_config.Printer
 module Preprocess = Hoyan_core.Preprocess
+module Incremental = Hoyan_sim.Incremental
 module Telemetry = Hoyan_telemetry.Telemetry
 module Smap = Types.Smap
 
@@ -23,6 +24,7 @@ type t = {
   sn_flows : int;
   sn_rib_rows : int;
   sn_converge_s : float;
+  sn_inc : Incremental.ctx Lazy.t;
 }
 
 let digest_of_base (base : Preprocess.base) : string =
@@ -106,6 +108,11 @@ let register ?tm (base : Preprocess.base) : t =
       sn_flows = List.length base.Preprocess.b_flows;
       sn_rib_rows = List.length rib;
       sn_converge_s = converge_s;
+      sn_inc =
+        lazy
+          (Incremental.capture ~tm ~model:base.Preprocess.b_model
+             ~input_routes:base.Preprocess.b_input_routes
+             ~flows:base.Preprocess.b_flows ~rib ());
     }
   in
   if Telemetry.enabled tm then begin

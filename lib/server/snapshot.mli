@@ -7,7 +7,9 @@
 
     Registration forces the base's lazy RIB/traffic exactly once, so no
     two requests ever race on the shared [Lazy.t] cells and every
-    request pays only the incremental cost of its own change plan. *)
+    request pays only the incremental cost of its own change plan.  The
+    one lazy left, [sn_inc], is forced by the server's drain loop, which
+    runs one request at a time. *)
 
 type t = {
   sn_digest : string;  (** hex content digest of the whole base *)
@@ -20,6 +22,10 @@ type t = {
   sn_converge_s : float;
       (** one-time cost of forcing the base RIB + traffic at
           registration *)
+  sn_inc : Hoyan_sim.Incremental.ctx Lazy.t;
+      (** the converged base captured for the incremental splice
+          ({!Hoyan_sim.Incremental.capture} over the forced RIB);
+          forced by the first request that splices or sweeps *)
 }
 
 (** Content digest of a base: canonical rendering of every device

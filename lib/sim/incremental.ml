@@ -196,10 +196,7 @@ type stats = {
 }
 
 type sim = {
-  s_plan : Cp.t;
   s_model : Model.t;
-  s_reports : Cp.apply_report list;
-  s_diff : Differential.diff;
   s_rib : Route.t list;
   s_dirty : Prefix.t list;
   s_stats : stats;
@@ -298,10 +295,10 @@ let make_traffic tm (cx : ctx) (model : Model.t) rib fibs ecx =
      Telemetry.with_span tm "inc.traffic" (fun () ->
          Traffic_sim.run ~tm ~fibs ~ecx model ~rib ~flows:cx.cx_flows ()))
 
-(* The full-run escape hatch: canonicalized so cached artifacts and the
+(* The full-run escape hatch: canonicalized so a spliced sim and the
    oracle compare the same representation either way. *)
 let full_fallback tm (cx : ctx) (d : Differential.diff) (plan : Cp.t)
-    ~(patched : Model.t) ~(reports : Cp.apply_report list) ~reason : sim =
+    ~(patched : Model.t) ~reason : sim =
   cx.cx_fallbacks <- cx.cx_fallbacks + 1;
   Telemetry.count tm "hoyan_inc_fallback_total" 1;
   let inputs = Differential.patched_routes plan cx.cx_input_routes in
@@ -318,10 +315,7 @@ let full_fallback tm (cx : ctx) (d : Differential.diff) (plan : Cp.t)
            Traffic_sim.ec_ctx patched fibs))
   in
   {
-    s_plan = plan;
     s_model = patched;
-    s_reports = reports;
-    s_diff = d;
     s_rib = rib;
     s_dirty = [];
     s_stats =
@@ -345,13 +339,13 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
   Telemetry.count tm "hoyan_inc_simulate_total" 1;
   Telemetry.with_span tm "inc.simulate" (fun () ->
       let d = match d with Some d -> d | None -> compute_diff ~tm cx plan in
-      let patched, reports = Model.apply_change_plan cx.cx_model plan in
+      let patched, _ = Model.apply_change_plan cx.cx_model plan in
       match
         if d.Differential.df_topo_dirty then
           Some "topology ops dirty an unenumerable prefix set"
         else cx.cx_degraded
       with
-      | Some reason -> full_fallback tm cx d plan ~patched ~reports ~reason
+      | Some reason -> full_fallback tm cx d plan ~patched ~reason
       | None ->
           let plan_prefixes =
             plan.Cp.cp_withdraw
@@ -494,10 +488,7 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
                    Traffic_sim.patch_ec_ctx ~base:cx.cx_ecx patched fp))
           in
           {
-            s_plan = plan;
             s_model = patched;
-            s_reports = reports;
-            s_diff = d;
             s_rib = rib;
             s_dirty =
               List.sort Prefix.compare

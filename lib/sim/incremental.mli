@@ -87,14 +87,11 @@ type stats = {
 (** A spliced simulation: the patched model, the canonical updated RIB
     (sorted with [Route.compare], deduplicated — the order
     [Rib.Arena.merge] emits), and lazily the spliced FIBs / EC context /
-    traffic result over the context's flows.  Reusable across requests
-    for the same (snapshot, plan): everything inside is immutable or
-    memoized. *)
+    traffic result over the context's flows.  Everything inside is
+    immutable or memoized; a sim lives as long as the request that
+    spliced it. *)
 type sim = {
-  s_plan : Cp.t;
   s_model : Model.t;
-  s_reports : Cp.apply_report list;
-  s_diff : Differential.diff;
   s_rib : Route.t list;
   s_dirty : Prefix.t list;
       (** the re-converged prefix set, sorted; [[]] on a full fallback *)

@@ -256,6 +256,106 @@ let test_gate () =
   let r = VR.run ~lint:VR.Lint_fail base ok_rq in
   Alcotest.(check bool) "clean plan is not gated" false r.VR.vr_gated
 
+(* --- change-plan checks read the applied plan ------------------------ *)
+
+let plan_findings ?(codes = [ "HOY012"; "HOY013"; "HOY014" ]) input plan =
+  Lint.run { input with Lint.li_plan = Some plan }
+  |> List.filter (fun (d : D.t) -> List.mem d.D.d_code codes)
+  |> List.map (fun (d : D.t) ->
+         (d.D.d_code, Option.value d.D.d_loc.D.loc_device ~default:"-"))
+  |> List.sort_uniq compare
+
+let findings = Alcotest.(list (pair string string))
+
+(* a device a plan can add *)
+let new_x =
+  {
+    Topology.name = "new-x";
+    vendor = "vendorA";
+    asn = 65100;
+    router_id = Ip.of_string_exn "10.255.0.1";
+    region = "r00";
+    role = Topology.Wan_border;
+  }
+
+(* HOY012 (unknown device) and HOY013 (missing link, failed deletion)
+   from topology ops and command blocks; a device the plan adds is
+   known to the ops after it *)
+let test_plan_checks_topology () =
+  let g = Lazy.force small in
+  let topo = g.G.model.Model.topo in
+  let input = Lint.make ~topo g.G.model.Model.configs in
+  let names = Topology.device_names topo in
+  let linked a b =
+    Topology.edge_between topo a b <> None
+    || Topology.edge_between topo b a <> None
+  in
+  let a, b =
+    List.concat_map (fun a -> List.map (fun b -> (a, b)) names) names
+    |> List.find (fun (a, b) -> a <> b && not (linked a b))
+  in
+  let vendor_a =
+    List.find
+      (fun n ->
+        (Types.Smap.find n g.G.model.Model.configs).Types.dc_vendor
+        = "vendorA")
+      names
+  in
+  let plan =
+    Cp.make "topo"
+      ~topo_ops:
+        [
+          Cp.Remove_device "ghost";
+          Cp.Add_link
+            { la = a; la_if = "Eth90"; lb = "ghost2"; lb_if = "Eth0";
+              l_bandwidth = 1. };
+          Cp.Remove_link { ra = a; rb = b };
+          Cp.Remove_link { ra = "ghost3"; rb = b };
+          Cp.Add_device new_x;
+          Cp.Add_link
+            { la = a; la_if = "Eth91"; lb = "new-x"; lb_if = "Eth0";
+              l_bandwidth = 1. };
+        ]
+      ~commands:
+        [
+          ("no-such-device", "interface Eth0\n");
+          (vendor_a, "no route-map NO_SUCH_RM 10\n");
+        ]
+  in
+  Alcotest.check findings "plan findings"
+    (List.sort compare
+       [
+         ("HOY012", "ghost"); ("HOY012", "ghost2"); ("HOY013", a);
+         ("HOY012", "ghost3"); ("HOY012", "no-such-device");
+         ("HOY013", vendor_a);
+       ])
+    (plan_findings input plan)
+
+(* a block for a device the plan adds is applied to its fresh config,
+   so its parse errors are reported *)
+let test_plan_checks_added_device () =
+  let g = Lazy.force small in
+  let input = Lint.make ~topo:g.G.model.Model.topo g.G.model.Model.configs in
+  let plan =
+    Cp.make "add"
+      ~topo_ops:[ Cp.Add_device new_x ]
+      ~commands:[ ("new-x", "frobnicate 42 unknown keyword\n") ]
+  in
+  Alcotest.check findings "parse error on the added device"
+    [ ("HOY014", "new-x") ]
+    (plan_findings input plan)
+
+(* a device the plan removes is no longer linted *)
+let test_plan_checks_removed_device () =
+  let inj = Defects.inject (Lazy.force small) "undefined-prefix-list" in
+  let dev = Option.get inj.Defects.inj_device in
+  let hoy001 = plan_findings ~codes:[ "HOY001" ] inj.Defects.inj_input in
+  Alcotest.check findings "the defect fires while the device stays"
+    [ ("HOY001", dev) ]
+    (hoy001 (Cp.make "keep"));
+  Alcotest.check findings "removing the device removes its finding" []
+    (hoy001 (Cp.make "rm" ~topo_ops:[ Cp.Remove_device dev ]))
+
 (* --- catalog sanity ------------------------------------------------ *)
 
 let test_catalog () =
@@ -310,6 +410,12 @@ let suite =
     Alcotest.test_case "RCL type/regex/reachability checks" `Quick
       test_rcl_checks;
     Alcotest.test_case "pre-simulation gate modes" `Quick test_gate;
+    Alcotest.test_case "plan checks: topology ops and blocks" `Quick
+      test_plan_checks_topology;
+    Alcotest.test_case "plan checks: block for an added device" `Quick
+      test_plan_checks_added_device;
+    Alcotest.test_case "plan checks: a removed device is not linted" `Quick
+      test_plan_checks_removed_device;
     Alcotest.test_case "catalog integrity" `Quick test_catalog;
     Alcotest.test_case "JSON rendering" `Quick test_json;
   ]

@@ -21,8 +21,6 @@ module Intents = Hoyan_core.Intents
 module Verify_request = Hoyan_core.Verify_request
 module Kfailure = Hoyan_core.Kfailure
 module Snapshot = Hoyan_server.Snapshot
-module Server = Hoyan_server.Server
-module Request = Hoyan_server.Request
 module Smap = Types.Smap
 
 let check = Alcotest.check
@@ -511,37 +509,6 @@ let test_snapshot_register_dedup () =
   let s3 = Snapshot.register b' in
   check tbool "identical content dedups too" true (s1 == s3)
 
-(* --- server: artifact sharing keeps responses byte-identical -------- *)
-
-let test_server_artifact_sharing () =
-  Snapshot.reset_registry ();
-  let g = Lazy.force scenario in
-  let b = Lazy.force base in
-  let srv = Server.create () in
-  let snap = Server.register_snapshot srv b in
-  let plan = announce_plan g 0 in
-  let intents = [ Intents.Route_change "PRE = POST" ] in
-  let mk id tenant =
-    Request.make ~tenant ~no_cache:true ~plan ~intents ~id Request.Simulate
-  in
-  (* same plan from two tenants, result cache bypassed: the second run
-     reuses the spliced artifact; both must match the plain direct path *)
-  (match Server.submit srv (mk "a-1" "tenant-a") with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "submit a-1");
-  (match Server.submit srv (mk "b-1" "tenant-b") with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "submit b-1");
-  let responses = Server.drain srv in
-  check tint "both executed" 2 (List.length responses);
-  let _, reference = Server.run_direct snap (mk "ref" "tenant-c") in
-  List.iter
-    (fun (r : Server.response) ->
-      check Alcotest.string
-        (r.Server.rs_id ^ ": body identical to direct execution")
-        reference r.Server.rs_body)
-    responses
-
 (* --- kfailure: footprint-restricted scenario re-runs ---------------- *)
 
 let test_kfailure_restricted_agrees () =
@@ -609,8 +576,6 @@ let suite =
       test_traffic_seconds_attribution;
     Alcotest.test_case "snapshot registration dedups on digest" `Quick
       test_snapshot_register_dedup;
-    Alcotest.test_case "server artifact sharing is byte-identical" `Quick
-      test_server_artifact_sharing;
     Alcotest.test_case "kfailure: restricted scenarios agree" `Quick
       test_kfailure_restricted_agrees;
   ]

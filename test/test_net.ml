@@ -235,28 +235,16 @@ let test_route_equal () =
 
 let test_global_rib () =
   let r1 = mk_route () and r2 = mk_route ~device:"B" () in
-  let g = Rib.Global.of_routes [ r1; r2 ] in
+  let g = [ r1; r2 ] in
   check tbool "multiset equal, order independent" true
-    (Rib.Global.equal g (Rib.Global.of_routes [ r2; r1 ]));
-  check tbool "not equal different" false
-    (Rib.Global.equal g (Rib.Global.of_routes [ r1 ]));
-  let d = Rib.Global.diff g (Rib.Global.of_routes [ r1 ]) in
+    (Rib.Global.equal g [ r2; r1 ]);
+  check tbool "not equal different" false (Rib.Global.equal g [ r1 ]);
+  let d = Rib.Global.diff g [ r1 ] in
   check tint "diff" 1 (List.length d);
   check tbool "diff content" true (Route.equal (List.hd d) r2);
   check
     Alcotest.(list string)
     "devices" [ "A"; "B" ] (Rib.Global.devices g)
-
-let test_rib_ops () =
-  let r1 = mk_route () in
-  let r2 = mk_route ~prefix:"20.0.0.0/24" () in
-  let rib = Rib.add (Rib.add Rib.empty r1) r2 in
-  check tint "cardinal" 2 (Rib.cardinal rib);
-  check tint "find" 1 (List.length (Rib.find rib r1.Route.prefix));
-  let backup = { r2 with Route.route_type = Route.Backup } in
-  let rib = Rib.set rib r2.Route.prefix [ r2; backup ] in
-  check tint "installed excludes backup" 1
-    (List.length (Rib.installed rib r2.Route.prefix))
 
 (* --- Properties --------------------------------------------------------- *)
 
@@ -351,7 +339,6 @@ let suite =
     ("as path", `Quick, test_as_path);
     ("route equality", `Quick, test_route_equal);
     ("global rib", `Quick, test_global_rib);
-    ("rib operations", `Quick, test_rib_ops);
     qtest prop_prefix_roundtrip;
     qtest prop_prefix_mem_range;
     qtest prop_trie_lpm_vs_linear;

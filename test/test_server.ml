@@ -17,6 +17,7 @@ module Cache = Hoyan_server.Cache
 module Snapshot = Hoyan_server.Snapshot
 module Request = Hoyan_server.Request
 module Server = Hoyan_server.Server
+module Incremental = Hoyan_sim.Incremental
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
@@ -457,6 +458,54 @@ let test_lpt_order () =
   check tbool "LPT executes the costly class first" true
     (Server.executed_order srv = [ "costly"; "cheap" ])
 
+(* The splice policy: the server keeps nothing per plan, and the
+   pipeline splices (against the snapshot's captured context) only when
+   some intent is left after carry-over and the pre-check.  The
+   context's simulate counter is read around each drain. *)
+let test_splice_policy () =
+  Snapshot.reset_registry ();
+  let srv = Server.create () in
+  let snap = Server.register_snapshot srv (Lazy.force base) in
+  let simulates () =
+    fst (Incremental.counters (Lazy.force snap.Snapshot.sn_inc))
+  in
+  let serve rqs =
+    List.iter (submit_ok srv) rqs;
+    let rs = Server.drain srv in
+    check tint "all served" (List.length rqs) (List.length rs);
+    List.iter2
+      (fun rq (r : Server.response) ->
+        let st, body = Server.run_direct snap rq in
+        check tbool (r.Server.rs_id ^ ": status matches direct") true
+          (st = r.Server.rs_status);
+        check tstr (r.Server.rs_id ^ ": body identical to direct") body
+          r.Server.rs_body)
+      rqs rs
+  in
+  serve [ mk_rq ~id:"lint" Request.Lint; mk_rq ~id:"pre" Request.Precheck ];
+  check tbool "lint and precheck leave the context uncaptured" false
+    (Lazy.is_val snap.Snapshot.sn_inc);
+  let n0 = simulates () in
+  serve
+    [
+      Request.make ~plan:(Cp.make "noop")
+        ~intents:[ Intents.Route_change "PRE = POST" ]
+        ~id:"noop" Request.Diff;
+    ];
+  check tint "a no-op diff carries every intent: no splice" n0 (simulates ());
+  let per_device =
+    Intents.Route_change
+      (Printf.sprintf
+         "forall device in {%s} : PRE |> count() = POST |> count()" border)
+  in
+  serve
+    [
+      mk_rq ~no_cache:true ~id:"sim-a" Request.Simulate;
+      mk_rq ~no_cache:true ~intents:[ per_device ] ~id:"sim-b" Request.Simulate;
+    ];
+  check tint "same plan, different intents: spliced twice" (n0 + 2)
+    (simulates ())
+
 (* ------------------------------------------------------------------ *)
 (* shared-snapshot isolation (the satellite-1 regression)              *)
 (* ------------------------------------------------------------------ *)
@@ -544,6 +593,8 @@ let suite =
       test_budget_timeout;
     Alcotest.test_case "server: LPT drains costly classes first" `Quick
       test_lpt_order;
+    Alcotest.test_case "server: splice only what the pipeline simulates"
+      `Quick test_splice_policy;
     Alcotest.test_case "shared snapshot: sequential isolation" `Quick
       test_sequential_requests_isolated;
     Alcotest.test_case "verify: stop_after bounds the pipeline" `Quick
