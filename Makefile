@@ -91,14 +91,20 @@ inc:
 perfbench-selftest:
 	python3 perfbench/run.py --selftest
 
-# Everything a PR must keep green: strict-warning build of every
-# target (libs, bins, bench, tests), the full test suite, then the
-# static-analysis gate over the generated corpora.
+# Everything a PR must keep green, in the order CI runs it
+# (.github/workflows/ci.yml): strict-warning build of every target
+# (libs, bins, bench, tests), the full test suite, then every gate.
 check:
 	dune build @all
 	dune runtest
 	$(MAKE) lint
 	$(MAKE) analyze
+	$(MAKE) diff
+	$(MAKE) chaos
+	$(MAKE) serve
+	$(MAKE) inc
+	$(MAKE) whatif
+	$(MAKE) perfbench-selftest
 
 # Fault-tolerance gate: the dist test suite — the fault matrix over
 # every Faultplan mode (completed phases identical to the failure-free

@@ -148,6 +148,8 @@ let chaos_of ~fail_prob ~chaos_mode ~chaos_seed :
           let prob = if fail_prob > 0. then fail_prob else 0.2 in
           Ok (Hoyan_workload.Faultplan.plan ~seed:chaos_seed ~prob mode))
 
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+
 (** Install a live telemetry handle when any output file was requested,
     run [f], then write the requested files. *)
 let with_telemetry ~trace_out ~metrics_out ~journal_out f =
@@ -292,16 +294,7 @@ let verify params seed plan_file devices intents distributed fail_prob
     Preprocess.prepare g.G.model ~monitored_routes:g.G.input_routes
       ~monitored_flows:g.G.flows
   in
-  let block =
-    match plan_file with
-    | None -> ""
-    | Some f ->
-        let ic = open_in f in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-  in
+  let block = Option.fold ~none:"" ~some:read_file plan_file in
   let commands = List.map (fun d -> (d, block)) devices in
   let rq_intents =
     List.map (fun spec -> Intents.Route_change spec) intents
@@ -359,7 +352,8 @@ let verify params seed plan_file devices intents distributed fail_prob
           }
     | _ -> Verify_request.From_scratch
   in
-  let res = Verify_request.run ~exec ~diff base rq in
+  let stage = if diff then Verify_request.Diff else Verify_request.Simulate in
+  let res = Verify_request.run ~exec ~stage base rq in
   print_string (Verify_request.report res);
   if res.Verify_request.vr_ok && selfcheck_ok then 0 else 1
 
@@ -429,13 +423,6 @@ let verify_cmd =
 (* ------------------------------------------------------------------ *)
 (* hoyan lint                                                          *)
 (* ------------------------------------------------------------------ *)
-
-let read_file f =
-  let ic = open_in f in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
 
 (* Shared tail of `hoyan lint` / `hoyan analyze`: optional baseline
    suppression, optional baseline recording, rendering, and the CLI

@@ -136,9 +136,7 @@ let verify (intent : t) ~(model : Model.t) ~(base_rib : Route.t list)
               (fun (r : Route.t) ->
                 String.equal r.Route.device dev
                 && Prefix.equal r.Route.prefix rr_prefix
-                && (match r.Route.route_type with
-                   | Route.Best | Route.Ecmp -> true
-                   | Route.Backup -> false))
+                && Route.selected r)
               updated_rib
           in
           if present = rr_expect then None

@@ -58,7 +58,7 @@ let prefix_survives ~prefix ~devices =
         let present = Hashtbl.create 64 in
         List.iter
           (fun (r : Route.t) ->
-            if Prefix.equal r.Route.prefix prefix then
+            if Prefix.equal r.Route.prefix prefix && Route.selected r then
               Hashtbl.replace present r.Route.device ())
           rib;
         let missing =

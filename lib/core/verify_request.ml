@@ -37,6 +37,14 @@ type coverage = {
       (* permanently-failed subtask ids with their terminal reasons *)
 }
 
+(** What the route phase of a request did. *)
+type route_run =
+  | Not_run (* the stage stops before the fixpoints *)
+  | Resolved (* every intent was carried over or decided statically *)
+  | Full_run (* the [From_scratch] fixpoint *)
+  | Spliced of Incremental.stats (* the [Splice] executor's accounting *)
+  | Merged of coverage (* the [Distributed] executor's subtask coverage *)
+
 type result = {
   vr_request : string;
   vr_ok : bool;
@@ -45,26 +53,15 @@ type result = {
       (** parse/delete errors from applying the plan: risk signals on
           their own (Table 6 "incorrect commands") *)
   vr_lint : Diagnostics.t list;
-      (** static-analysis findings from the pre-simulation gate *)
+      (** static-analysis findings from the lint pass *)
   vr_gated : bool;
-      (** the fail-fast gate stopped the request before any simulation *)
+      (** the [Lint] stage found an error-severity diagnostic *)
   vr_precheck : (Intents.t * Semantic.verdict) list;
       (** the static pre-checker's verdict for every intent *)
-  vr_sim_skipped : bool;
-      (** every intent was resolved statically; no fixpoint ran *)
-  vr_diff_class : Differential.classification option;
-      (** differential mode only: the plan's semantic classification *)
-  vr_carried : Intents.t list;
-      (** differential mode only: intents whose base-run verdicts
-          provably survive the change (outside the dirty region) *)
-  vr_coverage : coverage option;
-      (** distributed mode only: subtask coverage of the route phase *)
-  vr_partial : bool;
-      (** the simulated state is missing permanently-failed subtasks'
-          results; [vr_ok] is never [true] when this is set *)
-  vr_inc : Incremental.stats option;
-      (** incremental-simulation accounting when the request was spliced
-          by a [Splice] executor *)
+  vr_diff : (Differential.classification * Intents.t list) option;
+      (** [Diff] stage only: the plan's semantic classification and the
+          intents whose base-run verdicts provably survive the change *)
+  vr_route : route_run;
   vr_updated_model : Model.t;
   vr_base_rib : Route.t list;
   vr_updated_rib : Route.t list;
@@ -82,18 +79,22 @@ type result = {
 let total_seconds (r : result) : float =
   r.vr_sim_seconds +. !(r.vr_traffic_seconds)
 
-(** How the static-analysis gate in front of the pipeline behaves. *)
-type lint_gate =
-  | Lint_off (* skip the analysis entirely *)
-  | Lint_warn (* record diagnostics; never block (the default) *)
-  | Lint_fail (* any error-severity diagnostic fails the request
-                 before the first fixpoint runs *)
+(** The simulated state is missing permanently-failed subtasks' results;
+    [vr_ok] is never [true] then. *)
+let partial_route = function
+  | Merged c -> c.cov_merged < c.cov_total
+  | Not_run | Resolved | Full_run | Spliced _ -> false
+
+let partial (r : result) : bool = partial_route r.vr_route
+
+(** How far a request runs: one constructor per server request class. *)
+type stage = Lint | Precheck | Simulate | Diff
 
 (** How the route phase of a request is executed. *)
 type executor =
   | From_scratch (* Route_sim.run on the patched model: the reference *)
   | Splice of Incremental.ctx
-      (* dirty-region re-convergence; fallbacks counted in vr_inc *)
+      (* dirty-region re-convergence; fallbacks counted in [Spliced] *)
   | Distributed of {
       subtasks : int;
       chaos : Hoyan_dist.Chaos.t;
@@ -121,10 +122,10 @@ let lint_specs (intents : Intents.t list) : (string * string) list =
 (** Run one change-verification request against the pre-processed base.
     Each pipeline phase runs under its own telemetry span
     ([verify.lint_gate] / [verify.model_update] / [verify.route_sim] /
-    [verify.traffic_sim] / [verify.intents]); the static-analysis gate
-    additionally journals its outcome as a [lint.gate] event. *)
-let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
-    ?(stop_after = `Full) (base : Preprocess.base) (rq : request) : result =
+    [verify.traffic_sim] / [verify.intents]); the lint pass additionally
+    journals its outcome as a [lint.gate] event. *)
+let run ?tm ?(exec = From_scratch) ?(stage = Simulate)
+    (base : Preprocess.base) (rq : request) : result =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
   let rq_sp =
     Telemetry.span tm ~args:[ ("request", rq.rq_name) ] "verify.request"
@@ -144,77 +145,51 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
        Telemetry.observe tm "hoyan_verify_traffic_seconds" dt;
        r)
   in
-  (* 0. static-analysis gate: lint the base configs, the change plan and
-     the request's RCL specs before any fixpoint runs *)
+  (* 0. lint pass over the base configs, the change plan and the
+     request's RCL specs, before any fixpoint runs: the [Lint] stage
+     gates on its errors, [Simulate]/[Diff] only record them *)
   let lint_diags =
-    match lint with
-    | Lint_off -> []
-    | Lint_warn | Lint_fail ->
-        Telemetry.with_span tm "verify.lint_gate" (fun () ->
-            let model = base.Preprocess.b_model in
-            Lint.run
-              (Lint.make ~topo:model.Model.topo ~plan:rq.rq_plan
-                 ~specs:(lint_specs rq.rq_intents) model.Model.configs))
+    if stage = Precheck then []
+    else
+      Telemetry.with_span tm "verify.lint_gate" (fun () ->
+          let model = base.Preprocess.b_model in
+          Lint.run
+            (Lint.make ~topo:model.Model.topo ~plan:rq.rq_plan
+               ~specs:(lint_specs rq.rq_intents) model.Model.configs))
   in
-  let gated = lint = Lint_fail && Lint.has_errors lint_diags in
-  if Telemetry.enabled tm && lint <> Lint_off then
+  let gated = stage = Lint && Lint.has_errors lint_diags in
+  if Telemetry.enabled tm && stage <> Precheck then
     Telemetry.event tm "lint.gate"
       [
         ("request", Journal.S rq.rq_name);
         ("diagnostics", Journal.I (List.length lint_diags));
         ("gated", Journal.B gated);
       ];
-  if gated || stop_after = `Gate then begin
-    if gated then Telemetry.count tm "hoyan_verify_gated_total" 1;
-    Telemetry.finish tm rq_sp;
-    {
-      vr_request = rq.rq_name;
-      (* a [`Gate]-bounded request (the server's lint class) is ok iff
-         the gate found no error-severity diagnostic; a gated request
-         never is *)
-      vr_ok = (not gated) && stop_after = `Gate
-              && not (Lint.has_errors lint_diags);
-      vr_violations = [];
-      vr_plan_warnings = [];
-      vr_lint = lint_diags;
-      vr_gated = gated;
-      vr_precheck = [];
-      vr_sim_skipped = false;
-      vr_diff_class = None;
-      vr_carried = [];
-      vr_coverage = None;
-      vr_partial = false;
-      vr_inc = None;
-      vr_updated_model = base.Preprocess.b_model;
-      vr_base_rib = [];
-      vr_updated_rib = [];
-      vr_updated_traffic =
-        timed_traffic (fun () ->
-            Traffic_sim.run base.Preprocess.b_model ~rib:[] ~flows:[] ());
-      vr_sim_seconds = Unix.gettimeofday () -. t0;
-      vr_traffic_seconds = traffic_seconds;
-    }
-  end
-  else begin
-  (* 1. incremental model update *)
-  let updated_model, reports =
-    Telemetry.with_span tm "verify.model_update" (fun () ->
-        Model.apply_change_plan base.Preprocess.b_model rq.rq_plan)
+  if gated then Telemetry.count tm "hoyan_verify_gated_total" 1;
+  (* 1. incremental model update, and the updated model's route inputs:
+     reclaimed prefixes removed, announced ones added (one rule, shared
+     with the incremental path).  The [Lint] stage stops before it. *)
+  let updated_model, warnings, input_routes =
+    if stage = Lint then (base.Preprocess.b_model, [], [])
+    else
+      let m, reports =
+        Telemetry.with_span tm "verify.model_update" (fun () ->
+            Model.apply_change_plan base.Preprocess.b_model rq.rq_plan)
+      in
+      ( m,
+        plan_warnings reports,
+        Differential.patched_routes rq.rq_plan base.Preprocess.b_input_routes
+      )
   in
-  let warnings = plan_warnings reports in
-  (* 2. the updated model's route inputs: reclaimed prefixes removed,
-     announced ones added (one rule, shared with the incremental path) *)
-  let input_routes =
-    Differential.patched_routes rq.rq_plan base.Preprocess.b_input_routes
-  in
-  (* 2a. differential pre-check: diff base against patched and carry
-     over every intent the change provably cannot affect — reachability
-     intents whose prefix is outside the statically computed dirty
-     region, and (on a semantic no-op) everything else too.  Carried
-     intents keep their base-run verdicts; only the affected remainder
-     flows into the pre-checker and the simulator below. *)
+  (* 2a. differential pre-check ([Diff] only): diff base against patched
+     and carry over every intent the change provably cannot affect —
+     reachability intents whose prefix is outside the statically
+     computed dirty region, and (on a semantic no-op) everything else
+     too.  Carried intents keep their base-run verdicts; only the
+     affected remainder flows into the pre-checker and the simulator
+     below. *)
   let diff_info =
-    if not diff then None
+    if stage <> Diff then None
     else
       Telemetry.with_span tm "verify.diff" (fun () ->
           let bm = base.Preprocess.b_model in
@@ -225,6 +200,7 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
   in
   let carried, active_intents =
     match diff_info with
+    | _ when stage = Lint -> ([], [])
     | None -> ([], rq.rq_intents)
     | Some _ when base.Preprocess.b_partial ->
         (* carrying verdicts derived from a partial (failed-subtask)
@@ -251,19 +227,19 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
                 d.Differential.df_class = Differential.No_op)
           rq.rq_intents
   in
-  if Telemetry.enabled tm && diff then
-    Telemetry.event tm "verify.diff"
-      [
-        ("request", Journal.S rq.rq_name);
-        ( "class",
-          Journal.S
-            (match diff_info with
-            | Some d ->
-                Differential.classification_to_string d.Differential.df_class
-            | None -> "-") );
-        ("carried", Journal.I (List.length carried));
-        ("active", Journal.I (List.length active_intents));
-      ];
+  let vr_diff =
+    Option.map (fun d -> (d.Differential.df_class, carried)) diff_info
+  in
+  (match vr_diff with
+  | Some (cls, _) when Telemetry.enabled tm ->
+      Telemetry.event tm "verify.diff"
+        [
+          ("request", Journal.S rq.rq_name);
+          ("class", Journal.S (Differential.classification_to_string cls));
+          ("carried", Journal.I (List.length carried));
+          ("active", Journal.I (List.length active_intents));
+        ]
+  | _ -> ());
   (* carried intents are re-evaluated against the (cached) base state:
      their verdicts are by construction the base run's verdicts *)
   let carried_violations =
@@ -354,29 +330,27 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
         ("refuted", Journal.I (List.length static_violations));
       ]
   end;
-  (* every intent was carried over or decided statically *)
-  let sim_skipped = rq.rq_intents <> [] && sim_intents = [] in
-  (* a [`Static]-bounded request (the server's precheck class) never
-     simulates: whatever the pre-checker left open stays open, and the
-     verdict covers only the statically decided part *)
-  let static_only = stop_after = `Static in
   (* 3. route simulation on the updated model over the patched inputs
-     bound above, by the request's executor.  [Splice] re-converges
-     only the plan's dirty region and splices into the converged base
-     RIB instead of running the fixpoint from scratch
-     (broad plans honestly fall back inside [Incremental.simulate] —
-     see [vr_inc]). *)
-  let spliced, updated_rib, dist_coverage =
-    if sim_skipped || static_only then (None, [], None)
+     bound above, by the request's executor — unless every intent was
+     carried over or decided statically, or the stage ([Lint],
+     [Precheck]) stops before the fixpoints: whatever the pre-checker
+     left open then stays open.  [Splice] re-converges only the plan's
+     dirty region and splices into the converged base RIB instead of
+     running the fixpoint from scratch (broad plans honestly fall back
+     inside [Incremental.simulate] — see [Spliced]). *)
+  let route, updated_rib, spliced =
+    if stage = Lint then (Not_run, [], None)
+    else if rq.rq_intents <> [] && sim_intents = [] then (Resolved, [], None)
+    else if stage = Precheck then (Not_run, [], None)
     else
       Telemetry.with_span tm "verify.route_sim" (fun () ->
           match exec with
           | Splice ictx ->
               let s = Incremental.simulate ~tm ?d:diff_info ictx rq.rq_plan in
-              (Some s, s.Incremental.s_rib, None)
+              (Spliced s.Incremental.s_stats, s.Incremental.s_rib, Some s)
           | From_scratch ->
               let r = Route_sim.run ~tm updated_model ~input_routes () in
-              (None, r.Route_sim.rib, None)
+              (Full_run, r.Route_sim.rib, None)
           | Distributed { subtasks; chaos; _ } ->
               let fw = Framework.create ~tm ~chaos updated_model in
               let phase =
@@ -395,13 +369,14 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
                       phase.Framework.rp_failed;
                 }
               in
-              (None, phase.Framework.rp_rib, Some cov))
+              (Merged cov, phase.Framework.rp_rib, None))
   in
-  let partial =
-    match dist_coverage with
-    | Some c -> c.cov_merged < c.cov_total
-    | None -> false
+  let simulated =
+    match route with
+    | Full_run | Spliced _ | Merged _ -> true
+    | Not_run | Resolved -> false
   in
+  let partial = partial_route route in
   (* 4. traffic simulation (lazy: only if an intent needs it).  The
      splice path forces its lazy traffic over the patched FIBs; either
      way the forcing cost lands in [vr_traffic_seconds], not
@@ -410,21 +385,18 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
     match spliced with
     | Some s -> timed_traffic (fun () -> Lazy.force s.Incremental.s_traffic)
     | None ->
+        let flows = if stage = Lint then [] else base.Preprocess.b_flows in
         timed_traffic (fun () ->
             Telemetry.with_span tm "verify.traffic_sim" (fun () ->
-                Traffic_sim.run ~tm updated_model ~rib:updated_rib
-                  ~flows:base.Preprocess.b_flows ()))
+                Traffic_sim.run ~tm updated_model ~rib:updated_rib ~flows ()))
   in
   (* 5. intent verification for whatever the pre-checker left open *)
-  let base_rib =
-    if sim_skipped || static_only then []
-    else Lazy.force base.Preprocess.b_rib
-  in
+  let base_rib = if simulated then Lazy.force base.Preprocess.b_rib else [] in
   (* partial distributed results: intent verdicts over an incomplete RIB
      would be unsound (a route missing from a failed subtask looks like a
      reachability violation — or masks one).  The default refuses to
      verify; the graceful-degradation mode verifies anyway but the result
-     is flagged [vr_partial] and can never be [vr_ok]. *)
+     is [partial] and can never be [vr_ok]. *)
   let refuse_partial =
     partial
     && match exec with
@@ -432,7 +404,7 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
        | _ -> false
   in
   let sim_violations =
-    if sim_intents = [] || refuse_partial || static_only then []
+    if sim_intents = [] || refuse_partial || not simulated then []
     else
       Telemetry.with_span tm "verify.intents" (fun () ->
           List.concat_map
@@ -443,15 +415,15 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
             sim_intents)
   in
   let violations = static_violations @ sim_violations @ carried_violations in
-  let ok = violations = [] && warnings = [] && not partial in
+  let ok = violations = [] && warnings = [] && not (gated || partial) in
   Telemetry.finish tm rq_sp;
-  if Telemetry.enabled tm then
+  if Telemetry.enabled tm && stage <> Lint then
     Telemetry.event tm "verify.done"
       [
         ("request", Journal.S rq.rq_name);
         ("ok", Journal.B ok);
         ("violations", Journal.I (List.length violations));
-        ("sim_skipped", Journal.B sim_skipped);
+        ("sim_skipped", Journal.B (route = Resolved));
         ("partial", Journal.B partial);
       ];
   {
@@ -460,16 +432,10 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
     vr_violations = violations;
     vr_plan_warnings = warnings;
     vr_lint = lint_diags;
-    vr_gated = false;
+    vr_gated = gated;
     vr_precheck = precheck_results;
-    vr_sim_skipped = sim_skipped;
-    vr_diff_class =
-      Option.map (fun d -> d.Differential.df_class) diff_info;
-    vr_carried = carried;
-    vr_coverage = dist_coverage;
-    vr_partial = partial;
-    vr_inc = Option.map (fun (s : Incremental.sim) -> s.Incremental.s_stats)
-        spliced;
+    vr_diff;
+    vr_route = route;
     vr_updated_model = updated_model;
     vr_base_rib = base_rib;
     vr_updated_rib = updated_rib;
@@ -480,66 +446,20 @@ let run ?tm ?(exec = From_scratch) ?(lint = Lint_warn) ?(diff = false)
     vr_sim_seconds = Unix.gettimeofday () -. t0 -. !traffic_seconds;
     vr_traffic_seconds = traffic_seconds;
   }
-  end
 
-let report (r : result) : string =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "=== change verification: %s ===\n" r.vr_request);
-  Buffer.add_string b
-    (Printf.sprintf "result: %s (%.2fs)%s%s\n"
-       (if r.vr_ok then "PASS" else "FAIL")
-       (total_seconds r)
-       (if r.vr_gated then " [stopped by the static-analysis gate]" else "")
-       (if r.vr_sim_skipped then
-          " [all intents resolved statically; simulation skipped]"
-        else ""));
-  (match r.vr_inc with
-  | Some st ->
-      Buffer.add_string b
-        (if st.Incremental.st_full_fallback then
-           Printf.sprintf "incremental: full fallback (%s)\n"
-             (Option.value ~default:"?" st.Incremental.st_fallback_reason)
-         else
-           Printf.sprintf
-             "incremental: %d dirty prefix(es), %d delta row(s) spliced \
-              over %d reused, %d dirty device(s)\n"
-             st.Incremental.st_dirty_prefixes st.Incremental.st_delta_rows
-             st.Incremental.st_reused_rows st.Incremental.st_dirty_devices)
-  | None -> ());
-  (match r.vr_diff_class with
-  | Some cls ->
+(* The lines both renderers share: the differential summary, lint
+   findings, plan warnings and violations with their counterexamples. *)
+let add_diff b (r : result) ~suffix =
+  match r.vr_diff with
+  | Some (cls, carried) ->
       Buffer.add_string b
         (Printf.sprintf
-           "differential: plan is %s; %d intent verdict(s) carried over \
-            from the base run\n"
-           (Hoyan_analysis.Differential.classification_to_string cls)
-           (List.length r.vr_carried))
-  | None -> ());
-  (match r.vr_coverage with
-  | Some c ->
-      Buffer.add_string b
-        (Printf.sprintf "coverage: %d/%d subtasks merged%s\n" c.cov_merged
-           c.cov_total
-           (if r.vr_partial then
-              " [PARTIAL: intent verdicts unsound over missing results]"
-            else ""));
-      List.iter
-        (fun (id, reason) ->
-          Buffer.add_string b
-            (Printf.sprintf "failed subtask: %s: %s\n" id reason))
-        c.cov_failed
-  | None -> ());
-  List.iter
-    (fun (intent, verdict) ->
-      match verdict with
-      | Hoyan_analysis.Semantic.Needs_simulation -> ()
-      | v ->
-          Buffer.add_string b
-            (Printf.sprintf "precheck: %s -> %s\n"
-               (Intents.to_string intent)
-               (Hoyan_analysis.Semantic.verdict_to_string v)))
-    r.vr_precheck;
+           "differential: plan is %s; %d intent verdict(s) carried over%s\n"
+           (Differential.classification_to_string cls)
+           (List.length carried) suffix)
+  | None -> ()
+
+let add_findings b (r : result) =
   List.iter
     (fun d ->
       Buffer.add_string b
@@ -552,5 +472,79 @@ let report (r : result) : string =
     (fun v ->
       Buffer.add_string b (Intents.violation_to_string v);
       Buffer.add_char b '\n')
-    r.vr_violations;
+    r.vr_violations
+
+let report (r : result) : string =
+  let b = Buffer.create 256 in
+  Buffer.add_string b
+    (Printf.sprintf "=== change verification: %s ===\n" r.vr_request);
+  Buffer.add_string b
+    (Printf.sprintf "result: %s (%.2fs)%s%s\n"
+       (if r.vr_ok then "PASS" else "FAIL")
+       (total_seconds r)
+       (if r.vr_gated then " [stopped by the static-analysis gate]" else "")
+       (if r.vr_route = Resolved then
+          " [all intents resolved statically; simulation skipped]"
+        else ""));
+  (match r.vr_route with
+  | Spliced st ->
+      Buffer.add_string b
+        (if st.Incremental.st_full_fallback then
+           Printf.sprintf "incremental: full fallback (%s)\n"
+             (Option.value ~default:"?" st.Incremental.st_fallback_reason)
+         else
+           Printf.sprintf
+             "incremental: %d dirty prefix(es), %d delta row(s) spliced \
+              over %d reused, %d dirty device(s)\n"
+             st.Incremental.st_dirty_prefixes st.Incremental.st_delta_rows
+             st.Incremental.st_reused_rows st.Incremental.st_dirty_devices)
+  | _ -> ());
+  add_diff b r ~suffix:" from the base run";
+  (match r.vr_route with
+  | Merged c ->
+      Buffer.add_string b
+        (Printf.sprintf "coverage: %d/%d subtasks merged%s\n" c.cov_merged
+           c.cov_total
+           (if partial r then
+              " [PARTIAL: intent verdicts unsound over missing results]"
+            else ""));
+      List.iter
+        (fun (id, reason) ->
+          Buffer.add_string b
+            (Printf.sprintf "failed subtask: %s: %s\n" id reason))
+        c.cov_failed
+  | _ -> ());
+  List.iter
+    (fun (intent, verdict) ->
+      match verdict with
+      | Semantic.Needs_simulation -> ()
+      | v ->
+          Buffer.add_string b
+            (Printf.sprintf "precheck: %s -> %s\n"
+               (Intents.to_string intent)
+               (Semantic.verdict_to_string v)))
+    r.vr_precheck;
+  add_findings b r;
+  Buffer.contents b
+
+(* Deterministic verdict rendering: no timings, no request name — the
+   same semantic request always renders the same bytes, whichever
+   tenant sent it and whether it came from the cache. *)
+let body (r : result) : string =
+  let b = Buffer.create 256 in
+  Buffer.add_string b
+    (Printf.sprintf "verdict: %s\n" (if r.vr_ok then "PASS" else "FAIL"));
+  if r.vr_gated then
+    Buffer.add_string b "gated: stopped by the static-analysis gate\n";
+  if r.vr_route = Resolved then
+    Buffer.add_string b "simulation: skipped (resolved without the fixpoints)\n";
+  add_diff b r ~suffix:"";
+  List.iter
+    (fun (intent, verdict) ->
+      Buffer.add_string b
+        (Printf.sprintf "precheck: %s -> %s\n"
+           (Intents.to_string intent)
+           (Semantic.verdict_to_string verdict)))
+    r.vr_precheck;
+  add_findings b r;
   Buffer.contents b

@@ -22,6 +22,17 @@ type coverage = {
       (** permanently-failed subtask ids with their terminal reasons *)
 }
 
+(** What the route phase of a request did. *)
+type route_run =
+  | Not_run  (** the stage stopped before the fixpoints *)
+  | Resolved
+      (** every intent was carried over or decided statically; no
+          fixpoint ran *)
+  | Full_run  (** the [From_scratch] fixpoint *)
+  | Spliced of Hoyan_sim.Incremental.stats
+      (** the [Splice] executor's dirty-region and fallback accounting *)
+  | Merged of coverage  (** the [Distributed] executor's subtask coverage *)
+
 type result = {
   vr_request : string;
   vr_ok : bool;  (** no violations and no plan-application warnings *)
@@ -30,36 +41,25 @@ type result = {
       (** parse/delete errors from applying the plan — risk signals on
           their own (Table 6 "incorrect commands") *)
   vr_lint : Hoyan_analysis.Diagnostics.t list;
-      (** static-analysis findings from the pre-simulation gate *)
+      (** static-analysis findings from the lint pass *)
   vr_gated : bool;
-      (** the fail-fast gate stopped the request before any simulation *)
+      (** the [Lint] stage found an error-severity diagnostic *)
   vr_precheck : (Intents.t * Hoyan_analysis.Semantic.verdict) list;
       (** the static pre-checker's verdict for every intent *)
-  vr_sim_skipped : bool;
-      (** the pre-checker resolved every intent statically, so no
-          simulation ran (the RIB fields are then empty) *)
-  vr_diff_class : Hoyan_analysis.Differential.classification option;
-      (** differential mode only ([?diff:true]): the plan's semantic
-          classification (no-op / local / propagating) *)
-  vr_carried : Intents.t list;
-      (** differential mode only: intents whose base-run verdicts were
-          carried over without re-simulation — the static differential
-          pass proved their prefixes lie outside the change's dirty
-          region *)
-  vr_coverage : coverage option;
-      (** distributed mode only: subtask coverage of the route phase *)
-  vr_partial : bool;
-      (** the simulated state is missing permanently-failed subtasks'
-          results; [vr_ok] is never [true] when this is set *)
-  vr_inc : Hoyan_sim.Incremental.stats option;
-      (** set when the request was spliced by a [Splice] executor:
-          per-plan dirty-region and fallback accounting *)
+  vr_diff :
+    (Hoyan_analysis.Differential.classification * Intents.t list) option;
+      (** [Diff] stage only: the plan's semantic classification (no-op /
+          local / propagating) and the intents whose base-run verdicts
+          were carried over without re-simulation — the static
+          differential pass proved their prefixes lie outside the
+          change's dirty region *)
+  vr_route : route_run;
   vr_updated_model : Hoyan_sim.Model.t;
   vr_base_rib : Route.t list;
   vr_updated_rib : Route.t list;
   vr_updated_traffic : Hoyan_sim.Traffic_sim.result Lazy.t;
   vr_sim_seconds : float;
-      (** wall-clock of the eager pipeline (gate, differential, route
+      (** wall-clock of the eager pipeline (lint, differential, route
           fixpoint, intent checks).  Excludes the lazy traffic
           simulation — see [vr_traffic_seconds]. *)
   vr_traffic_seconds : float ref;
@@ -70,6 +70,25 @@ type result = {
 (** [vr_sim_seconds] plus the traffic-forcing time accumulated so far. *)
 val total_seconds : result -> float
 
+(** Some subtasks of a [Merged] run failed permanently, so the simulated
+    state misses their results; [vr_ok] is never [true] then. *)
+val partial : result -> bool
+
+(** How far a request runs.  Each constructor is one request class of
+    the verification server ({!Hoyan_server.Server}):
+
+    {v
+    stage     lint pass            plan applied  carry-over  pre-checker  route phase
+    Lint      yes; gates on errors no            no          no           no
+    Precheck  no                   yes           no          yes          no
+    Simulate  yes; recorded only   yes           no          yes          yes
+    Diff      yes; recorded only   yes           yes         yes          yes
+    v}
+
+    Under [Precheck], intents the pre-checker left [Needs_simulation]
+    stay open: the verdict covers only the statically decided part. *)
+type stage = Lint | Precheck | Simulate | Diff
+
 (** How the route phase of a request is executed.  Every executor
     yields the same verdicts as [From_scratch]; they differ in cost and
     in what the result reports about the run. *)
@@ -78,7 +97,7 @@ type executor =
       (** [Route_sim.run] on the patched model: the reference *)
   | Splice of Hoyan_sim.Incremental.ctx
       (** re-converge only the plan's dirty region and splice into the
-          context's cached base RIB/FIBs ([vr_inc] reports the
+          context's cached base RIB/FIBs ([Spliced] reports the
           accounting; broad plans fall back to a full run inside the
           engine).  Like every executor it runs only in the route-sim
           step, so a request whose intents all carry over or resolve
@@ -90,29 +109,24 @@ type executor =
     }
       (** through the distributed framework (master/MQ/workers) split
           into [subtasks], with [chaos] injecting faults; the route
-          phase's outcome contract is surfaced as [vr_coverage].  When
+          phase's outcome contract is surfaced as [Merged].  When
           subtasks failed permanently the result is partial, and
           [on_partial] picks the policy: [`Refuse] withholds intent
           verdicts over the incomplete RIB (no simulated violations are
           reported, and [vr_ok = false]); [`Degrade] verifies anyway but
-          flags the result [vr_partial] — a partial result is never
+          the result is {!partial} — a partial result is never
           [vr_ok]. *)
 
-(** How the static-analysis gate in front of the pipeline behaves:
-    skip it, record diagnostics without blocking (the default), or fail
-    the request on any error-severity diagnostic before the first
-    fixpoint runs. *)
-type lint_gate = Lint_off | Lint_warn | Lint_fail
-
-(** Run one change-verification request against the pre-processed base.
-    The static-analysis gate ([?lint], default {!Lint_warn}) lints the
-    base configs, the change plan and the request's RCL specs first;
-    under {!Lint_fail} an error-severity diagnostic stops the request
-    before any simulation.  Traffic simulation is forced only when a
-    traffic-level intent is present.  Prefixes in the plan's
-    [cp_withdraw] are removed from the inputs; [cp_new_routes] are added
-    (new prefix announcement).  [tm] (default: the process-global
-    telemetry handle) receives per-phase spans and gate events.
+(** Run one change-verification request against the pre-processed base,
+    as far as [stage] (default {!Simulate}) goes.  The lint pass lints
+    the base configs, the change plan and the request's RCL specs first;
+    under {!Lint} an error-severity diagnostic fails the request, under
+    {!Simulate} and {!Diff} the findings are only recorded.  Traffic
+    simulation is forced only when a traffic-level intent is present.
+    Prefixes in the plan's [cp_withdraw] are removed from the inputs;
+    [cp_new_routes] are added (new prefix announcement).  [tm] (default:
+    the process-global telemetry handle) receives per-phase spans and
+    gate events.
 
     [exec] (default {!From_scratch}) picks how routes are simulated.
 
@@ -120,26 +134,17 @@ type lint_gate = Lint_off | Lint_warn | Lint_fail
     the updated model before simulating: statically refuted intents
     become violations with a static witness, and when every intent of a
     non-empty request is proved or refuted the route/traffic fixpoints
-    are skipped entirely ([vr_sim_skipped = true]).
+    are skipped entirely ([vr_route = Resolved]).
 
-    [diff] (default [false]) additionally runs the differential
-    change-impact pass ({!Hoyan_analysis.Differential}) against the base
-    model before anything is simulated: every reachability intent whose
-    prefix provably lies outside the change's dirty region — and, when
-    the plan is a semantic no-op, every other intent too — keeps its
-    base-run verdict ([vr_carried]) and is evaluated against the cached
+    {!Diff} additionally runs the differential change-impact pass
+    ({!Hoyan_analysis.Differential}) against the base model before
+    anything is simulated: every reachability intent whose prefix
+    provably lies outside the change's dirty region — and, when the plan
+    is a semantic no-op, every other intent too — keeps its base-run
+    verdict (listed in [vr_diff]) and is evaluated against the cached
     base state; only the affected remainder goes through the pre-checker
     and the simulator.  When everything carries over, no fixpoint runs at
     all.
-
-    [stop_after] bounds how far the pipeline runs (the request classes of
-    the verification server, {!Hoyan_server.Server}, map onto it):
-    [`Gate] stops after the static-analysis gate — [vr_ok] is then "the
-    gate found no error-severity diagnostic" and nothing is simulated;
-    [`Static] runs the model update, the differential pass and the static
-    pre-checker but never the fixpoints — intents the pre-checker left
-    [Needs_simulation] stay open and the verdict covers only the
-    statically decided part; [`Full] (the default) is the whole pipeline.
 
     A partial base ([Preprocess.prepare ~partial:true], i.e. the
     converged base state itself came from a run with failed subtasks)
@@ -151,9 +156,7 @@ type lint_gate = Lint_off | Lint_warn | Lint_fail
 val run :
   ?tm:Hoyan_telemetry.Telemetry.t ->
   ?exec:executor ->
-  ?lint:lint_gate ->
-  ?diff:bool ->
-  ?stop_after:[ `Gate | `Static | `Full ] ->
+  ?stage:stage ->
   Preprocess.base ->
   request ->
   result
@@ -161,3 +164,8 @@ val run :
 (** Human-readable report (PASS/FAIL, warnings, violations with their
     counterexamples). *)
 val report : result -> string
+
+(** The server's deterministic verdict body: no timings and no request
+    name, so the same semantic request always renders the same bytes.
+    Shares its lint, plan-warning and violation lines with {!report}. *)
+val body : result -> string

@@ -34,19 +34,13 @@ type finding = {
 
 let nexthops_of (routes : Route.t list) =
   routes
-  |> List.filter (fun (r : Route.t) ->
-         match r.Route.route_type with
-         | Route.Best | Route.Ecmp -> true
-         | Route.Backup -> false)
+  |> List.filter Route.selected
   |> List.map Route.nexthop_string
   |> List.sort_uniq String.compare
 
 let igp_costs_of (routes : Route.t list) =
   routes
-  |> List.filter (fun (r : Route.t) ->
-         match r.Route.route_type with
-         | Route.Best | Route.Ecmp -> true
-         | Route.Backup -> false)
+  |> List.filter Route.selected
   |> List.map (fun (r : Route.t) -> r.Route.igp_cost)
   |> List.sort_uniq Int.compare
 

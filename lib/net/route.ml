@@ -159,6 +159,9 @@ let weight r = Attrs.weight r.attrs
 let origin r = Attrs.origin r.attrs
 let family r = Attrs.family r.attrs
 
+let selected r =
+  match r.route_type with Best | Ecmp -> true | Backup -> false
+
 let with_local_pref r v =
   let attrs = Attrs.with_local_pref r.attrs v in
   if attrs = r.attrs then r else { r with attrs }

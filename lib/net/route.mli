@@ -122,6 +122,10 @@ val with_med : t -> int -> t
 val with_weight : t -> int -> t
 val with_origin : t -> origin -> t
 
+(** A selected route: [Best] or [Ecmp], not [Backup].  Only selected
+    routes are installed, forwarded on and count as "present". *)
+val selected : t -> bool
+
 (** Structural equality over every field. *)
 val equal : t -> t -> bool
 

@@ -1,7 +1,7 @@
 (** Typed verification requests and the server's file/stdin transport.
 
-    A request names a {e class} (how far the pipeline runs and with
-    which flags — every class executes through
+    A request names a {e class} (how far the pipeline runs — every
+    class but [Whatif] is one {!Hoyan_core.Verify_request.stage} of
     {!Hoyan_core.Verify_request.run}), a change plan, intents, and
     per-request admission inputs (tenant, budget).
 

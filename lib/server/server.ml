@@ -17,9 +17,6 @@ module Model = Hoyan_sim.Model
 module Db = Hoyan_dist.Db
 module Schedule = Hoyan_dist.Schedule
 module Costmodel = Hoyan_dist.Costmodel
-module Diagnostics = Hoyan_analysis.Diagnostics
-module Semantic = Hoyan_analysis.Semantic
-module Differential = Hoyan_analysis.Differential
 module Telemetry = Hoyan_telemetry.Telemetry
 module Journal = Hoyan_telemetry.Journal
 
@@ -168,45 +165,6 @@ let snapshots t =
 (* The execution path                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Deterministic verdict rendering: no timings, no request name — the
-   same semantic request always renders the same bytes, whichever
-   tenant sent it and whether it came from the cache. *)
-let verdict_body (r : Verify_request.result) : string =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "verdict: %s\n" (if r.Verify_request.vr_ok then "PASS" else "FAIL"));
-  if r.Verify_request.vr_gated then
-    Buffer.add_string b "gated: stopped by the static-analysis gate\n";
-  if r.Verify_request.vr_sim_skipped then
-    Buffer.add_string b "simulation: skipped (resolved without the fixpoints)\n";
-  (match r.Verify_request.vr_diff_class with
-  | Some cls ->
-      Buffer.add_string b
-        (Printf.sprintf "differential: plan is %s; %d intent verdict(s) carried over\n"
-           (Differential.classification_to_string cls)
-           (List.length r.Verify_request.vr_carried))
-  | None -> ());
-  List.iter
-    (fun (intent, verdict) ->
-      Buffer.add_string b
-        (Printf.sprintf "precheck: %s -> %s\n"
-           (Intents.to_string intent)
-           (Semantic.verdict_to_string verdict)))
-    r.Verify_request.vr_precheck;
-  List.iter
-    (fun d ->
-      Buffer.add_string b (Printf.sprintf "lint: %s\n" (Diagnostics.to_string d)))
-    r.Verify_request.vr_lint;
-  List.iter
-    (fun w -> Buffer.add_string b (Printf.sprintf "plan warning: %s\n" w))
-    r.Verify_request.vr_plan_warnings;
-  List.iter
-    (fun v ->
-      Buffer.add_string b (Intents.violation_to_string v);
-      Buffer.add_char b '\n')
-    r.Verify_request.vr_violations;
-  Buffer.contents b
-
 (* The whatif execution path: the exhaustive k-failure sweep over the
    snapshot's base network.  The property comes from the request's
    first `intent reach present' stanza; the verdict body is
@@ -277,10 +235,10 @@ let run_direct_timed ?(tm = Telemetry.noop)
       rq_intents = rq.Request.r_intents;
     }
   in
-  let verify ~lint ~diff ~stop_after =
-    let res = Verify_request.run ~tm ~exec ~lint ~diff ~stop_after base vrq in
+  let verify stage =
+    let res = Verify_request.run ~tm ~exec ~stage base vrq in
     ( (if res.Verify_request.vr_ok then Ok else Fail),
-      verdict_body res,
+      Verify_request.body res,
       res.Verify_request.vr_sim_seconds,
       !(res.Verify_request.vr_traffic_seconds) )
   in
@@ -292,14 +250,10 @@ let run_direct_timed ?(tm = Telemetry.noop)
         in
         let st, body = run_whatif ~tm ?inc snap rq in
         (st, body, 0., 0.)
-    | Request.Lint ->
-        verify ~lint:Verify_request.Lint_fail ~diff:false ~stop_after:`Gate
-    | Request.Precheck ->
-        verify ~lint:Verify_request.Lint_off ~diff:false ~stop_after:`Static
-    | Request.Diff ->
-        verify ~lint:Verify_request.Lint_warn ~diff:true ~stop_after:`Full
-    | Request.Simulate ->
-        verify ~lint:Verify_request.Lint_warn ~diff:false ~stop_after:`Full
+    | Request.Lint -> verify Verify_request.Lint
+    | Request.Precheck -> verify Verify_request.Precheck
+    | Request.Diff -> verify Verify_request.Diff
+    | Request.Simulate -> verify Verify_request.Simulate
   with e -> (Error (Printexc.to_string e), "", 0., 0.)
 
 let run_direct (snap : Snapshot.t) (rq : Request.t) : status * string =

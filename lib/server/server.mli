@@ -99,7 +99,9 @@ val queue_depth : t -> int
 val drain : t -> response list
 
 (** The single execution path: run one request against a snapshot
-    through {!Hoyan_core.Verify_request.run} with the class's flags,
+    through {!Hoyan_core.Verify_request.run} at the class's stage
+    (whatif: the k-failure sweep), rendered by
+    {!Hoyan_core.Verify_request.body},
     bypassing queue, cache and budgets.  The server's executed
     responses are byte-identical to this — the server test suite and
     [--selfcheck] assert it.  The drain loop runs the simulating

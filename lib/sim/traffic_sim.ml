@@ -34,14 +34,7 @@ type fib = (string, Route.t list Trie.Dual.t) Hashtbl.t
     the admin preference then arbitrates between protocols.  [[]] means
     nothing is installed. *)
 let install (rows : Route.t list) : Route.t list =
-  let selected =
-    List.filter
-      (fun (r : Route.t) ->
-        match r.Route.route_type with
-        | Route.Best | Route.Ecmp -> true
-        | Route.Backup -> false)
-      rows
-  in
+  let selected = List.filter Route.selected rows in
   let min_pref =
     List.fold_left (fun m (r : Route.t) -> min m r.Route.preference)
       max_int selected

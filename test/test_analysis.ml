@@ -234,27 +234,28 @@ let test_gate () =
   let rq =
     { VR.rq_name = "gated"; rq_plan = bad_plan; rq_intents = [] }
   in
-  (* fail-fast: stops before simulation *)
-  let r = VR.run ~lint:VR.Lint_fail base rq in
+  (* the Lint stage gates: stops before simulation *)
+  let r = VR.run ~stage:VR.Lint base rq in
   Alcotest.(check bool) "gated request fails" false r.VR.vr_ok;
   Alcotest.(check bool) "gate reports being hit" true r.VR.vr_gated;
   Alcotest.(check bool) "gate produced diagnostics" true (r.VR.vr_lint <> []);
   Alcotest.(check (list string)) "no simulation ran" []
     (List.map (fun _ -> "route") r.VR.vr_updated_rib);
-  (* warn mode: diagnostics recorded, run proceeds *)
-  let r = VR.run ~lint:VR.Lint_warn base rq in
-  Alcotest.(check bool) "warn mode does not gate" false r.VR.vr_gated;
-  Alcotest.(check bool) "warn mode still reports" true (r.VR.vr_lint <> []);
-  (* off: nothing recorded *)
-  let r = VR.run ~lint:VR.Lint_off base rq in
-  Alcotest.(check (list string)) "off mode reports nothing" []
+  (* Simulate: diagnostics recorded, run proceeds *)
+  let r = VR.run ~stage:VR.Simulate base rq in
+  Alcotest.(check bool) "Simulate does not gate" false r.VR.vr_gated;
+  Alcotest.(check bool) "Simulate still reports" true (r.VR.vr_lint <> []);
+  (* Precheck: no lint pass, nothing recorded *)
+  let r = VR.run ~stage:VR.Precheck base rq in
+  Alcotest.(check (list string)) "Precheck reports nothing" []
     (List.map D.to_string r.VR.vr_lint);
-  (* a clean plan under fail-fast passes the gate *)
+  (* a clean plan passes the Lint stage *)
   let ok_rq =
     { VR.rq_name = "clean"; rq_plan = Cp.make "noop"; rq_intents = [] }
   in
-  let r = VR.run ~lint:VR.Lint_fail base ok_rq in
-  Alcotest.(check bool) "clean plan is not gated" false r.VR.vr_gated
+  let r = VR.run ~stage:VR.Lint base ok_rq in
+  Alcotest.(check bool) "clean plan is not gated" false r.VR.vr_gated;
+  Alcotest.(check bool) "clean plan passes" true r.VR.vr_ok
 
 (* --- change-plan checks read the applied plan ------------------------ *)
 

@@ -342,7 +342,7 @@ let prop_soundness_generated =
       ignore (assert_sound g plan);
       true)
 
-(* --- Verify_request ?diff: carry-over wiring ------------------------ *)
+(* --- Verify_request's Diff stage: carry-over wiring ----------------- *)
 
 let base =
   lazy
@@ -384,11 +384,13 @@ let test_vr_diff_noop_carries_all () =
       rq_intents = intents;
     }
   in
-  let r = VR.run ~diff:true b rq in
-  check tbool "plan classified no-op" true
-    (r.VR.vr_diff_class = Some Differential.No_op);
-  check tint "both intents carried over" 2 (List.length r.VR.vr_carried);
-  check tbool "no fixpoint ran" true r.VR.vr_sim_skipped;
+  let r = VR.run ~stage:VR.Diff b rq in
+  (match r.VR.vr_diff with
+  | Some (cls, carried) ->
+      check tbool "plan classified no-op" true (cls = Differential.No_op);
+      check tint "both intents carried over" 2 (List.length carried)
+  | None -> Alcotest.fail "Diff stage without a classification");
+  check tbool "no fixpoint ran" true (r.VR.vr_route = VR.Resolved);
   check tbool "carried verdicts hold (base run passes them)" true r.VR.vr_ok
 
 let test_vr_diff_partitions () =
@@ -408,9 +410,10 @@ let test_vr_diff_partitions () =
       rq_intents = [ reach_intent r0; reach_intent r1 ];
     }
   in
-  let r = VR.run ~diff:true b rq in
+  let r = VR.run ~stage:VR.Diff b rq in
+  let cls, carried = Option.get r.VR.vr_diff in
   check tbool "withdrawal is a propagating change" true
-    (r.VR.vr_diff_class = Some Differential.Propagating);
+    (cls = Differential.Propagating);
   check tbool "the withdrawn prefix's intent is NOT carried" false
     (List.exists
        (fun i ->
@@ -418,7 +421,7 @@ let test_vr_diff_partitions () =
          | Intents.Route_reach { rr_prefix; _ } ->
              Prefix.equal rr_prefix r0.Route.prefix
          | _ -> false)
-       r.VR.vr_carried);
+       carried);
   (* consistency: whatever was carried must be exactly what the
      differential pass says carries over *)
   let input = input_of g in
@@ -431,7 +434,7 @@ let test_vr_diff_partitions () =
             (Differential.carries_over d ~input_routes:g.G.input_routes
                rr_prefix)
       | _ -> ())
-    r.VR.vr_carried
+    carried
 
 (* --- plan application: Differential and Model apply plans alike ---- *)
 

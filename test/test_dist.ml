@@ -648,31 +648,31 @@ let test_verify_partial_refusal () =
   in
   let chaos = Chaos.make ~lose_always:[ "route-001.rib" ] () in
   let res = Verify_request.run ~exec:(dist ~chaos `Refuse) base rq in
-  check tbool "partial flagged" true res.Verify_request.vr_partial;
+  check tbool "partial flagged" true (Verify_request.partial res);
   check tbool "partial is never ok" false res.Verify_request.vr_ok;
-  (match res.Verify_request.vr_coverage with
-  | Some c ->
+  (match res.Verify_request.vr_route with
+  | Verify_request.Merged c ->
       check tint "one subtask missing"
         (c.Verify_request.cov_total - 1)
         c.Verify_request.cov_merged;
       check tbool "the victim is named" true
         (List.mem_assoc "route-001" c.Verify_request.cov_failed)
-  | None -> Alcotest.fail "expected coverage on a distributed run");
+  | _ -> Alcotest.fail "expected coverage on a distributed run");
   (* default policy: verdicts over the incomplete RIB are withheld *)
   check tint "no simulated violations under refusal" 0
     (List.length res.Verify_request.vr_violations);
   (* graceful degradation verifies anyway, but stays flagged and failed *)
   let res2 = Verify_request.run ~exec:(dist ~chaos `Degrade) base rq in
   check tbool "degrade: still partial, still not ok" true
-    (res2.Verify_request.vr_partial && not res2.Verify_request.vr_ok);
+    (Verify_request.partial res2 && not res2.Verify_request.vr_ok);
   (* and a chaos-free distributed run is complete and passes *)
   let res3 = Verify_request.run ~exec:(dist `Refuse) base rq in
-  check tbool "no chaos: complete" false res3.Verify_request.vr_partial;
-  (match res3.Verify_request.vr_coverage with
-  | Some c ->
+  check tbool "no chaos: complete" false (Verify_request.partial res3);
+  (match res3.Verify_request.vr_route with
+  | Verify_request.Merged c ->
       check tint "full coverage" c.Verify_request.cov_total
         c.Verify_request.cov_merged
-  | None -> Alcotest.fail "expected coverage on a distributed run");
+  | _ -> Alcotest.fail "expected coverage on a distributed run");
   check tbool "no chaos: ok" true res3.Verify_request.vr_ok
 
 let suite =

@@ -419,11 +419,11 @@ let test_verify_request_inc_agrees () =
   check tbool "same updated RIB" true
     (Rib.Global.equal full.Verify_request.vr_updated_rib
        inc.Verify_request.vr_updated_rib);
-  match inc.Verify_request.vr_inc with
-  | None -> Alcotest.fail "incremental stats missing"
-  | Some st ->
+  match inc.Verify_request.vr_route with
+  | Verify_request.Spliced st ->
       check tbool "no fallback on an announce plan" false
         st.Incremental.st_full_fallback
+  | _ -> Alcotest.fail "incremental stats missing"
 
 (* --- satellite 1: partial bases never carry verdicts over ----------- *)
 
@@ -444,18 +444,21 @@ let test_partial_base_refuses_carryover () =
   in
   (* healthy base: a no-op plan carries the verdict over *)
   let healthy = Lazy.force base in
-  let r1 = Verify_request.run ~diff:true healthy rq in
-  check tbool "healthy base carries over" true
-    (r1.Verify_request.vr_carried <> []);
+  let carried (r : Verify_request.result) =
+    match r.Verify_request.vr_diff with
+    | Some (_, carried) -> carried
+    | None -> Alcotest.fail "Diff stage without a classification"
+  in
+  let r1 = Verify_request.run ~stage:Verify_request.Diff healthy rq in
+  check tbool "healthy base carries over" true (carried r1 <> []);
   (* partial base (converged state from a run with failed subtasks):
      carry-over must be refused, every intent re-verified *)
   let partial =
     Preprocess.prepare ~partial:true g.G.model
       ~monitored_routes:g.G.input_routes ~monitored_flows:g.G.flows
   in
-  let r2 = Verify_request.run ~diff:true partial rq in
-  check tint "partial base carries nothing" 0
-    (List.length r2.Verify_request.vr_carried);
+  let r2 = Verify_request.run ~stage:Verify_request.Diff partial rq in
+  check tint "partial base carries nothing" 0 (List.length (carried r2));
   check tbool "intents still verified (not silently dropped)" true
     r2.Verify_request.vr_ok
 

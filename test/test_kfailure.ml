@@ -166,6 +166,35 @@ let test_prefix_survives () =
       check Alcotest.(list string) "footprint devices" [ "R2" ] devs
   | _ -> Alcotest.fail "prefix_survives must declare Reach_all"
 
+(* whatif translates a Route_reach intent into prefix_survives, so the
+   two must judge presence by one rule: only selected (Best/Ecmp) rows
+   count.  R2's only row for the prefix is a Backup. *)
+let test_prefix_survives_selected_only () =
+  let model = B.build (chain 3) in
+  let row dev route_type =
+    Route.make ~device:dev ~prefix:(pfx the_prefix) ~route_type ()
+  in
+  let rib = [ row "R1" Route.Best; row "R2" Route.Backup ] in
+  List.iter
+    (fun (dev, present) ->
+      let survives =
+        (Kfailure.prefix_survives ~prefix:(pfx the_prefix) ~devices:[ dev ])
+          .Kfailure.p_check ~model ~rib ~traffic:(lazy (assert false))
+        = None
+      in
+      let holds =
+        Hoyan_core.Intents.verify
+          (Hoyan_core.Intents.Route_reach
+             { rr_prefix = pfx the_prefix; rr_devices = [ dev ]; rr_expect = true })
+          ~model ~base_rib:rib ~updated_rib:rib
+          ~base_traffic:(lazy (assert false))
+          ~updated_traffic:(lazy (assert false))
+        = []
+      in
+      check tbool (dev ^ ": intent verdict") present holds;
+      check tbool (dev ^ ": prefix_survives agrees") holds survives)
+    [ ("R1", true); ("R2", false) ]
+
 let test_no_overload_worst_link () =
   (* R0 -> R1 -> R2 with a fat first hop and a thin second hop: both
      links overload, and the thin one is the true maximum. *)
@@ -633,6 +662,8 @@ let test_chaos_matrix () =
 let suite =
   [
     Alcotest.test_case "property: prefix_survives" `Quick test_prefix_survives;
+    Alcotest.test_case "property: prefix_survives counts selected rows only"
+      `Quick test_prefix_survives_selected_only;
     Alcotest.test_case "property: no_overload reports true max" `Quick
       test_no_overload_worst_link;
     Alcotest.test_case "combinations: accumulator == naive" `Quick

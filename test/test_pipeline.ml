@@ -257,8 +257,28 @@ let test_executor_oracle () =
     List.sort compare
       (List.map Intents.violation_to_string r.Verify_request.vr_violations)
   in
-  let carried (r : Verify_request.result) =
-    List.map Intents.to_string r.Verify_request.vr_carried
+  let diff (r : Verify_request.result) =
+    Option.map
+      (fun (cls, carried) -> (cls, List.map Intents.to_string carried))
+      r.Verify_request.vr_diff
+  in
+  (* every executor reports its own route run: nothing runs where the
+     reference resolved everything, and a chaos-free distributed run
+     merges every subtask *)
+  let route_matches (reference : Verify_request.result) exec
+      (r : Verify_request.result) =
+    match (reference.Verify_request.vr_route, exec, r.Verify_request.vr_route)
+    with
+    | Verify_request.Resolved, _, Verify_request.Resolved -> true
+    | Verify_request.Full_run, Verify_request.Splice _, Verify_request.Spliced _
+      ->
+        true
+    | ( Verify_request.Full_run,
+        Verify_request.Distributed _,
+        Verify_request.Merged c ) ->
+        c.Verify_request.cov_merged = c.Verify_request.cov_total
+        && c.Verify_request.cov_failed = []
+    | _ -> false
   in
   let strings = Alcotest.(list string) in
   List.iter
@@ -271,23 +291,23 @@ let test_executor_oracle () =
         }
       in
       List.iter
-        (fun diff ->
-          let reference = Verify_request.run ~diff b rq in
+        (fun stage ->
+          let reference = Verify_request.run ~stage b rq in
           List.iter
             (fun (name, exec) ->
-              let r = Verify_request.run ~exec ~diff b rq in
+              let r = Verify_request.run ~exec ~stage b rq in
               let what field =
-                Printf.sprintf "%s, %s, diff=%b: %s" plan.Cp.cp_name name diff
-                  field
+                Printf.sprintf "%s, %s, diff=%b: %s" plan.Cp.cp_name name
+                  (stage = Verify_request.Diff) field
               in
               check tbool (what "ok") reference.Verify_request.vr_ok
                 r.Verify_request.vr_ok;
               check strings (what "violations") (violations reference)
                 (violations r);
-              check strings (what "carried") (carried reference) (carried r);
-              check tbool (what "diff class") true
-                (reference.Verify_request.vr_diff_class
-                = r.Verify_request.vr_diff_class);
+              check tbool (what "diff class and carried") true
+                (diff reference = diff r);
+              check tbool (what "route run") true
+                (route_matches reference exec r);
               check strings (what "plan warnings")
                 reference.Verify_request.vr_plan_warnings
                 r.Verify_request.vr_plan_warnings;
@@ -295,7 +315,7 @@ let test_executor_oracle () =
                 (Rib.Global.equal reference.Verify_request.vr_updated_rib
                    r.Verify_request.vr_updated_rib))
             executors)
-        [ false; true ])
+        [ Verify_request.Simulate; Verify_request.Diff ])
     plans
 
 (* --- traffic intents -------------------------------------------------------- *)

@@ -264,7 +264,7 @@ let test_verify_request_skip () =
   in
   let r = VR.run base rq in
   check tbool "all intents resolved: simulation skipped" true
-    r.VR.vr_sim_skipped;
+    (r.VR.vr_route = VR.Resolved);
   check tint "skipped run computes no RIB" 0 (List.length r.VR.vr_updated_rib);
   check tint "both intents carry a verdict" 2 (List.length r.VR.vr_precheck);
   check tint "the refuted intent is the one violation" 1
@@ -308,7 +308,8 @@ let test_verify_request_skip () =
   let r =
     VR.run base { rq with VR.rq_intents = [ refuted; needs_sim ] }
   in
-  check tbool "unresolved intent forces simulation" false r.VR.vr_sim_skipped;
+  check tbool "unresolved intent forces simulation" true
+    (r.VR.vr_route = VR.Full_run);
   check tbool "mixed run still computed a RIB" true
     (r.VR.vr_updated_rib <> [])
 

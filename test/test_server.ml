@@ -18,6 +18,9 @@ module Snapshot = Hoyan_server.Snapshot
 module Request = Hoyan_server.Request
 module Server = Hoyan_server.Server
 module Incremental = Hoyan_sim.Incremental
+module Telemetry = Hoyan_telemetry.Telemetry
+module Trace = Hoyan_telemetry.Trace
+module Journal = Hoyan_telemetry.Journal
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
@@ -540,27 +543,95 @@ let test_sequential_requests_isolated () =
   check tstr "request 1 re-run on shared snapshot unchanged" (snd s1) (snd s1')
 
 (* ------------------------------------------------------------------ *)
-(* stop_after: the class-to-pipeline mapping                           *)
+(* the class-to-stage table                                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_stop_after () =
-  let b = Lazy.force base in
-  let vrq =
-    {
-      VR.rq_name = "sa";
-      rq_plan = Cp.make "sa" ~commands:[ (border, pref_block 250) ];
-      rq_intents = [ Intents.Route_change "PRE = POST" ];
-    }
+let route_name = function
+  | VR.Not_run -> "not-run"
+  | VR.Resolved -> "resolved"
+  | VR.Full_run -> "full-run"
+  | VR.Spliced _ -> "spliced"
+  | VR.Merged _ -> "merged"
+
+(* Each server class is one stage of Verify_request.run.  Per stage:
+   whether the lint pass ran, whether the plan was applied, whether the
+   differential pass and the pre-checker ran, and the route run of a
+   local plan from scratch and spliced, and of a no-op plan spliced
+   (every intent carries over under Diff).  Only the simulating stages
+   force the base RIB, and the server's body for a class is the
+   stage's body. *)
+let test_stage_table () =
+  (* a fresh base: its converged RIB is still lazy *)
+  let b = base_of (G.generate G.small) in
+  let intents = [ Intents.Route_change "PRE = POST" ] in
+  let local = Cp.make "local" ~commands:[ (border, pref_block 250) ] in
+  let noop = Cp.make "noop" in
+  let rq plan = { VR.rq_name = "stage"; rq_plan = plan; rq_intents = intents } in
+  let table =
+    [
+      (Request.Lint, VR.Lint, true, false, "not-run", "not-run", "not-run");
+      (Request.Precheck, VR.Precheck, false, true, "not-run", "not-run",
+       "not-run");
+      (Request.Simulate, VR.Simulate, true, true, "full-run", "spliced",
+       "spliced");
+      (Request.Diff, VR.Diff, true, true, "full-run", "spliced", "resolved");
+    ]
   in
-  let gate = VR.run ~lint:VR.Lint_fail ~stop_after:`Gate b vrq in
-  check tbool "`Gate never prechecks" true (gate.VR.vr_precheck = []);
-  check tbool "`Gate never simulates" true (gate.VR.vr_updated_rib = []);
-  let st = VR.run ~lint:VR.Lint_off ~stop_after:`Static b vrq in
-  check tbool "`Static prechecks" true (st.VR.vr_precheck <> []);
-  check tbool "`Static never forces the base RIB" true (st.VR.vr_base_rib = []);
-  check tbool "`Static never simulates" true (st.VR.vr_updated_rib = []);
-  let full = VR.run ~lint:VR.Lint_off b vrq in
-  check tbool "`Full simulates" true (full.VR.vr_updated_rib <> [])
+  let forced = ref false in
+  List.iter
+    (fun (cls, stage, lint, applied, route, _, _) ->
+      let tm = Telemetry.create () in
+      let r = VR.run ~tm ~stage b (rq local) in
+      let name = route_name r.VR.vr_route in
+      let what field =
+        Printf.sprintf "%s: %s" (Request.class_to_string cls) field
+      in
+      let spans =
+        List.map
+          (fun (e : Trace.event) -> e.Trace.te_name)
+          (Trace.events tm.Telemetry.trace)
+      in
+      let event ev = Journal.find tm.Telemetry.journal ev <> [] in
+      check tbool (what "lint pass") lint (List.mem "verify.lint_gate" spans);
+      check tbool (what "lint.gate event") lint (event "lint.gate");
+      check tbool (what "verify.done event") (stage <> VR.Lint)
+        (event "verify.done");
+      check tbool (what "plan applied") applied
+        (List.mem "verify.model_update" spans);
+      check tbool (what "differential pass") (stage = VR.Diff)
+        (r.VR.vr_diff <> None);
+      check tbool (what "pre-checker") (stage <> VR.Lint)
+        (r.VR.vr_precheck <> []);
+      check tstr (what "route run") route name;
+      let simulates = stage = VR.Simulate || stage = VR.Diff in
+      check tbool (what "base RIB returned") simulates (r.VR.vr_base_rib <> []);
+      forced := !forced || simulates;
+      check tbool (what "base RIB forced") !forced
+        (Lazy.is_val b.Preprocess.b_rib);
+      check tbool (what "no-op plan: differential pass") (stage = VR.Diff)
+        ((VR.run ~stage b (rq noop)).VR.vr_diff <> None))
+    table;
+  let cx =
+    Incremental.capture ~model:b.Preprocess.b_model
+      ~input_routes:b.Preprocess.b_input_routes ~flows:b.Preprocess.b_flows
+      ~rib:(Lazy.force b.Preprocess.b_rib) ()
+  in
+  let snap = Snapshot.register b in
+  List.iter
+    (fun (cls, stage, _, _, _, spliced, spliced_noop) ->
+      let run plan = VR.run ~exec:(VR.Splice cx) ~stage b (rq plan) in
+      check tstr "local plan spliced" spliced
+        (route_name (run local).VR.vr_route);
+      check tstr "no-op plan spliced" spliced_noop
+        (route_name (run noop).VR.vr_route);
+      let _, body =
+        Server.run_direct snap (Request.make ~plan:local ~intents ~id:"s" cls)
+      in
+      check tstr
+        (Request.class_to_string cls ^ ": server body = stage body")
+        (VR.body (VR.run ~stage b (rq local)))
+        body)
+    table
 
 let suite =
   [
@@ -597,6 +668,6 @@ let suite =
       `Quick test_splice_policy;
     Alcotest.test_case "shared snapshot: sequential isolation" `Quick
       test_sequential_requests_isolated;
-    Alcotest.test_case "verify: stop_after bounds the pipeline" `Quick
-      test_stop_after;
+    Alcotest.test_case "verify: the class-to-stage table" `Quick
+      test_stage_table;
   ]
