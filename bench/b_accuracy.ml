@@ -74,7 +74,7 @@ let figure9 () =
 let campaign_net = lazy (G.generate { G.small with G.g_dcs_per_region = 4 })
 
 type truth = {
-  tr_rib : Route.t list;
+  tr_rib : Rib.t;
   tr_traffic : Traffic_sim.result;
 }
 
@@ -236,8 +236,8 @@ let inject (cls : Issues.cls) (variant : int) : bool * Issues.cls =
         (Route_sim.run flawed_model ~input_routes:g.G.input_routes ()).Route_sim.rib
       in
       let diff =
-        List.length (Rib.Global.diff sim_rib truth.tr_rib)
-        + List.length (Rib.Global.diff truth.tr_rib sim_rib)
+        List.length (Rib.diff sim_rib truth.tr_rib :> Route.t list)
+        + List.length (Rib.diff truth.tr_rib sim_rib :> Route.t list)
       in
       (* probe: the divergence follows the vendor boundary *)
       ( diff > 0,
@@ -252,8 +252,8 @@ let inject (cls : Issues.cls) (variant : int) : bool * Issues.cls =
         (Route_sim.run flawed_model ~input_routes:g.G.input_routes ()).Route_sim.rib
       in
       let diff =
-        List.length (Rib.Global.diff sim_rib truth.tr_rib)
-        + List.length (Rib.Global.diff truth.tr_rib sim_rib)
+        List.length (Rib.diff sim_rib truth.tr_rib :> Route.t list)
+        + List.length (Rib.diff truth.tr_rib sim_rib :> Route.t list)
       in
       (* probe: enabling the feature flag removes the divergence *)
       ( diff > 0,
@@ -271,13 +271,13 @@ let inject (cls : Issues.cls) (variant : int) : bool * Issues.cls =
               if r.Route.route_type = Route.Ecmp then
                 Some (r.Route.device, r.Route.vrf, r.Route.prefix)
               else None)
-            truth.tr_rib
+            (truth.tr_rib :> Route.t list)
         in
         match target with
         | None -> truth.tr_rib
         | Some (dev, vrf, prefix) ->
             let swapped_one = ref false in
-            List.map
+            Rib.of_routes @@ List.map
               (fun (r : Route.t) ->
                 if
                   String.equal r.Route.device dev
@@ -291,7 +291,7 @@ let inject (cls : Issues.cls) (variant : int) : bool * Issues.cls =
                       { r with Route.route_type = Route.Best }
                   | _ -> r
                 else r)
-              truth.tr_rib
+              (truth.tr_rib :> Route.t list)
       in
       let monitored = Route_monitor.observe (Route_monitor.create ()) live_rib in
       let issues, _ = Validate.validate_routes ~simulated:truth.tr_rib ~monitored () in

@@ -22,7 +22,7 @@ let figure6_7 () =
       ~local_pref:lp ~nexthop:(ip nexthop) ()
   in
   let base =
-    [
+    Rib.of_routes [
       route ~device:"A" ~vrf:"global" ~prefix:"10.0.0.0/24"
         ~communities:[ "100:1" ] ~lp:100 ~nexthop:"2.0.0.1";
       route ~device:"A" ~vrf:"vrf1" ~prefix:"20.0.0.0/24"
@@ -32,12 +32,12 @@ let figure6_7 () =
     ]
   in
   let updated =
-    List.map
+    Rib.of_routes @@ List.map
       (fun (r : Route.t) ->
         if Prefix.equal r.Route.prefix (pfx "10.0.0.0/24") then
           Route.with_local_pref r 300
         else r)
-      base
+      (base :> Route.t list)
   in
   List.iter
     (fun spec ->
@@ -61,9 +61,13 @@ let figure6_7 () =
 (** Generate a corpus of [n] route-change-intent specifications in the
     shapes of the paper's §4.3 use cases, over the given RIB's devices
     and prefixes. *)
-let spec_corpus ?(n = 50) ~(seed : int) (rib : Route.t list) : string list =
+let spec_corpus ?(n = 50) ~(seed : int) (rib : Rib.t) : string list =
   let st = Random.State.make [| seed |] in
-  let devices = Rib.Global.devices rib |> Array.of_list in
+  let rib = (rib :> Route.t list) in
+  let devices =
+    List.map (fun (r : Route.t) -> r.Route.device) rib
+    |> List.sort_uniq String.compare |> Array.of_list
+  in
   let prefixes =
     List.map (fun (r : Route.t) -> r.Route.prefix) rib
     |> List.sort_uniq Prefix.compare |> Array.of_list
@@ -132,12 +136,12 @@ let figure8 () =
      so the no-change specs are exercised on both outcomes *)
   let changed_dev = List.hd g.G.borders in
   let updated =
-    List.map
+    Rib.of_routes @@ List.map
       (fun (r : Route.t) ->
         if String.equal r.Route.device changed_dev && r.Route.proto = Route.Bgp
         then Route.with_local_pref r (Route.local_pref r + 5)
         else r)
-      base
+      (base :> Route.t list)
   in
   let corpus = spec_corpus ~seed:7 base in
   let sizes = ref [] and times = ref [] in

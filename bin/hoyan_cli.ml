@@ -206,7 +206,7 @@ let simulate params seed distributed fail_prob chaos_mode chaos_seed lease_s
         Printf.printf
           "route simulation: %d RIB rows, %.2fx EC compression, %d fixpoint \
            rounds\n"
-          (List.length res.Route_sim.rib)
+          (List.length (res.Route_sim.rib :> Route.t list))
           res.Route_sim.compression
           res.Route_sim.bgp_stats.Bgp.st_rounds;
         res.Route_sim.rib
@@ -225,7 +225,7 @@ let simulate params seed distributed fail_prob chaos_mode chaos_seed lease_s
         Printf.printf
           "distributed route simulation: %d RIB rows; end-to-end on %d \
            servers: %.2fs\n"
-          (List.length rp.Hoyan_dist.Framework.rp_rib)
+          (List.length (rp.Hoyan_dist.Framework.rp_rib :> Route.t list))
           servers t;
         if not (Hoyan_dist.Chaos.is_none chaos) then
           Printf.printf "%s\n" (Hoyan_dist.Framework.monitor_report fw);
@@ -730,6 +730,7 @@ let rcl spec explain =
               else r)
             base
         in
+        let base = Rib.of_routes base and updated = Rib.of_routes updated in
         match Hoyan_rcl.Verify.check ast ~base ~updated with
         | Hoyan_rcl.Verify.Satisfied ->
             Printf.printf "against the Figure-6 RIBs: SATISFIED\n"

@@ -32,7 +32,7 @@ let () =
   let rib = Lazy.force base.Preprocess.b_rib in
   let traffic = Lazy.force base.Preprocess.b_traffic in
   Printf.printf "base simulation: %d RIB rows, %d flow ECs, %d loaded links\n\n"
-    (List.length rib)
+    (List.length (rib :> Route.t list))
     traffic.Traffic_sim.ec_count
     (Hashtbl.length traffic.Traffic_sim.link_load);
 
@@ -85,7 +85,7 @@ let () =
       base request
   in
   let agrees =
-    Rib.Global.equal res.Verify_request.vr_updated_rib
+    Rib.equal res.Verify_request.vr_updated_rib
       res_dist.Verify_request.vr_updated_rib
   in
   Printf.printf "\ndistributed run agrees: %b\n" agrees;

@@ -20,24 +20,26 @@ let route ~device ~vrf ~prefix ~communities ~lp ~nexthop =
 
 (* Figure 6, verbatim. *)
 let base =
-  [
-    route ~device:"A" ~vrf:"global" ~prefix:"10.0.0.0/24"
-      ~communities:[ "100:1" ] ~lp:100 ~nexthop:"2.0.0.1";
-    route ~device:"A" ~vrf:"vrf1" ~prefix:"20.0.0.0/24"
-      ~communities:[ "100:1"; "200:1" ] ~lp:10 ~nexthop:"3.0.0.1";
-    route ~device:"B" ~vrf:"global" ~prefix:"10.0.0.0/24"
-      ~communities:[ "100:1" ] ~lp:200 ~nexthop:"4.0.0.1";
-  ]
+  Rib.of_routes
+    [
+      route ~device:"A" ~vrf:"global" ~prefix:"10.0.0.0/24"
+        ~communities:[ "100:1" ] ~lp:100 ~nexthop:"2.0.0.1";
+      route ~device:"A" ~vrf:"vrf1" ~prefix:"20.0.0.0/24"
+        ~communities:[ "100:1"; "200:1" ] ~lp:10 ~nexthop:"3.0.0.1";
+      route ~device:"B" ~vrf:"global" ~prefix:"10.0.0.0/24"
+        ~communities:[ "100:1" ] ~lp:200 ~nexthop:"4.0.0.1";
+    ]
 
 let updated =
-  [
-    route ~device:"A" ~vrf:"global" ~prefix:"10.0.0.0/24"
-      ~communities:[ "100:1" ] ~lp:300 ~nexthop:"2.0.0.1";
-    route ~device:"A" ~vrf:"vrf1" ~prefix:"20.0.0.0/24"
-      ~communities:[ "100:1"; "200:1" ] ~lp:10 ~nexthop:"3.0.0.1";
-    route ~device:"B" ~vrf:"global" ~prefix:"10.0.0.0/24"
-      ~communities:[ "100:1" ] ~lp:300 ~nexthop:"4.0.0.1";
-  ]
+  Rib.of_routes
+    [
+      route ~device:"A" ~vrf:"global" ~prefix:"10.0.0.0/24"
+        ~communities:[ "100:1" ] ~lp:300 ~nexthop:"2.0.0.1";
+      route ~device:"A" ~vrf:"vrf1" ~prefix:"20.0.0.0/24"
+        ~communities:[ "100:1"; "200:1" ] ~lp:10 ~nexthop:"3.0.0.1";
+      route ~device:"B" ~vrf:"global" ~prefix:"10.0.0.0/24"
+        ~communities:[ "100:1" ] ~lp:300 ~nexthop:"4.0.0.1";
+    ]
 
 let specs =
   [

@@ -123,8 +123,8 @@ let flow_result_for (tr : Traffic_sim.result) (f : Flow.t) =
     [base_rib]/[updated_rib] are global RIBs; [base_traffic]/[updated_traffic]
     the traffic results (lazily computed by the pipeline only when a
     traffic-level intent is present). *)
-let verify (intent : t) ~(model : Model.t) ~(base_rib : Route.t list)
-    ~(updated_rib : Route.t list)
+let verify (intent : t) ~(model : Model.t) ~(base_rib : Rib.t)
+    ~(updated_rib : Rib.t)
     ~(base_traffic : Traffic_sim.result Lazy.t)
     ~(updated_traffic : Traffic_sim.result Lazy.t) : violation list =
   match intent with
@@ -137,19 +137,19 @@ let verify (intent : t) ~(model : Model.t) ~(base_rib : Route.t list)
                 String.equal r.Route.device dev
                 && Prefix.equal r.Route.prefix rr_prefix
                 && Route.selected r)
-              updated_rib
+              (updated_rib :> Route.t list)
           in
           if present = rr_expect then None
           else
             let related =
-              List.filter
+              Rib.filter
                 (fun (r : Route.t) ->
                   String.equal r.Route.device dev
                   && Prefix.subsumes r.Route.prefix rr_prefix)
                 updated_rib
             in
             Some
-              (violation ~routes:related intent
+              (violation ~routes:(related :> Route.t list) intent
                  (Printf.sprintf "on %s the prefix is %s" dev
                     (if present then "present" else "absent"))))
         rr_devices

@@ -39,7 +39,7 @@ type property = {
   p_footprint : Feq.footprint;
   p_check :
     model:Model.t ->
-    rib:Route.t list ->
+    rib:Rib.t ->
     traffic:Traffic_sim.result Lazy.t ->
     string option (* None = holds; Some reason = violated *);
 }
@@ -60,7 +60,7 @@ let prefix_survives ~prefix ~devices =
           (fun (r : Route.t) ->
             if Prefix.equal r.Route.prefix prefix && Route.selected r then
               Hashtbl.replace present r.Route.device ())
-          rib;
+          (rib :> Route.t list);
         let missing =
           List.filter (fun dev -> not (Hashtbl.mem present dev)) devices
         in

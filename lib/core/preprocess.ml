@@ -145,7 +145,7 @@ type base = {
   b_model : Model.t;
   b_input_routes : Route.t list;
   b_flows : Flow.t list;
-  b_rib : Route.t list Lazy.t;
+  b_rib : Rib.t Lazy.t;
   b_traffic : Traffic_sim.result Lazy.t;
   b_partial : bool;
       (* the converged state came from a run with permanently-failed

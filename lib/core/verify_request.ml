@@ -63,8 +63,8 @@ type result = {
           intents whose base-run verdicts provably survive the change *)
   vr_route : route_run;
   vr_updated_model : Model.t;
-  vr_base_rib : Route.t list;
-  vr_updated_rib : Route.t list;
+  vr_base_rib : Rib.t;
+  vr_updated_rib : Rib.t;
   vr_updated_traffic : Traffic_sim.result Lazy.t;
   vr_sim_seconds : float;
   vr_traffic_seconds : float ref;
@@ -339,9 +339,9 @@ let run ?tm ?(exec = From_scratch) ?(stage = Simulate)
      running the fixpoint from scratch (broad plans honestly fall back
      inside [Incremental.simulate] — see [Spliced]). *)
   let route, updated_rib, spliced =
-    if stage = Lint then (Not_run, [], None)
-    else if rq.rq_intents <> [] && sim_intents = [] then (Resolved, [], None)
-    else if stage = Precheck then (Not_run, [], None)
+    if stage = Lint then (Not_run, Rib.empty, None)
+    else if rq.rq_intents <> [] && sim_intents = [] then (Resolved, Rib.empty, None)
+    else if stage = Precheck then (Not_run, Rib.empty, None)
     else
       Telemetry.with_span tm "verify.route_sim" (fun () ->
           match exec with
@@ -391,7 +391,7 @@ let run ?tm ?(exec = From_scratch) ?(stage = Simulate)
                 Traffic_sim.run ~tm updated_model ~rib:updated_rib ~flows ()))
   in
   (* 5. intent verification for whatever the pre-checker left open *)
-  let base_rib = if simulated then Lazy.force base.Preprocess.b_rib else [] in
+  let base_rib = if simulated then Lazy.force base.Preprocess.b_rib else Rib.empty in
   (* partial distributed results: intent verdicts over an incomplete RIB
      would be unsound (a route missing from a failed subtask looks like a
      reachability violation — or masks one).  The default refuses to

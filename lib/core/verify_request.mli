@@ -55,8 +55,8 @@ type result = {
           change's dirty region *)
   vr_route : route_run;
   vr_updated_model : Hoyan_sim.Model.t;
-  vr_base_rib : Route.t list;
-  vr_updated_rib : Route.t list;
+  vr_base_rib : Rib.t;
+  vr_updated_rib : Rib.t;
   vr_updated_traffic : Hoyan_sim.Traffic_sim.result Lazy.t;
   vr_sim_seconds : float;
       (** wall-clock of the eager pipeline (lint, differential, route

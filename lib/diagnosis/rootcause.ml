@@ -46,7 +46,7 @@ let igp_costs_of (routes : Route.t list) =
 
 (** Step 4: compare the forwarding behaviour of a device on the flow,
     between a simulated and a real (live ground truth) RIB. *)
-let compare_hop ~(sim_rib : Route.t list) ~(real_rib : Route.t list)
+let compare_hop ~(sim_rib : Rib.t) ~(real_rib : Rib.t)
     (dev : string) (f : Flow.t) : hop_behaviour =
   let fib_routes rib =
     let fibs = Traffic_sim.build_fibs rib in
@@ -97,7 +97,7 @@ let hints_of (hb : hop_behaviour) : string list =
     paths. *)
 let analyze_link (model : Model.t) ~(link : string * string)
     ~(monitored_flows : Hoyan_monitor.Traffic_monitor.flow_record list)
-    ~(sim_rib : Route.t list) ~(real_rib : Route.t list) : finding option =
+    ~(sim_rib : Rib.t) ~(real_rib : Rib.t) : finding option =
   let src_dev, _dst_dev = link in
   (* step 2: the largest-volume flow traversing the link (in the real
      network: test membership by walking it on the real RIB) *)

@@ -50,7 +50,7 @@ let same_attrs (sim : Route.t) (mon : Route.t) =
     [live_check] is consulted for prefixes in [priority_prefixes]: for
     those, the full live RIB (show command) replaces the lossy monitored
     view, enabling ECMP and attribute validation. *)
-let validate_routes ~(simulated : Route.t list) ~(monitored : Route.t list)
+let validate_routes ~(simulated : Rib.t) ~(monitored : Route.t list)
     ?(live : Route.t list = []) ?(priority_prefixes : Prefix.t list = []) () :
     route_discrepancy list * int =
   let is_priority p = List.exists (Prefix.equal p) priority_prefixes in
@@ -70,7 +70,8 @@ let validate_routes ~(simulated : Route.t list) ~(monitored : Route.t list)
         (r :: Option.value (Hashtbl.find_opt live_tbl k) ~default:[]))
     live;
   let sim_bgp =
-    List.filter (fun (r : Route.t) -> r.Route.proto = Route.Bgp) simulated
+    List.filter (fun (r : Route.t) -> r.Route.proto = Route.Bgp)
+      (simulated :> Route.t list)
   in
   let checked = ref 0 in
   let issues = ref [] in

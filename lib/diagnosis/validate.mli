@@ -37,7 +37,7 @@ type report = {
     output) replaces the lossy monitored one, enabling ECMP and
     attribute validation.  Returns (discrepancies, routes checked). *)
 val validate_routes :
-  simulated:Route.t list ->
+  simulated:Rib.t ->
   monitored:Route.t list ->
   ?live:Route.t list ->
   ?priority_prefixes:Prefix.t list ->
@@ -56,7 +56,7 @@ val validate_loads :
 
 (** The daily accuracy report over both route and load validation. *)
 val daily :
-  simulated_rib:Route.t list ->
+  simulated_rib:Rib.t ->
   monitored_rib:Route.t list ->
   ?live:Route.t list ->
   ?priority_prefixes:Prefix.t list ->

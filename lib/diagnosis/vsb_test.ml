@@ -337,13 +337,13 @@ let test_dimension (sc : scenario) : detection =
     B.set_vendor b "DUT" vendor;
     let model = B.build b in
     (Route_sim.run model ~input_routes:input ()).Route_sim.rib
-    |> List.filter (fun (r : Route.t) -> r.Route.proto = Route.Bgp)
+    |> Rib.filter (fun (r : Route.t) -> r.Route.proto = Route.Bgp)
   in
   let rib_base = run base_profile.Vsb.vendor in
   let rib_flip = run flipped.Vsb.vendor in
   let diff =
-    List.length (Rib.Global.diff rib_base rib_flip)
-    + List.length (Rib.Global.diff rib_flip rib_base)
+    List.length (Rib.diff rib_base rib_flip :> Route.t list)
+    + List.length (Rib.diff rib_flip rib_base :> Route.t list)
   in
   {
     det_dimension = sc.sc_dimension;

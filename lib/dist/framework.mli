@@ -47,7 +47,7 @@ type t = {
       (** execution attempts before a subtask goes [Terminal] *)
   inputs : (string, string * Storage.obj) Hashtbl.t;
   put_gens : (string, int) Hashtbl.t;
-  mutable base_rows : Route.t list option;
+  mutable base_rows : Rib.t option;
   stats : monitor_stats;
   tm : Hoyan_telemetry.Telemetry.t;
 }
@@ -89,7 +89,7 @@ val failure_to_string : subtask_failure -> string
 
 type route_phase = {
   rp_subtasks : string list;  (** subtask ids, in push order *)
-  rp_rib : Route.t list;  (** merged global RIB (incl. local tables) *)
+  rp_rib : Rib.t;  (** merged global RIB (incl. local tables) *)
   rp_durations : (string * float) list;  (** measured compute seconds *)
   rp_ec_inputs : int;
       (** ECs actually simulated, summed over completed subtasks *)

@@ -27,7 +27,7 @@ type flow_summary = {
 type obj =
   | O_routes of Route.t list (* a route subtask's input *)
   | O_flows of Flow.t list (* a traffic subtask's input *)
-  | O_rib of Route.t list (* a route subtask's result (RIB rows) *)
+  | O_rib of Rib.t (* a route subtask's result (RIB rows) *)
   | O_traffic of {
       t_loads : ((string * string) * float) list;
       t_flows : flow_summary list;
@@ -39,7 +39,8 @@ let bytes_per_flow = 60
 let bytes_per_load_entry = 40
 
 let obj_size = function
-  | O_routes rs | O_rib rs -> List.length rs * bytes_per_route
+  | O_routes rs -> List.length rs * bytes_per_route
+  | O_rib rs -> List.length (rs :> Route.t list) * bytes_per_route
   | O_flows fs -> List.length fs * bytes_per_flow
   | O_traffic { t_loads; t_flows } ->
       (List.length t_loads * bytes_per_load_entry)

@@ -21,7 +21,7 @@ type flow_summary = {
 type obj =
   | O_routes of Route.t list  (** a route subtask's input *)
   | O_flows of Flow.t list  (** a traffic subtask's input *)
-  | O_rib of Route.t list  (** a route subtask's result (RIB rows) *)
+  | O_rib of Rib.t  (** a route subtask's result (RIB rows) *)
   | O_traffic of {
       t_loads : ((string * string) * float) list;
       t_flows : flow_summary list;

@@ -29,12 +29,12 @@ let agent_down (t : t) dev =
 
 (** What the monitoring system collects, given the live network's true
     (global) RIB. *)
-let observe (t : t) (true_rib : Route.t list) : Route.t list =
+let observe (t : t) (true_rib : Rib.t) : Route.t list =
   let visible =
     List.filter
       (fun (r : Route.t) ->
         (not (agent_down t r.Route.device)) && r.Route.proto = Route.Bgp)
-      true_rib
+      (true_rib :> Route.t list)
   in
   match t.mode with
   | Bmp -> visible
@@ -55,9 +55,9 @@ let observe (t : t) (true_rib : Route.t list) : Route.t list =
 (** The live network's [show] interface for selected prefixes (full
     fidelity, but strictly rate limited in production — the caller only
     queries high-priority prefixes). *)
-let show_live (true_rib : Route.t list) ~(device : string)
+let show_live (true_rib : Rib.t) ~(device : string)
     ~(prefix : Prefix.t) : Route.t list =
   List.filter
     (fun (r : Route.t) ->
       String.equal r.Route.device device && Prefix.equal r.Route.prefix prefix)
-    true_rib
+    (true_rib :> Route.t list)

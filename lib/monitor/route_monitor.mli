@@ -20,9 +20,9 @@ val agent_down : t -> string -> bool
 
 (** What the monitoring system collects, given the live network's true
     global RIB. *)
-val observe : t -> Route.t list -> Route.t list
+val observe : t -> Rib.t -> Route.t list
 
 (** The live network's [show] interface for one (device, prefix): full
     fidelity, strictly rate limited in production — callers only query
     high-priority prefixes (§5.1). *)
-val show_live : Route.t list -> device:string -> prefix:Prefix.t -> Route.t list
+val show_live : Rib.t -> device:string -> prefix:Prefix.t -> Route.t list

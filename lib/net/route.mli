@@ -129,8 +129,8 @@ val selected : t -> bool
 (** Structural equality over every field. *)
 val equal : t -> t -> bool
 
-(** A total order consistent with {!equal} (used for multiset RIB
-    comparison and deterministic deduplication). *)
+(** A total order consistent with {!equal}: the canonical RIB row order
+    ({!Rib.t}). *)
 val compare : t -> t -> int
 
 (** Equality of the attributes that propagate between routers — condition

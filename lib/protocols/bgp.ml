@@ -234,15 +234,6 @@ let take_dirty st =
   Hashtbl.reset st.dirty_set;
   d
 
-(** Gather the candidate routes of a (vrf, prefix) across all peers. *)
-let candidates_of st vrf prefix =
-  Hashtbl.fold
-    (fun (v, p, _) routes acc ->
-      if String.equal v vrf && Prefix.equal p prefix then routes @ acc else acc)
-    st.rib_in []
-
-(* The full scan above is O(rib_in); keep an index instead. *)
-
 type sim = {
   net : network;
   states : (string, dev_state) Hashtbl.t;
@@ -309,8 +300,6 @@ let candidates sim dev vrf prefix =
         (fun pk ->
           Option.value (Hashtbl.find_opt st.rib_in (vrf, prefix, pk)) ~default:[])
         peers
-
-let _ = candidates_of (* silence unused warning; kept for tests *)
 
 (* ------------------------------------------------------------------ *)
 (* Ingress processing                                                  *)
@@ -738,7 +727,8 @@ let leak_vrfs sim (ctx : device_ctx) : bool =
 
 let max_rounds = 64
 
-(** Run the fixpoint and return (global RIB of BGP routes, stats).
+(** Run the fixpoint and return (the BGP rows of the global RIB, in no
+    particular order — [Route_sim.run] canonicalises them — and stats).
     [originate=false] skips network statements and redistribution — used
     by distributed subtask workers, whose shared base RIB file carries
     those input-independent routes.  [only] restricts the fixpoint to a

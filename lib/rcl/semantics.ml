@@ -1,11 +1,12 @@
 (** Evaluation rules of RCL (Figure 11 / Appendix A.2).
 
     An intent maps the pair (base RIB M, updated RIB N) to a Boolean.
-    RIBs are global-RIB route lists; RIB equality is multiset equality. *)
+    RIBs are canonical global RIBs ({!Rib.t}); RIB equality is set
+    equality, which on canonical RIBs is row-for-row equality. *)
 
 open Hoyan_net
 
-type rib = Route.t list
+type rib = Rib.t
 
 (* --- route predicates --------------------------------------------------- *)
 
@@ -33,7 +34,7 @@ let rec eval_pred (p : Ast.pred) (r : Route.t) : bool =
   | Ast.P_imply (a, b) -> (not (eval_pred a r)) || eval_pred b r
   | Ast.P_not a -> not (eval_pred a r)
 
-let filter (p : Ast.pred) (rib : rib) : rib = List.filter (eval_pred p) rib
+let filter (p : Ast.pred) (rib : rib) : rib = Rib.filter (eval_pred p) rib
 
 (* --- transformations ----------------------------------------------------- *)
 
@@ -46,6 +47,7 @@ let rec eval_transform (t : Ast.transform) ~(pre : rib) ~(post : rib) : rib =
 (* --- aggregates ----------------------------------------------------------- *)
 
 let eval_agg (f : Ast.agg) (rib : rib) : Value.t =
+  let rib = (rib :> Route.t list) in
   match f with
   | Ast.Count -> Value.of_int (List.length rib)
   | Ast.Dist_cnt field ->
@@ -73,19 +75,20 @@ let rec eval_eval (e : Ast.eval) ~(pre : rib) ~(post : rib) : Value.t =
                (Printf.sprintf "cannot compute %s %s %s" (Value.to_string va)
                   (Ast.arith_to_string op) (Value.to_string vb))))
 
-(* --- RIB multiset equality ----------------------------------------------- *)
+(* --- RIB equality ------------------------------------------------------------ *)
 
-let rib_equal (a : rib) (b : rib) = Rib.Global.equal a b
+let rib_equal = Rib.equal
 
 (* --- intents -------------------------------------------------------------- *)
 
 (** Distinct values of a field across both RIBs (for [forall field : g]). *)
 let group_values (field : string) ~(pre : rib) ~(post : rib) : Value.t list =
-  List.map (Fields.get field) pre @ List.map (Fields.get field) post
+  List.map (Fields.get field) (pre :> Route.t list)
+  @ List.map (Fields.get field) (post :> Route.t list)
   |> List.sort_uniq Value.compare_value
 
 let filter_field_eq field v rib =
-  List.filter (fun r -> Value.equal (Fields.get field r) v) rib
+  Rib.filter (fun r -> Value.equal (Fields.get field r) v) rib
 
 (** Bucket both RIBs by a field's value in one pass: the [forall]
     evaluation is O(|M|+|N|) instead of filtering per group value, which
@@ -93,34 +96,15 @@ let filter_field_eq field v rib =
     the full WAN). *)
 let group_by (field : string) ~(pre : rib) ~(post : rib) :
     (Value.t * (rib * rib)) list =
-  let tbl : (Value.t, Route.t list ref * Route.t list ref) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let order = ref [] in
-  let bucket v =
-    match Hashtbl.find_opt tbl v with
-    | Some b -> b
-    | None ->
-        let b = (ref [], ref []) in
-        Hashtbl.add tbl v b;
-        order := v :: !order;
-        b
-  in
-  List.iter
-    (fun r ->
-      let p, _ = bucket (Fields.get field r) in
-      p := r :: !p)
-    pre;
-  List.iter
-    (fun r ->
-      let _, q = bucket (Fields.get field r) in
-      q := r :: !q)
-    post;
-  List.rev_map
-    (fun v ->
-      let p, q = Hashtbl.find tbl v in
-      (v, (List.rev !p, List.rev !q)))
-    !order
+  let gp = Rib.group_by (Fields.get field) pre
+  and gq = Rib.group_by (Fields.get field) post in
+  let tp = Hashtbl.of_seq (List.to_seq gp)
+  and tq = Hashtbl.of_seq (List.to_seq gq) in
+  let find t v = Option.value (Hashtbl.find_opt t v) ~default:Rib.empty in
+  List.map (fun (v, p) -> (v, (p, find tq v))) gp
+  @ List.filter_map
+      (fun (v, q) -> if Hashtbl.mem tp v then None else Some (v, (Rib.empty, q)))
+      gq
 
 let rec eval_intent (g : Ast.intent) ~(pre : rib) ~(post : rib) : bool =
   match g with

@@ -1,18 +1,18 @@
 (** Evaluation rules of RCL (paper Figure 11 / Appendix A.2).
 
     An intent maps the pair (base RIB [pre], updated RIB [post]) to a
-    Boolean; RIBs are global-RIB route lists and RIB equality is multiset
-    equality. *)
+    Boolean; RIBs are canonical global RIBs ({!Hoyan_net.Rib.t}), so
+    RIB equality is set equality, decided row for row. *)
 
 open Hoyan_net
 
-type rib = Route.t list
+type rib = Rib.t
 
 (** Route-predicate evaluation on one row. *)
 val eval_pred : Ast.pred -> Route.t -> bool
 
 (** [filter p rib] keeps the rows satisfying [p] (the paper's
-    {b filter}_p). *)
+    {b filter}_p), in RIB order. *)
 val filter : Ast.pred -> rib -> rib
 
 val eval_transform : Ast.transform -> pre:rib -> post:rib -> rib
@@ -24,7 +24,7 @@ exception Eval_error of string
 (** @raise Eval_error on ill-typed arithmetic (e.g. dividing sets). *)
 val eval_eval : Ast.eval -> pre:rib -> post:rib -> Value.t
 
-(** Multiset equality of two RIBs. *)
+(** Set equality of two RIBs ({!Hoyan_net.Rib.equal}). *)
 val rib_equal : rib -> rib -> bool
 
 (** Distinct values of a field across both RIBs ([forall field : g]). *)
@@ -34,7 +34,8 @@ val filter_field_eq : string -> Value.t -> rib -> rib
 
 (** Bucket both RIBs by a field's value in one pass — O(|pre|+|post|)
     rather than one filter per group, which matters at production RIB
-    sizes (Figure 8). *)
+    sizes (Figure 8).  Groups come in order of first appearance (pre,
+    then post); each bucket keeps RIB order. *)
 val group_by :
   string -> pre:rib -> post:rib -> (Value.t * (rib * rib)) list
 

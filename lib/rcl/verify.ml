@@ -43,7 +43,8 @@ let rec check_intent (g : Ast.intent) ~(path : string list)
       if equal = eq then []
       else if eq then
         (* expected equal: the symmetric difference is the counterexample *)
-        let only_a = Rib.Global.diff a b and only_b = Rib.Global.diff b a in
+        let only_a = (Rib.diff a b :> Route.t list)
+        and only_b = (Rib.diff b a :> Route.t list) in
         [
           {
             v_path = List.rev path;
@@ -62,7 +63,7 @@ let rec check_intent (g : Ast.intent) ~(path : string list)
             v_reason =
               Printf.sprintf "%s != %s fails: the two RIBs are identical"
                 (pp_transform r1) (pp_transform r2);
-            v_routes = truncate a;
+            v_routes = truncate (a :> Route.t list);
           };
         ]
   | Ast.G_eval_cmp (e1, op, e2) -> (
@@ -78,7 +79,8 @@ let rec check_intent (g : Ast.intent) ~(path : string list)
               let related e =
                 let rec ribs_of = function
                   | Ast.E_val _ -> []
-                  | Ast.E_agg (r, _) -> Semantics.eval_transform r ~pre ~post
+                  | Ast.E_agg (r, _) ->
+                      (Semantics.eval_transform r ~pre ~post :> Route.t list)
                   | Ast.E_arith (a, _, b) -> ribs_of a @ ribs_of b
                 in
                 ribs_of e
@@ -137,8 +139,7 @@ let rec check_intent (g : Ast.intent) ~(path : string list)
       else []
 
 (** Verify an intent against concrete base and updated global RIBs. *)
-let check (g : Ast.intent) ~(base : Route.t list) ~(updated : Route.t list) :
-    outcome =
+let check (g : Ast.intent) ~(base : Rib.t) ~(updated : Rib.t) : outcome =
   match check_intent g ~path:[] ~pre:base ~post:updated with
   | [] -> Satisfied
   | vs -> Violated vs

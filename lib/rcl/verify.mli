@@ -13,7 +13,8 @@ type violation = {
   v_path : string list;
       (** descent path: forall bindings and guards, outermost first *)
   v_reason : string;  (** which basic intent failed, and how *)
-  v_routes : Route.t list;  (** concrete counter-example rows (truncated) *)
+  v_routes : Route.t list;
+      (** concrete counter-example rows, in RIB order (truncated) *)
 }
 
 (** Counter-example routes attached per violation are truncated to this
@@ -23,14 +24,14 @@ val max_counterexample_routes : int
 type outcome = Satisfied | Violated of violation list
 
 (** Verify a parsed intent against base and updated global RIBs. *)
-val check : Ast.intent -> base:Route.t list -> updated:Route.t list -> outcome
+val check : Ast.intent -> base:Rib.t -> updated:Rib.t -> outcome
 
 (** Parse and verify a concrete-syntax specification; [Error] carries the
     parse error. *)
 val check_spec :
   string ->
-  base:Route.t list ->
-  updated:Route.t list ->
+  base:Rib.t ->
+  updated:Rib.t ->
   (outcome, string) result
 
 val violation_to_string : violation -> string

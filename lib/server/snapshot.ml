@@ -106,7 +106,7 @@ let register ?tm (base : Preprocess.base) : t =
       sn_devices = Smap.cardinal base.Preprocess.b_model.Model.configs;
       sn_input_routes = List.length base.Preprocess.b_input_routes;
       sn_flows = List.length base.Preprocess.b_flows;
-      sn_rib_rows = List.length rib;
+      sn_rib_rows = List.length (rib :> Route.t list);
       sn_converge_s = converge_s;
       sn_inc =
         lazy

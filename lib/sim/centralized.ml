@@ -23,7 +23,7 @@ type outcome = {
   c_oom_prefixes : int;
   c_skipped_prefixes : int; (* not attempted after the abort *)
   c_peak_bytes : int;
-  c_rib : Route.t list; (* RIB rows of the chunks that completed *)
+  c_rib : Rib.t; (* RIB rows of the chunks that completed *)
 }
 
 let completed_frac o =
@@ -98,7 +98,7 @@ let run ?(chunks = 50) ?(time_budget_s = infinity) ~(mem_cap_bytes : int)
         skipped := !skipped + chunk_prefixes
       else begin
         let res = Route_sim.run model ~input_routes:chunk () in
-        let rows = List.length res.Route_sim.rib in
+        let rows = List.length (res.Route_sim.rib :> Route.t list) in
         let adj = res.Route_sim.bgp_stats.Hoyan_proto.Bgp.st_messages in
         let transient = (rows * bytes_per_rib_row) + (adj * bytes_per_adj_entry) in
         peak := max !peak (!persistent + transient);
@@ -109,7 +109,7 @@ let run ?(chunks = 50) ?(time_budget_s = infinity) ~(mem_cap_bytes : int)
         else begin
           simulated := !simulated + chunk_prefixes;
           persistent := !persistent + (rows * bytes_per_rib_row);
-          rib := List.rev_append res.Route_sim.rib !rib
+          rib := res.Route_sim.rib :: !rib
         end
       end)
     chunked;
@@ -120,5 +120,5 @@ let run ?(chunks = 50) ?(time_budget_s = infinity) ~(mem_cap_bytes : int)
     c_oom_prefixes = !oom;
     c_skipped_prefixes = !skipped;
     c_peak_bytes = !peak;
-    c_rib = !rib;
+    c_rib = Rib.union !rib;
   }

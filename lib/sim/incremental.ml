@@ -27,9 +27,9 @@ type ctx = {
   cx_model : Model.t;
   cx_input_routes : Route.t list;
   cx_flows : Flow.t list;
-  cx_rib : Route.t list; (* the converged base global RIB, as captured *)
+  cx_rib : Rib.t; (* the converged base global RIB *)
   cx_key : Rib.Key.ctx; (* packed-key universe of the base BGP rows *)
-  cx_bgp : Rib.Arena.t; (* base RIB minus base local tables, canonical *)
+  cx_bgp : Rib.Arena.t; (* base RIB minus base local tables *)
   cx_fibs : Traffic_sim.fib;
   cx_ecx : Traffic_sim.ec_ctx;
   cx_universe : Prefix.t list; (* every prefix a base BGP row can have *)
@@ -124,18 +124,13 @@ let close_under_aggregates ~(aggs : Prefix.t list)
 (* Context capture                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let local_rows (model : Model.t) : Route.t list =
-  Smap.fold
-    (fun _ rs acc -> List.rev_append rs acc)
-    model.Model.local_tables []
-
 let capture ?tm ~(model : Model.t) ~(input_routes : Route.t list)
-    ~(flows : Flow.t list) ~(rib : Route.t list) () : ctx =
+    ~(flows : Flow.t list) ~(rib : Rib.t) () : ctx =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
   Telemetry.with_span tm "inc.capture" (fun () ->
-      let bgp_rows = Rib.Global.diff rib (local_rows model) in
-      let key = Rib.Key.of_routes bgp_rows in
-      let bgp = Rib.Arena.of_routes key bgp_rows in
+      let bgp_rows = Rib.diff rib (Model.local_rib model) in
+      let key = Rib.Key.of_routes (bgp_rows :> Route.t list) in
+      let bgp = Rib.Arena.of_rib key bgp_rows in
       let universe =
         List.sort_uniq Prefix.compare
           (List.map (fun (r : Route.t) -> r.Route.prefix) input_routes
@@ -154,14 +149,14 @@ let capture ?tm ~(model : Model.t) ~(input_routes : Route.t list)
               Some
                 (Printf.sprintf "base row prefix %s outside universe"
                    (Prefix.to_string r.Route.prefix)))
-          bgp_rows
+          (bgp_rows :> Route.t list)
       in
       let fibs = Traffic_sim.build_fibs rib in
       let ecx = Traffic_sim.ec_ctx model fibs in
       if Telemetry.enabled tm then
         Telemetry.event tm "inc.capture"
           [
-            ("rib_rows", Journal.I (List.length rib));
+            ("rib_rows", Journal.I (List.length (rib :> Route.t list)));
             ("bgp_rows", Journal.I (Rib.Arena.cardinal bgp));
             ("universe", Journal.I (List.length universe));
             ("degraded", Journal.B (Option.is_some degraded));
@@ -197,7 +192,7 @@ type stats = {
 
 type sim = {
   s_model : Model.t;
-  s_rib : Route.t list;
+  s_rib : Rib.t;
   s_dirty : Prefix.t list;
   s_stats : stats;
   s_fibs : Traffic_sim.fib Lazy.t;
@@ -230,7 +225,8 @@ let changed_local_devices (base : Model.t) (patched : Model.t) :
       else
         Some
           ( dev,
-            Rib.Global.diff b p @ Rib.Global.diff p b
+            let b = Rib.of_routes b and p = Rib.of_routes p in
+            (Rib.diff b p :> Route.t list) @ (Rib.diff p b :> Route.t list)
             |> List.filter_map (fun (r : Route.t) ->
                    if String.equal r.Route.vrf Route.default_vrf then
                      Some r.Route.prefix
@@ -295,8 +291,7 @@ let make_traffic tm (cx : ctx) (model : Model.t) rib fibs ecx =
      Telemetry.with_span tm "inc.traffic" (fun () ->
          Traffic_sim.run ~tm ~fibs ~ecx model ~rib ~flows:cx.cx_flows ()))
 
-(* The full-run escape hatch: canonicalized so a spliced sim and the
-   oracle compare the same representation either way. *)
+(* The full-run escape hatch. *)
 let full_fallback tm (cx : ctx) (d : Differential.diff) (plan : Cp.t)
     ~(patched : Model.t) ~reason : sim =
   cx.cx_fallbacks <- cx.cx_fallbacks + 1;
@@ -306,7 +301,7 @@ let full_fallback tm (cx : ctx) (d : Differential.diff) (plan : Cp.t)
     Telemetry.with_span tm "inc.full_fallback" (fun () ->
         Route_sim.run ~tm patched ~input_routes:inputs ())
   in
-  let rib = List.sort_uniq Route.compare full.Route_sim.rib in
+  let rib = full.Route_sim.rib in
   let fibs = lazy (Traffic_sim.build_fibs rib) in
   let ecx =
     lazy
@@ -326,7 +321,7 @@ let full_fallback tm (cx : ctx) (d : Differential.diff) (plan : Cp.t)
         st_dirty_prefixes = 0;
         st_dirty_devices = 0;
         st_reused_rows = 0;
-        st_delta_rows = List.length rib;
+        st_delta_rows = List.length (rib :> Route.t list);
       };
     s_fibs = fibs;
     s_ecx = ecx;
@@ -382,7 +377,7 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
              only the dirty prefixes (base adj-RIB state for them is
              invalid by definition; clean prefixes never enter) *)
           let delta_rows =
-            if n_dirty = 0 then []
+            if n_dirty = 0 then Rib.empty
             else
               Telemetry.with_span tm "inc.delta_fixpoint" (fun () ->
                   (Route_sim.run ~tm ~include_locals:false ~only:is_dirty
@@ -400,7 +395,7 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
              byte test per base row on its key's prefix id, then work
              proportional to the dropped rows — and merge in the delta
              rows and the patched local tables *)
-          let mask = Bytes.make cx.cx_key.Rib.Key.pfx_radix '\000' in
+          let mask = Bytes.make (Rib.Key.prefix_count cx.cx_key) '\000' in
           Prefix.Tbl.iter
             (fun p () ->
               match Rib.Key.prefix_id cx.cx_key p with
@@ -411,12 +406,13 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
             Rib.Arena.drop_prefixes cx.cx_key ~mask ~dirty:is_dirty
               ~on_drop:mark cx.cx_bgp
           in
-          let delta = Rib.Arena.of_routes cx.cx_key delta_rows in
-          let locals = Rib.Arena.of_routes cx.cx_key (local_rows patched) in
+          let delta = Rib.Arena.of_rib cx.cx_key delta_rows in
+          let locals = Rib.Arena.of_rib cx.cx_key (Model.local_rib patched) in
           let rib =
             Telemetry.with_span tm "inc.splice" (fun () ->
                 Rib.Arena.merge [ clean; delta; locals ])
           in
+          let delta_rows = (delta_rows :> Route.t list) in
           List.iter (fun (r : Route.t) -> mark r.Route.device) delta_rows;
           let local_changes = changed_local_devices cx.cx_model patched in
           List.iter (fun (dev, _) -> mark dev) local_changes;
@@ -575,13 +571,10 @@ let selfcheck ?tm ?(traffic = true) ?prune_dirty (cx : ctx) (plan : Cp.t) :
   (* the independent witness: full from-scratch patched simulation *)
   let patched, _ = Model.apply_change_plan cx.cx_model plan in
   let inputs = Differential.patched_routes plan cx.cx_input_routes in
-  let full =
-    List.sort_uniq Route.compare
-      (Route_sim.run ~tm patched ~input_routes:inputs ()).Route_sim.rib
-  in
-  let rib_ok = List.equal Route.equal full sim.s_rib in
-  let missing = if rib_ok then [] else Rib.Global.diff full sim.s_rib in
-  let extra = if rib_ok then [] else Rib.Global.diff sim.s_rib full in
+  let full = (Route_sim.run ~tm patched ~input_routes:inputs ()).Route_sim.rib in
+  let rib_ok = Rib.equal full sim.s_rib in
+  let missing = (Rib.diff full sim.s_rib :> Route.t list) in
+  let extra = (Rib.diff sim.s_rib full :> Route.t list) in
   let fib_ok, traffic_ok =
     if not traffic then (true, true)
     else

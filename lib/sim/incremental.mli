@@ -31,11 +31,11 @@
     Per-plan cost of a restricted plan: the dirty-set computation over
     the prefix universe, the restricted fixpoint, one int test per base
     row plus work proportional to the dirty rows for the cut, and then
-    the canonical list build of [Rib.Arena.merge] — the one remaining
-    O(|RIB|) step.
+    the list build of [Rib.Arena.merge] — the one remaining O(|RIB|)
+    step.
 
-    Soundness contract: the spliced RIB is byte-identical (as a
-    canonically sorted row list) to a full from-scratch simulation of
+    Soundness contract: the spliced RIB is byte-identical (both are a
+    canonical {!Hoyan_net.Rib.t}) to a full from-scratch simulation of
     the patched model, and the traffic result computed over the spliced
     FIBs is float-identical to a from-scratch one.  {!selfcheck} is the
     oracle; plans the engine cannot restrict (topology ops — the dirty
@@ -49,7 +49,7 @@ module Differential := Hoyan_analysis.Differential
 type ctx
 
 (** Capture a converged base.  [rib] must be the model's fully converged
-    global RIB (BGP rows + local tables, any order).  Forces nothing
+    global RIB (BGP rows + local tables).  Forces nothing
     else; FIB tries and the EC context are built eagerly (they are the
     shared part), the rest is indexing. *)
 val capture :
@@ -57,12 +57,12 @@ val capture :
   model:Model.t ->
   input_routes:Route.t list ->
   flows:Flow.t list ->
-  rib:Route.t list ->
+  rib:Rib.t ->
   unit ->
   ctx
 
 val base_model : ctx -> Model.t
-val base_rib : ctx -> Route.t list
+val base_rib : ctx -> Rib.t
 
 (** The shared base FIB tries and traffic EC context (read-only; what
     clean devices reuse across plans). *)
@@ -84,15 +84,14 @@ type stats = {
   st_delta_rows : int;  (** rows produced by the restricted fixpoint *)
 }
 
-(** A spliced simulation: the patched model, the canonical updated RIB
-    (sorted with [Route.compare], deduplicated — the order
-    [Rib.Arena.merge] emits), and lazily the spliced FIBs / EC context /
+(** A spliced simulation: the patched model, the updated RIB, and
+    lazily the spliced FIBs / EC context /
     traffic result over the context's flows.  Everything inside is
     immutable or memoized; a sim lives as long as the request that
     spliced it. *)
 type sim = {
   s_model : Model.t;
-  s_rib : Route.t list;
+  s_rib : Rib.t;
   s_dirty : Prefix.t list;
       (** the re-converged prefix set, sorted; [[]] on a full fallback *)
   s_stats : stats;
@@ -137,8 +136,8 @@ type check = {
 }
 
 (** Run [simulate] and an independent full from-scratch patched
-    simulation, and compare: canonical RIB row lists must be equal
-    ([Route.compare]-identical row for row) and, unless [traffic:false],
+    simulation, and compare: the RIBs must be equal row for row
+    ({!Hoyan_net.Rib.equal}) and, unless [traffic:false],
     the patched FIBs must bind what a from-scratch [build_fibs] over the
     reference RIB binds on every device (an absent trie equals an empty
     one), the EC union trie must have the same prefixes, and link loads,

@@ -32,6 +32,9 @@ let owner (t : t) (addr : Ip.t) : string option =
 
 let config (t : t) dev = Smap.find_opt dev t.configs
 
+let local_rib (t : t) : Rib.t =
+  Rib.of_routes (Smap.fold (fun _ rs acc -> rs @ acc) t.local_tables [])
+
 (* ------------------------------------------------------------------ *)
 (* Local tables: connected and static routes                           *)
 (* ------------------------------------------------------------------ *)

@@ -33,6 +33,9 @@ type t = {
 (** The device owning an address (interface address or loopback). *)
 val owner : t -> Ip.t -> string option
 
+(** Every device's local-table rows, as one RIB. *)
+val local_rib : t -> Rib.t
+
 val config : t -> string -> Types.t option
 
 (** Compile a model.

@@ -7,7 +7,9 @@
 open Hoyan_net
 
 type result = {
-  rib : Route.t list;  (** the global RIB (BGP rows + local tables) *)
+  rib : Rib.t;
+      (** the global RIB: BGP rows, EC-expanded member rows and local
+          tables, merged into one canonical row set *)
   bgp_stats : Hoyan_proto.Bgp.stats;
   input_count : int;  (** input routes submitted *)
   ec_count : int;  (** equivalence classes (simulation units) *)

@@ -49,7 +49,7 @@ let install (rows : Route.t list) : Route.t list =
     canonicalization is what lets the incremental engine patch a base
     build slot by slot ({!patch_fibs}) with byte-identical traffic
     results.  A device with nothing installed gets no trie. *)
-let build_fibs (rib : Route.t list) : fib =
+let build_fibs (rib : Rib.t) : fib =
   (* group per device, prefix *)
   let tbl : (string * Prefix.t, Route.t list) Hashtbl.t = Hashtbl.create 4096 in
   List.iter
@@ -59,7 +59,7 @@ let build_fibs (rib : Route.t list) : fib =
         let existing = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
         Hashtbl.replace tbl key (r :: existing)
       end)
-    rib;
+    (rib :> Route.t list);
   (* batch-build one mutable trie builder per device: the persistent
      [Trie.Dual.add] copies a whole spine per prefix, which dominated FIB
      construction time on WAN-scale RIBs *)
@@ -579,14 +579,14 @@ let ev_result (tm : Telemetry.t) (r : result) =
   end
 
 let run ?tm ?(use_ecs = true) ?fibs ?ecx (model : Model.t)
-    ~(rib : Route.t list) ~(flows : Flow.t list) () : result =
+    ~(rib : Rib.t) ~(flows : Flow.t list) () : result =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
   let fibs =
     match fibs with
     | Some f -> f
     | None ->
         Telemetry.with_span tm
-          ~args:[ ("rib_rows", string_of_int (List.length rib)) ]
+          ~args:[ ("rib_rows", string_of_int (List.length (rib :> Route.t list))) ]
           "traffic.build_fibs"
           (fun () -> build_fibs rib)
   in

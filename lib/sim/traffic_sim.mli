@@ -23,7 +23,7 @@ val install : Route.t list -> Route.t list
 (** Build FIBs from a global RIB: every default-VRF slot binds its
     {!install}ed routes (trie contents depend on the row set, not list
     order); a device with nothing installed gets no trie. *)
-val build_fibs : Route.t list -> fib
+val build_fibs : Rib.t -> fib
 
 val fib_lookup : fib -> string -> Ip.t -> (Prefix.t * Route.t list) option
 
@@ -116,7 +116,7 @@ val run :
   ?fibs:fib ->
   ?ecx:ec_ctx ->
   Model.t ->
-  rib:Route.t list ->
+  rib:Rib.t ->
   flows:Flow.t list ->
   unit ->
   result

@@ -37,13 +37,13 @@ let line_network () =
     ~b_export:"PASS" ();
   b
 
-let find_routes rib ~device ~prefix =
+let find_routes (rib : Rib.t) ~device ~prefix =
   List.filter
     (fun (r : Route.t) ->
       String.equal r.Route.device device
       && Prefix.equal r.Route.prefix (pfx prefix)
       && r.Route.proto = Route.Bgp)
-    rib
+    (rib :> Route.t list)
 
 let test_linear_propagation () =
   let b = line_network () in
@@ -364,7 +364,7 @@ let test_ec_compression () =
   (* results identical with and without ECs *)
   let res_plain = Route_sim.run ~use_ecs:false model ~input_routes:inputs () in
   check tbool "EC result equals plain result" true
-    (Rib.Global.equal res.Route_sim.rib res_plain.Route_sim.rib)
+    (Rib.equal res.Route_sim.rib res_plain.Route_sim.rib)
 
 let test_traffic_forwarding () =
   let b = line_network () in
@@ -527,14 +527,16 @@ let test_add_paths () =
       ]
     in
     let rib = (Route_sim.run model ~input_routes:inputs ()).Route_sim.rib in
-    List.filter
+    Rib.filter
       (fun (r : Route.t) ->
         String.equal r.Route.device "P"
         && Prefix.equal r.Route.prefix (pfx "99.0.0.0/24"))
       rib
   in
-  check tint "without add-paths P sees one path" 1 (List.length (run 0));
-  check tint "with add-paths 2 P sees both" 2 (List.length (run 2))
+  check tint "without add-paths P sees one path" 1
+    (List.length (run 0 :> Route.t list));
+  check tint "with add-paths 2 P sees both" 2
+    (List.length (run 2 :> Route.t list))
 
 let test_vrf_leaking_semantics () =
   (* a route exported from vrf X with RT 100:1 appears in vrf Y importing
@@ -556,7 +558,8 @@ let test_vrf_leaking_semantics () =
     let inputs =
       [ B.input_route ~device:"PE" ~vrf:"vx" ~prefix:"99.0.0.0/24" () ]
     in
-    (Route_sim.run model ~input_routes:inputs ()).Route_sim.rib
+    ((Route_sim.run model ~input_routes:inputs ()).Route_sim.rib
+      :> Route.t list)
   in
   let vrf_has rib vrf =
     List.exists
@@ -579,6 +582,61 @@ let test_vrf_leaking_semantics () =
   let rib_b = run "vendorB" in
   check tbool "B re-leaks into vz" true (vrf_has rib_b "vz")
 
+(* --- the reference RIB ------------------------------------------------------ *)
+
+module G = Hoyan_workload.Generator
+
+(* One row with every field, so the digest below pins more than what
+   [Route.to_string] prints. *)
+let render_row (r : Route.t) =
+  String.concat "|"
+    [
+      Route.to_string r;
+      Route.source_to_string r.Route.source;
+      string_of_int (Route.weight r);
+      string_of_int r.Route.preference;
+      string_of_int r.Route.igp_cost;
+      Option.value r.Route.peer ~default:"-";
+      Option.value r.Route.out_iface ~default:"-";
+      string_of_int r.Route.tag;
+    ]
+
+(* The from-scratch reference on [small] (seed 1), pinned: its canonical
+   RIB rendered row by row, and the fixpoint's stats.  A faster kernel,
+   EC expansion or merge must reproduce both exactly. *)
+let test_reference_rib_pinned () =
+  let g = G.generate G.small in
+  let res = Route_sim.run g.G.model ~input_routes:g.G.input_routes () in
+  let rows = List.map render_row (res.Route_sim.rib :> Route.t list) in
+  let st = res.Route_sim.bgp_stats in
+  check tint "rows" 2817 (List.length rows);
+  check
+    Alcotest.(list int)
+    "stats: rounds, messages, selected" [ 6; 1464; 1265 ]
+    [ st.Bgp.st_rounds; st.Bgp.st_messages; st.Bgp.st_selected ];
+  check tstr "digest" "b12ea54c0f3efd3e615ae2f7566147d2"
+    (Digest.to_hex (Digest.string (String.concat "\n" rows)))
+
+(* Canonicalising drops no row: without EC expansion the RIB is the
+   loc-RIB rows plus the local tables, so a duplicate would show as a
+   shortfall here. *)
+let test_canonical_rib_drops_nothing () =
+  List.iter
+    (fun (name, params) ->
+      let g = G.generate params in
+      let res =
+        Route_sim.run ~use_ecs:false g.G.model ~input_routes:g.G.input_routes ()
+      in
+      let locals =
+        Model.Smap.fold
+          (fun _ rs n -> n + List.length rs)
+          g.G.model.Model.local_tables 0
+      in
+      check tint name
+        (res.Route_sim.bgp_stats.Bgp.st_selected + locals)
+        (List.length (res.Route_sim.rib :> Route.t list)))
+    [ ("small", G.small); ("wan/800", { G.wan with G.g_prefixes = 800 }) ]
+
 let suite =
   [
     ("linear propagation", `Quick, test_linear_propagation);
@@ -597,4 +655,6 @@ let suite =
     ("change plan end to end", `Quick, test_change_plan_end_to_end);
     ("add-path advertisement", `Quick, test_add_paths);
     ("vrf leaking semantics", `Quick, test_vrf_leaking_semantics);
+    ("reference RIB pinned (small)", `Quick, test_reference_rib_pinned);
+    ("canonical RIB drops no row", `Quick, test_canonical_rib_drops_nothing);
   ]

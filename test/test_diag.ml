@@ -38,7 +38,8 @@ let sim_state =
 let test_route_monitor_modes () =
   let _, rib, _ = Lazy.force sim_state in
   let bgp_routes =
-    List.filter (fun (r : Route.t) -> r.Route.proto = Route.Bgp) rib
+    List.filter (fun (r : Route.t) -> r.Route.proto = Route.Bgp)
+      (rib :> Route.t list)
   in
   let agent = Route_monitor.observe (Route_monitor.create ()) rib in
   let bmp =
@@ -348,14 +349,14 @@ let test_live_show_validation () =
   (* live matches the simulation: clean, even for the ECMP route the
      agent view cannot see *)
   let issues, _ =
-    Validate.validate_routes ~simulated:rib ~monitored ~live:rib
-      ~priority_prefixes:priority ()
+    Validate.validate_routes ~simulated:rib ~monitored
+      ~live:(rib :> Route.t list) ~priority_prefixes:priority ()
   in
   check tint "live check clean" 0 (List.length issues);
   (* the live network lost the ECMP companion (e.g. the Figure-9 VSB):
      only the live comparison can catch it *)
   let degraded_live =
-    List.filter
+    Rib.filter
       (fun (r : Route.t) ->
         not
           (String.equal r.Route.device "A"
@@ -364,7 +365,8 @@ let test_live_show_validation () =
       rib
   in
   let issues_live, _ =
-    Validate.validate_routes ~simulated:rib ~monitored ~live:degraded_live
+    Validate.validate_routes ~simulated:rib ~monitored
+      ~live:(degraded_live :> Route.t list)
       ~priority_prefixes:priority ()
   in
   check tbool "ECMP loss caught via live show" true (issues_live <> []);

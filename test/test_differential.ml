@@ -190,11 +190,11 @@ module PS = Set.Make (struct
   let compare = compare
 end)
 
-let rib_presence (rib : Route.t list) : PS.t =
+let rib_presence (rib : Rib.t) : PS.t =
   List.fold_left
     (fun s (r : Route.t) ->
       PS.add (r.Route.device, Prefix.to_string r.Route.prefix) s)
-    PS.empty rib
+    PS.empty (rib :> Route.t list)
 
 (* Simulate base and patched, then demand that every prefix whose
    presence on any device changed is statically marked affected. *)

@@ -78,55 +78,29 @@ let test_split_flows () =
   check tbool "ordered ranges disjoint" true (non_overlapping ranges)
 
 (* The master-collect identity contract at every tested subtask count:
-   each framework route-phase RIB is multiset-equal to the sequential
-   [Route_sim.run], its BGP rows lead in canonical [Route.compare] order
-   (what the packed-key arena merge promises), and the runs are the same
-   row list, element for element, across subtask counts.  Runs on the
-   small scenario and on a reduced wan (800 prefixes, ~86k RIB rows);
-   on small the centralized baseline must agree too. *)
+   each framework route-phase RIB is the sequential [Route_sim.run] RIB
+   row for row (both are canonical [Rib.t]s, so equality is list
+   equality).  Runs on the small scenario and on a reduced wan (800
+   prefixes, ~86k RIB rows); on small the centralized baseline must
+   agree too. *)
 let test_distributed_equals_direct () =
   let identity name (g : G.t) subtask_counts =
     let direct =
       (Route_sim.run g.G.model ~input_routes:g.G.input_routes ()).Route_sim.rib
     in
-    let canonical =
-      List.sort_uniq Route.compare
-        (Route_sim.run ~include_locals:false g.G.model
-           ~input_routes:g.G.input_routes ())
-          .Route_sim.rib
-    in
-    let n = List.length canonical in
-    let runs =
-      List.map
-        (fun subtasks ->
-          let fw = Framework.create g.G.model in
-          let rib =
-            (Framework.run_route_phase ~subtasks fw
-               ~input_routes:g.G.input_routes)
-              .Framework.rp_rib
-          in
-          check tbool
-            (Printf.sprintf "%s: %d subtask(s) multiset-equal to direct" name
-               subtasks)
-            true
-            (Rib.Global.equal direct rib);
-          check tbool
-            (Printf.sprintf "%s: %d subtask(s) merge in canonical order" name
-               subtasks)
-            true
-            (List.equal Route.equal canonical
-               (List.filteri (fun i _ -> i < n) rib));
-          (subtasks, rib))
-        subtask_counts
-    in
-    let first, one = List.hd runs in
     List.iter
-      (fun (n, rib) ->
+      (fun subtasks ->
+        let fw = Framework.create g.G.model in
+        let rib =
+          (Framework.run_route_phase ~subtasks fw
+             ~input_routes:g.G.input_routes)
+            .Framework.rp_rib
+        in
         check tbool
-          (Printf.sprintf "%s: %d subtask(s) byte-identical to %d" name n first)
-          true
-          (List.equal Route.equal one rib))
-      runs;
+          (Printf.sprintf "%s: %d subtask(s) row-for-row equal to direct" name
+             subtasks)
+          true (Rib.equal direct rib))
+      subtask_counts;
     direct
   in
   let g = Lazy.force scenario in
@@ -137,12 +111,10 @@ let test_distributed_equals_direct () =
     Hoyan_sim.Centralized.run ~mem_cap_bytes:max_int g.G.model
       ~input_routes:g.G.input_routes ()
   in
-  (* every centralized chunk repeats the locally originated rows, so the
-     baseline agrees as a set *)
-  let norm = List.sort_uniq Route.compare in
-  check tbool "small: centralized rows = direct rows (deduplicated)" true
-    (List.equal Route.equal (norm direct)
-       (norm cent.Hoyan_sim.Centralized.c_rib))
+  (* every centralized chunk repeats the locally originated rows; the
+     union keeps one copy *)
+  check tbool "small: centralized rows = direct rows" true
+    (Rib.equal direct cent.Hoyan_sim.Centralized.c_rib)
 
 let test_traffic_phase_and_dependencies () =
   let g = Lazy.force scenario in
@@ -216,7 +188,7 @@ let test_failure_retry () =
          .Route_sim.rib
      in
      check tbool "rib correct despite failures" true
-       (Rib.Global.equal direct phase.Framework.rp_rib)
+       (Rib.equal direct phase.Framework.rp_rib)
    end
    else
      check tbool "incomplete phase lists its failures" true
@@ -440,7 +412,7 @@ let test_fault_matrix () =
             (rp.Framework.rp_complete = (rp.Framework.rp_failed = []));
           if rp.Framework.rp_complete then begin
             check tbool (label ^ ": RIB identical to failure-free run") true
-              (List.equal Route.equal rp0.Framework.rp_rib rp.Framework.rp_rib);
+              (Rib.equal rp0.Framework.rp_rib rp.Framework.rp_rib);
             let tp =
               Framework.run_traffic_phase ~subtasks:8 fw ~route_phase:rp
                 ~flows:g.G.flows
@@ -496,7 +468,7 @@ let test_missing_input_reupload () =
     (Db.attempts (Db.find_exn fw.Framework.db "route-002") > 1);
   let rp0, _ = Lazy.force baseline in
   check tbool "rib identical to failure-free run" true
-    (List.equal Route.equal rp0.Framework.rp_rib rp.Framework.rp_rib)
+    (Rib.equal rp0.Framework.rp_rib rp.Framework.rp_rib)
 
 (* stalled workers never write the DB; the master reclaims their
    subtasks when the lease expires *)
@@ -515,7 +487,7 @@ let test_stall_lease_recovery () =
   check tbool "phase recovered" true rp.Framework.rp_complete;
   let rp0, _ = Lazy.force baseline in
   check tbool "rib identical to failure-free run" true
-    (List.equal Route.equal rp0.Framework.rp_rib rp.Framework.rp_rib)
+    (Rib.equal rp0.Framework.rp_rib rp.Framework.rp_rib)
 
 (* MQ loss costs a re-send but no attempt (the subtask never ran);
    duplication is absorbed by the worker-side delivery gate *)
@@ -539,7 +511,7 @@ let test_mq_drop_dup () =
       (fw.Framework.stats.Framework.ms_stale_msgs > 0);
   let rp0, _ = Lazy.force baseline in
   check tbool "rib identical to failure-free run" true
-    (List.equal Route.equal rp0.Framework.rp_rib rp.Framework.rp_rib)
+    (Rib.equal rp0.Framework.rp_rib rp.Framework.rp_rib)
 
 (* chaos decisions are a pure function of (seed, site, key, seq): the
    same plan replays to the identical failure history *)

@@ -333,15 +333,15 @@ let reference_dirty_devices (cx : Incremental.ctx) (s : Incremental.sim) =
     Option.value (Smap.find_opt dev m.Model.local_tables) ~default:[]
   in
   let all_locals (m : Model.t) =
-    Smap.fold (fun _ rs acc -> rs @ acc) m.Model.local_tables []
+    Rib.of_routes (Smap.fold (fun _ rs acc -> rs @ acc) m.Model.local_tables [])
   in
   let dirty = Prefix.Set.of_list s.Incremental.s_dirty in
-  let on_dirty rows =
+  let on_dirty (rows : Rib.t) =
     List.filter_map
       (fun (r : Route.t) ->
         if Prefix.Set.mem r.Route.prefix dirty then Some r.Route.device
         else None)
-      rows
+      (rows :> Route.t list)
   in
   let changed_locals =
     Smap.fold (fun dev _ acc -> dev :: acc) base.Model.local_tables []
@@ -350,8 +350,8 @@ let reference_dirty_devices (cx : Incremental.ctx) (s : Incremental.sim) =
            not (List.equal Route.equal (locals base dev) (locals patched dev)))
   in
   List.sort_uniq String.compare
-    (on_dirty (Rib.Global.diff (Incremental.base_rib cx) (all_locals base))
-    @ on_dirty (Rib.Global.diff s.Incremental.s_rib (all_locals patched))
+    (on_dirty (Rib.diff (Incremental.base_rib cx) (all_locals base))
+    @ on_dirty (Rib.diff s.Incremental.s_rib (all_locals patched))
     @ changed_locals)
 
 let prop_dirty_devices_exact =
@@ -417,7 +417,7 @@ let test_verify_request_inc_agrees () =
   check tbool "same verdict" full.Verify_request.vr_ok
     inc.Verify_request.vr_ok;
   check tbool "same updated RIB" true
-    (Rib.Global.equal full.Verify_request.vr_updated_rib
+    (Rib.equal full.Verify_request.vr_updated_rib
        inc.Verify_request.vr_updated_rib);
   match inc.Verify_request.vr_route with
   | Verify_request.Spliced st ->

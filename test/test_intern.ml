@@ -198,10 +198,10 @@ let prop_arena_merge_full_ctx =
       (* duplicate one chunk: the merge must deduplicate *)
       let chunks = chunks @ [ List.filteri (fun i _ -> i mod 2 = 0) rs ] in
       let merged =
-        Rib.Arena.merge (List.map (Rib.Arena.of_routes ctx) chunks)
+        Rib.Arena.merge
+          (List.map (fun c -> Rib.Arena.of_rib ctx (Rib.of_routes c)) chunks)
       in
-      let reference = List.sort_uniq Route.compare (List.concat chunks) in
-      List.equal Route.equal merged reference)
+      Rib.equal merged (Rib.of_routes (List.concat chunks)))
 
 let prop_arena_merge_partial_ctx =
   QCheck.Test.make ~count:200
@@ -220,10 +220,10 @@ let prop_arena_merge_partial_ctx =
       let ctx = Rib.Key.of_routes known in
       let chunks = partition_chunks rs in
       let merged =
-        Rib.Arena.merge (List.map (Rib.Arena.of_routes ctx) chunks)
+        Rib.Arena.merge
+          (List.map (fun c -> Rib.Arena.of_rib ctx (Rib.of_routes c)) chunks)
       in
-      let reference = List.sort_uniq Route.compare rs in
-      List.equal Route.equal merged reference)
+      Rib.equal merged (Rib.of_routes rs))
 
 (* ------------------------------------------------------------------ *)
 (* Arena drop by prefix id = List.filter                               *)
@@ -252,7 +252,7 @@ let drop_matches_filter ~(universe : Route.t list -> Route.t list)
     prefixes;
   Prefix.Tbl.replace dirty_tbl (Prefix.of_string_exn "192.0.2.0/24") ();
   let dirty = Prefix.Tbl.mem dirty_tbl in
-  let mask = Bytes.make ctx.Rib.Key.pfx_radix '\000' in
+  let mask = Bytes.make (Rib.Key.prefix_count ctx) '\000' in
   Prefix.Tbl.iter
     (fun p () ->
       match Rib.Key.prefix_id ctx p with
@@ -263,11 +263,11 @@ let drop_matches_filter ~(universe : Route.t list -> Route.t list)
   let got =
     Rib.Arena.drop_prefixes ctx ~mask ~dirty
       ~on_drop:(fun d -> dropped := d :: !dropped)
-      (Rib.Arena.of_routes ctx rs)
+      (Rib.Arena.of_rib ctx (Rib.of_routes rs))
   in
   let is_dirty (r : Route.t) = dirty r.Route.prefix in
   let expected =
-    Rib.Arena.of_routes ctx (List.filter (fun r -> not (is_dirty r)) rs)
+    Rib.Arena.of_rib ctx (Rib.of_routes (List.filter (fun r -> not (is_dirty r)) rs))
   in
   let expected_devices =
     List.sort_uniq Route.compare rs
@@ -301,11 +301,11 @@ let prop_arena_drop_partial_ctx =
 let test_arena_empty () =
   Alcotest.(check int)
     "merge of nothing" 0
-    (List.length (Rib.Arena.merge []));
+    (List.length (Rib.Arena.merge [] :> Route.t list));
   let ctx = Rib.Key.of_routes [] in
   Alcotest.(check int)
     "merge of empties" 0
-    (List.length (Rib.Arena.merge [ Rib.Arena.of_routes ctx [] ]))
+    (List.length (Rib.Arena.merge [ Rib.Arena.of_rib ctx Rib.empty ] :> Route.t list))
 
 let suite =
   [

@@ -174,7 +174,7 @@ let test_prefix_survives_selected_only () =
   let row dev route_type =
     Route.make ~device:dev ~prefix:(pfx the_prefix) ~route_type ()
   in
-  let rib = [ row "R1" Route.Best; row "R2" Route.Backup ] in
+  let rib = Rib.of_routes [ row "R1" Route.Best; row "R2" Route.Backup ] in
   List.iter
     (fun (dev, present) ->
       let survives =

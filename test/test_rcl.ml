@@ -25,24 +25,26 @@ let route ~device ~vrf ~prefix ~communities ~lp ~nexthop =
 
 (* The exact global RIBs of Figure 6. *)
 let base_rib =
-  [
-    route ~device:"A" ~vrf:"global" ~prefix:"10.0.0.0/24"
-      ~communities:[ "100:1" ] ~lp:100 ~nexthop:"2.0.0.1";
-    route ~device:"A" ~vrf:"vrf1" ~prefix:"20.0.0.0/24"
-      ~communities:[ "100:1"; "200:1" ] ~lp:10 ~nexthop:"3.0.0.1";
-    route ~device:"B" ~vrf:"global" ~prefix:"10.0.0.0/24"
-      ~communities:[ "100:1" ] ~lp:200 ~nexthop:"4.0.0.1";
-  ]
+  Rib.of_routes
+    [
+      route ~device:"A" ~vrf:"global" ~prefix:"10.0.0.0/24"
+        ~communities:[ "100:1" ] ~lp:100 ~nexthop:"2.0.0.1";
+      route ~device:"A" ~vrf:"vrf1" ~prefix:"20.0.0.0/24"
+        ~communities:[ "100:1"; "200:1" ] ~lp:10 ~nexthop:"3.0.0.1";
+      route ~device:"B" ~vrf:"global" ~prefix:"10.0.0.0/24"
+        ~communities:[ "100:1" ] ~lp:200 ~nexthop:"4.0.0.1";
+    ]
 
 let updated_rib =
-  [
-    route ~device:"A" ~vrf:"global" ~prefix:"10.0.0.0/24"
-      ~communities:[ "100:1" ] ~lp:300 ~nexthop:"2.0.0.1";
-    route ~device:"A" ~vrf:"vrf1" ~prefix:"20.0.0.0/24"
-      ~communities:[ "100:1"; "200:1" ] ~lp:10 ~nexthop:"3.0.0.1";
-    route ~device:"B" ~vrf:"global" ~prefix:"10.0.0.0/24"
-      ~communities:[ "100:1" ] ~lp:300 ~nexthop:"4.0.0.1";
-  ]
+  Rib.of_routes
+    [
+      route ~device:"A" ~vrf:"global" ~prefix:"10.0.0.0/24"
+        ~communities:[ "100:1" ] ~lp:300 ~nexthop:"2.0.0.1";
+      route ~device:"A" ~vrf:"vrf1" ~prefix:"20.0.0.0/24"
+        ~communities:[ "100:1"; "200:1" ] ~lp:10 ~nexthop:"3.0.0.1";
+      route ~device:"B" ~vrf:"global" ~prefix:"10.0.0.0/24"
+        ~communities:[ "100:1" ] ~lp:300 ~nexthop:"4.0.0.1";
+    ]
 
 let holds spec =
   match Verify.check_spec spec ~base:base_rib ~updated:updated_rib with
@@ -336,7 +338,8 @@ let test_ipv6_specs () =
   let v6route =
     Route.make ~device:"C" ~prefix:(pfx "2001:db8:1::/48") ~local_pref:300 ()
   in
-  let base = v6route :: base_rib and updated = v6route :: updated_rib in
+  let base = Rib.union [ Rib.of_routes [ v6route ]; base_rib ]
+  and updated = Rib.union [ Rib.of_routes [ v6route ]; updated_rib ] in
   let ok spec =
     match Verify.check_spec spec ~base ~updated with
     | Ok Verify.Satisfied -> true

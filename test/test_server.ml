@@ -604,7 +604,7 @@ let test_stage_table () =
         (r.VR.vr_precheck <> []);
       check tstr (what "route run") route name;
       let simulates = stage = VR.Simulate || stage = VR.Diff in
-      check tbool (what "base RIB returned") simulates (r.VR.vr_base_rib <> []);
+      check tbool (what "base RIB returned") simulates (r.VR.vr_base_rib <> Rib.empty);
       forced := !forced || simulates;
       check tbool (what "base RIB forced") !forced
         (Lazy.is_val b.Preprocess.b_rib);

@@ -61,7 +61,7 @@ let test_ec_soundness_on_generated () =
     Route_sim.run ~use_ecs:false g.G.model ~input_routes:g.G.input_routes ()
   in
   check tbool "EC result equals plain result" true
-    (Rib.Global.equal ec.Route_sim.rib plain.Route_sim.rib);
+    (Rib.equal ec.Route_sim.rib plain.Route_sim.rib);
   check tbool "compression achieved" true (ec.Route_sim.compression > 1.5)
 
 let test_flow_conservation () =
@@ -106,7 +106,7 @@ let test_isp_confinement () =
         && (match Topology.device g.G.model.Model.topo r.Route.device with
            | Some d -> d.Topology.role = Topology.Wan_core
            | None -> false))
-      rib
+      (rib :> Route.t list)
   in
   check tint "no ISP route on cores" 0 (List.length offenders)
 
@@ -137,7 +137,7 @@ let prop_distributed_equivalence =
         Hoyan_dist.Framework.run_route_phase ~subtasks:6 fw
           ~input_routes:g.G.input_routes
       in
-      Rib.Global.equal direct rp.Hoyan_dist.Framework.rp_rib)
+      Rib.equal direct rp.Hoyan_dist.Framework.rp_rib)
 
 let test_dual_stack () =
   let g = Lazy.force g in
