@@ -55,15 +55,19 @@ serve:
 
 # k-failure soundness gate: `hoyan whatif --selfcheck` runs the pruned
 # sweep AND the brute-force sweep in-process and asserts identical
-# violating scenario sets (exit 2 on mismatch), then the kfailure test
-# suite replays the same oracle over hand-built and qcheck-generated
-# topologies for k in {1,2} (DESIGN.md §2.9).
+# violating scenario sets (exit 2 on mismatch), at small scale and at
+# wan scale (footprint-restricted fixpoints keep the wan sweep to
+# seconds), then the kfailure test suite replays the same oracle over
+# hand-built and qcheck-generated topologies for k in {1,2} and checks
+# the restricted verdicts against unrestricted fixpoints (DESIGN.md §2.9).
 whatif:
 	dune build @all
 	dune exec bin/hoyan_cli.exe -- whatif --scale small -k 1 --selfcheck; \
 	  test $$? -le 1
 	dune exec bin/hoyan_cli.exe -- whatif --scale small -k 2 --devices \
 	  --selfcheck; test $$? -le 1
+	dune exec bin/hoyan_cli.exe -- whatif --scale wan -k 1 --selfcheck; \
+	  test $$? -le 1
 	dune exec test/test_main.exe -- test kfailure
 
 # Incremental-splice soundness gate: `hoyan verify --inc --selfcheck`

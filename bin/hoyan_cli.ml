@@ -24,7 +24,7 @@
      hoyan audit     [--scale ...]
      hoyan vsb                         # Table-5 differential sweep
      hoyan trace summarize FILE        # per-phase/per-subtask breakdown
-     hoyan serve     --requests FILE [--policy fifo|lpt] [--selfcheck]
+     hoyan serve     --requests FILE [--budget S] [--selfcheck]
                      [--metrics-out FILE [--metrics-every N]]
      hoyan whatif    [-k K] [--devices] [--prefix P --on DEV,DEV]
                      [--prop reach|overload] [--json] [--selfcheck]
@@ -941,7 +941,7 @@ let trace_cmd =
 (* ------------------------------------------------------------------ *)
 
 let serve params seed requests_file out_file metrics_out metrics_every
-    queue_depth tenant_quota cache_capacity policy budget batch selfcheck
+    queue_depth tenant_quota cache_capacity budget batch selfcheck
     servers no_timing =
   let text =
     try
@@ -963,20 +963,11 @@ let serve params seed requests_file out_file metrics_out metrics_every
         Preprocess.prepare g.G.model ~monitored_routes:g.G.input_routes
           ~monitored_flows:g.G.flows
       in
-      let policy =
-        match policy with
-        | "fifo" -> Hoyan_dist.Schedule.Fifo
-        | "lpt" -> Hoyan_dist.Schedule.Lpt
-        | p ->
-            Printf.eprintf "serve: unknown --policy %S (fifo or lpt)\n" p;
-            exit 2
-      in
       let config =
         {
           Server.c_queue_depth = queue_depth;
           c_tenant_quota = tenant_quota;
           c_cache_capacity = cache_capacity;
-          c_policy = policy;
           c_default_budget_s =
             Option.value budget ~default:Server.default_config.Server.c_default_budget_s;
         }
@@ -1137,16 +1128,10 @@ let serve_cmd =
          & info [ "cache-capacity" ] ~docv:"N"
              ~doc:"Result-cache entries (LRU beyond; 0 disables).")
   in
-  let policy =
-    Arg.(value & opt string "fifo"
-         & info [ "policy" ] ~docv:"POLICY"
-             ~doc:"Drain order: $(b,fifo) (submission order) or $(b,lpt) \
-                   (cost-model longest-first).")
-  in
   let budget =
     Arg.(value & opt (some float) None
          & info [ "budget" ] ~docv:"SECONDS"
-             ~doc:"Default per-request execution budget (lease seconds) \
+             ~doc:"Default per-request execution budget (seconds) \
                    for requests that name none.")
   in
   let batch =
@@ -1179,7 +1164,7 @@ let serve_cmd =
        ~doc:"Serve verification requests over a shared snapshot")
     Term.(
       const serve $ scale_arg $ seed_arg $ requests $ out $ metrics_out
-      $ metrics_every $ queue_depth $ tenant_quota $ cache_capacity $ policy
+      $ metrics_every $ queue_depth $ tenant_quota $ cache_capacity
       $ budget $ batch $ selfcheck $ servers $ no_timing)
 
 (* ------------------------------------------------------------------ *)

@@ -23,7 +23,6 @@ module Lint = Hoyan_analysis.Lint
 module Semantic = Hoyan_analysis.Semantic
 module Feq = Hoyan_analysis.Failure_eq
 module Parallel = Hoyan_dist.Parallel
-module Costmodel = Hoyan_dist.Costmodel
 
 type failure = Feq.failure =
   | Link_down of string * string
@@ -114,9 +113,9 @@ type result = {
   kr_simulated : int;  (** scenarios actually simulated *)
   kr_restricted : int;
       (** simulated representatives whose fixpoint was restricted to the
-          property footprint's prefix closure ([?inc] given and the
-          footprint is prefix-enumerable; [Opaque] always simulates in
-          full) *)
+          property footprint's prefix closure: [kr_simulated] for a
+          prefix-enumerable footprint, 0 for [Opaque] (always simulates
+          in full) *)
   kr_sampled : bool;  (** an explicit [max_scenarios] cap dropped classes *)
   kr_violations : scenario_result list;
 }
@@ -146,25 +145,24 @@ let simulate_scenario ?only (model : Model.t) ~input_routes ~flows
     the brute-force oracle for tests and benches.  [max_scenarios], when
     given, caps the number of {e simulated representatives} by
     deterministic stride; dropped classes are reported as unchecked via
-    [kr_total]/[kr_checked] and [kr_sampled]. *)
+    [kr_total]/[kr_checked] and [kr_sampled].  [inc], a captured
+    context of [model], lends its cached base RIB and FIBs to the base
+    verdict instead of re-converging; the restriction does not need
+    it. *)
 let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
     ?(links = true) ?inc (model : Model.t) ~(input_routes : Route.t list)
     ~(flows : Flow.t list) ~(k : int) (prop : property) : result =
-  (* With a captured converged-base context: the base verdict reads the
-     cached RIB/FIBs instead of re-converging, and prefix-enumerable
-     footprints restrict every representative's fixpoint to the
-     footprint's aggregate closure.  [Opaque] footprints (traffic
-     properties) get neither — full simulation, honestly counted. *)
+  (* Prefix-enumerable footprints restrict every fixpoint — each
+     representative's and the base verdict's — to the footprint's
+     aggregate closure.  [Opaque] footprints (traffic properties)
+     simulate in full, honestly counted. *)
   let only =
-    match inc with
-    | None -> None
-    | Some ictx -> (
-        match prop.p_footprint with
-        | Feq.Reach_all (p, _) ->
-            Some (Incremental.scenario_only ictx ~prefixes:[ p ])
-        | Feq.Prefix_scoped (ps, _) ->
-            Some (Incremental.scenario_only ictx ~prefixes:ps)
-        | Feq.Opaque -> None)
+    match prop.p_footprint with
+    | Feq.Reach_all (p, _) ->
+        Some (Incremental.footprint_only model ~input_routes ~prefixes:[ p ])
+    | Feq.Prefix_scoped (ps, _) ->
+        Some (Incremental.footprint_only model ~input_routes ~prefixes:ps)
+    | Feq.Opaque -> None
   in
   let plan =
     if prune then
@@ -221,7 +219,9 @@ let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
           in
           prop.p_check ~model ~rib ~traffic
       | None ->
-          let rib = (Route_sim.run model ~input_routes ()).Route_sim.rib in
+          let rib =
+            (Route_sim.run ?only model ~input_routes ()).Route_sim.rib
+          in
           let traffic = lazy (Traffic_sim.run model ~rib ~flows ()) in
           prop.p_check ~model ~rib ~traffic)
   in
@@ -243,24 +243,6 @@ let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
         (List.filteri (fun i _ -> i mod stride = 0) sim_ids, true)
     | _ -> (sim_ids, false)
   in
-  (* Weight representatives by the cost model: a scenario's fixpoint
-     cost scales with the surviving share of the network. *)
-  let n_devices = max 1 (Topology.num_devices model.Model.topo) in
-  let routes = List.length input_routes in
-  let weights =
-    chosen_ids |> List.map (fun id -> classes.(id).Feq.cl_rep)
-    |> List.map (fun fs ->
-           let removed =
-             List.length
-               (List.filter (function Device_down _ -> true | _ -> false) fs)
-           in
-           let surviving =
-             float_of_int (n_devices - removed) /. float_of_int n_devices
-           in
-           Costmodel.est_route_subtask Costmodel.default
-             ~routes:(max 1 (int_of_float (float_of_int routes *. surviving))))
-    |> Array.of_list
-  in
   let simulated = List.length chosen_ids in
   let restricted = if Option.is_some only then simulated else 0 in
   (* The representative loop under its own span, so a trace splits a
@@ -275,7 +257,7 @@ let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
         ]
       "whatif.simulate"
       (fun () ->
-        Parallel.map ?tm ~weights
+        Parallel.map ?tm
           (fun id ->
             ( id,
               simulate_scenario ?only model ~input_routes ~flows prop

@@ -41,47 +41,3 @@ let io_time (t : t) ~bytes ~files =
 (** Effective wall time of one subtask on a worker. *)
 let subtask_time (t : t) (e : Db.entry) =
   Db.duration_s e +. io_time t ~bytes:(Db.io_bytes e) ~files:(Db.io_files e)
-
-(* ------------------------------------------------------------------ *)
-(* Chunked-claim planning for the domain-parallel executor             *)
-(* ------------------------------------------------------------------ *)
-
-(** Estimated relative cost of a route subtask {e before} it has run:
-    the modelled master prep and input I/O plus compute proportional to
-    the route count.  Only ratios matter — {!chunk_plan} uses these to
-    seed balanced initial claim ranges; the fixed per-subtask terms keep
-    many tiny subtasks from looking free. *)
-let est_route_subtask (t : t) ~(routes : int) : float =
-  t.master_prep_per_subtask_s
-  +. io_time t ~bytes:(routes * 128) ~files:1
-  +. (1e-5 *. float_of_int routes)
-
-(** Partition items [0..n) into [workers] contiguous ranges of roughly
-    equal total weight.  Returns exactly [workers] ranges [(lo, hi)]
-    (some possibly empty) covering [0..n) in order; {!Parallel.map}
-    seeds its chunked-claim scheduler with them and work-stealing
-    corrects any estimation error at runtime. *)
-let chunk_plan ~(workers : int) (weights : float array) : (int * int) array =
-  let n = Array.length weights in
-  let workers = max 1 workers in
-  let total = Array.fold_left ( +. ) 0. weights in
-  if n = 0 || total <= 0. then
-    (* degenerate weights: even split by count *)
-    Array.init workers (fun w -> (n * w / workers, n * (w + 1) / workers))
-  else begin
-    let ranges = Array.make workers (0, 0) in
-    let i = ref 0 and acc = ref 0. in
-    for w = 0 to workers - 1 do
-      let lo = !i in
-      if w = workers - 1 then i := n
-      else begin
-        let target = total *. float_of_int (w + 1) /. float_of_int workers in
-        while !i < n && !acc < target do
-          acc := !acc +. weights.(!i);
-          incr i
-        done
-      end;
-      ranges.(w) <- (lo, !i)
-    done;
-    ranges
-  end

@@ -22,15 +22,3 @@ val io_time : t -> bytes:int -> files:int -> float
 (** Effective wall time of one subtask on a worker: measured compute plus
     modelled I/O. *)
 val subtask_time : t -> Db.entry -> float
-
-(** Estimated relative cost of a route subtask before it has run, from
-    its input route count (modelled prep + I/O + linear compute).  Only
-    ratios matter; used to weight {!chunk_plan} partitions. *)
-val est_route_subtask : t -> routes:int -> float
-
-(** Partition items [0..n) (given per-item weights) into [workers]
-    contiguous ranges of roughly equal total weight.  Returns exactly
-    [workers] ranges [(lo, hi)], some possibly empty, covering [0..n)
-    in order — the initial claim ranges of {!Parallel.map}'s chunked
-    work-stealing scheduler. *)
-val chunk_plan : workers:int -> float array -> (int * int) array

@@ -76,16 +76,9 @@ type t = {
   tm : Telemetry.t;
 }
 
-let create ?tm ?chaos ?(fail_prob = 0.) ?(seed = 42) ?(lease_s = 30.)
+let create ?tm ?(chaos = Chaos.none) ?(lease_s = 30.)
     ?(backoff_base_s = 0.05) ?(backoff_max_s = 5.) ?(max_attempts = 3)
     ?(snapshot = "base") (model : Model.t) : t =
-  let chaos =
-    match chaos with
-    | Some c -> c
-    | None ->
-        if fail_prob > 0. then Chaos.make ~seed ~crash_prob:fail_prob ()
-        else Chaos.none
-  in
   {
     storage = Storage.create ();
     mq = Mq.create ();

@@ -53,17 +53,13 @@ type t = {
 }
 
 (** [create model] builds a framework instance.  [chaos] is the fault
-    plan (default: no faults); [fail_prob] is the legacy shorthand for a
-    crash-only plan with the given probability and [seed].  [lease_s],
-    [backoff_base_s], [backoff_max_s] and [max_attempts] parameterize
-    the monitor loop; [snapshot] names the network snapshot in the
-    subtask messages; [tm] is the telemetry handle (defaults to the
-    process-global one). *)
+    plan (default: no faults).  [lease_s], [backoff_base_s],
+    [backoff_max_s] and [max_attempts] parameterize the monitor loop;
+    [snapshot] names the network snapshot in the subtask messages; [tm]
+    is the telemetry handle (defaults to the process-global one). *)
 val create :
   ?tm:Hoyan_telemetry.Telemetry.t ->
   ?chaos:Chaos.t ->
-  ?fail_prob:float ->
-  ?seed:int ->
   ?lease_s:float ->
   ?backoff_base_s:float ->
   ?backoff_max_s:float ->

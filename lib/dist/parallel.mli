@@ -13,14 +13,9 @@ val default_domains : unit -> int
     If [f] raises, one raised exception is re-raised on the caller after
     all domains have been joined.
 
-    Scheduling is chunked work-stealing rather than a single shared
-    counter: each worker starts with a contiguous claim range sized by
-    {!Costmodel.chunk_plan} from the optional per-item [weights]
-    (defaulting to uniform), claims chunks from the front of its own
-    range, and when drained steals the back half of the fullest peer
-    range.  Workers therefore touch the shared atomics once per chunk
-    instead of once per item, and estimation error in the weights is
-    corrected at runtime by the steals.
+    Workers claim items one at a time from a single shared
+    [Atomic.fetch_and_add] counter, so no cost estimate is needed: a
+    worker that finishes a cheap item simply claims the next one.
 
     Each worker domain runs under one telemetry span ([parallel.domain],
     tagged with the worker index and the number of items it claimed);
@@ -29,7 +24,6 @@ val default_domains : unit -> int
 val map :
   ?tm:Hoyan_telemetry.Telemetry.t ->
   ?domains:int ->
-  ?weights:float array ->
   ('a -> 'b) ->
   'a list ->
   'b list

@@ -64,7 +64,7 @@ type t = {
   r_plan : Hoyan_config.Change_plan.t;
   r_intents : Hoyan_core.Intents.t list;
   r_budget_s : float option;
-      (** execution budget (lease seconds); [None] = server default *)
+      (** execution budget in seconds; [None] = server default *)
   r_no_cache : bool;  (** bypass the result cache entirely *)
   r_k : int;  (** [whatif]: maximum simultaneous failures *)
   r_scope : failure_scope;  (** [whatif]: candidate-failure scope *)

@@ -2,21 +2,17 @@
 
    Everything here is deliberately deterministic: admission decisions
    depend only on configured bounds and the submission sequence, the
-   drain order only on the cost model's class estimates (seeded from
-   Costmodel, refined by measured times) and the configured policy with
-   the submission sequence as tie-break, and the verdict bodies only on
-   the request content — so identical request streams produce identical
-   response streams, which is what lets the tests assert byte-identity
-   against direct execution. *)
+   drain order is the submission order, and the verdict bodies depend
+   only on the request content — so identical request streams produce
+   identical response streams, which is what lets the tests assert
+   byte-identity against direct execution. *)
 
 module Preprocess = Hoyan_core.Preprocess
 module Verify_request = Hoyan_core.Verify_request
 module Intents = Hoyan_core.Intents
 module Kfailure = Hoyan_core.Kfailure
 module Model = Hoyan_sim.Model
-module Db = Hoyan_dist.Db
 module Schedule = Hoyan_dist.Schedule
-module Costmodel = Hoyan_dist.Costmodel
 module Telemetry = Hoyan_telemetry.Telemetry
 module Journal = Hoyan_telemetry.Journal
 
@@ -24,7 +20,6 @@ type config = {
   c_queue_depth : int;
   c_tenant_quota : int;
   c_cache_capacity : int;
-  c_policy : Schedule.policy;
   c_default_budget_s : float;
 }
 
@@ -33,7 +28,6 @@ let default_config =
     c_queue_depth = 256;
     c_tenant_quota = 64;
     c_cache_capacity = 1024;
-    c_policy = Schedule.Fifo;
     c_default_budget_s = 300.;
   }
 
@@ -83,25 +77,19 @@ type pending = {
   p_rq : Request.t;
   p_snap : Snapshot.t;
   p_submit_t : float;
-  p_entry : Db.entry;
 }
 
 type t = {
   cfg : config;
   tm : Telemetry.t;
   cache : (status * string) Cache.t;
-  db : Db.t;
   snaps : (string, Snapshot.t) Hashtbl.t;
   mutable snap_order : string list;  (* registration order, reversed *)
   mutable default_snap : string option;
   mutable queue : pending list;  (* reversed submission order *)
   tenant_queued : (string, int) Hashtbl.t;
-  (* measured-time EWMA per class, seeded from the cost model *)
-  est : (Request.rq_class, float) Hashtbl.t;
   mutable seq : int;
-  mutable executed : string list;  (* reversed execution order *)
   mutable durations : float list;  (* reversed completion order *)
-  mutable lats : (Request.rq_class * float) list;  (* reversed *)
   mutable n_submitted : int;
   mutable n_admitted : int;
   mutable n_rej_queue : int;
@@ -119,17 +107,13 @@ let create ?tm ?(config = default_config) () =
     cfg = config;
     tm;
     cache = Cache.create ~capacity:config.c_cache_capacity;
-    db = Db.create ();
     snaps = Hashtbl.create 4;
     snap_order = [];
     default_snap = None;
     queue = [];
     tenant_queued = Hashtbl.create 16;
-    est = Hashtbl.create 4;
     seq = 0;
-    executed = [];
     durations = [];
-    lats = [];
     n_submitted = 0;
     n_admitted = 0;
     n_rej_queue = 0;
@@ -261,39 +245,6 @@ let run_direct (snap : Snapshot.t) (rq : Request.t) : status * string =
   (st, body)
 
 (* ------------------------------------------------------------------ *)
-(* Cost model                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Class priors: the simulate estimate comes from the distributed cost
-   model on the snapshot's input size; the static classes are priced at
-   the measured cost fractions of their gates (lint ~0.03%, precheck
-   ~0.5%, diff ~0.3–1% of a full simulation — PR2/PR4/PR7 benches),
-   then every class estimate tracks its own measured times by EWMA. *)
-let prior (snap : Snapshot.t) (cls : Request.rq_class) : float =
-  let sim =
-    Costmodel.est_route_subtask Costmodel.default
-      ~routes:snap.Snapshot.sn_input_routes
-  in
-  match cls with
-  | Request.Whatif ->
-      (* one fixpoint per simulated class representative; even heavily
-         pruned sweeps run several — the most expensive class *)
-      5. *. sim
-  | Request.Simulate -> sim
-  | Request.Diff -> 0.01 *. sim
-  | Request.Precheck -> 0.005 *. sim
-  | Request.Lint -> 0.001 *. sim
-
-let estimate t (snap : Snapshot.t) (cls : Request.rq_class) : float =
-  match Hashtbl.find_opt t.est cls with
-  | Some e -> e
-  | None -> prior snap cls
-
-let observe_cost t (cls : Request.rq_class) (snap : Snapshot.t) measured =
-  let old = estimate t snap cls in
-  Hashtbl.replace t.est cls ((0.7 *. old) +. (0.3 *. measured))
-
-(* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -303,8 +254,6 @@ let tenant_count t tenant =
   Option.value (Hashtbl.find_opt t.tenant_queued tenant) ~default:0
 
 let reject t seq (rq : Request.t) reason : response =
-  let entry = Db.register t.db (Printf.sprintf "rq-%06d" seq) in
-  Db.mark_terminal entry ("rejected: " ^ reason);
   (match reason with
   | "queue-full" -> t.n_rej_queue <- t.n_rej_queue + 1
   | "tenant-quota" -> t.n_rej_quota <- t.n_rej_quota + 1
@@ -352,14 +301,12 @@ let submit t (rq : Request.t) : (unit, response) result =
         else if tenant_count t rq.Request.r_tenant >= t.cfg.c_tenant_quota
         then Stdlib.Error (reject t seq rq "tenant-quota")
         else begin
-          let entry = Db.register t.db (Printf.sprintf "rq-%06d" seq) in
           t.queue <-
             {
               p_seq = seq;
               p_rq = rq;
               p_snap = snap;
               p_submit_t = Unix.gettimeofday ();
-              p_entry = entry;
             }
             :: t.queue;
           Hashtbl.replace t.tenant_queued rq.Request.r_tenant
@@ -402,7 +349,6 @@ let execute_one t (p : pending) : response =
   let budget =
     Option.value rq.Request.r_budget_s ~default:t.cfg.c_default_budget_s
   in
-  ignore (Db.start_attempt ~lease_s:budget p.p_entry);
   let t0 = Unix.gettimeofday () in
   let queue_s = t0 -. p.p_submit_t in
   let run () =
@@ -427,34 +373,19 @@ let execute_one t (p : pending) : response =
           | Rejected _ | Timeout | Error _ -> ());
           (st, body, false, ss, ts)
   in
-  let now = Unix.gettimeofday () in
-  let exec_s = now -. t0 in
-  (* the PR5 lease contract, per request: a finished attempt whose
-     lease already expired is a timeout, and a timed-out request gets
-     no verdict — not a partial one *)
-  let timed_out = Db.lease_expired ~now p.p_entry in
+  let exec_s = Unix.gettimeofday () -. t0 in
+  (* the budget timer: a request that ran past its budget is a timeout
+     and gets no verdict — not a partial one *)
   let status, body =
-    if timed_out then (Timeout, "") else (status, body)
+    if exec_s > budget then (Timeout, "") else (status, body)
   in
   (match status with
-  | Timeout ->
-      Db.mark_terminal p.p_entry
-        (Printf.sprintf "deadline exceeded (%.3fs > %.3fs budget)" exec_s
-           budget);
-      t.n_timeouts <- t.n_timeouts + 1
-  | Error msg ->
-      Db.mark_terminal p.p_entry ("execution error: " ^ msg);
-      t.n_errors <- t.n_errors + 1
+  | Timeout -> t.n_timeouts <- t.n_timeouts + 1
+  | Error _ -> t.n_errors <- t.n_errors + 1
   | Ok | Fail | Rejected _ ->
-      Db.complete p.p_entry ~duration_s:exec_s ~io_bytes:0 ~io_files:0 ();
       t.n_completed <- t.n_completed + 1;
       if status = Fail then t.n_failed <- t.n_failed + 1);
-  if not cached then begin
-    t.durations <- exec_s :: t.durations;
-    t.lats <- (rq.Request.r_class, exec_s) :: t.lats;
-    observe_cost t rq.Request.r_class p.p_snap exec_s
-  end;
-  t.executed <- rq.Request.r_id :: t.executed;
+  if not cached then t.durations <- exec_s :: t.durations;
   if Telemetry.enabled t.tm then begin
     let cls = Request.class_to_string rq.Request.r_class in
     Telemetry.count t.tm ~labels:[ ("class", cls) ]
@@ -506,37 +437,19 @@ let drain t : response list =
   let pending = List.rev t.queue in
   t.queue <- [];
   Hashtbl.reset t.tenant_queued;
-  (* cost-model-driven order: under Lpt the most expensive class first
-     (the framework's subtask policy), Fifo keeps submission order;
-     ties (and Fifo) break by submission sequence *)
-  let ordered =
-    match t.cfg.c_policy with
-    | Schedule.Fifo -> pending
-    | Schedule.Lpt ->
-        List.stable_sort
-          (fun a b ->
-            let ca = estimate t a.p_snap a.p_rq.Request.r_class in
-            let cb = estimate t b.p_snap b.p_rq.Request.r_class in
-            match Float.compare cb ca with
-            | 0 -> Int.compare a.p_seq b.p_seq
-            | c -> c)
-          pending
-  in
-  let responses = List.map (execute_one t) ordered in
+  let responses = List.map (execute_one t) pending in
   if Telemetry.enabled t.tm then
     Telemetry.gauge t.tm "hoyan_server_queue_depth" 0.;
-  List.sort (fun a b -> Int.compare a.rs_seq b.rs_seq) responses
+  responses
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let executed_order t = List.rev t.executed
 let durations t = List.rev t.durations
-let latencies t = List.rev t.lats
 
 let modelled_makespan t ~servers =
-  fst (Schedule.makespan ~policy:t.cfg.c_policy ~servers (durations t))
+  fst (Schedule.makespan ~servers (durations t))
 
 let stats t =
   {

@@ -4,18 +4,13 @@
     One server owns a snapshot store ({!Snapshot}), a bounded request
     queue with admission control (global depth + per-tenant quota), a
     result cache ({!Cache}) keyed by (snapshot, plan, intent) digests,
-    and per-request budgets enforced through the PR5 lease machinery
-    ({!Hoyan_dist.Db}): every admitted request is a [Db] entry whose
-    attempt takes a lease of its budget; a request whose lease has
-    expired when it finishes is [Timeout] — its verdict is withheld
-    (the PR5 no-partial-verdicts contract, applied per request).
+    and per-request budgets: a request whose execution took longer than
+    its budget is [Timeout] and its verdict is withheld (no partial
+    verdicts, as in the distributed framework).
 
-    Execution is the drain loop: {!drain} orders the queued requests by
-    the cost model (class priors seeded from
-    {!Hoyan_dist.Costmodel.est_route_subtask}, refined by measured
-    times) under a {!Hoyan_dist.Schedule.policy}, executes each through
-    the single {!run_direct} path, and returns responses in submission
-    order.  {!modelled_makespan} replays the measured durations through
+    Execution is the drain loop: {!drain} executes the queued requests
+    in submission order, each through the single {!run_direct} path.
+    {!modelled_makespan} replays the measured durations through
     {!Hoyan_dist.Schedule} to report multi-server scaling without real
     servers, as the distributed framework does. *)
 
@@ -23,18 +18,17 @@ type config = {
   c_queue_depth : int;  (** admission bound on queued requests *)
   c_tenant_quota : int;  (** max queued requests per tenant *)
   c_cache_capacity : int;  (** result-cache entries (LRU beyond) *)
-  c_policy : Hoyan_dist.Schedule.policy;  (** drain order *)
   c_default_budget_s : float;  (** budget when the request names none *)
 }
 
-(** depth 256, quota 64, cache 1024, Fifo, budget 300s. *)
+(** depth 256, quota 64, cache 1024, budget 300s. *)
 val default_config : config
 
 type status =
   | Ok  (** executed; the verdict is PASS *)
   | Fail  (** executed; the verdict is FAIL *)
   | Rejected of string  (** admission refused it (reason) *)
-  | Timeout  (** lease expired; verdict withheld *)
+  | Timeout  (** ran past its budget; verdict withheld *)
   | Error of string  (** execution raised *)
 
 val status_to_string : status -> string
@@ -94,8 +88,8 @@ val submit : t -> Request.t -> (unit, response) result
 (** Number of requests currently queued. *)
 val queue_depth : t -> int
 
-(** Execute everything queued (cost-model order under the configured
-    policy) and return the responses in {e submission} order. *)
+(** Execute everything queued, in submission order, and return the
+    responses in that order. *)
 val drain : t -> response list
 
 (** The single execution path: run one request against a snapshot
@@ -115,21 +109,15 @@ val run_direct :
   Request.t ->
   status * string
 
-(** Ids of requests executed by past [drain]s, in execution order
-    (exposes the scheduler's decisions to tests). *)
-val executed_order : t -> string list
-
 (** Measured execution durations of completed requests, oldest first. *)
 val durations : t -> float list
 
-(** Replay the measured durations through the multi-server scheduler:
-    the modelled end-to-end time on [servers] workers. *)
+(** Replay the measured durations, in completion order, through the
+    multi-server FIFO scheduler: the modelled end-to-end time on
+    [servers] workers. *)
 val modelled_makespan : t -> servers:int -> float
 
 val stats : t -> stats
-
-(** Per-class measured execution latencies, oldest first. *)
-val latencies : t -> (Request.rq_class * float) list
 
 (** Human-readable one-shot summary (counts, cache, queue). *)
 val report : t -> string

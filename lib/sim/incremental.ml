@@ -120,6 +120,30 @@ let close_under_aggregates ~(aggs : Prefix.t list)
       groups
   done
 
+(* The enumerable prefix universe of a base: the injected inputs plus
+   [model_prefixes]. *)
+let universe_of (model : Model.t) (input_routes : Route.t list) :
+    Prefix.t list =
+  List.sort_uniq Prefix.compare
+    (List.map (fun (r : Route.t) -> r.Route.prefix) input_routes
+    @ model_prefixes model)
+
+(* [prefixes] closed under [model]'s aggregates over [universe], as a
+   [Route_sim.run ~only] predicate. *)
+let closure (model : Model.t) ~(universe : Prefix.t list)
+    (prefixes : Prefix.t list) : Prefix.t -> bool =
+  let set = Prefix.Tbl.create 16 in
+  List.iter (fun p -> Prefix.Tbl.replace set p ()) prefixes;
+  close_under_aggregates ~aggs:(aggregate_prefixes model) ~universe set;
+  Prefix.Tbl.mem set
+
+let footprint_only (model : Model.t) ~(input_routes : Route.t list)
+    ~(prefixes : Prefix.t list) : Prefix.t -> bool =
+  closure model ~universe:(universe_of model input_routes) prefixes
+
+let scenario_only (cx : ctx) ~(prefixes : Prefix.t list) : Prefix.t -> bool =
+  closure cx.cx_model ~universe:cx.cx_universe prefixes
+
 (* ------------------------------------------------------------------ *)
 (* Context capture                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -131,11 +155,7 @@ let capture ?tm ~(model : Model.t) ~(input_routes : Route.t list)
       let bgp_rows = Rib.diff rib (Model.local_rib model) in
       let key = Rib.Key.of_routes (bgp_rows :> Route.t list) in
       let bgp = Rib.Arena.of_rib key bgp_rows in
-      let universe =
-        List.sort_uniq Prefix.compare
-          (List.map (fun (r : Route.t) -> r.Route.prefix) input_routes
-          @ model_prefixes model)
-      in
+      let universe = universe_of model input_routes in
       let in_universe =
         let tbl = Prefix.Tbl.create (List.length universe * 2) in
         List.iter (fun p -> Prefix.Tbl.replace tbl p ()) universe;
@@ -494,19 +514,6 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
             s_ecx = ecx;
             s_traffic = make_traffic tm cx patched rib fibs ecx;
           })
-
-(* ------------------------------------------------------------------ *)
-(* Footprint restriction for failure scenarios                         *)
-(* ------------------------------------------------------------------ *)
-
-let scenario_only (cx : ctx) ~(prefixes : Prefix.t list) :
-    Prefix.t -> bool =
-  let dirty = Prefix.Tbl.create 16 in
-  List.iter (fun p -> Prefix.Tbl.replace dirty p ()) prefixes;
-  close_under_aggregates
-    ~aggs:(aggregate_prefixes cx.cx_model)
-    ~universe:cx.cx_universe dirty;
-  Prefix.Tbl.mem dirty
 
 (* ------------------------------------------------------------------ *)
 (* The byte-identity oracle                                            *)

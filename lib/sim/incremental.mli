@@ -115,13 +115,21 @@ val simulate :
   Cp.t ->
   sim
 
-(** The prefix restriction for a failure scenario whose property
-    footprint reads only [prefixes]: the footprint set closed under
-    aggregate contribution over the base universe.  [Kfailure] passes
-    the result to [Route_sim.run ~only] on the failed model — per-prefix
-    decomposability of the fixpoint makes the restricted run converge
-    exactly the footprint's rows, without re-converging the rest of the
-    WAN per scenario. *)
+(** The prefix restriction for a property footprint that reads only
+    [prefixes]: the set closed under [model]'s aggregate contribution (in
+    both directions) over the prefix universe of [model] and
+    [input_routes] — the inputs' prefixes, network statements,
+    aggregates and local-table rows.  Needs no captured context.
+    [Kfailure] passes the result to [Route_sim.run ~only] on each failed
+    model: per-prefix decomposability of the fixpoint makes the
+    restricted run converge exactly the footprint's rows, without
+    re-converging the rest of the WAN per scenario. *)
+val footprint_only :
+  Model.t -> input_routes:Route.t list -> prefixes:Prefix.t list ->
+  (Prefix.t -> bool)
+
+(** {!footprint_only} over the context's base model and its
+    already-built universe. *)
 val scenario_only : ctx -> prefixes:Prefix.t list -> (Prefix.t -> bool)
 
 (** Byte-identity oracle result. *)

@@ -173,7 +173,9 @@ let test_random_split_loads_everything () =
 
 let test_failure_retry () =
   let g = Lazy.force scenario in
-  let fw = Framework.create ~fail_prob:0.3 ~seed:11 g.G.model in
+  let fw =
+    Framework.create ~chaos:(Chaos.make ~seed:11 ~crash_prob:0.3 ()) g.G.model
+  in
   let phase =
     Framework.run_route_phase ~subtasks:10 fw ~input_routes:g.G.input_routes
   in
@@ -533,11 +535,13 @@ let test_chaos_determinism () =
   in
   check tbool "identical replay under the same seed" true (run () = run ())
 
-(* at fail_prob 1.0 nothing can ever succeed: the monitor must still
+(* at crash probability 1.0 nothing can ever succeed: the monitor must still
    terminate, exhaust every budget, and report every subtask *)
 let test_total_failure_terminates () =
   let g = Lazy.force scenario in
-  let fw = Framework.create ~fail_prob:1.0 g.G.model in
+  let fw =
+    Framework.create ~chaos:(Chaos.make ~seed:42 ~crash_prob:1.0 ()) g.G.model
+  in
   let rp =
     Framework.run_route_phase ~subtasks:5 fw ~input_routes:g.G.input_routes
   in

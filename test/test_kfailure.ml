@@ -603,6 +603,120 @@ let test_whatif_spans () =
     (List.length (named "whatif.analyze"))
 
 (* ------------------------------------------------------------------ *)
+(* The restriction oracle                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The test-local reference: every scenario failed, simulated with an
+   unrestricted fixpoint and checked — the verdicts [Kfailure.check]'s
+   footprint-restricted fixpoints must reproduce.  Returns the sorted
+   (scenario, reason) violations and the scenario count. *)
+let reference ~devices ~k model ~input_routes prop =
+  let cands = Feq.candidates ~devices ~links:true model.Model.topo in
+  let scenarios =
+    List.concat_map
+      (fun i -> Feq.combinations i cands)
+      (List.init k (fun i -> i + 1))
+  in
+  let violation fs =
+    let m = Kfailure.apply_failures model fs in
+    let rib = (Route_sim.run m ~input_routes ()).Route_sim.rib in
+    let traffic = lazy (Hoyan_sim.Traffic_sim.run m ~rib ~flows:[] ()) in
+    Option.map
+      (fun v -> (List.map Kfailure.failure_to_string fs, v))
+      (prop.Kfailure.p_check ~model:m ~rib ~traffic)
+  in
+  ( List.sort compare (List.filter_map violation scenarios),
+    List.length scenarios )
+
+(* [Kfailure.check], pruned and brute force, with and without a captured
+   context, against [reference]: the same violating scenarios, the
+   simulated reasons verbatim, and every simulated representative
+   restricted.  The property must both hold and fail somewhere in the
+   reference, so the comparison can tell. *)
+let assert_restricted_exact ~msg ~devices ~k model ~input_routes prop =
+  let expected, n = reference ~devices ~k model ~input_routes prop in
+  check tbool (msg ^ "the reference both holds and fails") true
+    (expected <> [] && List.length expected < n);
+  let rib = (Route_sim.run model ~input_routes ()).Route_sim.rib in
+  let cx =
+    Hoyan_sim.Incremental.capture ~model ~input_routes ~flows:[] ~rib ()
+  in
+  List.iter
+    (fun (prune, inc) ->
+      let msg =
+        Printf.sprintf "%sprune=%b inc=%b: " msg prune (Option.is_some inc)
+      in
+      let r =
+        Kfailure.check ~prune ~devices ?inc model ~input_routes ~flows:[] ~k
+          prop
+      in
+      let got =
+        List.map
+          (fun (s : Kfailure.scenario_result) ->
+            ( List.map Kfailure.failure_to_string s.Kfailure.sr_failures,
+              Option.value s.Kfailure.sr_violation ~default:"" ))
+          r.Kfailure.kr_violations
+        |> List.sort compare
+      in
+      check
+        Alcotest.(list (list string))
+        (msg ^ "violating scenarios match the unrestricted reference")
+        (List.map fst expected) (List.map fst got);
+      List.iter
+        (fun (fs, reason) ->
+          if not (is_static reason) then
+            check Alcotest.string
+              (msg ^ "simulated reason matches the reference")
+              (List.assoc fs expected) reason)
+        got;
+      check tbool (msg ^ "some representative simulates") true
+        (r.Kfailure.kr_simulated > 0);
+      check tint (msg ^ "every simulated representative restricted")
+        r.Kfailure.kr_simulated r.Kfailure.kr_restricted)
+    [ (true, None); (true, Some cx); (false, None); (false, Some cx) ]
+
+let test_restriction_plain () =
+  let model = B.build (ring_tail_island ()) in
+  assert_restricted_exact ~msg:"ring: " ~devices:true ~k:2 model
+    ~input_routes:(input_at "R0")
+    (Kfailure.prefix_survives ~prefix:(pfx the_prefix)
+       ~devices:[ "R1"; "R2"; "R4" ])
+
+(* The footprint is an aggregate: its row exists only while a component
+   reaches the aggregating device, so a restriction that misses the
+   components loses it everywhere. *)
+let test_restriction_aggregate () =
+  let b = ring_tail_island () in
+  B.add_aggregate b "R2" (pfx "99.0.0.0/16");
+  assert_restricted_exact ~msg:"aggregate: " ~devices:true ~k:1
+    (B.build b) ~input_routes:(input_at "R0")
+    (Kfailure.prefix_survives ~prefix:(pfx "99.0.0.0/16")
+       ~devices:[ "R1"; "R4" ])
+
+(* The footprint is a component of a summary-only aggregate on R3: R3
+   suppresses it, so R1 and R2 hold it only over the R0-R1-R2 arm.  The
+   closure pulls the aggregate into the restricted run alongside it. *)
+let test_restriction_summary_component () =
+  let b = ring_tail_island () in
+  B.add_aggregate b "R3" ~summary_only:true (pfx "99.0.0.0/16");
+  assert_restricted_exact ~msg:"summary-only: " ~devices:true ~k:1
+    (B.build b) ~input_routes:(input_at "R0")
+    (Kfailure.prefix_survives ~prefix:(pfx the_prefix)
+       ~devices:[ "R1"; "R2" ])
+
+(* Two generated prefixes, IPv4 and IPv6, each surviving on every border
+   under most single link failures. *)
+let test_restriction_small () =
+  let module G = Hoyan_workload.Generator in
+  let g = G.generate G.small in
+  List.iter
+    (fun p ->
+      assert_restricted_exact ~msg:("small " ^ p ^ ": ") ~devices:false ~k:1
+        g.G.model ~input_routes:g.G.input_routes
+        (Kfailure.prefix_survives ~prefix:(pfx p) ~devices:g.G.borders))
+    [ "150.0.79.0/24"; "2001:ddd:0:1::/64" ]
+
+(* ------------------------------------------------------------------ *)
 (* Randomized equivalence (qcheck) and the chaos matrix                *)
 (* ------------------------------------------------------------------ *)
 
@@ -682,6 +796,15 @@ let suite =
       test_plan_pairs;
     Alcotest.test_case "trace: whatif.analyze + whatif.simulate spans" `Quick
       test_whatif_spans;
+    Alcotest.test_case "restriction == unrestricted reference: ring" `Quick
+      test_restriction_plain;
+    Alcotest.test_case "restriction == unrestricted reference: aggregate"
+      `Quick test_restriction_aggregate;
+    Alcotest.test_case
+      "restriction == unrestricted reference: summary-only component" `Quick
+      test_restriction_summary_component;
+    Alcotest.test_case "restriction == unrestricted reference: small" `Quick
+      test_restriction_small;
     qtest prop_random_topologies_sound;
     Alcotest.test_case "chaos matrix: brute == pruned grid" `Quick
       test_chaos_matrix;

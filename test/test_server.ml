@@ -445,22 +445,6 @@ let test_budget_timeout () =
   check tint "timeout counted" 1 st.Server.st_timeouts;
   check tint "not counted as completed" 0 st.Server.st_completed
 
-let test_lpt_order () =
-  let srv =
-    Server.create
-      ~config:{ Server.default_config with Server.c_policy = Hoyan_dist.Schedule.Lpt }
-      ()
-  in
-  ignore (Server.register_snapshot srv (Lazy.force base));
-  submit_ok srv (mk_rq ~id:"cheap" Request.Lint);
-  submit_ok srv (mk_rq ~id:"costly" Request.Simulate);
-  let rs = Server.drain srv in
-  check tint "both served" 2 (List.length rs);
-  check tbool "responses come back in submission order" true
-    (List.map (fun r -> r.Server.rs_id) rs = [ "cheap"; "costly" ]);
-  check tbool "LPT executes the costly class first" true
-    (Server.executed_order srv = [ "costly"; "cheap" ])
-
 (* The splice policy: the server keeps nothing per plan, and the
    pipeline splices (against the snapshot's captured context) only when
    some intent is left after carry-over and the pre-check.  The
@@ -662,8 +646,6 @@ let suite =
     Alcotest.test_case "server: admission control" `Quick test_admission;
     Alcotest.test_case "server: zero budget -> timeout, no verdict" `Quick
       test_budget_timeout;
-    Alcotest.test_case "server: LPT drains costly classes first" `Quick
-      test_lpt_order;
     Alcotest.test_case "server: splice only what the pipeline simulates"
       `Quick test_splice_policy;
     Alcotest.test_case "shared snapshot: sequential isolation" `Quick

@@ -362,7 +362,11 @@ let test_pipeline_metrics_coverage () =
 let test_retry_telemetry () =
   let g = Lazy.force scenario in
   let tm = Telemetry.create () in
-  let fw = Framework.create ~tm ~fail_prob:0.3 ~seed:11 g.G.model in
+  let fw =
+    Framework.create ~tm
+      ~chaos:(Hoyan_dist.Chaos.make ~seed:11 ~crash_prob:0.3 ())
+      g.G.model
+  in
   let _ = Framework.run_route_phase ~subtasks:10 fw ~input_routes:g.G.input_routes in
   let resends =
     Metrics.counter_value tm.Telemetry.metrics
