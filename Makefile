@@ -44,13 +44,20 @@ diff:
 # Serve smoke: the example request stream through the verification
 # server with --selfcheck, which re-runs every executed request
 # directly through Verify_request.run and asserts the served verdict
-# is byte-identical (exit 1 on any mismatch or execution error), plus
-# the server test suite, whose mixed 8-tenant stream checks the same
-# contract under cache hits and LRU evictions (DESIGN.md §2.8).
+# is byte-identical (exit 1 on any mismatch or execution error); the
+# same stream's response blocks must match the committed
+# examples/serve_requests.expected byte for byte (the snapshot line
+# carries a timing and is left out); plus the server test suite, whose
+# mixed 8-tenant stream checks the same contract under cache hits and
+# LRU evictions (DESIGN.md §2.8).
 serve:
 	dune build @all
 	dune exec bin/hoyan_cli.exe -- serve \
 	  --requests examples/serve_requests.txt --selfcheck --no-timing
+	dune exec bin/hoyan_cli.exe -- serve \
+	  --requests examples/serve_requests.txt --no-timing \
+	  | awk '/^response /,/^end-response$$/' \
+	  | diff examples/serve_requests.expected -
 	dune exec test/test_main.exe -- test server
 
 # k-failure soundness gate: `hoyan whatif --selfcheck` runs the pruned
@@ -60,8 +67,13 @@ serve:
 # seconds), then the kfailure test suite replays the same oracle over
 # hand-built and qcheck-generated topologies for k in {1,2} and checks
 # the restricted verdicts against unrestricted fixpoints (DESIGN.md §2.9).
+# A count below 1 (-k 0, --max-scenarios 0) is a usage error (exit 2),
+# not a vacuous pass.
 whatif:
 	dune build @all
+	dune exec bin/hoyan_cli.exe -- whatif --scale small -k 0; test $$? -eq 2
+	dune exec bin/hoyan_cli.exe -- whatif --scale small --max-scenarios 0; \
+	  test $$? -eq 2
 	dune exec bin/hoyan_cli.exe -- whatif --scale small -k 1 --selfcheck; \
 	  test $$? -le 1
 	dune exec bin/hoyan_cli.exe -- whatif --scale small -k 2 --devices \

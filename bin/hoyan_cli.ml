@@ -352,8 +352,10 @@ let verify params seed plan_file devices intents distributed fail_prob
           }
     | _ -> Verify_request.From_scratch
   in
-  let stage = if diff then Verify_request.Diff else Verify_request.Simulate in
-  let res = Verify_request.run ~exec ~stage base rq in
+  let stage =
+    if diff then Verify_request.Diff exec else Verify_request.Simulate exec
+  in
+  let res = Verify_request.run ~stage base rq in
   print_string (Verify_request.report res);
   if res.Verify_request.vr_ok && selfcheck_ok then 0 else 1
 
@@ -1182,6 +1184,11 @@ let whatif params seed k devices no_links prefix on prop_name max_util
     prerr_endline "whatif: --no-links without --devices leaves nothing to fail";
     2
   end
+  else if k < 1 || Option.fold ~none:false ~some:(fun n -> n < 1) max_scenarios
+  then begin
+    prerr_endline "whatif: -k and --max-scenarios must be at least 1";
+    2
+  end
   else
     let prefix =
       match prefix with
@@ -1298,34 +1305,8 @@ let whatif params seed k devices no_links prefix on prop_name max_util
                       ]))
             end
             else begin
-              Printf.printf "property: %s\n" res.Kfailure.kr_property;
-              Printf.printf
-                "scenarios: %d total (k<=%d); %d carried from base, %d \
-                 static, %d replicated, %d simulated%s\n"
-                res.Kfailure.kr_total res.Kfailure.kr_k
-                res.Kfailure.kr_carried res.Kfailure.kr_static
-                res.Kfailure.kr_replicated res.Kfailure.kr_simulated
-                (if res.Kfailure.kr_sampled then
-                   Printf.sprintf " (SAMPLED: %d of %d checked)"
-                     res.Kfailure.kr_checked res.Kfailure.kr_total
-                 else "");
-              if res.Kfailure.kr_violations = [] then
-                Printf.printf "verdict: HOLDS under all checked scenarios \
-                               (%.3fs)\n"
-                  dt
-              else begin
-                Printf.printf "verdict: %d violating scenario(s) (%.3fs)\n"
-                  (List.length res.Kfailure.kr_violations)
-                  dt;
-                List.iter
-                  (fun (s : Kfailure.scenario_result) ->
-                    Printf.printf "  [%s] %s\n"
-                      (String.concat ", "
-                         (List.map Kfailure.failure_to_string
-                            s.Kfailure.sr_failures))
-                      (Option.value s.Kfailure.sr_violation ~default:""))
-                  res.Kfailure.kr_violations
-              end
+              print_string (Kfailure.body res);
+              Printf.printf "time: %.3fs\n" dt
             end;
             if mismatches > 0 then 2
             else if res.Kfailure.kr_violations <> [] then 1

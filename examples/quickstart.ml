@@ -75,13 +75,14 @@ let () =
      object store, workers), as §3.2 describes. *)
   let res_dist =
     Verify_request.run
-      ~exec:
-        (Verify_request.Distributed
-           {
-             subtasks = 16;
-             chaos = Hoyan_dist.Chaos.none;
-             on_partial = `Refuse;
-           })
+      ~stage:
+        (Verify_request.Simulate
+           (Verify_request.Distributed
+              {
+                subtasks = 16;
+                chaos = Hoyan_dist.Chaos.none;
+                on_partial = `Refuse;
+              }))
       base request
   in
   let agrees =

@@ -583,34 +583,39 @@ type plan = {
   pl_opaque : bool;
 }
 
+let singletons ~devices ~links (topo : Topology.t) ~(k : int) : plan =
+  let scen = scenarios_up_to ~k (candidates ~devices ~links topo) in
+  let total = List.length scen in
+  {
+    pl_k = k;
+    pl_scenarios = scen;
+    pl_class_of = Array.init total Fun.id;
+    pl_classes =
+      List.map
+        (fun s -> { cl_rep = s; cl_members = [ s ]; cl_decision = Simulate })
+        scen;
+    pl_total = total;
+    pl_carried = 0;
+    pl_static = 0;
+    pl_replicated = 0;
+    pl_to_simulate = total;
+    pl_opaque = true;
+  }
+
 let analyze ?tm ?(devices = false) ?(links = true) (t : t) ~(k : int)
     (fp : footprint) : plan =
   let tm = match tm with Some tm -> tm | None -> t.an_tm in
   Telemetry.with_span tm "whatif.analyze" (fun () ->
-      let cands = candidates ~devices ~links t.an_topo in
-      let scen = scenarios_up_to ~k cands in
-      let total = List.length scen in
       match footprint_prefixes fp with
       | [] ->
           (* Opaque property (or an empty footprint): nothing to prune
              with — every scenario is its own class and simulates. *)
-          {
-            pl_k = k;
-            pl_scenarios = scen;
-            pl_class_of = Array.init total Fun.id;
-            pl_classes =
-              List.map
-                (fun s ->
-                  { cl_rep = s; cl_members = [ s ]; cl_decision = Simulate })
-                scen;
-            pl_total = total;
-            pl_carried = 0;
-            pl_static = 0;
-            pl_replicated = 0;
-            pl_to_simulate = total;
-            pl_opaque = true;
-          }
+          singletons ~devices ~links t.an_topo ~k
       | ps ->
+          let scen =
+            scenarios_up_to ~k (candidates ~devices ~links t.an_topo)
+          in
+          let total = List.length scen in
           (* Relevant prefixes: the footprint plus aggregate
              contributors; their closures share the memo table. *)
           let rp =

@@ -180,6 +180,12 @@ type plan = {
   pl_opaque : bool;  (** footprint gave the analysis nothing to prune with *)
 }
 
+(** The unpruned plan: every scenario of size 1..k over the topology's
+    candidate failures is its own [Simulate] class.  Needs no analysis
+    context: it is the brute-force sweep's plan, and what {!analyze}
+    returns for a footprint that gives it nothing to prune with. *)
+val singletons : devices:bool -> links:bool -> Topology.t -> k:int -> plan
+
 (** Enumerate all scenarios of size 1..k over the candidate set and
     partition them into verdict-equivalence classes. *)
 val analyze :

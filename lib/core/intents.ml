@@ -114,6 +114,17 @@ let flow_result_for (tr : Traffic_sim.result) (f : Flow.t) =
     (fun (fr : Traffic_sim.flow_result) -> Flow.equal fr.Traffic_sim.f_flow f)
     tr.Traffic_sim.flow_results
 
+(** The devices holding a selected row for [prefix], in one pass over
+    the RIB (then O(1) per device, not a scan per device). *)
+let holders (rib : Rib.t) (prefix : Prefix.t) : (string, unit) Hashtbl.t =
+  let present = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Route.t) ->
+      if Prefix.equal r.Route.prefix prefix && Route.selected r then
+        Hashtbl.replace present r.Route.device ())
+    (rib :> Route.t list);
+  present
+
 (* ------------------------------------------------------------------ *)
 (* Verification                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -129,16 +140,10 @@ let verify (intent : t) ~(model : Model.t) ~(base_rib : Rib.t)
     ~(updated_traffic : Traffic_sim.result Lazy.t) : violation list =
   match intent with
   | Route_reach { rr_prefix; rr_devices; rr_expect } ->
+      let holders = holders updated_rib rr_prefix in
       List.filter_map
         (fun dev ->
-          let present =
-            List.exists
-              (fun (r : Route.t) ->
-                String.equal r.Route.device dev
-                && Prefix.equal r.Route.prefix rr_prefix
-                && Route.selected r)
-              (updated_rib :> Route.t list)
-          in
+          let present = Hashtbl.mem holders dev in
           if present = rr_expect then None
           else
             let related =

@@ -52,14 +52,7 @@ let prefix_survives ~prefix ~devices =
     p_footprint = Feq.Reach_all (prefix, devices);
     p_check =
       (fun ~model:_ ~rib ~traffic:_ ->
-        (* one pass over the RIB into a device set, then O(1) lookups —
-           not a per-device linear scan *)
-        let present = Hashtbl.create 64 in
-        List.iter
-          (fun (r : Route.t) ->
-            if Prefix.equal r.Route.prefix prefix && Route.selected r then
-              Hashtbl.replace present r.Route.device ())
-          (rib :> Route.t list);
+        let present = Intents.holders rib prefix in
         let missing =
           List.filter (fun dev -> not (Hashtbl.mem present dev)) devices
         in
@@ -145,13 +138,16 @@ let simulate_scenario ?only (model : Model.t) ~input_routes ~flows
     the brute-force oracle for tests and benches.  [max_scenarios], when
     given, caps the number of {e simulated representatives} by
     deterministic stride; dropped classes are reported as unchecked via
-    [kr_total]/[kr_checked] and [kr_sampled].  [inc], a captured
+    [kr_total]/[kr_checked] and [kr_sampled].  [k] and [max_scenarios]
+    below 1 raise [Invalid_argument].  [inc], a captured
     context of [model], lends its cached base RIB and FIBs to the base
     verdict instead of re-converging; the restriction does not need
     it. *)
 let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
     ?(links = true) ?inc (model : Model.t) ~(input_routes : Route.t list)
     ~(flows : Flow.t list) ~(k : int) (prop : property) : result =
+  if k < 1 || Option.fold ~none:false ~some:(fun c -> c < 1) max_scenarios
+  then invalid_arg "Kfailure.check: k and max_scenarios must be at least 1";
   (* Prefix-enumerable footprints restrict every fixpoint — each
      representative's and the base verdict's — to the footprint's
      aggregate closure.  [Opaque] footprints (traffic properties)
@@ -174,36 +170,7 @@ let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
         Feq.create ?tm ~te_aware:model.Model.te_aware g ~input_routes
       in
       Feq.analyze ?tm ~devices ~links an ~k prop.p_footprint
-    else begin
-      (* brute force: one singleton simulate-class per scenario *)
-      let cands = Feq.candidates ~devices ~links model.Model.topo in
-      let scen =
-        List.concat_map
-          (fun i -> Feq.combinations i cands)
-          (List.init k (fun i -> i + 1))
-      in
-      let total = List.length scen in
-      {
-        Feq.pl_k = k;
-        pl_scenarios = scen;
-        pl_class_of = Array.init total Fun.id;
-        pl_classes =
-          List.map
-            (fun s ->
-              {
-                Feq.cl_rep = s;
-                cl_members = [ s ];
-                cl_decision = Feq.Simulate;
-              })
-            scen;
-        pl_total = total;
-        pl_carried = 0;
-        pl_static = 0;
-        pl_replicated = 0;
-        pl_to_simulate = total;
-        pl_opaque = true;
-      }
-    end
+    else Feq.singletons ~devices ~links model.Model.topo ~k
   in
   (* The base verdict backs every carried scenario; forced only when a
      base-equivalent class exists. *)
@@ -237,7 +204,7 @@ let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
   in
   let chosen_ids, sampled =
     match max_scenarios with
-    | Some cap when List.length sim_ids > cap && cap > 0 ->
+    | Some cap when List.length sim_ids > cap ->
         let n = List.length sim_ids in
         let stride = (n + cap - 1) / cap in
         (List.filteri (fun i _ -> i mod stride = 0) sim_ids, true)
@@ -316,3 +283,26 @@ let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
     kr_sampled = sampled;
     kr_violations = violations;
   }
+
+(* The deterministic verdict body of a sweep: counts and violations, no
+   timings — the server's whatif response and [hoyan whatif]'s text
+   output.  The [sampled] line appears only under a [max_scenarios]
+   cap. *)
+let body (r : result) : string =
+  let b = Buffer.create 256 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  line "verdict: %s" (if r.kr_violations = [] then "PASS" else "FAIL");
+  line "whatif: property %s" r.kr_property;
+  line
+    "whatif: %d scenario(s) (k<=%d); %d carried, %d static, %d replicated, \
+     %d simulated"
+    r.kr_total r.kr_k r.kr_carried r.kr_static r.kr_replicated r.kr_simulated;
+  if r.kr_sampled then
+    line "sampled: %d of %d scenario(s) checked" r.kr_checked r.kr_total;
+  List.iter
+    (fun (s : scenario_result) ->
+      line "violation: [%s] %s"
+        (String.concat ", " (List.map failure_to_string s.sr_failures))
+        (Option.value s.sr_violation ~default:""))
+    r.kr_violations;
+  Buffer.contents b

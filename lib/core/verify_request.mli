@@ -54,7 +54,6 @@ type result = {
           differential pass proved their prefixes lie outside the
           change's dirty region *)
   vr_route : route_run;
-  vr_updated_model : Hoyan_sim.Model.t;
   vr_base_rib : Rib.t;
   vr_updated_rib : Rib.t;
   vr_updated_traffic : Hoyan_sim.Traffic_sim.result Lazy.t;
@@ -74,21 +73,6 @@ val total_seconds : result -> float
     state misses their results; [vr_ok] is never [true] then. *)
 val partial : result -> bool
 
-(** How far a request runs.  Each constructor is one request class of
-    the verification server ({!Hoyan_server.Server}):
-
-    {v
-    stage     lint pass            plan applied  carry-over  pre-checker  route phase
-    Lint      yes; gates on errors no            no          no           no
-    Precheck  no                   yes           no          yes          no
-    Simulate  yes; recorded only   yes           no          yes          yes
-    Diff      yes; recorded only   yes           yes         yes          yes
-    v}
-
-    Under [Precheck], intents the pre-checker left [Needs_simulation]
-    stay open: the verdict covers only the statically decided part. *)
-type stage = Lint | Precheck | Simulate | Diff
-
 (** How the route phase of a request is executed.  Every executor
     yields the same verdicts as [From_scratch]; they differ in cost and
     in what the result reports about the run. *)
@@ -99,8 +83,8 @@ type executor =
       (** re-converge only the plan's dirty region and splice into the
           context's cached base RIB/FIBs ([Spliced] reports the
           accounting; broad plans fall back to a full run inside the
-          engine).  Like every executor it runs only in the route-sim
-          step, so a request whose intents all carry over or resolve
+          engine).  Like every executor it runs only in the route
+          phase, so a request whose intents all carry over or resolve
           statically never splices. *)
   | Distributed of {
       subtasks : int;
@@ -117,18 +101,34 @@ type executor =
           the result is {!partial} — a partial result is never
           [vr_ok]. *)
 
-(** Run one change-verification request against the pre-processed base,
-    as far as [stage] (default {!Simulate}) goes.  The lint pass lints
-    the base configs, the change plan and the request's RCL specs first;
-    under {!Lint} an error-severity diagnostic fails the request, under
-    {!Simulate} and {!Diff} the findings are only recorded.  Traffic
-    simulation is forced only when a traffic-level intent is present.
-    Prefixes in the plan's [cp_withdraw] are removed from the inputs;
-    [cp_new_routes] are added (new prefix announcement).  [tm] (default:
-    the process-global telemetry handle) receives per-phase spans and
-    gate events.
+(** How far a request runs.  Each constructor is one request class of
+    the verification server ({!Hoyan_server.Server}); the two that
+    simulate carry the executor of their route phase:
 
-    [exec] (default {!From_scratch}) picks how routes are simulated.
+    {v
+    stage       lint pass            plan applied  carry-over  pre-checker  route phase
+    Lint        yes; gates on errors no            no          no           no
+    Precheck    no                   yes           no          yes          no
+    Simulate e  yes; recorded only   yes           no          yes          yes, by e
+    Diff e      yes; recorded only   yes           yes         yes          yes, by e
+    v}
+
+    Under [Precheck], intents the pre-checker left [Needs_simulation]
+    stay open: the verdict covers only the statically decided part. *)
+type stage = Lint | Precheck | Simulate of executor | Diff of executor
+
+(** Run one change-verification request against the pre-processed base,
+    as far as [stage] (default [Simulate From_scratch]) goes.  The lint
+    pass lints the base configs, the change plan and the request's RCL
+    specs first; under {!Lint} an error-severity diagnostic fails the
+    request and nothing else runs, under {!Simulate} and {!Diff} the
+    findings are only recorded.  Every other stage runs one sequence:
+    apply the plan, carry over ({!Diff} only), pre-check, route phase
+    ({!Precheck} stops before it), check.  Traffic simulation is forced
+    only when a traffic-level intent is present.  Prefixes in the plan's
+    [cp_withdraw] are removed from the inputs; [cp_new_routes] are added
+    (new prefix announcement).  [tm] (default: the process-global
+    telemetry handle) receives per-phase spans and gate events.
 
     The static intent pre-checker ({!Hoyan_analysis.Semantic}) runs on
     the updated model before simulating: statically refuted intents
@@ -155,17 +155,20 @@ type executor =
     re-verified. *)
 val run :
   ?tm:Hoyan_telemetry.Telemetry.t ->
-  ?exec:executor ->
   ?stage:stage ->
   Preprocess.base ->
   request ->
   result
 
-(** Human-readable report (PASS/FAIL, warnings, violations with their
-    counterexamples). *)
-val report : result -> string
-
-(** The server's deterministic verdict body: no timings and no request
-    name, so the same semantic request always renders the same bytes.
-    Shares its lint, plan-warning and violation lines with {!report}. *)
+(** The deterministic verdict body, and the only renderer of a
+    verdict's lines (verdict, gate, simulation skip, carry-over,
+    pre-check, lint, plan warnings, violations with their
+    counterexamples): no timings and no request name, so the same
+    semantic request always renders the same bytes.  The server's
+    responses carry it. *)
 val body : result -> string
+
+(** Human-readable report: a header (request name, wall time, and the
+    splice or subtask-coverage accounting of the route run) followed by
+    {!body}. *)
+val report : result -> string

@@ -129,15 +129,23 @@ let create ?tm ?(config = default_config) () =
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The one snapshot dedup: re-registering identical content (a replayed
+   snapshot list, two tenants uploading the same base) is a table hit
+   that costs one digest, not a re-convergence. *)
 let register_snapshot t (base : Preprocess.base) : Snapshot.t =
   let digest = Snapshot.digest_of_base base in
   match Hashtbl.find_opt t.snaps digest with
-  | Some s -> s
+  | Some s ->
+      Telemetry.count t.tm "hoyan_server_snapshot_dedup_total" 1;
+      if Telemetry.enabled t.tm then
+        Telemetry.event t.tm "server.snapshot.dedup"
+          [ ("snapshot", Journal.S digest) ];
+      s
   | None ->
-      let s = Snapshot.register ~tm:t.tm base in
-      Hashtbl.replace t.snaps s.Snapshot.sn_digest s;
-      t.snap_order <- s.Snapshot.sn_digest :: t.snap_order;
-      if t.default_snap = None then t.default_snap <- Some s.Snapshot.sn_digest;
+      let s = Snapshot.register ~tm:t.tm ~digest base in
+      Hashtbl.replace t.snaps digest s;
+      t.snap_order <- digest :: t.snap_order;
+      if t.default_snap = None then t.default_snap <- Some digest;
       s
 
 let find_snapshot t digest = Hashtbl.find_opt t.snaps digest
@@ -180,64 +188,52 @@ let run_whatif ?(tm = Telemetry.noop) ?inc (snap : Snapshot.t)
           ~input_routes:base.Preprocess.b_input_routes
           ~flows:base.Preprocess.b_flows ~k:rq.Request.r_k prop
       in
-      let b = Buffer.create 256 in
-      Buffer.add_string b
-        (Printf.sprintf "verdict: %s\n"
-           (if res.Kfailure.kr_violations = [] then "PASS" else "FAIL"));
-      Buffer.add_string b
-        (Printf.sprintf "whatif: property %s\n" res.Kfailure.kr_property);
-      Buffer.add_string b
-        (Printf.sprintf
-           "whatif: %d scenario(s) (k<=%d); %d carried, %d static, %d \
-            replicated, %d simulated\n"
-           res.Kfailure.kr_total res.Kfailure.kr_k res.Kfailure.kr_carried
-           res.Kfailure.kr_static res.Kfailure.kr_replicated
-           res.Kfailure.kr_simulated);
-      List.iter
-        (fun (s : Kfailure.scenario_result) ->
-          Buffer.add_string b
-            (Printf.sprintf "violation: [%s] %s\n"
-               (String.concat ", "
-                  (List.map Kfailure.failure_to_string s.Kfailure.sr_failures))
-               (Option.value s.Kfailure.sr_violation ~default:"")))
-        res.Kfailure.kr_violations;
       ( (if res.Kfailure.kr_violations = [] then Ok else Fail),
-        Buffer.contents b )
+        Kfailure.body res )
+
+(* The class-to-stage table, one for both front doors.  [inc] (the
+   snapshot's lazily captured context) is forced only by the classes
+   that simulate: with it they splice and the sweep reuses its base
+   state, without it they run from scratch.  Lint and precheck never
+   simulate, so they leave it uncaptured. *)
+let stage_of ?inc (cls : Request.rq_class) =
+  let ctx () = Option.map Lazy.force inc in
+  let exec () =
+    match ctx () with
+    | Some cx -> Verify_request.Splice cx
+    | None -> Verify_request.From_scratch
+  in
+  match cls with
+  | Request.Lint -> `Verify Verify_request.Lint
+  | Request.Precheck -> `Verify Verify_request.Precheck
+  | Request.Simulate -> `Verify (Verify_request.Simulate (exec ()))
+  | Request.Diff -> `Verify (Verify_request.Diff (exec ()))
+  | Request.Whatif -> `Whatif (ctx ())
 
 (* Internal variant returning the per-phase timing split (route/static
    pipeline seconds, traffic-forcing seconds) so [execute_one] can
    attribute the server.request span honestly instead of lumping the
    lazy traffic cost into the route-simulation time. *)
-let run_direct_timed ?(tm = Telemetry.noop)
-    ?(exec = Verify_request.From_scratch) (snap : Snapshot.t)
+let run_direct_timed ?(tm = Telemetry.noop) ?inc (snap : Snapshot.t)
     (rq : Request.t) : status * string * float * float =
-  let base = snap.Snapshot.sn_base in
-  let vrq =
-    {
-      Verify_request.rq_name = rq.Request.r_id;
-      rq_plan = rq.Request.r_plan;
-      rq_intents = rq.Request.r_intents;
-    }
-  in
-  let verify stage =
-    let res = Verify_request.run ~tm ~exec ~stage base vrq in
-    ( (if res.Verify_request.vr_ok then Ok else Fail),
-      Verify_request.body res,
-      res.Verify_request.vr_sim_seconds,
-      !(res.Verify_request.vr_traffic_seconds) )
-  in
   try
-    match rq.Request.r_class with
-    | Request.Whatif ->
-        let inc =
-          match exec with Verify_request.Splice cx -> Some cx | _ -> None
-        in
+    match stage_of ?inc rq.Request.r_class with
+    | `Whatif inc ->
         let st, body = run_whatif ~tm ?inc snap rq in
         (st, body, 0., 0.)
-    | Request.Lint -> verify Verify_request.Lint
-    | Request.Precheck -> verify Verify_request.Precheck
-    | Request.Diff -> verify Verify_request.Diff
-    | Request.Simulate -> verify Verify_request.Simulate
+    | `Verify stage ->
+        let res =
+          Verify_request.run ~tm ~stage snap.Snapshot.sn_base
+            {
+              Verify_request.rq_name = rq.Request.r_id;
+              rq_plan = rq.Request.r_plan;
+              rq_intents = rq.Request.r_intents;
+            }
+        in
+        ( (if res.Verify_request.vr_ok then Ok else Fail),
+          Verify_request.body res,
+          res.Verify_request.vr_sim_seconds,
+          !(res.Verify_request.vr_traffic_seconds) )
   with e -> (Error (Printexc.to_string e), "", 0., 0.)
 
 let run_direct (snap : Snapshot.t) (rq : Request.t) : status * string =
@@ -324,16 +320,6 @@ let submit t (rq : Request.t) : (unit, response) result =
 (* The drain loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The executor a request runs under: the simulating classes splice
-   against the snapshot's captured base context, forced by the first
-   such request.  Nothing is kept per plan; a simulate or diff request
-   whose intents all carry over or resolve statically never splices. *)
-let inc_for (snap : Snapshot.t) (rq : Request.t) : Verify_request.executor =
-  match rq.Request.r_class with
-  | Request.Lint | Request.Precheck -> Verify_request.From_scratch
-  | Request.Simulate | Request.Diff | Request.Whatif ->
-      Verify_request.Splice (Lazy.force snap.Snapshot.sn_inc)
-
 let execute_one t (p : pending) : response =
   let rq = p.p_rq in
   let sp =
@@ -351,8 +337,11 @@ let execute_one t (p : pending) : response =
   in
   let t0 = Unix.gettimeofday () in
   let queue_s = t0 -. p.p_submit_t in
+  (* the simulating classes splice against the snapshot's captured
+     context, forced by the first such request; nothing is kept per
+     plan *)
   let run () =
-    run_direct_timed ~tm:t.tm ~exec:(inc_for p.p_snap rq) p.p_snap rq
+    run_direct_timed ~tm:t.tm ~inc:p.p_snap.Snapshot.sn_inc p.p_snap rq
   in
   let status, body, cached, sim_s, traffic_s =
     if rq.Request.r_no_cache then

@@ -73,8 +73,9 @@ val create : ?tm:Hoyan_telemetry.Telemetry.t -> ?config:config -> unit -> t
 
 (** Register a base as a shared snapshot.  The first registration
     becomes the default target for requests that name no snapshot.
-    Re-registering identical content is a no-op returning the existing
-    snapshot. *)
+    The server's snapshot table is the one dedup: re-registering
+    identical content costs one digest, returns the existing snapshot
+    and counts [hoyan_server_snapshot_dedup_total]. *)
 val register_snapshot : t -> Hoyan_core.Preprocess.base -> Snapshot.t
 
 val find_snapshot : t -> string -> Snapshot.t option
@@ -94,16 +95,18 @@ val drain : t -> response list
 
 (** The single execution path: run one request against a snapshot
     through {!Hoyan_core.Verify_request.run} at the class's stage
-    (whatif: the k-failure sweep), rendered by
-    {!Hoyan_core.Verify_request.body},
-    bypassing queue, cache and budgets.  The server's executed
-    responses are byte-identical to this — the server test suite and
-    [--selfcheck] assert it.  The drain loop runs the simulating
-    classes under {!Hoyan_core.Verify_request.Splice} instead, over the
-    snapshot's captured context ({!Snapshot.sn_inc}); the pipeline
-    splices only when some intent is left after carry-over and the
-    pre-check, and the server keeps nothing per plan.  The incremental
-    engine's splice contract is exactly what makes the identity hold. *)
+    ([simulate] and [diff] with the [From_scratch] executor), rendered
+    by {!Hoyan_core.Verify_request.body} — or, for [whatif], the
+    k-failure sweep rendered by {!Hoyan_core.Kfailure.body} — bypassing
+    queue, cache and budgets.  The server's executed responses are
+    byte-identical to this — the server test suite and [--selfcheck]
+    assert it.  The drain loop maps each class to its stage through the
+    same table, but the simulating stages carry the
+    {!Hoyan_core.Verify_request.Splice} executor over the snapshot's
+    captured context ({!Snapshot.sn_inc}); the pipeline splices only
+    when some intent is left after carry-over and the pre-check, and the
+    server keeps nothing per plan.  The incremental engine's splice
+    contract is exactly what makes the identity hold. *)
 val run_direct :
   Snapshot.t ->
   Request.t ->

@@ -72,27 +72,13 @@ let digest_of_base (base : Preprocess.base) : string =
     (List.sort String.compare (List.map Flow.to_string base.Preprocess.b_flows));
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* digest -> registered snapshot.  [register] used to force the base
-   RIB/traffic unconditionally, so re-registering the same base (server
-   restart replaying its snapshot list, two tenants uploading the same
-   base) paid the full convergence again; now the second registration is
-   a table hit. *)
-let registry : (string, t) Hashtbl.t = Hashtbl.create 16
+(* Registration dedups in the server's own snapshot table; nothing here
+   outlives the server that registered it. *)
+let reset_registry () = ()
 
-let reset_registry () = Hashtbl.reset registry
-
-let register ?tm (base : Preprocess.base) : t =
+let register ?tm ~digest (base : Preprocess.base) : t =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
   Telemetry.with_span tm "server.snapshot" @@ fun () ->
-  let digest = digest_of_base base in
-  match Hashtbl.find_opt registry digest with
-  | Some existing ->
-      Telemetry.count tm "hoyan_server_snapshot_dedup_total" 1;
-      if Telemetry.enabled tm then
-        Telemetry.event tm "server.snapshot.dedup"
-          [ ("snapshot", Hoyan_telemetry.Journal.S digest) ];
-      existing
-  | None ->
   let t0 = Unix.gettimeofday () in
   (* converge the shared state once: every later request reads these
      results; none re-runs the base fixpoints *)
@@ -120,7 +106,6 @@ let register ?tm (base : Preprocess.base) : t =
       "hoyan_server_snapshot_rib_rows" (float_of_int t.sn_rib_rows);
     Telemetry.observe tm "hoyan_server_snapshot_converge_seconds" converge_s
   end;
-  Hashtbl.replace registry digest t;
   t
 
 let to_string (t : t) : string =

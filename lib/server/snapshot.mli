@@ -34,18 +34,20 @@ type t = {
     regardless of construction order. *)
 val digest_of_base : Hoyan_core.Preprocess.base -> string
 
-(** Register a base: compute its digest and force the converged state.
-    Registration is deduplicated on the digest: a base whose digest is
-    already registered returns the {e existing} snapshot without
-    re-forcing anything (counted as
-    [hoyan_server_snapshot_dedup_total]), so replayed or duplicate
-    registrations cost one digest computation, not a re-convergence.
-    [tm] receives a [server.snapshot] span and registration gauges. *)
+(** Register a base under [digest] (its {!digest_of_base}, computed by
+    the caller) and force its converged state.  Every call builds a
+    fresh snapshot: deduplication on the digest is the server's
+    ({!Hoyan_server.Server.register_snapshot}).  [tm] receives a
+    [server.snapshot] span and registration gauges. *)
 val register :
-  ?tm:Hoyan_telemetry.Telemetry.t -> Hoyan_core.Preprocess.base -> t
+  ?tm:Hoyan_telemetry.Telemetry.t ->
+  digest:string ->
+  Hoyan_core.Preprocess.base ->
+  t
 
-(** Drop all registered snapshots (tests only: makes registration
-    behavior deterministic across test cases). *)
+(** A no-op: there is no process-global snapshot table any more.  Kept
+    only because the benchmark harness still calls it; it goes with the
+    next change to that harness. *)
 val reset_registry : unit -> unit
 
 (** One-line summary (digest prefix, sizes, convergence cost). *)

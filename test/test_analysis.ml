@@ -242,7 +242,7 @@ let test_gate () =
   Alcotest.(check (list string)) "no simulation ran" []
     (List.map (fun _ -> "route") (r.VR.vr_updated_rib :> Route.t list));
   (* Simulate: diagnostics recorded, run proceeds *)
-  let r = VR.run ~stage:VR.Simulate base rq in
+  let r = VR.run ~stage:(VR.Simulate VR.From_scratch) base rq in
   Alcotest.(check bool) "Simulate does not gate" false r.VR.vr_gated;
   Alcotest.(check bool) "Simulate still reports" true (r.VR.vr_lint <> []);
   (* Precheck: no lint pass, nothing recorded *)

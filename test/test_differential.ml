@@ -384,7 +384,7 @@ let test_vr_diff_noop_carries_all () =
       rq_intents = intents;
     }
   in
-  let r = VR.run ~stage:VR.Diff b rq in
+  let r = VR.run ~stage:(VR.Diff VR.From_scratch) b rq in
   (match r.VR.vr_diff with
   | Some (cls, carried) ->
       check tbool "plan classified no-op" true (cls = Differential.No_op);
@@ -410,7 +410,7 @@ let test_vr_diff_partitions () =
       rq_intents = [ reach_intent r0; reach_intent r1 ];
     }
   in
-  let r = VR.run ~stage:VR.Diff b rq in
+  let r = VR.run ~stage:(VR.Diff VR.From_scratch) b rq in
   let cls, carried = Option.get r.VR.vr_diff in
   check tbool "withdrawal is a propagating change" true
     (cls = Differential.Propagating);

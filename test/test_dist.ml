@@ -620,10 +620,11 @@ let test_verify_partial_refusal () =
     }
   in
   let dist ?(chaos = Chaos.none) on_partial =
-    Verify_request.Distributed { subtasks = 10; chaos; on_partial }
+    Verify_request.Simulate
+      (Verify_request.Distributed { subtasks = 10; chaos; on_partial })
   in
   let chaos = Chaos.make ~lose_always:[ "route-001.rib" ] () in
-  let res = Verify_request.run ~exec:(dist ~chaos `Refuse) base rq in
+  let res = Verify_request.run ~stage:(dist ~chaos `Refuse) base rq in
   check tbool "partial flagged" true (Verify_request.partial res);
   check tbool "partial is never ok" false res.Verify_request.vr_ok;
   (match res.Verify_request.vr_route with
@@ -638,11 +639,11 @@ let test_verify_partial_refusal () =
   check tint "no simulated violations under refusal" 0
     (List.length res.Verify_request.vr_violations);
   (* graceful degradation verifies anyway, but stays flagged and failed *)
-  let res2 = Verify_request.run ~exec:(dist ~chaos `Degrade) base rq in
+  let res2 = Verify_request.run ~stage:(dist ~chaos `Degrade) base rq in
   check tbool "degrade: still partial, still not ok" true
     (Verify_request.partial res2 && not res2.Verify_request.vr_ok);
   (* and a chaos-free distributed run is complete and passes *)
-  let res3 = Verify_request.run ~exec:(dist `Refuse) base rq in
+  let res3 = Verify_request.run ~stage:(dist `Refuse) base rq in
   check tbool "no chaos: complete" false (Verify_request.partial res3);
   (match res3.Verify_request.vr_route with
   | Verify_request.Merged c ->

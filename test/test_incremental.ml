@@ -413,7 +413,11 @@ let test_verify_request_inc_agrees () =
     }
   in
   let full = Verify_request.run b rq in
-  let inc = Verify_request.run ~exec:(Verify_request.Splice cx) b rq in
+  let inc =
+    Verify_request.run
+      ~stage:(Verify_request.Simulate (Verify_request.Splice cx))
+      b rq
+  in
   check tbool "same verdict" full.Verify_request.vr_ok
     inc.Verify_request.vr_ok;
   check tbool "same updated RIB" true
@@ -449,7 +453,8 @@ let test_partial_base_refuses_carryover () =
     | Some (_, carried) -> carried
     | None -> Alcotest.fail "Diff stage without a classification"
   in
-  let r1 = Verify_request.run ~stage:Verify_request.Diff healthy rq in
+  let diff = Verify_request.Diff Verify_request.From_scratch in
+  let r1 = Verify_request.run ~stage:diff healthy rq in
   check tbool "healthy base carries over" true (carried r1 <> []);
   (* partial base (converged state from a run with failed subtasks):
      carry-over must be refused, every intent re-verified *)
@@ -457,7 +462,7 @@ let test_partial_base_refuses_carryover () =
     Preprocess.prepare ~partial:true g.G.model
       ~monitored_routes:g.G.input_routes ~monitored_flows:g.G.flows
   in
-  let r2 = Verify_request.run ~stage:Verify_request.Diff partial rq in
+  let r2 = Verify_request.run ~stage:diff partial rq in
   check tint "partial base carries nothing" 0 (List.length (carried r2));
   check tbool "intents still verified (not silently dropped)" true
     r2.Verify_request.vr_ok
@@ -491,26 +496,6 @@ let test_traffic_seconds_attribution () =
   let r2 = Verify_request.run b rq2 in
   check tbool "in-run forcing accounted" true
     (!(r2.Verify_request.vr_traffic_seconds) > 0.)
-
-(* --- satellite 3: snapshot registration dedups on digest ------------ *)
-
-let test_snapshot_register_dedup () =
-  Snapshot.reset_registry ();
-  let b = Lazy.force base in
-  let s1 = Snapshot.register b in
-  let s2 = Snapshot.register b in
-  check tbool "same digest" true
-    (String.equal s1.Snapshot.sn_digest s2.Snapshot.sn_digest);
-  check tbool "second registration returns the existing snapshot" true
-    (s1 == s2);
-  (* content-identical but separately built base: still deduped *)
-  let g = Lazy.force scenario in
-  let b' =
-    Preprocess.prepare g.G.model ~monitored_routes:g.G.input_routes
-      ~monitored_flows:g.G.flows
-  in
-  let s3 = Snapshot.register b' in
-  check tbool "identical content dedups too" true (s1 == s3)
 
 (* --- kfailure: footprint-restricted scenario re-runs ---------------- *)
 
@@ -580,8 +565,6 @@ let suite =
       test_partial_base_refuses_carryover;
     Alcotest.test_case "traffic cost attributed at the forcing site" `Quick
       test_traffic_seconds_attribution;
-    Alcotest.test_case "snapshot registration dedups on digest" `Quick
-      test_snapshot_register_dedup;
     Alcotest.test_case "kfailure: restricted scenarios agree" `Quick
       test_kfailure_restricted_agrees;
   ]

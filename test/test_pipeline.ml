@@ -172,9 +172,14 @@ let test_distributed_mode_agrees () =
   let direct = Verify_request.run b rq in
   let dist =
     Verify_request.run
-      ~exec:
-        (Verify_request.Distributed
-           { subtasks = 9; chaos = Hoyan_dist.Chaos.none; on_partial = `Refuse })
+      ~stage:
+        (Verify_request.Simulate
+           (Verify_request.Distributed
+              {
+                subtasks = 9;
+                chaos = Hoyan_dist.Chaos.none;
+                on_partial = `Refuse;
+              }))
       b rq
   in
   check tbool "distributed mode passes too" true dist.Verify_request.vr_ok;
@@ -297,18 +302,20 @@ let test_executor_oracle () =
         }
       in
       List.iter
-        (fun stage ->
-          let reference = Verify_request.run ~stage b rq in
+        (fun (diffing, stage) ->
+          let reference =
+            Verify_request.run ~stage:(stage Verify_request.From_scratch) b rq
+          in
           List.iter
             (fun (v : Intents.violation) ->
               if List.length v.Intents.v_routes > 1 then incr listed)
             reference.Verify_request.vr_violations;
           List.iter
             (fun (name, exec) ->
-              let r = Verify_request.run ~exec ~stage b rq in
+              let r = Verify_request.run ~stage:(stage exec) b rq in
               let what field =
                 Printf.sprintf "%s, %s, diff=%b: %s" plan.Cp.cp_name name
-                  (stage = Verify_request.Diff) field
+                  diffing field
               in
               check Alcotest.string (what "body")
                 (Verify_request.body reference)
@@ -321,7 +328,10 @@ let test_executor_oracle () =
                 (Rib.equal reference.Verify_request.vr_updated_rib
                    r.Verify_request.vr_updated_rib))
             executors)
-        [ Verify_request.Simulate; Verify_request.Diff ])
+        [
+          (false, fun e -> Verify_request.Simulate e);
+          (true, fun e -> Verify_request.Diff e);
+        ])
     plans;
   (* the bodies compared above really list several rows *)
   check tbool "violations list several rows" true (!listed >= 3 * 2)
@@ -421,6 +431,78 @@ let test_audits () =
          && String.sub f.Audit.af_task 0 7 = "no-leak")
        findings2)
 
+(* --- Route_reach reads the RIB once -------------------------------------- *)
+
+(* The per-device scan [Intents.verify] used to run for [Route_reach]:
+   one full RIB pass per monitored device. *)
+let reach_by_scan (intent : Intents.t) (rib : Rib.t) =
+  match intent with
+  | Intents.Route_reach { rr_prefix; rr_devices; rr_expect } ->
+      List.filter_map
+        (fun dev ->
+          let present =
+            List.exists
+              (fun (r : Route.t) ->
+                String.equal r.Route.device dev
+                && Prefix.equal r.Route.prefix rr_prefix
+                && Route.selected r)
+              (rib :> Route.t list)
+          in
+          if present = rr_expect then None
+          else
+            let related =
+              Rib.filter
+                (fun (r : Route.t) ->
+                  String.equal r.Route.device dev
+                  && Prefix.subsumes r.Route.prefix rr_prefix)
+                rib
+            in
+            Some
+              (Intents.violation ~routes:(related :> Route.t list) intent
+                 (Printf.sprintf "on %s the prefix is %s" dev
+                    (if present then "present" else "absent"))))
+        rr_devices
+  | _ -> invalid_arg "reach_by_scan"
+
+(* RIBs with selected and unselected rows over nested prefixes, device
+   lists naming devices the RIB lacks, both expectations: the one-pass
+   check renders the same violations, counterexample rows included. *)
+let prop_route_reach_one_pass =
+  let devices = [ "d0"; "d1"; "d2"; "d3" ] in
+  let prefixes =
+    List.map pfx [ "10.0.0.0/8"; "10.1.0.0/16"; "10.1.2.0/24"; "192.0.2.0/24" ]
+  in
+  let gen =
+    let open QCheck.Gen in
+    let row =
+      let* device = oneofl devices in
+      let* prefix = oneofl prefixes in
+      let* route_type = oneofl [ Route.Best; Route.Ecmp; Route.Backup ] in
+      let* med = int_range 0 3 in
+      return (Route.make ~device ~prefix ~route_type ~med ~source:Route.Ebgp ())
+    in
+    let* rows = list_size (int_range 0 30) row in
+    let* prefix = oneofl prefixes in
+    let* devs = list_size (int_range 0 5) (oneofl ("absent" :: devices)) in
+    let* expect = bool in
+    return (rows, prefix, devs, expect)
+  in
+  QCheck.Test.make ~name:"Route_reach: one RIB pass == per-device scan"
+    ~count:300 (QCheck.make gen) (fun (rows, prefix, devs, expect) ->
+      let rib = Rib.of_routes rows in
+      let intent =
+        Intents.Route_reach
+          { rr_prefix = prefix; rr_devices = devs; rr_expect = expect }
+      in
+      let unused = lazy (invalid_arg "traffic") in
+      let one_pass =
+        Intents.verify intent ~model:(Lazy.force scenario).G.model
+          ~base_rib:rib ~updated_rib:rib ~base_traffic:unused
+          ~updated_traffic:unused
+      in
+      List.map Intents.violation_to_string one_pass
+      = List.map Intents.violation_to_string (reach_by_scan intent rib))
+
 let suite =
   [
     ("input route rules", `Quick, test_route_rules);
@@ -431,5 +513,7 @@ let suite =
     ("every executor matches from-scratch", `Slow, test_executor_oracle);
     ("traffic load intents", `Slow, test_load_intent);
     ("k-failure checking", `Quick, test_kfailure);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 4242 |])
+      prop_route_reach_one_pass;
     ("daily audits", `Slow, test_audits);
   ]

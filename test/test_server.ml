@@ -236,6 +236,25 @@ let test_snapshot_identity () =
     (String.equal s1.Snapshot.sn_digest s3.Snapshot.sn_digest);
   check tint "two snapshots" 2 (List.length (Server.snapshots srv))
 
+(* Registration dedups on the digest in the server's own table: the same
+   base, and a content-identical but separately built one, give back the
+   registered snapshot object, counted once per hit. *)
+let test_snapshot_register_dedup () =
+  let tm = Telemetry.create () in
+  let srv = Server.create ~tm () in
+  let b = Lazy.force base in
+  let s1 = Server.register_snapshot srv b in
+  let s2 = Server.register_snapshot srv b in
+  check tbool "same digest" true
+    (String.equal s1.Snapshot.sn_digest s2.Snapshot.sn_digest);
+  check tbool "second registration returns the existing snapshot" true
+    (s1 == s2);
+  let s3 = Server.register_snapshot srv (base_of (Lazy.force small)) in
+  check tbool "identical content dedups too" true (s1 == s3);
+  check tint "two dedup hits counted" 2
+    (Hoyan_telemetry.Metrics.counter_value tm.Telemetry.metrics
+       "hoyan_server_snapshot_dedup_total")
+
 (* ------------------------------------------------------------------ *)
 (* the serve contract                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -450,7 +469,6 @@ let test_budget_timeout () =
    some intent is left after carry-over and the pre-check.  The
    context's simulate counter is read around each drain. *)
 let test_splice_policy () =
-  Snapshot.reset_registry ();
   let srv = Server.create () in
   let snap = Server.register_snapshot srv (Lazy.force base) in
   let simulates () =
@@ -512,10 +530,13 @@ let test_sequential_requests_isolated () =
       ~id:"wd" Request.Simulate
   in
   let rq2 = mk_rq ~pref:240 ~id:"seq2" Request.Diff in
-  let shared = Snapshot.register (Lazy.force base) in
+  let register b = Snapshot.register ~digest:(Snapshot.digest_of_base b) b in
+  let shared = register (Lazy.force base) in
   let s1 = Server.run_direct shared rq1 in
   let s2 = Server.run_direct shared rq2 in
-  let fresh rq = Server.run_direct (Snapshot.register (base_of (G.generate G.small))) rq in
+  let fresh rq =
+    Server.run_direct (register (base_of (G.generate G.small))) rq
+  in
   let f1 = fresh rq1 in
   let f2 = fresh rq2 in
   check tstr "request 1: shared = fresh" (snd f1) (snd s1);
@@ -537,13 +558,24 @@ let route_name = function
   | VR.Spliced _ -> "spliced"
   | VR.Merged _ -> "merged"
 
-(* Each server class is one stage of Verify_request.run.  Per stage:
-   whether the lint pass ran, whether the plan was applied, whether the
-   differential pass and the pre-checker ran, and the route run of a
-   local plan from scratch and spliced, and of a no-op plan spliced
-   (every intent carries over under Diff).  Only the simulating stages
-   force the base RIB, and the server's body for a class is the
-   stage's body. *)
+let exec_name = function
+  | VR.From_scratch -> "from-scratch"
+  | VR.Splice _ -> "splice"
+  | VR.Distributed _ -> "distributed"
+
+let stage_name = function
+  | VR.Lint -> "lint"
+  | VR.Precheck -> "precheck"
+  | VR.Simulate e -> "simulate/" ^ exec_name e
+  | VR.Diff e -> "diff/" ^ exec_name e
+
+(* Each server class is one stage of Verify_request.run, and the two
+   simulating stages carry their executor: eight stage values.  Per
+   stage: whether the lint pass ran, whether the plan was applied,
+   whether the differential pass and the pre-checker ran, and the route
+   run of a local plan and of a no-op plan (every intent carries over
+   under Diff).  Only the simulating stages force the base RIB, and the
+   server's body for a class is the body of each of its stages. *)
 let test_stage_table () =
   (* a fresh base: its converged RIB is still lazy *)
   let b = base_of (G.generate G.small) in
@@ -551,68 +583,84 @@ let test_stage_table () =
   let local = Cp.make "local" ~commands:[ (border, pref_block 250) ] in
   let noop = Cp.make "noop" in
   let rq plan = { VR.rq_name = "stage"; rq_plan = plan; rq_intents = intents } in
+  (* captured (forcing the base RIB) by the first splicing stage *)
+  let cx =
+    lazy
+      (Incremental.capture ~model:b.Preprocess.b_model
+         ~input_routes:b.Preprocess.b_input_routes ~flows:b.Preprocess.b_flows
+         ~rib:(Lazy.force b.Preprocess.b_rib) ())
+  in
+  let splice () = VR.Splice (Lazy.force cx) in
+  let dist () =
+    VR.Distributed
+      { subtasks = 4; chaos = Hoyan_dist.Chaos.none; on_partial = `Refuse }
+  in
+  (* class, stage, lint pass, plan applied, route run of the local plan,
+     route run of the no-op plan *)
   let table =
     [
-      (Request.Lint, VR.Lint, true, false, "not-run", "not-run", "not-run");
-      (Request.Precheck, VR.Precheck, false, true, "not-run", "not-run",
+      (Request.Lint, (fun () -> VR.Lint), true, false, "not-run", "not-run");
+      (Request.Precheck, (fun () -> VR.Precheck), false, true, "not-run",
        "not-run");
-      (Request.Simulate, VR.Simulate, true, true, "full-run", "spliced",
-       "spliced");
-      (Request.Diff, VR.Diff, true, true, "full-run", "spliced", "resolved");
+      (Request.Simulate, (fun () -> VR.Simulate VR.From_scratch), true, true,
+       "full-run", "full-run");
+      (Request.Simulate, (fun () -> VR.Simulate (splice ())), true, true,
+       "spliced", "spliced");
+      (Request.Simulate, (fun () -> VR.Simulate (dist ())), true, true,
+       "merged", "merged");
+      (Request.Diff, (fun () -> VR.Diff VR.From_scratch), true, true,
+       "full-run", "resolved");
+      (Request.Diff, (fun () -> VR.Diff (splice ())), true, true, "spliced",
+       "resolved");
+      (Request.Diff, (fun () -> VR.Diff (dist ())), true, true, "merged",
+       "resolved");
     ]
   in
   let forced = ref false in
   List.iter
-    (fun (cls, stage, lint, applied, route, _, _) ->
+    (fun (_, stage, lint, applied, route, route_noop) ->
+      let stage = stage () in
       let tm = Telemetry.create () in
       let r = VR.run ~tm ~stage b (rq local) in
-      let name = route_name r.VR.vr_route in
-      let what field =
-        Printf.sprintf "%s: %s" (Request.class_to_string cls) field
-      in
+      let what field = Printf.sprintf "%s: %s" (stage_name stage) field in
       let spans =
         List.map
           (fun (e : Trace.event) -> e.Trace.te_name)
           (Trace.events tm.Telemetry.trace)
       in
       let event ev = Journal.find tm.Telemetry.journal ev <> [] in
+      let diffs = match stage with VR.Diff _ -> true | _ -> false in
       check tbool (what "lint pass") lint (List.mem "verify.lint_gate" spans);
       check tbool (what "lint.gate event") lint (event "lint.gate");
       check tbool (what "verify.done event") (stage <> VR.Lint)
         (event "verify.done");
       check tbool (what "plan applied") applied
         (List.mem "verify.model_update" spans);
-      check tbool (what "differential pass") (stage = VR.Diff)
-        (r.VR.vr_diff <> None);
+      check tbool (what "differential pass") diffs (r.VR.vr_diff <> None);
       check tbool (what "pre-checker") (stage <> VR.Lint)
         (r.VR.vr_precheck <> []);
-      check tstr (what "route run") route name;
-      let simulates = stage = VR.Simulate || stage = VR.Diff in
-      check tbool (what "base RIB returned") simulates (r.VR.vr_base_rib <> Rib.empty);
+      check tstr (what "route run") route (route_name r.VR.vr_route);
+      let simulates = route <> "not-run" in
+      check tbool (what "base RIB returned") simulates
+        (r.VR.vr_base_rib <> Rib.empty);
       forced := !forced || simulates;
       check tbool (what "base RIB forced") !forced
         (Lazy.is_val b.Preprocess.b_rib);
-      check tbool (what "no-op plan: differential pass") (stage = VR.Diff)
-        ((VR.run ~stage b (rq noop)).VR.vr_diff <> None))
+      let r_noop = VR.run ~stage b (rq noop) in
+      check tbool (what "no-op plan: differential pass") diffs
+        (r_noop.VR.vr_diff <> None);
+      check tstr (what "no-op plan: route run") route_noop
+        (route_name r_noop.VR.vr_route))
     table;
-  let cx =
-    Incremental.capture ~model:b.Preprocess.b_model
-      ~input_routes:b.Preprocess.b_input_routes ~flows:b.Preprocess.b_flows
-      ~rib:(Lazy.force b.Preprocess.b_rib) ()
-  in
-  let snap = Snapshot.register b in
+  let snap = Snapshot.register ~digest:(Snapshot.digest_of_base b) b in
   List.iter
-    (fun (cls, stage, _, _, _, spliced, spliced_noop) ->
-      let run plan = VR.run ~exec:(VR.Splice cx) ~stage b (rq plan) in
-      check tstr "local plan spliced" spliced
-        (route_name (run local).VR.vr_route);
-      check tstr "no-op plan spliced" spliced_noop
-        (route_name (run noop).VR.vr_route);
+    (fun (cls, stage, _, _, _, _) ->
+      let stage = stage () in
       let _, body =
         Server.run_direct snap (Request.make ~plan:local ~intents ~id:"s" cls)
       in
       check tstr
-        (Request.class_to_string cls ^ ": server body = stage body")
+        (stage_name stage ^ ": server body = stage body")
         (VR.body (VR.run ~stage b (rq local)))
         body)
     table
@@ -636,6 +684,8 @@ let suite =
       test_transport_errors;
     Alcotest.test_case "snapshot: content-addressed identity" `Quick
       test_snapshot_identity;
+    Alcotest.test_case "snapshot registration dedups on digest" `Quick
+      test_snapshot_register_dedup;
     Alcotest.test_case "server: responses byte-identical to direct" `Quick
       test_server_matches_direct;
     Alcotest.test_case "server: mixed stream with eviction = direct" `Slow
