@@ -16,11 +16,18 @@ bench:
 
 # Static analysis: build with the strict warning set, then run the
 # `hoyan lint` pass over a generated WAN corpus (exits non-zero on any
-# error-severity diagnostic; the corpus must come out clean).
+# error-severity diagnostic; the corpus must come out clean); then lint
+# a plan that references an undefined prefix-list and route-policy on
+# one border router, which must exit 2 with exactly the committed JSON
+# findings, line numbers on the patched device included.
 lint:
 	dune build @all
 	dune exec bin/hoyan_cli.exe -- lint --deep --scale small
 	dune exec bin/hoyan_cli.exe -- lint --deep --scale wan
+	dune exec bin/hoyan_cli.exe -- lint --scale small --json \
+	  --plan examples/lint_findings_plan.txt --device r00-bdr01 \
+	  > /tmp/hoyan_lint_findings.json; test $$? -eq 2
+	diff examples/lint_findings_plan.expected /tmp/hoyan_lint_findings.json
 
 # Cross-device semantic pass on its own: control-plane graph + the
 # HOY020-HOY028 checks over the generated corpora (exit-code contract:

@@ -528,7 +528,7 @@ let analyze params seed json max_warnings baseline write_baseline =
   let configs = model.Hoyan_sim.Model.configs in
   let topo = model.Hoyan_sim.Model.topo in
   let t0 = Unix.gettimeofday () in
-  let input = Lint.make ~topo ~render:false configs in
+  let input = Lint.make ~topo configs in
   let graph = Semantic.build input in
   let diags = Semantic.check graph in
   let dt = Unix.gettimeofday () -. t0 in
@@ -640,7 +640,7 @@ let diff_run params seed plan_file devices withdraws json max_warnings
       ~commands:(List.map (fun d -> (d, block)) devices)
   in
   let t0 = Unix.gettimeofday () in
-  let input = Lint.make ~topo ~render:false configs in
+  let input = Lint.make ~topo configs in
   let d = Differential.diff input plan in
   let diags = Differential.check ~input_routes:g.G.input_routes d in
   let dt = Unix.gettimeofday () -. t0 in
@@ -944,7 +944,7 @@ let trace_cmd =
 
 let serve params seed requests_file out_file metrics_out metrics_every
     queue_depth tenant_quota cache_capacity budget batch selfcheck
-    servers no_timing =
+    no_timing =
   let text =
     try
       if requests_file = "-" then In_channel.input_all stdin
@@ -1076,11 +1076,6 @@ let serve params seed requests_file out_file metrics_out metrics_every
                 responses))
           mismatches;
       print_string (Server.report srv);
-      List.iter
-        (fun n ->
-          Printf.printf "modelled makespan on %d server(s): %.3fs\n" n
-            (Server.modelled_makespan srv ~servers:n))
-        servers;
       Telemetry.set Telemetry.noop;
       let errors =
         List.exists
@@ -1149,12 +1144,6 @@ let serve_cmd =
                    through the verification pipeline and assert the \
                    served verdict is byte-identical.")
   in
-  let servers =
-    Arg.(value & opt_all int []
-         & info [ "servers" ] ~docv:"N"
-             ~doc:"Report the modelled makespan of the served load on \
-                   $(docv) verification servers (repeatable).")
-  in
   let no_timing =
     Arg.(value & flag
          & info [ "no-timing" ]
@@ -1167,7 +1156,7 @@ let serve_cmd =
     Term.(
       const serve $ scale_arg $ seed_arg $ requests $ out $ metrics_out
       $ metrics_every $ queue_depth $ tenant_quota $ cache_capacity
-      $ budget $ batch $ selfcheck $ servers $ no_timing)
+      $ budget $ batch $ selfcheck $ no_timing)
 
 (* ------------------------------------------------------------------ *)
 (* hoyan whatif: exhaustive k-failure verification                      *)

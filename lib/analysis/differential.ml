@@ -575,9 +575,7 @@ let diff ?tm (input : Lint.input) (plan : Cp.t) : diff =
               | t -> Some (dd.dd_device, t))
           devices
       in
-      let patched_input =
-        Lint.make ?topo:ap.Cp.ap_topo ~render:false ap.Cp.ap_configs
-      in
+      let patched_input = Lint.make ?topo:ap.Cp.ap_topo ap.Cp.ap_configs in
       {
         df_plan = plan;
         df_base_input = input;

@@ -25,28 +25,31 @@ module Smap = Types.Smap
 
 type input = {
   li_configs : Types.t Smap.t; (* parsed device configs by device name *)
-  li_texts : string Smap.t; (* rendered dialect text, for line locations *)
+  li_texts : string option Lazy.t Smap.t;
+      (* rendered dialect text, for line locations: printed by [locate]
+         on first use, [None] for an unknown vendor *)
   li_topo : Topology.t option;
   li_plan : Cp.t option;
   li_specs : (string * string) list; (* (label, RCL source) *)
 }
 
-let render_texts (configs : Types.t Smap.t) : string Smap.t =
-  Smap.fold
-    (fun dev cfg acc ->
-      match Printer.print cfg with
-      | text -> Smap.add dev text acc
-      | exception Invalid_argument _ -> acc (* unknown vendor: no text *))
-    configs Smap.empty
+let lazy_texts (configs : Types.t Smap.t) : string option Lazy.t Smap.t =
+  Smap.map
+    (fun cfg ->
+      lazy
+        (match Printer.print cfg with
+        | text -> Some text
+        | exception Invalid_argument _ -> None))
+    configs
 
+(* Nothing is printed here: a device's text is printed only when a
+   finding on it asks for a line.  [render = false] drops line numbers
+   altogether; only the benchmark passes it. *)
 let make ?topo ?plan ?(specs = []) ?(render = true) (configs : Types.t Smap.t)
     : input =
   {
     li_configs = configs;
-    (* Rendering every device through Printer dominates gate cost; callers
-       that only need IR-level checks (the verify pre-checker) skip it and
-       lose nothing but line numbers in locations. *)
-    li_texts = (if render then render_texts configs else Smap.empty);
+    li_texts = (if render then lazy_texts configs else Smap.empty);
     li_topo = topo;
     li_plan = plan;
     li_specs = specs;
@@ -63,7 +66,9 @@ let comment_char vendor = if String.equal vendor "vendorB" then '#' else '!'
     statement; [None] when the construct has no syntactic rendering. *)
 let locate (input : input) (cfg : Types.t) (needles : string list) :
     int option =
-  match Smap.find_opt cfg.Types.dc_device input.li_texts with
+  match
+    Option.bind (Smap.find_opt cfg.Types.dc_device input.li_texts) Lazy.force
+  with
   | None -> None
   | Some text ->
       L.lines_of_string ~comment:(comment_char cfg.Types.dc_vendor) text
@@ -764,7 +769,7 @@ let run (input : input) : D.t list =
     | None -> ([], input)
     | Some plan ->
         let ds, merged = plan_checks input plan in
-        (ds, { input with li_configs = merged; li_texts = render_texts merged })
+        (ds, { input with li_configs = merged; li_texts = lazy_texts merged })
   in
   let config_diags =
     Smap.fold

@@ -142,7 +142,8 @@ let simulate_scenario ?only (model : Model.t) ~input_routes ~flows
     below 1 raise [Invalid_argument].  [inc], a captured
     context of [model], lends its cached base RIB and FIBs to the base
     verdict instead of re-converging; the restriction does not need
-    it. *)
+    it, so neither front door passes it (only the benchmark and the
+    tests do). *)
 let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
     ?(links = true) ?inc (model : Model.t) ~(input_routes : Route.t list)
     ~(flows : Flow.t list) ~(k : int) (prop : property) : result =
@@ -162,9 +163,7 @@ let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
   in
   let plan =
     if prune then
-      let input =
-        Lint.make ~topo:model.Model.topo ~render:false model.Model.configs
-      in
+      let input = Lint.make ~topo:model.Model.topo model.Model.configs in
       let g = Semantic.build ?tm input in
       let an =
         Feq.create ?tm ~te_aware:model.Model.te_aware g ~input_routes

@@ -153,7 +153,7 @@ let carry_over tm (base : Preprocess.base) (rq : request) =
     Telemetry.with_span tm "verify.diff" (fun () ->
         let bm = base.Preprocess.b_model in
         Differential.diff ~tm
-          (Lint.make ~topo:bm.Model.topo ~render:false bm.Model.configs)
+          (Lint.make ~topo:bm.Model.topo bm.Model.configs)
           rq.rq_plan)
   in
   let carried, active =
@@ -202,8 +202,7 @@ let precheck tm (m : Model.t) ~input_routes (rq : request) active =
   let results =
     Telemetry.with_span tm "verify.precheck" (fun () ->
         let g =
-          Semantic.build ~tm
-            (Lint.make ~topo:m.Model.topo ~render:false m.Model.configs)
+          Semantic.build ~tm (Lint.make ~topo:m.Model.topo m.Model.configs)
         in
         let tagged =
           List.mapi

@@ -39,8 +39,8 @@ end
 
     A [whatif] request runs the exhaustive k-failure sweep
     ({!Hoyan_core.Kfailure}) instead of the change pipeline: the
-    property comes from the request's first [intent reach present]
-    stanza, and the sweep is parameterized by the request options
+    property is the request's one intent, an [intent reach present]
+    stanza (any other intent list is an execution error), and the sweep is parameterized by the request options
     [k=K] (maximum simultaneous failures, default 1) and
     [failures=links|devices|both] (candidate scope, default links). *)
 

@@ -12,7 +12,6 @@ module Verify_request = Hoyan_core.Verify_request
 module Intents = Hoyan_core.Intents
 module Kfailure = Hoyan_core.Kfailure
 module Model = Hoyan_sim.Model
-module Schedule = Hoyan_dist.Schedule
 module Telemetry = Hoyan_telemetry.Telemetry
 module Journal = Hoyan_telemetry.Journal
 
@@ -89,7 +88,6 @@ type t = {
   mutable queue : pending list;  (* reversed submission order *)
   tenant_queued : (string, int) Hashtbl.t;
   mutable seq : int;
-  mutable durations : float list;  (* reversed completion order *)
   mutable n_submitted : int;
   mutable n_admitted : int;
   mutable n_rej_queue : int;
@@ -113,7 +111,6 @@ let create ?tm ?(config = default_config) () =
     queue = [];
     tenant_queued = Hashtbl.create 16;
     seq = 0;
-    durations = [];
     n_submitted = 0;
     n_admitted = 0;
     n_rej_queue = 0;
@@ -157,83 +154,76 @@ let snapshots t =
 (* The execution path                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The whatif execution path: the exhaustive k-failure sweep over the
-   snapshot's base network.  The property comes from the request's
-   first `intent reach present' stanza; the verdict body is
-   deterministic (counts and violations only, no timings). *)
-let run_whatif ?(tm = Telemetry.noop) ?inc (snap : Snapshot.t)
-    (rq : Request.t) : status * string =
-  let base = snap.Snapshot.sn_base in
-  let prop =
-    List.find_map
-      (function
-        | Intents.Route_reach { rr_prefix; rr_devices; rr_expect = true } ->
-            Some (Kfailure.prefix_survives ~prefix:rr_prefix ~devices:rr_devices)
-        | _ -> None)
-      rq.Request.r_intents
-  in
-  match prop with
-  | None ->
-      ( Error "whatif requires an `intent reach present' stanza",
-        "" )
-  | Some prop ->
-      let devices, links =
-        match rq.Request.r_scope with
-        | Request.Links_only -> (false, true)
-        | Request.Devices_only -> (true, false)
-        | Request.Links_and_devices -> (true, true)
-      in
-      let res =
-        Kfailure.check ~tm ~devices ~links ?inc base.Preprocess.b_model
-          ~input_routes:base.Preprocess.b_input_routes
-          ~flows:base.Preprocess.b_flows ~k:rq.Request.r_k prop
-      in
-      ( (if res.Kfailure.kr_violations = [] then Ok else Fail),
-        Kfailure.body res )
+(* A whatif's property: its one `intent reach present' stanza.  Any
+   other intent would be digested into the cache key but never checked,
+   so it is an error rather than silently dropped. *)
+let whatif_property (rq : Request.t) =
+  match rq.Request.r_intents with
+  | [ Intents.Route_reach { rr_prefix; rr_devices; rr_expect = true } ] ->
+      Stdlib.Ok (Kfailure.prefix_survives ~prefix:rr_prefix ~devices:rr_devices)
+  | [ _ ] -> Stdlib.Error "whatif's one intent must be `intent reach present'"
+  | is ->
+      Stdlib.Error
+        (Printf.sprintf
+           "whatif needs exactly one `intent reach present' stanza, got %d \
+            intents"
+           (List.length is))
 
-(* The class-to-stage table, one for both front doors.  [inc] (the
-   snapshot's lazily captured context) is forced only by the classes
-   that simulate: with it they splice and the sweep reuses its base
-   state, without it they run from scratch.  Lint and precheck never
-   simulate, so they leave it uncaptured. *)
-let stage_of ?inc (cls : Request.rq_class) =
-  let ctx () = Option.map Lazy.force inc in
-  let exec () =
-    match ctx () with
-    | Some cx -> Verify_request.Splice cx
-    | None -> Verify_request.From_scratch
-  in
-  match cls with
-  | Request.Lint -> `Verify Verify_request.Lint
-  | Request.Precheck -> `Verify Verify_request.Precheck
-  | Request.Simulate -> `Verify (Verify_request.Simulate (exec ()))
-  | Request.Diff -> `Verify (Verify_request.Diff (exec ()))
-  | Request.Whatif -> `Whatif (ctx ())
-
-(* Internal variant returning the per-phase timing split (route/static
-   pipeline seconds, traffic-forcing seconds) so [execute_one] can
-   attribute the server.request span honestly instead of lumping the
-   lazy traffic cost into the route-simulation time. *)
+(* The one dispatch, for both front doors: the request class decides
+   what runs.  [inc] (the snapshot's lazily captured context) is forced
+   only by the classes that splice a plan's simulation, [simulate] and
+   [diff]; without it they run from scratch.  Lint and precheck never
+   simulate, and a whatif sweep restricts its own base fixpoint, so
+   none of them captures it.  Returns the per-phase timing split
+   (route/static pipeline seconds, traffic-forcing seconds) so
+   [execute_one] can attribute the server.request span honestly. *)
 let run_direct_timed ?(tm = Telemetry.noop) ?inc (snap : Snapshot.t)
     (rq : Request.t) : status * string * float * float =
+  let base = snap.Snapshot.sn_base in
+  let verify stage =
+    let res =
+      Verify_request.run ~tm ~stage base
+        {
+          Verify_request.rq_name = rq.Request.r_id;
+          rq_plan = rq.Request.r_plan;
+          rq_intents = rq.Request.r_intents;
+        }
+    in
+    ( (if res.Verify_request.vr_ok then Ok else Fail),
+      Verify_request.body res,
+      res.Verify_request.vr_sim_seconds,
+      !(res.Verify_request.vr_traffic_seconds) )
+  in
+  let exec () =
+    match inc with
+    | Some cx -> Verify_request.Splice (Lazy.force cx)
+    | None -> Verify_request.From_scratch
+  in
   try
-    match stage_of ?inc rq.Request.r_class with
-    | `Whatif inc ->
-        let st, body = run_whatif ~tm ?inc snap rq in
-        (st, body, 0., 0.)
-    | `Verify stage ->
-        let res =
-          Verify_request.run ~tm ~stage snap.Snapshot.sn_base
-            {
-              Verify_request.rq_name = rq.Request.r_id;
-              rq_plan = rq.Request.r_plan;
-              rq_intents = rq.Request.r_intents;
-            }
-        in
-        ( (if res.Verify_request.vr_ok then Ok else Fail),
-          Verify_request.body res,
-          res.Verify_request.vr_sim_seconds,
-          !(res.Verify_request.vr_traffic_seconds) )
+    match rq.Request.r_class with
+    | Request.Lint -> verify Verify_request.Lint
+    | Request.Precheck -> verify Verify_request.Precheck
+    | Request.Simulate -> verify (Verify_request.Simulate (exec ()))
+    | Request.Diff -> verify (Verify_request.Diff (exec ()))
+    | Request.Whatif -> (
+        match whatif_property rq with
+        | Stdlib.Error msg -> (Error msg, "", 0., 0.)
+        | Stdlib.Ok prop ->
+            let devices, links =
+              match rq.Request.r_scope with
+              | Request.Links_only -> (false, true)
+              | Request.Devices_only -> (true, false)
+              | Request.Links_and_devices -> (true, true)
+            in
+            let res =
+              Kfailure.check ~tm ~devices ~links base.Preprocess.b_model
+                ~input_routes:base.Preprocess.b_input_routes
+                ~flows:base.Preprocess.b_flows ~k:rq.Request.r_k prop
+            in
+            ( (if res.Kfailure.kr_violations = [] then Ok else Fail),
+              Kfailure.body res,
+              0.,
+              0. ))
   with e -> (Error (Printexc.to_string e), "", 0., 0.)
 
 let run_direct (snap : Snapshot.t) (rq : Request.t) : status * string =
@@ -374,7 +364,6 @@ let execute_one t (p : pending) : response =
   | Ok | Fail | Rejected _ ->
       t.n_completed <- t.n_completed + 1;
       if status = Fail then t.n_failed <- t.n_failed + 1);
-  if not cached then t.durations <- exec_s :: t.durations;
   if Telemetry.enabled t.tm then begin
     let cls = Request.class_to_string rq.Request.r_class in
     Telemetry.count t.tm ~labels:[ ("class", cls) ]
@@ -434,11 +423,6 @@ let drain t : response list =
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let durations t = List.rev t.durations
-
-let modelled_makespan t ~servers =
-  fst (Schedule.makespan ~servers (durations t))
 
 let stats t =
   {

@@ -9,10 +9,7 @@
     verdicts, as in the distributed framework).
 
     Execution is the drain loop: {!drain} executes the queued requests
-    in submission order, each through the single {!run_direct} path.
-    {!modelled_makespan} replays the measured durations through
-    {!Hoyan_dist.Schedule} to report multi-server scaling without real
-    servers, as the distributed framework does. *)
+    in submission order, each through the single {!run_direct} path. *)
 
 type config = {
   c_queue_depth : int;  (** admission bound on queued requests *)
@@ -93,32 +90,26 @@ val queue_depth : t -> int
     responses in that order. *)
 val drain : t -> response list
 
-(** The single execution path: run one request against a snapshot
-    through {!Hoyan_core.Verify_request.run} at the class's stage
-    ([simulate] and [diff] with the [From_scratch] executor), rendered
-    by {!Hoyan_core.Verify_request.body} — or, for [whatif], the
-    k-failure sweep rendered by {!Hoyan_core.Kfailure.body} — bypassing
-    queue, cache and budgets.  The server's executed responses are
-    byte-identical to this — the server test suite and [--selfcheck]
-    assert it.  The drain loop maps each class to its stage through the
-    same table, but the simulating stages carry the
-    {!Hoyan_core.Verify_request.Splice} executor over the snapshot's
-    captured context ({!Snapshot.sn_inc}); the pipeline splices only
-    when some intent is left after carry-over and the pre-check, and the
-    server keeps nothing per plan.  The incremental engine's splice
+(** The single execution path: one match on the request class decides
+    what runs.  [lint], [precheck], [simulate] and [diff] run
+    {!Hoyan_core.Verify_request.run} at the class's stage ([simulate]
+    and [diff] with the [From_scratch] executor), rendered by
+    {!Hoyan_core.Verify_request.body}; [whatif] runs the k-failure sweep
+    of its one [intent reach present] stanza, rendered by
+    {!Hoyan_core.Kfailure.body} (any other intent list is [Error]).
+    Queue, cache and budgets are bypassed.  The server's executed
+    responses are byte-identical to this — the server test suite and
+    [--selfcheck] assert it.  The drain loop runs the same dispatch, but
+    [simulate] and [diff] carry the {!Hoyan_core.Verify_request.Splice}
+    executor over the snapshot's captured context ({!Snapshot.sn_inc});
+    the pipeline splices only when some intent is left after carry-over
+    and the pre-check, and the server keeps nothing per plan.  No other
+    class forces that context.  The incremental engine's splice
     contract is exactly what makes the identity hold. *)
 val run_direct :
   Snapshot.t ->
   Request.t ->
   status * string
-
-(** Measured execution durations of completed requests, oldest first. *)
-val durations : t -> float list
-
-(** Replay the measured durations, in completion order, through the
-    multi-server FIFO scheduler: the modelled end-to-end time on
-    [servers] workers. *)
-val modelled_makespan : t -> servers:int -> float
 
 val stats : t -> stats
 

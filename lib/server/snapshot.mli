@@ -25,7 +25,8 @@ type t = {
   sn_inc : Hoyan_sim.Incremental.ctx Lazy.t;
       (** the converged base captured for the incremental splice
           ({!Hoyan_sim.Incremental.capture} over the forced RIB);
-          forced by the first request that splices or sweeps *)
+          forced by the first [simulate] or [diff] request that
+          splices *)
 }
 
 (** Content digest of a base: canonical rendering of every device

@@ -222,9 +222,7 @@ type sim = {
 
 let compute_diff ?tm (cx : ctx) (plan : Cp.t) : Differential.diff =
   let m = cx.cx_model in
-  Differential.diff ?tm
-    (Lint.make ~topo:m.Model.topo ~render:false m.Model.configs)
-    plan
+  Differential.diff ?tm (Lint.make ~topo:m.Model.topo m.Model.configs) plan
 
 (* Devices whose local tables differ between base and patched model
    (their FIBs can change even without a BGP row change), each with the

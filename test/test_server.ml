@@ -54,6 +54,25 @@ let mk_rq ?tenant ?snapshot ?budget_s ?no_cache ?(pref = 250)
   let plan = Cp.make id ~commands:[ (border, pref_block pref) ] in
   Request.make ?tenant ?snapshot ?budget_s ?no_cache ~plan ~intents ~id cls
 
+(* a k-failure sweep: does a prefix survive on its border (the small
+   scale's example what-if)? *)
+let reach =
+  Intents.Route_reach
+    {
+      rr_prefix = pfx "150.0.79.0/24";
+      rr_devices = [ "r00-bdr00" ];
+      rr_expect = true;
+    }
+
+let whatif_rq ?tenant ?(k = 1) ?(intents = [ reach ]) ~id () =
+  Request.make ?tenant ~intents ~k ~id Request.Whatif
+
+let contains s needle =
+  try
+    ignore (Str.search_forward (Str.regexp_string needle) s 0);
+    true
+  with Not_found -> false
+
 (* ------------------------------------------------------------------ *)
 (* the LRU cache                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -154,7 +173,12 @@ let test_cache_key_class () =
     Request.cache_key ~snapshot_digest:"snap" ~configs
       (mk_rq ~tenant:"b" ~id:"y" Request.Simulate)
   in
-  check tstr "tenant/id do not affect the key" k1 k2
+  check tstr "tenant/id do not affect the key" k1 k2;
+  let whatif k =
+    Request.cache_key ~snapshot_digest:"snap" ~configs (whatif_rq ~k ~id:"w" ())
+  in
+  check tbool "a whatif's k is part of the key" false
+    (String.equal (whatif 1) (whatif 2))
 
 (* ------------------------------------------------------------------ *)
 (* the transport                                                       *)
@@ -205,12 +229,7 @@ let test_transport_errors () =
     | Error e ->
         check tbool
           (Printf.sprintf "error %S mentions %s" e needle)
-          true
-          (let re = Str.regexp_string needle in
-           try
-             ignore (Str.search_forward re e 0);
-             true
-           with Not_found -> false)
+          true (contains e needle)
   in
   expect_err "request a frobnicate\nend\n" "class";
   expect_err "request a lint\nplan dev\nnever closed\n" "end-plan";
@@ -288,6 +307,66 @@ let test_server_matches_direct () =
         (Request.class_to_string cls ^ ": body byte-identical to direct")
         body r.Server.rs_body)
     [ Request.Lint; Request.Precheck; Request.Simulate; Request.Diff ]
+
+(* A whatif sweep is served through the same dispatch: uncached and
+   cached, its body is [Server.run_direct]'s. *)
+let test_whatif_matches_direct () =
+  let srv = Server.create () in
+  let snap = Server.register_snapshot srv (Lazy.force base) in
+  let rq = whatif_rq ~id:"w-1" () in
+  let st, body = Server.run_direct snap rq in
+  check tbool "the sweep renders a verdict" true (contains body "whatif:");
+  submit_ok srv rq;
+  let r1 = drain_one srv in
+  submit_ok srv (whatif_rq ~tenant:"other" ~id:"w-2" ());
+  let r2 = drain_one srv in
+  check tbool "first is uncached" false r1.Server.rs_cached;
+  check tbool "duplicate is served from the cache" true r2.Server.rs_cached;
+  List.iter
+    (fun (r : Server.response) ->
+      let what = Printf.sprintf "cached=%b" r.Server.rs_cached in
+      check tbool (what ^ ": status matches direct") true
+        (st = r.Server.rs_status);
+      check tstr (what ^ ": body byte-identical to direct") body
+        r.Server.rs_body)
+    [ r1; r2 ]
+
+(* A whatif checks exactly one `intent reach present' stanza; any other
+   intent list is an execution error (never a sweep that ignores some
+   intents), so it is not cached and is counted as an error. *)
+let test_whatif_intents_checked () =
+  let srv = Server.create () in
+  let snap = Server.register_snapshot srv (Lazy.force base) in
+  let rcl = Intents.Route_change "PRE = POST" in
+  let cases =
+    [
+      ("two-intents", [ reach; rcl ], "exactly one");
+      ("no-reach", [ rcl ], "reach present");
+    ]
+  in
+  List.iter
+    (fun (id, intents, needle) ->
+      let rq = whatif_rq ~intents ~id () in
+      (match Server.run_direct snap rq with
+      | Server.Error msg, "" ->
+          check tbool (Printf.sprintf "%s: %S names the problem" id msg) true
+            (contains msg needle)
+      | st, _ ->
+          Alcotest.failf "%s: expected an error, got %s" id
+            (Server.status_to_string st));
+      List.iter
+        (fun n ->
+          submit_ok srv { rq with Request.r_id = Printf.sprintf "%s-%d" id n };
+          let r = drain_one srv in
+          check tbool (id ^ ": served as an error") true
+            (match r.Server.rs_status with Server.Error _ -> true | _ -> false);
+          check tbool (id ^ ": not from the cache") false r.Server.rs_cached)
+        [ 1; 2 ])
+    cases;
+  let st = Server.stats srv in
+  check tint "every one counted as an error" 4 st.Server.st_errors;
+  check tint "none completed" 0 st.Server.st_completed;
+  check tint "no cache hit" 0 st.Server.st_cache_hits
 
 (* The byte-identity contract under load: a mixed multi-tenant stream
    with cache reuse and LRU eviction.  The pool is 4 classes x every
@@ -490,6 +569,9 @@ let test_splice_policy () =
   serve [ mk_rq ~id:"lint" Request.Lint; mk_rq ~id:"pre" Request.Precheck ];
   check tbool "lint and precheck leave the context uncaptured" false
     (Lazy.is_val snap.Snapshot.sn_inc);
+  serve [ whatif_rq ~id:"whatif" () ];
+  check tbool "a whatif sweep leaves the context uncaptured" false
+    (Lazy.is_val snap.Snapshot.sn_inc);
   let n0 = simulates () in
   serve
     [
@@ -688,6 +770,10 @@ let suite =
       test_snapshot_register_dedup;
     Alcotest.test_case "server: responses byte-identical to direct" `Quick
       test_server_matches_direct;
+    Alcotest.test_case "server: whatif byte-identical to direct, cached too"
+      `Quick test_whatif_matches_direct;
+    Alcotest.test_case "server: whatif needs exactly one reach intent" `Quick
+      test_whatif_intents_checked;
     Alcotest.test_case "server: mixed stream with eviction = direct" `Slow
       test_mixed_stream_matches_direct;
     Alcotest.test_case "server: duplicate served from cache" `Quick
