@@ -1,12 +1,14 @@
 (** The change-verification pipeline (the blue boxes of Figure 2).
 
-    Given a change plan, Hoyan (1) parses the commands and constructs the
-    updated network model incrementally on top of the pre-computed base
-    model, (2) runs route simulation on the pre-computed input routes
-    (plus any new routes the plan announces), (3) runs traffic simulation
-    on the pre-stored input flows, and (4) checks the formally specified
-    intents against the simulated RIBs, flow paths, and traffic loads,
-    emitting concrete counterexamples on violation. *)
+    Given a change plan, Hoyan (1) applies the commands once to the
+    pre-computed base network — one [Differential.diff], the request's
+    one pre/post pair — and compiles the updated model only in the route
+    step that simulates it, (2) runs route simulation on the
+    pre-computed input routes (plus any new routes the plan announces),
+    (3) runs traffic simulation on the pre-stored input flows, and (4)
+    checks the formally specified intents against the simulated RIBs,
+    flow paths, and traffic loads, emitting concrete counterexamples on
+    violation. *)
 
 open Hoyan_net
 module Cp = Hoyan_config.Change_plan
@@ -28,77 +30,55 @@ type request = {
   rq_intents : Intents.t list;
 }
 
-(** Distributed-mode subtask coverage: how much of the split actually
-    reached the merge (the phase outcome contract, surfaced). *)
+(* The types are documented in the interface. *)
 type coverage = {
   cov_total : int;
   cov_merged : int;
   cov_failed : (string * string) list;
-      (* permanently-failed subtask ids with their terminal reasons *)
 }
 
-(** What the route phase of a request did. *)
 type route_run =
-  | Not_run (* the stage stops before the fixpoints *)
-  | Resolved (* every intent was carried over or decided statically *)
-  | Full_run (* the [From_scratch] fixpoint *)
-  | Spliced of Incremental.stats (* the [Splice] executor's accounting *)
-  | Merged of coverage (* the [Distributed] executor's subtask coverage *)
+  | Not_run
+  | Resolved
+  | Full_run
+  | Spliced of Incremental.stats
+  | Merged of coverage
 
 type result = {
   vr_request : string;
   vr_ok : bool;
   vr_violations : Intents.violation list;
   vr_plan_warnings : string list;
-      (** parse/delete errors from applying the plan: risk signals on
-          their own (Table 6 "incorrect commands") *)
   vr_lint : Diagnostics.t list;
-      (** static-analysis findings from the lint pass *)
   vr_gated : bool;
-      (** the [Lint] stage found an error-severity diagnostic *)
   vr_precheck : (Intents.t * Semantic.verdict) list;
-      (** the static pre-checker's verdict for every intent *)
   vr_diff : (Differential.classification * Intents.t list) option;
-      (** [Diff] stage only: the plan's semantic classification and the
-          intents whose base-run verdicts provably survive the change *)
   vr_route : route_run;
   vr_base_rib : Rib.t;
   vr_updated_rib : Rib.t;
   vr_updated_traffic : Traffic_sim.result Lazy.t;
   vr_sim_seconds : float;
   vr_traffic_seconds : float ref;
-      (** wall-clock spent forcing [vr_updated_traffic] — measured at
-          the forcing site, since the lazy is typically forced {e after}
-          [vr_sim_seconds] stops counting (by the server or a traffic
-          intent); [0.] until forced *)
 }
 
-(** Pipeline seconds plus (if forced) traffic-simulation seconds: the
-    honest total cost of the request so far. *)
 let total_seconds (r : result) : float =
   r.vr_sim_seconds +. !(r.vr_traffic_seconds)
 
-(** The simulated state is missing permanently-failed subtasks' results;
-    [vr_ok] is never [true] then. *)
 let partial_route = function
   | Merged c -> c.cov_merged < c.cov_total
   | Not_run | Resolved | Full_run | Spliced _ -> false
 
 let partial (r : result) : bool = partial_route r.vr_route
 
-(** How the route phase of a request is executed. *)
 type executor =
-  | From_scratch (* Route_sim.run on the patched model: the reference *)
+  | From_scratch
   | Splice of Incremental.ctx
-      (* dirty-region re-convergence; fallbacks counted in [Spliced] *)
   | Distributed of {
       subtasks : int;
       chaos : Hoyan_dist.Chaos.t;
       on_partial : [ `Refuse | `Degrade ];
     }
 
-(** How far a request runs: one constructor per server request class;
-    the simulating stages carry the executor of their route phase. *)
 type stage = Lint | Precheck | Simulate of executor | Diff of executor
 
 let plan_warnings (reports : Cp.apply_report list) : string list =
@@ -110,14 +90,14 @@ let plan_warnings (reports : Cp.apply_report list) : string list =
         r.Cp.ar_issues)
     reports
 
-(** RCL specification sources carried by the request's intents, for the
-    static-analysis gate. *)
+(* The RCL specs among the request's intents, for the lint pass. *)
 let lint_specs (intents : Intents.t list) : (string * string) list =
-  List.mapi (fun i intent -> (i, intent)) intents
-  |> List.filter_map (function
-       | i, Intents.Route_change spec ->
-           Some (Printf.sprintf "intent-%d" i, spec)
-       | _ -> None)
+  List.concat
+    (List.mapi
+       (fun i -> function
+         | Intents.Route_change spec -> [ (Printf.sprintf "intent-%d" i, spec) ]
+         | _ -> [])
+       intents)
 
 (* 0. The lint pass over the base configs, the change plan and the
    request's RCL specs, before any fixpoint runs, journalled as a
@@ -142,20 +122,14 @@ let lint_pass tm (model : Model.t) (rq : request) ~gate =
   if gated then Telemetry.count tm "hoyan_verify_gated_total" 1;
   (diags, gated)
 
-(* 2a. The differential pass: diff base against patched and carry over
-   every intent the change provably cannot affect — reachability intents
-   whose prefix is outside the statically computed dirty region, and (on
-   a semantic no-op) everything else too.  Returns the diff, the carried
-   intents and the affected remainder, which alone flows into the
-   pre-checker and the simulator. *)
-let carry_over tm (base : Preprocess.base) (rq : request) =
-  let d =
-    Telemetry.with_span tm "verify.diff" (fun () ->
-        let bm = base.Preprocess.b_model in
-        Differential.diff ~tm
-          (Lint.make ~topo:bm.Model.topo bm.Model.configs)
-          rq.rq_plan)
-  in
+(* 2a. The carry-over ([Diff] only): every intent the request's diff
+   proves the change cannot affect — reachability intents whose prefix
+   is outside the statically computed dirty region, and (on a semantic
+   no-op) everything else too.  Returns the carried intents and the
+   affected remainder, which alone flows into the pre-checker and the
+   simulator. *)
+let carry_over tm (base : Preprocess.base) (d : Differential.diff)
+    (rq : request) =
   let carried, active =
     if base.Preprocess.b_partial then begin
       (* carrying verdicts derived from a partial (failed-subtask) base
@@ -192,48 +166,42 @@ let carry_over tm (base : Preprocess.base) (rq : request) =
         ("carried", Journal.I (List.length carried));
         ("active", Journal.I (List.length active));
       ];
-  (d, carried, active)
+  (carried, active)
 
-(* 2b. The static intent pre-check on the updated model: classify each
-   reachability intent against the control-plane graph (per-prefix
-   closures are shared across the batch); anything the pre-checker has
-   no theory for is left [Needs_simulation]. *)
-let precheck tm (m : Model.t) ~input_routes (rq : request) active =
+(* 2b. The static intent pre-check on the patched network: classify
+   each reachability intent against the diff's patched control-plane
+   graph (per-prefix closures are shared across the batch); anything the
+   pre-checker has no theory for is left [Needs_simulation]. *)
+let precheck tm (d : Differential.diff) ~input_routes (rq : request) active =
   let results =
     Telemetry.with_span tm "verify.precheck" (fun () ->
-        let g =
-          Semantic.build ~tm (Lint.make ~topo:m.Model.topo m.Model.configs)
+        let g = Lazy.force d.Differential.df_patched_graph in
+        let reach =
+          List.concat
+            (List.mapi
+               (fun i -> function
+                 | Intents.Route_reach { rr_prefix; rr_devices; rr_expect } ->
+                     [
+                       {
+                         Semantic.ri_name = Printf.sprintf "intent-%d" i;
+                         ri_prefix = rr_prefix;
+                         ri_devices = rr_devices;
+                         ri_expect = rr_expect;
+                       };
+                     ]
+                 | _ -> [])
+               active)
         in
-        let tagged =
-          List.mapi
-            (fun i intent ->
-              match intent with
-              | Intents.Route_reach { rr_prefix; rr_devices; rr_expect } ->
-                  ( intent,
-                    Some
-                      {
-                        Semantic.ri_name = Printf.sprintf "intent-%d" i;
-                        ri_prefix = rr_prefix;
-                        ri_devices = rr_devices;
-                        ri_expect = rr_expect;
-                      } )
-              | _ -> (intent, None))
-            active
-        in
-        let verdicts =
-          Semantic.precheck_batch ~tm g ~input_routes
-            (List.filter_map snd tagged)
-        in
-        let rec zip tagged verdicts =
-          match (tagged, verdicts) with
-          | [], _ -> []
-          | (intent, None) :: rest, vs ->
-              (intent, Semantic.Needs_simulation) :: zip rest vs
-          | (intent, Some _) :: rest, (_, v) :: vs -> (intent, v) :: zip rest vs
-          | (intent, Some _) :: rest, [] ->
-              (intent, Semantic.Needs_simulation) :: zip rest []
-        in
-        zip tagged verdicts)
+        (* the batch's verdicts come back in order, one per reach intent *)
+        let verdicts = ref (Semantic.precheck_batch ~tm g ~input_routes reach) in
+        List.map
+          (fun intent ->
+            match (intent, !verdicts) with
+            | Intents.Route_reach _, (_, v) :: rest ->
+                verdicts := rest;
+                (intent, v)
+            | _ -> (intent, Semantic.Needs_simulation))
+          active)
   in
   if Telemetry.enabled tm then begin
     let count p = List.length (List.filter (fun (_, v) -> p v) results) in
@@ -253,28 +221,34 @@ let precheck tm (m : Model.t) ~input_routes (rq : request) active =
 
 (* Traffic over a RIB of the updated model, under its own span; lazy, so
    only an intent (or a caller) that needs it pays. *)
-let traffic_over tm (m : Model.t) ~flows rib =
+let traffic_over tm (m : Model.t Lazy.t) ~flows rib =
   lazy
-    (Telemetry.with_span tm "verify.traffic_sim" (fun () ->
+    (let m = Lazy.force m in
+     Telemetry.with_span tm "verify.traffic_sim" (fun () ->
          Traffic_sim.run ~tm m ~rib ~flows ()))
 
-(* 3. The route phase on the updated model over the patched inputs, by
-   the request's executor: the route run, the updated RIB and the lazy
-   traffic over it.  [Splice] re-converges only the plan's dirty region
-   and splices into the converged base RIB and FIBs (broad plans
-   honestly fall back inside [Incremental.simulate] — see [Spliced]). *)
-let route_step tm (m : Model.t) ~input_routes ~flows ~diff (rq : request) =
-  function
+(* 3. The route phase over the patched inputs, by the request's
+   executor: the route run, the updated model, the updated RIB and the
+   lazy traffic over it.  [patched] is the diff's patched network
+   compiled on first use; [From_scratch] and [Distributed] force it,
+   while [Splice] takes its model from [Incremental.simulate], which
+   compiles the same input itself, re-converges only the plan's dirty
+   region and splices into the converged base RIB and FIBs (broad plans
+   honestly fall back inside it — see [Spliced]). *)
+let route_step tm (patched : Model.t Lazy.t) ~input_routes ~flows ~d
+    (rq : request) = function
   | Splice ictx ->
-      let s = Incremental.simulate ~tm ?d:diff ictx rq.rq_plan in
+      let s = Incremental.simulate ~tm ~d ictx rq.rq_plan in
       ( Spliced s.Incremental.s_stats,
+        Lazy.from_val s.Incremental.s_model,
         s.Incremental.s_rib,
         s.Incremental.s_traffic )
   | From_scratch ->
+      let m = Lazy.force patched in
       let rib = (Route_sim.run ~tm m ~input_routes ()).Route_sim.rib in
-      (Full_run, rib, traffic_over tm m ~flows rib)
+      (Full_run, patched, rib, traffic_over tm patched ~flows rib)
   | Distributed { subtasks; chaos; _ } ->
-      let fw = Framework.create ~tm ~chaos m in
+      let fw = Framework.create ~tm ~chaos (Lazy.force patched) in
       let phase = Framework.run_route_phase ~subtasks fw ~input_routes in
       let failed = phase.Framework.rp_failed in
       let cov =
@@ -290,15 +264,16 @@ let route_step tm (m : Model.t) ~input_routes ~flows ~diff (rq : request) =
         }
       in
       let rib = phase.Framework.rp_rib in
-      (Merged cov, rib, traffic_over tm m ~flows rib)
+      (Merged cov, patched, rib, traffic_over tm patched ~flows rib)
 
 (** Run one change-verification request against the pre-processed base.
     Each pipeline phase runs under its own telemetry span
-    ([verify.lint_gate] / [verify.model_update] / [verify.diff] /
-    [verify.precheck] / [verify.route_sim] / [verify.traffic_sim] /
-    [verify.intents]).  The stage is matched once: [Lint] returns after
-    the lint gate; every other stage runs the one sequence below, which
-    [Precheck] (no executor) leaves before the route phase. *)
+    ([verify.lint_gate] / [verify.diff] / [verify.precheck] /
+    [verify.route_sim], with [verify.model_update] inside it /
+    [verify.traffic_sim] / [verify.intents]).  The stage is matched
+    once: [Lint] returns after the lint gate; every other stage runs the
+    one sequence below, which [Precheck] (no executor) leaves before the
+    route phase. *)
 let run ?tm ?(stage = Simulate From_scratch) (base : Preprocess.base)
     (rq : request) : result =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
@@ -325,14 +300,26 @@ let run ?tm ?(stage = Simulate From_scratch) (base : Preprocess.base)
   let sim_seconds () = Unix.gettimeofday () -. t0 -. !traffic_seconds in
   let model = base.Preprocess.b_model in
   let sequence ~lint ~carry exec =
-    (* 1. incremental model update, and the updated model's route inputs:
-       reclaimed prefixes removed, announced ones added (one rule,
-       shared with the incremental path) *)
-    let updated_model, reports =
-      Telemetry.with_span tm "verify.model_update" (fun () ->
-          Model.apply_change_plan model rq.rq_plan)
+    (* 1. the request's one patched network: the plan applied to the
+       base by one differential, whose reports are the plan warnings,
+       whose patched graph the pre-checker reads and whose dirty region
+       the carry-over and the splice read; and the patched route inputs
+       (reclaimed prefixes removed, announced ones added — one rule,
+       shared with the incremental path).  The patched model is compiled
+       only by a route step that needs it. *)
+    let d =
+      Telemetry.with_span tm "verify.diff" (fun () ->
+          Differential.diff ~tm
+            (Lint.make ~topo:model.Model.topo model.Model.configs)
+            rq.rq_plan)
     in
-    let warnings = plan_warnings reports in
+    let warnings = plan_warnings d.Differential.df_reports in
+    let patched =
+      lazy
+        (Telemetry.with_span tm "verify.model_update" (fun () ->
+             let p = d.Differential.df_patched_input in
+             Model.patch model ?topo:p.Lint.li_topo p.Lint.li_configs))
+    in
     let input_routes =
       Differential.patched_routes rq.rq_plan base.Preprocess.b_input_routes
     in
@@ -340,11 +327,8 @@ let run ?tm ?(stage = Simulate From_scratch) (base : Preprocess.base)
     (* 2a. carry-over ([Diff] only); carried intents are re-evaluated
        against the (cached) base state: their verdicts are by
        construction the base run's verdicts *)
-    let diff, carried, active =
-      if carry then
-        let d, carried, active = carry_over tm base rq in
-        (Some d, carried, active)
-      else (None, [], rq.rq_intents)
+    let carried, active =
+      if carry then carry_over tm base d rq else ([], rq.rq_intents)
     in
     let carried_violations =
       if carried = [] then []
@@ -361,8 +345,7 @@ let run ?tm ?(stage = Simulate From_scratch) (base : Preprocess.base)
     (* 2b. pre-check: refuted intents become violations with a static
        witness; only the undecided remainder needs the fixpoints *)
     let prechecked =
-      if active = [] then []
-      else precheck tm updated_model ~input_routes rq active
+      if active = [] then [] else precheck tm d ~input_routes rq active
     in
     let static_violations =
       List.filter_map
@@ -385,16 +368,16 @@ let run ?tm ?(stage = Simulate From_scratch) (base : Preprocess.base)
        ([Precheck]): whatever the pre-checker left open then stays
        open *)
     let unrouted run =
-      (run, Rib.empty, traffic_over tm updated_model ~flows Rib.empty)
+      (run, patched, Rib.empty, traffic_over tm patched ~flows Rib.empty)
     in
-    let route, updated_rib, traffic =
+    let route, updated_model, updated_rib, traffic =
       if rq.rq_intents <> [] && sim_intents = [] then unrouted Resolved
       else
         match exec with
         | None -> unrouted Not_run
         | Some exec ->
             Telemetry.with_span tm "verify.route_sim" (fun () ->
-                route_step tm updated_model ~input_routes ~flows ~diff rq exec)
+                route_step tm patched ~input_routes ~flows ~d rq exec)
     in
     let updated_traffic = timed traffic in
     let simulated =
@@ -422,11 +405,11 @@ let run ?tm ?(stage = Simulate From_scratch) (base : Preprocess.base)
       if sim_intents = [] || refuse_partial || not simulated then []
       else
         Telemetry.with_span tm "verify.intents" (fun () ->
+            let model = Lazy.force updated_model in
             List.concat_map
               (fun intent ->
-                Intents.verify intent ~model:updated_model ~base_rib
-                  ~updated_rib ~base_traffic:base.Preprocess.b_traffic
-                  ~updated_traffic)
+                Intents.verify intent ~model ~base_rib ~updated_rib
+                  ~base_traffic:base.Preprocess.b_traffic ~updated_traffic)
               sim_intents)
     in
     let violations = static_violations @ sim_violations @ carried_violations in
@@ -449,7 +432,8 @@ let run ?tm ?(stage = Simulate From_scratch) (base : Preprocess.base)
       vr_lint = lint;
       vr_gated = false;
       vr_precheck = prechecked;
-      vr_diff = Option.map (fun d -> (d.Differential.df_class, carried)) diff;
+      vr_diff =
+        (if carry then Some (d.Differential.df_class, carried) else None);
       vr_route = route;
       vr_base_rib = base_rib;
       vr_updated_rib = updated_rib;
@@ -474,7 +458,8 @@ let run ?tm ?(stage = Simulate From_scratch) (base : Preprocess.base)
         vr_route = Not_run;
         vr_base_rib = Rib.empty;
         vr_updated_rib = Rib.empty;
-        vr_updated_traffic = timed (traffic_over tm model ~flows:[] Rib.empty);
+        vr_updated_traffic =
+          timed (traffic_over tm (Lazy.from_val model) ~flows:[] Rib.empty);
         vr_sim_seconds = sim_seconds ();
         vr_traffic_seconds = traffic_seconds;
       }

@@ -1,7 +1,7 @@
 (** The change-verification pipeline (the blue boxes of the paper's
-    Figure 2): apply the change plan incrementally to the pre-computed
-    base model, simulate routes (and, lazily, traffic), verify the
-    formally specified intents, and report violations with concrete
+    Figure 2): apply the change plan once to the pre-computed base,
+    simulate routes (and, lazily, traffic), verify the formally
+    specified intents, and report violations with concrete
     counterexamples. *)
 
 open Hoyan_net
@@ -122,35 +122,34 @@ type stage = Lint | Precheck | Simulate of executor | Diff of executor
     pass lints the base configs, the change plan and the request's RCL
     specs first; under {!Lint} an error-severity diagnostic fails the
     request and nothing else runs, under {!Simulate} and {!Diff} the
-    findings are only recorded.  Every other stage runs one sequence:
-    apply the plan, carry over ({!Diff} only), pre-check, route phase
-    ({!Precheck} stops before it), check.  Traffic simulation is forced
-    only when a traffic-level intent is present.  Prefixes in the plan's
-    [cp_withdraw] are removed from the inputs; [cp_new_routes] are added
-    (new prefix announcement).  [tm] (default: the process-global
+    findings are only recorded.  [tm] (default: the process-global
     telemetry handle) receives per-phase spans and gate events.
 
-    The static intent pre-checker ({!Hoyan_analysis.Semantic}) runs on
-    the updated model before simulating: statically refuted intents
-    become violations with a static witness, and when every intent of a
-    non-empty request is proved or refuted the route/traffic fixpoints
-    are skipped entirely ([vr_route = Resolved]).
+    Every other stage runs one sequence over one patched network:
+    + apply the plan once, by one {!Hoyan_analysis.Differential.diff}
+      over the base: its reports are [vr_plan_warnings], and the steps
+      below all read it.  [cp_withdraw] prefixes leave the route inputs
+      and [cp_new_routes] join them;
+    + carry over ({!Diff} only): every reachability intent whose prefix
+      provably lies outside the diff's dirty region — and, on a semantic
+      no-op, every intent — keeps its base-run verdict (listed in
+      [vr_diff]) and is evaluated against the cached base state;
+    + pre-check the rest on the diff's patched control-plane graph
+      ({!Hoyan_analysis.Semantic}): refuted intents become violations
+      with a static witness;
+    + the route phase by the executor ({!Precheck} has none), skipped
+      when every intent of a non-empty request was carried over or
+      decided ([vr_route = Resolved]).  It alone compiles the patched
+      model ([Model.patch], keeping the base's modelling choices):
+      [From_scratch] and [Distributed] from the diff's patched configs
+      and topology, [Splice] inside [Incremental.simulate];
+    + check the intents left open.  Traffic is simulated only when a
+      traffic-level intent (or the caller) forces it.
 
-    {!Diff} additionally runs the differential change-impact pass
-    ({!Hoyan_analysis.Differential}) against the base model before
-    anything is simulated: every reachability intent whose prefix
-    provably lies outside the change's dirty region — and, when the plan
-    is a semantic no-op, every other intent too — keeps its base-run
-    verdict (listed in [vr_diff]) and is evaluated against the cached
-    base state; only the affected remainder goes through the pre-checker
-    and the simulator.  When everything carries over, no fixpoint runs at
-    all.
-
-    A partial base ([Preprocess.prepare ~partial:true], i.e. the
-    converged base state itself came from a run with failed subtasks)
-    refuses differential verdict carry-over entirely: carrying a verdict
-    proven against an incomplete base RIB would launder missing routes
-    into proven facts.  The refusal is counted
+    A partial base ([Preprocess.prepare ~partial:true]: the converged
+    base itself came from a run with failed subtasks) refuses carry-over:
+    a verdict proven against an incomplete base RIB would launder
+    missing routes into proven facts.  The refusal is counted
     ([hoyan_verify_carryover_refused_total]) and every intent is
     re-verified. *)
 val run :

@@ -38,11 +38,13 @@ end
     [plan], [withdraw] and [intent] stanzas repeat.
 
     A [whatif] request runs the exhaustive k-failure sweep
-    ({!Hoyan_core.Kfailure}) instead of the change pipeline: the
-    property is the request's one intent, an [intent reach present]
-    stanza (any other intent list is an execution error), and the sweep is parameterized by the request options
-    [k=K] (maximum simultaneous failures, default 1) and
-    [failures=links|devices|both] (candidate scope, default links). *)
+    ({!Hoyan_core.Kfailure}) over the snapshot base instead of the
+    change pipeline: the property is the request's one intent, an
+    [intent reach present] stanza, and the sweep is parameterized by
+    the request options [k=K] (maximum simultaneous failures, default 1)
+    and [failures=links|devices|both] (candidate scope, default links).
+    Any other intent list, and any plan content ([plan] or [withdraw]
+    stanzas), is an execution error. *)
 
 type rq_class = Lint | Precheck | Simulate | Diff | Whatif
 

@@ -12,6 +12,7 @@ module Verify_request = Hoyan_core.Verify_request
 module Intents = Hoyan_core.Intents
 module Kfailure = Hoyan_core.Kfailure
 module Model = Hoyan_sim.Model
+module Cp = Hoyan_config.Change_plan
 module Telemetry = Hoyan_telemetry.Telemetry
 module Journal = Hoyan_telemetry.Journal
 
@@ -154,20 +155,29 @@ let snapshots t =
 (* The execution path                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A whatif's property: its one `intent reach present' stanza.  Any
-   other intent would be digested into the cache key but never checked,
-   so it is an error rather than silently dropped. *)
+(* A whatif's property: its one `intent reach present' stanza, over the
+   snapshot base.  Any other intent, and any plan content, would be
+   digested into the cache key but never read, so they are errors
+   rather than silently dropped. *)
 let whatif_property (rq : Request.t) =
-  match rq.Request.r_intents with
-  | [ Intents.Route_reach { rr_prefix; rr_devices; rr_expect = true } ] ->
-      Stdlib.Ok (Kfailure.prefix_survives ~prefix:rr_prefix ~devices:rr_devices)
-  | [ _ ] -> Stdlib.Error "whatif's one intent must be `intent reach present'"
-  | is ->
-      Stdlib.Error
-        (Printf.sprintf
-           "whatif needs exactly one `intent reach present' stanza, got %d \
-            intents"
-           (List.length is))
+  let p = rq.Request.r_plan in
+  if
+    p.Cp.cp_commands <> [] || p.Cp.cp_topo_ops <> []
+    || p.Cp.cp_new_routes <> [] || p.Cp.cp_withdraw <> []
+  then
+    Stdlib.Error "whatif sweeps the snapshot base: its plan must be empty"
+  else
+    match rq.Request.r_intents with
+    | [ Intents.Route_reach { rr_prefix; rr_devices; rr_expect = true } ] ->
+        Stdlib.Ok
+          (Kfailure.prefix_survives ~prefix:rr_prefix ~devices:rr_devices)
+    | [ _ ] -> Stdlib.Error "whatif's one intent must be `intent reach present'"
+    | is ->
+        Stdlib.Error
+          (Printf.sprintf
+             "whatif needs exactly one `intent reach present' stanza, got \
+              %d intents"
+             (List.length is))
 
 (* The one dispatch, for both front doors: the request class decides
    what runs.  [inc] (the snapshot's lazily captured context) is forced

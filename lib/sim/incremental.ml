@@ -310,11 +310,10 @@ let make_traffic tm (cx : ctx) (model : Model.t) rib fibs ecx =
          Traffic_sim.run ~tm ~fibs ~ecx model ~rib ~flows:cx.cx_flows ()))
 
 (* The full-run escape hatch. *)
-let full_fallback tm (cx : ctx) (d : Differential.diff) (plan : Cp.t)
+let full_fallback tm (cx : ctx) (d : Differential.diff) ~inputs
     ~(patched : Model.t) ~reason : sim =
   cx.cx_fallbacks <- cx.cx_fallbacks + 1;
   Telemetry.count tm "hoyan_inc_fallback_total" 1;
-  let inputs = Differential.patched_routes plan cx.cx_input_routes in
   let full =
     Telemetry.with_span tm "inc.full_fallback" (fun () ->
         Route_sim.run ~tm patched ~input_routes:inputs ())
@@ -352,13 +351,19 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
   Telemetry.count tm "hoyan_inc_simulate_total" 1;
   Telemetry.with_span tm "inc.simulate" (fun () ->
       let d = match d with Some d -> d | None -> compute_diff ~tm cx plan in
-      let patched, _ = Model.apply_change_plan cx.cx_model plan in
+      (* the plan applied once: the dirty set and the spliced model both
+         come from [d]'s patched input *)
+      let patched =
+        let p = d.Differential.df_patched_input in
+        Model.patch cx.cx_model ?topo:p.Lint.li_topo p.Lint.li_configs
+      in
+      let inputs = Differential.patched_routes plan cx.cx_input_routes in
       match
         if d.Differential.df_topo_dirty then
           Some "topology ops dirty an unenumerable prefix set"
         else cx.cx_degraded
       with
-      | Some reason -> full_fallback tm cx d plan ~patched ~reason
+      | Some reason -> full_fallback tm cx d ~inputs ~patched ~reason
       | None ->
           let plan_prefixes =
             plan.Cp.cp_withdraw
@@ -399,10 +404,7 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
             else
               Telemetry.with_span tm "inc.delta_fixpoint" (fun () ->
                   (Route_sim.run ~tm ~include_locals:false ~only:is_dirty
-                     patched
-                     ~input_routes:
-                       (Differential.patched_routes plan cx.cx_input_routes)
-                     ())
+                     patched ~input_routes:inputs ())
                     .Route_sim.rib)
           in
           (* dirty devices: whose rows were dropped, whose rows the delta
@@ -573,7 +575,9 @@ let selfcheck ?tm ?(traffic = true) ?prune_dirty (cx : ctx) (plan : Cp.t) :
     check =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
   let sim = simulate ~tm ?prune_dirty cx plan in
-  (* the independent witness: full from-scratch patched simulation *)
+  (* the independent witness: full from-scratch patched simulation, on
+     the plan re-applied by [Model.apply_change_plan] rather than taken
+     from the diff [simulate] read *)
   let patched, _ = Model.apply_change_plan cx.cx_model plan in
   let inputs = Differential.patched_routes plan cx.cx_input_routes in
   let full = (Route_sim.run ~tm patched ~input_routes:inputs ()).Route_sim.rib in

@@ -101,12 +101,14 @@ type sim = {
 }
 
 (** Run a change plan against the base context.  [d] supplies an
-    already-computed differential for the same plan (the verify pipeline
-    has one); omitted, it is computed here.  [prune_dirty] artificially
-    drops prefixes from the computed dirty set — an oracle-testing knob
-    (it makes the engine unsound on purpose so tests can prove the
-    {!selfcheck} oracle catches under-approximation); never set it in
-    production paths. *)
+    already-computed differential for the same plan over the context's
+    base (the verify pipeline has one); omitted, it is computed here.
+    The plan is applied once, by [d]: the dirty set reads [d], and
+    [s_model] is [d]'s patched input compiled by {!Model.patch}.
+    [prune_dirty] artificially drops prefixes from the computed dirty
+    set — an oracle-testing knob (it makes the engine unsound on purpose
+    so tests can prove the {!selfcheck} oracle catches
+    under-approximation); never set it in production paths. *)
 val simulate :
   ?tm:Hoyan_telemetry.Telemetry.t ->
   ?d:Differential.diff ->

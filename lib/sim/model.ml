@@ -20,11 +20,12 @@ type t = {
   topo : Topology.t;
   configs : Types.t Smap.t;
   igp : Isis.t;
-  owner_tbl : (Ip.t, string) Hashtbl.t; (* address -> owning device *)
+  owner_tbl : (Ip.t, string) Hashtbl.t;
   net : Bgp.network;
   local_tables : Route.t list Smap.t;
   tunnels : Hoyan_proto.Sr.tunnel list Smap.t;
   te_aware : bool;
+  regex : string -> string -> bool;
 }
 
 let owner (t : t) (addr : Ip.t) : string option =
@@ -98,15 +99,17 @@ let local_addr_towards (cfg : Types.t) (router_id : Ip.t) (peer : Ip.t) : Ip.t =
   | Some { Types.if_addr = Some a; _ } -> a
   | _ -> router_id
 
+(* The topology's router id, else the configured one. *)
+let router_id_of (topo : Topology.t) (dev : string) (cfg : Types.t) : Ip.t =
+  match Topology.device topo dev with
+  | Some d -> d.Topology.router_id
+  | None ->
+      Option.value cfg.Types.dc_bgp.Types.bgp_router_id ~default:(Ip.V4 0)
+
 let sessions_of (topo : Topology.t) (igp : Isis.t)
     (owner_tbl : (Ip.t, string) Hashtbl.t) (dev : string) (cfg : Types.t) :
     Bgp.session list =
-  let router_id =
-    match Topology.device topo dev with
-    | Some d -> d.Topology.router_id
-    | None ->
-        Option.value cfg.Types.dc_bgp.Types.bgp_router_id ~default:(Ip.V4 0)
-  in
+  let router_id = router_id_of topo dev cfg in
   List.filter_map
     (fun (nb : Types.neighbor) ->
       match Hashtbl.find_opt owner_tbl nb.Types.nb_addr with
@@ -142,9 +145,6 @@ let sessions_of (topo : Topology.t) (igp : Isis.t)
 (* Build                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(** Compile the model.  [regex] injects the AS-path regex engine (the
-    diagnosis experiments pass {!Hoyan_regex.Regex.Legacy.matches_str});
-    [te_aware = false] reproduces the pre-2023 IS-IS-TE modelling gap. *)
 let build ?(te_aware = true)
     ?(regex = fun p s -> Hoyan_regex.Regex.matches_str p s)
     (topo : Topology.t) (configs : Types.t Smap.t) : t =
@@ -169,14 +169,7 @@ let build ?(te_aware = true)
   let net =
     Smap.mapi
       (fun dev (cfg : Types.t) ->
-        let topo_dev = Topology.device topo dev in
-        let router_id =
-          match topo_dev with
-          | Some d -> d.Topology.router_id
-          | None ->
-              Option.value cfg.Types.dc_bgp.Types.bgp_router_id
-                ~default:(Ip.V4 0)
-        in
+        let router_id = router_id_of topo dev cfg in
         let vsb = Vsb.of_config cfg in
         let dev_tunnels = Option.value (Smap.find_opt dev tunnels) ~default:[] in
         let statics = Option.value (Smap.find_opt dev local_tables) ~default:[] in
@@ -211,21 +204,18 @@ let build ?(te_aware = true)
         })
       configs
   in
-  { topo; configs; igp; owner_tbl; net; local_tables; tunnels; te_aware }
+  { topo; configs; igp; owner_tbl; net; local_tables; tunnels; te_aware;
+    regex }
 
-(** Apply a change plan ({!Hoyan_config.Change_plan.apply}), then
-    recompile.  Returns the updated model and the per-block application
-    reports (parse/delete errors are risk signals surfaced to the
-    verification layer). *)
-let apply_change_plan ?(te_aware = true) ?regex (t : t)
-    (cp : Hoyan_config.Change_plan.t) :
+let patch (t : t) ?(topo = t.topo) (configs : Types.t Smap.t) : t =
+  build ~te_aware:t.te_aware ~regex:t.regex topo configs
+
+let apply_change_plan (t : t) (cp : Hoyan_config.Change_plan.t) :
     t * Hoyan_config.Change_plan.apply_report list =
   let module Cp = Hoyan_config.Change_plan in
   let ap = Cp.apply ~topo:t.topo t.configs cp in
-  ( build ~te_aware ?regex (Option.get ap.Cp.ap_topo) ap.Cp.ap_configs,
+  ( patch t ?topo:ap.Cp.ap_topo ap.Cp.ap_configs,
     List.map Cp.step_report ap.Cp.ap_steps )
 
-(** Total configuration line count across the model (Table-1 style
-    statistics). *)
 let total_config_lines (t : t) =
   Smap.fold (fun _ cfg n -> n + Types.line_count cfg) t.configs 0

@@ -27,7 +27,8 @@ type t = {
       (** per device: connected + static (+ IS-IS loopback routes when the
           device redistributes IS-IS) *)
   tunnels : Sr.tunnel list Smap.t;
-  te_aware : bool;
+  te_aware : bool;  (** [false]: the pre-2023 IS-IS-TE modelling gap *)
+  regex : string -> string -> bool;  (** the AS-path regex engine *)
 }
 
 (** The device owning an address (interface address or loopback). *)
@@ -52,14 +53,18 @@ val build :
   Types.t Smap.t ->
   t
 
+(** [patch t ?topo configs] compiles a patched network — [configs] over
+    [topo] (default [t]'s) — with [t]'s [te_aware] and [regex]: the one
+    rule for compiling a patched network, so a patched model keeps its
+    base's modelling choices. *)
+val patch : t -> ?topo:Topology.t -> Types.t Smap.t -> t
+
 (** Apply a change plan ({!Hoyan_config.Change_plan.apply}: topology
     ops, then per-device command blocks in each device's own dialect) and
-    recompile.  The per-block reports carry parse and deletion errors —
-    risk signals surfaced by the verification layer (Table 6 "incorrect
-    commands"). *)
+    {!patch} the result.  The per-block reports carry parse and deletion
+    errors — risk signals surfaced by the verification layer (Table 6
+    "incorrect commands"). *)
 val apply_change_plan :
-  ?te_aware:bool ->
-  ?regex:(string -> string -> bool) ->
   t ->
   Hoyan_config.Change_plan.t ->
   t * Hoyan_config.Change_plan.apply_report list

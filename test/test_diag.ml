@@ -145,9 +145,9 @@ let test_validation_detects_agent_down () =
   check tbool "classified as route monitoring data" true
     (Issues.classify ev = Issues.Route_monitoring_data)
 
-let test_validation_detects_sim_inaccuracy () =
-  (* simulate with the flawed legacy regex: policies mis-match, so the
-     simulated RIB differs from the (correctly simulated) live network *)
+(* R2 denies AS paths through 666 with a deep regex that the legacy
+   engine misses; R1 injects one such route. *)
+let deep_regex_net () =
   let b = B.create () in
   B.add_device b ~name:"R1" ~vendor:"vendorA" ~asn:65001
     ~router_id:(B.ip "1.1.1.1") ();
@@ -175,6 +175,12 @@ let test_validation_detects_sim_inaccuracy () =
     [ B.input_route ~device:"R1" ~prefix:"99.0.0.0/24"
         ~as_path:[ 1; 2; 3; 666; 4 ] () ]
   in
+  (b, input)
+
+let test_validation_detects_sim_inaccuracy () =
+  (* simulate with the flawed legacy regex: policies mis-match, so the
+     simulated RIB differs from the (correctly simulated) live network *)
+  let b, input = deep_regex_net () in
   (* ground truth: correct regex blocks the route at R2 *)
   let live_model = B.build b in
   let live_rib = (Route_sim.run live_model ~input_routes:input ()).Route_sim.rib in
@@ -193,6 +199,21 @@ let test_validation_detects_sim_inaccuracy () =
          | Validate.Missing_in_monitor r -> String.equal r.Route.device "R2"
          | _ -> false)
        issues)
+
+(* A patched model keeps its base's regex engine: through a no-op plan
+   the legacy-regex model keeps its flawed RIB. *)
+let test_patch_keeps_regex_engine () =
+  let b, input = deep_regex_net () in
+  let rib m = (Route_sim.run m ~input_routes:input ()).Route_sim.rib in
+  let flawed = B.build ~regex:Hoyan_regex.Regex.Legacy.matches_str b in
+  let patched, _ =
+    Hoyan_sim.Model.apply_change_plan flawed
+      (Hoyan_config.Change_plan.make "noop")
+  in
+  check tbool "flawed and correct RIBs differ" false
+    (Rib.equal (rib flawed) (rib (B.build b)));
+  check tbool "patched RIB = the flawed RIB" true
+    (Rib.equal (rib flawed) (rib patched))
 
 (* --- root cause analysis (the Figure 9 case) ---------------------------------- *)
 
@@ -391,4 +412,5 @@ let suite =
     ("figure 9 root cause", `Quick, test_figure9_root_cause);
     ("table 5: all 16 VSBs detected", `Slow, test_vsb_differential_all_16);
     ("table 4: issue classifier", `Quick, test_issue_classifier);
+    ("a patched model keeps its regex engine", `Quick, test_patch_keeps_regex_engine);
   ]

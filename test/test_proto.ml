@@ -58,9 +58,9 @@ let test_sr_explicit_segments () =
   check Alcotest.(list string) "explicit waypoints honoured"
     [ "A"; "D"; "C"; "D" ] t.Sr.tn_path
 
-let test_isis_te_awareness () =
-  (* a TE-flagged interface with a big cost: honoured only when the model
-     is TE-aware (the pre-2023 gap of §5.3) *)
+(* A-B over a TE-flagged, expensive link, and A-C-B at the default
+   metric. *)
+let te_net () =
   let b = B.create () in
   List.iter
     (fun (n, id) ->
@@ -69,6 +69,12 @@ let test_isis_te_awareness () =
   ignore (B.link b ~a:"A" ~b:"B" ~subnet:(pfx "10.1.0.0/31") ~cost:100 ~te:true ());
   ignore (B.link b ~a:"A" ~b:"C" ~subnet:(pfx "10.2.0.0/31") ~cost:10 ());
   ignore (B.link b ~a:"C" ~b:"B" ~subnet:(pfx "10.3.0.0/31") ~cost:10 ());
+  b
+
+let test_isis_te_awareness () =
+  (* a TE-flagged interface with a big cost: honoured only when the model
+     is TE-aware (the pre-2023 gap of §5.3) *)
+  let b = te_net () in
   let aware = Isis.compute ~te_aware:true (B.topo b) (B.configs b) in
   let blind = Isis.compute ~te_aware:false (B.topo b) (B.configs b) in
   check (Alcotest.option Alcotest.int) "TE-aware avoids the expensive link"
@@ -77,6 +83,23 @@ let test_isis_te_awareness () =
   check (Alcotest.option Alcotest.int) "TE-blind uses the default metric"
     (Some 10)
     (Isis.cost blind ~src:"A" ~dst:"B")
+
+(* A patched model keeps its base's modelling choices: a TE-blind model
+   stays TE-blind through a no-op plan, so A's redistributed IS-IS row
+   for B keeps the default-metric cost. *)
+let test_patch_keeps_te_blindness () =
+  let b = te_net () in
+  B.add_redistribute b "A" Route.Isis;
+  let rib m = (Route_sim.run m ~input_routes:[] ()).Route_sim.rib in
+  let blind = B.build ~te_aware:false b in
+  let patched, _ =
+    Model.apply_change_plan blind (Hoyan_config.Change_plan.make "noop")
+  in
+  check tbool "still TE-blind" false patched.Model.te_aware;
+  check tbool "TE-blind and TE-aware RIBs differ" false
+    (Rib.equal (rib blind) (rib (B.build b)));
+  check tbool "patched RIB = the TE-blind RIB" true
+    (Rib.equal (rib blind) (rib patched))
 
 (* ------------------------------------------------------------------ *)
 (* SPF oracle: Isis vs Floyd-Warshall                                  *)
@@ -417,4 +440,5 @@ let suite =
     ("NO_EXPORT crosses iBGP", `Quick, test_no_export_crosses_ibgp);
     ("post-change validation", `Quick, test_postcheck);
     ("regex engine injection", `Quick, test_regex_injection_into_model);
+    ("a patched model stays TE-blind", `Quick, test_patch_keeps_te_blindness);
   ]

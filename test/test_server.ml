@@ -338,15 +338,19 @@ let test_whatif_intents_checked () =
   let srv = Server.create () in
   let snap = Server.register_snapshot srv (Lazy.force base) in
   let rcl = Intents.Route_change "PRE = POST" in
+  (* the sweep runs over the snapshot base, so a plan would be digested
+     into the cache key but never read *)
+  let plan = Cp.make "p" ~commands:[ (border, pref_block 250) ] in
   let cases =
     [
-      ("two-intents", [ reach; rcl ], "exactly one");
-      ("no-reach", [ rcl ], "reach present");
+      ("two-intents", [ reach; rcl ], Cp.make "p", "exactly one");
+      ("no-reach", [ rcl ], Cp.make "p", "reach present");
+      ("with-plan", [ reach ], plan, "snapshot base");
     ]
   in
   List.iter
-    (fun (id, intents, needle) ->
-      let rq = whatif_rq ~intents ~id () in
+    (fun (id, intents, plan, needle) ->
+      let rq = { (whatif_rq ~intents ~id ()) with Request.r_plan = plan } in
       (match Server.run_direct snap rq with
       | Server.Error msg, "" ->
           check tbool (Printf.sprintf "%s: %S names the problem" id msg) true
@@ -364,7 +368,7 @@ let test_whatif_intents_checked () =
         [ 1; 2 ])
     cases;
   let st = Server.stats srv in
-  check tint "every one counted as an error" 4 st.Server.st_errors;
+  check tint "every one counted as an error" 6 st.Server.st_errors;
   check tint "none completed" 0 st.Server.st_completed;
   check tint "no cache hit" 0 st.Server.st_cache_hits
 
@@ -653,11 +657,16 @@ let stage_name = function
 
 (* Each server class is one stage of Verify_request.run, and the two
    simulating stages carry their executor: eight stage values.  Per
-   stage: whether the lint pass ran, whether the plan was applied,
-   whether the differential pass and the pre-checker ran, and the route
-   run of a local plan and of a no-op plan (every intent carries over
-   under Diff).  Only the simulating stages force the base RIB, and the
-   server's body for a class is the body of each of its stages. *)
+   stage: whether the lint pass ran, whether the plan was applied (one
+   [verify.diff] in every stage past lint), whether the patched model
+   was compiled by the pipeline's route step ([verify.model_update]:
+   only the from-scratch and distributed route runs; a splice compiles
+   its own inside [inc.simulate]), whether the carry-over and the
+   pre-checker ran, and the route run of a local plan and of a no-op
+   plan (every intent carries over under Diff).  A stage that runs no
+   route step compiles no patched model.  Only the simulating stages
+   force the base RIB, and the server's body for a class is the body of
+   each of its stages. *)
 let test_stage_table () =
   (* a fresh base: its converged RIB is still lazy *)
   let b = base_of (G.generate G.small) in
@@ -677,39 +686,41 @@ let test_stage_table () =
     VR.Distributed
       { subtasks = 4; chaos = Hoyan_dist.Chaos.none; on_partial = `Refuse }
   in
-  (* class, stage, lint pass, plan applied, route run of the local plan,
-     route run of the no-op plan *)
+  (* class, stage, lint pass, plan applied, model compiled by the route
+     step, route run of the local plan, route run of the no-op plan *)
   let table =
     [
-      (Request.Lint, (fun () -> VR.Lint), true, false, "not-run", "not-run");
-      (Request.Precheck, (fun () -> VR.Precheck), false, true, "not-run",
+      (Request.Lint, (fun () -> VR.Lint), true, false, false, "not-run",
        "not-run");
+      (Request.Precheck, (fun () -> VR.Precheck), false, true, false,
+       "not-run", "not-run");
       (Request.Simulate, (fun () -> VR.Simulate VR.From_scratch), true, true,
-       "full-run", "full-run");
+       true, "full-run", "full-run");
       (Request.Simulate, (fun () -> VR.Simulate (splice ())), true, true,
-       "spliced", "spliced");
-      (Request.Simulate, (fun () -> VR.Simulate (dist ())), true, true,
+       false, "spliced", "spliced");
+      (Request.Simulate, (fun () -> VR.Simulate (dist ())), true, true, true,
        "merged", "merged");
-      (Request.Diff, (fun () -> VR.Diff VR.From_scratch), true, true,
+      (Request.Diff, (fun () -> VR.Diff VR.From_scratch), true, true, true,
        "full-run", "resolved");
-      (Request.Diff, (fun () -> VR.Diff (splice ())), true, true, "spliced",
-       "resolved");
-      (Request.Diff, (fun () -> VR.Diff (dist ())), true, true, "merged",
-       "resolved");
+      (Request.Diff, (fun () -> VR.Diff (splice ())), true, true, false,
+       "spliced", "resolved");
+      (Request.Diff, (fun () -> VR.Diff (dist ())), true, true, true,
+       "merged", "resolved");
     ]
+  in
+  let spans_of tm =
+    List.map
+      (fun (e : Trace.event) -> e.Trace.te_name)
+      (Trace.events tm.Telemetry.trace)
   in
   let forced = ref false in
   List.iter
-    (fun (_, stage, lint, applied, route, route_noop) ->
+    (fun (_, stage, lint, applied, compiled, route, route_noop) ->
       let stage = stage () in
       let tm = Telemetry.create () in
       let r = VR.run ~tm ~stage b (rq local) in
       let what field = Printf.sprintf "%s: %s" (stage_name stage) field in
-      let spans =
-        List.map
-          (fun (e : Trace.event) -> e.Trace.te_name)
-          (Trace.events tm.Telemetry.trace)
-      in
+      let spans = spans_of tm in
       let event ev = Journal.find tm.Telemetry.journal ev <> [] in
       let diffs = match stage with VR.Diff _ -> true | _ -> false in
       check tbool (what "lint pass") lint (List.mem "verify.lint_gate" spans);
@@ -717,6 +728,8 @@ let test_stage_table () =
       check tbool (what "verify.done event") (stage <> VR.Lint)
         (event "verify.done");
       check tbool (what "plan applied") applied
+        (List.mem "verify.diff" spans);
+      check tbool (what "model compiled by the route step") compiled
         (List.mem "verify.model_update" spans);
       check tbool (what "differential pass") diffs (r.VR.vr_diff <> None);
       check tbool (what "pre-checker") (stage <> VR.Lint)
@@ -728,15 +741,29 @@ let test_stage_table () =
       forced := !forced || simulates;
       check tbool (what "base RIB forced") !forced
         (Lazy.is_val b.Preprocess.b_rib);
-      let r_noop = VR.run ~stage b (rq noop) in
+      let tm_noop = Telemetry.create () in
+      let r_noop = VR.run ~tm:tm_noop ~stage b (rq noop) in
       check tbool (what "no-op plan: differential pass") diffs
         (r_noop.VR.vr_diff <> None);
       check tstr (what "no-op plan: route run") route_noop
-        (route_name r_noop.VR.vr_route))
+        (route_name r_noop.VR.vr_route);
+      (* no route step, no patched model: a precheck request and a
+         resolved no-op diff compile none *)
+      List.iter
+        (fun (r, tm, plan) ->
+          if r.VR.vr_route = VR.Resolved || stage = VR.Precheck then
+            List.iter
+              (fun span ->
+                check tbool
+                  (what (Printf.sprintf "%s plan: no %s" plan span))
+                  false
+                  (List.mem span (spans_of tm)))
+              [ "verify.model_update"; "inc.simulate" ])
+        [ (r, tm, "local"); (r_noop, tm_noop, "no-op") ])
     table;
   let snap = Snapshot.register ~digest:(Snapshot.digest_of_base b) b in
   List.iter
-    (fun (cls, stage, _, _, _, _) ->
+    (fun (cls, stage, _, _, _, _, _) ->
       let stage = stage () in
       let _, body =
         Server.run_direct snap (Request.make ~plan:local ~intents ~id:"s" cls)
