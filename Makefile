@@ -93,17 +93,21 @@ whatif:
 # runs the dirty-region splice AND a full from-scratch patched run
 # in-process and asserts the RIB, FIB + traffic results are identical
 # (exit 1 on mismatch), first on a no-op plan, then on a static-route
-# plan whose FIB patch rebinds a BGP-learned slot (its intent holds, so
-# exit 0 also means the verdict passed); then the incremental test suite
-# replays the oracle over a qcheck plan family including
-# withdraw-only/no-op/static/more-specific plans and a deliberately
-# pruned (unsound) dirty set (DESIGN.md §2.10).
+# plan whose FIB patch rebinds a BGP-learned slot, then on an aggregate
+# plan whose dirty set is the aggregate closed over its components (both
+# intents hold, so exit 0 also means the verdicts passed); then the
+# incremental test suite replays the oracle over a qcheck plan family
+# including withdraw-only/no-op/static/more-specific plans and a
+# deliberately pruned (unsound) dirty set (DESIGN.md §2.10).
 inc:
 	dune build @all
 	dune exec bin/hoyan_cli.exe -- verify --inc --selfcheck
 	dune exec bin/hoyan_cli.exe -- verify --inc --selfcheck \
 	  --plan examples/static_route_plan.txt --device r00-bdr01 \
 	  --intent 'prefix != 100.0.29.0/24 => PRE = POST'
+	dune exec bin/hoyan_cli.exe -- verify --inc --selfcheck \
+	  --plan examples/aggregate_plan.txt --device r00-bdr01 \
+	  --intent 'prefix != 150.0.0.0/16 => PRE = POST'
 	dune exec test/test_main.exe -- test incremental
 
 # Verdict-latency benchmark self-test: builds perfbench/ (release

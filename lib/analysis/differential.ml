@@ -712,11 +712,33 @@ let carries_over ?tm (d : diff) ~(input_routes : Route.t list) (p : Prefix.t)
 (* Blast radius: the dirty region as an invalidation set                *)
 (* ------------------------------------------------------------------ *)
 
+(** The dirty prefix set: every prefix of the base and patched universes
+    ({!Semantic.universe}) and of the plan's own announcements and
+    withdrawals that {!prefix_affected} flags, closed under the base and
+    patched aggregates ({!Semantic.aggregate_closure}).  The prefixes
+    [Incremental.simulate] re-converges and {!impact} reports.  Sorted. *)
+let dirty_prefixes ?tm (d : diff) ~(input_routes : Route.t list) :
+    Prefix.t list =
+  let plan = d.df_plan in
+  (* the patched inputs are the base's minus the withdrawals plus the
+     announcements, so the base universe already holds all but the
+     announcements *)
+  let universe =
+    List.sort_uniq Prefix.compare
+      (Semantic.universe d.df_base_input ~input_routes
+      @ Semantic.universe d.df_patched_input
+          ~input_routes:plan.Cp.cp_new_routes
+      @ plan.Cp.cp_withdraw)
+  in
+  Semantic.aggregate_closure
+    [ d.df_base_input; d.df_patched_input ]
+    ~universe
+    (List.filter (prefix_affected ?tm d ~input_routes) universe)
+
 (** The transitive dirty region — what an incremental simulator must
-    re-compute.  Prefixes are drawn from the known universe (monitored
-    input routes plus the plan's own announcements and withdrawals);
-    [im_all_prefixes] flags changes (topology ops) that dirty prefixes
-    outside any enumerable universe. *)
+    re-compute: the {!dirty_prefixes} and every device of their patched
+    propagation closures.  [im_all_prefixes] flags changes (topology
+    ops) that dirty prefixes outside any enumerable universe. *)
 type impact = {
   im_class : classification;
   im_all_prefixes : bool;
@@ -725,17 +747,7 @@ type impact = {
 }
 
 let impact ?tm (d : diff) ~(input_routes : Route.t list) : impact =
-  let universe =
-    List.sort_uniq Prefix.compare
-      (List.map (fun (r : Route.t) -> r.Route.prefix) input_routes
-      @ List.map
-          (fun (r : Route.t) -> r.Route.prefix)
-          d.df_plan.Cp.cp_new_routes
-      @ d.df_plan.Cp.cp_withdraw)
-  in
-  let dirty =
-    List.filter (fun p -> prefix_affected ?tm d ~input_routes p) universe
-  in
+  let dirty = dirty_prefixes ?tm d ~input_routes in
   let devices = Hashtbl.create 64 in
   List.iter (fun (dev, _) -> Hashtbl.replace devices dev ()) d.df_touched;
   List.iter
@@ -1010,6 +1022,10 @@ let check ?tm ?(input_routes = []) (d : diff) : D.t list =
         if d.df_class <> Propagating then []
         else
           let im = impact ~tm d ~input_routes in
+          let monitored =
+            List.sort_uniq Prefix.compare
+              (List.map (fun (r : Route.t) -> r.Route.prefix) input_routes)
+          in
           [
             D.make ~code:"HOY037" ~obj:"blast radius"
               "propagating change: dirty region spans %d device(s) and %s"
@@ -1017,13 +1033,13 @@ let check ?tm ?(input_routes = []) (d : diff) : D.t list =
               (if im.im_all_prefixes then
                  "every prefix (topology operation)"
                else
-                 Printf.sprintf "%d of %d monitored prefix(es)"
+                 Printf.sprintf "%d prefix(es), %d of %d monitored prefix(es)"
                    (Trie.Dual.cardinal im.im_prefixes)
                    (List.length
-                      (List.sort_uniq Prefix.compare
-                         (List.map
-                            (fun (r : Route.t) -> r.Route.prefix)
-                            input_routes))));
+                      (List.filter
+                         (fun p -> Option.is_some (Trie.Dual.find_exact im.im_prefixes p))
+                         monitored))
+                   (List.length monitored));
           ]
       in
       List.sort D.compare_diag

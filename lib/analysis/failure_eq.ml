@@ -4,7 +4,10 @@
     whenever the simulator grows a new dependence of route state on
     topology (beyond sessions, IGP rows, SR resolution and removals),
     this module must fingerprint it too, or the brute-vs-pruned oracle
-    in test_kfailure will catch the divergence. *)
+    in test_kfailure will catch the divergence.  The prefixes it
+    fingerprints are {!Semantic.footprint_closure}'s, the same set
+    [Kfailure.check] restricts every simulated fixpoint to, so the
+    fingerprinted slice always covers what the simulation reads. *)
 
 open Hoyan_net
 module Types = Hoyan_config.Types
@@ -91,8 +94,7 @@ type t = {
   an_tm : Telemetry.t;
   an_closures : (string, Sset.t) Hashtbl.t;
       (* prefix (printed) -> closure members; memoized across the whole
-         candidate set — footprint prefixes and aggregate contributors
-         share one cache *)
+         candidate set — every relevant prefix shares one cache *)
   an_edges : (string, (Semantic.session_edge * bool) list) Hashtbl.t;
       (* per device: session edges in a deterministic order, with the
          link-address-peering flag precomputed (it is config-only) *)
@@ -369,55 +371,6 @@ let nh_owner_targets (t : t) ~(u_set : Sset.t) ~(rp : Prefix.t list) : Sset.t =
     u_set acc
 
 (* ------------------------------------------------------------------ *)
-(* Aggregate contributors                                              *)
-(* ------------------------------------------------------------------ *)
-
-let aggregated_anywhere (t : t) (p : Prefix.t) : bool =
-  Smap.exists
-    (fun _ (cfg : Types.t) ->
-      List.exists
-        (fun (ag : Types.aggregate) -> Prefix.equal ag.Types.ag_prefix p)
-        cfg.Types.dc_bgp.Types.bgp_aggregates)
-    t.an_configs
-
-(* Candidate contributor prefixes strictly under an aggregate [p]: every
-   prefix the network can originate — input routes, network statements,
-   statics, connected subnets, other aggregates.  A contributor's route
-   state can flip [p]'s activation at the aggregating device, so its
-   closure joins [p]'s region. *)
-let contributors (t : t) (p : Prefix.t) : Prefix.t list =
-  if not (aggregated_anywhere t p) then []
-  else
-    let under q = Prefix.subsumes p q && not (Prefix.equal p q) in
-    let from_inputs =
-      List.filter_map
-        (fun (r : Route.t) ->
-          if under r.Route.prefix then Some r.Route.prefix else None)
-        t.an_input_routes
-    in
-    let from_configs =
-      Smap.fold
-        (fun _ (cfg : Types.t) acc ->
-          let nets = List.map fst cfg.Types.dc_bgp.Types.bgp_networks in
-          let aggs =
-            List.map
-              (fun (ag : Types.aggregate) -> ag.Types.ag_prefix)
-              cfg.Types.dc_bgp.Types.bgp_aggregates
-          in
-          let statics =
-            List.map
-              (fun (s : Types.static_route) -> s.Types.st_prefix)
-              cfg.Types.dc_statics
-          in
-          let conns =
-            List.filter_map Types.iface_subnet cfg.Types.dc_ifaces
-          in
-          List.filter under (nets @ aggs @ statics @ conns) @ acc)
-        t.an_configs []
-    in
-    List.sort_uniq Prefix.compare (from_inputs @ from_configs)
-
-(* ------------------------------------------------------------------ *)
 (* Per-scenario fingerprints                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -616,11 +569,13 @@ let analyze ?tm ?(devices = false) ?(links = true) (t : t) ~(k : int)
             scenarios_up_to ~k (candidates ~devices ~links t.an_topo)
           in
           let total = List.length scen in
-          (* Relevant prefixes: the footprint plus aggregate
-             contributors; their closures share the memo table. *)
+          (* Relevant prefixes: the footprint closed under aggregate
+             contribution — exactly the prefixes [Kfailure.check]'s
+             restricted fixpoints simulate; their closures share the
+             memo table. *)
           let rp =
-            List.sort_uniq Prefix.compare
-              (ps @ List.concat_map (contributors t) ps)
+            Semantic.footprint_closure t.an_graph.Semantic.g_input
+              ~input_routes:t.an_input_routes ps
           in
           let fwd =
             List.fold_left

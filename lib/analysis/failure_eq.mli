@@ -13,17 +13,21 @@
 
     Fix a property footprint: the set [P] of prefixes and the monitored
     devices [D] whose route state the property reads ({!footprint}).
-    Let [region(p)] be the PR4 closure of [p] — the over-approximate
-    set of devices any execution can deliver [p] to, including every
-    origin — closed under aggregate contribution (if [p] is configured
-    as an aggregate anywhere, the closures of all candidate contributor
-    prefixes under [p] are unioned in).
+    The {e relevant} prefixes [R] are [P] closed under aggregate
+    contribution in both directions over the prefix universe
+    ({!Semantic.footprint_closure}): the BGP fixpoint couples prefixes
+    only through aggregation, so [P]'s route state is a function of
+    [R]'s, and [R] is exactly the set [Kfailure.check] restricts every
+    fixpoint to.  Let [region(p)] be the PR4 closure of [p] — the
+    over-approximate set of devices any execution can deliver [p] to,
+    including every origin.
 
-    The {e influence slice} [U] is the union of the regions narrowed to
+    The {e influence slice} [U] is the union of the regions of [R]
+    narrowed to
     the devices that can affect what [D] observes: the backward closure
     of [D] over session edges that are not provably AS-loop-blocked.
     An edge [u -> d] is provably blocked when it is eBGP and [d]'s ASN
-    is in every AS path any route for [P] can have at [u] (a
+    is in every AS path any route for [R] can have at [u] (a
     decreasing-intersection dataflow from the origins; an eBGP hop adds
     the sender's ASN unless an AS-path-overwriting policy plus the
     [adding_own_asn] VSB could suppress it) — the simulator's loop
@@ -33,8 +37,8 @@
     only to it — is irrelevant to the property.  Failures only remove
     propagation paths, so blocked edges stay blocked in every scenario.
 
-    The [p]-restricted outcome of a simulation at the devices of [U]
-    (which routes for [p] they hold) is a function of, only:
+    The [R]-restricted outcome of a simulation at the devices of [U]
+    (which routes for [R] they hold) is a function of, only:
 
     - the configs of the devices in [U] (failures never edit configs);
     - which devices of [U] are removed;
@@ -45,10 +49,10 @@
     - each [U]-device's IGP cost row restricted to the candidate
       next-hop owners — the only addresses the BGP decision process
       reads costs for ([d_igp_cost] at a route's next hop): owners of
-      input-route and static-route next hops for [P], [Set_nexthop]
+      input-route and static-route next hops for [R], [Set_nexthop]
       policy targets, eBGP/next-hop-self exporters inside the slice
       (they rewrite next hops to their own session addresses), and
-      loopback owners whose host route is itself a footprint prefix.
+      loopback owners whose host route is itself a relevant prefix.
       Locally originated routes carry no next hop (constant cost 0);
       ownerless external addresses resolve through config-only rules —
       both constant under every scenario;
@@ -57,7 +61,7 @@
       resolution success, via the "IGP cost for SR" VSB);
     - the injected input routes (failure-independent).
 
-    Devices outside the forward closure can never carry [p] (the
+    Devices outside the forward closure can never carry [R] (the
     closure is an over-approximation that failures only shrink), and
     devices outside the backward closure can never transmit toward [D],
     so their state is irrelevant to the property.  The per-scenario
@@ -150,8 +154,7 @@ val create :
   input_routes:Route.t list ->
   t
 
-(** The memoized closure region of one prefix (topology members only),
-    {e without} aggregate-contributor closure. *)
+(** The memoized closure region of one prefix (topology members only). *)
 val region : t -> Prefix.t -> string list
 
 (** Per-class decision. *)

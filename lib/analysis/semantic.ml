@@ -835,41 +835,141 @@ let exact_origins (g : t) ~(input_routes : Route.t list) (p : Prefix.t) :
   in
   List.sort_uniq compare (from_configs @ from_inputs)
 
+(* Each topology device with its router id's host route: the prefixes
+   IS-IS redistribution originates. *)
+let loopback_prefixes (input : Lint.input) : (string * Prefix.t) list =
+  match input.Lint.li_topo with
+  | None -> []
+  | Some topo ->
+      List.map
+        (fun (d : Topology.device) ->
+          let bits = Ip.family_bits (Ip.family d.Topology.router_id) in
+          (d.Topology.name, Prefix.make d.Topology.router_id bits))
+        (Topology.devices topo)
+
+let redistributes_isis (cfg : Types.t) =
+  List.exists
+    (fun (proto, _) -> proto = Route.Isis)
+    cfg.Types.dc_bgp.Types.bgp_redistribute
+
+let aggregate_prefixes (cfg : Types.t) =
+  List.map
+    (fun (ag : Types.aggregate) -> ag.Types.ag_prefix)
+    cfg.Types.dc_bgp.Types.bgp_aggregates
+
 (** Possible extra origins of [p] beyond the exact set: aggregates
     (conditional on a contributing route) and redistributed IS-IS
     loopbacks. *)
 let over_origins (g : t) (p : Prefix.t) : string list =
-  let configs = g.g_input.Lint.li_configs in
-  let loopback_prefixes =
-    match g.g_input.Lint.li_topo with
-    | None -> []
-    | Some topo ->
-        List.map
-          (fun (d : Topology.device) ->
-            let bits = Ip.family_bits (Ip.family d.Topology.router_id) in
-            (d.Topology.name, Prefix.make d.Topology.router_id bits))
-          (Topology.devices topo)
-  in
+  let loopbacks = loopback_prefixes g.g_input in
   Smap.fold
     (fun dev (cfg : Types.t) acc ->
       let aggregate =
-        in_topo g dev
-        && List.exists
-             (fun (ag : Types.aggregate) -> Prefix.equal ag.Types.ag_prefix p)
-             cfg.Types.dc_bgp.Types.bgp_aggregates
+        in_topo g dev && List.exists (Prefix.equal p) (aggregate_prefixes cfg)
       in
       let isis_loopback =
-        in_topo g dev
-        && List.exists
-             (fun (proto, _) -> proto = Route.Isis)
-             cfg.Types.dc_bgp.Types.bgp_redistribute
+        in_topo g dev && redistributes_isis cfg
         && List.exists
              (fun (n, lp) ->
                (not (String.equal n dev)) && Prefix.equal lp p)
-             loopback_prefixes
+             loopbacks
       in
       if aggregate || isis_loopback then dev :: acc else acc)
-    configs []
+    g.g_input.Lint.li_configs []
+
+(* ------------------------------------------------------------------ *)
+(* The prefix universe and the aggregate closure                        *)
+(* ------------------------------------------------------------------ *)
+
+(** The prefix universe of [input]: every prefix a BGP RIB row can
+    carry.  Its sources are the origins {!exact_origins} and
+    {!over_origins} list — the injected [input_routes], [network]
+    statements, statics, connected subnets and host routes, aggregates
+    and, when some device redistributes IS-IS, every topology router
+    id's host route.  Propagation and leaking preserve prefixes, so the
+    list is exhaustive.  Sorted, deduplicated. *)
+let universe (input : Lint.input) ~(input_routes : Route.t list) :
+    Prefix.t list =
+  let configs = input.Lint.li_configs in
+  let from_configs =
+    Smap.fold
+      (fun _ (cfg : Types.t) acc ->
+        List.map fst cfg.Types.dc_bgp.Types.bgp_networks
+        @ aggregate_prefixes cfg
+        @ List.map
+            (fun (s : Types.static_route) -> s.Types.st_prefix)
+            cfg.Types.dc_statics
+        @ List.concat_map Types.connected_prefixes cfg.Types.dc_ifaces
+        @ acc)
+      configs []
+  in
+  let loopbacks =
+    if Smap.exists (fun _ cfg -> redistributes_isis cfg) configs then
+      List.map snd (loopback_prefixes input)
+    else []
+  in
+  List.sort_uniq Prefix.compare
+    (List.map (fun (r : Route.t) -> r.Route.prefix) input_routes
+    @ from_configs @ loopbacks)
+
+(** [seeds] closed under the aggregates configured in [inputs], in both
+    directions, over [universe]: a set holding a [universe] prefix
+    strictly under an aggregate also holds the aggregate (its row is
+    computed from its components), and a set holding an aggregate also
+    holds every [universe] prefix strictly under it (a restricted
+    fixpoint must see every component to originate it).  The BGP
+    fixpoint couples prefixes only through aggregation, so a run
+    restricted to a closed set converges exactly that set's rows
+    (DESIGN.md §2.10).  Sorted, deduplicated. *)
+let aggregate_closure (inputs : Lint.input list) ~(universe : Prefix.t list)
+    (seeds : Prefix.t list) : Prefix.t list =
+  let set = Prefix.Tbl.create 64 in
+  List.iter (fun p -> Prefix.Tbl.replace set p ()) seeds;
+  let mem = Prefix.Tbl.mem set in
+  let add p =
+    if mem p then false
+    else begin
+      Prefix.Tbl.replace set p ();
+      true
+    end
+  in
+  (* each aggregate with its candidate components, found once *)
+  let groups =
+    List.concat_map
+      (fun (input : Lint.input) ->
+        Smap.fold
+          (fun _ cfg acc -> aggregate_prefixes cfg @ acc)
+          input.Lint.li_configs [])
+      inputs
+    |> List.sort_uniq Prefix.compare
+    |> List.map (fun ag ->
+           ( ag,
+             List.filter
+               (fun u -> (not (Prefix.equal u ag)) && Prefix.subsumes ag u)
+               universe ))
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (ag, components) ->
+        if mem ag then
+          List.iter (fun u -> if add u then changed := true) components
+        else if List.exists mem components then begin
+          ignore (add ag);
+          changed := true
+        end)
+      groups
+  done;
+  List.sort Prefix.compare (Prefix.Tbl.fold (fun p () acc -> p :: acc) set [])
+
+(** [prefixes] closed under [input]'s aggregates over its own universe:
+    the prefix set a property footprint reads, as both the
+    failure-equivalence fingerprint and the k-failure fixpoint
+    restriction see it. *)
+let footprint_closure (input : Lint.input) ~(input_routes : Route.t list)
+    (prefixes : Prefix.t list) : Prefix.t list =
+  aggregate_closure [ input ] ~universe:(universe input ~input_routes) prefixes
 
 (** The propagation closure of [p]: every device any simulator execution
     could deliver a route for [p] to.  Seeds are the exact and possible

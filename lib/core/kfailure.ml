@@ -118,10 +118,11 @@ let apply_failures (model : Model.t) (fs : failure list) : Model.t =
   fst (Model.apply_change_plan model (Cp.make "k-failure" ~topo_ops))
 
 (* Simulate one failure scenario and evaluate the property.  [only]
-   restricts the fixpoint to the property footprint's prefix closure:
-   sound because a footprint declares everything [p_check] observes, and
-   per-prefix decomposability makes the restricted run converge the
-   footprint's rows exactly. *)
+   restricts the fixpoint to the property footprint's aggregate closure
+   ([Semantic.footprint_closure], the prefixes [Failure_eq.analyze]
+   fingerprints): sound because a footprint declares everything
+   [p_check] observes, and per-prefix decomposability makes the
+   restricted run converge the footprint's rows exactly. *)
 let simulate_scenario ?only (model : Model.t) ~input_routes ~flows
     (prop : property) (fs : failure list) : string option =
   let failed_model = apply_failures model fs in
@@ -153,17 +154,21 @@ let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
      representative's and the base verdict's — to the footprint's
      aggregate closure.  [Opaque] footprints (traffic properties)
      simulate in full, honestly counted. *)
+  let input = Lint.make ~topo:model.Model.topo model.Model.configs in
   let only =
+    let closure ps =
+      let set =
+        Prefix.Set.of_list (Semantic.footprint_closure input ~input_routes ps)
+      in
+      Some (fun p -> Prefix.Set.mem p set)
+    in
     match prop.p_footprint with
-    | Feq.Reach_all (p, _) ->
-        Some (Incremental.footprint_only model ~input_routes ~prefixes:[ p ])
-    | Feq.Prefix_scoped (ps, _) ->
-        Some (Incremental.footprint_only model ~input_routes ~prefixes:ps)
+    | Feq.Reach_all (p, _) -> closure [ p ]
+    | Feq.Prefix_scoped (ps, _) -> closure ps
     | Feq.Opaque -> None
   in
   let plan =
     if prune then
-      let input = Lint.make ~topo:model.Model.topo model.Model.configs in
       let g = Semantic.build ?tm input in
       let an =
         Feq.create ?tm ~te_aware:model.Model.te_aware g ~input_routes

@@ -81,19 +81,6 @@ let topo_op_render = function
       Printf.sprintf "add-link %s/%s %s/%s %g" la la_if lb lb_if l_bandwidth
   | Cp.Remove_link { ra; rb } -> Printf.sprintf "remove-link %s %s" ra rb
 
-(* Group the plan's command blocks by device, preserving each device's
-   block order (application is per-device, so cross-device interleaving
-   is not observable).  Devices come out name-sorted. *)
-let blocks_by_device (cp : Cp.t) : (string * string list) list =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (dev, block) ->
-      let prev = Option.value (Hashtbl.find_opt tbl dev) ~default:[] in
-      Hashtbl.replace tbl dev (block :: prev))
-    cp.Cp.cp_commands;
-  Hashtbl.fold (fun dev blocks acc -> (dev, List.rev blocks) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 let plan_digest ~(configs : Types.t Smap.t) (cp : Cp.t) : string =
   let b = Buffer.create 4096 in
   (* topology ops in plan order: their order is observable *)
@@ -102,34 +89,31 @@ let plan_digest ~(configs : Types.t Smap.t) (cp : Cp.t) : string =
       Buffer.add_string b (topo_op_render op);
       Buffer.add_char b '\n')
     cp.Cp.cp_topo_ops;
-  (* per touched device: digest the *patched* configuration plus the
-     application issues — everything Verify_request.run can observe of
-     the block, nothing of its accidental spelling *)
+  (* the plan applied once, as the pipeline applies it: per device a
+     block targets (name order), its patched configuration and its
+     blocks' application issues in plan order — everything
+     Verify_request.run can observe of the blocks, nothing of their
+     accidental spelling.  An unknown target (Table-6 "typo in router
+     name") keys on its name and issue alone. *)
+  let ap = Cp.apply configs cp in
+  let reports = List.map Cp.step_report ap.Cp.ap_steps in
   List.iter
-    (fun (dev, blocks) ->
-      match Smap.find_opt dev configs with
-      | None ->
-          (* unknown target (Table-6 "typo in router name"): the raw
-             text is all there is to key on *)
-          Buffer.add_string b ("unknown-device " ^ dev ^ "\n");
-          List.iter (fun blk -> Buffer.add_string b blk) blocks
+    (fun dev ->
+      (match Smap.find_opt dev ap.Cp.ap_configs with
       | Some cfg ->
-          let cfg', issues =
-            List.fold_left
-              (fun (cfg, issues) blk ->
-                let cfg', (report : Cp.apply_report) =
-                  Cp.apply_commands cfg blk
-                in
-                (cfg', List.rev_append report.Cp.ar_issues issues))
-              (cfg, []) blocks
-          in
           Buffer.add_string b ("device " ^ dev ^ "\n");
-          Buffer.add_string b (Printer.print cfg');
-          List.iter
-            (fun i ->
-              Buffer.add_string b ("issue " ^ Cp.issue_to_string i ^ "\n"))
-            (List.rev issues))
-    (blocks_by_device cp);
+          Buffer.add_string b (Printer.print cfg)
+      | None -> Buffer.add_string b ("unknown-device " ^ dev ^ "\n"));
+      List.iter
+        (fun (r : Cp.apply_report) ->
+          if String.equal r.Cp.ar_device dev then
+            List.iter
+              (fun i ->
+                Buffer.add_string b ("issue " ^ Cp.issue_to_string i ^ "\n"))
+              r.Cp.ar_issues)
+        reports)
+    (List.sort_uniq String.compare
+       (List.map (fun (r : Cp.apply_report) -> r.Cp.ar_device) reports));
   (* announced / withdrawn inputs, order-insensitive *)
   List.iter
     (fun s -> Buffer.add_string b ("new-route " ^ s ^ "\n"))

@@ -9,13 +9,14 @@
 
     {!cache_key} is the result-cache key: (snapshot digest, plan
     digest, intent digest, class).  The plan digest is {e semantic}: the
-    plan's command blocks are applied to the base configs and the digest
-    covers the {e patched} configurations (plus the application issues,
-    topology ops, announced routes and withdrawals) — so two textually
-    different plans with the same meaning (restatements, reordered
-    prefix-list entries, duplicated blocks) digest identically and
-    deduplicate in the cache, the PR7 restatement-is-no-op property
-    lifted to the request layer.
+    plan is applied to the base configs by
+    {!Hoyan_config.Change_plan.apply}, as the pipeline applies it, and
+    the digest covers the {e patched} configurations (plus the
+    application issues, topology ops, announced routes and
+    withdrawals) — so two textually different plans with the same
+    meaning (restatements, reordered prefix-list entries, duplicated
+    blocks) digest identically and deduplicate in the cache, the PR7
+    restatement-is-no-op property lifted to the request layer.
 
     {2 Transport}
 

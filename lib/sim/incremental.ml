@@ -11,8 +11,9 @@
     So a fixpoint restricted to a prefix set S converges exactly the
     S-restriction of the unrestricted fixpoint whenever S is closed
     under aggregate contribution in both directions.  [Route_sim.run
-    ~only] implements the restriction; this module owns the closure, the
-    splice and the oracle. *)
+    ~only] implements the restriction, [Semantic.aggregate_closure] the
+    closure and [Differential.dirty_prefixes] the dirty set; this module
+    owns the splice and the oracle. *)
 
 open Hoyan_net
 module Smap = Map.Make (String)
@@ -20,6 +21,7 @@ module Types = Hoyan_config.Types
 module Cp = Hoyan_config.Change_plan
 module Lint = Hoyan_analysis.Lint
 module Differential = Hoyan_analysis.Differential
+module Semantic = Hoyan_analysis.Semantic
 module Telemetry = Hoyan_telemetry.Telemetry
 module Journal = Hoyan_telemetry.Journal
 
@@ -32,7 +34,6 @@ type ctx = {
   cx_bgp : Rib.Arena.t; (* base RIB minus base local tables *)
   cx_fibs : Traffic_sim.fib;
   cx_ecx : Traffic_sim.ec_ctx;
-  cx_universe : Prefix.t list; (* every prefix a base BGP row can have *)
   cx_degraded : string option;
       (* a base row's prefix escaped the enumerable universe: the dirty
          set cannot be trusted, every plan falls back to a full run *)
@@ -46,103 +47,16 @@ let base_fibs cx = cx.cx_fibs
 let base_ec_ctx cx = cx.cx_ecx
 let counters cx = (cx.cx_simulates, cx.cx_fallbacks)
 
-(* ------------------------------------------------------------------ *)
-(* The prefix universe and the aggregate closure                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Every prefix a BGP RIB row of [model] can possibly carry, beyond the
-   injected inputs: network statements, redistributable local-table rows
-   (statics/connected/IGP), and configured aggregates.  Leaking
-   preserves prefixes, so this is exhaustive. *)
-let model_prefixes (model : Model.t) : Prefix.t list =
-  let acc = ref [] in
-  Smap.iter
-    (fun _ (cfg : Types.t) ->
-      List.iter
-        (fun (p, _vrf) -> acc := p :: !acc)
-        cfg.Types.dc_bgp.Types.bgp_networks;
-      List.iter
-        (fun (ag : Types.aggregate) -> acc := ag.Types.ag_prefix :: !acc)
-        cfg.Types.dc_bgp.Types.bgp_aggregates)
-    model.Model.configs;
-  Smap.iter
-    (fun _ rows ->
-      List.iter (fun (r : Route.t) -> acc := r.Route.prefix :: !acc) rows)
-    model.Model.local_tables;
-  !acc
-
-let aggregate_prefixes (model : Model.t) : Prefix.t list =
-  let acc = ref [] in
-  Smap.iter
-    (fun _ (cfg : Types.t) ->
-      List.iter
-        (fun (ag : Types.aggregate) -> acc := ag.Types.ag_prefix :: !acc)
-        cfg.Types.dc_bgp.Types.bgp_aggregates)
-    model.Model.configs;
-  List.sort_uniq Prefix.compare !acc
-
-(* Close a dirty prefix set under aggregate contribution over
-   [universe]: a dirty component dirties its aggregates (their
-   attributes are computed from component rows), and a dirty aggregate
-   pulls in every candidate component (the restricted run must see them
-   to originate it correctly). *)
-let close_under_aggregates ~(aggs : Prefix.t list)
-    ~(universe : Prefix.t list) (dirty : unit Prefix.Tbl.t) : unit =
-  let mem p = Prefix.Tbl.mem dirty p in
-  let add p =
-    if mem p then false
-    else begin
-      Prefix.Tbl.replace dirty p ();
-      true
-    end
-  in
-  (* each aggregate with its candidate components, found once *)
-  let groups =
-    List.map
-      (fun ag ->
-        ( ag,
-          List.filter
-            (fun u -> (not (Prefix.equal u ag)) && Prefix.subsumes ag u)
-            universe ))
-      aggs
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (ag, components) ->
-        if mem ag then
-          List.iter (fun u -> if add u then changed := true) components
-        else if List.exists mem components then begin
-          ignore (add ag);
-          changed := true
-        end)
-      groups
-  done
-
-(* The enumerable prefix universe of a base: the injected inputs plus
-   [model_prefixes]. *)
-let universe_of (model : Model.t) (input_routes : Route.t list) :
-    Prefix.t list =
-  List.sort_uniq Prefix.compare
-    (List.map (fun (r : Route.t) -> r.Route.prefix) input_routes
-    @ model_prefixes model)
-
-(* [prefixes] closed under [model]'s aggregates over [universe], as a
-   [Route_sim.run ~only] predicate. *)
-let closure (model : Model.t) ~(universe : Prefix.t list)
-    (prefixes : Prefix.t list) : Prefix.t -> bool =
-  let set = Prefix.Tbl.create 16 in
-  List.iter (fun p -> Prefix.Tbl.replace set p ()) prefixes;
-  close_under_aggregates ~aggs:(aggregate_prefixes model) ~universe set;
-  Prefix.Tbl.mem set
-
-let footprint_only (model : Model.t) ~(input_routes : Route.t list)
-    ~(prefixes : Prefix.t list) : Prefix.t -> bool =
-  closure model ~universe:(universe_of model input_routes) prefixes
+let base_input cx =
+  Lint.make ~topo:cx.cx_model.Model.topo cx.cx_model.Model.configs
 
 let scenario_only (cx : ctx) ~(prefixes : Prefix.t list) : Prefix.t -> bool =
-  closure cx.cx_model ~universe:cx.cx_universe prefixes
+  let set =
+    Prefix.Set.of_list
+      (Semantic.footprint_closure (base_input cx)
+         ~input_routes:cx.cx_input_routes prefixes)
+  in
+  fun p -> Prefix.Set.mem p set
 
 (* ------------------------------------------------------------------ *)
 (* Context capture                                                     *)
@@ -155,16 +69,16 @@ let capture ?tm ~(model : Model.t) ~(input_routes : Route.t list)
       let bgp_rows = Rib.diff rib (Model.local_rib model) in
       let key = Rib.Key.of_routes (bgp_rows :> Route.t list) in
       let bgp = Rib.Arena.of_rib key bgp_rows in
-      let universe = universe_of model input_routes in
-      let in_universe =
-        let tbl = Prefix.Tbl.create (List.length universe * 2) in
-        List.iter (fun p -> Prefix.Tbl.replace tbl p ()) universe;
-        Prefix.Tbl.mem tbl
+      let universe =
+        Semantic.universe
+          (Lint.make ~topo:model.Model.topo model.Model.configs)
+          ~input_routes
       in
+      let in_universe = Prefix.Set.of_list universe in
       let degraded =
         List.find_map
           (fun (r : Route.t) ->
-            if in_universe r.Route.prefix then None
+            if Prefix.Set.mem r.Route.prefix in_universe then None
             else
               Some
                 (Printf.sprintf "base row prefix %s outside universe"
@@ -190,7 +104,6 @@ let capture ?tm ~(model : Model.t) ~(input_routes : Route.t list)
         cx_bgp = bgp;
         cx_fibs = fibs;
         cx_ecx = ecx;
-        cx_universe = universe;
         cx_degraded = degraded;
         cx_simulates = 0;
         cx_fallbacks = 0;
@@ -221,8 +134,7 @@ type sim = {
 }
 
 let compute_diff ?tm (cx : ctx) (plan : Cp.t) : Differential.diff =
-  let m = cx.cx_model in
-  Differential.diff ?tm (Lint.make ~topo:m.Model.topo m.Model.configs) plan
+  Differential.diff ?tm (base_input cx) plan
 
 (* Devices whose local tables differ between base and patched model
    (their FIBs can change even without a BGP row change), each with the
@@ -365,35 +277,16 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
       with
       | Some reason -> full_fallback tm cx d ~inputs ~patched ~reason
       | None ->
-          let plan_prefixes =
-            plan.Cp.cp_withdraw
-            @ List.map
-                (fun (r : Route.t) -> r.Route.prefix)
-                plan.Cp.cp_new_routes
+          let dirty =
+            Differential.dirty_prefixes ~tm d ~input_routes:cx.cx_input_routes
           in
-          let universe =
-            List.sort_uniq Prefix.compare
-              (cx.cx_universe @ model_prefixes patched @ plan_prefixes)
+          let dirty =
+            match prune_dirty with
+            | None -> dirty
+            | Some drop -> List.filter (fun p -> not (drop p)) dirty
           in
           let dirty_tbl = Prefix.Tbl.create 64 in
-          List.iter
-            (fun p ->
-              if
-                Differential.prefix_affected ~tm d
-                  ~input_routes:cx.cx_input_routes p
-              then Prefix.Tbl.replace dirty_tbl p ())
-            universe;
-          let aggs =
-            List.sort_uniq Prefix.compare
-              (aggregate_prefixes cx.cx_model @ aggregate_prefixes patched)
-          in
-          close_under_aggregates ~aggs ~universe dirty_tbl;
-          (match prune_dirty with
-          | None -> ()
-          | Some drop ->
-              List.iter
-                (fun p -> if drop p then Prefix.Tbl.remove dirty_tbl p)
-                universe);
+          List.iter (fun p -> Prefix.Tbl.replace dirty_tbl p ()) dirty;
           let is_dirty = Prefix.Tbl.mem dirty_tbl in
           let n_dirty = Prefix.Tbl.length dirty_tbl in
           (* the restricted re-convergence: from-scratch fixpoint over
@@ -506,9 +399,7 @@ let simulate ?tm ?d ?prune_dirty (cx : ctx) (plan : Cp.t) : sim =
           {
             s_model = patched;
             s_rib = rib;
-            s_dirty =
-              List.sort Prefix.compare
-                (Prefix.Tbl.fold (fun p () acc -> p :: acc) dirty_tbl []);
+            s_dirty = dirty;
             s_stats = stats;
             s_fibs = fibs;
             s_ecx = ecx;

@@ -10,9 +10,10 @@
 
     {!simulate} re-runs the BGP fixpoint {e only inside the dirty
     region} that [Differential] computes for the plan: the dirty prefix
-    set (every universe prefix [Differential.prefix_affected] flags,
-    closed under aggregate contribution in both directions) restricts
-    the fixpoint via [Route_sim.run ~only], and the resulting rows are
+    set ([Differential.dirty_prefixes]: every base or patched universe
+    prefix [Differential.prefix_affected] flags, closed under aggregate
+    contribution in both directions) restricts the fixpoint via
+    [Route_sim.run ~only], and the resulting rows are
     {e spliced} into the cached arena: the dirty set becomes a byte mask
     over the {!Hoyan_net.Rib.Key} prefix ids, [Rib.Arena.drop_prefixes]
     cuts the dirty rows out of the base arena by testing each packed
@@ -118,20 +119,9 @@ val simulate :
   sim
 
 (** The prefix restriction for a property footprint that reads only
-    [prefixes]: the set closed under [model]'s aggregate contribution (in
-    both directions) over the prefix universe of [model] and
-    [input_routes] — the inputs' prefixes, network statements,
-    aggregates and local-table rows.  Needs no captured context.
-    [Kfailure] passes the result to [Route_sim.run ~only] on each failed
-    model: per-prefix decomposability of the fixpoint makes the
-    restricted run converge exactly the footprint's rows, without
-    re-converging the rest of the WAN per scenario. *)
-val footprint_only :
-  Model.t -> input_routes:Route.t list -> prefixes:Prefix.t list ->
-  (Prefix.t -> bool)
-
-(** {!footprint_only} over the context's base model and its
-    already-built universe. *)
+    [prefixes], over the context's base:
+    {!Hoyan_analysis.Semantic.footprint_closure} as a [Route_sim.run
+    ~only] predicate. *)
 val scenario_only : ctx -> prefixes:Prefix.t list -> (Prefix.t -> bool)
 
 (** Byte-identity oracle result. *)

@@ -78,6 +78,18 @@ let network_plan (g : G.t) i =
   in
   Cp.make "network" ~commands:[ (dev, block) ]
 
+(* An aggregate over the 150.0.0.0/16 input prefixes on a border: every
+   component joins the dirty set, so the restricted fixpoint can
+   originate (and, summary-only, suppress under) the aggregate. *)
+let aggregate_plan ~summary_only =
+  Cp.make "aggregate"
+    ~commands:
+      [
+        ( "r00-bdr01",
+          Printf.sprintf "router bgp 64512\n aggregate-address 150.0.0.0/16%s\n"
+            (if summary_only then " summary-only" else "") );
+      ]
+
 let static_route ?(preference = 1) (g : G.t) i =
   let p = pick (input_prefixes g) (i / 7) in
   ( pick (vendor_a_devices g) i,
@@ -158,8 +170,8 @@ let n_kinds = 7
 let test_selfcheck_basic () =
   let g = Lazy.force scenario in
   let cx = Lazy.force ctx in
-  List.iteri
-    (fun i (name, plan) ->
+  List.iter
+    (fun (name, plan, dirty) ->
       let ck = Incremental.selfcheck cx plan in
       check tbool (name ^ ": spliced RIB identical") true
         ck.Incremental.ck_rib_ok;
@@ -169,16 +181,23 @@ let test_selfcheck_basic () =
         ck.Incremental.ck_traffic_ok;
       check tbool (name ^ ": no fallback") false
         ck.Incremental.ck_stats.Incremental.st_full_fallback;
-      ignore i)
+      Option.iter
+        (fun n ->
+          check tint (name ^ ": dirty prefixes") n
+            ck.Incremental.ck_stats.Incremental.st_dirty_prefixes)
+        dirty)
     [
-      ("noop", Cp.make "noop");
-      ("announce", announce_plan g 3);
-      ("withdraw-only", withdraw_plan g 5);
-      ("network-stmt", network_plan g 2);
-      ("announce+withdraw", plan_family g 4 7);
-      ("static", static_plan g 3);
-      ("more-specific", more_specific_plan g 2);
-      ("withdraw-sole", withdraw_sole_plan g 1);
+      ("noop", Cp.make "noop", None);
+      ("announce", announce_plan g 3, None);
+      ("withdraw-only", withdraw_plan g 5, None);
+      ("network-stmt", network_plan g 2, None);
+      ("announce+withdraw", plan_family g 4 7, None);
+      ("static", static_plan g 3, None);
+      ("more-specific", more_specific_plan g 2, None);
+      ("withdraw-sole", withdraw_sole_plan g 1, None);
+      (* the aggregate and its 75 components *)
+      ("aggregate", aggregate_plan ~summary_only:false, Some 76);
+      ("aggregate summary-only", aggregate_plan ~summary_only:true, Some 76);
     ]
 
 let test_topo_plan_falls_back_soundly () =

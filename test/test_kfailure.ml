@@ -773,6 +773,105 @@ let test_chaos_matrix () =
     [ 0; 1; 2 ];
   check tint "matrix covers all cells" 12 !cells
 
+(* ------------------------------------------------------------------ *)
+(* IS-IS-redistributed loopbacks under an aggregate                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The chain R0 - R1 - ... - R(n-1), IS-IS on every link, one eBGP
+   session (R0-R1).  R1 redistributes IS-IS, so it originates the host
+   route of every loopback it reaches, and R0 aggregates R3's /24 over
+   it: the aggregate's one component is a host route no config
+   statement names. *)
+let isis_aggregate_chain n =
+  let b = B.create () in
+  for i = 0 to n - 1 do
+    B.add_device b
+      ~name:(Printf.sprintf "R%d" i)
+      ~vendor:"vendorA" ~asn:(65000 + i)
+      ~router_id:(B.ip (Printf.sprintf "10.255.%d.1" i))
+      ()
+  done;
+  for i = 0 to n - 2 do
+    let a = Printf.sprintf "R%d" i and bb = Printf.sprintf "R%d" (i + 1) in
+    let subnet = pfx (Printf.sprintf "10.0.%d.0/31" i) in
+    let a_addr, b_addr = B.link b ~a ~b:bb ~subnet () in
+    if i = 0 then B.bgp_session b ~a ~b:bb ~a_addr ~b_addr ()
+  done;
+  B.add_redistribute b "R1" Route.Isis;
+  B.add_aggregate b "R0" (pfx "10.255.3.0/24");
+  b
+
+(* Every single failure of the four-router chain cuts R3's loopback off
+   R1 or the aggregate off R0, so all 7 scenarios violate; a sweep that
+   fingerprints the aggregate without its IS-IS component carries the
+   base verdict to 6 of them.  A tail R4 gives the reference scenarios
+   that hold (R3-R4 and R4 down), which the restriction oracle needs. *)
+let test_isis_aggregate_chain () =
+  let prop =
+    Kfailure.prefix_survives ~prefix:(pfx "10.255.3.0/24") ~devices:[ "R0" ]
+  in
+  let brute, _ =
+    assert_sound ~msg:"four routers: " ~devices:true ~k:1
+      (B.build (isis_aggregate_chain 4))
+      ~input_routes:[] prop
+  in
+  check tint "four routers: every scenario violates" 7
+    (List.length brute.Kfailure.kr_violations);
+  assert_restricted_exact ~msg:"five routers: " ~devices:true ~k:1
+    (B.build (isis_aggregate_chain 5))
+    ~input_routes:[] prop
+
+(* Seeded random topologies, each with one IS-IS-redistributing device
+   and one aggregate over a loopback /24 (summary-only on odd seeds),
+   swept for the aggregate and for the loopback host route under it,
+   k in {1,2}, with and without device failures.  Every cell compares the pruned sweep's violations
+   with brute force's; the disagreeing cells are reported together. *)
+let test_isis_aggregate_matrix () =
+  let cells = ref 0 and disagree = ref [] in
+  for seed = 0 to 23 do
+    let rng = Random.State.make [| 7300 + seed |] in
+    let n = 4 + (seed mod 3) in
+    let b = random_topo rng ~n ~extra:(seed mod 3) in
+    let dev () = Printf.sprintf "R%d" (Random.State.int rng n) in
+    let owner = Random.State.int rng n in
+    let aggregator = dev () in
+    B.add_redistribute b (dev ()) Route.Isis;
+    B.add_aggregate b aggregator ~summary_only:(seed mod 2 = 1)
+      (pfx (Printf.sprintf "10.255.%d.0/24" owner));
+    let model = B.build b in
+    let monitored = List.sort_uniq compare [ aggregator; dev () ] in
+    List.iter
+      (fun footprint ->
+        let prop =
+          Kfailure.prefix_survives ~prefix:(pfx footprint) ~devices:monitored
+        in
+        List.iter
+          (fun k ->
+            List.iter
+              (fun devices ->
+                incr cells;
+                let sweep prune =
+                  violating_scenarios
+                    (Kfailure.check ~prune ~devices model ~input_routes:[]
+                       ~flows:[] ~k prop)
+                in
+                if sweep false <> sweep true then
+                  disagree :=
+                    Printf.sprintf "seed=%d %s k=%d devices=%b" seed footprint
+                      k devices
+                    :: !disagree)
+              [ false; true ])
+          [ 1; 2 ])
+      [
+        Printf.sprintf "10.255.%d.0/24" owner;
+        Printf.sprintf "10.255.%d.1/32" owner;
+      ]
+  done;
+  check tint "matrix covers all cells" 192 !cells;
+  check
+    Alcotest.(list string)
+    "pruned == brute force in every cell" [] (List.rev !disagree)
+
 let suite =
   [
     Alcotest.test_case "property: prefix_survives" `Quick test_prefix_survives;
@@ -808,4 +907,8 @@ let suite =
     qtest prop_random_topologies_sound;
     Alcotest.test_case "chaos matrix: brute == pruned grid" `Quick
       test_chaos_matrix;
+    Alcotest.test_case "brute == pruned: IS-IS loopback under an aggregate"
+      `Quick test_isis_aggregate_chain;
+    Alcotest.test_case "IS-IS aggregate matrix: brute == pruned grid" `Quick
+      test_isis_aggregate_matrix;
   ]

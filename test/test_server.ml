@@ -112,24 +112,47 @@ let test_cache_zero_capacity () =
 
 (* PR7's restatement-is-no-op property lifted to cache keys: the plan
    digest ignores the plan's id and block duplication — only the
-   patched configurations (plus issues, topo ops, routes) matter. *)
+   patched configurations (plus issues, topo ops, routes) matter.  The
+   inputs are every device's restated config, plus a device the plan
+   adds and configures with a block, which keys on its patched config
+   like any other device. *)
 let prop_digest_restatement_stable =
   let g = Lazy.force small in
   let configs = g.G.model.Model.configs in
   let devices = Array.of_list (List.map fst (Smap.bindings configs)) in
+  let fresh =
+    {
+      Topology.name = "zz-new01";
+      vendor = "vendorA";
+      asn = 64512;
+      router_id = Ip.of_string_exn "10.254.0.1";
+      region = "r00";
+      role = Topology.Wan_core;
+    }
+  in
+  (* every input exactly once, in order *)
+  let next = ref (-1) in
   QCheck.Test.make
     ~name:"plan digest: id-independent and duplicate-block-stable"
-    ~count:(Array.length devices)
-    (QCheck.make QCheck.Gen.(int_bound (Array.length devices - 1)))
+    ~count:(Array.length devices + 1)
+    (QCheck.make ~print:string_of_int (fun _ ->
+         incr next;
+         !next mod (Array.length devices + 1)))
     (fun i ->
-      let dev = devices.(i) in
-      let block = Printer.print (Smap.find dev configs) in
-      let once = Cp.make "restate" ~commands:[ (dev, block) ] in
-      let twice =
-        Cp.make "other-id" ~commands:[ (dev, block); (dev, block) ]
+      let plan id blocks =
+        if i < Array.length devices then
+          let dev = devices.(i) in
+          let block = Printer.print (Smap.find dev configs) in
+          Cp.make id ~commands:(List.init blocks (fun _ -> (dev, block)))
+        else
+          Cp.make id
+            ~topo_ops:[ Cp.Add_device fresh ]
+            ~commands:
+              (List.init blocks (fun _ ->
+                   ("zz-new01", "router bgp 64512\n network 198.51.100.0/24\n")))
       in
-      let d1 = Request.plan_digest ~configs once in
-      let d2 = Request.plan_digest ~configs twice in
+      let d1 = Request.plan_digest ~configs (plan "restate" 1) in
+      let d2 = Request.plan_digest ~configs (plan "other-id" 2) in
       String.equal d1 d2
       && not (String.equal d1 (Request.plan_digest ~configs (Cp.make "e"))))
 
