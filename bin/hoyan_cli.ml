@@ -657,7 +657,7 @@ let diff_run params seed plan_file devices withdraws json max_warnings
          "every prefix (topology change)"
        else
          Printf.sprintf "%d dirty prefix(es)"
-           (Trie.Dual.cardinal im.Differential.im_prefixes))
+           (Prefix.Set.cardinal im.Differential.im_prefixes))
   end;
   code
 

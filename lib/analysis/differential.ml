@@ -4,30 +4,33 @@
     Given the base network (a {!Lint.input}) and a change plan, this pass
     computes — without running any fixpoint —
 
-    - a {b semantic config diff}: the plan's command blocks are applied
-      per device ({!Hoyan_config.Change_plan.apply_commands}) and the
-      resulting IR is diffed stanza-by-stanza (neighbors, policies,
-      prefix lists, VRFs, statics, networks, redistribution, ...),
-      classifying the plan as no-op / local / propagating and emitting
-      the HOY030..HOY037 plan-risk diagnostics;
-    - a {b blast radius}: the diff's touched objects are seeded into the
-      PR4 control-plane graph and symbolic prefix-set dataflow
-      ({!Semantic.closure}) to over-approximate the transitive dirty
-      region — affected devices, prefix sets (as tries) and EC
-      signatures — the invalidation set an incremental simulator needs;
-    - a {b relational intent pre-check}: {!carries_over} decides, per
-      reachability intent, whether the base run's verdict provably
-      survives the change (the intent's prefix is outside the dirty
-      region under the over-approximation) so a batch only simulates the
-      affected remainder.
+    - a {b semantic config diff}: the plan is applied to the base input
+      once ({!Hoyan_config.Change_plan.apply}) and each patched block's
+      IR is diffed stanza-by-stanza against the config it was applied to
+      (neighbors, policies, prefix lists, VRFs, statics, networks,
+      redistribution, ...), classifying the plan as no-op / local /
+      propagating and emitting the HOY030..HOY037 plan-risk diagnostics;
+    - a {b dirty prefix set}: the diff's touched objects are seeded into
+      the control-plane graph and symbolic prefix-set dataflow
+      ({!Semantic.closure}) over the base and patched prefix universes,
+      and the flagged prefixes are closed under aggregates
+      ({!Semantic.aggregate_closure}).  The set is computed once per diff
+      ({!dirty_set}) and is the only answer to "is [p] dirty under this
+      plan": the incremental simulator re-converges it, {!impact}
+      reports it, and {!carries_over} is its complement;
+    - a {b relational intent pre-check}: {!carries_over} holds for a
+      reachability intent's prefix exactly when the prefix is outside
+      the dirty set, so the base run's verdict survives the change and a
+      batch only simulates the affected remainder.
 
     Soundness discipline (as in {!Semantic}): every rule {e over}-approximates
     the set of (device, prefix) pairs whose simulated state can change.
     A change at device [d] can only alter prefix [p]'s routes if [d]
     carries [p] in the base or the patched closure {e and} the change
     touches a stanza whose prefix regions cover [p]; session-level and
-    IGP-level changes are treated as touching every prefix, and topology
-    operations dirty everything. *)
+    IGP-level changes are treated as touching every prefix, topology
+    operations dirty everything, and a prefix whose aggregate or
+    component is dirty is dirty too. *)
 
 open Hoyan_net
 module Types = Hoyan_config.Types
@@ -514,7 +517,7 @@ type diff = {
   df_touched : (string * touched) list; (* per changed device *)
   df_base_graph : Semantic.t Lazy.t;
   df_patched_graph : Semantic.t Lazy.t;
-  df_dirty_cache : (string, bool) Hashtbl.t; (* per-prefix memo *)
+  mutable df_dirty : Prefix.Set.t option; (* {!dirty_set}, once built *)
 }
 
 let count_block_lines block =
@@ -587,11 +590,11 @@ let diff ?tm (input : Lint.input) (plan : Cp.t) : diff =
         df_touched = touched;
         df_base_graph = lazy (Semantic.build ~tm input);
         df_patched_graph = lazy (Semantic.build ~tm patched_input);
-        df_dirty_cache = Hashtbl.create 64;
+        df_dirty = None;
       })
 
 (* ------------------------------------------------------------------ *)
-(* The dirty-region test and the relational carry-over rule             *)
+(* The dirty prefix set and the relational carry-over rule              *)
 (* ------------------------------------------------------------------ *)
 
 (* Input routes surviving the plan, plus its new announcements. *)
@@ -601,109 +604,91 @@ let patched_routes (plan : Cp.t) (input_routes : Route.t list) : Route.t list =
   in
   List.filter survives input_routes @ plan.Cp.cp_new_routes
 
-(** Whether the plan can affect prefix [p]'s simulated routes anywhere.
-    Over-approximate: [false] guarantees that base and patched
-    simulations place byte-identical route state for [p] on every
-    device, so any verdict about [p] carries over from the base run. *)
-let prefix_affected ?tm (d : diff) ~(input_routes : Route.t list)
-    (p : Prefix.t) : bool =
-  let key = Prefix.to_string p in
-  match Hashtbl.find_opt d.df_dirty_cache key with
-  | Some v -> v
+(* The per-prefix test the dirty set is seeded from: some device whose
+   touched regions cover [p] changes [p]'s exact origins or sits in
+   [p]'s base or patched propagation closure. *)
+let touched_prefix ?tm (d : diff) ~input_routes ~proutes (p : Prefix.t) :
+    bool =
+  let touching =
+    List.filter (fun (_, t) -> touched_contains t p) d.df_touched
+  in
+  touching <> []
+  &&
+  let bg = Lazy.force d.df_base_graph in
+  let pg = Lazy.force d.df_patched_graph in
+  let base_exact = Semantic.exact_origins bg ~input_routes p in
+  let patched_exact = Semantic.exact_origins pg ~input_routes:proutes p in
+  base_exact <> patched_exact
+  ||
+  let cl_b = Semantic.closure ?tm ~exact:base_exact bg ~input_routes p in
+  let cl_p =
+    Semantic.closure ?tm ~exact:patched_exact pg ~input_routes:proutes p
+  in
+  List.exists
+    (fun (dev, _) -> Hashtbl.mem cl_b dev || Hashtbl.mem cl_p dev)
+    touching
+
+(** The plan's dirty prefix set: the plan's announced and withdrawn
+    prefixes and every prefix of the base and patched universes
+    ({!Semantic.universe}) that a touched device can reach, closed under
+    the base and patched aggregates ({!Semantic.aggregate_closure}).
+    Empty for a no-op plan; the whole universe for a topology plan.  A
+    prefix outside both universes has no row on either side, so it is
+    clean.
+
+    Built on first use and memoized in [d]: a diff is read with one base
+    input-route list, the one [Verify_request] and [Incremental] pass. *)
+let dirty_set ?tm (d : diff) ~(input_routes : Route.t list) : Prefix.Set.t =
+  match d.df_dirty with
+  | Some s -> s
   | None ->
-      let v =
-        if d.df_class = No_op then false
-        else if d.df_topo_dirty then true
-        else if
-          List.exists (Prefix.equal p) d.df_plan.Cp.cp_withdraw
-          || List.exists
-               (fun (r : Route.t) -> Prefix.equal r.Route.prefix p)
-               d.df_plan.Cp.cp_new_routes
-        then true
+      let plan = d.df_plan in
+      let s =
+        if d.df_class = No_op then Prefix.Set.empty
         else begin
-          (* contributor changes can activate/deactivate an aggregate:
-             if any touched region (or announced/withdrawn prefix) lies
-             under an aggregate for [p], [p] is dirty too *)
-          let seeds_under_aggregate =
-            let sub_region (ag : Prefix.t) =
-              {
-                Semantic.rg_prefix = ag;
-                rg_lo = Prefix.len ag;
-                rg_hi = Prefix.bits ag;
-              }
-            in
-            let seed_inside r =
-              List.exists
-                (fun (q : Prefix.t) -> region_contains r q)
-                (d.df_plan.Cp.cp_withdraw
-                @ List.map
-                    (fun (x : Route.t) -> x.Route.prefix)
-                    d.df_plan.Cp.cp_new_routes)
-              || List.exists
-                   (fun (_, t) ->
-                     match t with
-                     | All -> true
-                     | Regions rs ->
-                         List.exists
-                           (fun (s : Semantic.region) ->
-                             Semantic.regions_overlap r s)
-                           rs)
-                   d.df_touched
-            in
-            let has_aggregate (cfg : Types.t) =
-              List.exists
-                (fun (ag : Types.aggregate) ->
-                  Prefix.equal ag.Types.ag_prefix p
-                  && seed_inside (sub_region ag.Types.ag_prefix))
-                cfg.Types.dc_bgp.Types.bgp_aggregates
-            in
-            Smap.exists
-              (fun _ cfg -> has_aggregate cfg)
-              d.df_base_input.Lint.li_configs
-            || Smap.exists
-                 (fun _ cfg -> has_aggregate cfg)
-                 d.df_patched_input.Lint.li_configs
+          (* the patched inputs are the base's minus the withdrawals plus
+             the announcements, so the base universe already holds all
+             but the announcements *)
+          let universe =
+            List.sort_uniq Prefix.compare
+              (Semantic.universe d.df_base_input ~input_routes
+              @ Semantic.universe d.df_patched_input
+                  ~input_routes:plan.Cp.cp_new_routes
+              @ plan.Cp.cp_withdraw)
           in
-          if seeds_under_aggregate then true
-          else begin
-            let touching =
-              List.filter (fun (_, t) -> touched_contains t p) d.df_touched
-            in
-            if touching = [] then false
-            else begin
-              let bg = Lazy.force d.df_base_graph in
-              let pg = Lazy.force d.df_patched_graph in
-              let proutes = patched_routes d.df_plan input_routes in
-              let base_exact =
-                Semantic.exact_origins bg ~input_routes p
-              in
-              let patched_exact =
-                Semantic.exact_origins pg ~input_routes:proutes p
-              in
-              if base_exact <> patched_exact then true
-              else begin
-                let cl_b =
-                  Semantic.closure ?tm ~exact:base_exact bg ~input_routes p
-                in
-                let cl_p =
-                  Semantic.closure ?tm ~exact:patched_exact pg
-                    ~input_routes:proutes p
-                in
-                List.exists
-                  (fun (dev, _) ->
-                    Hashtbl.mem cl_b dev || Hashtbl.mem cl_p dev)
-                  touching
-              end
-            end
-          end
+          let seeds =
+            if d.df_topo_dirty then universe
+            else
+              let proutes = patched_routes plan input_routes in
+              plan.Cp.cp_withdraw
+              @ List.map (fun (r : Route.t) -> r.Route.prefix)
+                  plan.Cp.cp_new_routes
+              @ List.filter
+                  (touched_prefix ?tm d ~input_routes ~proutes)
+                  universe
+          in
+          Prefix.Set.of_list
+            (Semantic.aggregate_closure
+               [ d.df_base_input; d.df_patched_input ]
+               ~universe seeds)
         end
       in
-      Hashtbl.replace d.df_dirty_cache key v;
-      v
+      d.df_dirty <- Some s;
+      s
+
+(** Whether the plan can affect prefix [p]'s simulated routes anywhere:
+    membership in {!dirty_set}.  A no-op plan affects nothing and a
+    topology plan everything; neither builds the set.  [false]
+    guarantees that base and patched simulations place byte-identical
+    route state for [p] on every device. *)
+let prefix_affected ?tm (d : diff) ~(input_routes : Route.t list)
+    (p : Prefix.t) : bool =
+  d.df_class <> No_op
+  && (d.df_topo_dirty || Prefix.Set.mem p (dirty_set ?tm d ~input_routes))
 
 (** The relational carry-over rule for a reachability intent about
-    prefix [p]: [true] when the base run's verdict provably survives the
-    change. *)
+    prefix [p]: [true] when [p] is outside the dirty set, so the base
+    run's verdict survives the change. *)
 let carries_over ?tm (d : diff) ~(input_routes : Route.t list) (p : Prefix.t)
     : bool =
   not (prefix_affected ?tm d ~input_routes p)
@@ -712,42 +697,25 @@ let carries_over ?tm (d : diff) ~(input_routes : Route.t list) (p : Prefix.t)
 (* Blast radius: the dirty region as an invalidation set                *)
 (* ------------------------------------------------------------------ *)
 
-(** The dirty prefix set: every prefix of the base and patched universes
-    ({!Semantic.universe}) and of the plan's own announcements and
-    withdrawals that {!prefix_affected} flags, closed under the base and
-    patched aggregates ({!Semantic.aggregate_closure}).  The prefixes
-    [Incremental.simulate] re-converges and {!impact} reports.  Sorted. *)
+(** {!dirty_set}'s elements, sorted: the prefixes [Incremental.simulate]
+    re-converges. *)
 let dirty_prefixes ?tm (d : diff) ~(input_routes : Route.t list) :
     Prefix.t list =
-  let plan = d.df_plan in
-  (* the patched inputs are the base's minus the withdrawals plus the
-     announcements, so the base universe already holds all but the
-     announcements *)
-  let universe =
-    List.sort_uniq Prefix.compare
-      (Semantic.universe d.df_base_input ~input_routes
-      @ Semantic.universe d.df_patched_input
-          ~input_routes:plan.Cp.cp_new_routes
-      @ plan.Cp.cp_withdraw)
-  in
-  Semantic.aggregate_closure
-    [ d.df_base_input; d.df_patched_input ]
-    ~universe
-    (List.filter (prefix_affected ?tm d ~input_routes) universe)
+  Prefix.Set.elements (dirty_set ?tm d ~input_routes)
 
 (** The transitive dirty region — what an incremental simulator must
-    re-compute: the {!dirty_prefixes} and every device of their patched
-    propagation closures.  [im_all_prefixes] flags changes (topology
-    ops) that dirty prefixes outside any enumerable universe. *)
+    re-compute: the {!dirty_set} and every device of its prefixes'
+    patched propagation closures.  [im_all_prefixes] flags changes
+    (topology ops) that dirty prefixes outside any enumerable universe. *)
 type impact = {
   im_class : classification;
   im_all_prefixes : bool;
   im_devices : string list; (* sorted *)
-  im_prefixes : unit Trie.Dual.t;
+  im_prefixes : Prefix.Set.t; (* the {!dirty_set} *)
 }
 
 let impact ?tm (d : diff) ~(input_routes : Route.t list) : impact =
-  let dirty = dirty_prefixes ?tm d ~input_routes in
+  let dirty = dirty_set ?tm d ~input_routes in
   let devices = Hashtbl.create 64 in
   List.iter (fun (dev, _) -> Hashtbl.replace devices dev ()) d.df_touched;
   List.iter
@@ -763,10 +731,10 @@ let impact ?tm (d : diff) ~(input_routes : Route.t list) : impact =
           Hashtbl.replace devices rb ())
     d.df_plan.Cp.cp_topo_ops;
   (* every device in a dirty prefix's propagation closure *)
-  if dirty <> [] then begin
+  if not (Prefix.Set.is_empty dirty) then begin
     let pg = Lazy.force d.df_patched_graph in
     let proutes = patched_routes d.df_plan input_routes in
-    List.iter
+    Prefix.Set.iter
       (fun p ->
         Hashtbl.iter
           (fun dev () -> Hashtbl.replace devices dev ())
@@ -778,10 +746,7 @@ let impact ?tm (d : diff) ~(input_routes : Route.t list) : impact =
     im_all_prefixes = d.df_topo_dirty;
     im_devices =
       List.sort String.compare (Hashtbl.fold (fun k () l -> k :: l) devices []);
-    im_prefixes =
-      List.fold_left
-        (fun t p -> Trie.Dual.add t p ())
-        Trie.Dual.empty dirty;
+    im_prefixes = dirty;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1034,10 +999,10 @@ let check ?tm ?(input_routes = []) (d : diff) : D.t list =
                  "every prefix (topology operation)"
                else
                  Printf.sprintf "%d prefix(es), %d of %d monitored prefix(es)"
-                   (Trie.Dual.cardinal im.im_prefixes)
+                   (Prefix.Set.cardinal im.im_prefixes)
                    (List.length
                       (List.filter
-                         (fun p -> Option.is_some (Trie.Dual.find_exact im.im_prefixes p))
+                         (fun p -> Prefix.Set.mem p im.im_prefixes)
                          monitored))
                    (List.length monitored));
           ]

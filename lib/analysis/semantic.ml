@@ -980,7 +980,9 @@ let closure ?tm ?exact (g : t) ~(input_routes : Route.t list) (p : Prefix.t) :
     (string, unit) Hashtbl.t =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
   Telemetry.with_span tm
-    ~args:[ ("prefix", Prefix.to_string p) ]
+    ?args:
+      (if Telemetry.enabled tm then Some [ ("prefix", Prefix.to_string p) ]
+       else None)
     "semantic.closure"
     (fun () ->
       let configs = g.g_input.Lint.li_configs in

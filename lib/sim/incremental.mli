@@ -10,9 +10,9 @@
 
     {!simulate} re-runs the BGP fixpoint {e only inside the dirty
     region} that [Differential] computes for the plan: the dirty prefix
-    set ([Differential.dirty_prefixes]: every base or patched universe
-    prefix [Differential.prefix_affected] flags, closed under aggregate
-    contribution in both directions) restricts the fixpoint via
+    set ([Differential.dirty_set]: the plan's prefixes and every base or
+    patched universe prefix a touched device can reach, closed under
+    aggregate contribution in both directions) restricts the fixpoint via
     [Route_sim.run ~only], and the resulting rows are
     {e spliced} into the cached arena: the dirty set becomes a byte mask
     over the {!Hoyan_net.Rib.Key} prefix ids, [Rib.Arena.drop_prefixes]

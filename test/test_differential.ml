@@ -58,7 +58,7 @@ let test_empty_plan () =
        (Differential.check ~input_routes:g.G.input_routes d));
   let im = Differential.impact d ~input_routes:g.G.input_routes in
   check tint "empty plan dirties no prefix" 0
-    (Trie.Dual.cardinal im.Differential.im_prefixes);
+    (Prefix.Set.cardinal im.Differential.im_prefixes);
   check tint "empty plan dirties no device" 0
     (List.length im.Differential.im_devices)
 
@@ -81,9 +81,13 @@ let prop_restatement_is_noop =
   let g = Lazy.force small in
   let input = input_of g in
   let devices = Array.of_list (devices_of g) in
+  (* every device exactly once, in order *)
+  let next = ref (-1) in
   QCheck.Test.make ~name:"re-stating a device's own config diffs to nothing"
     ~count:(Array.length devices)
-    (QCheck.make QCheck.Gen.(int_bound (Array.length devices - 1)))
+    (QCheck.make ~print:(fun i -> devices.(i)) (fun _ ->
+         incr next;
+         !next mod Array.length devices))
     (fun i ->
       let dev = devices.(i) in
       let cfg = Smap.find dev input.Lint.li_configs in
@@ -197,7 +201,8 @@ let rib_presence (rib : Rib.t) : PS.t =
     PS.empty (rib :> Route.t list)
 
 (* Simulate base and patched, then demand that every prefix whose
-   presence on any device changed is statically marked affected. *)
+   presence on any device changed is statically marked affected and not
+   carried over (the rule the Diff stage reads). *)
 let assert_sound (g : G.t) (plan : Cp.t) =
   let input = input_of g in
   let d = Differential.diff input plan in
@@ -225,13 +230,29 @@ let assert_sound (g : G.t) (plan : Cp.t) =
         Differential.prefix_affected d ~input_routes:g.G.input_routes
           (pfx ps)
       in
-      if not affected then
+      let carried =
+        Differential.carries_over d ~input_routes:g.G.input_routes (pfx ps)
+      in
+      if carried || not affected then
         Alcotest.failf
           "UNSOUND: %s's presence changed on %s under plan %s but the \
            differential pass carried it over"
           ps dev plan.Cp.cp_name)
     changed;
   changed
+
+(* An aggregate over [p]'s /16 on [dev], plain or summary-only: a
+   summary-only aggregate suppresses its components downstream. *)
+let aggregate_plan ~summary_only dev asn (p : Prefix.t) =
+  Cp.make
+    (if summary_only then "aggregate-summary-only" else "aggregate")
+    ~commands:
+      [
+        ( dev,
+          Printf.sprintf "router bgp %d\n aggregate-address %s%s\n" asn
+            (Prefix.to_string (Prefix.make (Prefix.ip p) 16))
+            (if summary_only then " summary-only" else "") );
+      ]
 
 let hand_plans (g : G.t) : Cp.t list =
   let input = input_of g in
@@ -274,6 +295,8 @@ let hand_plans (g : G.t) : Cp.t list =
     Cp.make "announce"
       ~new_routes:
         [ Route.make ~device:dev ~prefix:(pfx "198.51.100.0/24") () ];
+    aggregate_plan ~summary_only:false "r00-bdr01" 64512 (pfx "150.0.0.0/16");
+    aggregate_plan ~summary_only:true "r00-bdr01" 64512 (pfx "150.0.0.0/16");
   ]
 
 let test_soundness_hand_plans () =
@@ -306,7 +329,20 @@ let prop_soundness_generated =
       (List.sort_uniq Prefix.compare
          (List.map (fun (r : Route.t) -> r.Route.prefix) g.G.input_routes))
   in
-  let gen = QCheck.Gen.(pair (int_bound (Array.length devices - 1)) (pair (int_bound 3) (int_bound (Array.length prefixes - 1)))) in
+  (* the aggregate shapes use vendor-A syntax *)
+  let vendor_a =
+    Array.of_list
+      (List.filter
+         (fun dev ->
+           (Smap.find dev input.Lint.li_configs).Types.dc_vendor = "vendorA")
+         (Array.to_list devices))
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (int_bound (Array.length devices - 1))
+        (pair (int_bound 5) (int_bound (Array.length prefixes - 1))))
+  in
   QCheck.Test.make ~name:"soundness holds over generated plans" ~count:12
     (QCheck.make gen)
     (fun (di, (ti, pi)) ->
@@ -326,6 +362,11 @@ let prop_soundness_generated =
                       asn );
                 ]
         | 2 -> Cp.make "q-withdraw" ~withdraw:[ prefixes.(pi) ]
+        | 4 | 5 ->
+            let dev = vendor_a.(di mod Array.length vendor_a) in
+            aggregate_plan ~summary_only:(ti = 5) dev
+              (Smap.find dev input.Lint.li_configs).Types.dc_bgp.Types.bgp_asn
+              prefixes.(pi)
         | _ ->
             let nb =
               (Smap.find dev input.Lint.li_configs).Types.dc_bgp

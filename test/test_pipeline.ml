@@ -196,7 +196,11 @@ let test_distributed_mode_agrees () =
    order), the same carried intents and the same updated RIB.  Three
    intents list RIB rows in their counterexamples, so an executor whose
    RIB order differs renders a different body.  A new executor gets the
-   check by joining [executors]. *)
+   check by joining [executors].  Across stages, the Diff stage's
+   verdict and violated intents must equal the Simulate stage's: a
+   summary-only aggregate plan with a reach intent on a component it
+   suppresses checks that the carry-over never passes what a
+   simulation fails. *)
 let test_executor_oracle () =
   let b = Lazy.force base in
   let g = Lazy.force scenario in
@@ -222,6 +226,15 @@ let test_executor_oracle () =
     | e :: _ -> Cp.Remove_link { ra = e.Topology.src; rb = e.Topology.dst }
     | [] -> Alcotest.fail "scenario has no links"
   in
+  let summary_only =
+    Cp.make "aggregate-summary-only"
+      ~commands:
+        [
+          ( "r00-bdr01",
+            "router bgp 64512\n aggregate-address 150.0.0.0/16 summary-only\n"
+          );
+        ]
+  in
   let plans =
     [
       Cp.make "no-op";
@@ -236,7 +249,34 @@ let test_executor_oracle () =
       Cp.make "withdraw" ~withdraw:[ withdrawn ];
       Cp.make "policy" ~commands:[ (rr.Topology.name, rr_out_node_20) ];
       Cp.make "topology" ~topo_ops:[ link ];
+      summary_only;
     ]
+  in
+  (* a (device, component) pair the summary-only aggregate suppresses:
+     present in the base run, absent from a from-scratch patched run *)
+  let suppressed =
+    let aggregate = pfx "150.0.0.0/16" in
+    let patched, _ = Hoyan_sim.Model.apply_change_plan model summary_only in
+    let after = Hashtbl.create 1024 in
+    List.iter
+      (fun (r : Route.t) ->
+        Hashtbl.replace after (r.Route.device, r.Route.prefix) ())
+      ((Route_sim.run patched ~input_routes:b.Preprocess.b_input_routes ())
+         .Route_sim.rib
+        :> Route.t list);
+    match
+      List.find_opt
+        (fun (r : Route.t) ->
+          Prefix.subsumes aggregate r.Route.prefix
+          && not (Prefix.equal aggregate r.Route.prefix)
+          && not (Hashtbl.mem after (r.Route.device, r.Route.prefix)))
+        (Lazy.force b.Preprocess.b_rib :> Route.t list)
+    with
+    | Some r ->
+        Intents.Route_reach
+          { rr_prefix = r.Route.prefix; rr_devices = [ r.Route.device ];
+            rr_expect = true }
+    | None -> Alcotest.fail "summary-only suppresses no component"
   in
   let reach p expect =
     Intents.Route_reach
@@ -254,6 +294,7 @@ let test_executor_oracle () =
       Intents.Route_change "prefix = 0.0.0.0/0 => POST != PRE";
       Intents.Route_change "POST||(prefix = 0.0.0.0/0) |> count() < 2";
       reach (pfx "150.0.79.0/24") false;
+      suppressed;
     ]
   in
   let executors =
@@ -301,37 +342,53 @@ let test_executor_oracle () =
           rq_intents = intents;
         }
       in
-      List.iter
-        (fun (diffing, stage) ->
-          let reference =
-            Verify_request.run ~stage:(stage Verify_request.From_scratch) b rq
-          in
-          List.iter
-            (fun (v : Intents.violation) ->
-              if List.length v.Intents.v_routes > 1 then incr listed)
-            reference.Verify_request.vr_violations;
-          List.iter
-            (fun (name, exec) ->
-              let r = Verify_request.run ~stage:(stage exec) b rq in
-              let what field =
-                Printf.sprintf "%s, %s, diff=%b: %s" plan.Cp.cp_name name
-                  diffing field
-              in
-              check Alcotest.string (what "body")
-                (Verify_request.body reference)
-                (Verify_request.body r);
-              check tbool (what "diff class and carried") true
-                (diff reference = diff r);
-              check tbool (what "route run") true
-                (route_matches reference exec r);
-              check tbool (what "updated rib") true
-                (Rib.equal reference.Verify_request.vr_updated_rib
-                   r.Verify_request.vr_updated_rib))
-            executors)
-        [
-          (false, fun e -> Verify_request.Simulate e);
-          (true, fun e -> Verify_request.Diff e);
-        ])
+      let verdicts =
+        List.map
+          (fun (diffing, stage) ->
+            let reference =
+              Verify_request.run ~stage:(stage Verify_request.From_scratch) b rq
+            in
+            List.iter
+              (fun (v : Intents.violation) ->
+                if List.length v.Intents.v_routes > 1 then incr listed)
+              reference.Verify_request.vr_violations;
+            List.iter
+              (fun (name, exec) ->
+                let r = Verify_request.run ~stage:(stage exec) b rq in
+                let what field =
+                  Printf.sprintf "%s, %s, diff=%b: %s" plan.Cp.cp_name name
+                    diffing field
+                in
+                check Alcotest.string (what "body")
+                  (Verify_request.body reference)
+                  (Verify_request.body r);
+                check tbool (what "diff class and carried") true
+                  (diff reference = diff r);
+                check tbool (what "route run") true
+                  (route_matches reference exec r);
+                check tbool (what "updated rib") true
+                  (Rib.equal reference.Verify_request.vr_updated_rib
+                     r.Verify_request.vr_updated_rib))
+              executors;
+            ( reference.Verify_request.vr_ok,
+              List.sort_uniq String.compare
+                (List.map
+                   (fun (v : Intents.violation) -> v.Intents.v_intent)
+                   reference.Verify_request.vr_violations) ))
+          [
+            (false, fun e -> Verify_request.Simulate e);
+            (true, fun e -> Verify_request.Diff e);
+          ]
+      in
+      (* the carry-over is sound: the Diff stage returns the verdicts a
+         from-scratch simulation does *)
+      match verdicts with
+      | [ simulated; diffed ] ->
+          check
+            Alcotest.(pair bool (list string))
+            (plan.Cp.cp_name ^ ": diff verdicts = simulate verdicts")
+            simulated diffed
+      | _ -> assert false)
     plans;
   (* the bodies compared above really list several rows *)
   check tbool "violations list several rows" true (!listed >= 3 * 2)
