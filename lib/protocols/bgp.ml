@@ -12,7 +12,14 @@
     propagation rules with route reflection, AS-loop prevention, add-path,
     route aggregation (with/without AS-set), redistribution from other
     protocols, per-device VRF leaking over route targets, and every
-    Table-5 vendor-specific behaviour relevant to BGP. *)
+    Table-5 vendor-specific behaviour relevant to BGP.
+
+    Egress works like a router's update groups: a device's sessions in a
+    VRF are grouped by what the export policy reads (policy name, eBGP
+    or not), so a changed selection is evaluated once per route and
+    group, and each session adds only its own steps ({!export_prefix}).
+    Sessions are indexed when the run starts, each with its
+    advertisement cache and its receiver's view (DESIGN.md §2.6). *)
 
 open Hoyan_net
 module Types = Hoyan_config.Types
@@ -202,104 +209,107 @@ let select (ctx : device_ctx) (candidates : Route.t list) : Route.t list =
 (* Simulation state                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* adj-rib-in of one (vrf, prefix): post-import routes per peer key,
+   newest peer first *)
+type rib_entry = {
+  e_vrf : string;
+  e_prefix : Prefix.t;
+  mutable e_peers : (string * Route.t list) list;
+  mutable e_dirty : bool; (* queued for selection next round *)
+}
+
 type dev_state = {
-  (* adj-rib-in: (vrf, prefix, peer-key) -> post-import routes *)
-  rib_in : (string * Prefix.t * string, Route.t list) Hashtbl.t;
+  rib_in : (string * Prefix.t, rib_entry) Hashtbl.t;
   (* loc-rib: (vrf, prefix) -> selected routes (with route_type marked) *)
   loc_rib : (string * Prefix.t, Route.t list) Hashtbl.t;
-  (* last advertisement per (peer, vrf, prefix), to deliver only changes *)
-  adv_cache : (string * string * Prefix.t, Route.t list) Hashtbl.t;
-  mutable dirty : (string * Prefix.t) list;
-  dirty_set : (string * Prefix.t, unit) Hashtbl.t;
+  mutable dirty : rib_entry list;
+  mutable out : vrf_out list; (* the device's sessions, per VRF *)
+}
+
+(* A VRF's sessions in [d_sessions] order.  [o_groups] export groups
+   partition them by what the export policy reads, (s_export, s_ebgp);
+   [o_paths] is the most routes any of them advertises per prefix. *)
+and vrf_out = {
+  o_vrf : string;
+  o_links : link array;
+  o_groups : int;
+  o_paths : int;
+}
+
+and link = {
+  l_s : session;
+  l_group : int;
+  l_adv : (Prefix.t, Route.t list) Hashtbl.t;
+      (* last advertisement per prefix, to deliver only changes; shared by
+         sessions to the same (peer, vrf) *)
+  l_recv : (device_ctx * session * dev_state) option;
+      (* the receiver, its session view of the sender and its state *)
 }
 
 let new_dev_state () =
-  {
-    rib_in = Hashtbl.create 256;
-    loc_rib = Hashtbl.create 256;
-    adv_cache = Hashtbl.create 256;
-    dirty = [];
-    dirty_set = Hashtbl.create 64;
-  }
-
-let mark_dirty st key =
-  if not (Hashtbl.mem st.dirty_set key) then begin
-    Hashtbl.replace st.dirty_set key ();
-    st.dirty <- key :: st.dirty
-  end
+  { rib_in = Hashtbl.create 256; loc_rib = Hashtbl.create 256; dirty = [];
+    out = [] }
 
 let take_dirty st =
   let d = st.dirty in
   st.dirty <- [];
-  Hashtbl.reset st.dirty_set;
+  List.iter (fun e -> e.e_dirty <- false) d;
   d
 
 type sim = {
-  net : network;
-  states : (string, dev_state) Hashtbl.t;
-  (* per device: (vrf, prefix) -> peer keys present, to avoid full scans *)
-  peers_idx : (string, (string * Prefix.t, string list) Hashtbl.t) Hashtbl.t;
+  devs : (device_ctx * dev_state) array; (* every device, in name order *)
   mutable messages : int;
+  mutable export_evals : int; (* export-policy evaluations *)
 }
 
-let state_of sim dev =
-  match Hashtbl.find_opt sim.states dev with
-  | Some st -> st
-  | None ->
-      let st = new_dev_state () in
-      Hashtbl.replace sim.states dev st;
-      st
+let peer_routes e peer_key =
+  match List.find_opt (fun (pk, _) -> String.equal pk peer_key) e.e_peers with
+  | Some (_, routes) -> routes
+  | None -> []
 
-let idx_of sim dev =
-  match Hashtbl.find_opt sim.peers_idx dev with
-  | Some i -> i
-  | None ->
-      let i = Hashtbl.create 256 in
-      Hashtbl.replace sim.peers_idx dev i;
-      i
+let rib_in_of st vrf prefix peer_key =
+  match Hashtbl.find_opt st.rib_in (vrf, prefix) with
+  | None -> []
+  | Some e -> peer_routes e peer_key
 
 (** Replace the adj-rib-in entry for (vrf, prefix) from [peer_key]. *)
-let set_rib_in sim dev vrf prefix peer_key routes =
-  let st = state_of sim dev in
-  let idx = idx_of sim dev in
-  let key = (vrf, prefix, peer_key) in
-  let existing = Option.value (Hashtbl.find_opt st.rib_in key) ~default:[] in
-  let changed =
-    not (List.equal Route.equal existing routes)
+let set_rib_in st vrf prefix peer_key routes =
+  let entry = Hashtbl.find_opt st.rib_in (vrf, prefix) in
+  let existing =
+    match entry with None -> [] | Some e -> peer_routes e peer_key
   in
+  let changed = not (List.equal Route.equal existing routes) in
   if changed then begin
-    if routes = [] then Hashtbl.remove st.rib_in key
-    else Hashtbl.replace st.rib_in key routes;
-    let ikey = (vrf, prefix) in
-    let peers = Option.value (Hashtbl.find_opt idx ikey) ~default:[] in
-    (* only write the index when membership actually changes (the common
-       case on re-advertisement is an unchanged peer set) *)
-    (if routes = [] then begin
-       if List.mem peer_key peers then
-         Hashtbl.replace idx ikey
-           (List.filter (fun p -> not (String.equal p peer_key)) peers)
-     end
-     else if not (List.mem peer_key peers) then
-       Hashtbl.replace idx ikey (peer_key :: peers));
-    mark_dirty st ikey
+    let e =
+      match entry with
+      | Some e -> e
+      | None ->
+          let e =
+            { e_vrf = vrf; e_prefix = prefix; e_peers = []; e_dirty = false }
+          in
+          Hashtbl.add st.rib_in (vrf, prefix) e;
+          e
+    in
+    let others (pk, _) = not (String.equal pk peer_key) in
+    e.e_peers <-
+      (if routes = [] then List.filter others e.e_peers
+       else if existing = [] then (peer_key, routes) :: e.e_peers
+       else
+         List.map
+           (fun ((pk, _) as p) -> if others p then p else (pk, routes))
+           e.e_peers);
+    if not e.e_dirty then begin
+      e.e_dirty <- true;
+      st.dirty <- e :: st.dirty
+    end
   end;
   changed
 
-let candidates sim dev vrf prefix =
-  let st = state_of sim dev in
-  let idx = idx_of sim dev in
-  match Hashtbl.find_opt idx (vrf, prefix) with
-  | None -> []
-  | Some [] -> []
-  | Some [ pk ] ->
-      (* single-peer fast path (the overwhelmingly common case): return
-         the stored list without copying *)
-      Option.value (Hashtbl.find_opt st.rib_in (vrf, prefix, pk)) ~default:[]
-  | Some peers ->
-      List.concat_map
-        (fun pk ->
-          Option.value (Hashtbl.find_opt st.rib_in (vrf, prefix, pk)) ~default:[])
-        peers
+let candidates e =
+  match e.e_peers with
+  | [] -> []
+  | [ (_, routes) ] -> routes (* the common case: no copy *)
+  | peers -> List.concat_map snd peers
 
 (* ------------------------------------------------------------------ *)
 (* Ingress processing                                                  *)
@@ -388,74 +398,107 @@ let arrival (ctx : device_ctx) (r : Route.t) : arrival =
   | Route.Ebgp -> From_ebgp
   | Route.Local | Route.Redistributed -> Origin
 
-(** Compute what [ctx] advertises over session [s] for the selected routes
-    of one (vrf, prefix). *)
-let export_routes (ctx : device_ctx) (s : session) (selected : Route.t list) :
-    Route.t list =
-  if ctx.d_cfg.Types.dc_isolated then []
-  else
-  (* which paths are candidates to advertise *)
-  let advertisable =
-    List.filter
-      (fun (r : Route.t) ->
-        match r.Route.route_type with
-        | Route.Best -> true
-        | Route.Ecmp | Route.Backup -> s.s_add_paths > 1)
-      selected
+(** Export one changed (vrf, prefix) of [ctx] over every session of
+    [out], update-group style.  The checks that read only the route —
+    well-known NO_ADVERTISE, summary-only suppression, the host-/32 VSB
+    and the arrival — run once per route, and the export policy once per
+    (route, export group).  Each session then applies what reads it: the
+    add-paths cut, split horizon, NO_EXPORT, the reflection rule and the
+    next-hop rewrite.  A session whose advertisement changed is counted
+    as one message and handed to [deliver]. *)
+let export_prefix sim (ctx : device_ctx) out prefix selected deliver =
+  let routes = Array.of_list selected in
+  (* [select] puts the one Best route first: best-only is the first route *)
+  let k =
+    if ctx.d_cfg.Types.dc_isolated then 0
+    else min out.o_paths (Array.length routes)
   in
-  let advertisable =
-    if s.s_add_paths > 1 then
-      (* keep the decision order; take the top n *)
-      List.filteri (fun i _ -> i < s.s_add_paths) advertisable
-    else advertisable
+  let arrivals =
+    Array.init k (fun i ->
+        let r = routes.(i) in
+        if
+          Community.Set.mem Community.no_advertise r.Route.communities
+          || suppressed ctx r
+          || (is_host32_extra r && not ctx.d_vsb.Vsb.send_host32_to_peer)
+        then None
+        else Some (arrival ctx r))
   in
-  List.filter_map
-    (fun (r : Route.t) ->
-      (* split horizon: do not send back to the peer it came from *)
-      if Option.equal String.equal r.Route.peer (Some s.s_peer) then None
-      else if
-        (* well-known communities (RFC 1997): NO_ADVERTISE blocks every
-           advertisement; NO_EXPORT blocks eBGP ones *)
-        Community.Set.mem Community.no_advertise r.Route.communities
-        || (s.s_ebgp
-           && Community.Set.mem Community.no_export r.Route.communities)
-      then None
-      else if suppressed ctx r then None
-      else if is_host32_extra r && not ctx.d_vsb.Vsb.send_host32_to_peer then None
-      else if
-        not
-          (reflection_passes ~ebgp:s.s_ebgp ~to_client:s.s_rr_client
-             (arrival ctx r))
-      then None
-      else
-        let verdict =
-          Policy.eval ~regex:ctx.d_regex ~ebgp:s.s_ebgp ctx.d_cfg ctx.d_vsb
-            s.s_export r
+  (* the shared verdicts live as long as this prefix's export *)
+  let verdicts = Array.make (out.o_groups * k) None in
+  let verdict (s : session) g i =
+    match verdicts.((g * k) + i) with
+    | Some v -> v
+    | None ->
+        sim.export_evals <- sim.export_evals + 1;
+        let v =
+          let verdict =
+            Policy.eval ~regex:ctx.d_regex ~ebgp:s.s_ebgp ctx.d_cfg ctx.d_vsb
+              s.s_export routes.(i)
+          in
+          match verdict.Policy.pv_action with
+          | Types.Deny -> None
+          | Types.Permit ->
+              let r = verdict.Policy.pv_route in
+              let r =
+                if s.s_ebgp then
+                  let add_asn =
+                    (not verdict.Policy.pv_aspath_overwritten)
+                    || ctx.d_vsb.Vsb.adding_own_asn
+                  in
+                  let as_path =
+                    if add_asn then As_path.prepend ctx.d_asn r.Route.as_path
+                    else r.Route.as_path
+                  in
+                  Route.with_local_pref { r with Route.as_path } 100
+                else r
+              in
+              Some { r with Route.route_type = Route.Best }
         in
-        match verdict.Policy.pv_action with
-        | Types.Deny -> None
-        | Types.Permit ->
-            let r = verdict.Policy.pv_route in
-            let r =
-              if s.s_ebgp then
-                let add_asn =
-                  if verdict.Policy.pv_aspath_overwritten then
-                    ctx.d_vsb.Vsb.adding_own_asn
-                  else true
-                in
-                let as_path =
-                  if add_asn then As_path.prepend ctx.d_asn r.Route.as_path
-                  else r.Route.as_path
-                in
-                Route.with_local_pref
-                  { r with Route.as_path; nexthop = Some s.s_local_addr }
-                  100
-              else if s.s_next_hop_self then
-                { r with Route.nexthop = Some s.s_local_addr }
-              else r
-            in
-            Some { r with Route.route_type = Route.Best })
-    advertisable
+        verdicts.((g * k) + i) <- Some v;
+        v
+  in
+  Array.iter
+    (fun l ->
+      let s = l.l_s in
+      let cut = min k (max 1 s.s_add_paths) in
+      let rec adv i =
+        if i >= cut then []
+        else
+          let r = routes.(i) in
+          (* split horizon: do not send back to the peer it came from;
+             NO_EXPORT (RFC 1997) blocks eBGP advertisements *)
+          let passes =
+            (match r.Route.peer with
+            | Some p -> not (String.equal p s.s_peer)
+            | None -> true)
+            && (not
+                  (s.s_ebgp
+                  && Community.Set.mem Community.no_export r.Route.communities))
+            &&
+            match arrivals.(i) with
+            | None -> false
+            | Some a ->
+                reflection_passes ~ebgp:s.s_ebgp ~to_client:s.s_rr_client a
+          in
+          match if passes then verdict s l.l_group i else None with
+          | None -> adv (i + 1)
+          | Some r ->
+              let r =
+                if s.s_ebgp || s.s_next_hop_self then
+                  { r with Route.nexthop = Some s.s_local_addr }
+                else r
+              in
+              r :: adv (i + 1)
+      in
+      let adv = adv 0 in
+      let prev = Option.value (Hashtbl.find_opt l.l_adv prefix) ~default:[] in
+      if not (List.equal Route.equal prev adv) then begin
+        if adv = [] then Hashtbl.remove l.l_adv prefix
+        else Hashtbl.replace l.l_adv prefix adv;
+        sim.messages <- sim.messages + 1;
+        deliver l prefix adv
+      end)
+    out.o_links
 
 (* ------------------------------------------------------------------ *)
 (* Local origination: networks, redistribution, aggregates, leaking    *)
@@ -467,7 +510,7 @@ let export_routes (ctx : device_ctx) (s : session) (selected : Route.t list) :
    the full fixpoint (every per-prefix pipeline stage — ingress, export,
    selection, delivery — is prefix-local; the only cross-prefix coupling
    is aggregation, which the caller closes over before restricting). *)
-let originate_networks sim keep (ctx : device_ctx) =
+let originate_networks st keep (ctx : device_ctx) =
   List.iter
     (fun (p, vrf) ->
       if keep p then
@@ -476,10 +519,10 @@ let originate_networks sim keep (ctx : device_ctx) =
             ~source:Route.Local ~origin:Route.Igp
             ~preference:ctx.d_vsb.Vsb.default_pref_ibgp ()
         in
-        ignore (set_rib_in sim ctx.d_name vrf p "_local" [ r ]))
+        ignore (set_rib_in st vrf p "_local" [ r ]))
     ctx.d_cfg.Types.dc_bgp.Types.bgp_networks
 
-let redistribute sim keep (ctx : device_ctx) (local_table : Route.t list) =
+let redistribute st keep (ctx : device_ctx) (local_table : Route.t list) =
   List.iter
     (fun (proto, policy) ->
       let peer_key =
@@ -521,14 +564,10 @@ let redistribute sim keep (ctx : device_ctx) (local_table : Route.t list) =
             match verdict.Policy.pv_action with
             | Types.Permit ->
                 let prev =
-                  Option.value
-                    (Hashtbl.find_opt (state_of sim ctx.d_name).rib_in
-                       (cand.Route.vrf, cand.Route.prefix, peer_key))
-                    ~default:[]
+                  rib_in_of st cand.Route.vrf cand.Route.prefix peer_key
                 in
                 ignore
-                  (set_rib_in sim ctx.d_name cand.Route.vrf cand.Route.prefix
-                     peer_key
+                  (set_rib_in st cand.Route.vrf cand.Route.prefix peer_key
                      (verdict.Policy.pv_route
                       :: List.filter
                            (fun x ->
@@ -540,8 +579,7 @@ let redistribute sim keep (ctx : device_ctx) (local_table : Route.t list) =
 
 (** Originate aggregates whose component routes are present; returns true
     when something changed (keeps the fixpoint going). *)
-let originate_aggregates sim keep (ctx : device_ctx) : bool =
-  let st = state_of sim ctx.d_name in
+let originate_aggregates st keep (ctx : device_ctx) : bool =
   List.fold_left
     (fun changed (ag : Types.aggregate) ->
       if not (keep ag.Types.ag_prefix) then changed
@@ -564,7 +602,7 @@ let originate_aggregates sim keep (ctx : device_ctx) : bool =
       in
       if components = [] then
         (* withdraw a previously originated aggregate if any *)
-        set_rib_in sim ctx.d_name ag.Types.ag_vrf ag.Types.ag_prefix "_agg" []
+        set_rib_in st ag.Types.ag_vrf ag.Types.ag_prefix "_agg" []
         || changed
       else
         let paths = List.map (fun r -> r.Route.as_path) components in
@@ -586,7 +624,7 @@ let originate_aggregates sim keep (ctx : device_ctx) : bool =
             ~origin:Route.Incomplete ~as_path ~communities
             ~preference:ctx.d_vsb.Vsb.default_pref_ibgp ()
         in
-        set_rib_in sim ctx.d_name ag.Types.ag_vrf ag.Types.ag_prefix "_agg" [ r ]
+        set_rib_in st ag.Types.ag_vrf ag.Types.ag_prefix "_agg" [ r ]
         || changed)
     false ctx.d_cfg.Types.dc_bgp.Types.bgp_aggregates
 
@@ -595,8 +633,7 @@ let originate_aggregates sim keep (ctx : device_ctx) : bool =
     its import set.  The convention import-RT "global" leaks global iBGP
     routes into the VRF (subject to the "VRF export policy" VSB);
     re-leaking a leaked route into a third VRF is the "re-leaking" VSB. *)
-let leak_vrfs sim (ctx : device_ctx) : bool =
-  let st = state_of sim ctx.d_name in
+let leak_vrfs st (ctx : device_ctx) : bool =
   let vrfs = ctx.d_cfg.Types.dc_bgp.Types.bgp_vrfs in
   if vrfs = [] then false
   else
@@ -716,7 +753,7 @@ let leak_vrfs sim (ctx : device_ctx) : bool =
           (imported @ imported_global);
         Hashtbl.fold
           (fun prefix routes changed ->
-            set_rib_in sim ctx.d_name vd.Types.vd_name prefix "_leak" routes
+            set_rib_in st vd.Types.vd_name prefix "_leak" routes
             || changed)
           by_prefix changed)
       false vrfs
@@ -727,8 +764,62 @@ let leak_vrfs sim (ctx : device_ctx) : bool =
 
 let max_rounds = 64
 
+(* Every device's state, with its sessions grouped per VRF into export
+   groups and paired with their receiver views. *)
+let create (net : network) : dev_state Smap.t =
+  let states = Smap.map (fun _ -> new_dev_state ()) net in
+  let memo tbl key mk =
+    match Hashtbl.find_opt tbl key with
+    | Some v -> v
+    | None ->
+        let v = mk () in
+        Hashtbl.add tbl key v;
+        v
+  in
+  Smap.iter
+    (fun name (ctx : device_ctx) ->
+      (* the receiver processes ingress with its own view of the session:
+         its last one towards [name] in the VRF *)
+      let recv (s : session) =
+        Option.bind (Smap.find_opt s.s_peer net) (fun receiver ->
+            List.fold_left
+              (fun acc (rs : session) ->
+                if String.equal rs.s_peer name && String.equal rs.s_vrf s.s_vrf
+                then Some (receiver, rs, Smap.find s.s_peer states)
+                else acc)
+              None receiver.d_sessions)
+      in
+      let out vrf =
+        let sessions =
+          List.filter (fun s -> String.equal s.s_vrf vrf) ctx.d_sessions
+        in
+        let groups = Hashtbl.create 4 and adv_tables = Hashtbl.create 16 in
+        let link (s : session) =
+          { l_s = s;
+            l_group =
+              memo groups (s.s_export, s.s_ebgp) (fun () ->
+                  Hashtbl.length groups);
+            l_adv = memo adv_tables s.s_peer (fun () -> Hashtbl.create 64);
+            l_recv = recv s }
+        in
+        let links = Array.of_list (List.map link sessions) in
+        { o_vrf = vrf; o_links = links; o_groups = Hashtbl.length groups;
+          o_paths =
+            List.fold_left (fun m s -> max m s.s_add_paths) 1 sessions }
+      in
+      (Smap.find name states).out <-
+        List.map out
+          (List.sort_uniq String.compare
+             (List.map (fun s -> s.s_vrf) ctx.d_sessions)))
+    net;
+  states
+
 (** Run the fixpoint and return (the BGP rows of the global RIB, in no
     particular order — [Route_sim.run] canonicalises them — and stats).
+    Each round selects every dirty (vrf, prefix), exports a changed
+    selection at once over the device's export groups ({!export_prefix}),
+    then delivers the changed advertisements: the receiver's ingress
+    policy and its adj-rib-in, which mark it dirty for the next round.
     [originate=false] skips network statements and redistribution — used
     by distributed subtask workers, whose shared base RIB file carries
     those input-independent routes.  [only] restricts the fixpoint to a
@@ -739,7 +830,8 @@ let max_rounds = 64
     aggregates dirty, dirty aggregate ⇒ its candidate components dirty) —
     the incremental engine's contract, oracle-checked by its selfcheck.
     [tm] (default: the process-global telemetry handle) receives
-    per-round journal events and decision-process counters. *)
+    per-round journal events and decision-process counters.  All state
+    is local to the call, so domains may run it concurrently. *)
 let run ?tm ?(originate = true) ?only (net : network) (input : input) :
     Route.t list * stats =
   let keep = match only with None -> fun _ -> true | Some f -> f in
@@ -748,18 +840,14 @@ let run ?tm ?(originate = true) ?only (net : network) (input : input) :
     | Some tm -> tm
     | None -> Hoyan_telemetry.Telemetry.get ()
   in
+  let states = create net in
   let sim =
-    { net; states = Hashtbl.create 64; peers_idx = Hashtbl.create 64;
-      messages = 0 }
+    { devs =
+        Array.of_list
+          (List.map (fun (name, ctx) -> (ctx, Smap.find name states))
+             (Smap.bindings net));
+      messages = 0; export_evals = 0 }
   in
-  (* sessions indexed by (local, peer) to find the receiver's view *)
-  let session_tbl = Hashtbl.create 256 in
-  Smap.iter
-    (fun _ ctx ->
-      List.iter
-        (fun s -> Hashtbl.replace session_tbl (s.s_local, s.s_peer, s.s_vrf) s)
-        ctx.d_sessions)
-    net;
   (* seed: input routes (already post-ingress at their injection device) *)
   let by_injection = Hashtbl.create 256 in
   List.iter
@@ -772,38 +860,40 @@ let run ?tm ?(originate = true) ?only (net : network) (input : input) :
     input.in_routes;
   Hashtbl.iter
     (fun (dev, vrf, prefix) routes ->
-      if Smap.mem dev net && keep prefix then
-        ignore (set_rib_in sim dev vrf prefix "_ext" routes))
+      match Smap.find_opt dev states with
+      | Some st when keep prefix ->
+          ignore (set_rib_in st vrf prefix "_ext" routes)
+      | _ -> ())
     by_injection;
   (* seed: networks and redistribution *)
   if originate then
-    Smap.iter
-      (fun name ctx ->
-        originate_networks sim keep ctx;
+    Array.iter
+      (fun ((ctx : device_ctx), st) ->
+        originate_networks st keep ctx;
         let local_table =
-          Option.value (Smap.find_opt name input.in_local_tables) ~default:[]
+          Option.value (Smap.find_opt ctx.d_name input.in_local_tables)
+            ~default:[]
         in
-        redistribute sim keep ctx local_table)
-      net;
+        redistribute st keep ctx local_table)
+      sim.devs;
   (* fixpoint *)
   let rounds = ref 0 in
   let continue_ = ref true in
   while !continue_ && !rounds < max_rounds do
     incr rounds;
     continue_ := false;
-    (* Phase 1: selection on dirty prefixes *)
     let work =
-      Hashtbl.fold
-        (fun dev st acc ->
-          match take_dirty st with [] -> acc | d -> (dev, d) :: acc)
-        sim.states []
+      Array.fold_right
+        (fun (ctx, st) acc ->
+          match take_dirty st with [] -> acc | d -> (ctx, st, d) :: acc)
+        sim.devs []
     in
     if work <> [] then continue_ := true;
     (* one journal row per fixpoint round: the convergence delta is the
        number of devices with dirty prefixes still to settle *)
     if Hoyan_telemetry.Telemetry.enabled tm then begin
       let dirty_prefixes =
-        List.fold_left (fun n (_, d) -> n + List.length d) 0 work
+        List.fold_left (fun n (_, _, d) -> n + List.length d) 0 work
       in
       Hoyan_telemetry.Telemetry.count tm "hoyan_bgp_decisions_total"
         dirty_prefixes;
@@ -813,112 +903,67 @@ let run ?tm ?(originate = true) ?only (net : network) (input : input) :
           ("dirty_devices", Hoyan_telemetry.Journal.I (List.length work));
           ("dirty_prefixes", Hoyan_telemetry.Journal.I dirty_prefixes);
           ("messages", Hoyan_telemetry.Journal.I sim.messages);
+          ("export_evals", Hoyan_telemetry.Journal.I sim.export_evals);
         ]
     end;
-    let outgoing = ref [] in
+    (* Phase 1: selection on dirty prefixes, and export of every changed
+       selection.  Export reads and writes only the sender (its loc-rib
+       and per-session advertisement caches), so it runs before any of
+       this round's deliveries without changing the round. *)
+    let deliveries = ref [] in
+    let deliver l prefix adv = deliveries := (l, prefix, adv) :: !deliveries in
     List.iter
-      (fun (dev, dirty) ->
-        match Smap.find_opt dev net with
-        | None -> ()
-        | Some ctx ->
-            let st = state_of sim dev in
-            List.iter
-              (fun (vrf, prefix) ->
-                let cands = candidates sim dev vrf prefix in
-                let selected = select ctx cands in
-                let before =
-                  Option.value (Hashtbl.find_opt st.loc_rib (vrf, prefix))
-                    ~default:[]
-                in
-                if not (List.equal Route.equal before selected) then begin
-                  if selected = [] then Hashtbl.remove st.loc_rib (vrf, prefix)
-                  else Hashtbl.replace st.loc_rib (vrf, prefix) selected;
-                  (* queue advertisements for this prefix on all sessions *)
-                  List.iter
-                    (fun s ->
-                      if String.equal s.s_vrf vrf then
-                        outgoing := (ctx, s, vrf, prefix, selected) :: !outgoing)
-                    ctx.d_sessions
-                end)
-              dirty;
-            (* aggregates and VRF leaking may create new local routes *)
-            if originate_aggregates sim keep ctx then continue_ := true;
-            if leak_vrfs sim ctx then continue_ := true)
-      work;
-    (* Phase 2: deliver advertisements, batched per (sender, session).
-       A changed device typically queues many prefixes towards the same
-       peer; resolving the sender state, the receiver and its session
-       view once per batch replaces three hashtable lookups per prefix.
-       The adv-cache delta check, the rib-in install and the message
-       count stay per prefix, so convergence and stats are unchanged. *)
-    let batches = Hashtbl.create 64 in
-    let batch_order = ref [] in
-    List.iter
-      (fun ((ctx, s, _, _, _) as msg) ->
-        let key = (ctx.d_name, s.s_peer, s.s_vrf) in
-        match Hashtbl.find_opt batches key with
-        | Some b -> b := msg :: !b
-        | None ->
-            let b = ref [ msg ] in
-            Hashtbl.add batches key b;
-            batch_order := b :: !batch_order)
-      (List.rev !outgoing);
-    List.iter
-      (fun batch ->
-        match List.rev !batch with
-        | [] -> ()
-        | ((ctx, s, _, _, _) :: _ as msgs) ->
-            let st = state_of sim ctx.d_name in
-            (* the receiver processes ingress with its own session view *)
-            let receiver_view =
-              match Smap.find_opt s.s_peer net with
-              | None -> None
-              | Some receiver -> (
-                  match
-                    Hashtbl.find_opt session_tbl (s.s_peer, ctx.d_name, s.s_vrf)
-                  with
-                  | None -> None
-                  | Some recv_session -> Some (receiver, recv_session))
+      (fun ((ctx : device_ctx), st, dirty) ->
+        List.iter
+          (fun e ->
+            let key = (e.e_vrf, e.e_prefix) in
+            let selected = select ctx (candidates e) in
+            let before =
+              Option.value (Hashtbl.find_opt st.loc_rib key) ~default:[]
             in
-            List.iter
-              (fun (ctx, s, vrf, prefix, selected) ->
-                let adv = export_routes ctx s selected in
-                let cache_key = (s.s_peer, vrf, prefix) in
-                let prev =
-                  Option.value
-                    (Hashtbl.find_opt st.adv_cache cache_key)
-                    ~default:[]
-                in
-                if not (List.equal Route.equal prev adv) then begin
-                  Hashtbl.replace st.adv_cache cache_key adv;
-                  sim.messages <- sim.messages + 1;
-                  match receiver_view with
-                  | None -> ()
-                  | Some (receiver, recv_session) ->
-                      let installed =
-                        process_ingress receiver recv_session adv
-                      in
-                      ignore
-                        (set_rib_in sim s.s_peer recv_session.s_vrf prefix
-                           ctx.d_name installed)
-                end)
-              msgs)
-      (List.rev !batch_order)
+            if not (List.equal Route.equal before selected) then begin
+              if selected = [] then Hashtbl.remove st.loc_rib key
+              else Hashtbl.replace st.loc_rib key selected;
+              match
+                List.find_opt (fun o -> String.equal o.o_vrf e.e_vrf) st.out
+              with
+              | Some out -> export_prefix sim ctx out e.e_prefix selected deliver
+              | None -> ()
+            end)
+          dirty;
+        (* aggregates and VRF leaking may create new local routes *)
+        if originate_aggregates st keep ctx then continue_ := true;
+        if leak_vrfs st ctx then continue_ := true)
+      work;
+    (* Phase 2: deliver the changed advertisements.  Each lands under its
+       own (receiver, vrf, prefix, sender) key, so delivery order is that
+       of phase 1 and no batching is needed. *)
+    List.iter
+      (fun (l, prefix, adv) ->
+        match l.l_recv with
+        | None -> ()
+        | Some (receiver, recv_session, recv_state) ->
+            ignore
+              (set_rib_in recv_state recv_session.s_vrf prefix l.l_s.s_local
+                 (process_ingress receiver recv_session adv)))
+      (List.rev !deliveries)
   done;
   (* collect the global RIB *)
   let routes = ref [] in
   let selected_count = ref 0 in
-  Hashtbl.iter
-    (fun _dev st ->
+  Array.iter
+    (fun (_, st) ->
       Hashtbl.iter
         (fun _ rs ->
           selected_count := !selected_count + List.length rs;
           routes := List.rev_append rs !routes)
         st.loc_rib)
-    sim.states;
+    sim.devs;
   if Hoyan_telemetry.Telemetry.enabled tm then begin
     Hoyan_telemetry.Telemetry.count tm "hoyan_bgp_rounds_total" !rounds;
     Hoyan_telemetry.Telemetry.count tm "hoyan_bgp_messages_total" sim.messages;
+    Hoyan_telemetry.Telemetry.count tm "hoyan_bgp_export_evals_total"
+      sim.export_evals;
     Hoyan_telemetry.Telemetry.count tm "hoyan_bgp_selected_total"
       !selected_count
   end;

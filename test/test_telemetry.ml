@@ -359,6 +359,35 @@ let test_pipeline_metrics_coverage () =
   check tbool "bgp round events" true
     (Journal.find tm.Telemetry.journal "bgp.round" <> [])
 
+(* The BGP kernel counts its export-policy evaluations: once per
+   (route, export group), not per session.  On [small] every round event
+   carries the running count, the last one the total, and the total is
+   pinned (3,598 when each session evaluated the policy itself). *)
+let test_bgp_export_evals () =
+  let g = Lazy.force scenario in
+  let tm = Telemetry.create () in
+  let _ =
+    Hoyan_sim.Route_sim.run ~tm g.G.model ~input_routes:g.G.input_routes ()
+  in
+  let evals =
+    Metrics.counter_value tm.Telemetry.metrics "hoyan_bgp_export_evals_total"
+  in
+  check tint "export evaluations" 1251 evals;
+  check tint "messages" 1464
+    (Metrics.counter_value tm.Telemetry.metrics "hoyan_bgp_messages_total");
+  let per_round =
+    List.map
+      (fun e ->
+        match List.assoc_opt "export_evals" e.Journal.ev_fields with
+        | Some (Journal.I n) -> n
+        | _ -> Alcotest.fail "bgp.round without export_evals")
+      (Journal.find tm.Telemetry.journal "bgp.round")
+  in
+  check tbool "running count never falls" true
+    (List.sort compare per_round = per_round);
+  check tint "last round carries the total" evals
+    (List.nth per_round (List.length per_round - 1))
+
 let test_retry_telemetry () =
   let g = Lazy.force scenario in
   let tm = Telemetry.create () in
@@ -444,4 +473,5 @@ let suite =
     ("pipeline metrics coverage", `Slow, test_pipeline_metrics_coverage);
     ("retry telemetry", `Slow, test_retry_telemetry);
     ("verify-request spans", `Slow, test_verify_request_spans);
+    ("bgp export evaluations counted", `Quick, test_bgp_export_evals);
   ]
