@@ -39,13 +39,19 @@ analyze:
 
 # Differential change-impact gate: `hoyan diff` over a sample
 # propagating plan against the generated corpus (exit-code contract as
-# lint/analyze), then the soundness cross-check from the test suite —
-# every (device, prefix) verdict the simulator changes must fall inside
-# the statically computed dirty region (DESIGN.md §2.7).
+# lint/analyze); then a block with an unparsable line and a deletion
+# that does not apply, whose HOY013/HOY014 errors must exit 2 however
+# many warnings are allowed; then the soundness cross-check from the
+# test suite — every (device, prefix) verdict the simulator changes must
+# fall inside the statically computed dirty region (DESIGN.md §2.7).
 diff:
 	dune build @all
 	printf 'router bgp 64512\n network 198.51.100.0/24\n' > /tmp/hoyan_diff_plan.txt
 	dune exec bin/hoyan_cli.exe -- diff /tmp/hoyan_diff_plan.txt --device r00-bdr01
+	printf 'router bgp 64512\n bogus-command 1 2 3\n no route-map NOPE 10\n' \
+	  > /tmp/hoyan_diff_broken_plan.txt
+	dune exec bin/hoyan_cli.exe -- diff /tmp/hoyan_diff_broken_plan.txt \
+	  --device r00-bdr01 --max-warnings 1; test $$? -eq 2
 	dune exec test/test_main.exe -- test differential
 
 # Serve smoke: the example request stream through the verification

@@ -685,9 +685,10 @@ let diff_cmd =
     (Cmd.info "diff"
        ~doc:"Differential change-impact analysis: semantically diff the \
              base corpus against the patched one, classify the plan \
-             (no-op / local / propagating), run the plan-risk checks \
-             (HOY030-HOY037) and report the blast radius, without \
-             simulating")
+             (no-op / local / propagating), report the plan's \
+             application issues (HOY012-HOY014, as lint does) and the \
+             plan-risk checks (HOY030-HOY037) and the blast radius, \
+             without simulating")
     Term.(
       const diff_run $ scale_arg $ seed_arg $ plan $ devices $ withdraws
       $ json $ max_warnings_arg $ baseline_arg $ write_baseline_arg)

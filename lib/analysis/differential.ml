@@ -9,7 +9,9 @@
       IR is diffed stanza-by-stanza against the config it was applied to
       (neighbors, policies, prefix lists, VRFs, statics, networks,
       redistribution, ...), classifying the plan as no-op / local /
-      propagating and emitting the HOY030..HOY037 plan-risk diagnostics;
+      propagating and emitting the HOY030..HOY037 plan-risk diagnostics
+      (and, through {!Lint.plan_diags}, the HOY012..HOY014 application
+      issues of its steps);
     - a {b dirty prefix set}: the diff's touched objects are seeded into
       the control-plane graph and symbolic prefix-set dataflow
       ({!Semantic.closure}) over the base and patched prefix universes,
@@ -511,7 +513,7 @@ type diff = {
   df_base_input : Lint.input;
   df_patched_input : Lint.input;
   df_devices : device_diff list;
-  df_reports : Cp.apply_report list;
+  df_steps : Cp.step list; (* the plan's one application, block by block *)
   df_class : classification;
   df_topo_dirty : bool; (* topology ops: everything is dirty *)
   df_touched : (string * touched) list; (* per changed device *)
@@ -584,7 +586,7 @@ let diff ?tm (input : Lint.input) (plan : Cp.t) : diff =
         df_base_input = input;
         df_patched_input = patched_input;
         df_devices = devices;
-        df_reports = List.map Cp.step_report ap.Cp.ap_steps;
+        df_steps = ap.Cp.ap_steps;
         df_class = cls;
         df_topo_dirty = topo_dirty;
         df_touched = touched;
@@ -946,10 +948,12 @@ let withdraw_checks (d : diff) ~(input_routes : Route.t list) : D.t list =
                (Prefix.to_string p)))
       d.df_plan.Cp.cp_withdraw
 
-(** Run the HOY030..HOY037 plan-risk checks over a diff.  [input_routes]
-    (the monitored base announcements) feed the origination, withdrawal
-    and impact-summary checks; without them those checks stay quiet
-    rather than guessing. *)
+(** Run the plan checks over a diff: the application issues of its
+    steps (HOY012..HOY014, by {!Lint.plan_diags}, the lint pass's own
+    rule) and the HOY030..HOY037 plan-risk checks.  [input_routes] (the
+    monitored base announcements) feed the origination, withdrawal and
+    impact-summary checks; without them those checks stay quiet rather
+    than guessing. *)
 let check ?tm ?(input_routes = []) (d : diff) : D.t list =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
   Telemetry.with_span tm "differential.check" (fun () ->
@@ -960,28 +964,6 @@ let check ?tm ?(input_routes = []) (d : diff) : D.t list =
             @ broken_session_checks d dd
             @ origination_checks ~tm d ~input_routes dd)
           d.df_devices
-      in
-      (* blocks that never produced a device diff (unknown device):
-         surface their structured issues under the existing plan-parse
-         code rather than dropping them *)
-      let orphaned =
-        List.concat_map
-          (fun (r : Cp.apply_report) ->
-            if
-              List.exists
-                (fun dd -> String.equal dd.dd_device r.Cp.ar_device)
-                d.df_devices
-            then []
-            else
-              List.map
-                (fun (i : Cp.line_issue) ->
-                  D.make ~code:"HOY014" ~device:r.Cp.ar_device
-                    ~obj:(if i.Cp.ci_text = "" then "command block"
-                          else i.Cp.ci_text)
-                    ~line:i.Cp.ci_lnum "command does not apply: %s"
-                    i.Cp.ci_msg)
-                r.Cp.ar_issues)
-          d.df_reports
       in
       let summary =
         if d.df_class <> Propagating then []
@@ -1008,7 +990,8 @@ let check ?tm ?(input_routes = []) (d : diff) : D.t list =
           ]
       in
       List.sort D.compare_diag
-        (per_device @ orphaned @ withdraw_checks d ~input_routes @ summary))
+        (Lint.plan_diags d.df_base_input d.df_plan d.df_steps
+        @ per_device @ withdraw_checks d ~input_routes @ summary))
 
 (** One-line rendering of a diff for CLI output. *)
 let summary (d : diff) : string =

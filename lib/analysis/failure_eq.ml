@@ -27,8 +27,6 @@ let failure_to_string = function
   | Link_down (a, b) -> Printf.sprintf "link %s-%s down" a b
   | Device_down d -> Printf.sprintf "device %s down" d
 
-let compare_failure = compare
-
 let topo_op = function
   | Link_down (a, b) -> Cp.Remove_link { ra = a; rb = b }
   | Device_down d -> Cp.Remove_device d

@@ -108,7 +108,6 @@ open Hoyan_net
 type failure = Link_down of string * string | Device_down of string
 
 val failure_to_string : failure -> string
-val compare_failure : failure -> failure -> int
 
 (** The change-plan topology op that injects a failure. *)
 val topo_op : failure -> Hoyan_config.Change_plan.topo_op

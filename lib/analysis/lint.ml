@@ -400,11 +400,14 @@ let vrf_rt_checks (input : input) : D.t list =
 (* Change-plan checks (HOY012 / HOY013 / HOY014)                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Apply the plan to the corpus ({!Cp.apply}, the one plan semantics
-    the simulator also uses).  Returns the plan diagnostics plus the
-    post-plan configs, so the configuration checks run on what the
-    network would look like {e after} the change. *)
-let plan_checks (input : input) (plan : Cp.t) : D.t list * Types.t Smap.t =
+(** The plan diagnostics of one application of [plan] to [input]
+    ({!Cp.apply}, the one plan semantics the simulator also uses):
+    [steps] are that application's steps, and this is the one rule that
+    turns them, and the plan's topology operations, into findings.
+    Unknown devices and links are judged against [input], the pre-plan
+    network. *)
+let plan_diags (input : input) (plan : Cp.t) (steps : Cp.step list) :
+    D.t list =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let topo_names =
@@ -464,9 +467,8 @@ let plan_checks (input : input) (plan : Cp.t) : D.t list * Types.t Smap.t =
                        "topology op removes non-existent link %s -- %s" ra rb))
               input.li_topo)
     plan.Cp.cp_topo_ops;
-  (* command blocks, through the plan's own application: a device the
-     plan adds is configured from empty, a removed one is gone *)
-  let applied = Cp.apply input.li_configs plan in
+  (* command blocks: a device the plan adds is configured from empty, a
+     removed one is gone *)
   List.iter
     (function
       | Cp.Unknown_device r ->
@@ -491,8 +493,8 @@ let plan_checks (input : input) (plan : Cp.t) : D.t list * Types.t Smap.t =
                        ~line:i.Cp.ci_lnum "deletion does not apply: %s"
                        i.Cp.ci_msg))
             st_report.Cp.ar_issues)
-    applied.Cp.ap_steps;
-  (List.rev !diags, applied.Cp.ap_configs)
+    steps;
+  List.rev !diags
 
 (* ------------------------------------------------------------------ *)
 (* RCL specification checks (HOY015..HOY018)                           *)
@@ -763,23 +765,34 @@ let check_spec ((label, src) : string * string) : D.t list =
 (* The pass                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run (input : input) : D.t list =
-  let plan_diags, input =
-    match input.li_plan with
-    | None -> ([], input)
-    | Some plan ->
-        let ds, merged = plan_checks input plan in
-        (ds, { input with li_configs = merged; li_texts = lazy_texts merged })
-  in
+(** Lint a plan that is already applied: [patched] is the post-plan
+    input (its [li_plan] is not read), and [steps] are the application
+    of [plan] to the pre-plan [base] ({!plan_diags}).  The configuration
+    checks run on what the network looks like {e after} the change. *)
+let run_applied ~(base : input) (plan : Cp.t) (steps : Cp.step list)
+    (patched : input) : D.t list =
   let config_diags =
     Smap.fold
-      (fun _ cfg acc -> List.rev_append (check_config input cfg) acc)
-      input.li_configs []
+      (fun _ cfg acc -> List.rev_append (check_config patched cfg) acc)
+      patched.li_configs []
   in
-  let corpus_diags = vrf_rt_checks input in
-  let spec_diags = List.concat_map check_spec input.li_specs in
+  let corpus_diags = vrf_rt_checks patched in
+  let spec_diags = List.concat_map check_spec patched.li_specs in
   List.sort D.compare_diag
-    (plan_diags @ config_diags @ corpus_diags @ spec_diags)
+    (plan_diags base plan steps @ config_diags @ corpus_diags @ spec_diags)
+
+(** Lint [input]; with a plan, apply it first and lint the result. *)
+let run (input : input) : D.t list =
+  match input.li_plan with
+  | None -> run_applied ~base:input (Cp.make "none") [] input
+  | Some plan ->
+      let applied = Cp.apply input.li_configs plan in
+      run_applied ~base:input plan applied.Cp.ap_steps
+        {
+          input with
+          li_configs = applied.Cp.ap_configs;
+          li_texts = lazy_texts applied.Cp.ap_configs;
+        }
 
 let has_errors ds =
   List.exists (fun (d : D.t) -> d.D.d_severity = D.Error) ds

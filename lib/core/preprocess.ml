@@ -147,14 +147,10 @@ type base = {
   b_flows : Flow.t list;
   b_rib : Rib.t Lazy.t;
   b_traffic : Traffic_sim.result Lazy.t;
-  b_partial : bool;
-      (* the converged state came from a run with permanently-failed
-         subtasks (distributed mode): rows may be missing, so verdicts
-         derived from it must never be carried over as proven facts *)
 }
 
 let prepare ?(route_rules = default_rules) ?(flow_rules = default_flow_rules)
-    ?(partial = false) (model : Model.t) ~(monitored_routes : Route.t list)
+    (model : Model.t) ~(monitored_routes : Route.t list)
     ~(monitored_flows : Flow.t list) : base =
   let input_routes = build_input_routes ~rules:route_rules model monitored_routes in
   let flows = build_input_flows ~rules:flow_rules model monitored_flows in
@@ -165,4 +161,4 @@ let prepare ?(route_rules = default_rules) ?(flow_rules = default_flow_rules)
     lazy (Traffic_sim.run model ~rib:(Lazy.force rib) ~flows ())
   in
   { b_model = model; b_input_routes = input_routes; b_flows = flows;
-    b_rib = rib; b_traffic = traffic; b_partial = partial }
+    b_rib = rib; b_traffic = traffic }

@@ -99,17 +99,21 @@ let lint_specs (intents : Intents.t list) : (string * string) list =
          | _ -> [])
        intents)
 
-(* 0. The lint pass over the base configs, the change plan and the
-   request's RCL specs, before any fixpoint runs, journalled as a
-   [lint.gate] event.  Under [gate] (the [Lint] stage) an error-severity
-   finding fails the request; the simulating stages only record the
-   findings. *)
-let lint_pass tm (model : Model.t) (rq : request) ~gate =
+(* 0. The lint pass over the request's patched network and RCL specs,
+   before any fixpoint runs, journalled as a [lint.gate] event: the
+   diff's application steps give the plan findings (HOY012-HOY014) and
+   its patched input the configuration checks.  Under [gate] (the [Lint]
+   stage) an error-severity finding fails the request; the simulating
+   stages only record the findings. *)
+let lint_pass tm (d : Differential.diff) (rq : request) ~gate =
   let diags =
     Telemetry.with_span tm "verify.lint_gate" (fun () ->
-        Lint.run
-          (Lint.make ~topo:model.Model.topo ~plan:rq.rq_plan
-             ~specs:(lint_specs rq.rq_intents) model.Model.configs))
+        Lint.run_applied ~base:d.Differential.df_base_input
+          d.Differential.df_plan d.Differential.df_steps
+          {
+            d.Differential.df_patched_input with
+            Lint.li_specs = lint_specs rq.rq_intents;
+          })
   in
   let gated = gate && Lint.has_errors diags in
   if Telemetry.enabled tm then
@@ -131,30 +135,14 @@ let lint_pass tm (model : Model.t) (rq : request) ~gate =
 let carry_over tm (base : Preprocess.base) (d : Differential.diff)
     (rq : request) =
   let carried, active =
-    if base.Preprocess.b_partial then begin
-      (* carrying verdicts derived from a partial (failed-subtask) base
-         run would promote unsound verdicts to proven facts: a route
-         missing from a failed subtask looks like a base reachability
-         violation — or masks one.  Refuse; every intent goes through
-         the pre-checker and the simulator instead. *)
-      Telemetry.count tm "hoyan_verify_carryover_refused_total" 1;
-      if Telemetry.enabled tm then
-        Telemetry.event tm "verify.carryover_refused"
-          [
-            ("request", Journal.S rq.rq_name);
-            ("reason", Journal.S "base run partial");
-          ];
-      ([], rq.rq_intents)
-    end
-    else
-      List.partition
-        (fun intent ->
-          match intent with
-          | Intents.Route_reach { rr_prefix; _ } ->
-              Differential.carries_over ~tm d
-                ~input_routes:base.Preprocess.b_input_routes rr_prefix
-          | _ -> d.Differential.df_class = Differential.No_op)
-        rq.rq_intents
+    List.partition
+      (fun intent ->
+        match intent with
+        | Intents.Route_reach { rr_prefix; _ } ->
+            Differential.carries_over ~tm d
+              ~input_routes:base.Preprocess.b_input_routes rr_prefix
+        | _ -> d.Differential.df_class = Differential.No_op)
+      rq.rq_intents
   in
   if Telemetry.enabled tm then
     Telemetry.event tm "verify.diff"
@@ -266,17 +254,45 @@ let route_step tm (patched : Model.t Lazy.t) ~input_routes ~flows ~d
       let rib = phase.Framework.rp_rib in
       (Merged cov, patched, rib, traffic_over tm patched ~flows rib)
 
-(** Run one change-verification request against the pre-processed base.
-    Each pipeline phase runs under its own telemetry span
-    ([verify.lint_gate] / [verify.diff] / [verify.precheck] /
-    [verify.route_sim], with [verify.model_update] inside it /
-    [verify.traffic_sim] / [verify.intents]).  The stage is matched
+(* The request's one patched network: the plan applied to the base by
+   one differential.  Its steps are the plan findings and warnings, its
+   patched graph the pre-checker's, its dirty region the carry-over's
+   and the splice's, and a server hashes it into the cache key. *)
+type prepared = {
+  pr_base : Preprocess.base;
+  pr_request : request;
+  pr_diff : Differential.diff;
+  pr_seconds : float;
+}
+
+let prepare ?tm (base : Preprocess.base) (rq : request) : prepared =
+  let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
+  let t0 = Unix.gettimeofday () in
+  let model = base.Preprocess.b_model in
+  let d =
+    Telemetry.with_span tm "verify.diff" (fun () ->
+        Differential.diff ~tm
+          (Lint.make ~topo:model.Model.topo model.Model.configs)
+          rq.rq_plan)
+  in
+  {
+    pr_base = base;
+    pr_request = rq;
+    pr_diff = d;
+    pr_seconds = Unix.gettimeofday () -. t0;
+  }
+
+(** Run one prepared change-verification request.  Each pipeline phase
+    runs under its own telemetry span ([verify.lint_gate] /
+    [verify.precheck] / [verify.route_sim], with [verify.model_update]
+    inside it / [verify.traffic_sim] / [verify.intents]; the plan's
+    application is [prepare]'s [verify.diff]).  The stage is matched
     once: [Lint] returns after the lint gate; every other stage runs the
     one sequence below, which [Precheck] (no executor) leaves before the
     route phase. *)
-let run ?tm ?(stage = Simulate From_scratch) (base : Preprocess.base)
-    (rq : request) : result =
+let execute ?tm ?(stage = Simulate From_scratch) (p : prepared) : result =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
+  let base = p.pr_base and rq = p.pr_request and d = p.pr_diff in
   let rq_sp =
     Telemetry.span tm ~args:[ ("request", rq.rq_name) ] "verify.request"
   in
@@ -294,31 +310,27 @@ let run ?tm ?(stage = Simulate From_scratch) (base : Preprocess.base)
        Telemetry.observe tm "hoyan_verify_traffic_seconds" dt;
        r)
   in
-  (* elapsed minus whatever the intent checks spent forcing traffic: the
-     traffic cost lives in [vr_traffic_seconds] only, whether the lazy
-     was forced here or later by the caller *)
-  let sim_seconds () = Unix.gettimeofday () -. t0 -. !traffic_seconds in
+  (* the plan's application plus elapsed, minus whatever the intent
+     checks spent forcing traffic: the traffic cost lives in
+     [vr_traffic_seconds] only, whether the lazy was forced here or later
+     by the caller *)
+  let sim_seconds () =
+    p.pr_seconds +. Unix.gettimeofday () -. t0 -. !traffic_seconds
+  in
   let model = base.Preprocess.b_model in
   let sequence ~lint ~carry exec =
-    (* 1. the request's one patched network: the plan applied to the
-       base by one differential, whose reports are the plan warnings,
-       whose patched graph the pre-checker reads and whose dirty region
-       the carry-over and the splice read; and the patched route inputs
-       (reclaimed prefixes removed, announced ones added — one rule,
-       shared with the incremental path).  The patched model is compiled
-       only by a route step that needs it. *)
-    let d =
-      Telemetry.with_span tm "verify.diff" (fun () ->
-          Differential.diff ~tm
-            (Lint.make ~topo:model.Model.topo model.Model.configs)
-            rq.rq_plan)
+    (* 1. the diff's application issues are the plan warnings; the
+       patched route inputs have reclaimed prefixes removed and announced
+       ones added (one rule, shared with the incremental path).  The
+       patched model is compiled only by a route step that needs it. *)
+    let warnings =
+      plan_warnings (List.map Cp.step_report d.Differential.df_steps)
     in
-    let warnings = plan_warnings d.Differential.df_reports in
     let patched =
       lazy
         (Telemetry.with_span tm "verify.model_update" (fun () ->
-             let p = d.Differential.df_patched_input in
-             Model.patch model ?topo:p.Lint.li_topo p.Lint.li_configs))
+             let pi = d.Differential.df_patched_input in
+             Model.patch model ?topo:pi.Lint.li_topo pi.Lint.li_configs))
     in
     let input_routes =
       Differential.patched_routes rq.rq_plan base.Preprocess.b_input_routes
@@ -444,7 +456,7 @@ let run ?tm ?(stage = Simulate From_scratch) (base : Preprocess.base)
   in
   match stage with
   | Lint ->
-      let lint, gated = lint_pass tm model rq ~gate:true in
+      let lint, gated = lint_pass tm d rq ~gate:true in
       Telemetry.finish tm rq_sp;
       {
         vr_request = rq.rq_name;
@@ -465,11 +477,14 @@ let run ?tm ?(stage = Simulate From_scratch) (base : Preprocess.base)
       }
   | Precheck -> sequence ~lint:[] ~carry:false None
   | Simulate exec ->
-      sequence ~lint:(fst (lint_pass tm model rq ~gate:false)) ~carry:false
+      sequence ~lint:(fst (lint_pass tm d rq ~gate:false)) ~carry:false
         (Some exec)
   | Diff exec ->
-      sequence ~lint:(fst (lint_pass tm model rq ~gate:false)) ~carry:true
+      sequence ~lint:(fst (lint_pass tm d rq ~gate:false)) ~carry:true
         (Some exec)
+
+let run ?tm ?stage (base : Preprocess.base) (rq : request) : result =
+  execute ?tm ?stage (prepare ?tm base rq)
 
 (* Deterministic verdict rendering: no timings, no request name — the
    same semantic request always renders the same bytes, whichever

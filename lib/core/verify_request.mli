@@ -107,7 +107,7 @@ type executor =
 
     {v
     stage       lint pass            plan applied  carry-over  pre-checker  route phase
-    Lint        yes; gates on errors no            no          no           no
+    Lint        yes; gates on errors yes           no          no           no
     Precheck    no                   yes           no          yes          no
     Simulate e  yes; recorded only   yes           no          yes          yes, by e
     Diff e      yes; recorded only   yes           yes         yes          yes, by e
@@ -117,19 +117,39 @@ type executor =
     stay open: the verdict covers only the statically decided part. *)
 type stage = Lint | Precheck | Simulate of executor | Diff of executor
 
-(** Run one change-verification request against the pre-processed base,
-    as far as [stage] (default [Simulate From_scratch]) goes.  The lint
-    pass lints the base configs, the change plan and the request's RCL
-    specs first; under {!Lint} an error-severity diagnostic fails the
-    request and nothing else runs, under {!Simulate} and {!Diff} the
-    findings are only recorded.  [tm] (default: the process-global
-    telemetry handle) receives per-phase spans and gate events.
+(** A request with its plan applied: the request's one
+    {!Hoyan_analysis.Differential.diff} over the base input.  Every stage
+    reads it, and so does the server's cache key
+    ({!Hoyan_server.Request.key}). *)
+type prepared = private {
+  pr_base : Preprocess.base;
+  pr_request : request;
+  pr_diff : Hoyan_analysis.Differential.diff;
+  pr_seconds : float;  (** wall-clock of the application *)
+}
 
-    Every other stage runs one sequence over one patched network:
-    + apply the plan once, by one {!Hoyan_analysis.Differential.diff}
-      over the base: its reports are [vr_plan_warnings], and the steps
-      below all read it.  [cp_withdraw] prefixes leave the route inputs
-      and [cp_new_routes] join them;
+(** Apply the request's plan once, by one
+    {!Hoyan_analysis.Differential.diff} over the base configs and
+    topology (span [verify.diff]).  No fixpoint runs and nothing is
+    compiled: the diff's graphs and dirty set are lazy. *)
+val prepare :
+  ?tm:Hoyan_telemetry.Telemetry.t -> Preprocess.base -> request -> prepared
+
+(** Run a prepared request as far as [stage] (default
+    [Simulate From_scratch]) goes.  The lint pass lints the diff's
+    patched network with the request's RCL specs: the diff's
+    application steps give the plan findings (HOY012–HOY014, by
+    {!Hoyan_analysis.Lint.plan_diags}, the rule [hoyan diff] uses too)
+    and its patched configs the configuration checks.  Under {!Lint} an
+    error-severity diagnostic fails the request and nothing else runs;
+    under {!Simulate} and {!Diff} the findings are only recorded.  [tm]
+    (default: the process-global telemetry handle) receives per-phase
+    spans and gate events.
+
+    Every other stage runs one sequence over the one patched network:
+    + the diff's application issues are [vr_plan_warnings], and the
+      steps below all read the diff.  [cp_withdraw] prefixes leave the
+      route inputs and [cp_new_routes] join them;
     + carry over ({!Diff} only): every reachability intent whose prefix
       provably lies outside the diff's dirty region — and, on a semantic
       no-op, every intent — keeps its base-run verdict (listed in
@@ -146,12 +166,12 @@ type stage = Lint | Precheck | Simulate of executor | Diff of executor
     + check the intents left open.  Traffic is simulated only when a
       traffic-level intent (or the caller) forces it.
 
-    A partial base ([Preprocess.prepare ~partial:true]: the converged
-    base itself came from a run with failed subtasks) refuses carry-over:
-    a verdict proven against an incomplete base RIB would launder
-    missing routes into proven facts.  The refusal is counted
-    ([hoyan_verify_carryover_refused_total]) and every intent is
-    re-verified. *)
+    [vr_sim_seconds] includes the application's [pr_seconds]. *)
+val execute :
+  ?tm:Hoyan_telemetry.Telemetry.t -> ?stage:stage -> prepared -> result
+
+(** [execute] after [prepare]: one change-verification request against
+    the pre-processed base. *)
 val run :
   ?tm:Hoyan_telemetry.Telemetry.t ->
   ?stage:stage ->

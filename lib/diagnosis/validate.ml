@@ -15,17 +15,12 @@ type route_discrepancy =
   | Missing_in_sim of Route.t (* collected but not simulated *)
   | Attr_mismatch of Route.t * Route.t (* same key, different attributes *)
 
-let discrepancy_route = function
-  | Missing_in_monitor r | Missing_in_sim r | Attr_mismatch (r, _) -> r
-
 type load_discrepancy = {
   ld_link : string * string;
   ld_simulated : float;
   ld_monitored : float;
   ld_bandwidth : float;
 }
-
-let ld_gap d = Float.abs (d.ld_simulated -. d.ld_monitored)
 
 type report = {
   rep_route_issues : route_discrepancy list;

@@ -14,16 +14,12 @@ type route_discrepancy =
   | Missing_in_sim of Route.t  (** collected but not simulated *)
   | Attr_mismatch of Route.t * Route.t  (** same key, different attributes *)
 
-val discrepancy_route : route_discrepancy -> Route.t
-
 type load_discrepancy = {
   ld_link : string * string;
   ld_simulated : float;
   ld_monitored : float;
   ld_bandwidth : float;
 }
-
-val ld_gap : load_discrepancy -> float
 
 type report = {
   rep_route_issues : route_discrepancy list;

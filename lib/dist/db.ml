@@ -98,7 +98,6 @@ let range (e : entry) = locked e.e_mu (fun () -> e.e_range)
 let result_key (e : entry) = locked e.e_mu (fun () -> e.e_result_key)
 let attempts (e : entry) = locked e.e_mu (fun () -> e.e_attempts)
 let sends (e : entry) = locked e.e_mu (fun () -> e.e_sends)
-let lease_deadline (e : entry) = locked e.e_mu (fun () -> e.e_lease_deadline)
 let backoff_s (e : entry) = locked e.e_mu (fun () -> e.e_backoff_s)
 let duration_s (e : entry) = locked e.e_mu (fun () -> e.e_duration_s)
 let io_bytes (e : entry) = locked e.e_mu (fun () -> e.e_io_bytes)
@@ -206,10 +205,3 @@ let all_settled (t : t) =
   all t
   |> List.for_all (fun (_, e) ->
          match status e with Done | Terminal _ -> true | _ -> false)
-
-(** The permanently-failed subtasks, with their terminal reasons. *)
-let terminal_failures (t : t) : (string * string) list =
-  all t
-  |> List.filter_map (fun (id, e) ->
-         match status e with Terminal m -> Some (id, m) | _ -> None)
-  |> List.sort compare

@@ -48,9 +48,6 @@ val attempts : entry -> int
 (** Messages sent for this subtask, including monitor re-sends. *)
 val sends : entry -> int
 
-(** The current attempt's lease deadline (absolute seconds). *)
-val lease_deadline : entry -> float option
-
 (** Accumulated modelled backoff delay across re-sends. *)
 val backoff_s : entry -> float
 
@@ -121,6 +118,3 @@ val all_done : t -> bool
 (** Everything is [Done] or [Terminal] — nothing still in flight. *)
 val all_settled : t -> bool
 
-(** The permanently-failed subtasks with their terminal reasons,
-    sorted by id. *)
-val terminal_failures : t -> (string * string) list

@@ -38,7 +38,6 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 (* Well-known communities (RFC 1997). *)
 let no_export = { asn = 0xffff; tag = 0xff01 }
 let no_advertise = { asn = 0xffff; tag = 0xff02 }
-let no_export_subconfed = { asn = 0xffff; tag = 0xff03 }
 
 module Ord = struct
   type nonrec t = t

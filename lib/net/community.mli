@@ -28,8 +28,6 @@ val no_export : t
 
 val no_advertise : t
 
-val no_export_subconfed : t
-
 module Ord : sig
   type nonrec t = t
 

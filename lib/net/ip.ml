@@ -55,8 +55,6 @@ let bit t i =
 
 let zero = function Ipv4 -> V4 0 | Ipv6 -> V6 Int128.zero
 
-let max_addr = function Ipv4 -> V4 v4_max | Ipv6 -> V6 Int128.max_value
-
 let succ = function
   | V4 n -> if n >= v4_max then V4 v4_max else V4 (n + 1)
   | V6 n -> if Int128.equal n Int128.max_value then V6 n else V6 (Int128.succ n)

@@ -40,8 +40,6 @@ val bit : t -> int -> bool
 
 val zero : family -> t
 
-val max_addr : family -> t
-
 (** Saturating successor/predecessor within the family. *)
 val succ : t -> t
 

@@ -101,10 +101,6 @@ module Attrs = struct
     a land lnot (weight_max lsl 4) lor (sat v weight_max lsl 4)
 
   let with_origin (a : t) o = a land lnot (0x3 lsl 2) lor (origin_code o lsl 2)
-
-  (** Everything but weight and family: the attributes that propagate
-      between routers (EC condition (3)). *)
-  let propagated_mask = lnot ((weight_max lsl 4) lor 1)
 end
 
 type t = {
@@ -246,14 +242,6 @@ let compare (a : t) (b : t) =
                                 Stdlib.compare a.route_type b.route_type
                               in
                               if c <> 0 then c else Int.compare a.tag b.tag
-
-(** Equality of the BGP attributes that propagate between routers; this is
-    condition (3) of the input-route equivalence-class definition (§3.1). *)
-let equal_attrs (a : t) (b : t) =
-  a.attrs land Attrs.propagated_mask = b.attrs land Attrs.propagated_mask
-  && Community.Set.equal a.communities b.communities
-  && As_path.equal a.as_path b.as_path
-  && Option.equal Ip.equal a.nexthop b.nexthop
 
 let nexthop_string r =
   match r.nexthop with Some ip -> Ip.to_string ip | None -> "self"

@@ -60,10 +60,6 @@ module Attrs : sig
   val with_med : t -> int -> t
   val with_weight : t -> int -> t
   val with_origin : t -> origin -> t
-
-  (** Mask selecting the attributes that propagate between routers
-      (clears weight and family). *)
-  val propagated_mask : int
 end
 
 type t = {
@@ -132,10 +128,6 @@ val equal : t -> t -> bool
 (** A total order consistent with {!equal}: the canonical RIB row order
     ({!Rib.t}). *)
 val compare : t -> t -> int
-
-(** Equality of the attributes that propagate between routers — condition
-    (3) of the paper's input-route equivalence classes. *)
-val equal_attrs : t -> t -> bool
 
 (** ["self"] when the route has no next hop. *)
 val nexthop_string : t -> string

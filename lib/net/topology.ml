@@ -7,14 +7,6 @@
 
 type role = Wan_core | Wan_border | Dc_core | Dc_border | Isp_peer | Rr
 
-let role_to_string = function
-  | Wan_core -> "wan-core"
-  | Wan_border -> "wan-border"
-  | Dc_core -> "dc-core"
-  | Dc_border -> "dc-border"
-  | Isp_peer -> "isp-peer"
-  | Rr -> "route-reflector"
-
 type device = {
   name : string;
   vendor : string; (* key into the vendor profile table *)
@@ -66,10 +58,6 @@ let add_iface t (i : iface) =
   { t with ifaces = Smap.add i.dev (i :: existing) t.ifaces }
 
 let ifaces t dev = Option.value (Smap.find_opt dev t.ifaces) ~default:[]
-
-let iface_addr t dev ifname =
-  List.find_opt (fun i -> String.equal i.ifname ifname) (ifaces t dev)
-  |> Fun.flip Option.bind (fun i -> i.addr)
 
 (** Add a bidirectional link; creates the two directed edges. *)
 let add_link t ~a ~a_if ~b ~b_if ~bandwidth =

@@ -6,8 +6,6 @@
 
 type role = Wan_core | Wan_border | Dc_core | Dc_border | Isp_peer | Rr
 
-val role_to_string : role -> string
-
 type device = {
   name : string;
   vendor : string;  (** key into the {!Hoyan_config.Vsb} profile table *)
@@ -47,8 +45,6 @@ val num_devices : t -> int
 val add_iface : t -> iface -> t
 
 val ifaces : t -> string -> iface list
-
-val iface_addr : t -> string -> string -> Ip.t option
 
 (** Adds both directed edges of a physical link. *)
 val add_link :

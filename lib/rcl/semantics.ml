@@ -81,12 +81,6 @@ let rib_equal = Rib.equal
 
 (* --- intents -------------------------------------------------------------- *)
 
-(** Distinct values of a field across both RIBs (for [forall field : g]). *)
-let group_values (field : string) ~(pre : rib) ~(post : rib) : Value.t list =
-  List.map (Fields.get field) (pre :> Route.t list)
-  @ List.map (Fields.get field) (post :> Route.t list)
-  |> List.sort_uniq Value.compare_value
-
 let filter_field_eq field v rib =
   Rib.filter (fun r -> Value.equal (Fields.get field r) v) rib
 

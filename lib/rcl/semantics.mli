@@ -27,9 +27,6 @@ val eval_eval : Ast.eval -> pre:rib -> post:rib -> Value.t
 (** Set equality of two RIBs ({!Hoyan_net.Rib.equal}). *)
 val rib_equal : rib -> rib -> bool
 
-(** Distinct values of a field across both RIBs ([forall field : g]). *)
-val group_values : string -> pre:rib -> post:rib -> Value.t list
-
 val filter_field_eq : string -> Value.t -> rib -> rib
 
 (** Bucket both RIBs by a field's value in one pass — O(|pre|+|post|)

@@ -6,6 +6,8 @@ module Cp = Hoyan_config.Change_plan
 module Types = Hoyan_config.Types
 module Printer = Hoyan_config.Printer
 module Intents = Hoyan_core.Intents
+module Differential = Hoyan_analysis.Differential
+module Lint = Hoyan_analysis.Lint
 module Smap = Types.Smap
 
 type rq_class = Lint | Precheck | Simulate | Diff | Whatif
@@ -81,7 +83,8 @@ let topo_op_render = function
       Printf.sprintf "add-link %s/%s %s/%s %g" la la_if lb lb_if l_bandwidth
   | Cp.Remove_link { ra; rb } -> Printf.sprintf "remove-link %s %s" ra rb
 
-let plan_digest ~(configs : Types.t Smap.t) (cp : Cp.t) : string =
+let plan_digest (d : Differential.diff) : string =
+  let cp = d.Differential.df_plan in
   let b = Buffer.create 4096 in
   (* topology ops in plan order: their order is observable *)
   List.iter
@@ -89,17 +92,16 @@ let plan_digest ~(configs : Types.t Smap.t) (cp : Cp.t) : string =
       Buffer.add_string b (topo_op_render op);
       Buffer.add_char b '\n')
     cp.Cp.cp_topo_ops;
-  (* the plan applied once, as the pipeline applies it: per device a
-     block targets (name order), its patched configuration and its
-     blocks' application issues in plan order — everything
-     Verify_request.run can observe of the blocks, nothing of their
-     accidental spelling.  An unknown target (Table-6 "typo in router
-     name") keys on its name and issue alone. *)
-  let ap = Cp.apply configs cp in
-  let reports = List.map Cp.step_report ap.Cp.ap_steps in
+  (* the plan's one application: per device a block targets (name
+     order), its patched configuration and its blocks' application
+     issues in plan order — everything Verify_request can observe of the
+     blocks, nothing of their accidental spelling.  An unknown target
+     (Table-6 "typo in router name") keys on its name and issue alone. *)
+  let patched = d.Differential.df_patched_input.Lint.li_configs in
+  let reports = List.map Cp.step_report d.Differential.df_steps in
   List.iter
     (fun dev ->
-      (match Smap.find_opt dev ap.Cp.ap_configs with
+      (match Smap.find_opt dev patched with
       | Some cfg ->
           Buffer.add_string b ("device " ^ dev ^ "\n");
           Buffer.add_string b (Printer.print cfg)
@@ -135,10 +137,12 @@ let class_key (t : t) : string =
       Printf.sprintf "whatif-k%d-%s" t.r_k (scope_to_string t.r_scope)
   | c -> class_to_string c
 
-let cache_key ~snapshot_digest ~configs (t : t) : string =
-  Printf.sprintf "%s/%s/%s/%s" snapshot_digest (class_key t)
-    (plan_digest ~configs t.r_plan)
+let key ~snapshot_digest (d : Differential.diff) (t : t) : string =
+  Printf.sprintf "%s/%s/%s/%s" snapshot_digest (class_key t) (plan_digest d)
     (intents_digest t.r_intents)
+
+let cache_key ~snapshot_digest ~configs (t : t) : string =
+  key ~snapshot_digest (Differential.diff (Lint.make configs) t.r_plan) t
 
 (* ------------------------------------------------------------------ *)
 (* Transport: parsing                                                  *)

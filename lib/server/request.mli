@@ -7,16 +7,20 @@
 
     {2 Cache keys}
 
-    {!cache_key} is the result-cache key: (snapshot digest, plan
-    digest, intent digest, class).  The plan digest is {e semantic}: the
-    plan is applied to the base configs by
-    {!Hoyan_config.Change_plan.apply}, as the pipeline applies it, and
-    the digest covers the {e patched} configurations (plus the
-    application issues, topology ops, announced routes and
-    withdrawals) — so two textually different plans with the same
+    {!key} is the result-cache key: (snapshot digest, plan digest,
+    intent digest, class).  The plan digest is {e semantic}: it hashes
+    the request's one application of its plan, the
+    {!Hoyan_analysis.Differential.diff} that the server's
+    {!Hoyan_core.Verify_request.prepare} builds and the pipeline then
+    reads.  It covers the {e patched} configurations of the targeted
+    devices (plus the application issues, topology ops, announced routes
+    and withdrawals), so two textually different plans with the same
     meaning (restatements, reordered prefix-list entries, duplicated
-    blocks) digest identically and deduplicate in the cache, the PR7
-    restatement-is-no-op property lifted to the request layer.
+    blocks) digest identically and deduplicate in the cache: the
+    differential's restatement-is-no-op property, lifted to the request
+    layer.  The
+    plan is applied once per request: the key, the lint pass and the
+    pipeline all read that one diff.
 
     {2 Transport}
 
@@ -86,23 +90,27 @@ val make :
   rq_class ->
   t
 
-(** Semantic digest of a change plan against the base configurations
-    (see above).  Stable across restatements; sensitive to anything
-    {!Hoyan_core.Verify_request.run} could observe (patched configs,
+(** Semantic digest of a plan's one application, its diff (see above).
+    Stable across restatements; sensitive to anything
+    {!Hoyan_core.Verify_request} could observe (patched configs,
     application issues, topology ops, new routes, withdrawals). *)
-val plan_digest :
-  configs:Hoyan_config.Types.t Hoyan_config.Types.Smap.t ->
-  Hoyan_config.Change_plan.t ->
-  string
+val plan_digest : Hoyan_analysis.Differential.diff -> string
 
 (** In-order digest of the request's intents (intent order is
     observable in the verdict rendering, so it is {e not} sorted). *)
 val intents_digest : Hoyan_core.Intents.t list -> string
 
-(** The result-cache key:
+(** The result-cache key of a request whose plan's one application is
+    [d] (the server's {!Hoyan_core.Verify_request.prepare}):
     [snapshot-digest/class/plan-digest/intent-digest], where the class
     segment of a [whatif] request also carries its [k] and failure
     scope (they are part of the answer's identity). *)
+val key :
+  snapshot_digest:string -> Hoyan_analysis.Differential.diff -> t -> string
+
+(** {!key} over a fresh diff of the request's plan against [configs].
+    The server never calls it; it keeps the benchmark's cache-key probe
+    and the tests' digest checks. *)
 val cache_key :
   snapshot_digest:string ->
   configs:Hoyan_config.Types.t Hoyan_config.Types.Smap.t ->

@@ -11,7 +11,6 @@ module Preprocess = Hoyan_core.Preprocess
 module Verify_request = Hoyan_core.Verify_request
 module Intents = Hoyan_core.Intents
 module Kfailure = Hoyan_core.Kfailure
-module Model = Hoyan_sim.Model
 module Cp = Hoyan_config.Change_plan
 module Telemetry = Hoyan_telemetry.Telemetry
 module Journal = Hoyan_telemetry.Journal
@@ -179,26 +178,35 @@ let whatif_property (rq : Request.t) =
               %d intents"
              (List.length is))
 
+(* The request's one application of its plan, against its snapshot's
+   base: the cache key and every class's run read it.  An application
+   that raises is an [Error] response, as a run that raises is. *)
+let prepare ?(tm = Telemetry.noop) (snap : Snapshot.t) (rq : Request.t) =
+  try
+    Stdlib.Ok
+      (Verify_request.prepare ~tm snap.Snapshot.sn_base
+         {
+           Verify_request.rq_name = rq.Request.r_id;
+           rq_plan = rq.Request.r_plan;
+           rq_intents = rq.Request.r_intents;
+         })
+  with e -> Stdlib.Error (Error (Printexc.to_string e))
+
 (* The one dispatch, for both front doors: the request class decides
-   what runs.  [inc] (the snapshot's lazily captured context) is forced
-   only by the classes that splice a plan's simulation, [simulate] and
-   [diff]; without it they run from scratch.  Lint and precheck never
-   simulate, and a whatif sweep restricts its own base fixpoint, so
-   none of them captures it.  Returns the per-phase timing split
-   (route/static pipeline seconds, traffic-forcing seconds) so
-   [execute_one] can attribute the server.request span honestly. *)
-let run_direct_timed ?(tm = Telemetry.noop) ?inc (snap : Snapshot.t)
-    (rq : Request.t) : status * string * float * float =
+   what runs on the prepared request.  [inc] (the snapshot's lazily
+   captured context) is forced only by the classes that splice a plan's
+   simulation, [simulate] and [diff]; without it they run from scratch.
+   Lint and precheck never simulate, and a whatif sweep restricts its
+   own base fixpoint, so none of them captures it.  Returns the
+   per-phase timing split (route/static pipeline seconds,
+   traffic-forcing seconds) so [execute_one] can attribute the
+   server.request span honestly. *)
+let run_prepared ?(tm = Telemetry.noop) ?inc (snap : Snapshot.t)
+    (rq : Request.t) (prepared : Verify_request.prepared) :
+    status * string * float * float =
   let base = snap.Snapshot.sn_base in
   let verify stage =
-    let res =
-      Verify_request.run ~tm ~stage base
-        {
-          Verify_request.rq_name = rq.Request.r_id;
-          rq_plan = rq.Request.r_plan;
-          rq_intents = rq.Request.r_intents;
-        }
-    in
+    let res = Verify_request.execute ~tm ~stage prepared in
     ( (if res.Verify_request.vr_ok then Ok else Fail),
       Verify_request.body res,
       res.Verify_request.vr_sim_seconds,
@@ -237,8 +245,11 @@ let run_direct_timed ?(tm = Telemetry.noop) ?inc (snap : Snapshot.t)
   with e -> (Error (Printexc.to_string e), "", 0., 0.)
 
 let run_direct (snap : Snapshot.t) (rq : Request.t) : status * string =
-  let st, body, _, _ = run_direct_timed snap rq in
-  (st, body)
+  match prepare snap rq with
+  | Stdlib.Error st -> (st, "")
+  | Stdlib.Ok prepared ->
+      let st, body, _, _ = run_prepared snap rq prepared in
+      (st, body)
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
@@ -337,30 +348,31 @@ let execute_one t (p : pending) : response =
   in
   let t0 = Unix.gettimeofday () in
   let queue_s = t0 -. p.p_submit_t in
-  (* the simulating classes splice against the snapshot's captured
-     context, forced by the first such request; nothing is kept per
-     plan *)
-  let run () =
-    run_direct_timed ~tm:t.tm ~inc:p.p_snap.Snapshot.sn_inc p.p_snap rq
+  (* the plan applied once; the simulating classes splice against the
+     snapshot's captured context, forced by the first such request;
+     nothing is kept per plan *)
+  let run prepared =
+    run_prepared ~tm:t.tm ~inc:p.p_snap.Snapshot.sn_inc p.p_snap rq prepared
   in
   let status, body, cached, sim_s, traffic_s =
-    if rq.Request.r_no_cache then
-      let st, body, ss, ts = run () in
-      (st, body, false, ss, ts)
-    else
-      let key =
-        Request.cache_key ~snapshot_digest:p.p_snap.Snapshot.sn_digest
-          ~configs:p.p_snap.Snapshot.sn_base.Preprocess.b_model.Model.configs
-          rq
-      in
-      match Cache.find t.cache key with
-      | Some (st, body) -> (st, body, true, 0., 0.)
-      | None ->
-          let st, body, ss, ts = run () in
-          (match st with
-          | Ok | Fail -> Cache.add t.cache key (st, body)
-          | Rejected _ | Timeout | Error _ -> ());
-          (st, body, false, ss, ts)
+    match prepare ~tm:t.tm p.p_snap rq with
+    | Stdlib.Error st -> (st, "", false, 0., 0.)
+    | Stdlib.Ok prepared when rq.Request.r_no_cache ->
+        let st, body, ss, ts = run prepared in
+        (st, body, false, ss, ts)
+    | Stdlib.Ok prepared -> (
+        let key =
+          Request.key ~snapshot_digest:p.p_snap.Snapshot.sn_digest
+            prepared.Verify_request.pr_diff rq
+        in
+        match Cache.find t.cache key with
+        | Some (st, body) -> (st, body, true, 0., 0.)
+        | None ->
+            let st, body, ss, ts = run prepared in
+            (match st with
+            | Ok | Fail -> Cache.add t.cache key (st, body)
+            | Rejected _ | Timeout | Error _ -> ());
+            (st, body, false, ss, ts))
   in
   let exec_s = Unix.gettimeofday () -. t0 in
   (* the budget timer: a request that ran past its budget is a timeout

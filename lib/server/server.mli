@@ -90,16 +90,20 @@ val queue_depth : t -> int
     responses in that order. *)
 val drain : t -> response list
 
-(** The single execution path: one match on the request class decides
-    what runs.  [lint], [precheck], [simulate] and [diff] run
-    {!Hoyan_core.Verify_request.run} at the class's stage ([simulate]
-    and [diff] with the [From_scratch] executor), rendered by
+(** The single execution path.  The request's plan is applied once
+    ({!Hoyan_core.Verify_request.prepare}, one
+    {!Hoyan_analysis.Differential.diff}); then one match on the request
+    class decides what runs on it.  [lint], [precheck], [simulate] and
+    [diff] run {!Hoyan_core.Verify_request.execute} at the class's stage
+    ([simulate] and [diff] with the [From_scratch] executor), rendered by
     {!Hoyan_core.Verify_request.body}; [whatif] runs the k-failure sweep
     of its one [intent reach present] stanza, rendered by
     {!Hoyan_core.Kfailure.body} (any other intent list is [Error]).
     Queue, cache and budgets are bypassed.  The server's executed
     responses are byte-identical to this — the server test suite and
-    [--selfcheck] assert it.  The drain loop runs the same dispatch, but
+    [--selfcheck] assert it.  The drain loop prepares each request the
+    same way, keys the cache on that one diff ({!Request.key}) and, on a
+    miss, runs the same dispatch on it, but
     [simulate] and [diff] carry the {!Hoyan_core.Verify_request.Splice}
     executor over the snapshot's captured context ({!Snapshot.sn_inc});
     the pipeline splices only when some intent is left after carry-over

@@ -73,13 +73,7 @@ let match_signature (ctx : signature_ctx) (p : Prefix.t) : string =
 (** Condition (3): the propagating BGP attributes of one route.  The
     prefix length is included because exact-length prefix-list entries
     and ge/le windows can distinguish lengths even when containment
-    results agree — conservative, never merges differing behaviours.
-
-    This is the uninterned reference implementation; {!group_routes}
-    uses {!attrs_signature_interned}, which discriminates identically
-    (intern ids are injective exactly like the canonical renderings)
-    but renders each distinct community set / AS path once per phase
-    instead of once per route. *)
+    results agree — conservative, never merges differing behaviours. *)
 let attrs_signature (r : Route.t) : string =
   Printf.sprintf "%d|%d|%s|%s|%s|%s|%d" (Route.local_pref r) (Route.med r)
     (Community.Set.to_string r.Route.communities)
@@ -88,28 +82,15 @@ let attrs_signature (r : Route.t) : string =
     (Route.nexthop_string r)
     (Prefix.len r.Route.prefix)
 
-let attrs_signature_interned ~(paths : Intern.As_paths.t)
-    ~(comms : Intern.Communities.t) (r : Route.t) : string =
-  Printf.sprintf "%d|%d|c%d|a%d|%s|%s|%d" (Route.local_pref r) (Route.med r)
-    (Intern.Communities.intern comms r.Route.communities)
-    (Intern.As_paths.intern paths r.Route.as_path)
-    (Route.origin_to_string (Route.origin r))
-    (Route.nexthop_string r)
-    (Prefix.len r.Route.prefix)
-
 (** The class key of a prefix given all its input routes: the match
     signature plus the sorted (device, vrf, attrs) multiset. *)
-let prefix_key ?paths ?comms (ctx : signature_ctx) (p : Prefix.t)
-    (routes : Route.t list) : string =
-  let attrs =
-    match (paths, comms) with
-    | Some paths, Some comms -> attrs_signature_interned ~paths ~comms
-    | _ -> attrs_signature
-  in
+let prefix_key (ctx : signature_ctx) (p : Prefix.t) (routes : Route.t list) :
+    string =
   let route_sigs =
     List.map
       (fun (r : Route.t) ->
-        Printf.sprintf "%s|%s|%s" r.Route.device r.Route.vrf (attrs r))
+        Printf.sprintf "%s|%s|%s" r.Route.device r.Route.vrf
+          (attrs_signature r))
       routes
     |> List.sort String.compare
   in
@@ -121,16 +102,9 @@ type group = {
   member_prefixes : Prefix.t list; (* including the representative *)
 }
 
-(** Group the input routes into prefix-level equivalence classes.
-
-    One pair of intern tables lives for the duration of the grouping
-    (the per-phase table lifecycle): every distinct community set and
-    AS path is interned on first sight and signatures carry the small
-    ids, so repeated attribute values cost an id lookup instead of a
-    full rendering.  The tables are frozen afterwards. *)
+(** Group the input routes into prefix-level equivalence classes, in
+    first-appearance order. *)
 let group_routes (ctx : signature_ctx) (routes : Route.t list) : group list =
-  let paths = Intern.As_paths.create () in
-  let comms = Intern.Communities.create () in
   (* prefixes with their route sets, in first-appearance order *)
   let by_prefix = Hashtbl.create (List.length routes) in
   let order = ref [] in
@@ -147,7 +121,7 @@ let group_routes (ctx : signature_ctx) (routes : Route.t list) : group list =
   List.iter
     (fun p ->
       let rs = List.rev (Hashtbl.find by_prefix p) in
-      let k = prefix_key ~paths ~comms ctx p rs in
+      let k = prefix_key ctx p rs in
       match Hashtbl.find_opt classes k with
       | Some (rep_prefix, rep_routes, members) ->
           Hashtbl.replace classes k (rep_prefix, rep_routes, p :: members)
@@ -155,8 +129,6 @@ let group_routes (ctx : signature_ctx) (routes : Route.t list) : group list =
           Hashtbl.add classes k (p, rs, [ p ]);
           class_order := k :: !class_order)
     (List.rev !order);
-  Intern.As_paths.freeze paths;
-  Intern.Communities.freeze comms;
   List.rev_map
     (fun k ->
       let rep_prefix, rep_routes, members = Hashtbl.find classes k in

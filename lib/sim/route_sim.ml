@@ -63,11 +63,10 @@ let run ?tm ?(use_ecs = true) ?(include_locals = true) ?(originate = true)
       in
       (rib, stats, input_count, 1.0)
     else begin
-      let sig_ctx =
+      let groups =
         Telemetry.with_span tm "route.ec_group" (fun () ->
-            Ec.signature_ctx model.Model.configs)
+            Ec.group_routes (Ec.signature_ctx model.Model.configs) all_inputs)
       in
-      let groups = Ec.group_routes sig_ctx all_inputs in
       let reps = Ec.simulated_routes groups in
       let rib, stats =
         Telemetry.with_span tm "route.fixpoint" (fun () ->

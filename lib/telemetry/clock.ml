@@ -23,4 +23,3 @@ let now_ns () : int64 =
 
 let ns_to_us ns = Int64.to_float ns /. 1e3
 let ns_to_ms ns = Int64.to_float ns /. 1e6
-let ns_to_s ns = Int64.to_float ns /. 1e9

@@ -8,4 +8,3 @@ val now_ns : unit -> int64
 
 val ns_to_us : int64 -> float
 val ns_to_ms : int64 -> float
-val ns_to_s : int64 -> float

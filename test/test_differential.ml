@@ -559,7 +559,7 @@ let test_plan_application () =
       check tbool (name ^ ": patched links agree") true
         (Topology.edges topo = Topology.edges m.Model.topo);
       check tbool (name ^ ": reports agree") true
-        (d.Differential.df_reports = reports);
+        (List.map Cp.step_report d.Differential.df_steps = reports);
       check tint
         (name ^ ": one report per block")
         (List.length plan.Cp.cp_commands)
@@ -599,12 +599,12 @@ let test_plan_application () =
         (List.exists
            (fun (r : Cp.apply_report) ->
              r.Cp.ar_device = "no-such-router" && r.Cp.ar_issues <> [])
-           d.Differential.df_reports);
+           (List.map Cp.step_report d.Differential.df_steps));
       let d = Differential.diff input added in
       check tbool "the added device's block applied cleanly" true
         (List.for_all
            (fun (r : Cp.apply_report) -> r.Cp.ar_issues = [])
-           d.Differential.df_reports);
+           (List.map Cp.step_report d.Differential.df_steps));
       check tbool "the added device is configured" true
         (match
            Smap.find_opt "zz-new01"
@@ -613,6 +613,69 @@ let test_plan_application () =
         | Some cfg -> cfg.Types.dc_ifaces <> []
         | None -> false)
   | _ -> assert false
+
+(* --- one rule for a plan's application issues ---------------------- *)
+
+(* [hoyan diff] ([Differential.check]) and [hoyan lint --plan]
+   ([Lint.run]) report the same HOY012-HOY014 findings: a block that
+   does not parse or delete, a block on a typo'd device, topology ops on
+   an unknown device or a missing link, and none for a clean plan. *)
+let test_plan_findings_agree () =
+  let g = Lazy.force small in
+  let topo = g.G.model.Model.topo and configs = g.G.model.Model.configs in
+  let plan_lines diags =
+    List.filter_map
+      (fun (d : D.t) ->
+        if List.mem d.D.d_code [ "HOY012"; "HOY013"; "HOY014" ] then
+          Some (D.to_string d)
+        else None)
+      diags
+  in
+  let network = "router bgp 64512\n network 198.51.100.0/24\n" in
+  let devices = devices_of g in
+  let a = List.hd devices in
+  let unlinked =
+    List.find
+      (fun b ->
+        b <> a
+        && Topology.edge_between topo a b = None
+        && Topology.edge_between topo b a = None)
+      devices
+  in
+  List.iter
+    (fun (plan, findings) ->
+      let name = plan.Cp.cp_name in
+      let from_diff =
+        Differential.check ~input_routes:g.G.input_routes
+          (Differential.diff (Lint.make ~topo configs) plan)
+      in
+      let from_lint = Lint.run (Lint.make ~topo ~plan configs) in
+      check
+        Alcotest.(list string)
+        (name ^ ": hoyan diff = hoyan lint")
+        (plan_lines from_lint) (plan_lines from_diff);
+      check tint
+        (name ^ ": findings")
+        findings
+        (List.length (plan_lines from_lint)))
+    [
+      ( Cp.make "broken-block"
+          ~commands:
+            [
+              ( "r00-bdr01",
+                "router bgp 64512\n bogus-command 1 2 3\n\
+                \ no route-map NOPE 10\n" );
+            ],
+        2 );
+      (Cp.make "typo-device" ~commands:[ ("r00-bdr99", network) ], 1);
+      ( Cp.make "unknown-topo-device"
+          ~topo_ops:[ Cp.Remove_device "zz-ghost01" ],
+        1 );
+      ( Cp.make "missing-link"
+          ~topo_ops:[ Cp.Remove_link { ra = a; rb = unlinked } ],
+        1 );
+      (Cp.make "clean" ~commands:[ ("r00-bdr01", network) ], 0);
+    ]
 
 let suite =
   [
@@ -634,4 +697,6 @@ let suite =
       test_vr_diff_noop_carries_all;
     Alcotest.test_case "VR ?diff: affected/carried partition" `Quick
       test_vr_diff_partitions;
+    Alcotest.test_case "plan findings: hoyan diff = hoyan lint" `Quick
+      test_plan_findings_agree;
   ]

@@ -448,44 +448,6 @@ let test_verify_request_inc_agrees () =
         st.Incremental.st_full_fallback
   | _ -> Alcotest.fail "incremental stats missing"
 
-(* --- satellite 1: partial bases never carry verdicts over ----------- *)
-
-let test_partial_base_refuses_carryover () =
-  let g = Lazy.force scenario in
-  let intents =
-    [
-      Intents.Route_reach
-        {
-          rr_prefix = (List.hd g.G.input_routes).Route.prefix;
-          rr_devices = [ (List.hd g.G.input_routes).Route.device ];
-          rr_expect = true;
-        };
-    ]
-  in
-  let rq =
-    { Verify_request.rq_name = "carry"; rq_plan = Cp.make "noop"; rq_intents = intents }
-  in
-  (* healthy base: a no-op plan carries the verdict over *)
-  let healthy = Lazy.force base in
-  let carried (r : Verify_request.result) =
-    match r.Verify_request.vr_diff with
-    | Some (_, carried) -> carried
-    | None -> Alcotest.fail "Diff stage without a classification"
-  in
-  let diff = Verify_request.Diff Verify_request.From_scratch in
-  let r1 = Verify_request.run ~stage:diff healthy rq in
-  check tbool "healthy base carries over" true (carried r1 <> []);
-  (* partial base (converged state from a run with failed subtasks):
-     carry-over must be refused, every intent re-verified *)
-  let partial =
-    Preprocess.prepare ~partial:true g.G.model
-      ~monitored_routes:g.G.input_routes ~monitored_flows:g.G.flows
-  in
-  let r2 = Verify_request.run ~stage:diff partial rq in
-  check tint "partial base carries nothing" 0 (List.length (carried r2));
-  check tbool "intents still verified (not silently dropped)" true
-    r2.Verify_request.vr_ok
-
 (* --- satellite 2: traffic cost is attributed at the forcing site ---- *)
 
 let test_traffic_seconds_attribution () =
@@ -580,8 +542,6 @@ let suite =
       test_oracle_catches_pruned_dirty_set;
     Alcotest.test_case "verify_request: inc path agrees with full" `Quick
       test_verify_request_inc_agrees;
-    Alcotest.test_case "partial base refuses verdict carry-over" `Quick
-      test_partial_base_refuses_carryover;
     Alcotest.test_case "traffic cost attributed at the forcing site" `Quick
       test_traffic_seconds_attribution;
     Alcotest.test_case "kfailure: restricted scenarios agree" `Quick

@@ -1,6 +1,4 @@
-(* Properties of the PR6 performance representations: interned AS-path /
-   community tables agree with the structural implementations, interned
-   ids are deterministic for a fixed build order, packed route
+(* Properties of the packed performance representations: packed route
    attributes round-trip, the packed-key arena merge produces exactly
    [List.sort_uniq Route.compare], and dropping rows by prefix id equals
    filtering the route list — each with a complete universe and through
@@ -30,9 +28,6 @@ let gen_as_path =
   QCheck.Gen.(
     map As_path.of_segments (list_size (int_range 0 4) gen_segment))
 
-let arb_as_path =
-  QCheck.make ~print:As_path.to_string gen_as_path
-
 let gen_community =
   QCheck.Gen.(
     map2 (fun a t -> Community.make (1 + (a mod 10)) (t mod 10)) nat nat)
@@ -40,8 +35,6 @@ let gen_community =
 let gen_comm_set =
   QCheck.Gen.(
     map Community.Set.of_list (list_size (int_range 0 5) gen_community))
-
-let arb_comm_set = QCheck.make ~print:Community.Set.to_string gen_comm_set
 
 let gen_route =
   let open QCheck.Gen in
@@ -63,82 +56,6 @@ let arb_routes =
   QCheck.make
     ~print:(fun rs -> string_of_int (List.length rs) ^ " routes")
     QCheck.Gen.(list_size (int_range 0 40) gen_route)
-
-(* ------------------------------------------------------------------ *)
-(* Interned tables agree with the structural implementations           *)
-(* ------------------------------------------------------------------ *)
-
-let prop_as_paths_agree =
-  QCheck.Test.make ~count:300
-    ~name:"interned As_path ops agree with structural ops"
-    (QCheck.pair arb_as_path (QCheck.pair arb_as_path QCheck.small_nat))
-    (fun (p, (q, asn)) ->
-      let asn = 1 + (asn mod 25) in
-      let tbl = Intern.As_paths.create () in
-      let ip = Intern.As_paths.intern tbl p
-      and iq = Intern.As_paths.intern tbl q in
-      (* id equality is value equality *)
-      Intern.As_paths.equal_id ip iq = As_path.equal p q
-      && Intern.As_paths.length tbl ip = As_path.length p
-      && Intern.As_paths.contains_asn tbl asn ip = As_path.contains_asn asn p
-      && Intern.As_paths.to_string tbl ip = As_path.to_string p
-      && compare (Intern.As_paths.compare_id tbl ip iq) 0
-         = compare (As_path.compare p q) 0
-      && As_path.equal
-           (Intern.As_paths.get tbl (Intern.As_paths.prepend tbl asn ip))
-           (As_path.prepend asn p))
-
-let prop_communities_agree =
-  QCheck.Test.make ~count:300
-    ~name:"interned Community.Set ops agree with structural ops"
-    (QCheck.pair arb_comm_set (QCheck.pair arb_comm_set QCheck.small_nat))
-    (fun (a, (b, n)) ->
-      let c = Community.make (1 + (n mod 10)) (n mod 10) in
-      let tbl = Intern.Communities.create () in
-      let ia = Intern.Communities.intern tbl a
-      and ib = Intern.Communities.intern tbl b in
-      Intern.Communities.equal_id ia ib = Community.Set.equal a b
-      && Intern.Communities.mem tbl c ia = Community.Set.mem c a
-      && Intern.Communities.cardinal tbl ia = Community.Set.cardinal a
-      && Intern.Communities.to_string tbl ia = Community.Set.to_string a
-      && compare (Intern.Communities.compare_id tbl ia ib) 0
-         = compare (Community.Set.compare a b) 0
-      && Community.Set.equal
-           (Intern.Communities.get tbl (Intern.Communities.union tbl ia ib))
-           (Community.Set.union a b))
-
-let prop_ids_deterministic =
-  QCheck.Test.make ~count:100
-    ~name:"interned ids are stable for a fixed build order"
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 30) gen_as_path))
-    (fun paths ->
-      let t1 = Intern.As_paths.create () in
-      let ids1 = List.map (Intern.As_paths.intern t1) paths in
-      let t2 = Intern.As_paths.create () in
-      let ids2 = List.map (Intern.As_paths.intern t2) paths in
-      ids1 = ids2
-      && Intern.As_paths.size t1 = Intern.As_paths.size t2
-      (* ids are dense, first-sight ordered *)
-      && List.for_all (fun id -> id < Intern.As_paths.size t1) ids1)
-
-let test_freeze_lifecycle () =
-  let tbl = Intern.As_paths.create () in
-  let p = As_path.of_asns [ 1; 2; 3 ] in
-  let id = Intern.As_paths.intern tbl p in
-  Intern.As_paths.freeze tbl;
-  Alcotest.(check bool) "frozen" true (Intern.As_paths.frozen tbl);
-  (* existing values still resolve (memos were materialized) *)
-  Alcotest.(check int) "reintern existing" id (Intern.As_paths.intern tbl p);
-  Alcotest.(check string)
-    "to_string after freeze" (As_path.to_string p)
-    (Intern.As_paths.to_string tbl id);
-  (* new values are rejected: the table is shared read-only *)
-  (match Intern.As_paths.intern tbl (As_path.of_asns [ 9; 9; 9 ]) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "intern of an unseen path after freeze must raise");
-  match Intern.As_paths.find_opt tbl (As_path.of_asns [ 9; 9; 9 ]) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "unseen path must not be present"
 
 (* ------------------------------------------------------------------ *)
 (* Packed route attributes                                             *)
@@ -309,10 +226,6 @@ let test_arena_empty () =
 
 let suite =
   [
-    qtest prop_as_paths_agree;
-    qtest prop_communities_agree;
-    qtest prop_ids_deterministic;
-    Alcotest.test_case "intern freeze lifecycle" `Quick test_freeze_lifecycle;
     qtest prop_attrs_roundtrip;
     Alcotest.test_case "packed attrs saturate" `Quick test_attrs_saturate;
     qtest prop_arena_merge_full_ctx;

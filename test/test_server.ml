@@ -40,6 +40,11 @@ let base_of (g : G.t) =
 let base = lazy (base_of (Lazy.force small))
 let configs () = (Lazy.force small).G.model.Model.configs
 
+(* the digest of a plan's one application to [configs] *)
+let plan_digest ~configs plan =
+  Request.plan_digest
+    (Hoyan_analysis.Differential.diff (Hoyan_analysis.Lint.make configs) plan)
+
 (* r00-bdr01 is vendorA at the small scale's fixed seed *)
 let border = "r00-bdr01"
 
@@ -151,25 +156,25 @@ let prop_digest_restatement_stable =
               (List.init blocks (fun _ ->
                    ("zz-new01", "router bgp 64512\n network 198.51.100.0/24\n")))
       in
-      let d1 = Request.plan_digest ~configs (plan "restate" 1) in
-      let d2 = Request.plan_digest ~configs (plan "other-id" 2) in
+      let d1 = plan_digest ~configs (plan "restate" 1) in
+      let d2 = plan_digest ~configs (plan "other-id" 2) in
       String.equal d1 d2
-      && not (String.equal d1 (Request.plan_digest ~configs (Cp.make "e"))))
+      && not (String.equal d1 (plan_digest ~configs (Cp.make "e"))))
 
 let test_digest_sensitive () =
   let configs = configs () in
   let d pref =
-    Request.plan_digest ~configs
+    plan_digest ~configs
       (Cp.make "p" ~commands:[ (border, pref_block pref) ])
   in
   check tbool "different preference, different digest" false
     (String.equal (d 240) (d 250));
   let w =
-    Request.plan_digest ~configs
+    plan_digest ~configs
       (Cp.make "w" ~withdraw:[ pfx "10.0.0.0/24" ])
   in
   check tbool "withdrawal changes the digest" false
-    (String.equal w (Request.plan_digest ~configs (Cp.make "w")))
+    (String.equal w (plan_digest ~configs (Cp.make "w")))
 
 let test_intents_digest_order () =
   let a = Intents.Route_change "PRE = POST" in
@@ -241,8 +246,8 @@ let test_transport_roundtrip () =
           check tbool "intents" true (a.Request.r_intents = b.Request.r_intents);
           let cfg = configs () in
           check tstr "plan digest survives the round trip"
-            (Request.plan_digest ~configs:cfg a.Request.r_plan)
-            (Request.plan_digest ~configs:cfg b.Request.r_plan))
+            (plan_digest ~configs:cfg a.Request.r_plan)
+            (plan_digest ~configs:cfg b.Request.r_plan))
         rqs parsed
 
 let test_transport_errors () =
@@ -681,7 +686,7 @@ let stage_name = function
 (* Each server class is one stage of Verify_request.run, and the two
    simulating stages carry their executor: eight stage values.  Per
    stage: whether the lint pass ran, whether the plan was applied (one
-   [verify.diff] in every stage past lint), whether the patched model
+   [verify.diff] in every stage), whether the patched model
    was compiled by the pipeline's route step ([verify.model_update]:
    only the from-scratch and distributed route runs; a splice compiles
    its own inside [inc.simulate]), whether the carry-over and the
@@ -713,7 +718,7 @@ let test_stage_table () =
      step, route run of the local plan, route run of the no-op plan *)
   let table =
     [
-      (Request.Lint, (fun () -> VR.Lint), true, false, false, "not-run",
+      (Request.Lint, (fun () -> VR.Lint), true, true, false, "not-run",
        "not-run");
       (Request.Precheck, (fun () -> VR.Precheck), false, true, false,
        "not-run", "not-run");
@@ -797,6 +802,62 @@ let test_stage_table () =
         body)
     table
 
+(* ------------------------------------------------------------------ *)
+(* one application of the plan per served request                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every class, served twice so that the second copy is a cache hit:
+   each server.request span holds exactly one differential.diff span.
+   The cache key, the lint pass and the pipeline all read the request's
+   one diff, and a hit still applies the plan once, for its key. *)
+let test_one_application_per_request () =
+  let tm = Telemetry.create () in
+  let srv = Server.create ~tm () in
+  ignore (Server.register_snapshot srv (Lazy.force base));
+  let round i =
+    List.map
+      (fun cls ->
+        mk_rq ~id:(Printf.sprintf "%s-%d" (Request.class_to_string cls) i) cls)
+      [ Request.Lint; Request.Precheck; Request.Simulate; Request.Diff ]
+    @ [ whatif_rq ~id:(Printf.sprintf "whatif-%d" i) () ]
+  in
+  let rqs = round 1 @ round 2 in
+  List.iter (submit_ok srv) rqs;
+  let rs = Server.drain srv in
+  List.iter
+    (fun (r : Server.response) ->
+      check tbool (r.Server.rs_id ^ ": answered") true
+        (r.Server.rs_status = Server.Ok || r.Server.rs_status = Server.Fail);
+      check tbool
+        (r.Server.rs_id ^ ": the second copy is a cache hit")
+        (r.Server.rs_seq >= List.length (round 1))
+        r.Server.rs_cached)
+    rs;
+  let events = Trace.events tm.Telemetry.trace in
+  let named n =
+    List.filter (fun (e : Trace.event) -> String.equal e.Trace.te_name n) events
+  in
+  let within (outer : Trace.event) (e : Trace.event) =
+    e.Trace.te_ts_ns >= outer.Trace.te_ts_ns
+    && Int64.add e.Trace.te_ts_ns e.Trace.te_dur_ns
+       <= Int64.add outer.Trace.te_ts_ns outer.Trace.te_dur_ns
+  in
+  let requests = named "server.request" in
+  check tint "one server.request span per request" (List.length rqs)
+    (List.length requests);
+  check tint "one differential.diff span per request" (List.length rqs)
+    (List.length (named "differential.diff"));
+  List.iter
+    (fun (r : Trace.event) ->
+      let id =
+        Option.value (List.assoc_opt "id" r.Trace.te_args) ~default:"?"
+      in
+      check tint
+        (id ^ ": one differential.diff inside its server.request")
+        1
+        (List.length (List.filter (within r) (named "differential.diff"))))
+    requests
+
 let suite =
   [
     Alcotest.test_case "cache: hit/miss accounting" `Quick test_cache_hit_miss;
@@ -838,4 +899,6 @@ let suite =
       test_sequential_requests_isolated;
     Alcotest.test_case "verify: the class-to-stage table" `Quick
       test_stage_table;
+    Alcotest.test_case "server: one plan application per request" `Quick
+      test_one_application_per_request;
   ]
