@@ -872,6 +872,70 @@ let test_isis_aggregate_matrix () =
     Alcotest.(list string)
     "pruned == brute force in every cell" [] (List.rev !disagree)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned plans on generated networks                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [analyze]'s tier counts and a digest of its class partition (every
+   class in order: decision, reason and member scenario indices), on the
+   generated networks the CLI sweeps.  An analysis rewrite must keep the
+   partition, the decisions and the representatives byte for byte. *)
+let plan_pin (g : Hoyan_workload.Generator.t) ~devices ~k p =
+  let module G = Hoyan_workload.Generator in
+  let model = g.G.model in
+  let input = Lint.make ~topo:model.Model.topo model.Model.configs in
+  let an =
+    Feq.create ~te_aware:model.Model.te_aware (Semantic.build input)
+      ~input_routes:g.G.input_routes
+  in
+  let plan =
+    Feq.analyze ~devices ~links:true an ~k (Feq.Reach_all (pfx p, g.G.borders))
+  in
+  let index = Hashtbl.create 256 in
+  List.iteri (fun i s -> Hashtbl.replace index s i) plan.Feq.pl_scenarios;
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (c : Feq.cls) ->
+      Buffer.add_string buf
+        (match c.Feq.cl_decision with
+        | Feq.Carry_base -> "carry"
+        | Feq.Static_violation r -> "static " ^ r
+        | Feq.Simulate -> "simulate");
+      List.iter
+        (fun s -> Printf.bprintf buf " %d" (Hashtbl.find index s))
+        c.Feq.cl_members;
+      Buffer.add_char buf '\n')
+    plan.Feq.pl_classes;
+  let classes = Array.of_list plan.Feq.pl_classes in
+  List.iteri
+    (fun i s ->
+      if not (List.mem s classes.(plan.Feq.pl_class_of.(i)).Feq.cl_members)
+      then Alcotest.failf "%s: scenario %d outside its class" p i)
+    plan.Feq.pl_scenarios;
+  Printf.sprintf "%d/%d/%d/%d/%d %s" plan.Feq.pl_total plan.Feq.pl_carried
+    plan.Feq.pl_static plan.Feq.pl_replicated plan.Feq.pl_to_simulate
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_plan_pins () =
+  let module G = Hoyan_workload.Generator in
+  let wan = G.generate { G.wan with G.g_seed = 1 } in
+  let small = G.generate G.small in
+  List.iter
+    (fun (what, g, devices, k, p, want) ->
+      check Alcotest.string what want (plan_pin g ~devices ~k p))
+    [
+      ("wan k=1 links, v4", wan, false, 1, "150.4.175.0/24",
+       "140/7/1/0/132 ae88d3722336ce48102932b65a44b664");
+      ("wan k=1 links+devices, v4", wan, true, 1, "150.4.175.0/24",
+       "236/7/26/0/203 3a99e242411cb28184d8e602a74f230b");
+      ("wan k=1 links, v6", wan, false, 1, "2001:ddd:0:45e::/64",
+       "140/7/0/0/133 f4b721debbde094977cee0c1a72bbb6d");
+      ("wan k=1 links+devices, v6", wan, true, 1, "2001:ddd:0:45e::/64",
+       "236/7/24/0/205 275d8fe31ea8fe9cffbe192a07134ba9");
+      ("small k=2 links+devices", small, true, 2, "150.0.79.0/24",
+       "1326/3/687/89/547 395a20c5cb2f9c494a2c50d92675f70c");
+    ]
+
 let suite =
   [
     Alcotest.test_case "property: prefix_survives" `Quick test_prefix_survives;
@@ -909,6 +973,8 @@ let suite =
       test_chaos_matrix;
     Alcotest.test_case "brute == pruned: IS-IS loopback under an aggregate"
       `Quick test_isis_aggregate_chain;
+    Alcotest.test_case "plan pins: wan and small partitions" `Quick
+      test_plan_pins;
     Alcotest.test_case "IS-IS aggregate matrix: brute == pruned grid" `Quick
       test_isis_aggregate_matrix;
   ]
