@@ -101,6 +101,7 @@ type device_diff = {
   dd_patched : Types.t;
   dd_changes : stanza_change list;
   dd_block_lines : int; (* non-blank lines in the command block *)
+  dd_applied_lines : int; (* of those, the lines that took effect *)
   dd_issues : Cp.line_issue list;
 }
 
@@ -527,6 +528,31 @@ let count_block_lines block =
   |> List.filter (fun l -> String.trim l <> "")
   |> List.length
 
+(* The non-blank lines of a block that took effect: lines with no
+   application issue, where a stanza header (an unindented line followed
+   by indented body lines) counts only when one of its body lines took
+   effect. *)
+let count_applied_lines block (issues : Cp.line_issue list) =
+  let ok (lnum, _) = not (List.exists (fun i -> i.Cp.ci_lnum = lnum) issues) in
+  let indented (_, l) = l.[0] = ' ' || l.[0] = '\t' in
+  let rec go acc = function
+    | [] -> acc
+    | header :: rest when not (indented header) ->
+        let rec body acc = function
+          | l :: rest when indented l -> body (l :: acc) rest
+          | rest -> (acc, rest)
+        in
+        let lines, rest = body [] rest in
+        let applied = List.length (List.filter ok lines) in
+        let header_applied = ok header && (lines = [] || applied > 0) in
+        go (acc + applied + Bool.to_int header_applied) rest
+    | line :: rest -> go (acc + Bool.to_int (ok line)) rest
+  in
+  String.split_on_char '\n' block
+  |> List.mapi (fun i l -> (i + 1, l))
+  |> List.filter (fun (_, l) -> String.trim l <> "")
+  |> go 0
+
 (** Build the differential: apply the plan to the base input
     ({!Hoyan_config.Change_plan.apply}) and diff each patched block's
     config against the config it was applied to. *)
@@ -545,6 +571,9 @@ let diff ?tm (input : Lint.input) (plan : Cp.t) : diff =
                     dd_patched = st.st_after;
                     dd_changes = diff_configs st.st_before st.st_after;
                     dd_block_lines = count_block_lines st.st_block;
+                    dd_applied_lines =
+                      count_applied_lines st.st_block
+                        st.st_report.Cp.ar_issues;
                     dd_issues = st.st_report.Cp.ar_issues;
                   }
             | Cp.Unknown_device _ -> None)
@@ -755,7 +784,9 @@ let impact ?tm (d : diff) ~(input_routes : Route.t list) : impact =
 (* Plan-risk diagnostics: HOY030..HOY037                                *)
 (* ------------------------------------------------------------------ *)
 
-(* HOY030/HOY031: textually non-empty block with no semantic effect. *)
+(* HOY030/HOY031: textually non-empty block with no semantic effect.
+   HOY030 counts only the lines that took effect: a block whose every
+   line failed re-states nothing (its failures are HOY013/HOY014). *)
 let noop_checks (dd : device_diff) : D.t list =
   if dd.dd_block_lines = 0 || dd.dd_changes <> [] then []
   else
@@ -770,12 +801,13 @@ let noop_checks (dd : device_diff) : D.t list =
            unchanged: the block looks like the other vendor's dialect"
           parse_failures dd.dd_block_lines;
       ]
+    else if dd.dd_applied_lines = 0 then []
     else
       [
         D.make ~code:"HOY030" ~device:dd.dd_device ~obj:"command block"
           "%d command line(s) leave the semantic config unchanged: the \
            block re-states existing configuration"
-          dd.dd_block_lines;
+          dd.dd_applied_lines;
       ]
 
 (* HOY032: the plan edits a policy node that is dead before and after. *)

@@ -473,7 +473,11 @@ let plan_diags (input : input) (plan : Cp.t) (steps : Cp.step list) :
     (function
       | Cp.Unknown_device r ->
           let dev = r.Cp.ar_device in
-          if not (known dev) then
+          if List.mem (Cp.Remove_device dev) plan.Cp.cp_topo_ops then
+            add
+              (D.make ~code:"HOY012" ~device:dev ~obj
+                 "command block targets device %s that the plan removes" dev)
+          else if not (known dev) then
             add
               (D.make ~code:"HOY012" ~device:dev ~obj
                  "command block targets unknown device %s" dev)
