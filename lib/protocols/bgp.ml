@@ -46,14 +46,15 @@ type session = {
 }
 
 (** Session liveness: does a configured peering from [local] to [peer]
-    come up on [topo] under the IGP view [igp]?  A link-address peering
-    ([direct]: the neighbor address sits on one of [local]'s connected
-    subnets, {!Types.on_connected_subnet}) needs the physical link; a
-    loopback peering needs an IGP path.  A removed peer has neither, so
-    it never forms a session. *)
-let session_live (topo : Topology.t) (igp : Isis.t) ~direct ~local ~peer =
-  if direct then Option.is_some (Topology.edge_between topo local peer)
-  else Isis.reachable igp ~src:local ~dst:peer
+    come up?  A link-address peering ([direct]: the neighbor address sits
+    on one of [local]'s connected subnets, {!Types.on_connected_subnet})
+    needs the physical link ([linked]); a loopback peering needs an IGP
+    path ([reachable]).  A removed peer has neither, so it never forms a
+    session.  The simulator supplies the topology and its {!Isis.t}, the
+    what-if analysis a failure view's index-keyed predicates. *)
+let session_live ~(linked : 'd -> 'd -> bool) ~(reachable : 'd -> 'd -> bool)
+    ~direct ~(local : 'd) ~(peer : 'd) =
+  if direct then linked local peer else reachable local peer
 
 (** How a route arrived at the device about to re-advertise it — all the
     iBGP reflection rule reads. *)

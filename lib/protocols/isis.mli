@@ -21,9 +21,19 @@
     names sorted by [String.compare] and {!some_path} follows the
     name-smallest first hop.  One source costs O((E + V) log V) with no
     allocation beyond the first-hop lists, so {!compute} is
-    O(V (E + V) log V) and {!compute_rows} pays only for its sources.
-    Link costs whose absolute values sum past [max_int asr (b + 1)]
-    ([b] = bits of a device index) raise [Invalid_argument]. *)
+    O(V (E + V) log V).  Link costs whose absolute values sum past
+    [max_int asr (b + 1)] ([b] = bits of a device index) raise
+    [Invalid_argument].
+
+    {b Failure views.}  {!View} serves the static what-if analysis
+    ([Failure_eq]), which reads, per failure scenario, the distances from
+    a fixed set of sources to a fixed set of read devices.  It builds the
+    graph and the sources' no-failure distance rows once; a scenario's
+    failed links and devices are then a mask over that graph, and its
+    rows carry distances only (no first hops).  A source reuses its
+    no-failure row unless a failed edge is tight on a no-failure shortest
+    path from it to a read device, else Dijkstra reruns on the masked
+    graph. *)
 
 open Hoyan_net
 module Types = Hoyan_config.Types
@@ -36,23 +46,6 @@ type t
     IS-IS TE interface costs are honoured (see the module doc). *)
 val compute :
   ?te_aware:bool -> Topology.t -> Types.t Types.Smap.t -> t
-
-(** Like {!compute}, but runs Dijkstra only from [sources] (names not in
-    the topology are ignored; duplicates are harmless).  Contract: every
-    row outside [sources] is all-unreachable, so a lookup whose source is
-    not in [sources] returns [None]/[[]] rather than failing; rows of
-    [sources] equal {!compute}'s.  [compute] is [compute_rows] over every
-    device.
-
-    This is the cheap per-scenario IGP view used by the static what-if
-    analysis ([Failure_eq]): fingerprinting a failure scenario only needs
-    the rows of the devices inside a property's blast region. *)
-val compute_rows :
-  ?te_aware:bool ->
-  Topology.t ->
-  Types.t Types.Smap.t ->
-  sources:string list ->
-  t
 
 (** Shortest-path cost, [None] when unreachable or either end unknown. *)
 val cost : t -> src:string -> dst:string -> int option
@@ -69,3 +62,56 @@ val some_path : t -> src:string -> dst:string -> string list option
 
 (** Every device of the view's topology, in name order. *)
 val devices : t -> string list
+
+(** Distance-only IGP views of failure scenarios over one graph, keyed on
+    device indices (name order, as in {!compute}). *)
+module View : sig
+  (** The graph plus the no-failure distance rows of [sources], and, per
+      source, the devices on a shortest path from it to a read device. *)
+  type base
+
+  (** [sources] are the devices distances are read from, [reads] the
+      devices they are read to; names outside the topology are ignored.
+      [te_aware] as in {!compute}. *)
+  val base :
+    ?te_aware:bool ->
+    Topology.t ->
+    Types.t Types.Smap.t ->
+    sources:string list ->
+    reads:string list ->
+    base
+
+  (** A device's index, [None] outside the topology. *)
+  val index : base -> string -> int option
+
+  (** One failure scenario's view. *)
+  type t
+
+  (** The view with every parallel link of each [links] pair and every
+      device of [devices] (indices) down — the distances {!compute}
+      gives on the topology with those links and devices removed.  A
+      live source reuses its no-failure row when no failed edge is tight
+      on a no-failure shortest path from it to a read device (failures
+      never shorten a path, and one shortest path to each read
+      survives); otherwise, and always when some link cost is not
+      positive, its row is recomputed. *)
+  val fail : base -> links:(int * int) list -> devices:int list -> t
+
+  (** Distance from [src] to [dst], [max_int] when unreachable or either
+      end is down.  Raises [Invalid_argument] unless [src] is one of the
+      base's sources and [dst] one of its reads. *)
+  val cost : t -> src:int -> dst:int -> int
+
+  val reachable : t -> src:int -> dst:int -> bool
+
+  (** Whether the device is one of the view's failed devices. *)
+  val down : t -> int -> bool
+
+  (** Whether a link between the two devices survives the failures. *)
+  val linked : t -> int -> int -> bool
+
+  (** Live sources whose row was reused / recomputed for this view. *)
+  val reused : t -> int
+
+  val recomputed : t -> int
+end

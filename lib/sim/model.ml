@@ -110,6 +110,8 @@ let sessions_of (topo : Topology.t) (igp : Isis.t)
     (owner_tbl : (Ip.t, string) Hashtbl.t) (dev : string) (cfg : Types.t) :
     Bgp.session list =
   let router_id = router_id_of topo dev cfg in
+  let linked a b = Option.is_some (Topology.edge_between topo a b) in
+  let reachable src dst = Isis.reachable igp ~src ~dst in
   List.filter_map
     (fun (nb : Types.neighbor) ->
       match Hashtbl.find_opt owner_tbl nb.Types.nb_addr with
@@ -119,7 +121,7 @@ let sessions_of (topo : Topology.t) (igp : Isis.t)
           if String.equal peer_dev dev then None
           else if
             not
-              (Bgp.session_live topo igp ~local:dev ~peer:peer_dev
+              (Bgp.session_live ~linked ~reachable ~local:dev ~peer:peer_dev
                  ~direct:(Types.on_connected_subnet cfg nb.Types.nb_addr))
           then None
           else
