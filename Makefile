@@ -77,7 +77,9 @@ serve:
 # sweep AND the brute-force sweep in-process and asserts identical
 # violating scenario sets (exit 2 on mismatch), at small scale and at
 # wan scale (footprint-restricted fixpoints keep the wan sweep to
-# seconds), then the kfailure test suite replays the same oracle over
+# seconds), links only and with device failures (the IGP failure views'
+# device mask checked against brute force at wan scale), then the
+# kfailure test suite replays the same oracle over
 # hand-built and qcheck-generated topologies for k in {1,2} and checks
 # the restricted verdicts against unrestricted fixpoints (DESIGN.md §2.9).
 # A count below 1 (-k 0, --max-scenarios 0) is a usage error (exit 2),
@@ -93,6 +95,8 @@ whatif:
 	  --selfcheck; test $$? -le 1
 	dune exec bin/hoyan_cli.exe -- whatif --scale wan -k 1 --selfcheck; \
 	  test $$? -le 1
+	dune exec bin/hoyan_cli.exe -- whatif --scale wan -k 1 --devices \
+	  --selfcheck; test $$? -le 1
 	dune exec test/test_main.exe -- test kfailure
 
 # Incremental-splice soundness gate: `hoyan verify --inc --selfcheck`
