@@ -41,7 +41,8 @@ analyze:
 # propagating plan against the generated corpus (exit-code contract as
 # lint/analyze); then a block with an unparsable line and a deletion
 # that does not apply, whose HOY013/HOY014 errors must exit 2 however
-# many warnings are allowed; then the soundness cross-check from the
+# many warnings are allowed; then a negative IS-IS cost, a parse error
+# of its line (HOY014, exit 2); then the soundness cross-check from the
 # test suite — every (device, prefix) verdict the simulator changes must
 # fall inside the statically computed dirty region (DESIGN.md §2.7).
 diff:
@@ -52,6 +53,10 @@ diff:
 	  > /tmp/hoyan_diff_broken_plan.txt
 	dune exec bin/hoyan_cli.exe -- diff /tmp/hoyan_diff_broken_plan.txt \
 	  --device r00-bdr01 --max-warnings 1; test $$? -eq 2
+	printf 'interface Eth0\n isis cost -100\n' > /tmp/hoyan_diff_negcost_plan.txt
+	dune exec bin/hoyan_cli.exe -- diff /tmp/hoyan_diff_negcost_plan.txt \
+	  --device r00-bdr01 > /tmp/hoyan_diff_negcost.out; test $$? -eq 2
+	grep -q HOY014 /tmp/hoyan_diff_negcost.out
 	dune exec test/test_main.exe -- test differential
 
 # Serve smoke: the example request stream through the verification

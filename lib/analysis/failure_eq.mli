@@ -57,7 +57,7 @@
       ownerless external addresses resolve through config-only rules —
       both constant under every scenario;
     - whether each SR policy of a [U]-device resolves
-      ({!Hoyan_proto.Sr.resolves}; the BGP decision process reads only
+      (a {!Hoyan_proto.Sr.path}; the BGP decision process reads only
       resolution success, via the "IGP cost for SR" VSB);
     - the injected input routes (failure-independent).
 

@@ -269,7 +269,10 @@ let parse_interface st (header : L.line) (body : L.line list) =
           | None -> err st l.L.lnum "bad bandwidth")
       | [ "ip"; "access-group"; acl; "in" ] ->
           iface := { !iface with Types.if_acl_in = Some acl }
-      | [ "isis"; "cost"; c ] -> isis_cost := L.int_opt c
+      | [ "isis"; "cost"; c ] -> (
+          match L.int_opt c with
+          | Some v when v >= 0 -> isis_cost := Some v
+          | _ -> err st l.L.lnum "bad isis cost %s" c)
       | [ "isis"; "traffic-eng" ] -> isis_te := true
       | _ -> err st l.L.lnum "unknown interface line: %s" l.L.raw)
     body;
@@ -489,8 +492,9 @@ let parse_router_isis st (_header : L.line) (body : L.line list) =
       | [ "net"; n ] -> isis := { !isis with Types.isis_net = n }
       | [ "default-cost"; c ] -> (
           match L.int_opt c with
-          | Some c -> isis := { !isis with Types.isis_default_cost = Some c }
-          | None -> err st l.L.lnum "bad default-cost")
+          | Some c when c >= 0 ->
+              isis := { !isis with Types.isis_default_cost = Some c }
+          | _ -> err st l.L.lnum "bad default-cost")
       | [ "traffic-eng" ] | [ "traffic-eng"; _ ] ->
           isis := { !isis with Types.isis_te = true }
       | [ "metric-style"; _ ] -> ()

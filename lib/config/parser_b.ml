@@ -242,7 +242,10 @@ let parse_interface st (header : L.line) (body : L.line list) =
       | [ "traffic-filter"; "inbound"; "acl"; acl ] ->
           iface := { !iface with Types.if_acl_in = Some acl }
       | [ "isis"; "enable"; _ ] -> ()
-      | [ "isis"; "cost"; c ] -> isis_cost := L.int_opt c
+      | [ "isis"; "cost"; c ] -> (
+          match L.int_opt c with
+          | Some v when v >= 0 -> isis_cost := Some v
+          | _ -> err st l.L.lnum "bad isis cost %s" c)
       | [ "isis"; "traffic-eng" ] -> isis_te := true
       | _ -> err st l.L.lnum "unknown interface line: %s" l.L.raw)
     body;
@@ -449,8 +452,9 @@ let parse_isis st (_header : L.line) (body : L.line list) =
       | [ "network-entity"; n ] -> isis := { !isis with Types.isis_net = n }
       | [ "circuit-cost"; c ] -> (
           match L.int_opt c with
-          | Some c -> isis := { !isis with Types.isis_default_cost = Some c }
-          | None -> err st l.L.lnum "bad circuit-cost")
+          | Some c when c >= 0 ->
+              isis := { !isis with Types.isis_default_cost = Some c }
+          | _ -> err st l.L.lnum "bad circuit-cost")
       | [ "traffic-eng" ] -> isis := { !isis with Types.isis_te = true }
       | [ "cost-style"; _ ] -> ()
       | _ -> err st l.L.lnum "unknown isis line: %s" l.L.raw)

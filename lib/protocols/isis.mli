@@ -1,117 +1,95 @@
-(** IS-IS link-state routing: all-pairs shortest paths with ECMP.
+(** IS-IS link-state routing: one shortest-path engine with ECMP.
 
     Edge costs come from each device's per-interface [isis cost]
-    configuration (default 10).  The result is the IGP view that BGP uses
-    for next-hop resolution and the igp-cost tie-break step, and that
-    traffic simulation uses to expand hop-by-hop forwarding.
+    configuration (default 10).  A view of the result is what BGP uses
+    for next-hop resolution and the igp-cost tie-break, what traffic
+    simulation and SR tunnels forward along, and what the static what-if
+    analysis ([Failure_eq]) reads per failure scenario.  With IS-IS TE
+    (RFC 5305) a te-enabled interface's cost counts only when the model
+    is TE-aware; the diagnosis experiments re-create the pre-2023 gap by
+    disabling it.
 
-    When the IS-IS TE extension (RFC 5305) is enabled on a device and an
-    interface carries [isis traffic-eng], the interface advertises a TE
-    metric; we model TE by allowing a distinct TE cost table used by SR
-    policy path computation.  (The paper notes IS-IS TE was unsupported
-    until 03/2023 and caused traffic-simulation inaccuracy — the diagnosis
-    experiments re-create that by disabling TE awareness.)
+    {b Cost domain.}  A link cost is a non-negative int: the parsers
+    reject a negative or non-integer [isis cost], [default-cost] and
+    [circuit-cost], and the engine raises [Invalid_argument] on a
+    negative cost or when the costs sum past [max_int asr (b + 1)] ([b]
+    = bits of a device index).  Zero costs are allowed.
 
-    {b Kernel.}  Devices are numbered in name order ([Topology.device_names]
-    comes from a [String] map), so device-index order {e is} name order.
-    Each source runs one Dijkstra over per-node int adjacency arrays with
-    a binary heap of packed [(dist, node)] int keys; it pops in
-    lexicographic (dist, node) order, and ECMP first hops are kept as
-    ascending index lists merged linearly.  Hence {!first_hops} returns
-    names sorted by [String.compare] and {!some_path} follows the
-    name-smallest first hop.  One source costs O((E + V) log V) with no
-    allocation beyond the first-hop lists, so {!compute} is
-    O(V (E + V) log V).  Link costs whose absolute values sum past
-    [max_int asr (b + 1)] ([b] = bits of a device index) raise
-    [Invalid_argument].
-
-    {b Failure views.}  {!View} serves the static what-if analysis
-    ([Failure_eq]), which reads, per failure scenario, the distances from
-    a fixed set of sources to a fixed set of read devices.  It builds the
-    graph and the sources' no-failure distance rows once; a scenario's
-    failed links and devices are then a mask over that graph, and its
-    rows carry distances only (no first hops).  A source reuses its
+    {b One engine.}  A view is the graph on device indices (name order:
+    [Topology.device_names] comes from a [String] map), a failure mask
+    (failed devices and cut links) and the distance rows of its sources.
+    One Dijkstra fills a row (int adjacency arrays, a binary heap of
+    packed [(dist, node)] keys, masked devices and links skipped), in
+    O((E + V) log V).  Every reader takes indices; callers translate
+    names once with {!index}.  A live source of {!fail} reuses its
     no-failure row unless a failed edge is tight on a no-failure shortest
-    path from it to a read device, else Dijkstra reruns on the masked
-    graph. *)
+    path from it to a read device, or some link costs 0; failures never
+    shorten a path, so a reused row is exact on every read.
+
+    {b Derived first hops.}  Rows carry distances only.  ECMP first hops
+    come from a source's row through the in-edges of its shortest-path
+    DAG: the live edges [u -> w] of cost [c] with [dist u + c = dist w]
+    that, at [c = 0], add a hop on the fewest-hop shortest paths (so
+    zero-cost ties never close a cycle).  Only forwarding callers pay for
+    them.  They are derived lazily and domain-safely: a source's first
+    hops are derived on its first read and published through an
+    [Atomic.t], so readers on several domains may each derive them but
+    never see a partial row.  {!some_path} walks the same DAG: on
+    positive costs it takes the name-smallest first hop at each step,
+    and on any costs it ends on a shortest path. *)
 
 open Hoyan_net
 module Types = Hoyan_config.Types
 
-(** The IGP view: distances and ECMP first hops per (source, destination)
-    row.  Immutable once computed; safe to share across domains. *)
+(** An IGP view; immutable but for its published first hops, so safe to
+    share across domains. *)
 type t
 
-(** The all-pairs IGP view.  [te_aware] (default [true]) controls whether
-    IS-IS TE interface costs are honoured (see the module doc). *)
+(** The no-failure view of the rows of [sources], read at [reads]
+    (default: every device; names outside the topology are ignored).
+    The simulator's model takes every device; a failure analysis only
+    the rows it masks per scenario.  [te_aware] (default [true]): see
+    the module doc. *)
 val compute :
-  ?te_aware:bool -> Topology.t -> Types.t Types.Smap.t -> t
+  ?te_aware:bool ->
+  ?sources:string list ->
+  ?reads:string list ->
+  Topology.t ->
+  Types.t Types.Smap.t ->
+  t
 
-(** Shortest-path cost, [None] when unreachable or either end unknown. *)
-val cost : t -> src:string -> dst:string -> int option
+(** A device's index, [None] outside the topology. *)
+val index : t -> string -> int option
 
-val reachable : t -> src:string -> dst:string -> bool
+val name : t -> int -> string
 
-(** ECMP first hops (device names, sorted) on shortest paths from [src]
-    to [dst]; [[]] when unreachable or either end is unknown. *)
-val first_hops : t -> src:string -> dst:string -> string list
+(** The view with every parallel link of each [links] pair and every
+    device of [devices] down as well: the distances {!compute} gives on
+    the topology with them removed. *)
+val fail : t -> links:(int * int) list -> devices:int list -> t
 
-(** One ECMP-respecting shortest path (lexicographically first hops), for
-    forwarding-graph displays. *)
-val some_path : t -> src:string -> dst:string -> string list option
+(** Distance from [src] to [dst], [max_int] when unreachable or either
+    end is down.  This and the readers below raise [Invalid_argument]
+    unless [src] is a source of the view and [dst] a read. *)
+val cost : t -> src:int -> dst:int -> int
 
-(** Every device of the view's topology, in name order. *)
-val devices : t -> string list
+val reachable : t -> src:int -> dst:int -> bool
 
-(** Distance-only IGP views of failure scenarios over one graph, keyed on
-    device indices (name order, as in {!compute}). *)
-module View : sig
-  (** The graph plus the no-failure distance rows of [sources], and, per
-      source, the devices on a shortest path from it to a read device. *)
-  type base
+(** ECMP first hops from [src] toward [dst], ascending; [[]] when
+    unreachable, when [src = dst] or when either end is down. *)
+val first_hops : t -> src:int -> dst:int -> int list
 
-  (** [sources] are the devices distances are read from, [reads] the
-      devices they are read to; names outside the topology are ignored.
-      [te_aware] as in {!compute}. *)
-  val base :
-    ?te_aware:bool ->
-    Topology.t ->
-    Types.t Types.Smap.t ->
-    sources:string list ->
-    reads:string list ->
-    base
+(** One shortest path [src .. dst], [None] when unreachable. *)
+val some_path : t -> src:int -> dst:int -> int list option
 
-  (** A device's index, [None] outside the topology. *)
-  val index : base -> string -> int option
+(** Whether the device is one of the view's failed devices. *)
+val down : t -> int -> bool
 
-  (** One failure scenario's view. *)
-  type t
+(** Whether a link between the two devices survives the failures. *)
+val linked : t -> int -> int -> bool
 
-  (** The view with every parallel link of each [links] pair and every
-      device of [devices] (indices) down — the distances {!compute}
-      gives on the topology with those links and devices removed.  A
-      live source reuses its no-failure row when no failed edge is tight
-      on a no-failure shortest path from it to a read device (failures
-      never shorten a path, and one shortest path to each read
-      survives); otherwise, and always when some link cost is not
-      positive, its row is recomputed. *)
-  val fail : base -> links:(int * int) list -> devices:int list -> t
+(** Live sources whose row {!fail} reused / recomputed for this view
+    (both 0 on a no-failure view). *)
+val reused : t -> int
 
-  (** Distance from [src] to [dst], [max_int] when unreachable or either
-      end is down.  Raises [Invalid_argument] unless [src] is one of the
-      base's sources and [dst] one of its reads. *)
-  val cost : t -> src:int -> dst:int -> int
-
-  val reachable : t -> src:int -> dst:int -> bool
-
-  (** Whether the device is one of the view's failed devices. *)
-  val down : t -> int -> bool
-
-  (** Whether a link between the two devices survives the failures. *)
-  val linked : t -> int -> int -> bool
-
-  (** Live sources whose row was reused / recomputed for this view. *)
-  val reused : t -> int
-
-  val recomputed : t -> int
-end
+val recomputed : t -> int

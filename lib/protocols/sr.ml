@@ -23,64 +23,55 @@ type tunnel = {
   tn_path : string list; (* full device path, head .. tail *)
 }
 
-(** Does SR policy [sp] of [device] resolve into a tunnel?  Its endpoint
-    must belong to a device ([endpoint_of]; the tail), and the path must
-    exist: the IGP path to the tail, or each explicit waypoint reachable
-    from the previous one, with the tail reachable from both the head and
-    the last waypoint unless that waypoint is the tail.  [reachable a b]
-    is the IGP's reachability.  The BGP decision process reads only this
-    success ({!reaches}), never the path. *)
-let resolves ~(reachable : string -> string -> bool)
-    ~(endpoint_of : Ip.t -> string option) ~(device : string)
-    (sp : Types.sr_policy) : bool =
-  match endpoint_of sp.Types.sp_endpoint with
-  | None -> false
-  | Some tail -> (
-      let rec chain cur = function
-        | [] -> Some cur
-        | w :: rest -> if reachable cur w then chain w rest else None
+(** The tunnel of SR policy [sp] of [device] in the IGP view [igp], as
+    its tail device and its device path [device .. tail]: the IGP path
+    ({!Isis.some_path}) to the tail, or through each explicit waypoint in
+    turn and on to the tail unless the last waypoint is it.  [None] when
+    the endpoint belongs to no device ([endpoint_of]) or a leg is
+    unreachable.  The BGP decision process reads only its success
+    ({!reaches}), never the path. *)
+let path (igp : Isis.t) ~(endpoint_of : Ip.t -> string option)
+    ~(device : string) (sp : Types.sr_policy) : (string * string list) option
+    =
+  (* [rev] extended by the hops after [a] on the IGP path to [b] *)
+  let leg a b rev =
+    match (Isis.index igp a, Isis.index igp b) with
+    | Some src, Some dst -> (
+        match Isis.some_path igp ~src ~dst with
+        | Some (_ :: hops) ->
+            Some (List.rev_append (List.map (Isis.name igp) hops) rev)
+        | _ -> None)
+    | _ -> None
+  in
+  Option.bind (endpoint_of sp.Types.sp_endpoint) (fun tail ->
+      let ws = sp.Types.sp_segments in
+      let last, rev =
+        List.fold_left
+          (fun (cur, rev) w -> (w, Option.bind rev (leg cur w)))
+          (device, Some [ device ]) ws
       in
-      match sp.Types.sp_segments with
-      | [] -> reachable device tail
-      | ws -> (
-          match chain device ws with
-          | None -> false
-          | Some last ->
-              String.equal last tail
-              || (reachable device tail && reachable last tail)))
+      (if ws <> [] && String.equal last tail then rev
+       else Option.bind rev (leg last tail))
+      |> Option.map (fun rev -> (tail, List.rev rev)))
 
 (** Resolve the SR policies of one device into tunnels: one per policy
-    that {!resolves}, along the IGP's [some_path] hops through each
-    waypoint and on to the tail.  [endpoint_of] maps a loopback address
-    to its device. *)
+    with a {!path}.  [endpoint_of] maps a loopback address to its
+    device. *)
 let resolve (igp : Isis.t) ~(device : string)
     ~(endpoint_of : Ip.t -> string option) (cfg : Types.t) : tunnel list =
-  let reachable src dst = Isis.reachable igp ~src ~dst in
-  (* the hops after [src] on the IGP path to [dst] (reachable) *)
-  let leg src dst = List.tl (Option.get (Isis.some_path igp ~src ~dst)) in
   List.filter_map
     (fun (sp : Types.sr_policy) ->
-      if not (resolves ~reachable ~endpoint_of ~device sp) then None
-      else
-        let tail = Option.get (endpoint_of sp.Types.sp_endpoint) in
-        let last, rev_path =
-          List.fold_left
-            (fun (cur, acc) w -> (w, List.rev_append (leg cur w) acc))
-            (device, [ device ]) sp.Types.sp_segments
-        in
-        let rev_path =
-          if String.equal last tail then rev_path
-          else List.rev_append (leg last tail) rev_path
-        in
-        Some
+      Option.map
+        (fun (tail, tn_path) ->
           {
             tn_head = device;
             tn_endpoint = sp.Types.sp_endpoint;
             tn_tail = tail;
             tn_color = sp.Types.sp_color;
             tn_preference = sp.Types.sp_preference;
-            tn_path = List.rev rev_path;
+            tn_path;
           })
+        (path igp ~endpoint_of ~device sp))
     cfg.Types.dc_sr_policies
 
 (** Does a tunnel of [tunnels] terminate at next-hop address [nh]? *)

@@ -14,6 +14,7 @@ module Printer = Hoyan_config.Printer
 module Isis = Hoyan_proto.Isis
 module Sr = Hoyan_proto.Sr
 module Bgp = Hoyan_proto.Bgp
+module Cp = Hoyan_config.Change_plan
 module Smap = Map.Make (String)
 
 type t = {
@@ -61,8 +62,18 @@ let static_routes (dev : string) (cfg : Types.t) : Route.t list =
         ~tag:s.Types.st_tag ~source:Route.Local ())
     cfg.Types.dc_statics
 
+(* The IGP cost from the device of index [src] to the device [dst],
+   [None] when unreachable or either end is outside the view. *)
+let igp_cost_to (igp : Isis.t) src dst =
+  match (src, Isis.index igp dst) with
+  | Some src, Some dst ->
+      let c = Isis.cost igp ~src ~dst in
+      if c = max_int then None else Some c
+  | _ -> None
+
 (** IS-IS loopback routes (only materialized when the device redistributes
-    IS-IS into BGP; the IGP matrix serves all other purposes). *)
+    IS-IS into BGP; the IGP view's distance rows serve all other
+    purposes). *)
 let isis_routes (igp : Isis.t) (topo : Topology.t) (dev : string)
     (cfg : Types.t) : Route.t list =
   let redistributes_isis =
@@ -72,11 +83,12 @@ let isis_routes (igp : Isis.t) (topo : Topology.t) (dev : string)
   in
   if not redistributes_isis then []
   else
+    let src = Isis.index igp dev in
     List.filter_map
       (fun (d : Topology.device) ->
         if String.equal d.Topology.name dev then None
         else
-          match Isis.cost igp ~src:dev ~dst:d.Topology.name with
+          match igp_cost_to igp src d.Topology.name with
           | None -> None
           | Some c ->
               let bits = Ip.family_bits (Ip.family d.Topology.router_id) in
@@ -111,7 +123,7 @@ let sessions_of (topo : Topology.t) (igp : Isis.t)
     Bgp.session list =
   let router_id = router_id_of topo dev cfg in
   let linked a b = Option.is_some (Topology.edge_between topo a b) in
-  let reachable src dst = Isis.reachable igp ~src ~dst in
+  let reachable a b = Option.is_some (igp_cost_to igp (Isis.index igp a) b) in
   List.filter_map
     (fun (nb : Types.neighbor) ->
       match Hashtbl.find_opt owner_tbl nb.Types.nb_addr with
@@ -147,10 +159,10 @@ let sessions_of (topo : Topology.t) (igp : Isis.t)
 (* Build                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let build ?(te_aware = true)
-    ?(regex = fun p s -> Hoyan_regex.Regex.matches_str p s)
-    (topo : Topology.t) (configs : Types.t Smap.t) : t =
-  let igp = Isis.compute ~te_aware topo configs in
+(* Compile [configs] over [topo] with the IGP view [igp] of that network
+   (computed, or a failure mask of the base's view). *)
+let compile ~te_aware ~regex ~(igp : Isis.t) (topo : Topology.t)
+    (configs : Types.t Smap.t) : t =
   let owner_tbl = Types.address_owners ~topo configs in
   (* local tables *)
   let local_tables =
@@ -175,13 +187,14 @@ let build ?(te_aware = true)
         let vsb = Vsb.of_config cfg in
         let dev_tunnels = Option.value (Smap.find_opt dev tunnels) ~default:[] in
         let statics = Option.value (Smap.find_opt dev local_tables) ~default:[] in
+        let src = Isis.index igp dev in
         let igp_cost (addr : Ip.t) : int option =
           if Types.on_connected_subnet cfg addr then Some 0
           else
             match Hashtbl.find_opt owner_tbl addr with
             | Some owner_dev ->
                 if String.equal owner_dev dev then Some 0
-                else Isis.cost igp ~src:dev ~dst:owner_dev
+                else igp_cost_to igp src owner_dev
             | None ->
                 (* resolvable through a static route? *)
                 if
@@ -209,12 +222,35 @@ let build ?(te_aware = true)
   { topo; configs; igp; owner_tbl; net; local_tables; tunnels; te_aware;
     regex }
 
+let build ?(te_aware = true)
+    ?(regex = fun p s -> Hoyan_regex.Regex.matches_str p s)
+    (topo : Topology.t) (configs : Types.t Smap.t) : t =
+  compile ~te_aware ~regex ~igp:(Isis.compute ~te_aware topo configs) topo
+    configs
+
 let patch (t : t) ?(topo = t.topo) (configs : Types.t Smap.t) : t =
   build ~te_aware:t.te_aware ~regex:t.regex topo configs
 
-let apply_change_plan (t : t) (cp : Hoyan_config.Change_plan.t) :
-    t * Hoyan_config.Change_plan.apply_report list =
-  let module Cp = Hoyan_config.Change_plan in
+let fail (t : t) (ops : Cp.topo_op list) : t =
+  let ix = Isis.index t.igp in
+  let links =
+    List.filter_map
+      (function
+        | Cp.Remove_link { ra; rb } ->
+            Option.bind (ix ra) (fun a -> Option.map (fun b -> (a, b)) (ix rb))
+        | Cp.Remove_device _ -> None
+        | Cp.Add_device _ | Cp.Add_link _ ->
+            invalid_arg "Model.fail: not a failure")
+      ops
+  and devices =
+    List.filter_map (function Cp.Remove_device d -> ix d | _ -> None) ops
+  in
+  let ap = Cp.apply ~topo:t.topo t.configs (Cp.make "failures" ~topo_ops:ops) in
+  compile ~te_aware:t.te_aware ~regex:t.regex
+    ~igp:(Isis.fail t.igp ~links ~devices)
+    (Option.get ap.Cp.ap_topo) ap.Cp.ap_configs
+
+let apply_change_plan (t : t) (cp : Cp.t) : t * Cp.apply_report list =
   let ap = Cp.apply ~topo:t.topo t.configs cp in
   ( patch t ?topo:ap.Cp.ap_topo ap.Cp.ap_configs,
     List.map Cp.step_report ap.Cp.ap_steps )

@@ -21,6 +21,8 @@ type t = {
   topo : Topology.t;
   configs : Types.t Smap.t;
   igp : Isis.t;
+      (** the IS-IS view, every device a source and a read; a failure
+          scenario's is a mask of its base's ({!fail}) *)
   owner_tbl : (Ip.t, string) Hashtbl.t;  (** address -> owning device *)
   net : Bgp.network;
   local_tables : Route.t list Smap.t;
@@ -58,6 +60,13 @@ val build :
     rule for compiling a patched network, so a patched model keeps its
     base's modelling choices. *)
 val patch : t -> ?topo:Topology.t -> Types.t Smap.t -> t
+
+(** [fail t ops] is [t] with the failures [ops] (link and device
+    removals) applied: the model {!apply_change_plan} gives for the plan of
+    those ops, except that its IGP view is {!Isis.fail} of [t]'s, a mask
+    over the base graph rather than a recomputation.  Raises
+    [Invalid_argument] on an op that adds a device or a link. *)
+val fail : t -> Hoyan_config.Change_plan.topo_op list -> t
 
 (** Apply a change plan ({!Hoyan_config.Change_plan.apply}: topology
     ops, then per-device command blocks in each device's own dialect) and

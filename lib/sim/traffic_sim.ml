@@ -264,24 +264,31 @@ let rec walk wk (f : Flow.t) ~dev ~in_iface ~frac ~visited ~hops ~depth =
                              at the next-hop router.  [trail] is the
                              reversed device path including the current
                              position. *)
+                          let igp = model.Model.igp in
+                          (* device indices; -1 outside the IGP, where a
+                             walk has no first hop *)
+                          let ix d =
+                            Option.value (Isis.index igp d) ~default:(-1)
+                          in
+                          let dst = ix owner_dev in
                           let rec igp_walk cur frac trail depth =
                             if frac < 1e-9 then ()
                             else if depth > max_depth then
                               wk.wk_looped <- wk.wk_looped +. frac
-                            else if String.equal cur owner_dev then
+                            else if cur = dst && cur >= 0 then
                               let in_iface =
                                 match trail with
                                 | _ :: prev :: _ ->
-                                    in_iface_at model ~cur:prev ~next:cur
+                                    in_iface_at model ~cur:prev ~next:owner_dev
                                 | _ -> None
                               in
-                              walk wk f ~dev:cur ~in_iface ~frac
+                              walk wk f ~dev:owner_dev ~in_iface ~frac
                                 ~visited:(dev :: visited)
                                 ~hops:(List.tl trail) ~depth:(depth + 1)
                             else
                               match
-                                Isis.first_hops model.Model.igp ~src:cur
-                                  ~dst:owner_dev
+                                if cur < 0 || dst < 0 then []
+                                else Isis.first_hops igp ~src:cur ~dst
                               with
                               | [] -> wk.wk_dropped <- wk.wk_dropped +. frac
                               | nexts ->
@@ -289,12 +296,13 @@ let rec walk wk (f : Flow.t) ~dev ~in_iface ~frac ~visited ~hops ~depth =
                                   let leg = frac /. float_of_int m in
                                   List.iter
                                     (fun next ->
-                                      record_edge wk cur next leg;
-                                      igp_walk next leg (next :: trail)
+                                      let name = Isis.name igp next in
+                                      record_edge wk (List.hd trail) name leg;
+                                      igp_walk next leg (name :: trail)
                                         (depth + 1))
                                     nexts
                           in
-                          igp_walk dev sub_frac (dev :: hops) depth
+                          igp_walk (ix dev) sub_frac (dev :: hops) depth
                       | None ->
                           (* unmodeled next hop: if it sits on one of our
                              connected subnets (e.g. an external peering
