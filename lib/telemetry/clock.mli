@@ -1,4 +1,4 @@
-(** Monotonic process clock (non-decreasing across domains).
+(** Monotonic process clock (strictly increasing across domains).
 
     Wall time clamped through an atomic high-water mark, standing in for
     CLOCK_MONOTONIC which the stdlib does not expose. *)
