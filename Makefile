@@ -109,7 +109,9 @@ whatif:
 # in-process and asserts the RIB, FIB + traffic results are identical
 # (exit 1 on mismatch), first on a no-op plan, then on a static-route
 # plan whose FIB patch rebinds a BGP-learned slot, then on an aggregate
-# plan whose dirty set is the aggregate closed over its components (both
+# plan whose dirty set is the aggregate closed over its components, then
+# on an interface plan that only changes an IS-IS cost, which changes
+# local tables and so exercises the chunk splice's local-table path (the
 # intents hold, so exit 0 also means the verdicts passed); then the
 # incremental test suite replays the oracle over a qcheck plan family
 # including withdraw-only/no-op/static/more-specific plans and a
@@ -123,6 +125,9 @@ inc:
 	dune exec bin/hoyan_cli.exe -- verify --inc --selfcheck \
 	  --plan examples/aggregate_plan.txt --device r00-bdr01 \
 	  --intent 'prefix != 150.0.0.0/16 => PRE = POST'
+	dune exec bin/hoyan_cli.exe -- verify --inc --selfcheck \
+	  --plan examples/iface_cost_plan.txt --device r00-bdr01 \
+	  --intent 'forall device in {r00-bdr01} : PRE |> count() = POST |> count()'
 	dune exec test/test_main.exe -- test incremental
 
 # Verdict-latency benchmark self-test: builds perfbench/ (release

@@ -236,8 +236,8 @@ let inject (cls : Issues.cls) (variant : int) : bool * Issues.cls =
         (Route_sim.run flawed_model ~input_routes:g.G.input_routes ()).Route_sim.rib
       in
       let diff =
-        List.length (Rib.diff sim_rib truth.tr_rib :> Route.t list)
-        + List.length (Rib.diff truth.tr_rib sim_rib :> Route.t list)
+        Rib.length (Rib.diff sim_rib truth.tr_rib)
+        + Rib.length (Rib.diff truth.tr_rib sim_rib)
       in
       (* probe: the divergence follows the vendor boundary *)
       ( diff > 0,
@@ -252,8 +252,8 @@ let inject (cls : Issues.cls) (variant : int) : bool * Issues.cls =
         (Route_sim.run flawed_model ~input_routes:g.G.input_routes ()).Route_sim.rib
       in
       let diff =
-        List.length (Rib.diff sim_rib truth.tr_rib :> Route.t list)
-        + List.length (Rib.diff truth.tr_rib sim_rib :> Route.t list)
+        Rib.length (Rib.diff sim_rib truth.tr_rib)
+        + Rib.length (Rib.diff truth.tr_rib sim_rib)
       in
       (* probe: enabling the feature flag removes the divergence *)
       ( diff > 0,
@@ -271,7 +271,7 @@ let inject (cls : Issues.cls) (variant : int) : bool * Issues.cls =
               if r.Route.route_type = Route.Ecmp then
                 Some (r.Route.device, r.Route.vrf, r.Route.prefix)
               else None)
-            (truth.tr_rib :> Route.t list)
+            (Rib.to_list truth.tr_rib)
         in
         match target with
         | None -> truth.tr_rib
@@ -291,7 +291,7 @@ let inject (cls : Issues.cls) (variant : int) : bool * Issues.cls =
                       { r with Route.route_type = Route.Best }
                   | _ -> r
                 else r)
-              (truth.tr_rib :> Route.t list)
+              (Rib.to_list truth.tr_rib)
       in
       let monitored = Route_monitor.observe (Route_monitor.create ()) live_rib in
       let issues, _ = Validate.validate_routes ~simulated:truth.tr_rib ~monitored () in

@@ -37,7 +37,7 @@ let figure6_7 () =
         if Prefix.equal r.Route.prefix (pfx "10.0.0.0/24") then
           Route.with_local_pref r 300
         else r)
-      (base :> Route.t list)
+      (Rib.to_list base)
   in
   List.iter
     (fun spec ->
@@ -63,7 +63,7 @@ let figure6_7 () =
     and prefixes. *)
 let spec_corpus ?(n = 50) ~(seed : int) (rib : Rib.t) : string list =
   let st = Random.State.make [| seed |] in
-  let rib = (rib :> Route.t list) in
+  let rib = Rib.to_list rib in
   let devices =
     List.map (fun (r : Route.t) -> r.Route.device) rib
     |> List.sort_uniq String.compare |> Array.of_list
@@ -141,7 +141,7 @@ let figure8 () =
         if String.equal r.Route.device changed_dev && r.Route.proto = Route.Bgp
         then Route.with_local_pref r (Route.local_pref r + 5)
         else r)
-      (base :> Route.t list)
+      (Rib.to_list base)
   in
   let corpus = spec_corpus ~seed:7 base in
   let sizes = ref [] and times = ref [] in

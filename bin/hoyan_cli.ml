@@ -206,7 +206,7 @@ let simulate params seed distributed fail_prob chaos_mode chaos_seed lease_s
         Printf.printf
           "route simulation: %d RIB rows, %.2fx EC compression, %d fixpoint \
            rounds\n"
-          (List.length (res.Route_sim.rib :> Route.t list))
+          (Rib.length res.Route_sim.rib)
           res.Route_sim.compression
           res.Route_sim.bgp_stats.Bgp.st_rounds;
         res.Route_sim.rib
@@ -225,7 +225,7 @@ let simulate params seed distributed fail_prob chaos_mode chaos_seed lease_s
         Printf.printf
           "distributed route simulation: %d RIB rows; end-to-end on %d \
            servers: %.2fs\n"
-          (List.length (rp.Hoyan_dist.Framework.rp_rib :> Route.t list))
+          (Rib.length rp.Hoyan_dist.Framework.rp_rib)
           servers t;
         if not (Hoyan_dist.Chaos.is_none chaos) then
           Printf.printf "%s\n" (Hoyan_dist.Framework.monitor_report fw);

@@ -32,7 +32,7 @@ let () =
   let rib = Lazy.force base.Preprocess.b_rib in
   let traffic = Lazy.force base.Preprocess.b_traffic in
   Printf.printf "base simulation: %d RIB rows, %d flow ECs, %d loaded links\n\n"
-    (List.length (rib :> Route.t list))
+    (Rib.length rib)
     traffic.Traffic_sim.ec_count
     (Hashtbl.length traffic.Traffic_sim.link_load);
 

@@ -233,8 +233,50 @@ let merge_isis (base : Types.isis_config) (delta : Types.isis_config) =
         @ delta.Types.isis_ifaces;
     }
 
-(** Merge a parsed command delta into a base device config. *)
+(* Interface stanzas are field-wise too: "interface Eth0 / isis cost 5"
+   sets the IS-IS cost (merged by [merge_isis]) and nothing else, so it
+   must not reset the interface's address, bandwidth or ACL.  The
+   parsers start every interface at [if_addr = None], [if_acl_in = None]
+   and [Types.default_bandwidth]; a delta field still at that start
+   value is unset and keeps the base's (the address and its mask length
+   go together). *)
+let overlay_iface (b : Types.iface_config) (d : Types.iface_config) :
+    Types.iface_config =
+  let if_addr, if_plen =
+    match d.Types.if_addr with
+    | Some _ -> (d.Types.if_addr, d.Types.if_plen)
+    | None -> (b.Types.if_addr, b.Types.if_plen)
+  in
+  {
+    Types.if_name = b.Types.if_name;
+    if_addr;
+    if_plen;
+    if_bandwidth =
+      (if d.Types.if_bandwidth = Types.default_bandwidth then
+         b.Types.if_bandwidth
+       else d.Types.if_bandwidth);
+    if_acl_in =
+      (match d.Types.if_acl_in with Some _ as a -> a | None -> b.Types.if_acl_in);
+  }
+
+(** Merge a parsed command delta into a base device config.  Stanzas
+    are overlaid field by field where a block may restate one attribute
+    of an existing object (interfaces, BGP neighbors, the IS-IS process):
+    a delta field left at the parsers' start value is unset.  The
+    interface bandwidth is a plain float whose start value
+    ([Types.default_bandwidth], 10e9) is also a bandwidth a block may
+    state.  The field stays a float rather than becoming an option, and
+    a delta bandwidth equal to the start value reads as unset: a block
+    cannot lower or raise an interface's bandwidth to exactly 10e9 (it
+    keeps the base's).  No generated or example plan states that value
+    over another one. *)
 let merge (base : Types.t) (delta : Types.t) : Types.t =
+  let find_base (d : Types.iface_config) =
+    List.find_opt
+      (fun (i : Types.iface_config) ->
+        String.equal i.Types.if_name d.Types.if_name)
+      base.Types.dc_ifaces
+  in
   {
     base with
     Types.dc_ifaces =
@@ -246,7 +288,10 @@ let merge (base : Types.t) (delta : Types.t) : Types.t =
                  String.equal d.Types.if_name i.Types.if_name)
                delta.Types.dc_ifaces))
         base.Types.dc_ifaces
-      @ delta.Types.dc_ifaces;
+      @ List.map
+          (fun d ->
+            match find_base d with Some b -> overlay_iface b d | None -> d)
+          delta.Types.dc_ifaces;
     dc_prefix_lists =
       merge_prefix_lists base.Types.dc_prefix_lists delta.Types.dc_prefix_lists;
     dc_community_lists =

@@ -223,7 +223,7 @@ let parse_interface st (header : L.line) (body : L.line list) =
   let iface =
     ref
       { Types.if_name = name; if_addr = None; if_plen = 32;
-        if_bandwidth = 10e9; if_acl_in = None }
+        if_bandwidth = Types.default_bandwidth; if_acl_in = None }
   in
   let isis_cost = ref None and isis_te = ref false in
   List.iter

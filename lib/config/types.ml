@@ -236,6 +236,10 @@ type iface_config = {
   if_acl_in : string option;
 }
 
+(** The bandwidth the parsers give an interface with no [bandwidth]
+    line. *)
+let default_bandwidth = 10e9
+
 (** The connected subnet of an interface ([None] when unnumbered). *)
 let iface_subnet (i : iface_config) =
   Option.map (fun a -> Prefix.make a i.if_plen) i.if_addr

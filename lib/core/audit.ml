@@ -154,5 +154,5 @@ let policy_consistency ~name ~(group : string list) : task =
 (** Run all audit tasks over a simulated day. *)
 let run_all (tasks : task list) ~(model : Model.t) ~(rib : Rib.t)
     ~(traffic : Traffic_sim.result Lazy.t) : finding list =
-  let rib = (rib :> Route.t list) in
+  let rib = Rib.to_list rib in
   List.concat_map (fun t -> t.t_run ~model ~rib ~traffic) tasks

@@ -114,15 +114,15 @@ let flow_result_for (tr : Traffic_sim.result) (f : Flow.t) =
     (fun (fr : Traffic_sim.flow_result) -> Flow.equal fr.Traffic_sim.f_flow f)
     tr.Traffic_sim.flow_results
 
-(** The devices holding a selected row for [prefix], in one pass over
-    the RIB (then O(1) per device, not a scan per device). *)
+(** The devices holding a selected row for [prefix]: one slot probe
+    per (device, VRF) of the RIB, never a row scan (then O(1) per
+    device). *)
 let holders (rib : Rib.t) (prefix : Prefix.t) : (string, unit) Hashtbl.t =
   let present = Hashtbl.create 64 in
-  List.iter
-    (fun (r : Route.t) ->
-      if Prefix.equal r.Route.prefix prefix && Route.selected r then
-        Hashtbl.replace present r.Route.device ())
-    (rib :> Route.t list);
+  Rib.fold_prefix
+    (fun (r : Route.t) () ->
+      if Route.selected r then Hashtbl.replace present r.Route.device ())
+    rib prefix ();
   present
 
 (* ------------------------------------------------------------------ *)
@@ -148,13 +148,11 @@ let verify (intent : t) ~(model : Model.t) ~(base_rib : Rib.t)
           else
             let related =
               Rib.filter
-                (fun (r : Route.t) ->
-                  String.equal r.Route.device dev
-                  && Prefix.subsumes r.Route.prefix rr_prefix)
-                updated_rib
+                (fun (r : Route.t) -> Prefix.subsumes r.Route.prefix rr_prefix)
+                (Rib.device updated_rib dev)
             in
             Some
-              (violation ~routes:(related :> Route.t list) intent
+              (violation ~routes:(Rib.to_list related) intent
                  (Printf.sprintf "on %s the prefix is %s" dev
                     (if present then "present" else "absent"))))
         rr_devices

@@ -66,7 +66,7 @@ let validate_routes ~(simulated : Rib.t) ~(monitored : Route.t list)
     live;
   let sim_bgp =
     List.filter (fun (r : Route.t) -> r.Route.proto = Route.Bgp)
-      (simulated :> Route.t list)
+      (Rib.to_list simulated)
   in
   let checked = ref 0 in
   let issues = ref [] in

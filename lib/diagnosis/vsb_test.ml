@@ -342,8 +342,8 @@ let test_dimension (sc : scenario) : detection =
   let rib_base = run base_profile.Vsb.vendor in
   let rib_flip = run flipped.Vsb.vendor in
   let diff =
-    List.length (Rib.diff rib_base rib_flip :> Route.t list)
-    + List.length (Rib.diff rib_flip rib_base :> Route.t list)
+    Rib.length (Rib.diff rib_base rib_flip)
+    + Rib.length (Rib.diff rib_flip rib_base)
   in
   {
     det_dimension = sc.sc_dimension;

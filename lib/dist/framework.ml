@@ -606,7 +606,7 @@ let route_worker_step (t : t) ~(use_ecs : bool)
               in
               let result_key = msg.Mq.m_id ^ ".rib" in
               chaos_put t ~key:result_key (Storage.O_rib rows);
-              Db.set_range entry (seed_range (Db.range entry) (rows :> Route.t list));
+              Db.set_range entry (seed_range (Db.range entry) (Rib.to_list rows));
               let io_bytes = List.length inputs * Storage.bytes_per_route in
               Db.complete entry ~result_key ~ec_count:res.Route_sim.ec_count
                 ~duration_s:dt ~io_bytes ~io_files:1 ();
@@ -687,7 +687,7 @@ let run_route_phase ?(strategy = Split.Ordered) ?(subtasks = 100)
       0 ids
   in
   Telemetry.gauge t.tm "hoyan_route_rib_rows"
-    (float_of_int (List.length (rib :> Route.t list)));
+    (float_of_int (Rib.length rib));
   Telemetry.finish t.tm phase_sp;
   {
     rp_subtasks = ids;

@@ -40,7 +40,7 @@ let bytes_per_load_entry = 40
 
 let obj_size = function
   | O_routes rs -> List.length rs * bytes_per_route
-  | O_rib rs -> List.length (rs :> Route.t list) * bytes_per_route
+  | O_rib rs -> Rib.length rs * bytes_per_route
   | O_flows fs -> List.length fs * bytes_per_flow
   | O_traffic { t_loads; t_flows } ->
       (List.length t_loads * bytes_per_load_entry)

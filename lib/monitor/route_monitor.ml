@@ -34,7 +34,7 @@ let observe (t : t) (true_rib : Rib.t) : Route.t list =
     List.filter
       (fun (r : Route.t) ->
         (not (agent_down t r.Route.device)) && r.Route.proto = Route.Bgp)
-      (true_rib :> Route.t list)
+      (Rib.to_list true_rib)
   in
   match t.mode with
   | Bmp -> visible
@@ -60,4 +60,4 @@ let show_live (true_rib : Rib.t) ~(device : string)
   List.filter
     (fun (r : Route.t) ->
       String.equal r.Route.device device && Prefix.equal r.Route.prefix prefix)
-    (true_rib :> Route.t list)
+    (Rib.to_list true_rib)

@@ -19,13 +19,8 @@ let max_counterexample_routes = 10
 
 type outcome = Satisfied | Violated of violation list
 
-let truncate l =
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  take max_counterexample_routes l
+let truncate (rows : Route.t Seq.t) : Route.t list =
+  List.of_seq (Seq.take max_counterexample_routes rows)
 
 let rec pp_transform = function
   | Ast.T_pre -> "PRE"
@@ -43,17 +38,17 @@ let rec check_intent (g : Ast.intent) ~(path : string list)
       if equal = eq then []
       else if eq then
         (* expected equal: the symmetric difference is the counterexample *)
-        let only_a = (Rib.diff a b :> Route.t list)
-        and only_b = (Rib.diff b a :> Route.t list) in
+        let only_a = Rib.diff a b and only_b = Rib.diff b a in
         [
           {
             v_path = List.rev path;
             v_reason =
               Printf.sprintf
                 "%s = %s fails: %d routes only in the former, %d only in the latter"
-                (pp_transform r1) (pp_transform r2) (List.length only_a)
-                (List.length only_b);
-            v_routes = truncate (only_a @ only_b);
+                (pp_transform r1) (pp_transform r2) (Rib.length only_a)
+                (Rib.length only_b);
+            v_routes =
+              truncate (Seq.append (Rib.to_seq only_a) (Rib.to_seq only_b));
           };
         ]
       else
@@ -63,7 +58,7 @@ let rec check_intent (g : Ast.intent) ~(path : string list)
             v_reason =
               Printf.sprintf "%s != %s fails: the two RIBs are identical"
                 (pp_transform r1) (pp_transform r2);
-            v_routes = truncate (a :> Route.t list);
+            v_routes = truncate (Rib.to_seq a);
           };
         ]
   | Ast.G_eval_cmp (e1, op, e2) -> (
@@ -78,10 +73,10 @@ let rec check_intent (g : Ast.intent) ~(path : string list)
               (* related routes: the transformed RIBs feeding either side *)
               let related e =
                 let rec ribs_of = function
-                  | Ast.E_val _ -> []
+                  | Ast.E_val _ -> Seq.empty
                   | Ast.E_agg (r, _) ->
-                      (Semantics.eval_transform r ~pre ~post :> Route.t list)
-                  | Ast.E_arith (a, _, b) -> ribs_of a @ ribs_of b
+                      Rib.to_seq (Semantics.eval_transform r ~pre ~post)
+                  | Ast.E_arith (a, _, b) -> Seq.append (ribs_of a) (ribs_of b)
                 in
                 ribs_of e
               in
@@ -92,7 +87,7 @@ let rec check_intent (g : Ast.intent) ~(path : string list)
                     Printf.sprintf "comparison fails: %s %s %s"
                       (Value.to_string v1) (Ast.cmp_to_string op)
                       (Value.to_string v2);
-                  v_routes = truncate (related e1 @ related e2);
+                  v_routes = truncate (Seq.append (related e1) (related e2));
                 };
               ])
       | exception Semantics.Eval_error msg ->

@@ -92,7 +92,7 @@ let register ?tm ~digest (base : Preprocess.base) : t =
       sn_devices = Smap.cardinal base.Preprocess.b_model.Model.configs;
       sn_input_routes = List.length base.Preprocess.b_input_routes;
       sn_flows = List.length base.Preprocess.b_flows;
-      sn_rib_rows = List.length (rib :> Route.t list);
+      sn_rib_rows = Rib.length rib;
       sn_converge_s = converge_s;
       sn_inc =
         lazy

@@ -98,7 +98,7 @@ let run ?(chunks = 50) ?(time_budget_s = infinity) ~(mem_cap_bytes : int)
         skipped := !skipped + chunk_prefixes
       else begin
         let res = Route_sim.run model ~input_routes:chunk () in
-        let rows = List.length (res.Route_sim.rib :> Route.t list) in
+        let rows = Rib.length res.Route_sim.rib in
         let adj = res.Route_sim.bgp_stats.Hoyan_proto.Bgp.st_messages in
         let transient = (rows * bytes_per_rib_row) + (adj * bytes_per_adj_entry) in
         peak := max !peak (!persistent + transient);

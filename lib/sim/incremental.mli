@@ -2,38 +2,41 @@
     production loop).
 
     A {!ctx} is a persistent converged-base context: the parsed base
-    model, its converged global RIB split into an arena-indexed BGP part
-    ({!Hoyan_net.Rib.Arena} over a {!Hoyan_net.Rib.Key} universe of the
-    base rows) and the local tables, the base FIB tries and the traffic
-    EC context — captured once per base (from [Preprocess.base] or a
-    server snapshot) and shared read-only across change plans.
+    model, its converged global RIB (one row chunk per device,
+    {!Hoyan_net.Rib}) with its BGP-only part and an index from each
+    prefix to the devices holding a base BGP row on it ({!Splice.base}),
+    the base FIB tries and the traffic EC context — captured once per
+    base (from [Preprocess.base] or a server snapshot) and shared
+    read-only across change plans.
 
     {!simulate} re-runs the BGP fixpoint {e only inside the dirty
     region} that [Differential] computes for the plan: the dirty prefix
     set ([Differential.dirty_set]: the plan's prefixes and every base or
     patched universe prefix a touched device can reach, closed under
     aggregate contribution in both directions) restricts the fixpoint via
-    [Route_sim.run ~only], and the resulting rows are
-    {e spliced} into the cached arena: the dirty set becomes a byte mask
-    over the {!Hoyan_net.Rib.Key} prefix ids, [Rib.Arena.drop_prefixes]
-    cuts the dirty rows out of the base arena by testing each packed
-    key's prefix digit against it (reporting the dropped rows' devices),
-    the delta rows take their place and the local tables are swapped for
-    the patched model's.  The FIBs are the base tries patched per
-    FIB-dirty (device, prefix) slot ([Traffic_sim.patch_fibs]): every
-    dirty prefix on every device, plus each slot in a device's
-    local-table symmetric difference.  A slot's post-change rows come
-    from the delta rows, the patched local tables and, for a local-only
-    slot, a binary search of the clean arena — never from a scan of the
-    spliced RIB.  The EC union trie is patched the same way
-    ([Traffic_sim.patch_ec_ctx]).  Untouched slots keep sharing the
-    base tries (sound because FIB leaves are order-canonical).
+    [Route_sim.run ~only], and the resulting rows are {e spliced} into
+    the base RIB ({!Splice.run}).  A device is touched if it holds a
+    base BGP row on a dirty prefix (read from the index), the delta has
+    rows for it, or its local table changed; a touched device's chunk is
+    rebuilt from its clean BGP rows, its delta rows and its patched
+    local rows, and every other device keeps the base chunk itself.  The
+    FIBs are the base tries patched per FIB-dirty (device, prefix) slot
+    ([Traffic_sim.patch_fibs]): every dirty prefix on every device, plus
+    each slot in a device's local-table symmetric difference.  A slot's
+    post-change rows come from the delta rows, the patched local tables
+    and, for a local-only slot, a slot lookup in the base BGP chunk —
+    never from a scan of the spliced RIB.  The EC union trie is patched
+    the same way ([Traffic_sim.patch_ec_ctx]).  Untouched slots keep
+    sharing the base tries (sound because FIB leaves are
+    order-canonical).
 
     Per-plan cost of a restricted plan: the dirty-set computation over
-    the prefix universe, the restricted fixpoint, one int test per base
-    row plus work proportional to the dirty rows for the cut, and then
-    the list build of [Rib.Arena.merge] — the one remaining O(|RIB|)
-    step.
+    the prefix universe, the restricted fixpoint, one index lookup per
+    dirty prefix, then for the splice O(devices) plus the rows of the
+    touched devices' chunks (a filter of the base chunk, a merge with
+    the delta and local rows).  No step reads the rows of an untouched
+    device, and {!Hoyan_net.Rib.equal}/{!Hoyan_net.Rib.diff} of the
+    result against the base skip the shared chunks.
 
     Soundness contract: the spliced RIB is byte-identical (both are a
     canonical {!Hoyan_net.Rib.t}) to a full from-scratch simulation of
@@ -46,6 +49,41 @@
 open Hoyan_net
 module Cp := Hoyan_config.Change_plan
 module Differential := Hoyan_analysis.Differential
+
+(** The splice on its own: a base RIB indexed for it, and the rebuild
+    of the touched devices' chunks. *)
+module Splice : sig
+  type base
+
+  (** Index a base RIB whose local-table rows are [locals]: the
+      BGP-only rows and each prefix's devices holding one.  O(|rib|),
+      once per base. *)
+  val capture : rib:Rib.t -> locals:Rib.t -> base
+
+  type stats = {
+    sp_rebuilt : int;  (** touched devices, whose chunks were rebuilt *)
+    sp_shared : int;  (** base devices whose chunk is shared as is *)
+    sp_copied : int;  (** rows in the rebuilt chunks *)
+    sp_reused : int;  (** base BGP rows kept: those off the dirty set *)
+  }
+
+  (** The post-change RIB: base minus every BGP row on a [dirty]
+      prefix, plus [delta], with each device in [changed] given the
+      local rows [locals dev] in place of its base ones.  The touched
+      devices — holders of a base BGP row on a dirty prefix, devices
+      with [delta] rows, [changed] — get a rebuilt chunk
+      ({!Hoyan_net.Rib.patch_slots}: only the slots of dirty BGP rows,
+      delta rows and replaced local rows are rewritten; the rest of the
+      chunk is copied in blocks).  Every other device's chunk is the
+      base's own. *)
+  val run :
+    base ->
+    dirty:unit Prefix.Tbl.t ->
+    delta:Rib.t ->
+    changed:string list ->
+    locals:(string -> Route.t list) ->
+    Rib.t * stats
+end
 
 type ctx
 

@@ -39,7 +39,7 @@ let ev_result (tm : Telemetry.t) (r : result) =
         ("compression", Journal.F r.compression);
         ("rounds", Journal.I r.bgp_stats.Bgp.st_rounds);
         ("messages", Journal.I r.bgp_stats.Bgp.st_messages);
-        ("rib_rows", Journal.I (List.length (r.rib :> Route.t list)));
+        ("rib_rows", Journal.I (Rib.length r.rib));
       ]
   end
 

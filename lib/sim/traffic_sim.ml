@@ -52,14 +52,14 @@ let install (rows : Route.t list) : Route.t list =
 let build_fibs (rib : Rib.t) : fib =
   (* group per device, prefix *)
   let tbl : (string * Prefix.t, Route.t list) Hashtbl.t = Hashtbl.create 4096 in
-  List.iter
+  Rib.iter
     (fun (r : Route.t) ->
       if String.equal r.Route.vrf Route.default_vrf then begin
         let key = (r.Route.device, r.Route.prefix) in
         let existing = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
         Hashtbl.replace tbl key (r :: existing)
       end)
-    (rib :> Route.t list);
+    rib;
   (* batch-build one mutable trie builder per device: the persistent
      [Trie.Dual.add] copies a whole spine per prefix, which dominated FIB
      construction time on WAN-scale RIBs *)
@@ -594,7 +594,7 @@ let run ?tm ?(use_ecs = true) ?fibs ?ecx (model : Model.t)
     | Some f -> f
     | None ->
         Telemetry.with_span tm
-          ~args:[ ("rib_rows", string_of_int (List.length (rib :> Route.t list))) ]
+          ~args:[ ("rib_rows", string_of_int (Rib.length rib)) ]
           "traffic.build_fibs"
           (fun () -> build_fibs rib)
   in

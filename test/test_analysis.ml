@@ -240,7 +240,7 @@ let test_gate () =
   Alcotest.(check bool) "gate reports being hit" true r.VR.vr_gated;
   Alcotest.(check bool) "gate produced diagnostics" true (r.VR.vr_lint <> []);
   Alcotest.(check (list string)) "no simulation ran" []
-    (List.map (fun _ -> "route") (r.VR.vr_updated_rib :> Route.t list));
+    (List.map (fun _ -> "route") (Rib.to_list r.VR.vr_updated_rib));
   (* Simulate: diagnostics recorded, run proceeds *)
   let r = VR.run ~stage:(VR.Simulate VR.From_scratch) base rq in
   Alcotest.(check bool) "Simulate does not gate" false r.VR.vr_gated;

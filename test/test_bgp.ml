@@ -43,7 +43,7 @@ let find_routes (rib : Rib.t) ~device ~prefix =
       String.equal r.Route.device device
       && Prefix.equal r.Route.prefix (pfx prefix)
       && r.Route.proto = Route.Bgp)
-    (rib :> Route.t list)
+    (Rib.to_list rib)
 
 let test_linear_propagation () =
   let b = line_network () in
@@ -541,9 +541,9 @@ let test_add_paths () =
       rib
   in
   check tint "without add-paths P sees one path" 1
-    (List.length (run 0 :> Route.t list));
+    (List.length (Rib.to_list (run 0)));
   check tint "with add-paths 2 P sees both" 2
-    (List.length (run 2 :> Route.t list))
+    (List.length (Rib.to_list (run 2)))
 
 let test_vrf_leaking_semantics () =
   (* a route exported from vrf X with RT 100:1 appears in vrf Y importing
@@ -565,8 +565,7 @@ let test_vrf_leaking_semantics () =
     let inputs =
       [ B.input_route ~device:"PE" ~vrf:"vx" ~prefix:"99.0.0.0/24" () ]
     in
-    ((Route_sim.run model ~input_routes:inputs ()).Route_sim.rib
-      :> Route.t list)
+    Rib.to_list (Route_sim.run model ~input_routes:inputs ()).Route_sim.rib
   in
   let vrf_has rib vrf =
     List.exists
@@ -611,7 +610,7 @@ let render_row (r : Route.t) =
 let pin_of params =
   let g = G.generate params in
   let res = Route_sim.run g.G.model ~input_routes:g.G.input_routes () in
-  let rows = List.map render_row (res.Route_sim.rib :> Route.t list) in
+  let rows = List.map render_row (Rib.to_list res.Route_sim.rib) in
   let st = res.Route_sim.bgp_stats in
   ( List.length rows,
     [ st.Bgp.st_rounds; st.Bgp.st_messages; st.Bgp.st_selected ],
@@ -774,7 +773,7 @@ let test_export_groups () =
                  (As_path.to_string r.Route.as_path)
                  (Route.med r))
           else None)
-        (rib :> Route.t list)
+        (Rib.to_list rib)
       |> List.sort compare |> String.concat "; "
     in
     List.map
@@ -870,7 +869,7 @@ let test_canonical_rib_drops_nothing () =
       in
       check tint name
         (res.Route_sim.bgp_stats.Bgp.st_selected + locals)
-        (List.length (res.Route_sim.rib :> Route.t list)))
+        (List.length (Rib.to_list res.Route_sim.rib)))
     [ ("small", G.small); ("wan/800", { G.wan with G.g_prefixes = 800 }) ]
 
 let suite =

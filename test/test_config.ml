@@ -627,6 +627,39 @@ let test_change_plan_wrong_dialect () =
     (List.length (Change_plan.parse_issues report) > 0);
   check tbool "no new policy" true (Types.find_policy cfg "RP" = None)
 
+(* An interface stanza overlays the fields it states: a cost-only block
+   keeps the interface's address and bandwidth, a block stating an
+   address replaces it. *)
+let test_change_plan_iface_overlay () =
+  let base, _ = Parser_a.parse ~device:"x" vendor_a_config in
+  let eth0 cfg = Option.get (Types.iface cfg "Eth0") in
+  let cost cfg =
+    List.find_map
+      (fun (i : Types.isis_iface) ->
+        if String.equal i.Types.ii_name "Eth0" then Some i.Types.ii_cost
+        else None)
+      cfg.Types.dc_isis.Types.isis_ifaces
+  in
+  let cfg, report =
+    Change_plan.apply_commands base "interface Eth0\n isis cost 5\n"
+  in
+  check tint "cost-only: no issues" 0 (List.length report.Change_plan.ar_issues);
+  check tbool "cost-only: address kept" true
+    ((eth0 cfg).Types.if_addr = (eth0 base).Types.if_addr
+    && (eth0 cfg).Types.if_plen = 31);
+  check tbool "cost-only: bandwidth kept" true
+    ((eth0 cfg).Types.if_bandwidth = 100e9);
+  check Alcotest.(option int) "cost-only: cost changed" (Some 5) (cost cfg);
+  let cfg, _ =
+    Change_plan.apply_commands base "interface Eth0\n ip address 10.9.0.1/30\n"
+  in
+  check tbool "address block: address replaced" true
+    ((eth0 cfg).Types.if_addr = Ip.of_string "10.9.0.1"
+    && (eth0 cfg).Types.if_plen = 30);
+  check tbool "address block: bandwidth kept" true
+    ((eth0 cfg).Types.if_bandwidth = 100e9);
+  check Alcotest.(option int) "address block: cost kept" (Some 15) (cost cfg)
+
 let test_change_plan_delete_typo () =
   let base, _ = Parser_a.parse ~device:"x" vendor_a_config in
   let cfg, report = Change_plan.apply_commands base "no route-map RMTYPO 10\n" in
@@ -680,4 +713,5 @@ let suite =
     ("change plan wrong dialect", `Quick, test_change_plan_wrong_dialect);
     ("change plan delete typo", `Quick, test_change_plan_delete_typo);
     ("VSB profiles differ on all 16", `Quick, test_vsb_profiles_differ_on_all_16);
+    ("change plan interface overlay", `Quick, test_change_plan_iface_overlay);
   ]

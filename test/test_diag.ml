@@ -39,7 +39,7 @@ let test_route_monitor_modes () =
   let _, rib, _ = Lazy.force sim_state in
   let bgp_routes =
     List.filter (fun (r : Route.t) -> r.Route.proto = Route.Bgp)
-      (rib :> Route.t list)
+      (Rib.to_list rib)
   in
   let agent = Route_monitor.observe (Route_monitor.create ()) rib in
   let bmp =
@@ -371,7 +371,7 @@ let test_live_show_validation () =
      agent view cannot see *)
   let issues, _ =
     Validate.validate_routes ~simulated:rib ~monitored
-      ~live:(rib :> Route.t list) ~priority_prefixes:priority ()
+      ~live:(Rib.to_list rib) ~priority_prefixes:priority ()
   in
   check tint "live check clean" 0 (List.length issues);
   (* the live network lost the ECMP companion (e.g. the Figure-9 VSB):
@@ -387,7 +387,7 @@ let test_live_show_validation () =
   in
   let issues_live, _ =
     Validate.validate_routes ~simulated:rib ~monitored
-      ~live:(degraded_live :> Route.t list)
+      ~live:(Rib.to_list degraded_live)
       ~priority_prefixes:priority ()
   in
   check tbool "ECMP loss caught via live show" true (issues_live <> []);

@@ -237,7 +237,7 @@ let rib_presence (rib : Rib.t) : PS.t =
   List.fold_left
     (fun s (r : Route.t) ->
       PS.add (r.Route.device, Prefix.to_string r.Route.prefix) s)
-    PS.empty (rib :> Route.t list)
+    PS.empty (Rib.to_list rib)
 
 (* Simulate base and patched, then demand that every prefix whose
    presence on any device changed is statically marked affected and not

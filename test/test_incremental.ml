@@ -360,7 +360,7 @@ let reference_dirty_devices (cx : Incremental.ctx) (s : Incremental.sim) =
       (fun (r : Route.t) ->
         if Prefix.Set.mem r.Route.prefix dirty then Some r.Route.device
         else None)
-      (rows :> Route.t list)
+      (Rib.to_list rows)
   in
   let changed_locals =
     Smap.fold (fun dev _ acc -> dev :: acc) base.Model.local_tables []

@@ -1,8 +1,9 @@
-(* Properties of the packed performance representations: packed route
-   attributes round-trip, the packed-key arena merge produces exactly
-   [List.sort_uniq Route.compare], and dropping rows by prefix id equals
-   filtering the route list — each with a complete universe and through
-   the overflow path of a partial one. *)
+(* Properties of the packed performance representations, each against a
+   list reference: packed route attributes round-trip; the chunked RIB's
+   operations and slice readers (and the RCL and reach-intent readers
+   built on them) equal their row scans; and the incremental chunk
+   splice equals rebuilding the RIB from filtered rows, while sharing
+   every untouched device's chunk with the base. *)
 
 open Hoyan_net
 
@@ -90,147 +91,412 @@ let test_attrs_saturate () =
     "weight clamps" Route.Attrs.weight_max (Route.weight r)
 
 (* ------------------------------------------------------------------ *)
-(* Arena merge = sort_uniq                                             *)
+(* Multi-device RIBs and their list reference                          *)
 (* ------------------------------------------------------------------ *)
 
-let partition_chunks rs =
-  (* deterministic 3-way partition *)
-  List.mapi (fun i r -> (i, r)) rs
-  |> List.fold_left
-       (fun (a, b, c) (i, r) ->
-         match i mod 3 with
-         | 0 -> (r :: a, b, c)
-         | 1 -> (a, r :: b, c)
-         | _ -> (a, b, r :: c))
-       ([], [], [])
-  |> fun (a, b, c) -> [ a; b; c ]
+module Incremental = Hoyan_sim.Incremental
+module Intents = Hoyan_core.Intents
+module Ast = Hoyan_rcl.Ast
+module Value = Hoyan_rcl.Value
+module Rcl_verify = Hoyan_rcl.Verify
 
-let prop_arena_merge_full_ctx =
-  QCheck.Test.make ~count:200
-    ~name:"arena merge = sort_uniq (complete key universe)"
-    arb_routes
-    (fun rs ->
-      let ctx = Rib.Key.of_routes rs in
-      let chunks = partition_chunks rs in
-      (* duplicate one chunk: the merge must deduplicate *)
-      let chunks = chunks @ [ List.filteri (fun i _ -> i mod 2 = 0) rs ] in
-      let merged =
-        Rib.Arena.merge
-          (List.map (fun c -> Rib.Arena.of_rib ctx (Rib.of_routes c)) chunks)
-      in
-      Rib.equal merged (Rib.of_routes (List.concat chunks)))
+let devices = [ "d0"; "d1"; "d2"; "d3"; "d4"; "d5" ]
+let vrfs = [ Route.default_vrf; "vrf1"; "vrf2" ]
 
-let prop_arena_merge_partial_ctx =
-  QCheck.Test.make ~count:200
-    ~name:"arena merge = sort_uniq (partial universe, overflow path)"
-    arb_routes
-    (fun rs ->
-      (* universe misses half the devices and all vrf1 routes *)
-      let known =
-        List.filter
-          (fun (r : Route.t) ->
-            String.equal r.Route.vrf "global"
-            && (String.equal r.Route.device "d0"
-               || String.equal r.Route.device "d1"))
-          rs
-      in
-      let ctx = Rib.Key.of_routes known in
-      let chunks = partition_chunks rs in
-      let merged =
-        Rib.Arena.merge
-          (List.map (fun c -> Rib.Arena.of_rib ctx (Rib.of_routes c)) chunks)
-      in
-      Rib.equal merged (Rib.of_routes rs))
+let prefixes =
+  List.map Prefix.of_string_exn
+    [
+      "0.0.0.0/0"; "10.0.0.0/8"; "10.1.0.0/16"; "10.1.2.0/24";
+      "192.0.2.0/24"; "2001:db8::/32"; "2001:db8:1::/48"; "::/0";
+    ]
+
+(* few distinct values per field, so slots hold several rows and
+   generated RIBs overlap *)
+let gen_row ?(proto = Route.Bgp) ?(devices = devices) ?(prefixes = prefixes)
+    () =
+  let open QCheck.Gen in
+  let* device = oneofl devices in
+  let* vrf = oneofl vrfs in
+  let* prefix = oneofl prefixes in
+  let* lp = int_range 0 2 in
+  let* route_type = oneofl [ Route.Best; Route.Ecmp; Route.Backup ] in
+  let* nh = opt (map (fun n -> Ip.V4 (1 + (n mod 3))) nat) in
+  return
+    (Route.make ~device ~vrf ~prefix ~proto ~local_pref:(100 + lp)
+       ~route_type ?nexthop:nh ())
+
+let gen_rows ?proto ?devices ?prefixes n =
+  QCheck.Gen.(list_size (int_range 0 n) (gen_row ?proto ?devices ?prefixes ()))
+
+let print_rows rs = string_of_int (List.length rs) ^ " routes"
+
+(* the list reference: sorted, deduplicated rows *)
+let canon rs = List.sort_uniq Route.compare rs
+let rows_equal = List.equal Route.equal
+let is_dev d (r : Route.t) = String.equal r.Route.device d
+
+(* a base RIB and an updated one sharing every chunk but those of the
+   replaced devices, with both as reference lists *)
+let gen_pair =
+  let open QCheck.Gen in
+  let* base = gen_rows 60 in
+  let* changed = list_size (int_range 0 3) (oneofl ("d9" :: devices)) in
+  let changed = List.sort_uniq String.compare changed in
+  let* fresh =
+    flatten_l
+      (List.map (fun d -> gen_rows ~devices:[ d ] 12) changed)
+  in
+  return (base, List.combine changed fresh)
+
+let pair_lists (base, reps) =
+  let updated =
+    List.filter
+      (fun (r : Route.t) -> not (List.mem_assoc r.Route.device reps))
+      base
+    @ List.concat_map snd reps
+  in
+  (canon base, canon updated)
+
+let pair_ribs (base, reps) =
+  let b = Rib.of_routes base in
+  (b, Rib.replace b (List.map (fun (d, rs) -> (d, Rib.of_routes rs)) reps))
+
+let arb_pair =
+  QCheck.make
+    ~print:(fun (b, reps) ->
+      Printf.sprintf "%s, replaced %s" (print_rows b)
+        (String.concat "," (List.map fst reps)))
+    gen_pair
 
 (* ------------------------------------------------------------------ *)
-(* Arena drop by prefix id = List.filter                               *)
+(* RIB operations = list reference                                     *)
 (* ------------------------------------------------------------------ *)
 
-let arena_equal (a : Rib.Arena.t) (b : Rib.Arena.t) =
-  a.Rib.Arena.keys = b.Rib.Arena.keys
-  && Array.length a.Rib.Arena.rows = Array.length b.Rib.Arena.rows
-  && Array.for_all2 Route.equal a.Rib.Arena.rows b.Rib.Arena.rows
-  && List.equal Route.equal a.Rib.Arena.overflow b.Rib.Arena.overflow
+let prop_rib_ops =
+  QCheck.Test.make ~count:300 ~name:"Rib operations = list reference"
+    arb_pair
+    (fun ((_, reps) as g) ->
+      let lb, lu = pair_lists g and b, u = pair_ribs g in
+      let keep (r : Route.t) = Route.local_pref r > 100 in
+      let key (r : Route.t) = r.Route.prefix in
+      let ref_groups =
+        List.fold_left
+          (fun acc (r : Route.t) ->
+            if List.exists (fun p -> Prefix.equal p (key r)) acc then acc
+            else key r :: acc)
+          [] lb
+        |> List.rev
+        |> List.map (fun p ->
+               (p, List.filter (fun r -> Prefix.equal (key r) p) lb))
+      in
+      rows_equal (Rib.to_list b) lb
+      && rows_equal (Rib.to_list u) lu
+      && rows_equal (List.of_seq (Rib.to_seq u)) lu
+      && rows_equal (List.rev (Rib.fold List.cons u [])) lu
+      && Rib.length u = List.length lu
+      && Rib.is_empty u = (lu = [])
+      && rows_equal (Rib.to_list (Rib.diff b u))
+           (List.filter (fun r -> not (List.exists (Route.equal r) lu)) lb)
+      && rows_equal (Rib.to_list (Rib.diff u b))
+           (List.filter (fun r -> not (List.exists (Route.equal r) lb)) lu)
+      && Rib.equal b u = rows_equal lb lu
+      && Rib.equal u (Rib.of_routes lu)
+      && rows_equal (Rib.to_list (Rib.union [ b; u; b ])) (canon (lb @ lu))
+      && rows_equal (Rib.to_list (Rib.filter keep u)) (List.filter keep lu)
+      && rows_equal (Rib.to_list (Rib.copy u)) lu
+      && List.equal
+           (fun (p, a) (q, b) -> Prefix.equal p q && rows_equal a b)
+           (List.map (fun (p, rib) -> (p, Rib.to_list rib)) (Rib.group_by key b))
+           ref_groups
+      && List.for_all
+           (fun d ->
+             Rib.shares_device b u d
+             = (List.exists (is_dev d) lb && not (List.mem_assoc d reps)))
+           ("d9" :: devices))
 
-(* Drop a seeded subset of the routes' prefixes (plus one prefix that may
-   lie outside the universe) and compare against the list reference:
-   same arena as keying the surviving routes, and [on_drop] sees the
-   device of exactly the dropped (deduplicated) rows. *)
-let drop_matches_filter ~(universe : Route.t list -> Route.t list)
-    (rs, seed) =
-  let ctx = Rib.Key.of_routes (universe rs) in
-  let prefixes =
-    List.sort_uniq Prefix.compare
-      (List.map (fun (r : Route.t) -> r.Route.prefix) rs)
+(* ------------------------------------------------------------------ *)
+(* The chunk splice = rebuilding from filtered rows                    *)
+(* ------------------------------------------------------------------ *)
+
+type splice_case = {
+  sc_bgp : Route.t list; (* base BGP rows *)
+  sc_locals : (string * Route.t list) list; (* base local tables *)
+  sc_dirty : Prefix.t list;
+  sc_delta : Route.t list; (* the restricted fixpoint's rows *)
+  sc_changed : (string * Route.t list) list; (* new local tables *)
+}
+
+let gen_splice =
+  let open QCheck.Gen in
+  let all = "d6" :: devices in
+  let* sc_bgp = gen_rows 60 in
+  let* sc_locals =
+    flatten_l
+      (List.map
+         (fun d ->
+           map (fun rs -> (d, rs))
+             (gen_rows ~proto:Route.Direct ~devices:[ d ] 4))
+         devices)
   in
-  let dirty_tbl = Prefix.Tbl.create 16 in
-  List.iteri
-    (fun i p -> if (i + seed) mod 3 = 0 then Prefix.Tbl.replace dirty_tbl p ())
-    prefixes;
-  Prefix.Tbl.replace dirty_tbl (Prefix.of_string_exn "192.0.2.0/24") ();
-  let dirty = Prefix.Tbl.mem dirty_tbl in
-  let mask = Bytes.make (Rib.Key.prefix_count ctx) '\000' in
-  Prefix.Tbl.iter
-    (fun p () ->
-      match Rib.Key.prefix_id ctx p with
-      | Some i -> Bytes.set mask i '\001'
-      | None -> ())
-    dirty_tbl;
-  let dropped = ref [] in
-  let got =
-    Rib.Arena.drop_prefixes ctx ~mask ~dirty
-      ~on_drop:(fun d -> dropped := d :: !dropped)
-      (Rib.Arena.of_rib ctx (Rib.of_routes rs))
+  let* sc_dirty =
+    map
+      (fun bits -> List.filteri (fun i _ -> (bits lsr i) land 1 = 1) prefixes)
+      (int_bound 255)
   in
-  let is_dirty (r : Route.t) = dirty r.Route.prefix in
-  let expected =
-    Rib.Arena.of_rib ctx (Rib.of_routes (List.filter (fun r -> not (is_dirty r)) rs))
+  let* sc_delta =
+    if sc_dirty = [] then return []
+    else gen_rows ~devices:all ~prefixes:sc_dirty 15
   in
-  let expected_devices =
-    List.sort_uniq Route.compare rs
-    |> List.filter is_dirty
-    |> List.map (fun (r : Route.t) -> r.Route.device)
+  let* changed = list_size (int_range 0 3) (oneofl all) in
+  let* sc_changed =
+    flatten_l
+      (List.map
+         (fun d ->
+           map (fun rs -> (d, rs))
+             (gen_rows ~proto:Route.Direct ~devices:[ d ] 4))
+         (List.sort_uniq String.compare changed))
   in
-  arena_equal got expected
-  && List.equal String.equal
-       (List.sort String.compare !dropped)
-       (List.sort String.compare expected_devices)
+  return { sc_bgp; sc_locals; sc_dirty; sc_delta; sc_changed }
 
-let arb_drop = QCheck.pair arb_routes QCheck.small_nat
+let arb_splice =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "%s, dirty [%s], %d delta, changed [%s]"
+        (print_rows c.sc_bgp)
+        (String.concat " " (List.map Prefix.to_string c.sc_dirty))
+        (List.length c.sc_delta)
+        (String.concat " " (List.map fst c.sc_changed)))
+    gen_splice
 
-let prop_arena_drop_full_ctx =
-  QCheck.Test.make ~count:200
-    ~name:"arena drop by prefix id = List.filter (complete key universe)"
-    arb_drop
-    (drop_matches_filter ~universe:Fun.id)
+let prop_splice =
+  QCheck.Test.make ~count:300
+    ~name:"chunk splice = of_routes (clean @ delta @ locals), untouched shared"
+    arb_splice
+    (fun c ->
+      let dirty p = List.exists (Prefix.equal p) c.sc_dirty in
+      let locals d =
+        match List.assoc_opt d c.sc_changed with
+        | Some rs -> rs
+        | None -> Option.value (List.assoc_opt d c.sc_locals) ~default:[]
+      in
+      let base_locals = List.concat_map snd c.sc_locals in
+      let base = Rib.of_routes (c.sc_bgp @ base_locals) in
+      let sb =
+        Incremental.Splice.capture ~rib:base
+          ~locals:(Rib.of_routes base_locals)
+      in
+      let tbl = Prefix.Tbl.create 8 in
+      List.iter (fun p -> Prefix.Tbl.replace tbl p ()) c.sc_dirty;
+      let got, st =
+        Incremental.Splice.run sb ~dirty:tbl ~delta:(Rib.of_routes c.sc_delta)
+          ~changed:(List.map fst c.sc_changed) ~locals
+      in
+      let clean =
+        List.filter (fun (r : Route.t) -> not (dirty r.Route.prefix)) c.sc_bgp
+      in
+      let all = "d6" :: devices in
+      let expected =
+        Rib.of_routes (clean @ c.sc_delta @ List.concat_map locals all)
+      in
+      let touched d =
+        List.exists
+          (fun (r : Route.t) -> is_dev d r && dirty r.Route.prefix)
+          c.sc_bgp
+        || List.exists (is_dev d) c.sc_delta
+        || List.mem_assoc d c.sc_changed
+      in
+      let in_base d = not (Rib.is_empty (Rib.device base d)) in
+      Rib.equal got expected
+      && List.for_all
+           (fun d -> touched d || not (in_base d) || Rib.shares_device base got d)
+           all
+      && st.Incremental.Splice.sp_rebuilt = List.length (List.filter touched all)
+      && st.Incremental.Splice.sp_shared
+         = List.length
+             (List.filter (fun d -> in_base d && not (touched d)) all)
+      && st.Incremental.Splice.sp_reused = List.length (canon clean))
 
-let prop_arena_drop_partial_ctx =
-  QCheck.Test.make ~count:200
-    ~name:"arena drop by prefix id = List.filter (partial universe, overflow path)"
-    arb_drop
-    (drop_matches_filter
-       ~universe:
-         (List.filter (fun (r : Route.t) ->
-              String.equal r.Route.vrf "global"
-              && (String.equal r.Route.device "d0"
-                 || String.equal r.Route.device "d1"))))
+(* ------------------------------------------------------------------ *)
+(* Slice readers = row scans                                           *)
+(* ------------------------------------------------------------------ *)
 
-let test_arena_empty () =
-  Alcotest.(check int)
-    "merge of nothing" 0
-    (List.length (Rib.Arena.merge [] :> Route.t list));
-  let ctx = Rib.Key.of_routes [] in
-  Alcotest.(check int)
-    "merge of empties" 0
-    (List.length (Rib.Arena.merge [ Rib.Arena.of_rib ctx Rib.empty ] :> Route.t list))
+let prop_slices =
+  QCheck.Test.make ~count:300
+    ~name:"Rib.device / slot / length / Intents.holders = row scans"
+    arb_pair
+    (fun g ->
+      let _, rows = pair_lists g and _, rib = pair_ribs g in
+      Rib.length rib = List.length rows
+      && List.for_all
+           (fun d ->
+             rows_equal (Rib.to_list (Rib.device rib d))
+               (List.filter (is_dev d) rows)
+             && List.for_all
+                  (fun vrf ->
+                    List.for_all
+                      (fun p ->
+                        rows_equal
+                          (Rib.slot rib ~device:d ~vrf ~prefix:p)
+                          (List.filter
+                             (fun (r : Route.t) ->
+                               is_dev d r
+                               && String.equal r.Route.vrf vrf
+                               && Prefix.equal r.Route.prefix p)
+                             rows))
+                      prefixes)
+                  vrfs)
+           ("d9" :: "zz" :: devices)
+      && List.for_all
+           (fun p ->
+             let h = Intents.holders rib p in
+             List.sort String.compare
+               (Hashtbl.fold (fun d () acc -> d :: acc) h [])
+             = List.sort_uniq String.compare
+                 (List.filter_map
+                    (fun (r : Route.t) ->
+                      if Prefix.equal r.Route.prefix p && Route.selected r
+                      then Some r.Route.device
+                      else None)
+                    rows))
+           (Prefix.of_string_exn "198.51.100.0/24" :: prefixes))
+
+(* A list-scan oracle for the RCL fragment the slice readers serve:
+   [forall device], [forall device in {..}], [device = X] guards and
+   filters, [count] and [PRE = POST].  Violations as (path, rows). *)
+let dev_eq d = Ast.P_cmp ("device", Ast.Eq, Value.Str d)
+
+let rec oracle_pred (p : Ast.pred) (r : Route.t) =
+  match p with
+  | Ast.P_cmp ("device", Ast.Eq, Value.Str d) -> is_dev d r
+  | Ast.P_cmp ("vrf", Ast.Eq, Value.Str v) -> String.equal r.Route.vrf v
+  | Ast.P_and (a, b) -> oracle_pred a r && oracle_pred b r
+  | _ -> invalid_arg "oracle_pred"
+
+let rec oracle_transform t ~pre ~post =
+  match t with
+  | Ast.T_pre -> pre
+  | Ast.T_post -> post
+  | Ast.T_filter (t, p) ->
+      List.filter (oracle_pred p) (oracle_transform t ~pre ~post)
+
+let take n l = List.filteri (fun i _ -> i < n) l
+let cap = take Rcl_verify.max_counterexample_routes
+
+let rec oracle (g : Ast.intent) ~path ~pre ~post :
+    (string list * Route.t list) list =
+  let minus a b =
+    List.filter (fun r -> not (List.exists (Route.equal r) b)) a
+  in
+  let sides t1 t2 =
+    (oracle_transform t1 ~pre ~post, oracle_transform t2 ~pre ~post)
+  in
+  match g with
+  | Ast.G_rib_cmp (t1, true, t2) ->
+      let a, b = sides t1 t2 in
+      if rows_equal a b then []
+      else [ (List.rev path, cap (minus a b @ minus b a)) ]
+  | Ast.G_eval_cmp
+      (Ast.E_agg (t1, Ast.Count), Ast.Eq, Ast.E_agg (t2, Ast.Count)) ->
+      let a, b = sides t1 t2 in
+      if List.length a = List.length b then []
+      else [ (List.rev path, cap (a @ b)) ]
+  | Ast.G_guard (p, g) ->
+      oracle g ~path:("guard" :: path) ~pre:(List.filter (oracle_pred p) pre)
+        ~post:(List.filter (oracle_pred p) post)
+  | Ast.G_forall ("device", g) ->
+      let seen = ref [] in
+      List.iter
+        (fun (r : Route.t) ->
+          if not (List.mem r.Route.device !seen) then
+            seen := r.Route.device :: !seen)
+        (pre @ post);
+      List.concat_map (fun d -> oracle_at d g ~path ~pre ~post) (List.rev !seen)
+  | Ast.G_forall_in ("device", vals, g) ->
+      List.concat_map
+        (function
+          | Value.Str d -> oracle_at d g ~path ~pre ~post
+          | _ -> assert false)
+        vals
+  | Ast.G_and (a, b) -> oracle a ~path ~pre ~post @ oracle b ~path ~pre ~post
+  | _ -> invalid_arg "oracle"
+
+and oracle_at d g ~path ~pre ~post =
+  oracle g
+    ~path:(("forall device=" ^ d) :: path)
+    ~pre:(List.filter (is_dev d) pre) ~post:(List.filter (is_dev d) post)
+
+let gen_intent =
+  let open QCheck.Gen in
+  let dev = oneofl ("d9" :: devices) in
+  let on t = function None -> t | Some p -> Ast.T_filter (t, p) in
+  let leaf =
+    let* scope =
+      oneof
+        [
+          return None;
+          map (fun d -> Some (dev_eq d)) dev;
+          map
+            (fun d ->
+              Some
+                (Ast.P_and
+                   (Ast.P_cmp ("vrf", Ast.Eq, Value.Str "vrf1"), dev_eq d)))
+            dev;
+        ]
+    in
+    oneofl
+      [
+        Ast.G_rib_cmp (on Ast.T_pre scope, true, on Ast.T_post scope);
+        Ast.G_eval_cmp
+          (Ast.E_agg (on Ast.T_pre scope, Ast.Count), Ast.Eq,
+           Ast.E_agg (on Ast.T_post scope, Ast.Count));
+      ]
+  in
+  fix
+    (fun self n ->
+      if n = 0 then leaf
+      else
+        frequency
+          [
+            (2, leaf);
+            (2, map (fun g -> Ast.G_forall ("device", g)) (self (n - 1)));
+            ( 2,
+              map2
+                (fun ds g ->
+                  Ast.G_forall_in
+                    ("device", List.map (fun d -> Value.Str d) ds, g))
+                (list_size (int_range 1 3) dev)
+                (self (n - 1)) );
+            (2, map2 (fun d g -> Ast.G_guard (dev_eq d, g)) dev (self (n - 1)));
+            (1, map2 (fun a b -> Ast.G_and (a, b)) (self (n - 1)) (self (n - 1)));
+          ])
+    2
+
+let prop_rcl_slices =
+  QCheck.Test.make ~count:300
+    ~name:"RCL device slices and count = list-scan oracle"
+    (QCheck.pair arb_pair (QCheck.make gen_intent))
+    (fun (g, intent) ->
+      let pre_l, post_l = pair_lists g and pre, post = pair_ribs g in
+      let got =
+        match Rcl_verify.check intent ~base:pre ~updated:post with
+        | Rcl_verify.Satisfied -> []
+        | Rcl_verify.Violated vs ->
+            List.map
+              (fun (v : Rcl_verify.violation) ->
+                (v.Rcl_verify.v_path, v.Rcl_verify.v_routes))
+              vs
+      in
+      List.equal
+        (fun (p, a) (q, b) -> List.equal String.equal p q && rows_equal a b)
+        got
+        (oracle intent ~path:[] ~pre:pre_l ~post:post_l))
 
 let suite =
   [
     qtest prop_attrs_roundtrip;
     Alcotest.test_case "packed attrs saturate" `Quick test_attrs_saturate;
-    qtest prop_arena_merge_full_ctx;
-    qtest prop_arena_merge_partial_ctx;
-    qtest prop_arena_drop_full_ctx;
-    qtest prop_arena_drop_partial_ctx;
-    Alcotest.test_case "arena edge cases" `Quick test_arena_empty;
+    qtest prop_rib_ops;
+    qtest prop_splice;
+    qtest prop_slices;
+    qtest prop_rcl_slices;
   ]

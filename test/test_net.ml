@@ -237,31 +237,31 @@ let test_global_rib () =
   let r1 = mk_route () and r2 = mk_route ~device:"B" () in
   let r3 = mk_route ~device:"B" ~lp:200 () in
   let g = Rib.of_routes [ r2; r1; r2 ] in
-  check tint "canonical: deduplicated" 2 (List.length (g :> Route.t list));
+  check tint "canonical: deduplicated" 2 (List.length (Rib.to_list g));
   check tbool "canonical: sorted" true
-    (List.equal Route.equal (g :> Route.t list) [ r1; r2 ]);
+    (List.equal Route.equal (Rib.to_list g) [ r1; r2 ]);
   check tbool "set equal, input order independent" true
     (Rib.equal g (Rib.of_routes [ r1; r2 ]));
   check tbool "not equal different" false (Rib.equal g (Rib.of_routes [ r1 ]));
   let d = Rib.diff g (Rib.of_routes [ r1; r3 ]) in
-  check tbool "diff" true (List.equal Route.equal (d :> Route.t list) [ r2 ]);
+  check tbool "diff" true (List.equal Route.equal (Rib.to_list d) [ r2 ]);
   let u = Rib.union [ Rib.of_routes [ r3 ]; g; Rib.of_routes [ r2 ] ] in
   check tbool "union = of_routes over the concatenation" true
     (Rib.equal u (Rib.of_routes [ r3; r2; r1 ]));
   check tbool "copy: equal rows, fresh records" true
     (let c = Rib.copy u in
      Rib.equal c u
-     && List.for_all2 ( != ) (c :> Route.t list) (u :> Route.t list));
+     && List.for_all2 ( != ) (Rib.to_list c) (Rib.to_list u));
   check tbool "filter keeps RIB order" true
     (List.equal Route.equal
-       (Rib.filter (fun r -> r.Route.device = "B") u :> Route.t list)
+       (Rib.to_list (Rib.filter (fun r -> r.Route.device = "B") u))
        [ r2; r3 ]);
   check
     Alcotest.(list (pair string int))
     "group_by: first-appearance order, buckets in RIB order"
     [ ("A", 1); ("B", 2) ]
     (List.map
-       (fun (k, (rows : Rib.t)) -> (k, List.length (rows :> Route.t list)))
+       (fun (k, (rows : Rib.t)) -> (k, List.length (Rib.to_list rows)))
        (Rib.group_by (fun r -> r.Route.device) u))
 
 (* --- Properties --------------------------------------------------------- *)

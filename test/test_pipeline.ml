@@ -284,16 +284,16 @@ let test_executor_oracle () =
     List.iter
       (fun (r : Route.t) ->
         Hashtbl.replace after (r.Route.device, r.Route.prefix) ())
-      ((Route_sim.run patched ~input_routes:b.Preprocess.b_input_routes ())
-         .Route_sim.rib
-        :> Route.t list);
+      (Rib.to_list
+         (Route_sim.run patched ~input_routes:b.Preprocess.b_input_routes ())
+           .Route_sim.rib);
     match
       List.find_opt
         (fun (r : Route.t) ->
           Prefix.subsumes aggregate r.Route.prefix
           && not (Prefix.equal aggregate r.Route.prefix)
           && not (Hashtbl.mem after (r.Route.device, r.Route.prefix)))
-        (Lazy.force b.Preprocess.b_rib :> Route.t list)
+        (Rib.to_list (Lazy.force b.Preprocess.b_rib))
     with
     | Some r ->
         Intents.Route_reach
@@ -526,7 +526,7 @@ let reach_by_scan (intent : Intents.t) (rib : Rib.t) =
                 String.equal r.Route.device dev
                 && Prefix.equal r.Route.prefix rr_prefix
                 && Route.selected r)
-              (rib :> Route.t list)
+              (Rib.to_list rib)
           in
           if present = rr_expect then None
           else
@@ -538,7 +538,7 @@ let reach_by_scan (intent : Intents.t) (rib : Rib.t) =
                 rib
             in
             Some
-              (Intents.violation ~routes:(related :> Route.t list) intent
+              (Intents.violation ~routes:(Rib.to_list related) intent
                  (Printf.sprintf "on %s the prefix is %s" dev
                     (if present then "present" else "absent"))))
         rr_devices

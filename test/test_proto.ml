@@ -660,7 +660,7 @@ let test_well_known_communities () =
     List.exists
       (fun (r : Route.t) ->
         String.equal r.Route.device dev && Prefix.equal r.Route.prefix (pfx p))
-      (rib :> Route.t list)
+      (Rib.to_list rib)
   in
   check tbool "plain route propagates" true (present "R2" "99.0.0.0/24");
   (* R1-R2 is eBGP: NO_EXPORT stops at R1 *)
@@ -689,7 +689,7 @@ let test_no_export_crosses_ibgp () =
        (fun (r : Route.t) ->
          String.equal r.Route.device "X"
          && Prefix.equal r.Route.prefix (pfx "99.1.0.0/24"))
-       (rib :> Route.t list))
+       (Rib.to_list rib))
 
 let test_postcheck () =
   let b = line_with_pass () in
@@ -763,8 +763,7 @@ let test_regex_injection_into_model () =
       (fun (r : Route.t) ->
         String.equal r.Route.device "R2"
         && Prefix.equal r.Route.prefix (pfx "66.0.0.0/24"))
-      ((Route_sim.run model ~input_routes:inputs ()).Route_sim.rib
-        :> Route.t list)
+      (Rib.to_list (Route_sim.run model ~input_routes:inputs ()).Route_sim.rib)
   in
   check tbool "correct engine denies the deep match" false (has strict);
   check tbool "legacy engine lets it through" true (has flawed)

@@ -99,7 +99,7 @@ let test_fig9_models_diverge_only_at_a () =
     (Route_sim.run sc.S.dg_hoyan_model ~input_routes:sc.S.dg_inputs ()).Route_sim.rib
   in
   let diff =
-    (Rib.diff live sim :> Route.t list) @ (Rib.diff sim live :> Route.t list)
+    Rib.to_list (Rib.diff live sim) @ Rib.to_list (Rib.diff sim live)
   in
   check tbool "models diverge" true (diff <> []);
   List.iter

@@ -180,7 +180,7 @@ let sim_present b ~device =
   List.exists
     (fun (r : Route.t) ->
       String.equal r.Route.device device && Prefix.equal r.Route.prefix p99)
-    (rib :> Route.t list)
+    (Rib.to_list rib)
 
 let test_sim_crosscheck () =
   (* every (network, device) the pre-checker gives a definite verdict on
@@ -265,7 +265,7 @@ let test_verify_request_skip () =
   let r = VR.run base rq in
   check tbool "all intents resolved: simulation skipped" true
     (r.VR.vr_route = VR.Resolved);
-  check tint "skipped run computes no RIB" 0 (List.length (r.VR.vr_updated_rib :> Route.t list));
+  check tint "skipped run computes no RIB" 0 (Rib.length r.VR.vr_updated_rib);
   check tint "both intents carry a verdict" 2 (List.length r.VR.vr_precheck);
   check tint "the refuted intent is the one violation" 1
     (List.length r.VR.vr_violations);

@@ -109,7 +109,7 @@ let test_isp_confinement () =
         && (match Topology.device g.G.model.Model.topo r.Route.device with
            | Some d -> d.Topology.role = Topology.Wan_core
            | None -> false))
-      (rib :> Route.t list)
+      (Rib.to_list rib)
   in
   check tint "no ISP route on cores" 0 (List.length offenders)
 
