@@ -21,7 +21,7 @@ module Telemetry = Hoyan_telemetry.Telemetry
 module Lint = Hoyan_analysis.Lint
 module Semantic = Hoyan_analysis.Semantic
 module Feq = Hoyan_analysis.Failure_eq
-module Parallel = Hoyan_dist.Parallel
+module Parallel = Hoyan_sim.Parallel
 module Isis = Hoyan_proto.Isis
 
 type failure = Feq.failure =

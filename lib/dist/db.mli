@@ -12,7 +12,7 @@
 
     Entries are opaque: reads and writes go through accessors, each
     protected by the entry's own mutex, so one database is safe to share
-    across concurrent {!Parallel} workers. *)
+    across concurrent {!Hoyan_sim.Parallel} workers. *)
 
 open Hoyan_net
 

@@ -595,7 +595,7 @@ let route_worker_step (t : t) ~(use_ecs : bool)
               let t0 = Unix.gettimeofday () in
               let res =
                 Route_sim.run ~tm:t.tm ~use_ecs ~include_locals:false
-                  ~originate:false t.model ~input_routes:inputs ()
+                  ~originate:false ~domains:1 t.model ~input_routes:inputs ()
               in
               let dt = Unix.gettimeofday () -. t0 in
               let rows =
@@ -657,8 +657,8 @@ let run_route_phase ?(strategy = Split.Ordered) ?(subtasks = 100)
   (* the shared base RIB: routes originated by network statements and
      their propagation, independent of the input routes *)
   let base_rows =
-    (Route_sim.run ~tm:t.tm ~use_ecs ~include_locals:false t.model
-       ~input_routes:[] ())
+    (Route_sim.run ~tm:t.tm ~use_ecs ~include_locals:false ~domains:1
+       t.model ~input_routes:[] ())
       .Route_sim.rib
   in
   t.base_rows <- Some base_rows;

@@ -9,7 +9,7 @@
 
     All operations (including the read/write accounting) take the
     store's mutex, so one instance can be shared by concurrent
-    {!Parallel} workers. *)
+    {!Hoyan_sim.Parallel} workers. *)
 
 open Hoyan_net
 

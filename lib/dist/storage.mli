@@ -3,7 +3,7 @@
     files, so the cost model can convert them into simulated I/O time.
 
     Mutex-protected (including the accounting), so one instance can be
-    shared by concurrent {!Parallel} workers. *)
+    shared by concurrent {!Hoyan_sim.Parallel} workers. *)
 
 open Hoyan_net
 

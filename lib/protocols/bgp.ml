@@ -831,9 +831,12 @@ let create (net : network) : dev_state Smap.t =
     aggregates dirty, dirty aggregate ⇒ its candidate components dirty) —
     the incremental engine's contract, oracle-checked by its selfcheck.
     [tm] (default: the process-global telemetry handle) receives
-    per-round journal events and decision-process counters.  All state
-    is local to the call, so domains may run it concurrently. *)
-let run ?tm ?(originate = true) ?only (net : network) (input : input) :
+    per-round journal events and decision-process counters; each
+    [bgp.round] event names the run's [shard] (default 0), the prefix
+    shard of {!Hoyan_sim.Route_sim.run} it converges.  All state is
+    local to the call, so domains may run it concurrently. *)
+let run ?tm ?(originate = true) ?only ?(shard = 0) (net : network)
+    (input : input) :
     Route.t list * stats =
   let keep = match only with None -> fun _ -> true | Some f -> f in
   let tm =
@@ -900,6 +903,7 @@ let run ?tm ?(originate = true) ?only (net : network) (input : input) :
         dirty_prefixes;
       Hoyan_telemetry.Telemetry.event tm "bgp.round"
         [
+          ("shard", Hoyan_telemetry.Journal.I shard);
           ("round", Hoyan_telemetry.Journal.I !rounds);
           ("dirty_devices", Hoyan_telemetry.Journal.I (List.length work));
           ("dirty_prefixes", Hoyan_telemetry.Journal.I dirty_prefixes);

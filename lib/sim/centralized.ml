@@ -97,7 +97,7 @@ let run ?(chunks = 50) ?(time_budget_s = infinity) ~(mem_cap_bytes : int)
         (* the run deadline passed: the remaining prefixes never complete *)
         skipped := !skipped + chunk_prefixes
       else begin
-        let res = Route_sim.run model ~input_routes:chunk () in
+        let res = Route_sim.run ~domains:1 model ~input_routes:chunk () in
         let rows = Rib.length res.Route_sim.rib in
         let adj = res.Route_sim.bgp_stats.Hoyan_proto.Bgp.st_messages in
         let transient = (rows * bytes_per_rib_row) + (adj * bytes_per_adj_entry) in

@@ -2,7 +2,7 @@
 
     Spans are explicit handles rather than an implicit thread-local
     stack, so a span can be opened before work is handed to a
-    {!Hoyan_dist.Parallel} domain and closed wherever the work finishes.
+    {!Hoyan_sim.Parallel} domain and closed wherever the work finishes.
     Completed spans are recorded as Chrome "complete" events (ph "X")
     with the recording domain's id as [tid] — loading the file in
     chrome://tracing or Perfetto shows one lane per domain.

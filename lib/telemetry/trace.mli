@@ -1,7 +1,7 @@
 (** Tracer: nestable timed spans emitting Chrome trace-event JSON.
 
     Spans are explicit handles (no implicit thread-local stack), so they
-    compose with {!Hoyan_dist.Parallel} domains: open a span anywhere,
+    compose with {!Hoyan_sim.Parallel} domains: open a span anywhere,
     close it wherever the work completes.  Completed spans are recorded
     as Chrome "complete" events with the recording domain's id as [tid];
     per-domain shards keep the hot path nearly contention-free and are

@@ -11,7 +11,7 @@ module Journal = Hoyan_telemetry.Journal
 module Json = Hoyan_telemetry.Json
 module G = Hoyan_workload.Generator
 module Framework = Hoyan_dist.Framework
-module Parallel = Hoyan_dist.Parallel
+module Parallel = Hoyan_sim.Parallel
 module Db = Hoyan_dist.Db
 
 let check = Alcotest.check
@@ -360,33 +360,69 @@ let test_pipeline_metrics_coverage () =
     (Journal.find tm.Telemetry.journal "bgp.round" <> [])
 
 (* The BGP kernel counts its export-policy evaluations: once per
-   (route, export group), not per session.  On [small] every round event
-   carries the running count, the last one the total, and the total is
-   pinned (3,598 when each session evaluated the policy itself). *)
+   (route, export group), not per session.  On [small] the total is
+   pinned (3,598 when each session evaluated the policy itself), and
+   split into prefix shards it stays the same: each shard's round
+   events carry its running count, which never falls, and the shards'
+   last counts sum to the counter.  One [route.shard] span per shard
+   carries its messages. *)
 let test_bgp_export_evals () =
   let g = Lazy.force scenario in
-  let tm = Telemetry.create () in
-  let _ =
-    Hoyan_sim.Route_sim.run ~tm g.G.model ~input_routes:g.G.input_routes ()
-  in
-  let evals =
-    Metrics.counter_value tm.Telemetry.metrics "hoyan_bgp_export_evals_total"
-  in
-  check tint "export evaluations" 1251 evals;
-  check tint "messages" 1464
-    (Metrics.counter_value tm.Telemetry.metrics "hoyan_bgp_messages_total");
-  let per_round =
-    List.map
-      (fun e ->
-        match List.assoc_opt "export_evals" e.Journal.ev_fields with
+  List.iter
+    (fun domains ->
+      let msg s = Printf.sprintf "%d domain(s): %s" domains s in
+      let tm = Telemetry.create () in
+      let res =
+        Hoyan_sim.Route_sim.run ~tm ~domains g.G.model
+          ~input_routes:g.G.input_routes ()
+      in
+      check tint (msg "shards") domains res.Hoyan_sim.Route_sim.shards;
+      let counter = Metrics.counter_value tm.Telemetry.metrics in
+      let evals = counter "hoyan_bgp_export_evals_total" in
+      check tint (msg "export evaluations") 1251 evals;
+      check tint (msg "messages") 1464 (counter "hoyan_bgp_messages_total");
+      let field name (e : Journal.event) =
+        match List.assoc_opt name e.Journal.ev_fields with
         | Some (Journal.I n) -> n
-        | _ -> Alcotest.fail "bgp.round without export_evals")
-      (Journal.find tm.Telemetry.journal "bgp.round")
-  in
-  check tbool "running count never falls" true
-    (List.sort compare per_round = per_round);
-  check tint "last round carries the total" evals
-    (List.nth per_round (List.length per_round - 1))
+        | _ -> Alcotest.fail ("bgp.round without " ^ name)
+      in
+      let rounds = Journal.find tm.Telemetry.journal "bgp.round" in
+      let shards = List.sort_uniq compare (List.map (field "shard") rounds) in
+      check
+        Alcotest.(list int)
+        (msg "every shard reports its rounds")
+        (List.init domains Fun.id) shards;
+      let last_counts =
+        List.map
+          (fun k ->
+            let per_round =
+              List.filter_map
+                (fun e ->
+                  if field "shard" e = k then Some (field "export_evals" e)
+                  else None)
+                rounds
+            in
+            check tbool
+              (msg (Printf.sprintf "shard %d: running count never falls" k))
+              true
+              (List.sort compare per_round = per_round);
+            List.nth per_round (List.length per_round - 1))
+          shards
+      in
+      check tint (msg "the shards' last counts sum to the total") evals
+        (List.fold_left ( + ) 0 last_counts);
+      let shard_spans =
+        List.filter
+          (fun (e : Trace.event) -> e.Trace.te_name = "route.shard")
+          (Trace.events tm.Telemetry.trace)
+      in
+      check tint (msg "one span per shard") domains (List.length shard_spans);
+      check tint (msg "shard spans carry every message") 1464
+        (List.fold_left
+           (fun n (e : Trace.event) ->
+             n + int_of_string (List.assoc "messages" e.Trace.te_args))
+           0 shard_spans))
+    [ 1; 2 ]
 
 let test_retry_telemetry () =
   let g = Lazy.force scenario in
