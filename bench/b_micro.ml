@@ -86,13 +86,14 @@ let tests () =
     Test.make ~name:"flow EC key (precomputed union trie)"
       (Staged.stage (fun () -> Traffic_sim.flow_ec_key_pre ecx flow))
   in
-  (* batched FIB/trie construction over the full small-WAN RIB *)
+  (* FIB construction over the full small-WAN RIB: one pass per device
+     chunk, the devices on domains *)
   let fib_build =
-    Test.make ~name:"FIB build (batched tries, small RIB)"
+    Test.make ~name:"FIB build (one pass per device chunk, small RIB)"
       (Staged.stage (fun () -> Traffic_sim.build_fibs rib))
   in
   (* the BGP fixpoint on a slice of inputs: dominated by the per-
-     (vrf, prefix) rib_in/loc_rib churn this PR trims *)
+     (vrf, prefix) adj-rib-in and loc-rib table work *)
   let bgp_inputs = List.filteri (fun i _ -> i < 100) g.G.input_routes in
   let bgp_fixpoint =
     Test.make ~name:"BGP fixpoint (small WAN, 100 inputs)"

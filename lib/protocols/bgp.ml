@@ -815,6 +815,41 @@ let create (net : network) : dev_state Smap.t =
     net;
   states
 
+(* Each device's AS-path matcher behind a verdict memo keyed by (pattern,
+   rendered path), one memo per distinct matcher: a filter's pattern then
+   compiles and runs once per path it meets rather than once per policy
+   evaluation.  The memo belongs to one run, so it lives no longer than
+   the run and is only ever touched by the domain running it. *)
+let memo_regex (net : network) : network =
+  let memos = ref [] in
+  let memoise (matcher : string -> string -> bool) =
+    match List.assq_opt matcher !memos with
+    | Some m -> m
+    | None ->
+        let by_pattern : (string, (string, bool) Hashtbl.t) Hashtbl.t =
+          Hashtbl.create 16
+        in
+        let m pattern path =
+          let verdicts =
+            match Hashtbl.find_opt by_pattern pattern with
+            | Some t -> t
+            | None ->
+                let t = Hashtbl.create 256 in
+                Hashtbl.add by_pattern pattern t;
+                t
+          in
+          match Hashtbl.find_opt verdicts path with
+          | Some v -> v
+          | None ->
+              let v = matcher pattern path in
+              Hashtbl.add verdicts path v;
+              v
+        in
+        memos := (matcher, m) :: !memos;
+        m
+  in
+  Smap.map (fun ctx -> { ctx with d_regex = memoise ctx.d_regex }) net
+
 (** Run the fixpoint and return (the BGP rows of the global RIB, in no
     particular order — [Route_sim.run] canonicalises them — and stats).
     Each round selects every dirty (vrf, prefix), exports a changed
@@ -833,8 +868,9 @@ let create (net : network) : dev_state Smap.t =
     [tm] (default: the process-global telemetry handle) receives
     per-round journal events and decision-process counters; each
     [bgp.round] event names the run's [shard] (default 0), the prefix
-    shard of {!Hoyan_sim.Route_sim.run} it converges.  All state is
-    local to the call, so domains may run it concurrently. *)
+    shard of {!Hoyan_sim.Route_sim.run} it converges.  All state, the
+    AS-path verdict memo ({!memo_regex}) included, is local to the call,
+    so domains may run it concurrently. *)
 let run ?tm ?(originate = true) ?only ?(shard = 0) (net : network)
     (input : input) :
     Route.t list * stats =
@@ -844,6 +880,7 @@ let run ?tm ?(originate = true) ?only ?(shard = 0) (net : network)
     | Some tm -> tm
     | None -> Hoyan_telemetry.Telemetry.get ()
   in
+  let net = memo_regex net in
   let states = create net in
   let sim =
     { devs =

@@ -10,29 +10,48 @@ type rib = Rib.t
 
 (* --- route predicates --------------------------------------------------- *)
 
-let rec eval_pred (p : Ast.pred) (r : Route.t) : bool =
+(* Staged: [eval_pred p] resolves the predicate once, compiling each
+   [matches] pattern then, and the closure it returns tests rows. *)
+let rec eval_pred (p : Ast.pred) : Route.t -> bool =
   match p with
   | Ast.P_cmp (field, op, v) -> (
-      let fv = Fields.get field r in
-      match Value.cmp (Ast.cmp_op op) fv v with
-      | Some b -> b
-      | None -> false)
+      let op = Ast.cmp_op op in
+      fun r ->
+        match Value.cmp op (Fields.get field r) v with
+        | Some b -> b
+        | None -> false)
   | Ast.P_contains (field, v) -> (
-      match Fields.get field r with
-      | Value.Set members -> List.exists (Value.equal v) members
-      | fv -> Value.equal fv v)
+      fun r ->
+        match Fields.get field r with
+        | Value.Set members -> List.exists (Value.equal v) members
+        | fv -> Value.equal fv v)
   | Ast.P_in (field, vals) ->
-      let fv = Fields.get field r in
-      List.exists (Value.equal fv) vals
+      fun r ->
+        let fv = Fields.get field r in
+        List.exists (Value.equal fv) vals
   | Ast.P_matches (field, regex) -> (
-      match Fields.get field r with
-      | Value.Str s -> Hoyan_regex.Regex.matches_str regex s
-      | Value.Num n -> Hoyan_regex.Regex.matches_str regex (Value.to_string (Value.Num n))
-      | Value.Set _ -> false)
-  | Ast.P_and (a, b) -> eval_pred a r && eval_pred b r
-  | Ast.P_or (a, b) -> eval_pred a r || eval_pred b r
-  | Ast.P_imply (a, b) -> (not (eval_pred a r)) || eval_pred b r
-  | Ast.P_not a -> not (eval_pred a r)
+      (* a malformed pattern never matches *)
+      match Hoyan_regex.Regex.compile_opt regex with
+      | None -> fun _ -> false
+      | Some re -> (
+          fun r ->
+            match Fields.get field r with
+            | Value.Str s -> Hoyan_regex.Regex.matches re s
+            | Value.Num n ->
+                Hoyan_regex.Regex.matches re (Value.to_string (Value.Num n))
+            | Value.Set _ -> false))
+  | Ast.P_and (a, b) ->
+      let a = eval_pred a and b = eval_pred b in
+      fun r -> a r && b r
+  | Ast.P_or (a, b) ->
+      let a = eval_pred a and b = eval_pred b in
+      fun r -> a r || b r
+  | Ast.P_imply (a, b) ->
+      let a = eval_pred a and b = eval_pred b in
+      fun r -> (not (a r)) || b r
+  | Ast.P_not a ->
+      let a = eval_pred a in
+      fun r -> not (a r)
 
 (* The device a predicate pins rows to: [device = "X"], alone or as a
    conjunct.  Such a filter reads only that device's chunk. *)

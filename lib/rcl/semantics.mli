@@ -8,7 +8,8 @@ open Hoyan_net
 
 type rib = Rib.t
 
-(** Route-predicate evaluation on one row. *)
+(** Route-predicate evaluation, staged: [eval_pred p] compiles [p]'s
+    [matches] patterns once, and the closure it returns tests one row. *)
 val eval_pred : Ast.pred -> Route.t -> bool
 
 (** [filter p rib] keeps the rows satisfying [p] (the paper's

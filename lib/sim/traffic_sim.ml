@@ -42,49 +42,52 @@ let install (rows : Route.t list) : Route.t list =
   List.filter (fun (r : Route.t) -> r.Route.preference = min_pref) selected
   |> List.sort Route.compare
 
+(** One device's FIB, in one pass over its chunk: the chunk is sorted by
+    (vrf, prefix), so each default-VRF slot is a run of consecutive
+    rows.  Each run binds its {!install}ed routes; [None] when nothing
+    is installed. *)
+let build_fib (chunk : Rib.t) : Route.t list Trie.Dual.t option =
+  let b = Trie.Dual.Builder.create () in
+  let flush prefix rows =
+    match install rows with
+    | [] -> ()
+    | installed -> Trie.Dual.Builder.add b prefix installed
+  in
+  (* the open run: its prefix and rows *)
+  let run = ref None in
+  Rib.iter
+    (fun (r : Route.t) ->
+      if String.equal r.Route.vrf Route.default_vrf then
+        match !run with
+        | Some (p, rows) when Prefix.equal p r.Route.prefix ->
+            run := Some (p, r :: rows)
+        | open_run ->
+            Option.iter (fun (p, rows) -> flush p rows) open_run;
+            run := Some (r.Route.prefix, [ r ]))
+    chunk;
+  Option.iter (fun (p, rows) -> flush p rows) !run;
+  let trie = Trie.Dual.Builder.build b in
+  if Trie.Dual.is_empty trie then None else Some trie
+
 (** Build per-device FIBs (default VRF) from a global RIB: each
     (device, prefix) slot binds its {!install}ed routes.  Leaf route
     lists are [Route.compare]-sorted, so the trie contents are a
     function of the RIB's row {e set} — never its list order.  That
     canonicalization is what lets the incremental engine patch a base
     build slot by slot ({!patch_fibs}) with byte-identical traffic
-    results.  A device with nothing installed gets no trie. *)
+    results.  Each device's trie reads only its own chunk
+    ({!build_fib}), so the devices run on {!Parallel.map} domains.  A
+    device with nothing installed gets no trie. *)
 let build_fibs (rib : Rib.t) : fib =
-  (* group per device, prefix *)
-  let tbl : (string * Prefix.t, Route.t list) Hashtbl.t = Hashtbl.create 4096 in
-  Rib.iter
-    (fun (r : Route.t) ->
-      if String.equal r.Route.vrf Route.default_vrf then begin
-        let key = (r.Route.device, r.Route.prefix) in
-        let existing = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
-        Hashtbl.replace tbl key (r :: existing)
-      end)
-    rib;
-  (* batch-build one mutable trie builder per device: the persistent
-     [Trie.Dual.add] copies a whole spine per prefix, which dominated FIB
-     construction time on WAN-scale RIBs *)
-  let builders : (string, Route.t list Trie.Dual.Builder.builder) Hashtbl.t =
-    Hashtbl.create 64
+  let tries =
+    Parallel.map (fun (dev, chunk) -> (dev, build_fib chunk))
+      (Rib.by_device rib)
   in
-  Hashtbl.iter
-    (fun (dev, prefix) routes ->
-      match install routes with
-      | [] -> ()
-      | installed ->
-          let b =
-            match Hashtbl.find_opt builders dev with
-            | Some b -> b
-            | None ->
-                let b = Trie.Dual.Builder.create () in
-                Hashtbl.add builders dev b;
-                b
-          in
-          Trie.Dual.Builder.add b prefix installed)
-    tbl;
-  let fibs : fib = Hashtbl.create (Hashtbl.length builders) in
-  Hashtbl.iter
-    (fun dev b -> Hashtbl.replace fibs dev (Trie.Dual.Builder.build b))
-    builders;
+  let fibs : fib = Hashtbl.create (List.length tries) in
+  List.iter
+    (function
+      | dev, Some trie -> Hashtbl.replace fibs dev trie | _, None -> ())
+    tries;
   fibs
 
 let fib_lookup (fibs : fib) dev (addr : Ip.t) :

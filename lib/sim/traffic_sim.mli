@@ -22,7 +22,10 @@ val install : Route.t list -> Route.t list
 
 (** Build FIBs from a global RIB: every default-VRF slot binds its
     {!install}ed routes (trie contents depend on the row set, not list
-    order); a device with nothing installed gets no trie. *)
+    order); a device with nothing installed gets no trie.  Each device's
+    trie is built in one pass over its sorted chunk ({!Rib.by_device}),
+    where a slot is a run of consecutive rows, and the devices run on
+    {!Parallel.map} domains. *)
 val build_fibs : Rib.t -> fib
 
 val fib_lookup : fib -> string -> Ip.t -> (Prefix.t * Route.t list) option

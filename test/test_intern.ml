@@ -491,6 +491,125 @@ let prop_rcl_slices =
         got
         (oracle intent ~path:[] ~pre:pre_l ~post:post_l))
 
+(* ------------------------------------------------------------------ *)
+(* FIB build = grouping reference                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Traffic_sim = Hoyan_sim.Traffic_sim
+module Parallel = Hoyan_sim.Parallel
+module G = Hoyan_workload.Generator
+
+(* The reference build: group every default-VRF row by (device, prefix)
+   in one table, then bind each group's installed routes into its
+   device's trie. *)
+let reference_fibs (rib : Rib.t) : Traffic_sim.fib =
+  let tbl : (string * Prefix.t, Route.t list) Hashtbl.t = Hashtbl.create 64 in
+  Rib.iter
+    (fun (r : Route.t) ->
+      if String.equal r.Route.vrf Route.default_vrf then begin
+        let key = (r.Route.device, r.Route.prefix) in
+        let existing = Option.value (Hashtbl.find_opt tbl key) ~default:[] in
+        Hashtbl.replace tbl key (r :: existing)
+      end)
+    rib;
+  let builders = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun (dev, prefix) routes ->
+      match Traffic_sim.install routes with
+      | [] -> ()
+      | installed ->
+          let b =
+            match Hashtbl.find_opt builders dev with
+            | Some b -> b
+            | None ->
+                let b = Trie.Dual.Builder.create () in
+                Hashtbl.add builders dev b;
+                b
+          in
+          Trie.Dual.Builder.add b prefix installed)
+    tbl;
+  let fibs = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun dev b -> Hashtbl.replace fibs dev (Trie.Dual.Builder.build b))
+    builders;
+  fibs
+
+(* the same devices, each binding the same prefixes to the same routes *)
+let fibs_equal (a : Traffic_sim.fib) (b : Traffic_sim.fib) =
+  let devs t = List.sort compare (Hashtbl.fold (fun d _ l -> d :: l) t []) in
+  List.equal String.equal (devs a) (devs b)
+  && Hashtbl.fold
+       (fun dev ta ok ->
+         ok
+         && List.equal
+              (fun (p, rs) (q, ss) -> Prefix.equal p q && rows_equal rs ss)
+              (Trie.Dual.to_list ta)
+              (Trie.Dual.to_list (Hashtbl.find b dev)))
+       a true
+
+(* Rows of every admin preference and route type over v4 and v6
+   prefixes in three VRFs, one Backup-only default-VRF slot, and device
+   "dv" whose rows all lie outside the default VRF. *)
+let gen_fib_rib =
+  let open QCheck.Gen in
+  let* rows = gen_rows 80 in
+  let* prefs = list_repeat (List.length rows) (oneofl [ 20; 115; 200 ]) in
+  let rows =
+    List.map2 (fun (r : Route.t) preference -> { r with Route.preference })
+      rows prefs
+  in
+  let* backup_prefix = oneofl prefixes in
+  let backup =
+    List.map
+      (fun lp ->
+        Route.make ~device:"d0" ~prefix:backup_prefix ~local_pref:lp
+          ~route_type:Route.Backup ())
+      [ 100; 101 ]
+  in
+  let* vrf_only = gen_rows ~devices:[ "dv" ] 10 in
+  let vrf_only =
+    List.map
+      (fun (r : Route.t) ->
+        if String.equal r.Route.vrf Route.default_vrf then
+          { r with Route.vrf = "vrf1" }
+        else r)
+      vrf_only
+  in
+  return
+    (List.filter
+       (fun (r : Route.t) ->
+         not
+           (String.equal r.Route.device "d0"
+           && String.equal r.Route.vrf Route.default_vrf
+           && Prefix.equal r.Route.prefix backup_prefix))
+       rows
+    @ backup @ vrf_only)
+
+let prop_fib_build =
+  QCheck.Test.make ~count:300 ~name:"FIB build = grouping reference"
+    (QCheck.make ~print:print_rows gen_fib_rib)
+    (fun rows ->
+      let rib = Rib.of_routes rows in
+      let want = reference_fibs rib in
+      (* run at the default domain count, and nested in an outer map *)
+      fibs_equal (Traffic_sim.build_fibs rib) want
+      && (not (Hashtbl.mem (Traffic_sim.build_fibs rib) "dv"))
+      && List.for_all
+           (fun f -> fibs_equal f want)
+           (Parallel.map ~domains:2
+              (fun () -> Traffic_sim.build_fibs rib)
+              [ (); () ]))
+
+let test_fib_build_wan () =
+  let g = G.generate { G.wan with G.g_seed = 1 } in
+  let rib =
+    (Hoyan_sim.Route_sim.run g.G.model ~input_routes:g.G.input_routes ())
+      .Hoyan_sim.Route_sim.rib
+  in
+  Alcotest.(check bool)
+    "wan seed 1: build = reference" true
+    (fibs_equal (Traffic_sim.build_fibs rib) (reference_fibs rib))
+
 let suite =
   [
     qtest prop_attrs_roundtrip;
@@ -499,4 +618,7 @@ let suite =
     qtest prop_splice;
     qtest prop_slices;
     qtest prop_rcl_slices;
+    qtest prop_fib_build;
+    Alcotest.test_case "FIB build = grouping reference on wan" `Slow
+      test_fib_build_wan;
   ]

@@ -722,8 +722,9 @@ let test_postcheck () =
   in
   check tbool "inconsistency triggers rollback" false v2.Postcheck.pc_consistent
 
-let test_regex_injection_into_model () =
-  (* the model-level regex hook changes policy behaviour end to end *)
+(* R2 denies, on import from R1, every path that [".* 666 .*"] matches:
+   a deep match the legacy regex engine misses. *)
+let deep_filter_line () =
   let b = line_with_pass () in
   B.update_config b "R2" (fun cfg ->
       { cfg with
@@ -752,6 +753,11 @@ let test_regex_injection_into_model () =
                     { nb with Types.nb_import = Some "IMP" }
                   else nb)
                 cfg.Types.dc_bgp.Types.bgp_neighbors } });
+  b
+
+let test_regex_injection_into_model () =
+  (* the model-level regex hook changes policy behaviour end to end *)
+  let b = deep_filter_line () in
   let inputs =
     [ B.input_route ~device:"R1" ~prefix:"66.0.0.0/24"
         ~as_path:[ 1; 2; 666; 3 ] () ]
@@ -768,6 +774,43 @@ let test_regex_injection_into_model () =
   check tbool "correct engine denies the deep match" false (has strict);
   check tbool "legacy engine lets it through" true (has flawed)
 
+(* The fixpoint memoises AS-path verdicts per run, keyed by (pattern,
+   rendered path): the injected legacy matcher still decides every
+   verdict, and runs once per distinct pair, not once per evaluation. *)
+let test_regex_memo_keeps_legacy_verdict () =
+  let b = deep_filter_line () in
+  let prefixes = List.init 6 (Printf.sprintf "66.0.%d.0/24") in
+  (* one MED per prefix, so no two share an equivalence class and each
+     is evaluated on its own *)
+  let inputs =
+    List.mapi
+      (fun med prefix ->
+        B.input_route ~device:"R1" ~prefix ~as_path:[ 1; 2; 666; 3 ] ~med ())
+      prefixes
+  in
+  let calls = ref [] in
+  let counting pattern path =
+    calls := (pattern, path) :: !calls;
+    Hoyan_regex.Regex.Legacy.matches_str pattern path
+  in
+  let at_r2 model =
+    let rib =
+      (Route_sim.run ~domains:1 model ~input_routes:inputs ()).Route_sim.rib
+    in
+    List.filter
+      (fun p -> Rib.slot rib ~device:"R2" ~vrf:Route.default_vrf
+                  ~prefix:(pfx p) <> [])
+      prefixes
+  in
+  check (Alcotest.list Alcotest.string) "legacy verdict on every prefix"
+    prefixes (at_r2 (B.build ~regex:counting b));
+  check (Alcotest.list Alcotest.string) "correct engine denies them all" []
+    (at_r2 (B.build b));
+  let distinct = List.sort_uniq compare !calls in
+  check tbool "the injected matcher ran" true (distinct <> []);
+  check Alcotest.int "one call per (pattern, path)" (List.length distinct)
+    (List.length !calls)
+
 let suite =
   [
     ("SR tunnel along the IGP path", `Quick, test_sr_igp_path_tunnel);
@@ -783,5 +826,8 @@ let suite =
     ("NO_EXPORT crosses iBGP", `Quick, test_no_export_crosses_ibgp);
     ("post-change validation", `Quick, test_postcheck);
     ("regex engine injection", `Quick, test_regex_injection_into_model);
+    ( "regex memo keeps the legacy verdict",
+      `Quick,
+      test_regex_memo_keeps_legacy_verdict );
     ("a patched model stays TE-blind", `Quick, test_patch_keeps_te_blindness);
   ]
