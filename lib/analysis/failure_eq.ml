@@ -610,18 +610,22 @@ let analyze ?tm ?(devices = false) ?(links = true) (t : t) ~(k : int)
     (fp : footprint) : plan =
   let tm = match tm with Some tm -> tm | None -> t.an_tm in
   (* IGP rows the scenario views reused from the no-failure rows /
-     recomputed on the masked graph, counted and put on the span *)
-  let reused = ref 0 and recomputed = ref 0 in
+     repaired or recomputed on the masked graph, and the nodes they
+     re-settled, counted and put on the span *)
+  let reused = ref 0 and recomputed = ref 0 and resettled = ref 0 in
   let sp = Telemetry.span tm "whatif.analyze" in
   Fun.protect
     ~finally:(fun () ->
       Telemetry.count tm "hoyan_whatif_igp_rows_reused_total" !reused;
       Telemetry.count tm "hoyan_whatif_igp_rows_recomputed_total" !recomputed;
+      Telemetry.count tm "hoyan_whatif_igp_vertices_resettled_total"
+        !resettled;
       Telemetry.finish tm sp
         ~args:
           [
             ("igp_rows_reused", string_of_int !reused);
             ("igp_rows_recomputed", string_of_int !recomputed);
+            ("igp_vertices_resettled", string_of_int !resettled);
           ])
     (fun () ->
       match footprint_prefixes fp with
@@ -702,6 +706,7 @@ let analyze ?tm ?(devices = false) ?(links = true) (t : t) ~(k : int)
             let v = view_of sl fs in
             reused := !reused + Isis.reused v;
             recomputed := !recomputed + Isis.recomputed v;
+            resettled := !resettled + Isis.resettled v;
             v
           in
           let base_fp = fingerprint t sl (view []) in

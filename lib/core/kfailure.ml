@@ -123,17 +123,19 @@ let apply_failures (model : Model.t) (fs : failure list) : Model.t =
    fingerprints): sound because a footprint declares everything
    [p_check] observes, and per-prefix decomposability makes the
    restricted run converge the footprint's rows exactly.  With the
-   verdict come the IGP rows the scenario's view reused and recomputed. *)
+   verdict come the IGP rows the scenario's view reused and recomputed
+   and the nodes it re-settled. *)
 let simulate_scenario ?only (model : Model.t) ~input_routes ~flows
-    (prop : property) (fs : failure list) : string option * int * int =
+    (prop : property) (fs : failure list) : string option * (int * int * int)
+    =
   let failed_model = apply_failures model fs in
   let rib =
     (Route_sim.run ?only failed_model ~input_routes ()).Route_sim.rib
   in
   let traffic = lazy (Traffic_sim.run failed_model ~rib ~flows ()) in
   let igp = failed_model.Model.igp in
-  (prop.p_check ~model:failed_model ~rib ~traffic, Isis.reused igp,
-   Isis.recomputed igp)
+  ( prop.p_check ~model:failed_model ~rib ~traffic,
+    (Isis.reused igp, Isis.recomputed igp, Isis.resettled igp) )
 
 (** Check the property under all failure combinations of size 1..k.
 
@@ -170,6 +172,14 @@ let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
     | Feq.Prefix_scoped (ps, _) -> closure ps
     | Feq.Opaque -> None
   in
+  (* The inputs every restricted fixpoint keeps, filtered once per sweep
+     rather than once per representative. *)
+  let sim_inputs =
+    match only with
+    | None -> input_routes
+    | Some keep ->
+        List.filter (fun (r : Route.t) -> keep r.Route.prefix) input_routes
+  in
   let plan =
     if prune then
       let g = Semantic.build ?tm input in
@@ -194,7 +204,8 @@ let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
           prop.p_check ~model ~rib ~traffic
       | None ->
           let rib =
-            (Route_sim.run ?only model ~input_routes ()).Route_sim.rib
+            (Route_sim.run ?only model ~input_routes:sim_inputs ())
+              .Route_sim.rib
           in
           let traffic = lazy (Traffic_sim.run model ~rib ~flows ()) in
           prop.p_check ~model ~rib ~traffic)
@@ -232,25 +243,27 @@ let check ?tm ?max_scenarios ?(prune = true) ?(devices = false)
     Parallel.map ?tm
       (fun id ->
         ( id,
-          simulate_scenario ?only model ~input_routes ~flows prop
+          simulate_scenario ?only model ~input_routes:sim_inputs ~flows prop
             classes.(id).Feq.cl_rep ))
       chosen_ids
   in
   (* IGP rows the representatives' views reused from the base model's
-     view / recomputed, summed from their returns *)
-  let rows f =
-    string_of_int (List.fold_left (fun n (_, r) -> n + f r) 0 reps)
+     view / recomputed, and the nodes they re-settled, summed from their
+     returns *)
+  let sum f =
+    string_of_int (List.fold_left (fun n (_, (_, w)) -> n + f w) 0 reps)
   in
   Telemetry.finish tmr sp
     ~args:
-      [ ("igp_rows_reused", rows (fun (_, r, _) -> r));
-        ("igp_rows_recomputed", rows (fun (_, _, r) -> r)) ];
+      [ ("igp_rows_reused", sum (fun (r, _, _) -> r));
+        ("igp_rows_recomputed", sum (fun (_, r, _) -> r));
+        ("igp_vertices_resettled", sum (fun (_, _, r) -> r)) ];
   (match tm with
   | Some t when restricted > 0 ->
       Telemetry.count t "hoyan_kfailure_restricted_total" restricted
   | _ -> ());
   let verdict_of_class = Hashtbl.create 64 in
-  List.iter (fun (id, (v, _, _)) -> Hashtbl.replace verdict_of_class id v) reps;
+  List.iter (fun (id, (v, _)) -> Hashtbl.replace verdict_of_class id v) reps;
   (* Per-scenario verdicts in enumeration order; [None] = unchecked
      (dropped by sampling). *)
   let carried = ref 0 and replicated = ref 0 and static = ref 0 in

@@ -247,9 +247,16 @@ and link = {
       (* the receiver, its session view of the sender and its state *)
 }
 
-let new_dev_state () =
-  { rib_in = Hashtbl.create 256; loc_rib = Hashtbl.create 256; dirty = [];
-    out = [] }
+(* Buckets of a device's adj-RIB-in and loc-RIB ([rib]) and of a peer's
+   advertisement table ([adv]): a full run's sizes, which a restricted
+   run lowers to the number of prefixes it seeds ({!table_sizes}). *)
+type sizes = { rib : int; adv : int }
+
+let full_sizes = { rib = 256; adv = 64 }
+
+let new_dev_state sz =
+  { rib_in = Hashtbl.create sz.rib; loc_rib = Hashtbl.create sz.rib;
+    dirty = []; out = [] }
 
 let take_dirty st =
   let d = st.dirty in
@@ -767,8 +774,8 @@ let max_rounds = 64
 
 (* Every device's state, with its sessions grouped per VRF into export
    groups and paired with their receiver views. *)
-let create (net : network) : dev_state Smap.t =
-  let states = Smap.map (fun _ -> new_dev_state ()) net in
+let create sizes (net : network) : dev_state Smap.t =
+  let states = Smap.map (fun _ -> new_dev_state sizes) net in
   let memo tbl key mk =
     match Hashtbl.find_opt tbl key with
     | Some v -> v
@@ -800,7 +807,8 @@ let create (net : network) : dev_state Smap.t =
             l_group =
               memo groups (s.s_export, s.s_ebgp) (fun () ->
                   Hashtbl.length groups);
-            l_adv = memo adv_tables s.s_peer (fun () -> Hashtbl.create 64);
+            l_adv =
+              memo adv_tables s.s_peer (fun () -> Hashtbl.create sizes.adv);
             l_recv = recv s }
         in
         let links = Array.of_list (List.map link sessions) in
@@ -814,6 +822,44 @@ let create (net : network) : dev_state Smap.t =
              (List.map (fun s -> s.s_vrf) ctx.d_sessions)))
     net;
   states
+
+(* The table sizes of a run restricted to [keep]: the distinct prefixes
+   it seeds (kept inputs and, when it originates, kept network
+   statements, aggregates and redistributed local rows), capped at
+   {!full_sizes}.  A one-prefix what-if run then allocates small tables
+   on every device instead of full ones. *)
+let table_sizes ~keep ~originate (net : network) (input : input) : sizes =
+  let seen = Prefix.Tbl.create 64 in
+  let exception Full in
+  let add p =
+    if keep p && not (Prefix.Tbl.mem seen p) then begin
+      Prefix.Tbl.add seen p ();
+      if Prefix.Tbl.length seen >= full_sizes.rib then raise Full
+    end
+  in
+  let seed () =
+    List.iter (fun (r : Route.t) -> add r.Route.prefix) input.in_routes;
+    if originate then
+      Smap.iter
+        (fun name (ctx : device_ctx) ->
+          let bgp = ctx.d_cfg.Types.dc_bgp in
+          List.iter (fun (p, _) -> add p) bgp.Types.bgp_networks;
+          List.iter (fun (ag : Types.aggregate) -> add ag.Types.ag_prefix)
+            bgp.Types.bgp_aggregates;
+          if bgp.Types.bgp_redistribute <> [] then
+            List.iter
+              (fun (r : Route.t) ->
+                if List.mem_assoc r.Route.proto bgp.Types.bgp_redistribute then
+                  add r.Route.prefix)
+              (Option.value (Smap.find_opt name input.in_local_tables)
+                 ~default:[]))
+        net
+  in
+  match seed () with
+  | () ->
+      let n = Prefix.Tbl.length seen in
+      { rib = min full_sizes.rib n; adv = min full_sizes.adv n }
+  | exception Full -> full_sizes
 
 (* Each device's AS-path matcher behind a verdict memo keyed by (pattern,
    rendered path), one memo per distinct matcher: a filter's pattern then
@@ -881,7 +927,12 @@ let run ?tm ?(originate = true) ?only ?(shard = 0) (net : network)
     | None -> Hoyan_telemetry.Telemetry.get ()
   in
   let net = memo_regex net in
-  let states = create net in
+  let sizes =
+    match only with
+    | None -> full_sizes
+    | Some keep -> table_sizes ~keep ~originate net input
+  in
+  let states = create sizes net in
   let sim =
     { devs =
         Array.of_list

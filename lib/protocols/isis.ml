@@ -1,8 +1,9 @@
 (* IS-IS link-state routing: one index-keyed engine (interface and
    invariants in isis.mli).  Devices are int indices in name order; one
    Dijkstra runs over per-node int adjacency arrays with a binary heap of
-   packed (dist, node) keys, on the graph minus a failure mask.  A view
-   holds distance rows only; ECMP first hops are derived from a row's
+   packed (dist, node) keys, on the graph minus a failure mask.  A failure
+   view repairs an affected no-failure row rather than recomputing it.  A
+   view holds distance rows only; ECMP first hops are derived from a row's
    shortest-path DAG when a forwarding caller first reads them. *)
 
 open Hoyan_net
@@ -89,12 +90,13 @@ let graph_of ~(te_aware : bool) (topo : Topology.t) (configs : Types.t Smap.t)
 (* Binary min-heap of packed (dist, node) keys.  A node is pushed only on
    a strict improvement of its label and each edge relaxes once, so keys
    are distinct, pops come out in the lexicographic (dist, node) order,
-   and [1 + edges] slots always suffice. *)
+   and [nodes + edges] slots always suffice: a repair's seeds push each
+   node at most once before any edge relaxes. *)
 type heap = { keys : int array; mutable size : int }
 
 let heap g =
   let edges = Array.fold_left (fun n a -> n + Array.length a) 0 g.adj_dst in
-  { keys = Array.make (edges + 1) 0; size = 0 }
+  { keys = Array.make (Array.length g.names + edges) 0; size = 0 }
 
 let heap_push h key =
   let a = h.keys in
@@ -148,16 +150,16 @@ let cut_edge m u v =
   m.cut_end.(u) && m.cut_end.(v)
   && List.exists (fun (a, b) -> (a = u && b = v) || (a = v && b = u)) m.cut
 
-(* Distances from the live [src] over [g] minus the mask [m]. *)
-let dijkstra g heap (d : int array) (m : mask) src =
+(* Settle every node the heap holds, relaxing over [g] minus the mask
+   [m] into [d]; returns the number of nodes settled. *)
+let settle g heap (d : int array) (m : mask) =
   let bits = (1 lsl g.shift) - 1 and dead = m.dead in
-  d.(src) <- 0;
-  heap.size <- 0;
-  heap_push heap src;
+  let settled = ref 0 in
   while heap.size > 0 do
     let key = heap_pop heap in
     let du = key asr g.shift and u = key land bits in
     if du <= d.(u) then begin
+      incr settled;
       let dsts = g.adj_dst.(u) and costs = g.adj_cost.(u) in
       let at_cut = m.cut_end.(u) in
       for j = 0 to Array.length dsts - 1 do
@@ -170,7 +172,16 @@ let dijkstra g heap (d : int array) (m : mask) src =
         end
       done
     end
-  done
+  done;
+  !settled
+
+(* Distances from the live [src] over [g] minus the mask [m] (every
+   other entry of [d] at [max_int]); returns the nodes settled. *)
+let dijkstra g heap (d : int array) (m : mask) src =
+  d.(src) <- 0;
+  heap.size <- 0;
+  heap_push heap src;
+  settle g heap d m
 
 (* [seeds] and every device from which an edge [u -> v] of cost [c] with
    [keep u v c] leads to a marked device, walked backwards. *)
@@ -191,6 +202,91 @@ let ancestors g ~keep seeds =
 (* Whether [u -> v] of cost [c] lies on a shortest path of row [d]. *)
 let tight (d : int array) u v c = d.(u) <> max_int && d.(u) + c = d.(v)
 
+(* The row of [g] minus the deletions [m], repaired from the no-failure
+   row [d0] on positive costs (the deletion case of Ramalingam and Reps,
+   J. Algorithms 1996), and the number of nodes it re-settled.  Only a
+   descendant, in [d0]'s tight DAG, of a dead node or of the head of a
+   cut tight edge can lose its distance.  In ascending [d0] order (a
+   tight edge strictly raises it, so every tight in-neighbour is decided
+   first), a candidate keeps its distance when a live, uncut tight edge
+   comes from a node that kept its own; failures never shorten a path.
+   The rest are affected: each restarts from its best live edge out of
+   the kept nodes, and [settle] finishes them.  [failed] lists the dead
+   nodes of [m].  [state] and [buf] are scratch of one entry per node:
+   [state] is all 0 (not a candidate) on entry and on return, 1 marks a
+   kept candidate and 2 an affected one; [buf] holds the candidates. *)
+let repair g heap ~(state : int array) ~(buf : int array) (m : mask) ~failed
+    (d0 : int array) =
+  let d = Array.copy d0 in
+  let len = ref 0 in
+  let visit v =
+    if state.(v) = 0 && d0.(v) <> max_int then begin
+      state.(v) <- 1;
+      buf.(!len) <- v;
+      incr len
+    end
+  in
+  let cut_heads a b =
+    let dsts = g.adj_dst.(a) and costs = g.adj_cost.(a) in
+    for j = 0 to Array.length dsts - 1 do
+      if dsts.(j) = b && tight d0 a b costs.(j) then visit b
+    done
+  in
+  List.iter (fun (a, b) -> cut_heads a b; cut_heads b a) m.cut;
+  List.iter visit failed;
+  (* the seeds' descendants, breadth-first: [buf] grows past the cursor *)
+  let i = ref 0 in
+  while !i < !len do
+    let u = buf.(!i) in
+    let dsts = g.adj_dst.(u) and costs = g.adj_cost.(u) in
+    for j = 0 to Array.length dsts - 1 do
+      if tight d0 u dsts.(j) costs.(j) then visit dsts.(j)
+    done;
+    incr i
+  done;
+  let order =
+    Array.init !len (fun i -> (d0.(buf.(i)) lsl g.shift) lor buf.(i))
+  in
+  Array.sort Int.compare order;
+  let bits = (1 lsl g.shift) - 1 in
+  (* a reachable dead node is a candidate, so it is decided affected
+     before its tight out-neighbours *)
+  let kept_edge v u c =
+    state.(u) <> 2 && tight d0 u v c && not (cut_edge m u v)
+  in
+  Array.iter
+    (fun key ->
+      let v = key land bits in
+      let srcs = g.in_src.(v) and costs = g.in_cost.(v) in
+      let rec kept j =
+        j < Array.length srcs
+        && (kept_edge v srcs.(j) costs.(j) || kept (j + 1))
+      in
+      if m.dead.(v) || not (kept 0) then begin
+        state.(v) <- 2;
+        d.(v) <- max_int
+      end)
+    order;
+  heap.size <- 0;
+  Array.iter
+    (fun key ->
+      let v = key land bits in
+      if state.(v) = 2 && not m.dead.(v) then begin
+        let srcs = g.in_src.(v) and costs = g.in_cost.(v) in
+        for j = 0 to Array.length srcs - 1 do
+          let u = srcs.(j) in
+          if
+            state.(u) <> 2 && d.(u) <> max_int
+            && d.(u) + costs.(j) < d.(v)
+            && not (cut_edge m u v)
+          then d.(v) <- d.(u) + costs.(j)
+        done;
+        if d.(v) <> max_int then heap_push heap ((d.(v) lsl g.shift) lor v)
+      end)
+    order;
+  Array.iter (fun key -> state.(key land bits) <- 0) order;
+  (d, settle g heap d m)
+
 type t = {
   g : graph;
   srcs : int array; (* source slot -> device index *)
@@ -207,6 +303,7 @@ type t = {
       (* per slot: derived first hops, published on first read *)
   reused : int;
   recomputed : int;
+  resettled : int;
 }
 
 let compute ?(te_aware = true) ?sources ?reads (topo : Topology.t)
@@ -228,7 +325,7 @@ let compute ?(te_aware = true) ?sources ?reads (topo : Topology.t)
   let mask = { dead = none; cut = []; cut_end = none } in
   let row s =
     let d = Array.make n max_int in
-    dijkstra g hp d mask s;
+    ignore (dijkstra g hp d mask s);
     d
   in
   let rows = Array.map row srcs in
@@ -239,7 +336,7 @@ let compute ?(te_aware = true) ?sources ?reads (topo : Topology.t)
   { g; srcs; slot; is_read; base_rows = rows;
     on_path = (if reads = None then None else Some (Array.map on_path rows));
     mask; rows; hops = Array.map (fun _ -> Atomic.make None) srcs;
-    reused = 0; recomputed = 0 }
+    reused = 0; recomputed = 0; resettled = 0 }
 
 let index (v : t) name = Smap.find_opt name v.g.index
 let name (v : t) i = v.g.names.(i)
@@ -275,7 +372,8 @@ let fail (v : t) ~(links : (int * int) list) ~(devices : int list) : t =
   let failed = List.filter (Array.get dead) (List.init n Fun.id) in
   let cut = links @ v.mask.cut in
   let mask = { dead; cut; cut_end } in
-  let hp = heap v.g and reused = ref 0 and recomputed = ref 0 in
+  let hp = heap v.g and state = Array.make n 0 and buf = Array.make n 0 in
+  let reused = ref 0 and recomputed = ref 0 and resettled = ref 0 in
   let row s base_row =
     if dead.(v.srcs.(s)) then base_row
     else if v.g.positive && not (affected v s ~failed ~cut) then begin
@@ -284,14 +382,19 @@ let fail (v : t) ~(links : (int * int) list) ~(devices : int list) : t =
     end
     else begin
       incr recomputed;
-      let d = Array.make n max_int in
-      dijkstra v.g hp d mask v.srcs.(s);
+      let d, settled =
+        if v.g.positive then repair v.g hp ~state ~buf mask ~failed base_row
+        else
+          let d = Array.make n max_int in
+          (d, dijkstra v.g hp d mask v.srcs.(s))
+      in
+      resettled := !resettled + settled;
       d
     end
   in
   let rows = Array.mapi row v.base_rows in
   { v with mask; rows; hops = Array.map (fun _ -> Atomic.make None) v.srcs;
-    reused = !reused; recomputed = !recomputed }
+    reused = !reused; recomputed = !recomputed; resettled = !resettled }
 
 (* The slot of a source, refusing a lookup outside the sources or the
    reads. *)
@@ -318,6 +421,7 @@ let linked (v : t) a b =
 
 let reused v = v.reused
 let recomputed v = v.recomputed
+let resettled v = v.resettled
 
 (* The shortest-path DAG of slot [s]'s row: a live tight edge [u -> w]
    of cost [c], where a zero-cost one must add a hop ([h.(u) < h.(w)],

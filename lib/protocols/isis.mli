@@ -24,7 +24,15 @@
     names once with {!index}.  A live source of {!fail} reuses its
     no-failure row unless a failed edge is tight on a no-failure shortest
     path from it to a read device, or some link costs 0; failures never
-    shorten a path, so a reused row is exact on every read.
+    shorten a path, so a reused row is exact on every read.  A row that
+    is not reused is repaired on positive costs: only the descendants of
+    a failed edge's head (or a failed device) in the row's shortest-path
+    DAG can lose their distance, and of those only the ones left with no
+    tight in-edge from a node that kept its own are settled again, from
+    their live neighbours' distances (the deletion case of Ramalingam
+    and Reps, J. Algorithms 1996).  With a zero cost the row is
+    recomputed by a full Dijkstra.  Either way it equals a full Dijkstra
+    on the masked graph at every device.
 
     {b Derived first hops.}  Rows carry distances only.  ECMP first hops
     come from a source's row through the in-edges of its shortest-path
@@ -93,3 +101,8 @@ val linked : t -> int -> int -> bool
 val reused : t -> int
 
 val recomputed : t -> int
+
+(** Nodes whose distance {!fail} settled anew over the recomputed rows:
+    a repaired row's affected nodes still reachable, a full recompute's
+    every reachable node (0 on a no-failure view). *)
+val resettled : t -> int

@@ -71,17 +71,15 @@ let igp_cost_to (igp : Isis.t) src dst =
       if c = max_int then None else Some c
   | _ -> None
 
+let redistributes_isis (cfg : Types.t) =
+  List.mem_assoc Route.Isis cfg.Types.dc_bgp.Types.bgp_redistribute
+
 (** IS-IS loopback routes (only materialized when the device redistributes
     IS-IS into BGP; the IGP view's distance rows serve all other
     purposes). *)
 let isis_routes (igp : Isis.t) (topo : Topology.t) (dev : string)
     (cfg : Types.t) : Route.t list =
-  let redistributes_isis =
-    List.exists
-      (fun (p, _) -> p = Route.Isis)
-      cfg.Types.dc_bgp.Types.bgp_redistribute
-  in
-  if not redistributes_isis then []
+  if not (redistributes_isis cfg) then []
   else
     let src = Isis.index igp dev in
     List.filter_map
@@ -159,17 +157,46 @@ let sessions_of (topo : Topology.t) (igp : Isis.t)
 (* Build                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* What a model compiles from its configs and devices alone, not from
+   its links or IGP: address ownership and, per device, its VSB and its
+   direct and static routes. *)
+type fixed = {
+  fx_owner : (Ip.t, string) Hashtbl.t;
+  fx_vsb : string -> Types.t -> Vsb.t;
+  fx_routes : string -> Types.t -> Route.t list;
+}
+
+let fixed_of (topo : Topology.t) (configs : Types.t Smap.t) : fixed =
+  { fx_owner = Types.address_owners ~topo configs;
+    fx_vsb = (fun _ cfg -> Vsb.of_config cfg);
+    fx_routes = (fun dev cfg -> direct_routes dev cfg @ static_routes dev cfg) }
+
+(* The fixed parts of [t] itself, for a network with [t]'s configs and
+   devices: its owner table, its contexts' VSBs and its local tables
+   without the IS-IS rows. *)
+let fixed_of_model (t : t) : fixed =
+  { fx_owner = t.owner_tbl;
+    fx_vsb = (fun dev _ -> (Smap.find dev t.net).Bgp.d_vsb);
+    fx_routes =
+      (fun dev cfg ->
+        let rows = Smap.find dev t.local_tables in
+        if redistributes_isis cfg then
+          List.filter (fun (r : Route.t) -> r.Route.proto <> Route.Isis) rows
+        else rows) }
+
 (* Compile [configs] over [topo] with the IGP view [igp] of that network
-   (computed, or a failure mask of the base's view). *)
-let compile ~te_aware ~regex ~(igp : Isis.t) (topo : Topology.t)
+   (computed, or a failure mask of the base's view) and its [fixed]
+   parts. *)
+let compile ~te_aware ~regex ~(igp : Isis.t) (fx : fixed) (topo : Topology.t)
     (configs : Types.t Smap.t) : t =
-  let owner_tbl = Types.address_owners ~topo configs in
+  let owner_tbl = fx.fx_owner in
   (* local tables *)
   let local_tables =
     Smap.mapi
       (fun dev cfg ->
-        direct_routes dev cfg @ static_routes dev cfg
-        @ isis_routes igp topo dev cfg)
+        match isis_routes igp topo dev cfg with
+        | [] -> fx.fx_routes dev cfg
+        | isis -> fx.fx_routes dev cfg @ isis)
       configs
   in
   (* SR tunnels *)
@@ -184,7 +211,7 @@ let compile ~te_aware ~regex ~(igp : Isis.t) (topo : Topology.t)
     Smap.mapi
       (fun dev (cfg : Types.t) ->
         let router_id = router_id_of topo dev cfg in
-        let vsb = Vsb.of_config cfg in
+        let vsb = fx.fx_vsb dev cfg in
         let dev_tunnels = Option.value (Smap.find_opt dev tunnels) ~default:[] in
         let statics = Option.value (Smap.find_opt dev local_tables) ~default:[] in
         let src = Isis.index igp dev in
@@ -225,8 +252,8 @@ let compile ~te_aware ~regex ~(igp : Isis.t) (topo : Topology.t)
 let build ?(te_aware = true)
     ?(regex = fun p s -> Hoyan_regex.Regex.matches_str p s)
     (topo : Topology.t) (configs : Types.t Smap.t) : t =
-  compile ~te_aware ~regex ~igp:(Isis.compute ~te_aware topo configs) topo
-    configs
+  compile ~te_aware ~regex ~igp:(Isis.compute ~te_aware topo configs)
+    (fixed_of topo configs) topo configs
 
 let patch (t : t) ?(topo = t.topo) (configs : Types.t Smap.t) : t =
   build ~te_aware:t.te_aware ~regex:t.regex topo configs
@@ -246,9 +273,17 @@ let fail (t : t) (ops : Cp.topo_op list) : t =
     List.filter_map (function Cp.Remove_device d -> ix d | _ -> None) ops
   in
   let ap = Cp.apply ~topo:t.topo t.configs (Cp.make "failures" ~topo_ops:ops) in
+  let topo = Option.get ap.Cp.ap_topo in
+  (* Without a device removal the configs and devices are [t]'s: only the
+     IGP-dependent parts are compiled again. *)
+  let fx =
+    if List.exists (function Cp.Remove_device _ -> true | _ -> false) ops
+    then fixed_of topo ap.Cp.ap_configs
+    else fixed_of_model t
+  in
   compile ~te_aware:t.te_aware ~regex:t.regex
     ~igp:(Isis.fail t.igp ~links ~devices)
-    (Option.get ap.Cp.ap_topo) ap.Cp.ap_configs
+    fx topo ap.Cp.ap_configs
 
 let apply_change_plan (t : t) (cp : Cp.t) : t * Cp.apply_report list =
   let ap = Cp.apply ~topo:t.topo t.configs cp in

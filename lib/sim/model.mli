@@ -64,7 +64,10 @@ val patch : t -> ?topo:Topology.t -> Types.t Smap.t -> t
 (** [fail t ops] is [t] with the failures [ops] (link and device
     removals) applied: the model {!apply_change_plan} gives for the plan of
     those ops, except that its IGP view is {!Isis.fail} of [t]'s, a mask
-    over the base graph rather than a recomputation.  Raises
+    over the base graph rather than a recomputation.  Without a device
+    removal the configs and devices are [t]'s, so the result shares
+    [t]'s owner table, VSBs and direct and static routes and compiles
+    only what reads the IGP or the links again.  Raises
     [Invalid_argument] on an op that adds a device or a link. *)
 val fail : t -> Hoyan_config.Change_plan.topo_op list -> t
 

@@ -562,7 +562,8 @@ let test_plan_pairs () =
          plan.Feq.pl_classes)
 
 (* [check] traces its static analysis and its representative loop as one
-   span each, the loop tagged with what it ran. *)
+   span each, the loop tagged with what it ran, and both with the IGP
+   work their failure views did. *)
 let test_whatif_spans () =
   let model = B.build (ring_tail_island ()) in
   let prop =
@@ -579,6 +580,21 @@ let test_whatif_spans () =
       (Trace.events tm.Telemetry.trace)
   in
   check tint "one whatif.analyze span" 1 (List.length (named "whatif.analyze"));
+  let igp_args (e : Trace.event) =
+    List.map
+      (fun a ->
+        Option.bind (List.assoc_opt a e.Trace.te_args) int_of_string_opt
+        <> None)
+      [ "igp_rows_reused"; "igp_rows_recomputed"; "igp_vertices_resettled" ]
+  in
+  List.iter
+    (fun n ->
+      check
+        Alcotest.(list (list bool))
+        (n ^ " carries the IGP counts")
+        [ [ true; true; true ] ]
+        (List.map igp_args (named n)))
+    [ "whatif.analyze"; "whatif.simulate" ];
   (match named "whatif.simulate" with
   | [ e ] ->
       check

@@ -581,6 +581,129 @@ let prop_failure_view_oracle =
         [ true; false ];
       true)
 
+(* Failing in two steps is failing once: on a random failure case, over
+   every device and over the case's sources and reads, [fail] of [fail]
+   (the links and devices split between the two) reads the same down
+   set, links, costs and first hops as one [fail] of the union, and
+   counts the same reused, recomputed and re-settled work: a view's rows
+   always come from the no-failure rows under its whole mask. *)
+let prop_fail_of_fail =
+  QCheck.Test.make ~name:"Isis.fail of Isis.fail == one fail of the union"
+    ~count:200 (QCheck.make QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let b, _, names, sources, reads, cut, dead, _ =
+        random_failure_case seed
+      in
+      List.iter
+        (fun (te_aware, sources, reads) ->
+          let ctx = Printf.sprintf "seed %d te_aware=%b" seed te_aware in
+          let base =
+            Isis.compute ~te_aware ~sources ~reads (B.topo b) (B.configs b)
+          in
+          let ix d = Option.get (Isis.index base d) in
+          let links = List.map (fun (a, bb) -> (ix a, ix bb)) cut
+          and devices = List.map ix dead in
+          let half l = List.filteri (fun i _ -> i mod 2 = 0) l
+          and rest l = List.filteri (fun i _ -> i mod 2 = 1) l in
+          let once = Isis.fail base ~links ~devices in
+          let twice =
+            Isis.fail
+              (Isis.fail base ~links:(half links) ~devices:(half devices))
+              ~links:(rest links) ~devices:(rest devices)
+          in
+          let counts v = (Isis.reused v, Isis.recomputed v, Isis.resettled v) in
+          if counts once <> counts twice then
+            QCheck.Test.fail_reportf "%s: reused/recomputed/resettled" ctx;
+          List.iter
+            (fun a ->
+              if Isis.down once (ix a) <> Isis.down twice (ix a) then
+                QCheck.Test.fail_reportf "%s: down %s" ctx a;
+              List.iter
+                (fun bb ->
+                  if Isis.linked once (ix a) (ix bb)
+                     <> Isis.linked twice (ix a) (ix bb)
+                  then QCheck.Test.fail_reportf "%s: linked %s-%s" ctx a bb)
+                names)
+            names;
+          List.iter
+            (fun s ->
+              List.iter
+                (fun t ->
+                  let src = ix s and dst = ix t in
+                  if Isis.cost once ~src ~dst <> Isis.cost twice ~src ~dst then
+                    QCheck.Test.fail_reportf "%s: cost %s->%s" ctx s t;
+                  if
+                    Isis.first_hops once ~src ~dst
+                    <> Isis.first_hops twice ~src ~dst
+                  then QCheck.Test.fail_reportf "%s: first hops %s->%s" ctx s t)
+                reads)
+            sources)
+        [ (true, names, names); (false, names, names); (true, sources, reads) ];
+      true)
+
+(* The repair on a generated WAN: on [wan] seed 1, every single-link and
+   every single-device [fail] of the model's view reads, between every
+   pair of live devices, the cost a from-scratch Dijkstra ([compute]) on
+   the failed topology gives; and the repaired rows re-settle fewer nodes
+   than recomputing them would. *)
+let test_wan_repair () =
+  let module G = Hoyan_workload.Generator in
+  let module Cp = Hoyan_config.Change_plan in
+  let model = (G.generate { G.wan with G.g_seed = 1 }).G.model in
+  let igp = model.Model.igp and topo = model.Model.topo in
+  let ix d = Option.get (Isis.index igp d) in
+  let names = Topology.device_names topo in
+  let pairs =
+    Topology.edges topo
+    |> List.filter_map (fun (e : Topology.edge) ->
+           if e.Topology.src < e.Topology.dst then
+             Some (e.Topology.src, e.Topology.dst)
+           else None)
+    |> List.sort_uniq compare
+  in
+  let scenarios =
+    List.map (fun (ra, rb) -> ([ (ra, rb) ], [])) pairs
+    @ List.map (fun d -> ([], [ d ])) names
+  in
+  let recomputed = ref 0 and resettled = ref 0 in
+  List.iter
+    (fun (cut, dead) ->
+      let v =
+        Isis.fail igp
+          ~links:(List.map (fun (a, bb) -> (ix a, ix bb)) cut)
+          ~devices:(List.map ix dead)
+      in
+      recomputed := !recomputed + Isis.recomputed v;
+      resettled := !resettled + Isis.resettled v;
+      let failed =
+        List.fold_left Cp.apply_topo_op topo
+          (List.map (fun (ra, rb) -> Cp.Remove_link { ra; rb }) cut
+          @ List.map (fun d -> Cp.Remove_device d) dead)
+      in
+      let want =
+        Isis.compute ~te_aware:model.Model.te_aware failed model.Model.configs
+      in
+      let wix d = Option.get (Isis.index want d) in
+      let live = Topology.device_names failed in
+      List.iter
+        (fun s ->
+          List.iter
+            (fun t ->
+              let got = Isis.cost v ~src:(ix s) ~dst:(ix t)
+              and c = Isis.cost want ~src:(wix s) ~dst:(wix t) in
+              if got <> c then
+                Alcotest.failf "[%s | %s]: cost %s->%s = %d, want %d"
+                  (String.concat "," (List.map (fun (a, bb) -> a ^ "-" ^ bb) cut))
+                  (String.concat "," dead) s t got c)
+            live)
+        live)
+    scenarios;
+  check tbool "every link and device failed" true
+    (List.length pairs > 100 && List.length names > 90);
+  check tbool "some row repaired" true (!recomputed > 0);
+  check tbool "the repair re-settles fewer nodes than a recompute" true
+    (!resettled < !recomputed * List.length names)
+
 (* Zero-cost ECMP ties: with a-b at cost 0 and b-d, a-d at 10, the walk
    toward d must not bounce between a and b, a device is no first hop of
    itself, and an SR policy over the tie resolves. *)
@@ -820,6 +943,9 @@ let suite =
       prop_spf_oracle;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1791 |])
       prop_failure_view_oracle;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1792 |])
+      prop_fail_of_fail;
+    ("Isis.fail == Dijkstra on the masked graph: wan", `Quick, test_wan_repair);
     ("IS-IS zero-cost ECMP ties", `Quick, test_zero_cost_ties);
     ("IS-IS refuses a negative cost", `Quick, test_negative_cost_refused);
     ("well-known communities (eBGP)", `Quick, test_well_known_communities);
