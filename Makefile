@@ -157,9 +157,18 @@ check:
 # every Faultplan mode (completed phases identical to the failure-free
 # run, incomplete ones list their failed subtasks), named-victim
 # regressions, chaos determinism, and the framework route phase's
-# direct/cross-subtask-count identity (DESIGN.md §2.5, §2.6).
+# direct/cross-subtask-count identity, aggregate networks included
+# (DESIGN.md §2.5, §2.6); then the aggregate example plan verified on
+# the framework's 100 subtasks, which must PASS as the direct run does
+# (each subtask holds whole aggregates, so no aggregate is originated
+# from a part of its contributors).
 chaos:
 	dune exec test/test_main.exe -- test dist
+	dune exec bin/hoyan_cli.exe -- verify --scale small \
+	  --plan examples/aggregate_plan.txt --device r00-bdr01 \
+	  --intent 'POST||(prefix = 150.0.0.0/16) |> count() < 30' \
+	  --distributed > /tmp/hoyan_chaos_verify.out
+	grep -q '^verdict: PASS' /tmp/hoyan_chaos_verify.out
 
 clean:
 	dune clean

@@ -40,7 +40,6 @@ module Journal = Hoyan_telemetry.Journal
 module Model = Hoyan_sim.Model
 module Route_sim = Hoyan_sim.Route_sim
 module Traffic_sim = Hoyan_sim.Traffic_sim
-module Smap = Map.Make (String)
 
 (** Counters the master's monitor loop accumulates across a framework
     instance's phases (mutable; read for reports and benches). *)
@@ -70,8 +69,6 @@ type t = {
       (* subtask id -> (input key, retained input) so the monitor can
          re-upload a lost input object *)
   put_gens : (string, int) Hashtbl.t; (* object key -> puts so far *)
-  mutable base_rows : Rib.t option;
-      (* the shared base RIB, retained for re-upload on loss *)
   stats : monitor_stats;
   tm : Telemetry.t;
 }
@@ -92,7 +89,6 @@ let create ?tm ?(chaos = Chaos.none) ?(lease_s = 30.)
     max_attempts;
     inputs = Hashtbl.create 256;
     put_gens = Hashtbl.create 256;
-    base_rows = None;
     stats =
       {
         ms_scans = 0;
@@ -333,8 +329,7 @@ let resend (t : t) ~kind ~id (entry : Db.entry) : unit =
 
 (** A failed attempt: re-send with exponential backoff while the retry
     budget lasts, [Terminal] after.  "missing input object" additionally
-    re-uploads the input from the split the master retained (and the
-    shared base RIB, if that is what vanished). *)
+    re-uploads the input from the split the master retained. *)
 let retry_or_terminal (t : t) ~kind ~id (entry : Db.entry) (reason : string) :
     unit =
   let phase = phase_label kind in
@@ -342,21 +337,13 @@ let retry_or_terminal (t : t) ~kind ~id (entry : Db.entry) (reason : string) :
   if attempts >= t.max_attempts then terminalize t ~phase ~id entry reason
   else begin
     if String.equal reason reason_missing_input then begin
-      (match Hashtbl.find_opt t.inputs id with
-      | Some (input_key, obj) ->
-          if not (Storage.mem t.storage ~key:input_key) then begin
-            chaos_put t ~key:input_key obj;
-            t.stats.ms_reuploads <- t.stats.ms_reuploads + 1;
-            if Telemetry.enabled t.tm then
-              Telemetry.count t.tm "hoyan_monitor_reuploads_total" 1
-          end
-      | None -> ());
-      (* a traffic worker also fails this way when the shared base RIB
-         object was lost; restore it from the master's retained copy *)
-      match t.base_rows with
-      | Some rows when not (Storage.mem t.storage ~key:"route-base.rib") ->
-          chaos_put t ~key:"route-base.rib" (Storage.O_rib rows);
-          t.stats.ms_reuploads <- t.stats.ms_reuploads + 1
+      match Hashtbl.find_opt t.inputs id with
+      | Some (input_key, obj) when not (Storage.mem t.storage ~key:input_key)
+        ->
+          chaos_put t ~key:input_key obj;
+          t.stats.ms_reuploads <- t.stats.ms_reuploads + 1;
+          if Telemetry.enabled t.tm then
+            Telemetry.count t.tm "hoyan_monitor_reuploads_total" 1
       | _ -> ()
     end;
     let backoff =
@@ -524,57 +511,9 @@ type route_phase = {
   rp_resends : int; (* monitor re-sends during the phase *)
 }
 
-let range_of_rows (input_range : Ip.t * Ip.t) (rows : Route.t list) :
-    Ip.t * Ip.t =
-  (* widen the recorded input range with the result rows' prefixes, so
-     aggregate prefixes originated inside the subtask are covered too *)
-  List.fold_left
-    (fun (lo, hi) (r : Route.t) ->
-      let f = Prefix.first_addr r.Route.prefix
-      and l = Prefix.last_addr r.Route.prefix in
-      ( (if Ip.compare f lo < 0 then f else lo),
-        if Ip.compare l hi > 0 then l else hi ))
-    input_range rows
-
-(** Seed a subtask's covered range from its recorded input range widened
-    by the result rows.  With no recorded range, the seed comes from the
-    first row's own prefix — never from [(Ip.zero Ipv4, Ip.zero Ipv4)],
-    which is the wrong family for IPv6-only subtasks and would quietly
-    anchor the range at v4 zero, breaking the ordering heuristic's
-    overlap filter; with neither a range nor rows, the range stays
-    [None] (treated as overlapping everything, which is sound). *)
-let seed_range (input_range : (Ip.t * Ip.t) option) (rows : Route.t list) :
-    (Ip.t * Ip.t) option =
-  match (input_range, rows) with
-  | Some r, _ -> Some (range_of_rows r rows)
-  | None, [] -> None
-  | None, (r0 : Route.t) :: _ ->
-      let init =
-        (Prefix.first_addr r0.Route.prefix, Prefix.last_addr r0.Route.prefix)
-      in
-      Some (range_of_rows init rows)
-
-(** Prefixes originated by network statements anywhere in the model:
-    input-independent, so they live in the shared base RIB file rather
-    than in every subtask's result (which would otherwise make every
-    subtask range cover the whole address space and defeat the ordering
-    heuristic). *)
-let network_prefixes (model : Model.t) : (Prefix.t, unit) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  Smap.iter
-    (fun _ (cfg : Hoyan_config.Types.t) ->
-      List.iter
-        (fun (p, _) -> Hashtbl.replace tbl p ())
-        cfg.Hoyan_config.Types.dc_bgp.Hoyan_config.Types.bgp_networks)
-    model.Model.configs;
-  tbl
-
-let base_rib_key = "route-base.rib"
-
 (** One worker step: consume a message and run the subtask.  Returns false
     when the queue is empty. *)
-let route_worker_step (t : t) ~(use_ecs : bool)
-    ~(net_prefixes : (Prefix.t, unit) Hashtbl.t) : bool =
+let route_worker_step (t : t) ~(use_ecs : bool) : bool =
   match Mq.pop t.mq with
   | None -> false
   | Some msg ->
@@ -586,28 +525,27 @@ let route_worker_step (t : t) ~(use_ecs : bool)
         if chaos_preempts t msg entry ~attempt then true
         else begin
           match Storage.get t.storage ~key:msg.Mq.m_input_key with
-          | Some (Storage.O_routes inputs) ->
+          | Some (Storage.O_run run) ->
               let sp =
                 Telemetry.span t.tm
                   ~args:[ ("id", msg.Mq.m_id); ("phase", "route") ]
                   "worker.step"
               in
               let t0 = Unix.gettimeofday () in
+              (* the run originates its own keys' network statements,
+                 aggregates and redistribution; the local tables are the
+                 model's, merged by the master and the traffic workers *)
               let res =
                 Route_sim.run ~tm:t.tm ~use_ecs ~include_locals:false
-                  ~originate:false ~domains:1 t.model ~input_routes:inputs ()
+                  ~only:(Route_sim.owns t.model run.Route_sim.rn_keys)
+                  ~domains:1 t.model ~input_routes:run.Route_sim.rn_routes ()
               in
               let dt = Unix.gettimeofday () -. t0 in
-              let rows =
-                Rib.filter
-                  (fun (r : Route.t) ->
-                    not (Hashtbl.mem net_prefixes r.Route.prefix))
-                  res.Route_sim.rib
-              in
               let result_key = msg.Mq.m_id ^ ".rib" in
-              chaos_put t ~key:result_key (Storage.O_rib rows);
-              Db.set_range entry (seed_range (Db.range entry) (Rib.to_list rows));
-              let io_bytes = List.length inputs * Storage.bytes_per_route in
+              chaos_put t ~key:result_key (Storage.O_rib res.Route_sim.rib);
+              let io_bytes =
+                List.length run.Route_sim.rn_routes * Storage.bytes_per_route
+              in
               Db.complete entry ~result_key ~ec_count:res.Route_sim.ec_count
                 ~duration_s:dt ~io_bytes ~io_files:1 ();
               Telemetry.finish t.tm sp;
@@ -631,43 +569,31 @@ let run_route_phase ?(strategy = Split.Ordered) ?(subtasks = 100)
       "route.phase"
   in
   let resends_before = t.stats.ms_resends in
-  (* master: prepare subtasks *)
-  let splits =
+  (* master: prepare subtasks, one run of whole shard keys each *)
+  let runs =
     Telemetry.with_span t.tm "master.split" (fun () ->
-        Split.split_routes ~strategy ~subtasks input_routes)
+        Route_sim.runs ~order:strategy ~n:subtasks t.model input_routes)
   in
   let upload_sp = Telemetry.span t.tm "master.upload" in
   let ids =
     List.mapi
-      (fun i (routes, range) ->
+      (fun i (run : Route_sim.run) ->
         let id = Printf.sprintf "route-%03d" i in
-        submit t ~id ~kind:Mq.Route_subtask (Storage.O_routes routes)
-          ~range:(Some range);
+        submit t ~id ~kind:Mq.Route_subtask (Storage.O_run run)
+          ~range:(Some run.Route_sim.rn_range);
         id)
-      splits
+      runs
   in
   Telemetry.finish t.tm
     ~args:[ ("subtasks", string_of_int (List.length ids)) ]
     upload_sp;
-  let net_prefixes = network_prefixes t.model in
   (* workers drain the queue; the monitor re-sends failures until every
      subtask is Done or Terminal *)
   settle t ~kind:Mq.Route_subtask ~ids ~worker_step:(fun () ->
-      route_worker_step t ~use_ecs ~net_prefixes);
-  (* the shared base RIB: routes originated by network statements and
-     their propagation, independent of the input routes *)
-  let base_rows =
-    (Route_sim.run ~tm:t.tm ~use_ecs ~include_locals:false ~domains:1
-       t.model ~input_routes:[] ())
-      .Route_sim.rib
-  in
-  t.base_rows <- Some base_rows;
-  chaos_put t ~key:base_rib_key (Storage.O_rib base_rows);
+      route_worker_step t ~use_ecs);
   (* master: collect.  Every subtask either contributes its result file
-     or is reported in [rp_failed]; locally originated rows (network
-     statements and their propagation) appear in every subtask's result
-     because they do not depend on the subtask's inputs; the master
-     deduplicates when merging. *)
+     or is reported in [rp_failed]; the runs' keys are disjoint, so
+     their rows are too *)
   let rib_chunks, failed =
     Telemetry.with_span t.tm "master.collect" (fun () ->
         collect_results t ids ~get:(fun key ->
@@ -675,7 +601,7 @@ let run_route_phase ?(strategy = Split.Ordered) ?(subtasks = 100)
             | Some (Storage.O_rib rows) -> Some rows
             | _ -> None))
   in
-  let rib = Rib.union (Model.local_rib t.model :: base_rows :: rib_chunks) in
+  let rib = Rib.union (Model.local_rib t.model :: rib_chunks) in
   let durations =
     List.map (fun id -> (id, Db.duration_s (Db.find_exn t.db id))) ids
   in
@@ -733,13 +659,8 @@ let traffic_worker_step (t : t) ~(route_ids : string list)
         ev_dequeue t msg ~attempt;
         if chaos_preempts t msg entry ~attempt then true
         else begin
-          (* both the flow input and the shared base RIB are required
-             inputs; losing either is the same recoverable failure *)
-          match
-            ( Storage.get t.storage ~key:msg.Mq.m_input_key,
-              Storage.get t.storage ~key:base_rib_key )
-          with
-          | Some (Storage.O_flows flows), Some (Storage.O_rib base_rows) ->
+          match Storage.get t.storage ~key:msg.Mq.m_input_key with
+          | Some (Storage.O_flows flows) ->
               let sp =
                 Telemetry.span t.tm
                   ~args:[ ("id", msg.Mq.m_id); ("phase", "traffic") ]
@@ -760,16 +681,13 @@ let traffic_worker_step (t : t) ~(route_ids : string list)
                       route_ids
               in
               Db.set_deps entry deps;
-              (* load dependent RIB files, plus the shared base RIB *)
+              (* load the dependent RIB files *)
               let io_bytes =
                 ref (List.length flows * Storage.bytes_per_flow)
               in
-              (match Storage.size_of t.storage ~key:base_rib_key with
-              | Some sz -> io_bytes := !io_bytes + sz
-              | None -> ());
               let rib =
                 Rib.union
-                  (locals :: base_rows
+                  (locals
                   :: List.filter_map
                        (fun rid ->
                          match Db.result_key (Db.find_exn t.db rid) with
@@ -814,7 +732,7 @@ let traffic_worker_step (t : t) ~(route_ids : string list)
               chaos_put t ~key:result_key
                 (Storage.O_traffic
                    { t_loads = loads; t_flows = flow_summaries });
-              let io_files = 2 + List.length deps in
+              let io_files = 1 + List.length deps in
               Db.complete entry ~result_key ~ec_count:res.Traffic_sim.ec_count
                 ~duration_s:dt ~io_bytes:!io_bytes ~io_files ();
               Telemetry.finish t.tm sp;

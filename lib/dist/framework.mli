@@ -47,7 +47,6 @@ type t = {
       (** execution attempts before a subtask goes [Terminal] *)
   inputs : (string, string * Storage.obj) Hashtbl.t;
   put_gens : (string, int) Hashtbl.t;
-  mutable base_rows : Rib.t option;
   stats : monitor_stats;
   tm : Hoyan_telemetry.Telemetry.t;
 }
@@ -67,10 +66,6 @@ val create :
   ?snapshot:string ->
   Hoyan_sim.Model.t ->
   t
-
-(** Key of the shared base RIB file (network-statement routes and their
-    propagation; independent of the subtask inputs). *)
-val base_rib_key : string
 
 (** {2 Phase outcome contract} *)
 
@@ -96,9 +91,14 @@ type route_phase = {
   rp_resends : int;  (** monitor re-sends during the phase *)
 }
 
-(** Master + workers for the route phase.  [strategy] picks the input
-    ordering (the paper's ordering heuristic or the random baseline);
-    [subtasks] is the split width (paper: 100). *)
+(** Master + workers for the route phase.  The master cuts the inputs
+    into {!Hoyan_sim.Route_sim.runs} of whole shard keys, each recorded
+    with its keys' address span; a worker runs [Route_sim.run ~only] over
+    its run's keys, so it originates their network statements, aggregates
+    and redistribution, and the master merges the runs with the model's
+    local tables.  [strategy] picks the key order (the paper's ordering
+    heuristic or the random baseline); [subtasks] is the most runs
+    (paper: 100). *)
 val run_route_phase :
   ?strategy:Split.strategy ->
   ?subtasks:int ->
@@ -137,13 +137,6 @@ val run_traffic_phase :
   route_phase:route_phase ->
   flows:Flow.t list ->
   traffic_phase
-
-(** Widen a subtask's recorded input range with its result rows; with no
-    recorded range, seed from the first row's own prefix (never from a
-    v4-zero pair, which would be the wrong family for IPv6-only
-    subtasks); with neither, stay [None]. *)
-val seed_range :
-  (Ip.t * Ip.t) option -> Route.t list -> (Ip.t * Ip.t) option
 
 (** One-line summary of the monitor's work (re-sends, lease expiries,
     terminal failures, chaos accounting). *)

@@ -1,12 +1,13 @@
 (** Input splitting and the ordering heuristic (§3.2).
 
     Route simulation inputs are ordered by {e the last IP address of the
-    prefix} (done offline in the input route building service) and split
-    into contiguous subsets — routes with the same prefix always land in
-    the same subtask.  Input flows are ordered by destination address and
-    split the same way.  Because both sides follow the same ordering, a
-    traffic subtask's destination range overlaps only a few route
-    subtasks' covered ranges, so its worker loads only those RIB files.
+    prefix} (done offline in the input route building service) and cut
+    into runs of whole shard keys by the planner of
+    {!Hoyan_sim.Route_sim.runs}.  Input flows are ordered by destination
+    address and split the same way.  Because both sides follow the same
+    ordering, a traffic subtask's destination range overlaps only a few
+    route subtasks' covered ranges, so its worker loads only those RIB
+    files.
 
     The [Random] strategy reproduces the paper's comparison baseline:
     random partitions make every traffic subtask depend on essentially
@@ -14,18 +15,7 @@
 
 open Hoyan_net
 
-type strategy = Ordered | Random of int (* seed *)
-
-(* Deterministic shuffle. *)
-let shuffle seed arr =
-  let st = Random.State.make [| seed |] in
-  let n = Array.length arr in
-  for i = n - 1 downto 1 do
-    let j = Random.State.int st (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
+type strategy = Hoyan_sim.Route_sim.order = Ordered | Random of int (* seed *)
 
 let chunk (arr : 'a array) (n : int) : 'a list list =
   let len = Array.length arr in
@@ -36,61 +26,6 @@ let chunk (arr : 'a array) (n : int) : 'a list list =
       if lo >= hi then [] else Array.to_list (Array.sub arr lo (hi - lo)))
   |> List.filter (fun c -> c <> [])
 
-(** Split input routes into [subtasks] subsets.  Returns each subset with
-    its covered address range [(lo, hi)] — the range later recorded in the
-    subtask DB. *)
-let split_routes ~(strategy : strategy) ~(subtasks : int)
-    (routes : Route.t list) : (Route.t list * (Ip.t * Ip.t)) list =
-  (* group per prefix so same-prefix routes stay together *)
-  let by_prefix = Hashtbl.create 1024 in
-  let prefixes = ref [] in
-  List.iter
-    (fun (r : Route.t) ->
-      match Hashtbl.find_opt by_prefix r.Route.prefix with
-      | Some rs -> Hashtbl.replace by_prefix r.Route.prefix (r :: rs)
-      | None ->
-          Hashtbl.add by_prefix r.Route.prefix [ r ];
-          prefixes := r.Route.prefix :: !prefixes)
-    routes;
-  let arr = Array.of_list !prefixes in
-  (match strategy with
-  | Ordered ->
-      Array.sort
-        (fun a b -> Ip.compare (Prefix.last_addr a) (Prefix.last_addr b))
-        arr
-  | Random seed -> shuffle seed arr);
-  (* balance subtasks by *route* count (prefixes of one subtask stay
-     contiguous in the chosen order; same-prefix routes stay together) *)
-  let total = List.length routes in
-  let per = max 1 ((total + subtasks - 1) / subtasks) in
-  let groups = ref [] and current = ref [] and count = ref 0 in
-  Array.iter
-    (fun p ->
-      let rs = List.rev (Hashtbl.find by_prefix p) in
-      current := (p, rs) :: !current;
-      count := !count + List.length rs;
-      if !count >= per then begin
-        groups := List.rev !current :: !groups;
-        current := [];
-        count := 0
-      end)
-    arr;
-  if !current <> [] then groups := List.rev !current :: !groups;
-  List.rev !groups
-  |> List.map (fun prefix_group ->
-         let rs = List.concat_map snd prefix_group in
-         let lo, hi =
-           List.fold_left
-             (fun (lo, hi) (p, _) ->
-               let f = Prefix.first_addr p and l = Prefix.last_addr p in
-               ( (if Ip.compare f lo < 0 then f else lo),
-                 if Ip.compare l hi > 0 then l else hi ))
-             ( Prefix.first_addr (fst (List.hd prefix_group)),
-               Prefix.last_addr (fst (List.hd prefix_group)) )
-             prefix_group
-         in
-         (rs, (lo, hi)))
-
 (** Split input flows into [subtasks] subsets, each with its destination
     address range. *)
 let split_flows ~(strategy : strategy) ~(subtasks : int) (flows : Flow.t list)
@@ -99,7 +34,7 @@ let split_flows ~(strategy : strategy) ~(subtasks : int) (flows : Flow.t list)
   (match strategy with
   | Ordered ->
       Array.sort (fun (a : Flow.t) b -> Ip.compare a.Flow.dst b.Flow.dst) arr
-  | Random seed -> shuffle seed arr);
+  | Random seed -> Hoyan_sim.Route_sim.shuffle seed arr);
   chunk arr subtasks
   |> List.map (fun fs ->
          let dsts = List.map (fun (f : Flow.t) -> f.Flow.dst) fs in

@@ -25,7 +25,7 @@ type flow_summary = {
 }
 
 type obj =
-  | O_routes of Route.t list (* a route subtask's input *)
+  | O_run of Hoyan_sim.Route_sim.run (* a route subtask's input *)
   | O_flows of Flow.t list (* a traffic subtask's input *)
   | O_rib of Rib.t (* a route subtask's result (RIB rows) *)
   | O_traffic of {
@@ -39,7 +39,7 @@ let bytes_per_flow = 60
 let bytes_per_load_entry = 40
 
 let obj_size = function
-  | O_routes rs -> List.length rs * bytes_per_route
+  | O_run r -> List.length r.Hoyan_sim.Route_sim.rn_routes * bytes_per_route
   | O_rib rs -> Rib.length rs * bytes_per_route
   | O_flows fs -> List.length fs * bytes_per_flow
   | O_traffic { t_loads; t_flows } ->

@@ -19,7 +19,8 @@ type flow_summary = {
 }
 
 type obj =
-  | O_routes of Route.t list  (** a route subtask's input *)
+  | O_run of Hoyan_sim.Route_sim.run
+      (** a route subtask's input: its keys and their input routes *)
   | O_flows of Flow.t list  (** a traffic subtask's input *)
   | O_rib of Rib.t  (** a route subtask's result (RIB rows) *)
   | O_traffic of {

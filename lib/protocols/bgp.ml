@@ -824,11 +824,11 @@ let create sizes (net : network) : dev_state Smap.t =
   states
 
 (* The table sizes of a run restricted to [keep]: the distinct prefixes
-   it seeds (kept inputs and, when it originates, kept network
-   statements, aggregates and redistributed local rows), capped at
-   {!full_sizes}.  A one-prefix what-if run then allocates small tables
-   on every device instead of full ones. *)
-let table_sizes ~keep ~originate (net : network) (input : input) : sizes =
+   it seeds (kept inputs, network statements, aggregates and
+   redistributed local rows), capped at {!full_sizes}.  A one-prefix
+   what-if run then allocates small tables on every device instead of full
+   ones. *)
+let table_sizes ~keep (net : network) (input : input) : sizes =
   let seen = Prefix.Tbl.create 64 in
   let exception Full in
   let add p =
@@ -839,21 +839,20 @@ let table_sizes ~keep ~originate (net : network) (input : input) : sizes =
   in
   let seed () =
     List.iter (fun (r : Route.t) -> add r.Route.prefix) input.in_routes;
-    if originate then
-      Smap.iter
-        (fun name (ctx : device_ctx) ->
-          let bgp = ctx.d_cfg.Types.dc_bgp in
-          List.iter (fun (p, _) -> add p) bgp.Types.bgp_networks;
-          List.iter (fun (ag : Types.aggregate) -> add ag.Types.ag_prefix)
-            bgp.Types.bgp_aggregates;
-          if bgp.Types.bgp_redistribute <> [] then
-            List.iter
-              (fun (r : Route.t) ->
-                if List.mem_assoc r.Route.proto bgp.Types.bgp_redistribute then
-                  add r.Route.prefix)
-              (Option.value (Smap.find_opt name input.in_local_tables)
-                 ~default:[]))
-        net
+    Smap.iter
+      (fun name (ctx : device_ctx) ->
+        let bgp = ctx.d_cfg.Types.dc_bgp in
+        List.iter (fun (p, _) -> add p) bgp.Types.bgp_networks;
+        List.iter (fun (ag : Types.aggregate) -> add ag.Types.ag_prefix)
+          bgp.Types.bgp_aggregates;
+        if bgp.Types.bgp_redistribute <> [] then
+          List.iter
+            (fun (r : Route.t) ->
+              if List.mem_assoc r.Route.proto bgp.Types.bgp_redistribute then
+                add r.Route.prefix)
+            (Option.value (Smap.find_opt name input.in_local_tables)
+               ~default:[]))
+      net
   in
   match seed () with
   | () ->
@@ -902,22 +901,22 @@ let memo_regex (net : network) : network =
     selection at once over the device's export groups ({!export_prefix}),
     then delivers the changed advertisements: the receiver's ingress
     policy and its adj-rib-in, which mark it dirty for the next round.
-    [originate=false] skips network statements and redistribution — used
-    by distributed subtask workers, whose shared base RIB file carries
-    those input-independent routes.  [only] restricts the fixpoint to a
-    prefix set: input seeds, network statements, redistribution sources
-    and aggregates outside it are never injected, so the run converges
-    exactly the restriction of the unrestricted fixpoint {e provided} the
-    set is closed under aggregate contribution (dirty component ⇒ its
-    aggregates dirty, dirty aggregate ⇒ its candidate components dirty) —
-    the incremental engine's contract, oracle-checked by its selfcheck.
+    [only] restricts the fixpoint to a prefix set: input seeds, network
+    statements, redistribution sources and aggregates outside it are
+    never injected, so the run converges exactly the restriction of the
+    unrestricted fixpoint {e provided} the set is closed under aggregate
+    contribution (dirty component ⇒ its aggregates dirty, dirty
+    aggregate ⇒ its candidate components dirty): a set of whole shard
+    keys, the planner's contract for domain shards, distributed subtasks
+    and centralized chunks, and the incremental engine's, oracle-checked
+    by its selfcheck.
     [tm] (default: the process-global telemetry handle) receives
     per-round journal events and decision-process counters; each
     [bgp.round] event names the run's [shard] (default 0), the prefix
     shard of {!Hoyan_sim.Route_sim.run} it converges.  All state, the
     AS-path verdict memo ({!memo_regex}) included, is local to the call,
     so domains may run it concurrently. *)
-let run ?tm ?(originate = true) ?only ?(shard = 0) (net : network)
+let run ?tm ?only ?(shard = 0) (net : network)
     (input : input) :
     Route.t list * stats =
   let keep = match only with None -> fun _ -> true | Some f -> f in
@@ -930,7 +929,7 @@ let run ?tm ?(originate = true) ?only ?(shard = 0) (net : network)
   let sizes =
     match only with
     | None -> full_sizes
-    | Some keep -> table_sizes ~keep ~originate net input
+    | Some keep -> table_sizes ~keep net input
   in
   let states = create sizes net in
   let sim =
@@ -958,16 +957,15 @@ let run ?tm ?(originate = true) ?only ?(shard = 0) (net : network)
       | _ -> ())
     by_injection;
   (* seed: networks and redistribution *)
-  if originate then
-    Array.iter
-      (fun ((ctx : device_ctx), st) ->
-        originate_networks st keep ctx;
-        let local_table =
-          Option.value (Smap.find_opt ctx.d_name input.in_local_tables)
-            ~default:[]
-        in
-        redistribute st keep ctx local_table)
-      sim.devs;
+  Array.iter
+    (fun ((ctx : device_ctx), st) ->
+      originate_networks st keep ctx;
+      let local_table =
+        Option.value (Smap.find_opt ctx.d_name input.in_local_tables)
+          ~default:[]
+      in
+      redistribute st keep ctx local_table)
+    sim.devs;
   (* fixpoint *)
   let rounds = ref 0 in
   let continue_ = ref true in

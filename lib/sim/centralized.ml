@@ -23,7 +23,7 @@ type outcome = {
   c_oom_prefixes : int;
   c_skipped_prefixes : int; (* not attempted after the abort *)
   c_peak_bytes : int;
-  c_rib : Rib.t; (* RIB rows of the chunks that completed *)
+  c_rib : Rib.t; (* the local tables and the rows of the completed chunks *)
 }
 
 let completed_frac o =
@@ -34,73 +34,55 @@ let oom_frac o =
   if o.c_total_prefixes = 0 then 0.0
   else float_of_int o.c_oom_prefixes /. float_of_int o.c_total_prefixes
 
-(** Group input routes per prefix (routes of one prefix always simulate
-    together) and split the prefix list into [chunks] chunks. *)
-let chunk_inputs (input_routes : Route.t list) (chunks : int) :
-    Route.t list list =
-  let by_prefix = Hashtbl.create 1024 in
-  let order = ref [] in
-  List.iter
-    (fun (r : Route.t) ->
-      match Hashtbl.find_opt by_prefix r.Route.prefix with
-      | Some rs -> Hashtbl.replace by_prefix r.Route.prefix (r :: rs)
-      | None ->
-          Hashtbl.add by_prefix r.Route.prefix [ r ];
-          order := r.Route.prefix :: !order)
-    input_routes;
-  let prefixes = Array.of_list (List.rev !order) in
-  let n = Array.length prefixes in
-  let chunks = max 1 (min chunks n) in
-  let per = (n + chunks - 1) / chunks in
-  List.init chunks (fun i ->
-      let lo = i * per and hi = min n ((i + 1) * per) in
-      if lo >= hi then []
-      else
-        List.concat_map
-          (fun j -> List.rev (Hashtbl.find by_prefix prefixes.(j)))
-          (List.init (hi - lo) (fun k -> lo + k)))
-  |> List.filter (fun c -> c <> [])
-
 (** Run the centralized simulation with a memory cap.
 
     [mem_cap_bytes] models the server's RAM budget for simulation state
     (the paper's server had 791 GB; scale the cap with the scale of the
     workload).  The resident estimate is the cumulative RIB size: the
     centralized design holds *all* routes of *all* routers in one address
-    space, which is exactly what broke at WAN+DCN scale. *)
+    space, which is exactly what broke at WAN+DCN scale.  The chunks are
+    the planner's runs ({!Route_sim.runs}): each simulates whole shard
+    keys and originates their routes; the local tables are loaded once,
+    with the inputs. *)
 let run ?(chunks = 50) ?(time_budget_s = infinity) ~(mem_cap_bytes : int)
     (model : Model.t) ~(input_routes : Route.t list) () : outcome =
   let t0 = Unix.gettimeofday () in
-  let chunked = chunk_inputs input_routes chunks in
-  let total_prefixes =
-    List.fold_left
-      (fun n c ->
-        n
-        + (List.map (fun (r : Route.t) -> r.Route.prefix) c
-          |> List.sort_uniq Prefix.compare |> List.length))
-      0 chunked
+  let runs =
+    Route_sim.runs ~order:Route_sim.Ordered ~n:chunks model input_routes
   in
-  (* All inputs are loaded up front in the centralized design. *)
+  let prefixes_of (run : Route_sim.run) =
+    List.map (fun (r : Route.t) -> r.Route.prefix) run.Route_sim.rn_routes
+    |> List.sort_uniq Prefix.compare |> List.length
+  in
+  let total_prefixes = List.fold_left (fun n c -> n + prefixes_of c) 0 runs in
+  (* All inputs and local tables are loaded up front in the centralized
+     design. *)
+  let locals = Model.local_rib model in
   let persistent =
-    ref (List.length input_routes * bytes_per_input_route)
+    ref
+      ((List.length input_routes * bytes_per_input_route)
+      + (Rib.length locals * bytes_per_rib_row))
   in
   let peak = ref !persistent in
   let simulated = ref 0 and oom = ref 0 and skipped = ref 0 in
-  let rib = ref [] in
+  let rib = ref [ locals ] in
   List.iter
-    (fun chunk ->
-      let chunk_prefixes =
-        List.map (fun (r : Route.t) -> r.Route.prefix) chunk
-        |> List.sort_uniq Prefix.compare |> List.length
-      in
+    (fun (run : Route_sim.run) ->
+      let chunk_prefixes = prefixes_of run in
       if Unix.gettimeofday () -. t0 > time_budget_s then
         (* the run deadline passed: the remaining prefixes never complete *)
         skipped := !skipped + chunk_prefixes
       else begin
-        let res = Route_sim.run ~domains:1 model ~input_routes:chunk () in
+        let res =
+          Route_sim.run ~include_locals:false
+            ~only:(Route_sim.owns model run.Route_sim.rn_keys)
+            ~domains:1 model ~input_routes:run.Route_sim.rn_routes ()
+        in
         let rows = Rib.length res.Route_sim.rib in
         let adj = res.Route_sim.bgp_stats.Hoyan_proto.Bgp.st_messages in
-        let transient = (rows * bytes_per_rib_row) + (adj * bytes_per_adj_entry) in
+        let transient =
+          (rows * bytes_per_rib_row) + (adj * bytes_per_adj_entry)
+        in
         peak := max !peak (!persistent + transient);
         if !persistent + transient > mem_cap_bytes then
           (* the allocation attempt fails; the transient state is
@@ -112,7 +94,7 @@ let run ?(chunks = 50) ?(time_budget_s = infinity) ~(mem_cap_bytes : int)
           rib := res.Route_sim.rib :: !rib
         end
       end)
-    chunked;
+    runs;
   {
     c_time_s = Unix.gettimeofday () -. t0;
     c_total_prefixes = total_prefixes;

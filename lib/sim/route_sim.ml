@@ -10,7 +10,9 @@
     A full run splits its prefixes into shards that converge
     independently and runs them on {!Parallel.map} domains: BGP prefixes
     interact only through aggregation, so a shard holds every prefix
-    under one outermost aggregate together. *)
+    under one outermost aggregate together.  The same planner cuts the
+    inputs of the distributed framework's subtasks and the centralized
+    baseline's chunks into runs of whole keys ({!runs}). *)
 
 open Hoyan_net
 module Smap = Map.Make (String)
@@ -59,7 +61,7 @@ let expand (groups : Ec.group list) (rows : Route.t list) : Route.t list =
     groups
 
 (* ------------------------------------------------------------------ *)
-(* Prefix shards                                                       *)
+(* The input planner: shard keys, domain shards and runs               *)
 (* ------------------------------------------------------------------ *)
 
 (** The shard key of a prefix: the outermost aggregate prefix of any
@@ -109,25 +111,16 @@ let shard_key (net : Bgp.network) : Prefix.t -> Prefix.t =
       find lengths
   end
 
-(** One shard's work: its prefix set (or [None], no restriction), the
-    representative routes and classes it simulates and the local-table
-    rows it emits. *)
-type part = {
-  pt_shard : int;
-  pt_keep : (Prefix.t -> bool) option;
-  pt_reps : Route.t list;
-  pt_groups : Ec.group list;
-  pt_locals : Route.t list;
+(** The planner's view of a route input set: every prefix a run over
+    it can touch (the routes' own, network statements, aggregates and
+    redistributed local rows) weighed under its shard key.  [pl_key]
+    answers for any prefix and only reads, so domains share it. *)
+type plan = {
+  pl_key : Prefix.t -> Prefix.t;
+  pl_weights : (Prefix.t * int) list;  (** every key once, any order *)
 }
 
-(** Split a full run into at most [domains] shards.  Every prefix the
-    run can touch (representatives, network statements, redistributed
-    local rows, aggregates) is weighed under its key; keys go, heaviest
-    first, to the least loaded shard.  A prefix of no listed key (none
-    arises: VRF leaking keeps the prefix) would fall to shard 0, so the
-    shards partition every prefix. *)
-let shard_parts ~domains (model : Model.t) ~(reps : Route.t list)
-    ~(groups : Ec.group list) ~(locals : Route.t list) : part list =
+let plan (model : Model.t) (routes : Route.t list) : plan =
   let net = model.Model.net in
   let key = shard_key net in
   let weight = Prefix.Tbl.create 4096 and key_of = Prefix.Tbl.create 4096 in
@@ -143,7 +136,7 @@ let shard_parts ~domains (model : Model.t) ~(reps : Route.t list)
     Prefix.Tbl.replace weight k
       (1 + Option.value (Prefix.Tbl.find_opt weight k) ~default:0)
   in
-  List.iter (fun (r : Route.t) -> add r.Route.prefix) reps;
+  List.iter (fun (r : Route.t) -> add r.Route.prefix) routes;
   Smap.iter
     (fun name (ctx : Bgp.device_ctx) ->
       let bgp = ctx.Bgp.d_cfg.Types.dc_bgp in
@@ -157,10 +150,42 @@ let shard_parts ~domains (model : Model.t) ~(reps : Route.t list)
         (Option.value (Smap.find_opt name model.Model.local_tables)
            ~default:[]))
     net;
+  { pl_key =
+      (fun p ->
+        match Prefix.Tbl.find_opt key_of p with Some k -> k | None -> key p);
+    pl_weights = Prefix.Tbl.fold (fun k w acc -> (k, w) :: acc) weight [] }
+
+(* [xs] cut into [n] pieces by [piece_of] their prefix, each piece's
+   items in their order in [xs] *)
+let bucket n (piece_of : Prefix.t -> int) (prefix : 'a -> Prefix.t)
+    (xs : 'a list) : 'a list array =
+  let b = Array.make n [] in
+  List.iter (fun x -> let i = piece_of (prefix x) in b.(i) <- x :: b.(i)) xs;
+  Array.map List.rev b
+
+(** One shard's work: its prefix set (or [None], no restriction), the
+    representative routes and classes it simulates and the local-table
+    rows it emits. *)
+type part = {
+  pt_shard : int;
+  pt_keep : (Prefix.t -> bool) option;
+  pt_reps : Route.t list;
+  pt_groups : Ec.group list;
+  pt_locals : Route.t list;
+}
+
+(** Split a full run into at most [domains] shards: the plan of its
+    representatives, keys heaviest first onto the least loaded shard.  A
+    prefix of no planned key (none arises: VRF leaking keeps the prefix)
+    would fall to shard 0, so the shards partition every prefix. *)
+let shard_parts ~domains (model : Model.t) ~(reps : Route.t list)
+    ~(groups : Ec.group list) ~(locals : Route.t list) : part list =
+  let pl = plan model reps in
   let keys =
-    Prefix.Tbl.fold (fun k w acc -> (k, w) :: acc) weight []
-    |> List.sort (fun (k1, w1) (k2, w2) ->
-           if w1 <> w2 then Int.compare w2 w1 else Prefix.compare k1 k2)
+    List.sort
+      (fun (k1, w1) (k2, w2) ->
+        if w1 <> w2 then Int.compare w2 w1 else Prefix.compare k1 k2)
+      pl.pl_weights
   in
   let loads = Array.make (max 1 domains) 0 in
   let shard_of_key = Prefix.Tbl.create 1024 in
@@ -172,20 +197,13 @@ let shard_parts ~domains (model : Model.t) ~(reps : Route.t list)
       Prefix.Tbl.replace shard_of_key k !i)
     keys;
   let shard_of p =
-    let k =
-      match Prefix.Tbl.find_opt key_of p with Some k -> k | None -> key p
-    in
-    Option.value (Prefix.Tbl.find_opt shard_of_key k) ~default:0
+    Option.value (Prefix.Tbl.find_opt shard_of_key (pl.pl_key p)) ~default:0
   in
   let n = Array.length loads in
-  let bucket f xs =
-    let b = Array.make n [] in
-    List.iter (fun x -> let i = shard_of (f x) in b.(i) <- x :: b.(i)) xs;
-    Array.map List.rev b
-  in
-  let reps_b = bucket (fun (r : Route.t) -> r.Route.prefix) reps
-  and groups_b = bucket (fun (g : Ec.group) -> g.Ec.rep_prefix) groups
-  and locals_b = bucket (fun (r : Route.t) -> r.Route.prefix) locals in
+  let prefix (r : Route.t) = r.Route.prefix in
+  let reps_b = bucket n shard_of prefix reps
+  and groups_b = bucket n shard_of (fun (g : Ec.group) -> g.Ec.rep_prefix) groups
+  and locals_b = bucket n shard_of prefix locals in
   List.filter_map
     (fun i ->
       if loads.(i) = 0 && i > 0 then None
@@ -196,9 +214,84 @@ let shard_parts ~domains (model : Model.t) ~(reps : Route.t list)
             pt_locals = locals_b.(i) })
     (List.init n Fun.id)
 
+type order = Ordered | Random of int
+
+let shuffle seed arr =
+  let st = Random.State.make [| seed |] in
+  for i = Array.length arr - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let tmp = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- tmp
+  done
+
+type run = {
+  rn_keys : Prefix.t list;
+  rn_routes : Route.t list;
+  rn_range : Ip.t * Ip.t;
+}
+
+let runs ~order ~n (model : Model.t) (routes : Route.t list) : run list =
+  let pl = plan model routes in
+  let keys =
+    Array.of_list
+      (List.sort (fun (a, _) (b, _) -> Prefix.compare a b) pl.pl_weights)
+  in
+  (match order with
+  | Ordered ->
+      Array.stable_sort
+        (fun (a, _) (b, _) ->
+          Ip.compare (Prefix.last_addr a) (Prefix.last_addr b))
+        keys
+  | Random seed -> shuffle seed keys);
+  let total = Array.fold_left (fun acc (_, w) -> acc + w) 0 keys in
+  let per = max 1 ((total + max 1 n - 1) / max 1 n) in
+  (* consecutive keys; a run closes once its weight reaches [per] *)
+  let cuts = ref [] and cur = ref [] and w = ref 0 in
+  Array.iter
+    (fun (k, kw) ->
+      cur := k :: !cur;
+      w := !w + kw;
+      if !w >= per then begin
+        cuts := List.rev !cur :: !cuts;
+        cur := [];
+        w := 0
+      end)
+    keys;
+  if !cur <> [] then cuts := List.rev !cur :: !cuts;
+  let cuts = Array.of_list (List.rev !cuts) in
+  let run_of_key = Prefix.Tbl.create 1024 in
+  Array.iteri
+    (fun i ks -> List.iter (fun k -> Prefix.Tbl.replace run_of_key k i) ks)
+    cuts;
+  let routes_b =
+    bucket (Array.length cuts)
+      (fun p -> Prefix.Tbl.find run_of_key (pl.pl_key p))
+      (fun (r : Route.t) -> r.Route.prefix) routes
+  in
+  let widen (lo, hi) k =
+    let f = Prefix.first_addr k and l = Prefix.last_addr k in
+    ( (if Ip.compare f lo < 0 then f else lo),
+      if Ip.compare l hi > 0 then l else hi )
+  in
+  Array.to_list
+    (Array.mapi
+       (fun i ks ->
+         let k0 = List.hd ks in
+         { rn_keys = ks; rn_routes = routes_b.(i);
+           rn_range =
+             List.fold_left widen
+               (Prefix.first_addr k0, Prefix.last_addr k0)
+               ks })
+       cuts)
+
+let owns (model : Model.t) (keys : Prefix.t list) : Prefix.t -> bool =
+  let key = shard_key model.Model.net and mine = Prefix.Tbl.create 64 in
+  List.iter (fun k -> Prefix.Tbl.replace mine k ()) keys;
+  fun p -> Prefix.Tbl.mem mine (key p)
+
 (** Converge one part and build its sorted share of the RIB. *)
-let run_part ~tm ~originate (model : Model.t) (pt : part) : Rib.t * Bgp.stats
-    =
+let run_part ~tm (model : Model.t) (pt : part) : Rib.t * Bgp.stats =
   let sp =
     if Telemetry.enabled tm then
       Telemetry.span tm
@@ -207,7 +300,7 @@ let run_part ~tm ~originate (model : Model.t) (pt : part) : Rib.t * Bgp.stats
     else Hoyan_telemetry.Trace.null_span
   in
   let rows, stats =
-    Bgp.run ~tm ~originate ?only:pt.pt_keep ~shard:pt.pt_shard model.Model.net
+    Bgp.run ~tm ?only:pt.pt_keep ~shard:pt.pt_shard model.Model.net
       { Bgp.in_routes = pt.pt_reps; in_local_tables = model.Model.local_tables }
   in
   let rib = Rib.of_routes (rows @ expand pt.pt_groups rows @ pt.pt_locals) in
@@ -244,8 +337,8 @@ let ev_result (tm : Telemetry.t) (r : result) =
 
 (** Run the route simulation.  [use_ecs=false] disables EC compression
     (ablation). *)
-let run ?tm ?(use_ecs = true) ?(include_locals = true) ?(originate = true)
-    ?only ?(domains = Parallel.default_domains ()) (model : Model.t)
+let run ?tm ?(use_ecs = true) ?(include_locals = true) ?only
+    ?(domains = Parallel.default_domains ()) (model : Model.t)
     ~(input_routes : Route.t list) () : result =
   let tm = match tm with Some tm -> tm | None -> Telemetry.get () in
   let keep (r : Route.t) =
@@ -282,7 +375,7 @@ let run ?tm ?(use_ecs = true) ?(include_locals = true) ?(originate = true)
   let results =
     Telemetry.with_span tm "route.fixpoint" (fun () ->
         Parallel.map ~tm ~domains:(List.length parts)
-          (run_part ~tm ~originate model)
+          (run_part ~tm model)
           parts)
   in
   let bgp_stats =

@@ -33,17 +33,15 @@ type result = {
     - [use_ecs=false] disables EC compression (ablation; results must be
       identical, which the test suite checks).
     - [include_locals=false] omits connected/static/IS-IS rows from the
-      result (distributed subtask workers use this; the rows live in the
-      shared base RIB file instead).
-    - [originate=false] also skips network statements and redistribution
-      (again for subtask workers).
+      result (the incremental splice and the distributed workers take
+      them from the model instead).
     - [only] restricts the whole simulation to a prefix set: inputs,
       origination (networks / redistribution / aggregates) and the
       local-table rows of the result are filtered by it, and the BGP
       fixpoint never injects a prefix outside it.  Sound iff the set is
-      closed under aggregate contribution — see
-      {!Hoyan_sim.Incremental}, which owns that closure and the
-      selfcheck oracle for it.
+      closed under aggregate contribution, as any set of whole shard
+      keys is ({!owns}); see {!Hoyan_sim.Incremental}, which owns the
+      closure of a dirty set and the selfcheck oracle for it.
     - [domains] (default {!Parallel.default_domains}) is the number of
       shards of a full run, and of the domains that run them.  It decides
       the shards, not the machine: the same [domains] splits the same
@@ -60,10 +58,43 @@ val run :
   ?tm:Hoyan_telemetry.Telemetry.t ->
   ?use_ecs:bool ->
   ?include_locals:bool ->
-  ?originate:bool ->
   ?only:(Prefix.t -> bool) ->
   ?domains:int ->
   Model.t ->
   input_routes:Route.t list ->
   unit ->
   result
+
+(** {2 Runs: the input planner's cut for subtasks and chunks}
+
+    The planner weighs every prefix a run can touch (input routes,
+    network statements, aggregates, redistributed local rows) under its
+    shard key.  A full run's domain shards take the keys heaviest first;
+    {!runs} takes them in consecutive runs, so the distributed
+    framework's subtasks and the centralized baseline's chunks each hold
+    whole keys and originate exactly their own keys' routes. *)
+
+(** The order of the keys: by their last address (the paper's §3.2
+    ordering heuristic), or a seeded shuffle (its random baseline). *)
+type order = Ordered | Random of int
+
+(** The seeded in-place shuffle of [Random]. *)
+val shuffle : int -> 'a array -> unit
+
+type run = {
+  rn_keys : Prefix.t list;  (** the shard keys it owns, in cut order *)
+  rn_routes : Route.t list;
+      (** the input routes under its keys, in input order *)
+  rn_range : Ip.t * Ip.t;
+      (** first to last address over its keys: every row a run of it
+          yields has its prefix inside *)
+}
+
+(** [runs ~order ~n model routes] cuts the keys of [routes] into at most
+    [n] runs of consecutive keys in [order], balanced by weight.  Every
+    route lands in exactly one run, and every planned key in one. *)
+val runs : order:order -> n:int -> Model.t -> Route.t list -> run list
+
+(** [owns model keys] is the [?only] of a run over [keys]: a prefix
+    whose shard key is one of them. *)
+val owns : Model.t -> Prefix.t list -> Prefix.t -> bool

@@ -18,6 +18,9 @@ module Verify_request = Hoyan_core.Verify_request
 module Preprocess = Hoyan_core.Preprocess
 module Intents = Hoyan_core.Intents
 module Cp = Hoyan_config.Change_plan
+module B = Hoyan_workload.Builder
+module Model = Hoyan_sim.Model
+module Types = Hoyan_config.Types
 
 
 (* fixed seed: the property suites are deterministic run to run *)
@@ -29,37 +32,83 @@ let tint = Alcotest.int
 
 let scenario = lazy (G.generate G.small)
 
+(* The planner's promises for a run cut of [routes] on [model], each
+   checked: whole keys per run (every input and aggregate prefix owned by
+   exactly one run, an aggregate's components by its run); every input
+   route in exactly one run, in input order; and every row a run yields
+   inside its recorded range.  Returns each run's rows. *)
+let check_runs ~msg (model : Model.t) (routes : Route.t list)
+    (runs : Route_sim.run list) : Rib.t list =
+  let owners =
+    List.map
+      (fun (rn : Route_sim.run) -> Route_sim.owns model rn.Route_sim.rn_keys)
+      runs
+  in
+  let owner p =
+    match
+      List.concat
+        (List.mapi (fun i owns -> if owns p then [ i ] else []) owners)
+    with
+    | [ i ] -> i
+    | l ->
+        Alcotest.failf "%s: %s has %d owning runs" msg (Prefix.to_string p)
+          (List.length l)
+  in
+  Model.Smap.iter
+    (fun _ (c : Types.t) ->
+      List.iter
+        (fun (ag : Types.aggregate) ->
+          let home = owner ag.Types.ag_prefix in
+          List.iter
+            (fun (r : Route.t) ->
+              if Prefix.subsumes ag.Types.ag_prefix r.Route.prefix then
+                check tint (msg ^ ": a component runs with its aggregate") home
+                  (owner r.Route.prefix))
+            routes)
+        c.Types.dc_bgp.Types.bgp_aggregates)
+    model.Model.configs;
+  check tint (msg ^ ": every route in one run") (List.length routes)
+    (List.fold_left
+       (fun n (rn : Route_sim.run) -> n + List.length rn.Route_sim.rn_routes)
+       0 runs);
+  List.map2
+    (fun (rn : Route_sim.run) owns ->
+      check tbool (msg ^ ": a run holds the routes it owns, in input order")
+        true
+        (List.equal ( == )
+           (List.filter (fun (r : Route.t) -> owns r.Route.prefix) routes)
+           rn.Route_sim.rn_routes);
+      let rows =
+        (Route_sim.run ~include_locals:false ~only:owns ~domains:1 model
+           ~input_routes:rn.Route_sim.rn_routes ())
+          .Route_sim.rib
+      in
+      let lo, hi = rn.Route_sim.rn_range in
+      Rib.iter
+        (fun (r : Route.t) ->
+          if
+            Ip.compare (Prefix.first_addr r.Route.prefix) lo < 0
+            || Ip.compare (Prefix.last_addr r.Route.prefix) hi > 0
+          then
+            Alcotest.failf "%s: row %s outside its run's range" msg
+              (Route.to_string r))
+        rows;
+      rows)
+    runs owners
+
 let test_split_routes_ordered () =
   let g = Lazy.force scenario in
-  let splits =
-    Split.split_routes ~strategy:Split.Ordered ~subtasks:10 g.G.input_routes
-  in
-  check tbool "about 10 subtasks" true (List.length splits <= 10);
-  (* all routes of one prefix are in the same subtask *)
-  let prefix_home = Hashtbl.create 256 in
-  List.iteri
-    (fun i (routes, _) ->
-      List.iter
-        (fun (r : Route.t) ->
-          match Hashtbl.find_opt prefix_home r.Route.prefix with
-          | Some j -> check tint "same-prefix same-subtask" j i
-          | None -> Hashtbl.add prefix_home r.Route.prefix i)
-        routes)
-    splits;
-  (* ranges cover their routes *)
   List.iter
-    (fun (routes, (lo, hi)) ->
-      List.iter
-        (fun (r : Route.t) ->
-          check tbool "range covers first" true
-            (Ip.compare (Prefix.first_addr r.Route.prefix) lo >= 0);
-          check tbool "range covers last" true
-            (Ip.compare (Prefix.last_addr r.Route.prefix) hi <= 0))
-        routes)
-    splits;
-  (* total preserved *)
-  let total = List.fold_left (fun n (rs, _) -> n + List.length rs) 0 splits in
-  check tint "no route lost" (List.length g.G.input_routes) total
+    (fun (msg, model) ->
+      let runs =
+        Route_sim.runs ~order:Split.Ordered ~n:10 model g.G.input_routes
+      in
+      check tbool (msg ^ ": at most 10 runs") true (List.length runs <= 10);
+      ignore (check_runs ~msg model g.G.input_routes runs))
+    (("small", g.G.model)
+    :: List.init 3 (fun seed ->
+           ( Printf.sprintf "small + aggregates %d" seed,
+             Agg_nets.add ~seed g )))
 
 let test_split_flows () =
   let g = Lazy.force scenario in
@@ -80,41 +129,68 @@ let test_split_flows () =
 (* The master-collect identity contract at every tested subtask count:
    each framework route-phase RIB is the sequential [Route_sim.run] RIB
    row for row (both are canonical [Rib.t]s, so equality is list
-   equality).  Runs on the small scenario and on a reduced wan (800
-   prefixes, ~86k RIB rows); on small the centralized baseline must
-   agree too. *)
+   equality), and so is the uncapped centralized baseline's.  Runs on the
+   small scenario, on small with generated aggregates (plain,
+   summary-only, nested) or after the example aggregate plan, and on a
+   reduced wan (800 prefixes, ~86k RIB rows). *)
+let identity ?(centralized = true) name (model : Model.t) inputs
+    subtask_counts =
+  let direct = (Route_sim.run model ~input_routes:inputs ()).Route_sim.rib in
+  List.iter
+    (fun subtasks ->
+      let fw = Framework.create model in
+      let rib =
+        (Framework.run_route_phase ~subtasks fw ~input_routes:inputs)
+          .Framework.rp_rib
+      in
+      check tbool
+        (Printf.sprintf "%s: %d subtask(s) row-for-row equal to direct" name
+           subtasks)
+        true (Rib.equal direct rib))
+    subtask_counts;
+  if centralized then
+    check tbool (name ^ ": centralized rows = direct rows") true
+      (Rib.equal direct
+         (Hoyan_sim.Centralized.run ~mem_cap_bytes:max_int model
+            ~input_routes:inputs ())
+           .Hoyan_sim.Centralized.c_rib)
+
 let test_distributed_equals_direct () =
-  let identity name (g : G.t) subtask_counts =
-    let direct =
-      (Route_sim.run g.G.model ~input_routes:g.G.input_routes ()).Route_sim.rib
-    in
-    List.iter
-      (fun subtasks ->
-        let fw = Framework.create g.G.model in
-        let rib =
-          (Framework.run_route_phase ~subtasks fw
-             ~input_routes:g.G.input_routes)
-            .Framework.rp_rib
-        in
-        check tbool
-          (Printf.sprintf "%s: %d subtask(s) row-for-row equal to direct" name
-             subtasks)
-          true (Rib.equal direct rib))
-      subtask_counts;
-    direct
-  in
   let g = Lazy.force scenario in
-  let direct = identity "small" g [ 1; 7; 32 ] in
+  identity "small" g.G.model g.G.input_routes [ 1; 7; 32; 100 ];
+  for seed = 1 to 4 do
+    identity
+      (Printf.sprintf "small + aggregates %d" seed)
+      (Agg_nets.add ~seed g) g.G.input_routes [ 1; 7; 32; 100 ]
+  done;
+  (* [examples/aggregate_plan.txt], an aggregate over 75 inputs: a cut
+     that ignores aggregates puts its contributors in different
+     subtasks at 32 and 100, each originating its own copy *)
+  List.iter
+    (fun summary_only ->
+      identity
+        (if summary_only then "aggregate plan, summary-only"
+         else "aggregate plan")
+        (Agg_nets.example_plan ~summary_only g.G.model)
+        g.G.input_routes [ 32; 100 ])
+    [ false; true ];
   let wan800 = G.generate { G.wan with G.g_prefixes = 800 } in
-  ignore (identity "wan/800" wan800 [ 1; 32 ]);
-  let cent =
-    Hoyan_sim.Centralized.run ~mem_cap_bytes:max_int g.G.model
-      ~input_routes:g.G.input_routes ()
-  in
-  (* every centralized chunk repeats the locally originated rows; the
-     union keeps one copy *)
-  check tbool "small: centralized rows = direct rows" true
-    (Rib.equal direct cent.Hoyan_sim.Centralized.c_rib)
+  identity ~centralized:false "wan/800" wan800.G.model wan800.G.input_routes
+    [ 1; 32 ]
+
+(* property: on [test bgp]'s generated networks (nested plain,
+   summary-only and AS-set aggregates, an aggregate in a VRF that leaks
+   into it, IS-IS loopbacks redistributed under an aggregate) every
+   executor equals the direct run *)
+let prop_executors_on_generated_aggregates =
+  QCheck.Test.make ~count:30
+    ~name:"framework, centralized = direct (generated aggregates, VRFs)"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let model, inputs = Test_bgp.sharded_network seed in
+      identity (Printf.sprintf "network %d" seed) model inputs
+        [ 1; 7; 32; 100 ];
+      true)
 
 let test_traffic_phase_and_dependencies () =
   let g = Lazy.force scenario in
@@ -404,27 +480,40 @@ let test_parallel_map_nested () =
 
 (* property: the ordering heuristic's dependency test is sound — if a
    traffic subtask's range does not overlap a route subtask's range, no
-   flow of the former can match any route of the latter *)
+   flow of the former can match any row the latter yields — over the
+   run cut of random prefixes on one device with random (possibly
+   nested) aggregates, which also keeps the planner's promises *)
 let prop_dependency_soundness =
   let gen =
     QCheck.Gen.(
-      pair
+      triple
         (list_size (int_range 1 20)
            (map2
               (fun ip len ->
-                Hoyan_net.Prefix.make (Ip.V4 (ip land 0xffffffff)) (8 + (len mod 17)))
+                Prefix.make (Ip.V4 (ip land 0xffffffff)) (8 + (len mod 17)))
               nat nat))
-        (list_size (int_range 1 20) (map (fun n -> Ip.V4 (n land 0xffffffff)) nat)))
+        (list_size (int_range 0 3) (pair nat (int_range 1 8)))
+        (list_size (int_range 1 20)
+           (map (fun n -> Ip.V4 (n land 0xffffffff)) nat)))
   in
   QCheck.Test.make ~name:"range-overlap dependency test is sound" ~count:200
     (QCheck.make gen)
-    (fun (prefixes, dsts) ->
+    (fun (prefixes, aggregates, dsts) ->
+      let b = B.create () in
+      B.add_device b ~name:"X" ~vendor:"vendorA" ~asn:65000
+        ~router_id:(B.ip "10.255.0.1") ();
+      List.iter
+        (fun (i, d) ->
+          let p = List.nth prefixes (i mod List.length prefixes) in
+          B.add_aggregate b "X" ~summary_only:(d mod 2 = 0)
+            (Prefix.make (Prefix.ip p) (max 1 (Prefix.len p - d))))
+        aggregates;
+      let model = B.build b in
       let routes =
-        List.map
-          (fun p -> Route.make ~device:"X" ~prefix:p ())
-          prefixes
+        List.map (fun p -> Route.make ~device:"X" ~prefix:p ()) prefixes
       in
-      let r_splits = Split.split_routes ~strategy:Split.Ordered ~subtasks:4 routes in
+      let runs = Route_sim.runs ~order:Split.Ordered ~n:4 model routes in
+      let rows = check_runs ~msg:"random prefixes" model routes runs in
       let flows =
         List.map
           (fun d -> Flow.make ~src:(Ip.V4 1) ~dst:d ~ingress:"X" ())
@@ -433,18 +522,19 @@ let prop_dependency_soundness =
       let f_splits = Split.split_flows ~strategy:Split.Ordered ~subtasks:4 flows in
       List.for_all
         (fun (fs, frange) ->
-          List.for_all
-            (fun (rs, rrange) ->
-              Split.ranges_overlap frange rrange
-              || (* no overlap: then no flow matches any route *)
+          List.for_all2
+            (fun (rn : Route_sim.run) rib ->
+              Split.ranges_overlap frange rn.Route_sim.rn_range
+              || (* no overlap: then no flow matches any row *)
               not
                 (List.exists
                    (fun (f : Flow.t) ->
-                     List.exists
-                       (fun (r : Route.t) -> Prefix.mem f.Flow.dst r.Route.prefix)
-                       rs)
+                     Rib.fold
+                       (fun (r : Route.t) hit ->
+                         hit || Prefix.mem f.Flow.dst r.Route.prefix)
+                       rib false)
                    fs))
-            r_splits)
+            runs rows)
         f_splits)
 
 (* ------------------------------------------------------------------ *)
@@ -668,27 +758,6 @@ let test_ec_counts () =
     (rp2.Framework.rp_ec_inputs > 0
     && rp2.Framework.rp_ec_inputs <= List.length g.G.input_routes)
 
-(* satellite: the range seed must respect the subtask's address family
-   instead of collapsing to the v4 zero pair *)
-let test_seed_range () =
-  let route p = Route.make ~device:"R" ~prefix:(Prefix.of_string_exn p) () in
-  check tbool "no range, no rows: stays None" true
-    (Framework.seed_range None [] = None);
-  (match Framework.seed_range None [ route "2001:db8::/32" ] with
-  | Some (lo, hi) ->
-      check tbool "v6 rows seed a v6 range" true
-        (Ip.family lo = Ip.Ipv6 && Ip.family hi = Ip.Ipv6)
-  | None -> Alcotest.fail "expected a seeded range");
-  let r4 = route "10.0.0.0/8" in
-  match
-    Framework.seed_range (Some (Ip.V4 0x0b000000, Ip.V4 0x0b0000ff)) [ r4 ]
-  with
-  | Some (lo, hi) ->
-      check tbool "existing range is widened to cover the rows" true
-        (Ip.compare lo (Prefix.first_addr r4.Route.prefix) <= 0
-        && Ip.compare hi (Prefix.last_addr r4.Route.prefix) >= 0)
-  | None -> Alcotest.fail "expected a range"
-
 (* the verification pipeline refuses intent verdicts over partial
    distributed results (and can never report PASS on them) *)
 let test_verify_partial_refusal () =
@@ -753,7 +822,6 @@ let suite =
     ("chaos plans replay deterministically", `Slow, test_chaos_determinism);
     ("total failure still terminates", `Slow, test_total_failure_terminates);
     ("aggregated EC counts are real", `Slow, test_ec_counts);
-    ("seed_range respects address family", `Quick, test_seed_range);
     ("verify refuses partial results", `Slow, test_verify_partial_refusal);
     ("schedule makespan", `Quick, test_schedule_makespan);
     ("schedule LPT vs FIFO", `Quick, test_schedule_lpt);
@@ -766,5 +834,6 @@ let suite =
     ("parallel map: nested map stays on its worker", `Quick,
       test_parallel_map_nested);
     qtest prop_dependency_soundness;
+    qtest prop_executors_on_generated_aggregates;
     qtest prop_lpt_sweep_monotone;
   ]

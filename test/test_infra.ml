@@ -17,13 +17,19 @@ let tint = Alcotest.int
 let route n =
   Route.make ~device:"X" ~prefix:(Prefix.of_string_exn (Printf.sprintf "10.%d.0.0/24" n)) ()
 
+let run rs =
+  Storage.O_run
+    { Hoyan_sim.Route_sim.rn_keys = []; rn_routes = rs;
+      rn_range = (Ip.V4 0, Ip.V4 0) }
+
 let test_storage () =
   let s = Storage.create () in
-  Storage.put s ~key:"a" (Storage.O_routes [ route 1; route 2 ]);
+  Storage.put s ~key:"a" (run [ route 1; route 2 ]);
   check tbool "mem" true (Storage.mem s ~key:"a");
   check tbool "not mem" false (Storage.mem s ~key:"b");
   (match Storage.get s ~key:"a" with
-  | Some (Storage.O_routes rs) -> check tint "roundtrip" 2 (List.length rs)
+  | Some (Storage.O_run r) ->
+      check tint "roundtrip" 2 (List.length r.Hoyan_sim.Route_sim.rn_routes)
   | _ -> Alcotest.fail "wrong payload");
   (* accounting *)
   let st = Storage.stats s in
@@ -32,9 +38,9 @@ let test_storage () =
   check tint "bytes read" (2 * Storage.bytes_per_route) st.Storage.bytes_read;
   check tint "files read" 1 st.Storage.files_read;
   (* overwrite replaces *)
-  Storage.put s ~key:"a" (Storage.O_routes [ route 3 ]);
+  Storage.put s ~key:"a" (run [ route 3 ]);
   (match Storage.get s ~key:"a" with
-  | Some (Storage.O_routes [ r ]) ->
+  | Some (Storage.O_run { Hoyan_sim.Route_sim.rn_routes = [ r ]; _ }) ->
       check Alcotest.string "replaced" "10.3.0.0/24"
         (Prefix.to_string r.Route.prefix)
   | _ -> Alcotest.fail "replace failed");

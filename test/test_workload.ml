@@ -125,22 +125,27 @@ let prop_inputs_wellformed =
           Option.is_some (Model.config g.G.model r.Route.device))
         g.G.input_routes)
 
-(* property: with any seed, route simulation converges within the
-   fixpoint bound and the distributed framework reproduces it *)
+(* property: with any seed, with or without BGP aggregates over its
+   inputs, route simulation converges within the fixpoint bound and the
+   distributed framework reproduces it *)
 let prop_distributed_equivalence =
   QCheck.Test.make ~name:"distributed = direct on random seeds" ~count:3
     (QCheck.make (QCheck.Gen.int_range 20 60))
     (fun seed ->
       let g = G.generate { G.small with G.g_seed = seed; g_prefixes = 80 } in
-      let direct =
-        (Route_sim.run g.G.model ~input_routes:g.G.input_routes ()).Route_sim.rib
-      in
-      let fw = Hoyan_dist.Framework.create g.G.model in
-      let rp =
-        Hoyan_dist.Framework.run_route_phase ~subtasks:6 fw
-          ~input_routes:g.G.input_routes
-      in
-      Rib.equal direct rp.Hoyan_dist.Framework.rp_rib)
+      List.for_all
+        (fun model ->
+          let direct =
+            (Route_sim.run model ~input_routes:g.G.input_routes ())
+              .Route_sim.rib
+          in
+          let fw = Hoyan_dist.Framework.create model in
+          let rp =
+            Hoyan_dist.Framework.run_route_phase ~subtasks:6 fw
+              ~input_routes:g.G.input_routes
+          in
+          Rib.equal direct rp.Hoyan_dist.Framework.rp_rib)
+        [ g.G.model; Agg_nets.add ~seed g ])
 
 let test_dual_stack () =
   let g = Lazy.force g in
